@@ -12,9 +12,10 @@ form, so BH and HT agree) reduces to
 
     Delta f = g*^{ij}(df) f_ij = g^{ij}(grad f) f_ij = tr_{g_{grad f}} D^2 f.
 
-The three expressions are evaluated through numerically distinct pipelines
-(dual tensor, primal inverse metric, orthonormal-frame trace) and used to
-cross-check each other.
+Every quantity at a point comes from the same df, D^2 f, grad f and g at
+grad f, which ``point_geometry`` computes once.  The dual-tensor and
+orthonormal-frame-trace Laplacians are kept as independent pipelines to
+cross-check the shared one.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .errors import (
     CriticalPoint,
     DegenerateMetric,
     DimensionTooLarge,
-    EigenFailure,
+    MinkGeomError,
     NoConvergence,
 )
-from .norms import MinkowskiNorm, RandersNorm
+from .norms import MinkowskiNorm, RandersNorm, fd_gradient, fd_hessian
 from .sampling import sphere_directions, sphere_mean
 
 CRITICAL_EPS = 1e-8
@@ -217,32 +218,10 @@ def custom_field(dim: int, value_fn, d1_fn=None, d2_fn=None, fd_step: float = 1e
     """
 
     def fd_d1(x):
-        h = fd_step * (1.0 + np.linalg.norm(x))
-        out = np.zeros(dim)
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            d_h = (value_fn(x + e) - value_fn(x - e)) / (2 * h)
-            d_h2 = (value_fn(x + 0.5 * e) - value_fn(x - 0.5 * e)) / h
-            out[i] = (4 * d_h2 - d_h) / 3
-        return out
+        return fd_gradient(value_fn, x, fd_step * (1.0 + np.linalg.norm(x)))
 
     def fd_d2(x):
-        h = 10 * fd_step * (1.0 + np.linalg.norm(x))
-        out = np.zeros((dim, dim))
-        f0 = value_fn(x)
-        for i in range(dim):
-            ei = np.zeros(dim)
-            ei[i] = h
-            out[i, i] = (value_fn(x + ei) - 2 * f0 + value_fn(x - ei)) / h**2
-            for j in range(i + 1, dim):
-                ej = np.zeros(dim)
-                ej[j] = h
-                out[i, j] = out[j, i] = (
-                    value_fn(x + ei + ej) - value_fn(x + ei - ej)
-                    - value_fn(x - ei + ej) + value_fn(x - ei - ej)
-                ) / (4 * h**2)
-        return out
+        return fd_hessian(value_fn, x, 10 * fd_step * (1.0 + np.linalg.norm(x)))
 
     uses_fd = d1_fn is None or d2_fn is None
     return ScalarField(
@@ -299,27 +278,95 @@ def _safe_profile_value(profile, t, default):
 # -- differential operators ------------------------------------------------------
 
 
-def _regular_d1(norm: MinkowskiNorm, field: ScalarField, x) -> np.ndarray:
+def _regular_jet(field: ScalarField, x) -> tuple[np.ndarray, np.ndarray]:
+    """(df, D^2 f) at a regular point x.
+
+    x is critical when df vanishes or when a critical point lies within
+    relative distance CRITICAL_EPS of x: |df| <= CRITICAL_EPS |D^2 f| |x|.
+    The test is unchanged under x -> cx for homogeneous fields and under
+    f -> lam f + const.
+    """
     df = field.d1(x)
-    scale = 1.0 + abs(field.value(x))
-    if np.linalg.norm(df) < CRITICAL_EPS * scale:
+    hess = field.d2(x)
+    dnorm = float(np.linalg.norm(df))
+    if dnorm == 0.0 or dnorm <= CRITICAL_EPS * float(np.linalg.norm(hess) * np.linalg.norm(x)):
         raise CriticalPoint(
             f"df vanishes at x={np.asarray(x)!r}; downstream formulas divide by F(grad f)"
         )
-    return df
+    return df, hess
+
+
+@dataclass(frozen=True)
+class PointGeometry:
+    """The quantities of one regular point x that everything else reads.
+
+    df and the Hessian D^2 f of the field, grad f = L^{-1}(df), the
+    transnormal value F*(df) = F(grad f), the fundamental tensor g at
+    grad f and the Laplacian Delta f = tr(g^{-1} D^2 f).  Level-set frames
+    and curvatures are built from the same grad f, g and D^2 f.
+
+    If g degenerates at grad f (k-th root norms, whose gradient for a
+    cylinder potential lies on a coordinate plane) and df and D^2 f are
+    supported on a coordinate prefix of length m < n, the geometry is that of
+    the subspace dual on the first m coordinates, which is exact there:
+    ``norm`` is Ftilde on R^m and ``g`` is m x m.  Otherwise m = n and
+    ``norm`` is F.  ``df``, ``hess`` and ``grad`` always have length n.
+    """
+
+    x: np.ndarray
+    norm: MinkowskiNorm
+    m: int
+    df: np.ndarray
+    hess: np.ndarray
+    grad: np.ndarray
+    fstar: float
+    g: np.ndarray
+    lap: float
+
+
+def point_geometry(norm: MinkowskiNorm, field: ScalarField, x) -> PointGeometry:
+    """The shared geometry of ``field`` at x; raises CriticalPoint at critical x."""
+    x = np.asarray(x, dtype=float)
+    df, hess = _regular_jet(field, x)
+    n = norm.dim
+    try:
+        return _geometry_in(norm, n, x, df, hess)
+    except (np.linalg.LinAlgError, DegenerateMetric, NoConvergence) as exc:
+        m = prefix_support(df, hess)
+        if m == n:
+            raise
+        try:
+            geo = _geometry_in(duality.subspace_dual(norm, m).norm, m, x, df, hess)
+        except MinkGeomError:
+            raise exc
+        if np.max(np.abs(norm.legendre(geo.grad) - df)) > 1e-8 * np.max(np.abs(df)):
+            raise exc  # L does not preserve the subspace; the reduction is invalid
+        return geo
+
+
+def _geometry_in(norm: MinkowskiNorm, m: int, x, df, hess) -> PointGeometry:
+    grad_m = duality.legendre_inverse(norm, df[:m])
+    g = norm.fundamental_tensor(grad_m)
+    grad = np.zeros(df.size)
+    grad[:m] = grad_m
+    return PointGeometry(
+        x=x, norm=norm, m=m, df=df, hess=hess, grad=grad,
+        fstar=norm.value(grad_m), g=g,
+        lap=float(np.tensordot(np.linalg.inv(g), hess[:m, :m])),
+    )
 
 
 def gradient(norm: MinkowskiNorm, field: ScalarField, x) -> np.ndarray:
     """grad f(x) = L^{-1}(df(x)); satisfies F(grad f) = F*(df) and L(grad f) = df."""
-    return duality.legendre_inverse(norm, _regular_d1(norm, field, x))
+    return duality.legendre_inverse(norm, _regular_jet(field, x)[0])
 
 
 def hessian_form(norm: MinkowskiNorm, field: ScalarField, x, X, Y) -> float:
     """D^2 f(X, Y) at x; symmetric; equals f_ij X^i Y^j in linear coordinates."""
-    _regular_d1(norm, field, x)
+    hess = _regular_jet(field, x)[1]
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    return float(X @ field.d2(x) @ Y)
+    return float(X @ hess @ Y)
 
 
 def prefix_support(df: np.ndarray, hess: np.ndarray) -> int:
@@ -344,50 +391,31 @@ def prefix_support(df: np.ndarray, hess: np.ndarray) -> int:
     return m
 
 
-def laplacian(norm: MinkowskiNorm, field: ScalarField, x, volume: str = "bh",
-              method: str = "dual") -> float:
+def laplacian(norm: MinkowskiNorm, field: ScalarField, x, method: str = "primal") -> float:
     """Finsler Laplacian Delta f(x) = div(grad f).
 
-    ``volume`` in {"bh", "ht"}: the density is constant on a Minkowski space,
-    so both give the same value; the argument documents intent.  ``method``
-    selects the pipeline: "dual" contracts the dual fundamental tensor at df
-    (production), "primal" inverts g at grad f (the analytic divergence
-    form), "frame_trace" sums D^2 f over a g_{grad f}-orthonormal basis.
-
-    If the norm degenerates at grad f (k-th root families on coordinate
-    planes) but the data is supported on a coordinate prefix, the value is
-    computed in the subspace-dual geometry, which is exact there.
+    ``method`` selects the pipeline: "primal" is tr(g^{-1} D^2 f) with g at
+    grad f, read from the shared ``point_geometry``; "dual" contracts the
+    dual fundamental tensor at df and "frame_trace" sums D^2 f over a
+    g_{grad f}-orthonormal basis, both independent cross-checks.  All three
+    run in the geometry's norm, so a degenerate metric on prefix-supported
+    data is handled by the subspace-dual reduction.
     """
-    if volume not in ("bh", "ht"):
-        raise ValueError("volume must be 'bh' or 'ht'")
-    df = _regular_d1(norm, field, x)
-    hess = field.d2(x)
-    try:
-        return _laplacian_value(norm, df, hess, method)
-    except (np.linalg.LinAlgError, DegenerateMetric, EigenFailure, NoConvergence):
-        m = prefix_support(df, hess)
-        if m == norm.dim:
-            raise
-        tilde = duality.subspace_dual(norm, m).norm
-        return _laplacian_value(tilde, df[:m], hess[:m, :m], method)
-
-
-def _laplacian_value(norm: MinkowskiNorm, df, hess, method: str) -> float:
-    if method == "dual":
-        return float(np.tensordot(duality.dual_fundamental_tensor(norm, df), hess))
+    if method not in ("primal", "dual", "frame_trace"):
+        raise ValueError(f"unknown laplacian method {method!r}")
+    geo = point_geometry(norm, field, x)
     if method == "primal":
-        grad = duality.legendre_inverse(norm, df)
-        ginv = np.linalg.inv(norm.derivatives(grad, order=2).d2)
-        return float(np.tensordot(ginv, hess))
-    if method == "frame_trace":
-        grad = duality.legendre_inverse(norm, df)
-        g = norm.derivatives(grad, order=2).d2
-        frame = np.vstack([
-            orthonormal_basis(g, first=grad)[:],
-            (grad / math.sqrt(grad @ g @ grad))[None, :],
-        ])
-        return float(sum(e @ hess @ e for e in frame))
-    raise ValueError(f"unknown laplacian method {method!r}")
+        return geo.lap
+    m = geo.m
+    hess = geo.hess[:m, :m]
+    if method == "dual":
+        return float(np.tensordot(duality.dual_fundamental_tensor(geo.norm, geo.df[:m]), hess))
+    grad = geo.grad[:m]
+    frame = np.vstack([
+        orthonormal_basis(geo.g, first=grad),
+        (grad / math.sqrt(grad @ geo.g @ grad))[None, :],
+    ])
+    return float(sum(e @ hess @ e for e in frame))
 
 
 def laplacian_trace_check(norm: MinkowskiNorm, field: ScalarField, x) -> tuple[float, float]:
@@ -432,12 +460,10 @@ class VolumeConstant:
     sigma_ht_error: float
 
 
-def volume_constants(norm: MinkowskiNorm, count: int | None = None, seed: int = 0) -> VolumeConstant:
+def volume_constants(norm: MinkowskiNorm, count: int = 20_000, seed: int = 0) -> VolumeConstant:
     n = norm.dim
     if n > 6:
         raise DimensionTooLarge("volume quadrature supports n <= 6")
-    if count is None:
-        count = 100_000 if _has_closed_dual(norm) else 20_000
     dirs = sphere_directions(n, count, seed=seed)
     fvals = np.array([norm.value(u) for u in dirs])
     bh_mean, bh_err = sphere_mean(fvals ** (-float(n)))
@@ -449,11 +475,3 @@ def volume_constants(norm: MinkowskiNorm, count: int | None = None, seed: int = 
         sigma_bh_error=bh_err / bh_mean,
         sigma_ht_error=ht_err / max(ht_mean, 1e-300),
     )
-
-
-def _has_closed_dual(norm: MinkowskiNorm) -> bool:
-    from .norms import EuclideanNorm, KthRootNorm, ScaledNorm
-
-    if isinstance(norm, ScaledNorm):
-        return _has_closed_dual(norm.base)
-    return isinstance(norm, (EuclideanNorm, RandersNorm, KthRootNorm))

@@ -22,6 +22,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from . import calculus, duality, hypersurface, isoparametric, norms
 from .errors import ConfigError, MinkGeomError
 from .isoparametric import _fmt, dumps_17g
 from .randers import RandersData, lemma61_check
-from .sampling import sphere_directions
 
 log = logging.getLogger("minkgeom")
 
@@ -166,22 +166,52 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def cmd_verify(args) -> int:
+# commands that sample level sets, with the default of their "tolerance" key
+_TOLERANCE_DEFAULTS = {"verify": None, "curvatures": 1e-8}
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A checked scenario config with the flag overrides applied; ``field``,
+    ``levels`` and ``samples`` are set for the commands that sample level sets."""
+
+    cfg: dict
+    id: str
+    norm: norms.MinkowskiNorm
+    seed: int
+    tol: float | None
+    output: dict
+    field: calculus.ScalarField | None = None
+    levels: list | None = None
+    samples: int | None = None
+
+
+def load_scenario(args) -> Scenario:
     cfg = load_config(args.config)
     norm = build_norm(_require(cfg, "norm", dict, ""), args.strategy)
-    field = build_field(_require(cfg, "field", dict, ""), norm)
-    levels = _levels(cfg)
-    samples = _optional(cfg, "samples", int, 64)
+    sampled = args.command in _TOLERANCE_DEFAULTS
+    field = build_field(_require(cfg, "field", dict, ""), norm) if sampled else None
+    levels = _levels(cfg) if sampled else None
+    samples = _optional(cfg, "samples", int, 64) if sampled else None
     seed = args.seed if args.seed is not None else _optional(cfg, "seed", int, 0)
-    tol = args.tol if args.tol is not None else _optional(cfg, "tolerance", float, None)
-    log.info("verify %s: %d levels x %d samples", args.config, len(levels), samples)
-    report = isoparametric.verify(norm, field, levels, count=samples, tol=tol, seed=seed)
-    report.scenario_id = _scenario_id(cfg, args.config)
+    tol = args.tol
+    if tol is None and sampled:
+        tol = _optional(cfg, "tolerance", float, _TOLERANCE_DEFAULTS[args.command])
     output = cfg.get("output", {})
     _reject_unknown(output, _OUTPUT_KEYS, "output.")
-    report.write_json(_out_path(args.out, output.get("json", "report.json")))
-    report.write_csv(_out_path(args.out, output.get("csv", "samples.csv")))
-    expect = cfg.get("expect")
+    return Scenario(cfg, _scenario_id(cfg, args.config), norm, seed, tol, output,
+                    field, levels, samples)
+
+
+def cmd_verify(args) -> int:
+    sc = load_scenario(args)
+    log.info("verify %s: %d levels x %d samples", args.config, len(sc.levels), sc.samples)
+    report = isoparametric.verify(sc.norm, sc.field, sc.levels, count=sc.samples, tol=sc.tol,
+                                  seed=sc.seed)
+    report.scenario_id = sc.id
+    report.write_json(_out_path(args.out, sc.output.get("json", "report.json")))
+    report.write_csv(_out_path(args.out, sc.output.get("csv", "samples.csv")))
+    expect = sc.cfg.get("expect")
     if expect is not None:
         _reject_unknown(expect, _EXPECT_KEYS, "expect.")
         for key in ("transnormal", "isoparametric"):
@@ -193,19 +223,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_curvatures(args) -> int:
-    cfg = load_config(args.config)
-    norm = build_norm(_require(cfg, "norm", dict, ""), args.strategy)
-    field = build_field(_require(cfg, "field", dict, ""), norm)
-    levels = _levels(cfg)
-    samples = _optional(cfg, "samples", int, 64)
-    seed = args.seed if args.seed is not None else _optional(cfg, "seed", int, 0)
-    tol = args.tol if args.tol is not None else _optional(cfg, "tolerance", float, 1e-8)
-    scenario = _scenario_id(cfg, args.config)
+    sc = load_scenario(args)
+    norm, field = sc.norm, sc.field
     rows = ["scenario,level,group,kappa,multiplicity,mean_curvature,sectional_products"]
     level_reports = []
     worst = 0.0
-    for t in levels:
-        sample = isoparametric.sample_level(norm, field, float(t), samples, seed=seed)
+    for t in sc.levels:
+        sample = isoparametric.sample_level(norm, field, float(t), sc.samples, seed=sc.seed)
         stats = isoparametric._modal_groups(sample)
         hhat = sum(k * m for k, m in stats)
         products = [stats[r][0] * stats[s][0]
@@ -221,7 +245,7 @@ def cmd_curvatures(args) -> int:
         worst = max(worst, cartan_res, two_curv)
         for gi, (kappa, mult) in enumerate(stats):
             rows.append(",".join([
-                scenario, _fmt(t), str(gi), _fmt(kappa), str(mult), _fmt(hhat),
+                sc.id, _fmt(t), str(gi), _fmt(kappa), str(mult), _fmt(hhat),
                 ";".join(_fmt(p) for p in products),
             ]))
         level_reports.append({
@@ -232,23 +256,20 @@ def cmd_curvatures(args) -> int:
             "cartan_formula_residual": float(cartan_res),
             "two_curvature_residual": float(two_curv),
         })
-    output = cfg.get("output", {})
-    _reject_unknown(output, _OUTPUT_KEYS, "output.")
-    with open(_out_path(args.out, output.get("csv", "curvatures.csv")), "w") as fh:
+    with open(_out_path(args.out, sc.output.get("csv", "curvatures.csv")), "w") as fh:
         fh.write("\n".join(rows) + "\n")
-    payload = {"schema": 1, "scenario": scenario, "tolerance": float(tol),
+    payload = {"schema": 1, "scenario": sc.id, "tolerance": float(sc.tol),
                "levels": level_reports}
-    with open(_out_path(args.out, output.get("json", "curvatures.json")), "w") as fh:
+    with open(_out_path(args.out, sc.output.get("json", "curvatures.json")), "w") as fh:
         fh.write(dumps_17g(payload) + "\n")
-    return 0 if worst <= tol else 2
+    return 0 if worst <= sc.tol else 2
 
 
 def cmd_dualcheck(args) -> int:
-    cfg = load_config(args.config)
-    norm = build_norm(_require(cfg, "norm", dict, ""), args.strategy)
-    trials = _optional(cfg, "trials", int, 1000)
-    seed = args.seed if args.seed is not None else _optional(cfg, "seed", int, 0)
-    rng = np.random.default_rng(seed)
+    sc = load_scenario(args)
+    norm = sc.norm
+    trials = _optional(sc.cfg, "trials", int, 1000)
+    rng = np.random.default_rng(sc.seed)
     preserve = roundtrip = agree = 0.0
     for _ in range(trials):
         y = rng.standard_normal(norm.dim)
@@ -256,32 +277,23 @@ def cmd_dualcheck(args) -> int:
             y = rng.standard_normal(norm.dim)
         F = norm.value(y)
         xi = norm.legendre(y)
-        preserve = max(preserve, abs(duality.dual_norm(norm, xi) - F) / F)
+        fstar = duality.dual_norm(norm, xi)
+        preserve = max(preserve, abs(fstar - F) / F)
         y2 = duality.legendre_inverse(norm, xi)
         roundtrip = max(roundtrip, float(np.linalg.norm(y2 - y) / np.linalg.norm(y)))
         if isinstance(norm, norms.RandersNorm):
             newton_val = norm.value(duality.legendre_inverse_newton(norm, xi))
-            agree = max(agree, abs(duality.dual_norm(norm, xi) - newton_val) / F)
+            agree = max(agree, abs(fstar - newton_val) / F)
     lemma = 0.0
     if isinstance(norm, norms.RandersNorm) and norm.dim >= 3:
         data = RandersData.from_norm(norm)
         for _ in range(50):
-            y = rng.standard_normal(norm.dim)
-            y /= norm.value(y)
-            g = norm.fundamental_tensor(y)
-            X = rng.standard_normal(norm.dim)
-            X -= (X @ g @ y) / (y @ g @ y) * y
-            Y = rng.standard_normal(norm.dim)
-            Y -= (Y @ g @ y) / (y @ g @ y) * y
-            Y -= (Y @ g @ X) / (X @ g @ X) * X
+            y, X, Y = hypersurface.gram_orthogonal_triple(norm, rng)
             lhs, rhs = lemma61_check(data, y, X, Y)
             lemma = max(lemma, abs(lhs - rhs))
-    thresholds = {
-        "norm_preservation": args.tol if args.tol is not None else 1e-10,
-        "roundtrip": args.tol if args.tol is not None else 1e-9,
-        "dual_agreement": args.tol if args.tol is not None else 1e-8,
-        "lemma61": args.tol if args.tol is not None else 1e-7,
-    }
+    defaults = {"norm_preservation": 1e-10, "roundtrip": 1e-9, "dual_agreement": 1e-8,
+                "lemma61": 1e-7}
+    thresholds = {k: sc.tol if sc.tol is not None else v for k, v in defaults.items()}
     results = {
         "norm_preservation": preserve,
         "roundtrip": roundtrip,
@@ -290,16 +302,14 @@ def cmd_dualcheck(args) -> int:
     }
     payload = {
         "schema": 1,
-        "scenario": _scenario_id(cfg, args.config),
+        "scenario": sc.id,
         "trials": trials,
-        "seed": seed,
+        "seed": sc.seed,
         "residuals": results,
         "thresholds": thresholds,
         "pass": {k: bool(results[k] <= thresholds[k]) for k in results},
     }
-    output = cfg.get("output", {})
-    _reject_unknown(output, _OUTPUT_KEYS, "output.")
-    with open(_out_path(args.out, output.get("json", "dualcheck.json")), "w") as fh:
+    with open(_out_path(args.out, sc.output.get("json", "dualcheck.json")), "w") as fh:
         fh.write(dumps_17g(payload) + "\n")
     return 0 if all(payload["pass"].values()) else 2
 

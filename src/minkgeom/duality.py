@@ -3,8 +3,10 @@
 The Legendre transform L maps vectors to covectors by L(y)_i = F F_{y^i}(y),
 which is the gradient of G = F^2/2, so its Jacobian is exactly the
 fundamental tensor g(y).  It is a norm-preserving diffeomorphism away from
-zero, with inverse computed here either in closed form (Euclidean, Randers,
-k-th root, scaled) or by a damped Newton iteration on the generic path.
+zero.  Its inverse, the dual fundamental tensor and the subspace dual come
+from the norm family's closed-form hooks where it has them (``_legendre_inverse``,
+``_dual_fundamental_tensor``, ``_subspace_dual``); otherwise the inverse is
+a damped Newton iteration and the subspace dual is the restriction.
 
 The dual norm is F*(xi) = sup_{y != 0} xi(y)/F(y) = F(L^{-1}(xi)), and the
 dual fundamental tensor satisfies g*(L(y)) = g(y)^{-1}.
@@ -24,18 +26,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import BadDimension, NoConvergence, ZeroCovector, ZeroVector
-from .norms import (
-    AlphaBetaNorm,
-    EuclideanNorm,
-    KthRootNorm,
-    MinkowskiNorm,
-    RandersNorm,
-    ScaledNorm,
-    ZERO_EXCLUSION,
-)
+from .norms import MinkowskiNorm, ZERO_EXCLUSION
 from .sampling import sphere_directions
-
-DUAL_MODES = ("analytic_randers", "newton_legendre", "sup_over_indicatrix")
 
 
 def _as_covector(xi, n: int) -> np.ndarray:
@@ -55,33 +47,13 @@ def legendre(norm: MinkowskiNorm, y) -> np.ndarray:
 def legendre_inverse(norm: MinkowskiNorm, xi) -> np.ndarray:
     """The vector y with L(y) = xi.
 
-    Closed forms where the family admits them, damped Newton otherwise.
+    The family's closed form where it has one, damped Newton otherwise.
     """
     xi = _as_covector(xi, norm.dim)
-    if isinstance(norm, EuclideanNorm):
-        return xi.copy()
-    if isinstance(norm, RandersNorm):
-        return _randers_inverse(norm, xi)
-    if isinstance(norm, KthRootNorm):
-        return _kth_root_inverse(norm.k, xi)
-    if isinstance(norm, ScaledNorm):
-        return legendre_inverse(norm.base, xi / norm.factor**2)
-    return legendre_inverse_newton(norm, xi)
-
-
-def _randers_inverse(norm: RandersNorm, xi: np.ndarray) -> np.ndarray:
-    lam = norm.lam
-    b = norm.b
-    astar_xi = (lam * xi + b * (b @ xi)) / lam**2
-    alpha_star = float(np.sqrt(xi @ astar_xi))
-    fstar = alpha_star - float(b @ xi) / lam
-    return (fstar / (lam * alpha_star)) * (xi - fstar * b)
-
-
-def _kth_root_inverse(k: int, xi: np.ndarray) -> np.ndarray:
-    p = k / (k - 1.0)
-    sstar = float(np.sum(np.abs(xi) ** p))
-    return np.sign(xi) * np.abs(xi) ** (1.0 / (k - 1.0)) * sstar ** ((k - 2.0) / k)
+    try:
+        return norm._legendre_inverse(xi)
+    except NotImplementedError:
+        return legendre_inverse_newton(norm, xi)
 
 
 def legendre_inverse_newton(norm: MinkowskiNorm, xi, max_iter: int = 50) -> np.ndarray:
@@ -130,92 +102,21 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi, max_iter: int = 50) -> np.n
 
 
 def dual_norm(norm: MinkowskiNorm, xi) -> float:
-    """F*(xi) = sup_y xi(y)/F(y), by closed form or Legendre inversion."""
-    xi = _as_covector(xi, norm.dim)
-    if isinstance(norm, EuclideanNorm):
-        return float(np.linalg.norm(xi))
-    if isinstance(norm, RandersNorm):
-        return _randers_dual_value(norm, xi)
-    if isinstance(norm, KthRootNorm):
-        p = norm.k / (norm.k - 1.0)
-        return float(np.sum(np.abs(xi) ** p) ** (1.0 / p))
-    if isinstance(norm, ScaledNorm):
-        return dual_norm(norm.base, xi) / norm.factor
-    return norm.value(legendre_inverse_newton(norm, xi))
-
-
-def _randers_dual_value(norm: RandersNorm, xi: np.ndarray) -> float:
-    lam = norm.lam
-    bxi = float(norm.b @ xi)
-    alpha_star = float(np.sqrt((lam * (xi @ xi) + bxi**2))) / lam
-    return alpha_star - bxi / lam
+    """F*(xi) = sup_y xi(y)/F(y) = F(L^{-1} xi)."""
+    return norm.value(legendre_inverse(norm, xi))
 
 
 def dual_fundamental_tensor(norm: MinkowskiNorm, xi) -> np.ndarray:
     """g*^{ij}(xi) of the dual norm; equals g(L^{-1} xi)^{-1}.
 
-    For Randers the analytic dual coefficients give an independent closed
-    form, used as the production fast path.
+    The family's closed form where it has one (Randers: from the dual
+    coefficients), the inverse of g at the Legendre preimage otherwise.
     """
     xi = _as_covector(xi, norm.dim)
-    if isinstance(norm, EuclideanNorm):
-        return np.eye(norm.dim)
-    if isinstance(norm, RandersNorm):
-        lam = norm.lam
-        b = norm.b
-        astar = (lam * np.eye(norm.dim) + np.outer(b, b)) / lam**2
-        astar_xi = astar @ xi
-        alpha_star = float(np.sqrt(xi @ astar_xi))
-        fstar = alpha_star - float(b @ xi) / lam
-        al = astar_xi / alpha_star
-        fs = al - b / lam
-        return np.outer(fs, fs) + (fstar / alpha_star) * (astar - np.outer(al, al))
-    if isinstance(norm, ScaledNorm):
-        return dual_fundamental_tensor(norm.base, xi) / norm.factor**2
-    y = legendre_inverse(norm, xi)
-    return np.linalg.inv(norm.derivatives(y, order=2).d2)
-
-
-class DualNorm:
-    """The dual norm F* of a base Minkowski norm, with a selectable path.
-
-    Modes: ``analytic_randers`` (closed forms, Euclidean/Randers only),
-    ``newton_legendre`` (generic production path), ``sup_over_indicatrix``
-    (grid maximization; a test oracle, never used in production code).
-    """
-
-    def __init__(self, base: MinkowskiNorm, mode: str | None = None, grid_count: int = 10_000):
-        if mode is None:
-            mode = (
-                "analytic_randers"
-                if isinstance(base, (EuclideanNorm, RandersNorm))
-                else "newton_legendre"
-            )
-        if mode not in DUAL_MODES:
-            raise ValueError(f"unknown dual mode {mode!r}")
-        if mode == "analytic_randers" and not isinstance(base, (EuclideanNorm, RandersNorm)):
-            raise ValueError("analytic_randers mode requires a Euclidean or Randers base")
-        self.base = base
-        self.mode = mode
-        self.grid_count = grid_count
-
-    def value(self, xi) -> float:
-        if self.mode == "analytic_randers":
-            return dual_norm(self.base, xi)
-        if self.mode == "newton_legendre":
-            xi = _as_covector(xi, self.base.dim)
-            return self.base.value(legendre_inverse_newton(self.base, xi))
-        return dual_norm_grid_sup(self.base, xi, count=self.grid_count)
-
-    __call__ = value
-
-    def fundamental_tensor(self, xi) -> np.ndarray:
-        return dual_fundamental_tensor(self.base, xi)
-
-    def inverse(self, xi) -> np.ndarray:
-        if self.mode == "newton_legendre":
-            return legendre_inverse_newton(self.base, _as_covector(xi, self.base.dim))
-        return legendre_inverse(self.base, xi)
+    try:
+        return norm._dual_fundamental_tensor(xi)
+    except NotImplementedError:
+        return np.linalg.inv(norm.derivatives(legendre_inverse(norm, xi), order=2).d2)
 
 
 def dual_norm_grid_sup(norm: MinkowskiNorm, xi, count: int = 10_000, refine: bool = True) -> float:
@@ -276,29 +177,11 @@ def subspace_dual(norm: MinkowskiNorm, m: int) -> SubspaceDual:
     n = norm.dim
     if not 1 <= m < n:
         raise BadDimension(f"subspace dimension must satisfy 1 <= m < {n}, got {m}")
-    if isinstance(norm, EuclideanNorm):
-        return SubspaceDual(norm, m, EuclideanNorm(m, strategy=norm.strategy))
-    if isinstance(norm, RandersNorm):
-        bbar = norm.b[:m]
-        c = float(np.sqrt(norm.lam + bbar @ bbar))
-        if abs(c - 1.0) < 1e-14:
-            tilde = RandersNorm(bbar, strategy=norm.strategy, validate=False)
-        elif np.linalg.norm(bbar) == 0.0:
-            tilde = ScaledNorm(EuclideanNorm(m, strategy=norm.strategy), c)
-        else:
-            tilde = ScaledNorm(RandersNorm(bbar / c, strategy=norm.strategy, validate=False), c)
-        return SubspaceDual(norm, m, tilde)
-    if isinstance(norm, ScaledNorm):
-        return SubspaceDual(norm, m, ScaledNorm(subspace_dual(norm.base, m).norm, norm.factor))
-    if isinstance(norm, KthRootNorm):
-        # L preserves coordinate subspaces for this family, so Ftilde = F|Vbar.
-        return SubspaceDual(norm, m, norm.restricted(m))
-    if isinstance(norm, AlphaBetaNorm) and np.all(norm.beta_vec[m:] == 0.0):
-        return SubspaceDual(norm, m, norm.restricted(m))
-    raise BadDimension(
-        f"no closed subspace dual for family {norm.family!r}; "
-        "use subspace_dual_sup as an oracle"
-    )
+    try:
+        tilde = norm._subspace_dual(m)
+    except NotImplementedError:
+        tilde = norm.restricted(m)
+    return SubspaceDual(norm, m, tilde)
 
 
 def subspace_dual_sup(norm: MinkowskiNorm, m: int, ybar, count: int = 10_000) -> float:

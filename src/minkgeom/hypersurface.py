@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import duality
 from ._linalg import orthonormal_basis
-from .calculus import ScalarField, _regular_d1
-from .errors import DegenerateMetric, EigenFailure, MinkGeomError, NotOrthogonal
+from .calculus import PointGeometry, ScalarField, point_geometry
+from .errors import EigenFailure, NotOrthogonal
 from .norms import MinkowskiNorm, _as_vector
 
 ORTHO_TOL = 1e-8
@@ -41,7 +40,9 @@ class HypersurfacePointFrame:
     by construction and ``principal_curvatures`` are plain eigenvalues of
     ``hhat``.  ``groups`` lists (kappa_r, m_r) for distinct curvature values
     merged at ``group_tol``; ``eigenvectors`` rows are the corresponding
-    ambient principal directions (sorted like the curvatures).
+    ambient principal directions (sorted like the curvatures).  ``geometry``
+    is the shared point geometry the frame was built from (grad f, F(grad f),
+    Delta f).
     """
 
     x: np.ndarray
@@ -52,8 +53,7 @@ class HypersurfacePointFrame:
     principal_curvatures: np.ndarray
     eigenvectors: np.ndarray
     groups: tuple
-    grad: np.ndarray
-    fstar: float
+    geometry: PointGeometry
     group_tol: float
     uses_fd: bool
 
@@ -62,101 +62,39 @@ def frame_at(norm: MinkowskiNorm, field: ScalarField, x, basis_seed: int = 0,
              group_tol: float | None = None) -> HypersurfacePointFrame:
     """Build the hypersurface frame of the level set of ``field`` through x.
 
-    When the norm degenerates exactly at grad f (k-th root families, whose
-    gradient for cylinder potentials lies on a coordinate plane) and the
-    field is supported on a coordinate prefix, the frame is assembled from
-    the subspace-dual geometry: the complement directions are principal with
-    curvature zero, as in the cylinder model.
+    When the point geometry is the subspace-dual reduction (k-th root
+    families, whose gradient for cylinder potentials lies on a coordinate
+    plane), the tangent frame is built on the first m coordinates and the
+    complement directions are principal with curvature zero, as in the
+    cylinder model.
     """
-    x = np.asarray(x, dtype=float)
-    try:
-        return _frame_full(norm, field, x, basis_seed, group_tol)
-    except (EigenFailure, DegenerateMetric, np.linalg.LinAlgError) as exc:
-        reduced = _frame_reduced(norm, field, x, basis_seed, group_tol)
-        if reduced is None:
-            raise exc
-        return reduced
-
-
-def _frame_full(norm, field, x, basis_seed, group_tol) -> HypersurfacePointFrame:
-    df = _regular_d1(norm, field, x)
-    grad = duality.legendre_inverse(norm, df)
-    fstar = norm.value(grad)
-    n_vec = grad / fstar
-    g = norm.derivatives(n_vec, order=2).d2
-    tangent = orthonormal_basis(g, first=n_vec, basis_seed=basis_seed)
-    hess = field.d2(x)
-    hhat = -(tangent @ hess @ tangent.T) / fstar
+    geo = point_geometry(norm, field, x)
+    n, m = norm.dim, geo.m
+    n_vec = geo.grad / geo.fstar
+    tangent = np.zeros((n - 1, n))
+    tangent[: m - 1, :m] = orthonormal_basis(geo.g, first=n_vec[:m], basis_seed=basis_seed)
+    tangent[m - 1:, m:] = np.eye(n - m)
+    hhat = -(tangent @ geo.hess @ tangent.T) / geo.fstar
     hhat = 0.5 * (hhat + hhat.T)
     try:
         vals, vecs = np.linalg.eigh(hhat)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure("eigendecomposition of the shape operator failed") from exc
-    ambient = vecs.T @ tangent
-    return _assemble_frame(norm, field, x, n_vec, grad, fstar, tangent,
-                           tangent @ g @ tangent.T, hhat, vals, ambient, group_tol)
-
-
-def _frame_reduced(norm, field, x, basis_seed, group_tol):
-    from .calculus import prefix_support
-
-    df = _regular_d1(norm, field, x)
-    hess = field.d2(x)
-    m = prefix_support(df, hess)
-    n = norm.dim
-    if m == n:
-        return None
-    try:
-        tilde = duality.subspace_dual(norm, m).norm
-    except MinkGeomError:
-        return None
-    grad_t = duality.legendre_inverse(tilde, df[:m])
-    fstar = tilde.value(grad_t)
-    grad = np.zeros(n)
-    grad[:m] = grad_t
-    if np.max(np.abs(norm.legendre(grad) - df)) > 1e-8 * (1.0 + np.max(np.abs(df))):
-        return None  # Legendre map does not preserve the subspace; reduction invalid
-    n_vec = grad / fstar
-    g_t = tilde.derivatives(grad_t / fstar, order=2).d2
-    tangent_t = orthonormal_basis(g_t, first=grad_t / fstar, basis_seed=basis_seed)
-    hh_t = -(tangent_t @ hess[:m, :m] @ tangent_t.T) / fstar
-    hh_t = 0.5 * (hh_t + hh_t.T)
-    vals_t, vecs_t = np.linalg.eigh(hh_t)
-    tangent = np.zeros((n - 1, n))
-    tangent[: m - 1, :m] = tangent_t
-    for j in range(n - m):
-        tangent[m - 1 + j, m + j] = 1.0
-    ambient = np.zeros((n - 1, n))
-    ambient[: m - 1, :m] = vecs_t.T @ tangent_t
-    ambient[m - 1:] = tangent[m - 1:]
-    vals = np.concatenate([vals_t, np.zeros(n - m)])
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    ambient = ambient[order]
-    hhat = np.diag(vals)
-    g_full = norm.derivatives(n_vec, order=2).d2
-    return _assemble_frame(norm, field, x, n_vec, grad, fstar, tangent,
-                           tangent @ g_full @ tangent.T, hhat, vals, ambient, group_tol)
-
-
-def _assemble_frame(norm, field, x, n_vec, grad, fstar, tangent, ghat, hhat,
-                    vals, ambient, group_tol) -> HypersurfacePointFrame:
+    g = geo.g if m == n else norm.derivatives(geo.grad, order=2).d2
     uses_fd = norm.strategy == "fd" or field.uses_fd
     if group_tol is None:
         kmax = float(np.max(np.abs(vals))) if vals.size else 0.0
         group_tol = max(1e-4, 1e-4 * kmax) if uses_fd else max(1e-9, 1e-6 * kmax)
-    groups = _group_eigenvalues(vals, group_tol)
     return HypersurfacePointFrame(
-        x=x,
+        x=geo.x,
         normal=n_vec,
         tangent_basis=tangent,
-        ghat=ghat,
+        ghat=tangent @ g @ tangent.T,
         hhat=hhat,
         principal_curvatures=vals,
-        eigenvectors=ambient,
-        groups=groups,
-        grad=grad,
-        fstar=fstar,
+        eigenvectors=vecs.T @ tangent,
+        groups=_group_eigenvalues(vals, group_tol),
+        geometry=geo,
         group_tol=group_tol,
         uses_fd=uses_fd,
     )
@@ -173,16 +111,13 @@ def _group_eigenvalues(vals: np.ndarray, tol: float) -> tuple:
     return tuple(groups)
 
 
-def mean_curvatures(frame: HypersurfacePointFrame, norm: MinkowskiNorm | None = None,
-                    volume: str = "bh") -> tuple[float, float]:
+def mean_curvatures(frame: HypersurfacePointFrame) -> tuple[float, float]:
     """(ghat-mean curvature, volumetric mean curvature) = (sum k_a, same).
 
     The S-curvature of a Minkowski space with BH or HT volume vanishes, so
     the two notions coincide.  A loose internal gate cross-checks the trace
     identity F(grad f) Hhat = -sum_a D^2 f(e_a, e_a).
     """
-    if volume not in ("bh", "ht"):
-        raise ValueError("volume must be 'bh' or 'ht'")
     hhat_sum = float(np.sum(frame.principal_curvatures))
     trace_sum = float(np.trace(frame.hhat))
     if abs(hhat_sum - trace_sum) > 1e-6 * (1.0 + abs(hhat_sum)):
@@ -194,7 +129,7 @@ def mean_curvature_residual(frame: HypersurfacePointFrame, field: ScalarField) -
     """| F(grad f) * Hhat + sum_a D^2 f(e_a, e_a) |, which must vanish."""
     hess = field.d2(frame.x)
     faa = float(sum(e @ hess @ e for e in frame.tangent_basis))
-    return abs(frame.fstar * float(np.sum(frame.principal_curvatures)) + faa)
+    return abs(frame.geometry.fstar * float(np.sum(frame.principal_curvatures)) + faa)
 
 
 def cartan_curvature_Q(norm: MinkowskiNorm, y, X, Y) -> float:
@@ -224,6 +159,23 @@ def cartan_curvature_Q(norm: MinkowskiNorm, y, X, Y) -> float:
     frame_sum = float(cXX @ np.linalg.solve(g, cYY))
     quad = float(np.einsum("ijkl,i,j,k,l->", Ccal, X, X, Y, Y))
     return (2.0 * d.F**2 / (gXX * gYY)) * (2.0 * frame_sum - quad)
+
+
+def gram_orthogonal_triple(norm: MinkowskiNorm, rng) -> tuple:
+    """A unit y (F(y) = 1) and X, Y mutually g_y-orthogonal to it.
+
+    Draws y, X, Y in that order from ``rng`` (a numpy Generator) and
+    Gram-Schmidt orthogonalizes X and Y in g_y.
+    """
+    y = rng.standard_normal(norm.dim)
+    y = y / norm.value(y)
+    g = norm.fundamental_tensor(y)
+    X = rng.standard_normal(norm.dim)
+    X = X - (X @ g @ y) / (y @ g @ y) * y
+    Y = rng.standard_normal(norm.dim)
+    Y = Y - (Y @ g @ y) / (y @ g @ y) * y
+    Y = Y - (Y @ g @ X) / (X @ g @ X) * X
+    return y, X, Y
 
 
 def sectional_products(frame: HypersurfacePointFrame) -> np.ndarray:

@@ -96,6 +96,21 @@ class MinkowskiNorm:
     def _analytic(self, y: np.ndarray, order: int) -> Derivatives:
         raise NotImplementedError
 
+    # Closed forms of the dual geometry.  A family without one leaves the hook
+    # raising NotImplementedError and ``duality`` falls back to damped Newton
+    # (inverse, dual tensor) or to ``restricted(m)`` (subspace dual).
+
+    def _legendre_inverse(self, xi: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _dual_fundamental_tensor(self, xi: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _subspace_dual(self, m: int) -> "MinkowskiNorm":
+        """Ftilde on the first m coordinates.  The fallback, F restricted, is
+        exact only when L preserves that coordinate subspace."""
+        raise NotImplementedError
+
     # -- public services -----------------------------------------------------
 
     def value(self, y) -> float:
@@ -165,55 +180,26 @@ class MinkowskiNorm:
         def G(z):
             return 0.5 * self._value(z) ** 2
 
-        def grad_at(z, h):
-            out = np.zeros(n)
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = h
-                d1 = (G(z + e) - G(z - e)) / (2 * h)
-                d2 = (G(z + 0.5 * e) - G(z - 0.5 * e)) / h
-                out[i] = (4 * d2 - d1) / 3
-            return out
+        def hess_at(z):
+            h = 2e-2 * scale
+            return (4 * fd_hessian(G, z, 0.5 * h) - fd_hessian(G, z, h)) / 3
 
-        def hess_at(z, h):
-            def raw(hh):
-                out = np.zeros((n, n))
-                g0 = G(z)
-                for i in range(n):
-                    ei = np.zeros(n)
-                    ei[i] = hh
-                    out[i, i] = (G(z + ei) - 2 * g0 + G(z - ei)) / hh**2
-                    for j in range(i + 1, n):
-                        ej = np.zeros(n)
-                        ej[j] = hh
-                        out[i, j] = out[j, i] = (
-                            G(z + ei + ej) - G(z + ei - ej) - G(z - ei + ej) + G(z - ei - ej)
-                        ) / (4 * hh**2)
-                return out
+        h3 = 2e-3 * scale
 
-            return (4 * raw(0.5 * h) - raw(h)) / 3
-
-        d1 = grad_at(y, 1e-2 * scale)
-        d2 = hess_at(y, 2e-2 * scale)
-        d3 = d4 = None
-        if order >= 3:
-            h3 = 2e-3 * scale
-            d3 = np.zeros((n, n, n))
+        def third(z):
+            out = np.zeros((n, n, n))
             for k in range(n):
                 e = np.zeros(n)
                 e[k] = h3
-                d3[:, :, k] = (hess_at(y + e, 2e-2 * scale) - hess_at(y - e, 2e-2 * scale)) / (2 * h3)
+                out[:, :, k] = (hess_at(z + e) - hess_at(z - e)) / (2 * h3)
+            return out
+
+        d1 = fd_gradient(G, y, 1e-2 * scale)
+        d2 = hess_at(y)
+        d3 = third(y) if order >= 3 else None
+        d4 = None
         if order >= 4:
             h4 = 5e-3 * scale
-
-            def third(z):
-                out = np.zeros((n, n, n))
-                for k in range(n):
-                    e = np.zeros(n)
-                    e[k] = h3
-                    out[:, :, k] = (hess_at(z + e, 2e-2 * scale) - hess_at(z - e, 2e-2 * scale)) / (2 * h3)
-                return out
-
             d4 = np.zeros((n, n, n, n))
             for ll in range(n):
                 e = np.zeros(n)
@@ -276,6 +262,12 @@ class EuclideanNorm(MinkowskiNorm):
             d4=np.zeros((n, n, n, n)) if order >= 4 else None,
         )
 
+    def _legendre_inverse(self, xi):
+        return xi.copy()
+
+    def _dual_fundamental_tensor(self, xi):
+        return np.eye(self.dim)
+
     def restricted(self, m):
         _check_subdim(m, self.dim)
         return EuclideanNorm(m, strategy=self.strategy)
@@ -285,7 +277,12 @@ class EuclideanNorm(MinkowskiNorm):
 
 
 class RandersNorm(MinkowskiNorm):
-    """F = |y| + b.y with ||b|| < 1 (Euclidean alpha)."""
+    """F = |y| + b.y with ||b|| < 1 (Euclidean alpha).
+
+    The dual norm is again of Randers type, F*(xi) = sqrt(xi a* xi) + b*.xi
+    with a* = (lam I + b b^T) / lam^2 and b* = -b / lam, lam = 1 - |b|^2;
+    ``astar`` and ``bstar`` hold these coefficients.
+    """
 
     family = "randers"
 
@@ -298,6 +295,8 @@ class RandersNorm(MinkowskiNorm):
         self.b = b
         self.b_norm = float(bnorm)
         self.lam = float(1.0 - bnorm**2)
+        self.astar = (self.lam * np.eye(b.size) + np.outer(b, b)) / self.lam**2
+        self.bstar = -b / self.lam
         if validate:
             self._validate()
 
@@ -363,6 +362,41 @@ class RandersNorm(MinkowskiNorm):
                     + np.einsum("i,jkl->ijkl", Fi, A3)
                 )
         return Derivatives(F=F, d1=F * Fi, d2=g, d3=d3, d4=d4)
+
+    def _dual_parts(self, xi):
+        """(a* xi, alpha*(xi), F*(xi))."""
+        astar_xi = self.astar @ xi
+        alpha_star = float(np.sqrt(xi @ astar_xi))
+        return astar_xi, alpha_star, alpha_star + float(self.bstar @ xi)
+
+    def _legendre_inverse(self, xi):
+        _, alpha_star, fstar = self._dual_parts(xi)
+        return (fstar / (self.lam * alpha_star)) * (xi - fstar * self.b)
+
+    def _dual_fundamental_tensor(self, xi):
+        astar_xi, alpha_star, fstar = self._dual_parts(xi)
+        al = astar_xi / alpha_star
+        fs = al + self.bstar
+        return np.outer(fs, fs) + (fstar / alpha_star) * (self.astar - np.outer(al, al))
+
+    def subspace_scale(self, m: int) -> float:
+        """sqrt(lam + |bbar|^2), bbar = b on the first m coordinates.
+
+        Ftilde is this constant times the Randers norm with covector
+        bbar / constant; the F*-cylinder of radius r is
+        constant |xbar| + beta(xbar) = r.
+        """
+        bbar = self.b[:m]
+        return float(np.sqrt(self.lam + bbar @ bbar))
+
+    def _subspace_dual(self, m):
+        c = self.subspace_scale(m)
+        bbar = self.b[:m]
+        if abs(c - 1.0) < 1e-14:
+            return self.restricted(m)
+        if np.linalg.norm(bbar) == 0.0:
+            return ScaledNorm(EuclideanNorm(m, strategy=self.strategy), c)
+        return ScaledNorm(RandersNorm(bbar / c, strategy=self.strategy, validate=False), c)
 
     def restricted(self, m):
         _check_subdim(m, self.dim)
@@ -457,6 +491,11 @@ class KthRootNorm(MinkowskiNorm):
                     + H[1] * D4
                 )
         return Derivatives(F=S ** (1.0 / k), d1=d1, d2=d2, d3=d3, d4=d4)
+
+    def _legendre_inverse(self, xi):
+        k = self.k
+        sstar = float(np.sum(np.abs(xi) ** (k / (k - 1.0))))
+        return np.sign(xi) * np.abs(xi) ** (1.0 / (k - 1.0)) * sstar ** ((k - 2.0) / k)
 
     def restricted(self, m):
         _check_subdim(m, self.dim)
@@ -576,6 +615,15 @@ class ScaledNorm(MinkowskiNorm):
             d4=None if d.d4 is None else c2 * d.d4,
         )
 
+    def _legendre_inverse(self, xi):
+        return self.base._legendre_inverse(xi / self.factor**2)
+
+    def _dual_fundamental_tensor(self, xi):
+        return self.base._dual_fundamental_tensor(xi) / self.factor**2
+
+    def _subspace_dual(self, m):
+        return ScaledNorm(self.base._subspace_dual(m), self.factor)
+
     def restricted(self, m):
         return ScaledNorm(self.base.restricted(m), self.factor)
 
@@ -588,33 +636,36 @@ def _check_subdim(m: int, n: int):
         raise BadDimension(f"subspace dimension must satisfy 1 <= m < {n}, got {m}")
 
 
-# -- module-level operation wrappers ------------------------------------------
+# -- finite differences --------------------------------------------------------
 
 
-def evaluate(norm: MinkowskiNorm, y) -> float:
-    return norm.value(y)
+def fd_gradient(fn, z: np.ndarray, h: float) -> np.ndarray:
+    """Gradient of a scalar function by central differences, Richardson
+    extrapolated over the steps h and h/2."""
+    n = z.size
+    out = np.zeros(n)
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        d_h = (fn(z + e) - fn(z - e)) / (2 * h)
+        d_h2 = (fn(z + 0.5 * e) - fn(z - 0.5 * e)) / h
+        out[i] = (4 * d_h2 - d_h) / 3
+    return out
 
 
-def fundamental_tensor(norm: MinkowskiNorm, y) -> np.ndarray:
-    return norm.fundamental_tensor(y)
-
-
-def cartan_tensors(norm: MinkowskiNorm, y) -> CartanData:
-    return norm.cartan_tensors(y)
-
-
-def euclidean(dim: int, strategy: str = "analytic") -> EuclideanNorm:
-    return EuclideanNorm(dim, strategy)
-
-
-def randers(b, strategy: str = "analytic", validate: bool = True) -> RandersNorm:
-    return RandersNorm(b, strategy, validate)
-
-
-def kth_root(k: int, dim: int, strategy: str = "analytic", validate: bool = True) -> KthRootNorm:
-    return KthRootNorm(k, dim, strategy, validate)
-
-
-def alpha_beta(profile, b: float, dim: int, strategy: str = "taylor",
-               b_vector=None, validate: bool = True) -> AlphaBetaNorm:
-    return AlphaBetaNorm(profile, b, dim, strategy, b_vector, validate)
+def fd_hessian(fn, z: np.ndarray, h: float) -> np.ndarray:
+    """Hessian of a scalar function by central second differences of step h."""
+    n = z.size
+    out = np.zeros((n, n))
+    f0 = fn(z)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h
+        out[i, i] = (fn(z + ei) - 2 * f0 + fn(z - ei)) / h**2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = h
+            out[i, j] = out[j, i] = (
+                fn(z + ei + ej) - fn(z + ei - ej) - fn(z - ei + ej) + fn(z - ei - ej)
+            ) / (4 * h**2)
+    return out

@@ -47,15 +47,13 @@ class RandersData:
             raise NotInDomain("RandersData requires a Randers norm with Euclidean alpha")
         b = norm.b
         lam = norm.lam
-        astar = (lam * np.eye(b.size) + np.outer(b, b)) / lam**2
-        bstar = -b / lam
         bbar_sq = lam_bar = None
         if m is not None:
             if not 1 <= m < b.size:
                 raise BadDimension(f"m must satisfy 1 <= m < {b.size}")
             bbar_sq = float(b[:m] @ b[:m])
             lam_bar = 1.0 - bbar_sq / (lam + bbar_sq)
-        return RandersData(b=b, lam=lam, astar=astar, bstar=bstar,
+        return RandersData(b=b, lam=lam, astar=norm.astar, bstar=norm.bstar,
                            m=m, bbar_sq=bbar_sq, lam_bar=lam_bar)
 
     @property
@@ -135,10 +133,9 @@ def cylinder_surface_residual(data: RandersData, m: int, r: float, x,
                               reverse: bool = False) -> float:
     """sqrt(lam + bbar^2)|xbar| +- beta(xbar) - r at x (zero on the cylinder)."""
     x = np.asarray(x, dtype=float)
-    bbar = data.b[:m]
-    c = math.sqrt(data.lam + float(bbar @ bbar))
+    c = data.norm().subspace_scale(m)
     sign = -1.0 if reverse else 1.0
-    return c * float(np.linalg.norm(x[:m])) + sign * float(bbar @ x[:m]) - r
+    return c * float(np.linalg.norm(x[:m])) + sign * float(data.b[:m] @ x[:m]) - r
 
 
 def lemma61_check(data: RandersData, y, X, Y) -> tuple[float, float]:

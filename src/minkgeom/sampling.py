@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, ndtri
+from scipy.special import ndtri
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -57,11 +57,6 @@ def _kronecker_alphas(n: int) -> np.ndarray:
     for _ in range(80):
         x = (1.0 + x) ** (1.0 / (n + 1))
     return np.mod(1.0 / x ** np.arange(1, n + 1), 1.0)
-
-
-def unit_ball_volume(n: int) -> float:
-    """Lebesgue volume of the Euclidean unit ball in R^n."""
-    return math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n + 1.0))
 
 
 def sphere_mean(values: np.ndarray) -> tuple[float, float]:

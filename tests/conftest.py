@@ -43,16 +43,3 @@ def family_zoo(euclid3, randers3, quartic3, alphabeta3):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240615)
-
-
-def gram_orthogonal_triple(norm, rng):
-    """A unit y (F(y) = 1) with X, Y mutually g_y-orthogonal to it."""
-    y = rng.standard_normal(norm.dim)
-    y = y / norm.value(y)
-    g = norm.fundamental_tensor(y)
-    X = rng.standard_normal(norm.dim)
-    X = X - (X @ g @ y) / (y @ g @ y) * y
-    Y = rng.standard_normal(norm.dim)
-    Y = Y - (Y @ g @ y) / (y @ g @ y) * y
-    Y = Y - (Y @ g @ X) / (X @ g @ X) * X
-    return y, X, Y

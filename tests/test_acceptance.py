@@ -13,7 +13,6 @@ from scipy.integrate import quad
 
 from minkgeom import calculus, duality, hypersurface as hs, isoparametric as iso, norms
 from minkgeom import randers as rd
-from .conftest import gram_orthogonal_triple
 
 
 def _report(cid, text):
@@ -141,7 +140,7 @@ def test_c07_lemma61_identity(rng):
         norm = norms.RandersNorm([b, 0.0, 0.0], validate=False)
         data = rd.RandersData.from_norm(norm)
         for _ in range(50):
-            y, X, Y = gram_orthogonal_triple(norm, rng)
+            y, X, Y = hs.gram_orthogonal_triple(norm, rng)
             lhs, rhs = rd.lemma61_check(data, y, X, Y)
             worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-7

@@ -122,12 +122,6 @@ class TestLaplacian:
             fd = calculus.divergence_fd(norm, f, x)
             assert abs(lap - fd) <= 1e-4 * (1.0 + abs(lap))
 
-    def test_bh_ht_identical(self, randers3):
-        f = calculus.sphere_potential(randers3)
-        x = [0.3, -1.1, 0.7]
-        assert calculus.laplacian(randers3, f, x, volume="bh") == \
-            calculus.laplacian(randers3, f, x, volume="ht")
-
     def test_trace_check_pair(self, randers3_mixed):
         f = calculus.norm_plus_linear(randers3_mixed, 2)
         a, b = calculus.laplacian_trace_check(randers3_mixed, f, [1.0, 0.3, 0.5])

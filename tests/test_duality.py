@@ -50,8 +50,9 @@ class TestLegendre:
                 fstar = duality.dual_norm(norm, xi)
                 assert xi @ y == pytest.approx(fstar**2, rel=1e-9)
 
-    def test_newton_matches_closed_forms(self, randers3, quartic3, rng):
-        for norm in (randers3, quartic3):
+    def test_newton_matches_closed_forms(self, euclid3, randers3, quartic3, rng):
+        # every family with a closed-form Legendre inverse, and a scaled one
+        for norm in (euclid3, randers3, quartic3, randers3.scaled(2.0)):
             for _ in range(50):
                 xi = rng.standard_normal(3)
                 closed = duality.legendre_inverse(norm, xi)
@@ -107,14 +108,13 @@ class TestDualNorm:
             assert np.max(np.abs(gstar - ginv)) <= 1e-8
 
     def test_modes(self, randers3):
+        # closed form, Newton inversion and the grid sup agree on F*
         xi = np.array([0.9, 0.1, -0.3])
-        exact = duality.DualNorm(randers3, "analytic_randers").value(xi)
-        newton = duality.DualNorm(randers3, "newton_legendre").value(xi)
-        sup = duality.DualNorm(randers3, "sup_over_indicatrix", grid_count=4000).value(xi)
+        exact = duality.dual_norm(randers3, xi)
+        newton = randers3.value(duality.legendre_inverse_newton(randers3, xi))
+        sup = duality.dual_norm_grid_sup(randers3, xi, count=4000)
         assert newton == pytest.approx(exact, rel=1e-10)
         assert sup == pytest.approx(exact, rel=1e-4)
-        with pytest.raises(ValueError):
-            duality.DualNorm(norms.KthRootNorm(4, 3), "analytic_randers")
 
 
 class TestSubspaceDual:

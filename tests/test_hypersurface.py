@@ -3,7 +3,6 @@ import pytest
 
 from minkgeom import calculus, hypersurface as hs, norms
 from minkgeom.errors import NotOrthogonal
-from .conftest import gram_orthogonal_triple
 
 
 def sphere_point(norm, r, direction):
@@ -79,7 +78,7 @@ class TestMeanCurvature:
     def test_sphere_value(self, randers3):
         f = calculus.sphere_potential(randers3)
         fr = hs.frame_at(randers3, f, sphere_point(randers3, 2.0, [0.5, 0.1, -0.7]))
-        hhat, h = hs.mean_curvatures(fr, randers3)
+        hhat, h = hs.mean_curvatures(fr)
         assert hhat == pytest.approx(-1.0, abs=1e-10)
         assert h == hhat  # S-curvature vanishes: both notions coincide
 
@@ -102,11 +101,11 @@ class TestMeanCurvature:
 
 class TestCartanCurvature:
     def test_euclidean_vanishes(self, euclid3, rng):
-        y, X, Y = gram_orthogonal_triple(euclid3, rng)
+        y, X, Y = hs.gram_orthogonal_triple(euclid3, rng)
         assert hs.cartan_curvature_Q(euclid3, y, X, Y) == pytest.approx(0.0, abs=1e-14)
 
     def test_scale_invariance(self, randers3, rng):
-        y, X, Y = gram_orthogonal_triple(randers3, rng)
+        y, X, Y = hs.gram_orthogonal_triple(randers3, rng)
         q = hs.cartan_curvature_Q(randers3, y, X, Y)
         assert hs.cartan_curvature_Q(randers3, y, 3.0 * X, Y) == pytest.approx(q, abs=1e-10)
         assert hs.cartan_curvature_Q(randers3, y, X, 3.0 * Y) == pytest.approx(q, abs=1e-10)
@@ -116,7 +115,7 @@ class TestCartanCurvature:
         for b in (0.1, 0.5, 0.9):
             norm = norms.RandersNorm([b, 0.0, 0.0], validate=False)
             for _ in range(10):
-                y, X, Y = gram_orthogonal_triple(norm, rng)
+                y, X, Y = hs.gram_orthogonal_triple(norm, rng)
                 lhs = 1.0 - hs.cartan_curvature_Q(norm, y, X, Y)
                 rhs = float(np.linalg.norm(y)) * (1.0 - b * b)
                 assert abs(lhs - rhs) <= 1e-7

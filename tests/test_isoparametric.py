@@ -49,6 +49,27 @@ class TestSampling:
         with pytest.raises(ValueError):
             iso.sample_level(randers3, f, -1.0, 16)
 
+    def test_one_geometry_per_point(self, alphabeta3, quartic3, monkeypatch):
+        # F*, Delta f and the frame share one Legendre inversion and one
+        # subspace-dual reduction per accepted point
+        calls = {"newton": 0, "subspace_dual": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        cylinder = calculus.cylinder_potential(quartic3, 2)
+        monkeypatch.setattr(duality, "legendre_inverse_newton",
+                            counting("newton", duality.legendre_inverse_newton))
+        monkeypatch.setattr(duality, "subspace_dual",
+                            counting("subspace_dual", duality.subspace_dual))
+        s = iso.sample_level(alphabeta3, calculus.sphere_potential(alphabeta3), 2.0, 8)
+        assert calls["newton"] == len(s.points) == 8
+        s = iso.sample_level(quartic3, cylinder, 2.0, 8)
+        assert len(s.points) == 8 and calls["subspace_dual"] <= len(s.points)
+
 
 class TestVerify:
     def test_sphere_isoparametric(self, randers3):
@@ -60,6 +81,13 @@ class TestVerify:
         # profiles: a = sqrt(2t), b = n
         assert np.allclose(rep.a_nodes[:, 1], np.sqrt(2 * rep.a_nodes[:, 0]), atol=1e-10)
         assert np.allclose(rep.b_nodes[:, 1], 3.0, atol=1e-10)
+
+    def test_sphere_isoparametric_at_large_scale(self, randers3):
+        # critical-point and level tests are relative: x -> cx changes nothing
+        f = calculus.sphere_potential(randers3)
+        rep = iso.verify(randers3, f, [1e20, 1e21, 1e22], count=16)
+        assert (rep.transnormal_verdict, rep.isoparametric_verdict) == ("yes", "yes")
+        assert np.allclose(rep.a_nodes[:, 1], np.sqrt(2 * rep.a_nodes[:, 0]), rtol=1e-10)
 
     def test_linear_isoparametric(self, randers3):
         f = calculus.linear_field([1.0, 2.0, 0.5])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from minkgeom import calculus, duality, isoparametric as iso, norms
+from minkgeom.hypersurface import gram_orthogonal_triple
 from minkgeom import randers as rd
 from minkgeom.errors import NotInDomain, NotUnit
-from .conftest import gram_orthogonal_triple
 
 
 class TestRandersData:
