@@ -29,30 +29,21 @@ xr = 2.0 * np.array([0.3, -0.8, 0.5]) / norm.value([-0.3, 0.8, -0.5])
 print("  curvatures:", hs.frame_at(norm, frev, xr).principal_curvatures)
 
 print("\ncylinder of radius 1, b inside the subspace (expect {-1, 0}):")
-data = rd.RandersData.from_norm(norms.RandersNorm([0.3, 0.0, 0.0]), m=2)
-field = rd.cylinder_equation(data, 2, 1.0)
-s = iso.sample_level(data.norm(), field, field.meta["level"], 8)
-frc = hs.frame_at(data.norm(), field, s.points[0])
+inside = norms.RandersNorm([0.3, 0.0, 0.0])
+field = calculus.cylinder_potential(inside, 2)  # level r^2/2 is the cylinder
+frc = iso.sample_level(inside, field, 0.5, 8).frames[0]
 print("  curvatures:", frc.principal_curvatures, " groups:", frc.groups)
 print("  Cartan-type formula residual:", hs.cartan_formula_residual(frc))
 print("  two-curvature relation residuals:",
-      np.abs(hs.two_curvature_residuals(data.norm(), frc)))
+      np.abs(hs.two_curvature_residuals(inside, frc)))
 
 print("\nCartan curvature identity 1 - Q = alpha (1 - b^2):")
 rng = np.random.default_rng(7)
 for b in (0.1, 0.5, 0.9):
     nb = norms.RandersNorm([b, 0.0, 0.0], validate=False)
-    db = rd.RandersData.from_norm(nb)
     worst = 0.0
     for _ in range(25):
-        y = rng.standard_normal(3)
-        y = y / nb.value(y)
-        g = nb.fundamental_tensor(y)
-        X = rng.standard_normal(3)
-        X -= (X @ g @ y) / (y @ g @ y) * y
-        Y = rng.standard_normal(3)
-        Y -= (Y @ g @ y) / (y @ g @ y) * y
-        Y -= (Y @ g @ X) / (X @ g @ X) * X
-        lhs, rhs = rd.lemma61_check(db, y, X, Y)
+        y, X, Y = hs.gram_orthogonal_triple(nb, rng)
+        lhs, rhs = rd.lemma61_check(nb, y, X, Y)
         worst = max(worst, abs(lhs - rhs))
     print(f"  b = {b:.1f}: worst |lhs - rhs| = {worst:.2e}")

@@ -15,11 +15,12 @@ from scipy.integrate import quad
 from minkgeom import calculus, isoparametric as iso, norms
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
-os.makedirs(OUT, exist_ok=True)
+COUNT = 32
 
 norm = norms.RandersNorm([0.5, 0.0, 0.0])
 quartic = norms.KthRootNorm(4, 3)
 
+# (report name, norm, field, levels); tests/test_golden.py regenerates these
 runs = [
     ("randers-sphere", norm, calculus.sphere_potential(norm), [0.5, 2.0, 4.5]),
     ("randers-reverse-sphere", norm, calculus.sphere_potential(norm, reverse=True),
@@ -31,28 +32,35 @@ runs = [
     ("quartic-cylinder", quartic, calculus.cylinder_potential(quartic, 2), [0.5, 2.0, 4.5]),
 ]
 
-for name, n_, f, levels in runs:
-    rep = iso.verify(n_, f, levels, count=32)
-    rep.scenario_id = name
-    rep.write_json(os.path.join(OUT, f"{name}.json"))
-    rep.write_csv(os.path.join(OUT, f"{name}.csv"))
-    print(f"{name:<24} transnormal={rep.transnormal_verdict:<4} "
-          f"isoparametric={rep.isoparametric_verdict:<4} groups={rep.group_structure}")
-    print(f"{'':<24} a(t) nodes: {np.round(rep.a_nodes[:, 1], 10)}"
-          f"   b(t) nodes: {np.round(rep.b_nodes[:, 1], 10)}")
 
-print("\nstructural identities on the sphere family:")
-rep = iso.verify(norm, calculus.sphere_potential(norm), [0.5, 2.0, 4.5], count=32)
-table = iso.consistency_identities(rep)
-print("  max |sum k - (a' - b/a)|  =", table["max_sum_k_vs_profile"])
-print("  max |dk/drho - k^2|       =", table["max_riccati"])
-print("  max |sum k^2 - q/a^2|     =", table["max_model_sum_sq"])
+def main():
+    os.makedirs(OUT, exist_ok=True)
+    for name, n_, f, levels in runs:
+        rep = iso.verify(n_, f, levels, count=COUNT)
+        rep.scenario_id = name
+        rep.write_json(os.path.join(OUT, f"{name}.json"))
+        rep.write_csv(os.path.join(OUT, f"{name}.csv"))
+        print(f"{name:<24} transnormal={rep.transnormal_verdict:<4} "
+              f"isoparametric={rep.isoparametric_verdict:<4} groups={rep.group_structure}")
+        print(f"{'':<24} a(t) nodes: {np.round(rep.a_nodes[:, 1], 10)}"
+              f"   b(t) nodes: {np.round(rep.b_nodes[:, 1], 10)}")
 
-print("\nf-segment between levels 0.5 and 2.0 (radius 1 -> 2):")
-f = calculus.sphere_potential(norm)
-x0 = iso.sample_level(norm, f, 0.5, 8).points[0]
-flow = iso.f_segment_flow(norm, f, x0, 0.5, 2.0)
-integral, _ = quad(lambda t: 1.0 / iso.transnormal_profile_value(norm, f, t), 0.5, 2.0)
-print("  arclength          =", flow.arclength)
-print("  integral dt / a(t) =", integral)
-print("  chord deviation    =", flow.chord_deviation)
+    print("\nstructural identities on the sphere family:")
+    rep = iso.verify(norm, calculus.sphere_potential(norm), [0.5, 2.0, 4.5], count=COUNT)
+    table = iso.consistency_identities(rep)
+    print("  max |sum k - (a' - b/a)|  =", table["max_sum_k_vs_profile"])
+    print("  max |dk/drho - k^2|       =", table["max_riccati"])
+    print("  max |sum k^2 - q/a^2|     =", table["max_model_sum_sq"])
+
+    print("\nf-segment between levels 0.5 and 2.0 (radius 1 -> 2):")
+    f = calculus.sphere_potential(norm)
+    x0 = iso.sample_level(norm, f, 0.5, 8).points[0]
+    flow = iso.f_segment_flow(norm, f, x0, 0.5, 2.0)
+    integral, _ = quad(lambda t: 1.0 / iso.transnormal_profile_value(norm, f, t), 0.5, 2.0)
+    print("  arclength          =", flow.arclength)
+    print("  integral dt / a(t) =", integral)
+    print("  chord deviation    =", flow.chord_deviation)
+
+
+if __name__ == "__main__":
+    main()

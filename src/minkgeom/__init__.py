@@ -7,7 +7,7 @@ duality        Legendre transform, dual norms, subspace duals
 calculus       scalar fields, nonlinear gradient / Hessian / Laplacian, volumes
 hypersurface   level-set frames, principal curvatures, Cartan curvature
 isoparametric  level sampling, transnormal/isoparametric verification
-randers        closed-form Randers machinery and worked objects
+randers        closed-form Randers witnesses (isoparametric system, cylinders, Lemma 6.1)
 cli            batch driver (``minkgeom verify|curvatures|dualcheck``)
 """
 

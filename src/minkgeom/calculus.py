@@ -144,8 +144,7 @@ def cylinder_potential(norm: MinkowskiNorm, m: int, reverse: bool = False) -> Sc
     crossed with the flat complement).
     """
     n = norm.dim
-    sd = duality.subspace_dual(norm, m)
-    tilde = sd.norm
+    tilde = duality.subspace_dual(norm, m)
 
     def embed_cov(xibar):
         out = np.zeros(n)
@@ -336,7 +335,7 @@ def point_geometry(norm: MinkowskiNorm, field: ScalarField, x) -> PointGeometry:
         if m == n:
             raise
         try:
-            geo = _geometry_in(duality.subspace_dual(norm, m).norm, m, x, df, hess)
+            geo = _geometry_in(duality.subspace_dual(norm, m), m, x, df, hess)
         except MinkGeomError:
             raise exc
         if np.max(np.abs(norm.legendre(geo.grad) - df)) > 1e-8 * np.max(np.abs(df)):

@@ -29,7 +29,7 @@ import numpy as np
 from . import calculus, duality, hypersurface, isoparametric, norms
 from .errors import ConfigError, MinkGeomError
 from .isoparametric import _fmt, dumps_17g
-from .randers import RandersData, lemma61_check
+from .randers import lemma61_check
 
 log = logging.getLogger("minkgeom")
 
@@ -236,8 +236,7 @@ def cmd_curvatures(args) -> int:
                     for r in range(len(stats)) for s in range(r + 1, len(stats))]
         cartan_res = 0.0
         two_curv = 0.0
-        for x in sample.points[: min(8, len(sample.points))]:
-            fr = hypersurface.frame_at(norm, field, x)
+        for fr in sample.frames[:8]:
             cartan_res = max(cartan_res, hypersurface.cartan_formula_residual(fr))
             tc = hypersurface.two_curvature_residuals(norm, fr)
             if tc.size:
@@ -286,10 +285,9 @@ def cmd_dualcheck(args) -> int:
             agree = max(agree, abs(fstar - newton_val) / F)
     lemma = 0.0
     if isinstance(norm, norms.RandersNorm) and norm.dim >= 3:
-        data = RandersData.from_norm(norm)
         for _ in range(50):
             y, X, Y = hypersurface.gram_orthogonal_triple(norm, rng)
-            lhs, rhs = lemma61_check(data, y, X, Y)
+            lhs, rhs = lemma61_check(norm, y, X, Y)
             lemma = max(lemma, abs(lhs - rhs))
     defaults = {"norm_preservation": 1e-10, "roundtrip": 1e-9, "dual_agreement": 1e-8,
                 "lemma61": 1e-7}

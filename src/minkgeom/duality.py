@@ -20,14 +20,13 @@ preserves the subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import BadDimension, NoConvergence, ZeroCovector, ZeroVector
 from .norms import MinkowskiNorm, ZERO_EXCLUSION
 from .sampling import sphere_directions
+
+NEWTON_MAX_ITER = 50
 
 
 def _as_covector(xi, n: int) -> np.ndarray:
@@ -56,7 +55,7 @@ def legendre_inverse(norm: MinkowskiNorm, xi) -> np.ndarray:
         return legendre_inverse_newton(norm, xi)
 
 
-def legendre_inverse_newton(norm: MinkowskiNorm, xi, max_iter: int = 50) -> np.ndarray:
+def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
     """Generic damped Newton inversion of the Legendre map.
 
     Seeded with a naive index raise through g at the covector's components;
@@ -73,7 +72,7 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi, max_iter: int = 50) -> np.n
         y = xi.copy()
     res = norm.legendre(y) - xi
     rnorm = float(np.linalg.norm(res))
-    for iteration in range(max_iter):
+    for iteration in range(NEWTON_MAX_ITER):
         if rnorm <= 1e-15 * scale:
             break
         try:
@@ -97,7 +96,7 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi, max_iter: int = 50) -> np.n
         y, res, rnorm = y_new, res_new, rn
     fstar_sq = norm.value(y) ** 2
     if rnorm > 1e-12 * max(fstar_sq, ZERO_EXCLUSION):
-        raise NoConvergence(max_iter, rnorm)
+        raise NoConvergence(NEWTON_MAX_ITER, rnorm)
     return y
 
 
@@ -119,12 +118,14 @@ def dual_fundamental_tensor(norm: MinkowskiNorm, xi) -> np.ndarray:
         return np.linalg.inv(norm.derivatives(legendre_inverse(norm, xi), order=2).d2)
 
 
-def dual_norm_grid_sup(norm: MinkowskiNorm, xi, count: int = 10_000, refine: bool = True) -> float:
+def dual_norm_grid_sup(norm: MinkowskiNorm, xi, count: int = 10_000) -> float:
     """Grid-maximization oracle for F*: max of xi(u)/F(u) over a sphere lattice.
 
     Independent of the Legendre machinery (uses only norm values); local
     Nelder-Mead refinement sharpens the best grid direction.
     """
+    from scipy.optimize import minimize
+
     xi = _as_covector(xi, norm.dim)
     dirs = sphere_directions(norm.dim, count, seed=0)
     ratios = dirs @ xi / np.array([norm.value(u) for u in dirs])
@@ -136,39 +137,16 @@ def dual_norm_grid_sup(norm: MinkowskiNorm, xi, count: int = 10_000, refine: boo
             return np.inf
         return -float(u @ xi) / norm.value(u)
 
-    if refine:
-        out = minimize(neg_ratio, best, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-        return float(-out.fun)
-    return float(np.max(ratios))
+    out = minimize(neg_ratio, best, method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
+    return float(-out.fun)
 
 
 # -- subspace duals ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubspaceDual:
-    """The dual metric Ftilde of F*|_{first m coordinates}, as a norm on R^m."""
-
-    base: MinkowskiNorm
-    m: int
-    norm: MinkowskiNorm
-
-    def value(self, ybar) -> float:
-        return self.norm.value(ybar)
-
-    def embed(self, ybar) -> np.ndarray:
-        out = np.zeros(self.base.dim)
-        out[: self.m] = np.asarray(ybar, dtype=float)
-        return out
-
-    def gap(self, ybar) -> float:
-        """F(ybar embedded) - Ftilde(ybar); nonnegative up to roundoff."""
-        return self.base.value(self.embed(ybar)) - self.norm.value(ybar)
-
-
-def subspace_dual(norm: MinkowskiNorm, m: int) -> SubspaceDual:
-    """Construct Ftilde on the first m coordinates.
+def subspace_dual(norm: MinkowskiNorm, m: int) -> MinkowskiNorm:
+    """Ftilde, the dual metric of F*|_{first m coordinates}, as a norm on R^m.
 
     Coordinate alignment is a precondition: rotate the norm first for other
     subspaces (supported for Euclidean/Randers; the k-th root family is not
@@ -178,14 +156,15 @@ def subspace_dual(norm: MinkowskiNorm, m: int) -> SubspaceDual:
     if not 1 <= m < n:
         raise BadDimension(f"subspace dimension must satisfy 1 <= m < {n}, got {m}")
     try:
-        tilde = norm._subspace_dual(m)
+        return norm._subspace_dual(m)
     except NotImplementedError:
-        tilde = norm.restricted(m)
-    return SubspaceDual(norm, m, tilde)
+        return norm.restricted(m)
 
 
 def subspace_dual_sup(norm: MinkowskiNorm, m: int, ybar, count: int = 10_000) -> float:
     """Oracle for Ftilde(ybar): sup of xibar(ybar)/F*(xibar) over a Vbar* grid."""
+    from scipy.optimize import minimize
+
     ybar = np.asarray(ybar, dtype=float)
     if ybar.shape != (m,):
         raise BadDimension(f"expected a vector of length {m}")

@@ -39,7 +39,8 @@ class HypersurfacePointFrame:
     ``tangent_basis`` rows are ghat-orthonormal, so ``ghat`` is the identity
     by construction and ``principal_curvatures`` are plain eigenvalues of
     ``hhat``.  ``groups`` lists (kappa_r, m_r) for distinct curvature values
-    merged at ``group_tol``; ``eigenvectors`` rows are the corresponding
+    merged within max(1e-9, 1e-6 max|kappa|), or max(1e-4, 1e-4 max|kappa|)
+    under finite differences; ``eigenvectors`` rows are the corresponding
     ambient principal directions (sorted like the curvatures).  ``geometry``
     is the shared point geometry the frame was built from (grad f, F(grad f),
     Delta f).
@@ -54,12 +55,11 @@ class HypersurfacePointFrame:
     eigenvectors: np.ndarray
     groups: tuple
     geometry: PointGeometry
-    group_tol: float
     uses_fd: bool
 
 
-def frame_at(norm: MinkowskiNorm, field: ScalarField, x, basis_seed: int = 0,
-             group_tol: float | None = None) -> HypersurfacePointFrame:
+def frame_at(norm: MinkowskiNorm, field: ScalarField, x,
+             basis_seed: int = 0) -> HypersurfacePointFrame:
     """Build the hypersurface frame of the level set of ``field`` through x.
 
     When the point geometry is the subspace-dual reduction (k-th root
@@ -82,9 +82,8 @@ def frame_at(norm: MinkowskiNorm, field: ScalarField, x, basis_seed: int = 0,
         raise EigenFailure("eigendecomposition of the shape operator failed") from exc
     g = geo.g if m == n else norm.derivatives(geo.grad, order=2).d2
     uses_fd = norm.strategy == "fd" or field.uses_fd
-    if group_tol is None:
-        kmax = float(np.max(np.abs(vals))) if vals.size else 0.0
-        group_tol = max(1e-4, 1e-4 * kmax) if uses_fd else max(1e-9, 1e-6 * kmax)
+    kmax = float(np.max(np.abs(vals))) if vals.size else 0.0
+    group_tol = max(1e-4, 1e-4 * kmax) if uses_fd else max(1e-9, 1e-6 * kmax)
     return HypersurfacePointFrame(
         x=geo.x,
         normal=n_vec,
@@ -95,7 +94,6 @@ def frame_at(norm: MinkowskiNorm, field: ScalarField, x, basis_seed: int = 0,
         eigenvectors=vecs.T @ tangent,
         groups=_group_eigenvalues(vals, group_tol),
         geometry=geo,
-        group_tol=group_tol,
         uses_fd=uses_fd,
     )
 

@@ -37,46 +37,54 @@ from .errors import (
 )
 from .hypersurface import frame_at
 from .norms import MinkowskiNorm, RandersNorm
+from .randers import randers_isoparametric_residual
 from .sampling import sphere_directions
 
 LEVEL_RESIDUAL = 1e-10
 VERDICTS = ("yes", "inconclusive", "no")
+WITNESS_POINTS = 8     # points per level fed to the Randers witness
+IDENTITY_POINTS = 4    # points per level of the consistency-identity table
+FLOW_STEP = 1e-4       # flow-line differencing step, relative to a(t)
 
 
 @dataclass
 class LevelSample:
-    """Sampled points of one regular level set with per-point quantities."""
+    """Sampled points of one regular level set with per-point quantities.
+
+    ``frames`` holds the ``frame_at`` frame of each point, with its point
+    geometry (df, D^2 f, grad f); later stages read it instead of rebuilding.
+    """
 
     t: float
     points: np.ndarray          # (N, n)
     fstar: np.ndarray           # F*(df) per point
     lap: np.ndarray             # Delta f per point
     curvatures: np.ndarray      # (N, n-1) sorted principal curvatures
-    groups: list                # per-point ((kappa, mult), ...)
-    direction_index: np.ndarray
+    frames: list                # per-point HypersurfacePointFrame
     skipped: int
 
 
 def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
-                 seed: int = 0, anchor=None) -> LevelSample:
+                 seed: int = 0) -> LevelSample:
     """Sample ``count`` points of f^{-1}(t) by radial bisection plus Newton.
 
-    Directions that never bracket the level are skipped; more than half
-    skipped raises LevelNotReached.  Every returned point satisfies
-    |f(x) - t| <= 1e-10 (1 + |t|) and is regular.  F*(df), Delta f and the
-    curvatures of a point all come from its one ``frame_at`` geometry.
+    Rays start at ``field.anchor``.  Directions that never bracket the level
+    are skipped; more than half skipped raises LevelNotReached.  Every
+    returned point satisfies |f(x) - t| <= 1e-10 (1 + |t|) and is regular.
+    F*(df), Delta f and the curvatures of a point all come from its one
+    ``frame_at`` frame.
     """
     if count < 8:
         raise ValueError("count must be at least 8")
     lo, hi = field.regular_range
     if not lo < t < hi:
         raise ValueError(f"level {t} outside the declared regular range {field.regular_range}")
-    anchor = np.asarray(anchor if anchor is not None else field.anchor, dtype=float)
+    anchor = np.asarray(field.anchor, dtype=float)
     dirs = sphere_directions(field.dim, count, seed=seed)
     ladder = np.geomspace(2.0**-40, 2.0**40, 161)
-    points, idx = [], []
+    points = []
     skipped = 0
-    for j, d in enumerate(dirs):
+    for d in dirs:
         s = _radial_root(field, anchor, d, t, ladder)
         if s is None:
             # half-space fields (linear levels, one-sided potentials) only
@@ -91,7 +99,6 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
             skipped += 1
             continue
         points.append(x)
-        idx.append(j)
     if skipped > count // 2:
         raise LevelNotReached(
             f"level {t}: {skipped}/{count} directions failed to bracket; "
@@ -101,7 +108,7 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
     fstar = np.empty(len(points))
     lap = np.empty(len(points))
     curvs = np.empty((len(points), field.dim - 1))
-    groups = []
+    frames = []
     for i, x in enumerate(points):
         try:
             fr = frame_at(norm, field, x)
@@ -110,12 +117,9 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
         fstar[i] = fr.geometry.fstar
         lap[i] = fr.geometry.lap
         curvs[i] = fr.principal_curvatures
-        groups.append(fr.groups)
-    return LevelSample(
-        t=float(t), points=points, fstar=fstar, lap=lap,
-        curvatures=curvs, groups=groups,
-        direction_index=np.array(idx), skipped=skipped,
-    )
+        frames.append(fr)
+    return LevelSample(t=float(t), points=points, fstar=fstar, lap=lap,
+                       curvatures=curvs, frames=frames, skipped=skipped)
 
 
 def _radial_root(field: ScalarField, anchor, d, t, ladder):
@@ -210,9 +214,7 @@ class VerificationReport:
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        per_level = []
-        for st in self.level_stats:
-            per_level.append({k: _jsonify(v) for k, v in st.items()})
+        """The report as ``dumps_17g`` input (numpy scalars and arrays included)."""
         return {
             "schema": 1,
             "scenario": self.scenario_id,
@@ -222,10 +224,10 @@ class VerificationReport:
                 "strategy": self.norm.strategy,
             },
             "field": {"tag": self.field.tag, "uses_fd": self.field.uses_fd},
-            "levels": [_jsonify(t) for t in self.levels],
+            "levels": self.levels,
             "samples_per_level": self.count,
             "seed": self.seed,
-            "tolerance": _jsonify(self.tolerance),
+            "tolerance": self.tolerance,
             "derivative_strategy": self.strategy,
             "verdicts": {
                 "transnormal": self.transnormal_verdict,
@@ -234,12 +236,11 @@ class VerificationReport:
                 "isoparametric_bool": self.isoparametric,
                 "constant_principal_curvatures": self.constant_principal_curvatures,
             },
-            "group_structure": list(self.group_structure),
-            "profiles": {
-                "a": [[_jsonify(t), _jsonify(v)] for t, v in self.a_nodes],
-                "b": [[_jsonify(t), _jsonify(v)] for t, v in self.b_nodes],
-            },
-            "witness": _jsonify(self.witness),
+            "group_structure": self.group_structure,
+            "profiles": {"a": self.a_nodes, "b": self.b_nodes},
+            # schema 1 writes the witness pass flags as 0/1
+            "witness": self.witness and {k: int(v) if isinstance(v, bool) else v
+                                         for k, v in self.witness.items()},
         }
 
     def write_json(self, path):
@@ -274,42 +275,43 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _jsonify(v):
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, np.ndarray):
-        return [_jsonify(x) for x in v]
-    if isinstance(v, (list, tuple)):
-        return [_jsonify(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonify(x) for k, x in v.items()}
-    return v
-
-
 def dumps_17g(obj) -> str:
-    """JSON text with floats rendered at 17 significant digits, sorted keys.
+    """JSON text with sorted keys, two-space indent and floats at 17 significant digits.
 
-    Byte-identical output for identical inputs, independent of platform float
-    repr choices.
+    Takes numpy scalars and arrays as well as Python values and rejects
+    non-finite floats.  Byte-identical output for identical inputs,
+    independent of platform float repr choices.
     """
-    enc = json.encoder
+    return _dump(obj, "")
 
-    def floatstr(o, _inf=float("inf")):
-        if o != o or o in (_inf, -_inf):
+
+def _dump(v, indent: str) -> str:
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
             raise ValueError("non-finite float in report")
-        return format(o, ".17g")
-
-    iterencode = enc._make_iterencode(
-        {}, None, enc.encode_basestring_ascii, "  ", floatstr,
-        ": ", ",", True, False, False)
-    return "".join(iterencode(obj, 0))
+        return format(float(v), ".17g")
+    if isinstance(v, str):
+        return json.dumps(v)
+    inner = indent + "  "
+    if isinstance(v, dict):
+        items = [f"{json.dumps(k)}: {_dump(x, inner)}" for k, x in sorted(v.items())]
+        left, right = "{", "}"
+    else:
+        items = [_dump(x, inner) for x in v]
+        left, right = "[", "]"
+    if not items:
+        return left + right
+    return f"{left}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{right}"
 
 
 def verify(norm: MinkowskiNorm, field: ScalarField, levels, count: int = 64,
-           tol: float | None = None, seed: int = 0, anchor=None,
-           witness_points: int = 8) -> VerificationReport:
+           tol: float | None = None, seed: int = 0) -> VerificationReport:
     """Verify the transnormal / isoparametric conditions on the given levels.
 
     Per-level relative spreads of F*(df) and Delta f drive the verdicts; for
@@ -322,8 +324,7 @@ def verify(norm: MinkowskiNorm, field: ScalarField, levels, count: int = 64,
     uses_fd = norm.strategy == "fd" or field.uses_fd
     if tol is None:
         tol = 1e-4 if uses_fd else 1e-6
-    samples = [sample_level(norm, field, t, count, seed=seed, anchor=anchor)
-               for t in levels]
+    samples = [sample_level(norm, field, t, count, seed=seed) for t in levels]
     stats = []
     worst_f = worst_lap = worst_curv = 0.0
     for s in samples:
@@ -357,7 +358,7 @@ def verify(norm: MinkowskiNorm, field: ScalarField, levels, count: int = 64,
 
     witness = None
     if isinstance(norm, RandersNorm):
-        witness = _randers_witness(norm, field, samples, tol, witness_points)
+        witness = _randers_witness(norm, field, samples, tol)
 
     return VerificationReport(
         norm=norm, field=field, levels=levels, count=count, seed=seed,
@@ -391,9 +392,9 @@ def _combine(trans: str, lap: str) -> str:
 
 def _modal_groups(sample: LevelSample):
     structures = {}
-    for g in sample.groups:
-        key = tuple(m for _, m in g)
-        structures.setdefault(key, []).append(g)
+    for fr in sample.frames:
+        key = tuple(m for _, m in fr.groups)
+        structures.setdefault(key, []).append(fr.groups)
     key = max(structures, key=lambda k: len(structures[k]))
     chosen = structures[key]
     out = []
@@ -405,51 +406,43 @@ def _modal_groups(sample: LevelSample):
 def _modal_structure(samples) -> tuple:
     counts = {}
     for s in samples:
-        for g in s.groups:
-            key = tuple(m for _, m in g)
+        for fr in s.frames:
+            key = tuple(m for _, m in fr.groups)
             counts[key] = counts.get(key, 0) + 1
     return max(counts, key=counts.get)
 
 
-def measured_profile_derivative(norm, field, x, step: float = 1e-4):
-    """(a(t), a'(t)) at the level through x, by flow-line differencing.
+def measured_profile_derivative(norm, field, frame):
+    """(a(t), a'(t)) at the level through the frame's point, by flow-line differencing.
 
-    Moves +-h along the forward unit normal with h = step * a(t) (the radius
-    scale of the model families); d(F*(df))/drho = a'(f) a(f).
+    Moves +-h along the forward unit normal with h = FLOW_STEP * a(t) (the
+    radius scale of the model families); d(F*(df))/drho = a'(f) a(f).
     """
-    df = field.d1(x)
-    grad = duality.legendre_inverse(norm, df)
-    a_pt = norm.value(grad)
-    n_vec = grad / a_pt
-    h = step * max(a_pt, 1e-2)
-    ap = duality.dual_norm(norm, field.d1(x + h * n_vec))
-    am = duality.dual_norm(norm, field.d1(x - h * n_vec))
+    a_pt = frame.geometry.fstar
+    h = FLOW_STEP * max(a_pt, 1e-2)
+    ap = duality.dual_norm(norm, field.d1(frame.x + h * frame.normal))
+    am = duality.dual_norm(norm, field.d1(frame.x - h * frame.normal))
     return a_pt, (ap - am) / (2.0 * h * a_pt)
 
 
-def _randers_witness(norm: RandersNorm, field: ScalarField, samples, tol, npts) -> dict:
-    lam = norm.lam
-    b = norm.b
+def _randers_witness(norm: RandersNorm, field: ScalarField, samples, tol) -> dict:
     r1_max = r2_max = 0.0
     for s in samples:
         a_fit = float(s.fstar.mean())
         b_fit = float(s.lap.mean())
-        take = min(npts, len(s.points))
+        frames = s.frames[:WITNESS_POINTS]
         a_primes = []
-        for x in s.points[:take]:
+        for fr in frames:
             try:
-                a_primes.append(measured_profile_derivative(norm, field, x)[1])
+                a_primes.append(measured_profile_derivative(norm, field, fr)[1])
             except MinkGeomError:
                 continue
         a_prime = float(np.mean(a_primes)) if a_primes else 0.0
-        for x in s.points[:take]:
-            df = field.d1(x)
-            zeta = float(df @ b)
-            r1 = float(df @ df) - lam * a_fit**2 - 2.0 * a_fit * zeta
-            lap_alpha = float(np.trace(field.d2(x)))
-            r2 = lap_alpha - lam * b_fit - (b_fit / a_fit + a_prime) * zeta
+        for fr in frames:
+            df, hess = fr.geometry.df, fr.geometry.hess
+            r1, r2 = randers_isoparametric_residual(norm, df, hess, a_fit, b_fit, a_prime)
             r1_max = max(r1_max, abs(r1) / (1.0 + df @ df))
-            r2_max = max(r2_max, abs(r2) / (1.0 + abs(lap_alpha)))
+            r2_max = max(r2_max, abs(r2) / (1.0 + abs(float(np.trace(hess)))))
     w_tol = max(100.0 * tol, 1e-4)
     return {
         "r1_max": r1_max,
@@ -463,8 +456,7 @@ def _randers_witness(norm: RandersNorm, field: ScalarField, samples, tol, npts) 
 # -- identities, flow, reparametrization ------------------------------------------
 
 
-def consistency_identities(report: VerificationReport, points_per_level: int = 4,
-                           step: float = 1e-4) -> dict:
+def consistency_identities(report: VerificationReport) -> dict:
     """Residual table of the structural identities of an isoparametric field.
 
     (i)  sum_a k_a = a'(t) - b(t)/a(t), with a' measured by flow-line
@@ -482,14 +474,13 @@ def consistency_identities(report: VerificationReport, points_per_level: int = 4
         a_fit = float(s.fstar.mean())
         b_fit = float(s.lap.mean())
         res_i = res_ii = res_iii = 0.0
-        for x in s.points[: min(points_per_level, len(s.points))]:
-            a_pt, a_prime = measured_profile_derivative(norm, field, x, step)
-            fr = frame_at(norm, field, x)
+        for fr in s.frames[:IDENTITY_POINTS]:
+            a_pt, a_prime = measured_profile_derivative(norm, field, fr)
             sum_k = float(np.sum(fr.principal_curvatures))
             res_i = max(res_i, abs(sum_k - (a_prime - b_fit / a_fit)))
-            h = step * max(a_pt, 1e-2)
-            kp = frame_at(norm, field, x + h * fr.normal).principal_curvatures
-            km = frame_at(norm, field, x - h * fr.normal).principal_curvatures
+            h = FLOW_STEP * max(a_pt, 1e-2)
+            kp = frame_at(norm, field, fr.x + h * fr.normal).principal_curvatures
+            km = frame_at(norm, field, fr.x - h * fr.normal).principal_curvatures
             dk = (kp - km) / (2.0 * h)
             res_ii = max(res_ii, float(np.max(np.abs(dk - fr.principal_curvatures**2))))
             if q is not None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -40,6 +39,8 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
         # of pi/2, where degenerate norm families sit on coordinate planes
         phi = 2.0 * math.pi * np.mod((j + 0.5) * GOLDEN + shift, 1.0)
         return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    from scipy.special import ndtri
+
     alphas = _kronecker_alphas(n)
     j = np.arange(1, count + 1)[:, None]
     u = np.mod(shift + j * alphas[None, :], 1.0)

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from minkgeom import calculus, duality, isoparametric as iso, norms
+from minkgeom import calculus, cli, duality, hypersurface as hs, isoparametric as iso, norms
 from minkgeom.errors import NotIsoparametric, NotMonotone
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 class SqrtProfile:
@@ -49,10 +53,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             iso.sample_level(randers3, f, -1.0, 16)
 
-    def test_one_geometry_per_point(self, alphabeta3, quartic3, monkeypatch):
+    def test_one_geometry_per_point(self, alphabeta3, quartic3, randers3, monkeypatch,
+                                    tmp_path):
         # F*, Delta f and the frame share one Legendre inversion and one
-        # subspace-dual reduction per accepted point
-        calls = {"newton": 0, "subspace_dual": 0}
+        # subspace-dual reduction per accepted point, and later stages (the
+        # curvature table, the Randers witness) read the frames sampling built
+        calls = {"newton": 0, "subspace_dual": 0, "geometry": 0, "d2": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -69,6 +75,18 @@ class TestSampling:
         assert calls["newton"] == len(s.points) == 8
         s = iso.sample_level(quartic3, cylinder, 2.0, 8)
         assert len(s.points) == 8 and calls["subspace_dual"] <= len(s.points)
+
+        monkeypatch.setattr(hs, "point_geometry", counting("geometry", hs.point_geometry))
+        config = CONFIGS / "randers_cylinder.json"
+        assert cli.main(["curvatures", str(config), "--out", str(tmp_path)]) == 0
+        assert calls["geometry"] == 3 * 64
+
+        monkeypatch.setattr(calculus.ScalarField, "d2",
+                            counting("d2", calculus.ScalarField.d2))
+        rep = iso.verify(randers3, calculus.sphere_potential(randers3), [0.5, 2.0, 4.5],
+                         count=16)
+        assert rep.witness is not None
+        assert calls["d2"] == sum(len(s.points) for s in rep.samples) == 48
 
 
 class TestVerify:
