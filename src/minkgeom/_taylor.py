@@ -17,6 +17,10 @@ import math
 import numpy as np
 
 ORDER = 4
+# A monomial x^e is keyed by code(e) = sum_i e_i * _BASE**i.  Exponents never
+# exceed ORDER, so the code of a product is the sum of the two codes.  Codes
+# fit in int64 for n <= 27.
+_BASE = ORDER + 1
 
 _SPACES: dict[int, "JetSpace"] = {}
 
@@ -28,34 +32,30 @@ class JetSpace:
         self.n = n
         monos = []
         for deg in range(ORDER + 1):
-            monos.extend(
-                sorted(
-                    k
-                    for k in itertools.product(range(deg + 1), repeat=n)
-                    if sum(k) == deg
-                )
-            )
-        self.monomials = monos
+            combos = itertools.combinations_with_replacement(range(n), deg)
+            monos.extend(sorted(tuple(map(c.count, range(n))) for c in combos))
+        exps = np.array(monos, dtype=np.int64)
         self.size = len(monos)
-        self.index = {m: i for i, m in enumerate(monos)}
-        self.degree = np.array([sum(m) for m in monos])
+        degree = exps.sum(axis=1)
+        codes = exps @ _BASE ** np.arange(n, dtype=np.int64)
+        self._by_code = np.argsort(codes)
+        self._sorted_codes = codes[self._by_code]
         # Dense multiplication table: all coefficient pairs whose product
-        # monomial still has degree <= ORDER.
-        ia, ib, iout = [], [], []
-        for a, ma in enumerate(monos):
-            da = sum(ma)
-            for b, mb in enumerate(monos):
-                if da + sum(mb) > ORDER:
-                    continue
-                ia.append(a)
-                ib.append(b)
-                iout.append(self.index[tuple(x + y for x, y in zip(ma, mb))])
-        self._mul_a = np.array(ia)
-        self._mul_b = np.array(ib)
-        self._mul_out = np.array(iout)
-        self._factorial = np.array(
-            [math.prod(math.factorial(e) for e in m) for m in monos], dtype=float
-        )
+        # monomial still has degree <= ORDER, in row-major order.
+        self._mul_a, self._mul_b = np.nonzero(degree[:, None] + degree[None, :] <= ORDER)
+        self._mul_out = self._lookup(codes[self._mul_a] + codes[self._mul_b])
+        factorials = np.array([math.factorial(e) for e in range(ORDER + 1)], dtype=float)
+        self._factorial = factorials[exps].prod(axis=1)
+        # Entry (i1, ..., ik) of the order-k derivative tensor reads the
+        # coefficient of x_i1 ... x_ik, scaled by the exponents' factorials.
+        self._tensor_index = [
+            self._lookup((_BASE ** np.indices((n,) * k, dtype=np.int64)).sum(axis=0))
+            for k in range(ORDER + 1)
+        ]
+
+    def _lookup(self, codes):
+        """Coefficient index of the monomial(s) with the given code(s)."""
+        return self._by_code[np.searchsorted(self._sorted_codes, codes)]
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.zeros(self.size)
@@ -89,9 +89,7 @@ class Jet:
     def variable(sp: JetSpace, i: int, base: float) -> "Jet":
         c = np.zeros(sp.size)
         c[0] = base
-        e = [0] * sp.n
-        e[i] = 1
-        c[sp.index[tuple(e)]] = 1.0
+        c[sp._lookup(_BASE**i)] = 1.0
         return Jet(sp, c)
 
     @staticmethod
@@ -176,19 +174,7 @@ class Jet:
     def derivative_tensor(self, order: int) -> np.ndarray:
         """Dense symmetric derivative tensor of the given order."""
         sp = self.space
-        if order == 0:
-            return np.array(self.value)
-        shape = (sp.n,) * order
-        out = np.zeros(shape)
-        for idx_mono in np.nonzero(sp.degree == order)[0]:
-            mono = sp.monomials[idx_mono]
-            val = self.c[idx_mono] * sp._factorial[idx_mono]
-            indices = []
-            for var, exp in enumerate(mono):
-                indices.extend([var] * exp)
-            for perm in set(itertools.permutations(indices)):
-                out[perm] = val
-        return out
+        return np.asarray((self.c * sp._factorial)[sp._tensor_index[order]])
 
 
 def _pow_derivs(u0: float, p: float) -> list[float]:

@@ -39,6 +39,8 @@ from .norms import MinkowskiNorm, RandersNorm, fd_gradient, fd_hessian
 from .sampling import sphere_directions, sphere_mean
 
 CRITICAL_EPS = 1e-8
+# relative central-difference step of custom_field (times 10 for D^2f)
+CUSTOM_FD_STEP = 1e-5
 
 CATALOG_TAGS = (
     "linear",
@@ -209,7 +211,7 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
     )
 
 
-def custom_field(dim: int, value_fn, d1_fn=None, d2_fn=None, fd_step: float = 1e-5) -> ScalarField:
+def custom_field(dim: int, value_fn, d1_fn=None, d2_fn=None) -> ScalarField:
     """Wrap user callables; missing derivatives use central differences.
 
     Custom evaluators must be side-effect free: fields are shared freely
@@ -217,10 +219,10 @@ def custom_field(dim: int, value_fn, d1_fn=None, d2_fn=None, fd_step: float = 1e
     """
 
     def fd_d1(x):
-        return fd_gradient(value_fn, x, fd_step * (1.0 + np.linalg.norm(x)))
+        return fd_gradient(value_fn, x, CUSTOM_FD_STEP * (1.0 + np.linalg.norm(x)))
 
     def fd_d2(x):
-        return fd_hessian(value_fn, x, 10 * fd_step * (1.0 + np.linalg.norm(x)))
+        return fd_hessian(value_fn, x, 10 * CUSTOM_FD_STEP * (1.0 + np.linalg.norm(x)))
 
     uses_fd = d1_fn is None or d2_fn is None
     return ScalarField(

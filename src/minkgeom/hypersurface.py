@@ -55,7 +55,6 @@ class HypersurfacePointFrame:
     eigenvectors: np.ndarray
     groups: tuple
     geometry: PointGeometry
-    uses_fd: bool
 
 
 def frame_at(norm: MinkowskiNorm, field: ScalarField, x,
@@ -94,7 +93,6 @@ def frame_at(norm: MinkowskiNorm, field: ScalarField, x,
         eigenvectors=vecs.T @ tangent,
         groups=_group_eigenvalues(vals, group_tol),
         geometry=geo,
-        uses_fd=uses_fd,
     )
 
 
@@ -123,9 +121,9 @@ def mean_curvatures(frame: HypersurfacePointFrame) -> tuple[float, float]:
     return hhat_sum, hhat_sum
 
 
-def mean_curvature_residual(frame: HypersurfacePointFrame, field: ScalarField) -> float:
+def mean_curvature_residual(frame: HypersurfacePointFrame) -> float:
     """| F(grad f) * Hhat + sum_a D^2 f(e_a, e_a) |, which must vanish."""
-    hess = field.d2(frame.x)
+    hess = frame.geometry.hess
     faa = float(sum(e @ hess @ e for e in frame.tangent_basis))
     return abs(frame.geometry.fstar * float(np.sum(frame.principal_curvatures)) + faa)
 
@@ -211,7 +209,7 @@ def two_curvature_residuals(norm: MinkowskiNorm, frame: HypersurfacePointFrame) 
     different curvature groups; all must vanish for g = 2 isoparametric
     level sets."""
     k = frame.principal_curvatures
-    labels = _group_labels(k, frame.groups)
+    labels = np.repeat(np.arange(len(frame.groups)), [m for _, m in frame.groups])
     out = []
     for a in range(k.size):
         for b in range(a + 1, k.size):
@@ -221,16 +219,3 @@ def two_curvature_residuals(norm: MinkowskiNorm, frame: HypersurfacePointFrame) 
                                    frame.eigenvectors[b])
             out.append(k[a] * k[b] * (1.0 - Q))
     return np.array(out)
-
-
-def _group_labels(vals: np.ndarray, groups: tuple) -> list[int]:
-    labels = []
-    idx = 0
-    consumed = 0
-    for i in range(vals.size):
-        if consumed == groups[idx][1]:
-            idx += 1
-            consumed = 0
-        labels.append(idx)
-        consumed += 1
-    return labels

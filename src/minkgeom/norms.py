@@ -525,12 +525,13 @@ class TabulatedProfile:
     reduced accuracy.
     """
 
-    def __init__(self, phi, dphi, d2phi, fd_step: float = 1e-4):
+    FD_STEP = 1e-4
+
+    def __init__(self, phi, dphi, d2phi):
         self.phi, self.dphi, self.d2phi = phi, dphi, d2phi
-        self.fd_step = fd_step
 
     def derivatives(self, s: float):
-        h = self.fd_step * max(1.0, abs(s))
+        h = self.FD_STEP * max(1.0, abs(s))
         d3 = (self.d2phi(s + h) - self.d2phi(s - h)) / (2 * h)
         d4 = (self.d2phi(s + h) - 2 * self.d2phi(s) + self.d2phi(s - h)) / h**2
         return (self.phi(s), self.dphi(s), self.d2phi(s), d3, d4)
@@ -540,23 +541,17 @@ class AlphaBetaNorm(MinkowskiNorm):
     """F = alpha phi(beta/alpha) with alpha Euclidean and beta = b y^1.
 
     The derivative path is jet composition with the profile's univariate
-    derivatives; there is no separate closed form.  A general beta direction
-    may be supplied via ``b_vector``.
+    derivatives; there is no separate closed form.
     """
 
     family = "alpha_beta"
 
     def __init__(self, profile, b: float, dim: int, strategy: str = "taylor",
-                 b_vector=None, validate: bool = True):
+                 validate: bool = True):
         super().__init__(dim, strategy if strategy != "analytic" else "taylor")
         self.profile = profile
-        if b_vector is not None:
-            self.beta_vec = np.asarray(b_vector, dtype=float)
-            if self.beta_vec.shape != (dim,):
-                raise BadDimension("b_vector must have length dim")
-        else:
-            self.beta_vec = np.zeros(dim)
-            self.beta_vec[0] = float(b)
+        self.beta_vec = np.zeros(dim)
+        self.beta_vec[0] = float(b)
         self.b = float(b)
         if validate:
             self._validate()
@@ -580,10 +575,7 @@ class AlphaBetaNorm(MinkowskiNorm):
 
     def restricted(self, m):
         _check_subdim(m, self.dim)
-        if np.any(self.beta_vec[m:] != 0.0):
-            raise BadDimension("beta direction leaves the restriction subspace")
-        return AlphaBetaNorm(self.profile, self.b, m, strategy=self.strategy,
-                             b_vector=self.beta_vec[:m], validate=False)
+        return AlphaBetaNorm(self.profile, self.b, m, strategy=self.strategy, validate=False)
 
 
 class ScaledNorm(MinkowskiNorm):

@@ -9,6 +9,7 @@ array, independent of evaluation order.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -39,13 +40,11 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
         # of pi/2, where degenerate norm families sit on coordinate planes
         phi = 2.0 * math.pi * np.mod((j + 0.5) * GOLDEN + shift, 1.0)
         return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    from scipy.special import ndtri
-
     alphas = _kronecker_alphas(n)
     j = np.arange(1, count + 1)[:, None]
     u = np.mod(shift + j * alphas[None, :], 1.0)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    g = ndtri(u)
+    g = np.vectorize(NormalDist().inv_cdf, otypes=[float])(u)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0
     return g / norms[:, None]

@@ -55,12 +55,16 @@ def test_demo_reports_regenerate(name, norm, field, levels):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # scipy serves only the sup oracles, the n >= 4 direction sets and the demos
+    # scipy serves only the sup oracles and the demos; an n = 5 alpha-beta
+    # verify reaches the n >= 4 direction sets and the jets
     script = (
         "import sys\n"
-        "from minkgeom import cli\n"
+        "from minkgeom import calculus, cli, isoparametric, norms\n"
         "code = cli.main(['verify', 'demos/configs/randers_sphere.json', '--out', sys.argv[1]])\n"
         "assert code == 0, code\n"
+        "ab = norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 5)\n"
+        "rep = isoparametric.verify(ab, calculus.sphere_potential(ab), [0.5, 2.0, 4.5], count=8)\n"
+        "assert (rep.transnormal_verdict, rep.isoparametric_verdict) == ('yes', 'yes'), rep\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )

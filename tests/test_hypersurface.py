@@ -96,7 +96,7 @@ class TestMeanCurvature:
     def test_trace_identity_residual(self, randers3_mixed):
         f = calculus.norm_plus_linear(randers3_mixed, 2)
         fr = hs.frame_at(randers3_mixed, f, np.array([1.0, 0.4, 0.6]))
-        assert hs.mean_curvature_residual(fr, f) <= 1e-8
+        assert hs.mean_curvature_residual(fr) <= 1e-8
 
 
 class TestCartanCurvature:

@@ -128,13 +128,14 @@ class TestCartanTensors:
         assert got == pytest.approx(0.75, abs=1e-12)
 
     def test_randers_analytic_agrees_with_taylor(self, rng):
-        analytic = norms.RandersNorm([0.4, -0.2, 0.1])
-        for _ in range(5):
-            y = rng.standard_normal(3)
-            da = analytic._analytic(y, 4)
-            dt = analytic._taylor(y, 4)
-            for name in ("d1", "d2", "d3", "d4"):
-                assert np.max(np.abs(getattr(da, name) - getattr(dt, name))) <= 1e-8
+        for n in (3, 10):
+            analytic = norms.RandersNorm(np.r_[0.4, -0.2, 0.1, np.zeros(n - 3)])
+            for _ in range(5):
+                y = rng.standard_normal(n)
+                da = analytic._analytic(y, 4)
+                dt = analytic._taylor(y, 4)
+                for name in ("d1", "d2", "d3", "d4"):
+                    assert np.max(np.abs(getattr(da, name) - getattr(dt, name))) <= 1e-8
 
     def test_kth_root_analytic_agrees_with_taylor(self, quartic3, rng):
         y = rng.standard_normal(3)

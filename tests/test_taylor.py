@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -73,3 +76,31 @@ def test_fractional_power_of_nonpositive_raises():
     j = _taylor.Jet.variable(sp, 0, -1.0)
     with pytest.raises(ValueError):
         j.sqrt()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_space_matches_enumerated_reference(n):
+    # reference: monomials by exhaustive enumeration, the product table by a
+    # loop over monomial pairs, tensors by scattering over index permutations
+    monos = [m for d in range(_taylor.ORDER + 1)
+             for m in sorted(k for k in itertools.product(range(d + 1), repeat=n) if sum(k) == d)]
+    index = {m: i for i, m in enumerate(monos)}
+    pairs = [(a, b, index[tuple(x + y for x, y in zip(ma, mb))])
+             for a, ma in enumerate(monos) for b, mb in enumerate(monos)
+             if sum(ma) + sum(mb) <= _taylor.ORDER]
+    sp = _taylor.JetSpace(n)
+    assert sp.size == len(monos)
+    assert np.array_equal(np.column_stack([sp._mul_a, sp._mul_b, sp._mul_out]), pairs)
+    c = np.random.default_rng(n).standard_normal(sp.size)
+    jet = _taylor.Jet(sp, c)
+    for order in range(1, _taylor.ORDER + 1):
+        want = np.zeros((n,) * order)
+        for i, m in enumerate(monos):
+            if sum(m) == order:
+                val = c[i] * math.prod(math.factorial(e) for e in m)
+                for perm in itertools.permutations([v for v in range(n) for _ in range(m[v])]):
+                    want[perm] = val
+        assert np.array_equal(jet.derivative_tensor(order), want)
+    for i in range(n):
+        unit = tuple(int(v == i) for v in range(n))
+        assert _taylor.Jet.variable(sp, i, 0.5).c[index[unit]] == 1.0
