@@ -186,7 +186,7 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
     b = norm.b
 
     def value(x):
-        return np.linalg.norm(x[:m]) + b @ x
+        return math.sqrt(x[:m] @ x[:m]) + b @ x
 
     def d1(x):
         out = b.copy()
@@ -236,10 +236,11 @@ def custom_field(dim: int, value_fn, d1_fn=None, d2_fn=None) -> ScalarField:
 
 
 def reparametrized_field(field: ScalarField, profile) -> ScalarField:
-    """phi o f with chain-rule derivatives; profile supplies phi, phi', phi''."""
+    """phi o f with chain-rule derivatives; the profile provides ``phi(s)`` and
+    ``derivatives(s)``, as for ``AlphaBetaNorm``."""
 
     def value(x):
-        return profile.derivatives(field.value(x))[0]
+        return profile.phi(field.value(x))
 
     def d1(x):
         return profile.derivatives(field.value(x))[1] * field.d1(x)
@@ -270,7 +271,7 @@ def _safe_profile_value(profile, t, default):
         return default
     try:
         with np.errstate(all="ignore"):
-            v = profile.derivatives(t)[0]
+            v = profile.phi(t)
     except (ArithmeticError, ValueError):
         return default
     return v if math.isfinite(v) else default

@@ -20,6 +20,8 @@ preserves the subspace.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BadDimension, NoConvergence, ZeroCovector, ZeroVector
@@ -33,7 +35,8 @@ def _as_covector(xi, n: int) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (n,):
         raise BadDimension(f"expected a covector of length {n}, got shape {xi.shape}")
-    if not np.all(np.isfinite(xi)) or np.linalg.norm(xi) < ZERO_EXCLUSION:
+    sq = float(xi @ xi)  # the one-dot test of norms._as_vector
+    if (not math.isfinite(sq) and not np.all(np.isfinite(xi))) or math.sqrt(sq) < ZERO_EXCLUSION:
         raise ZeroCovector("covector is inside the zero-exclusion ball")
     return xi
 

@@ -123,13 +123,13 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
 
 
 def _radial_root(field: ScalarField, anchor, d, t, ladder):
-    def phi(s):
+    def gap(x):
         try:
-            return field.value(anchor + s * d) - t
+            return field.value(x) - t
         except MinkGeomError:
             return math.nan
 
-    vals = [phi(s) for s in ladder]
+    vals = [gap(x) for x in anchor + ladder[:, None] * d]  # rows: anchor + s * d
     bracket = None
     for a in range(len(ladder) - 1):
         va, vb = vals[a], vals[a + 1]
@@ -144,12 +144,12 @@ def _radial_root(field: ScalarField, anchor, d, t, ladder):
     if bracket is None:
         return None
     sa, sb = bracket
-    va = phi(sa)
+    va = gap(anchor + sa * d)
     for _ in range(60):
         if sb - sa <= 1e-13 * max(1.0, sb):
             break
         sm = 0.5 * (sa + sb)
-        vm = phi(sm)
+        vm = gap(anchor + sm * d)
         if vm == 0.0:
             sa = sb = sm
             break
@@ -600,7 +600,7 @@ def reparametrize_isoparametric(report: VerificationReport, profile,
         if profile.derivatives(t)[1] <= 0.0:
             raise NotMonotone(f"profile derivative is not positive at t={t}")
     new_field = reparametrized_field(report.field, profile)
-    new_levels = [profile.derivatives(t)[0] for t in report.levels]
+    new_levels = [profile.phi(t) for t in report.levels]
     return verify(report.norm, new_field, new_levels,
                   count=count or report.count, tol=report.tolerance,
                   seed=report.seed)

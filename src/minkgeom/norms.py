@@ -27,6 +27,7 @@ Norms are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,12 @@ def _as_vector(y, n: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (n,):
         raise BadDimension(f"expected a vector of length {n}, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
+    # finite iff every entry is and the square does not overflow; its root is
+    # the bits of np.linalg.norm(y)
+    sq = float(y @ y)
+    if not math.isfinite(sq) and not np.all(np.isfinite(y)):
         raise ZeroVector("vector has non-finite entries")
-    if np.linalg.norm(y) < ZERO_EXCLUSION:
+    if math.sqrt(sq) < ZERO_EXCLUSION:
         raise ZeroVector(
             "vector is inside the zero-exclusion ball; F is not smooth at 0"
         )
@@ -244,7 +248,7 @@ class EuclideanNorm(MinkowskiNorm):
     family = "euclidean"
 
     def _value(self, y):
-        return float(np.linalg.norm(y))
+        return math.sqrt(y @ y)
 
     def _jet_F(self, ys):
         s = ys[0] * ys[0]
@@ -301,7 +305,7 @@ class RandersNorm(MinkowskiNorm):
             self._validate()
 
     def _value(self, y):
-        return float(np.linalg.norm(y) + self.b @ y)
+        return float(math.sqrt(y @ y) + self.b @ y)
 
     def _jet_F(self, ys):
         s = ys[0] * ys[0]
@@ -503,18 +507,31 @@ class KthRootNorm(MinkowskiNorm):
 
 
 class PolynomialProfile:
-    """Profile phi(s) = sum_j coeffs[j] s^j with exact derivatives."""
+    """Profile phi(s) = sum_j coeffs[j] s^j with exact derivatives, evaluated
+    by Horner from 0.0: the float64 operations of ``np.polyval``, in order."""
 
     def __init__(self, coeffs):
         self.coeffs = tuple(float(c) for c in coeffs)
-
-    def derivatives(self, s: float):
-        out = []
+        rows = []
         c = np.array(self.coeffs)
         for _ in range(5):
-            out.append(float(np.polyval(c[::-1], s)) if c.size else 0.0)
+            rows.append(tuple(float(v) for v in c[::-1]))
             c = c[1:] * np.arange(1, c.size) if c.size > 1 else np.array([])
-        return tuple(out)
+        self._rows = tuple(rows)
+
+    def phi(self, s: float) -> float:
+        return _horner(self._rows[0], float(s))
+
+    def derivatives(self, s: float):
+        s = float(s)
+        return tuple(_horner(row, s) for row in self._rows)
+
+
+def _horner(row, s: float) -> float:
+    v = 0.0
+    for c in row:
+        v = v * s + c
+    return v
 
 
 class TabulatedProfile:
@@ -532,16 +549,18 @@ class TabulatedProfile:
 
     def derivatives(self, s: float):
         h = self.FD_STEP * max(1.0, abs(s))
-        d3 = (self.d2phi(s + h) - self.d2phi(s - h)) / (2 * h)
-        d4 = (self.d2phi(s + h) - 2 * self.d2phi(s) + self.d2phi(s - h)) / h**2
-        return (self.phi(s), self.dphi(s), self.d2phi(s), d3, d4)
+        lo, mid, hi = self.d2phi(s - h), self.d2phi(s), self.d2phi(s + h)
+        d3 = (hi - lo) / (2 * h)
+        d4 = (hi - 2 * mid + lo) / h**2
+        return (self.phi(s), self.dphi(s), mid, d3, d4)
 
 
 class AlphaBetaNorm(MinkowskiNorm):
     """F = alpha phi(beta/alpha) with alpha Euclidean and beta = b y^1.
 
-    The derivative path is jet composition with the profile's univariate
-    derivatives; there is no separate closed form.
+    A profile provides ``phi(s)`` and ``derivatives(s)``, phi and its first
+    four derivatives at s.  Values read phi alone; the derivative path is jet
+    composition with those derivatives; there is no separate closed form.
     """
 
     family = "alpha_beta"
@@ -557,9 +576,9 @@ class AlphaBetaNorm(MinkowskiNorm):
             self._validate()
 
     def _value(self, y):
-        alpha = float(np.linalg.norm(y))
+        alpha = math.sqrt(y @ y)
         s = float(self.beta_vec @ y) / alpha
-        return alpha * self.profile.derivatives(s)[0]
+        return alpha * self.profile.phi(s)
 
     def _jet_F(self, ys):
         s2 = ys[0] * ys[0]

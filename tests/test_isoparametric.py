@@ -13,6 +13,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 class SqrtProfile:
     """phi(t) = sqrt(2t): turns the sphere potential into a distance function."""
 
+    def phi(self, t):
+        return np.sqrt(2.0 * t)
+
     def derivatives(self, t):
         v = np.sqrt(2.0 * t)
         return (v, 1.0 / v, -1.0 / (2.0 * t * v), 0.0, 0.0)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkgeom import norms
-from minkgeom.errors import BadDimension, DegenerateMetric, NotInDomain, ZeroVector
+from minkgeom import duality, norms
+from minkgeom.errors import (BadDimension, DegenerateMetric, NotInDomain, ZeroCovector,
+                             ZeroVector)
 
 settings.register_profile("suite", max_examples=40, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -26,6 +29,32 @@ class TestEvaluation:
     def test_zero_vector_rejected(self, randers2):
         with pytest.raises(ZeroVector):
             randers2.value([1e-9, 0.0])
+
+    # input, outcome of norm.value, outcome of duality.dual_norm on RandersNorm
+    # b = (0.5, 0, 0): an exception (with its message) or the value returned
+    @pytest.mark.parametrize("y, value, dual", [
+        ([np.nan, 0.0, 0.0], (ZeroVector, "non-finite"), ZeroCovector),
+        ([np.inf, 0.0, 0.0], (ZeroVector, "non-finite"), ZeroCovector),
+        ([-np.inf, 1.0, 0.0], (ZeroVector, "non-finite"), ZeroCovector),
+        ([1e-9, 0.0, 0.0], (ZeroVector, "zero-exclusion"), ZeroCovector),
+        ([1e-170, 0.0, 0.0], (ZeroVector, "zero-exclusion"), ZeroCovector),
+        ([0.0, 0.0, 0.0], (ZeroVector, "zero-exclusion"), ZeroCovector),
+        # finite entries whose squared norm overflows pass the exclusion test;
+        # the Legendre preimage of that covector has non-finite entries
+        ([1e200, 0.0, 0.0], math.inf, (ZeroVector, "non-finite")),
+        ([1.0, -2.0, 0.5], math.sqrt(5.25) + 0.5, 2.0617842572908165),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_input_validation_edge_cases(self, randers3, y, value, dual):
+        y = np.array(y)
+        for fn, want in ((randers3.value, value),
+                         (lambda v: duality.dual_norm(randers3, v), dual)):
+            if isinstance(want, float):
+                assert fn(y) == want
+                continue
+            exc, match = want if isinstance(want, tuple) else (want, None)
+            with pytest.raises(exc, match=match):
+                fn(y)
 
     def test_wrong_shape_rejected(self, randers2):
         with pytest.raises(BadDimension):
@@ -190,6 +219,42 @@ class TestStructuralHelpers:
         assert d[1] == pytest.approx(1.0 + 0.2 * 0.3)
         assert d[2] == pytest.approx(0.2)
         assert d[3] == 0.0 and d[4] == 0.0
+
+    @pytest.mark.parametrize("coeffs", [
+        [], [2.0], [1, 1, 0.1], [0, 0, 0, 1], [0.3, -1.7, 2.5, 1e-3, -4.25, 0.6, 1.1],
+    ])
+    def test_polynomial_profile_matches_polyval_bitwise(self, coeffs):
+        def polyval_derivatives(s):
+            # the np.polyval evaluation that Horner replaced, kept as the reference
+            out = []
+            c = np.array([float(v) for v in coeffs])
+            for _ in range(5):
+                out.append(float(np.polyval(c[::-1], s)) if c.size else 0.0)
+                c = c[1:] * np.arange(1, c.size) if c.size > 1 else np.array([])
+            return tuple(out)
+
+        prof = norms.PolynomialProfile(coeffs)
+        for s in (-0.0, 0.0, 0, 3, 0.3, -0.7, -3.25, 17.5, 1e-5, np.float64(-0.123456789)):
+            got, want = prof.derivatives(s), polyval_derivatives(s)
+            assert got == want
+            assert [v.hex() for v in got] == [v.hex() for v in want]  # sign of zero too
+            assert prof.phi(s) == got[0]
+
+    def test_tabulated_profile_calls_d2phi_three_times(self):
+        calls = []
+
+        def d2phi(s):
+            calls.append(s)
+            return math.exp(s)
+
+        prof = norms.TabulatedProfile(phi=math.exp, dphi=math.exp, d2phi=d2phi)
+        d = prof.derivatives(0.2)
+        h = norms.TabulatedProfile.FD_STEP
+        assert len(calls) == 3
+        # the bits of the stencil that evaluated d2phi once per use
+        assert d[2] == math.exp(0.2)
+        assert d[3] == (math.exp(0.2 + h) - math.exp(0.2 - h)) / (2 * h)
+        assert d[4] == (math.exp(0.2 + h) - 2 * math.exp(0.2) + math.exp(0.2 - h)) / h**2
 
     def test_tabulated_profile_fd_orders(self):
         prof = norms.TabulatedProfile(
