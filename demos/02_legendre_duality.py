@@ -49,4 +49,4 @@ for norm, label in ((inside, "b inside Vbar"), (perp, "b orthogonal to Vbar")):
     print(f"  Ftilde(ybar)      = {tilde.value(ybar):.10f}")
     print(f"  F(ybar embedded)  = {f_embedded:.10f}")
     print(f"  gap               = {f_embedded - tilde.value(ybar):.3e}")
-    print(f"  sup oracle        = {duality.subspace_dual_sup(norm, 2, ybar, 4000):.10f}")
+    print(f"  sup oracle        = {duality.subspace_dual_sup(norm, 2, ybar[None], 4000)[0]:.10f}")

@@ -1,7 +1,8 @@
 """Truncated multivariate Taylor (jet) arithmetic up to order 4.
 
 A :class:`Jet` stores the Taylor coefficients of a smooth function around a
-base point, for all monomials of total degree <= 4 in ``n`` variables.  Sums,
+base point, for all monomials of total degree <= order in ``n`` variables,
+where the space's order (1 to 4) is the highest derivative a caller reads.  Sums,
 products, quotients and composition with a univariate function (given its
 derivatives at the inner value) are exact on the truncated algebra, so the
 extracted derivative tensors are accurate to roundoff.  This is the generic
@@ -19,19 +20,28 @@ import numpy as np
 ORDER = 4
 # A monomial x^e is keyed by code(e) = sum_i e_i * _BASE**i.  Exponents never
 # exceed ORDER, so the code of a product is the sum of the two codes.  Codes
-# fit in int64 for n <= 27.
+# fit in int64 for n <= 27.  The base does not depend on a space's order.
 _BASE = ORDER + 1
 
-_SPACES: dict[int, "JetSpace"] = {}
+_SPACES: dict[tuple[int, int], "JetSpace"] = {}
 
 
 class JetSpace:
-    """Monomial bookkeeping for jets in ``n`` variables (cached per n)."""
+    """Monomial bookkeeping for jets of degree <= ``order`` in ``n`` variables
+    (cached per (n, order)).
 
-    def __init__(self, n: int):
+    Monomials are sorted by degree, so a lower order's monomials, product
+    table and tensor indices are prefixes of a higher order's, and its
+    low-degree coefficients come out bit for bit the same.
+    """
+
+    def __init__(self, n: int, order: int):
+        if not 1 <= order <= ORDER:
+            raise ValueError(f"jet order must lie in 1..{ORDER}, got {order}")
         self.n = n
+        self.order = order
         monos = []
-        for deg in range(ORDER + 1):
+        for deg in range(order + 1):
             combos = itertools.combinations_with_replacement(range(n), deg)
             monos.extend(sorted(tuple(map(c.count, range(n))) for c in combos))
         exps = np.array(monos, dtype=np.int64)
@@ -41,16 +51,18 @@ class JetSpace:
         self._by_code = np.argsort(codes)
         self._sorted_codes = codes[self._by_code]
         # Dense multiplication table: all coefficient pairs whose product
-        # monomial still has degree <= ORDER, in row-major order.
-        self._mul_a, self._mul_b = np.nonzero(degree[:, None] + degree[None, :] <= ORDER)
+        # monomial still has degree <= order, in row-major order.
+        self._mul_a, self._mul_b = np.nonzero(degree[:, None] + degree[None, :] <= order)
         self._mul_out = self._lookup(codes[self._mul_a] + codes[self._mul_b])
-        factorials = np.array([math.factorial(e) for e in range(ORDER + 1)], dtype=float)
+        factorials = np.array([math.factorial(e) for e in range(order + 1)], dtype=float)
         self._factorial = factorials[exps].prod(axis=1)
+        # Coefficient index of each variable x_i.
+        self._unit = self._lookup(_BASE ** np.arange(n, dtype=np.int64))
         # Entry (i1, ..., ik) of the order-k derivative tensor reads the
         # coefficient of x_i1 ... x_ik, scaled by the exponents' factorials.
         self._tensor_index = [
             self._lookup((_BASE ** np.indices((n,) * k, dtype=np.int64)).sum(axis=0))
-            for k in range(ORDER + 1)
+            for k in range(order + 1)
         ]
 
     def _lookup(self, codes):
@@ -63,10 +75,10 @@ class JetSpace:
         return out
 
 
-def space(n: int) -> JetSpace:
-    sp = _SPACES.get(n)
+def space(n: int, order: int) -> JetSpace:
+    sp = _SPACES.get((n, order))
     if sp is None:
-        sp = _SPACES[n] = JetSpace(n)
+        sp = _SPACES[n, order] = JetSpace(n, order)
     return sp
 
 
@@ -89,7 +101,7 @@ class Jet:
     def variable(sp: JetSpace, i: int, base: float) -> "Jet":
         c = np.zeros(sp.size)
         c[0] = base
-        c[sp._lookup(_BASE**i)] = 1.0
+        c[sp._unit[i]] = 1.0
         return Jet(sp, c)
 
     @staticmethod
@@ -148,14 +160,15 @@ class Jet:
     def compose_univariate(self, derivs) -> "Jet":
         """h(self) for a univariate h given h, h', ..., h'''' at self.value.
 
-        Horner evaluation of the degree-4 Taylor polynomial of h in the
-        nilpotent part of the jet.
+        Horner evaluation of the Taylor polynomial of h, to the space's
+        order, in the nilpotent part of the jet.
         """
-        coeffs = [derivs[j] / math.factorial(j) for j in range(ORDER + 1)]
+        order = self.space.order
+        coeffs = [derivs[j] / math.factorial(j) for j in range(order + 1)]
         v = Jet(self.space, self.c.copy())
         v.c[0] = 0.0
-        out = Jet.constant(self.space, coeffs[ORDER])
-        for j in range(ORDER - 1, -1, -1):
+        out = Jet.constant(self.space, coeffs[order])
+        for j in range(order - 1, -1, -1):
             out = out * v + coeffs[j]
         return out
 
@@ -172,7 +185,7 @@ class Jet:
         return float(self.c[0])
 
     def derivative_tensor(self, order: int) -> np.ndarray:
-        """Dense symmetric derivative tensor of the given order."""
+        """Dense symmetric derivative tensor of the given order (<= the space's)."""
         sp = self.space
         return np.asarray((self.c * sp._factorial)[sp._tensor_index[order]])
 

@@ -65,7 +65,8 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
     L is a global diffeomorphism, so for well-conditioned norms this
     converges from that seed.  Iterates past the acceptance threshold down to
     stagnation, so the result is limited by conditioning, not by the stop
-    rule.
+    rule.  One order-2 ``derivatives`` call per iterate gives both its
+    residual L(y) - xi (d1) and the Jacobian g(y) of the next step (d2).
     """
     xi = _as_covector(xi, norm.dim)
     scale = float(np.linalg.norm(xi))
@@ -73,30 +74,32 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
         y = np.linalg.solve(norm.derivatives(xi, order=2).d2, xi)
     except (ZeroVector, np.linalg.LinAlgError):
         y = xi.copy()
-    res = norm.legendre(y) - xi
+    d = norm.derivatives(y, order=2)
+    res = d.d1 - xi
     rnorm = float(np.linalg.norm(res))
     for iteration in range(NEWTON_MAX_ITER):
         if rnorm <= 1e-15 * scale:
             break
         try:
-            step = np.linalg.solve(norm.derivatives(y, order=2).d2, -res)
+            step = np.linalg.solve(d.d2, -res)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(iteration, rnorm) from exc
         t = 1.0
         while t > 1e-6:
             y_new = y + t * step
             try:
-                res_new = norm.legendre(y_new) - xi
+                d_new = norm.derivatives(y_new, order=2)
             except ZeroVector:
                 t *= 0.5
                 continue
+            res_new = d_new.d1 - xi
             rn = float(np.linalg.norm(res_new))
             if rn < rnorm:
                 break
             t *= 0.5
         else:
             break  # stagnated; accept current iterate if below tolerance
-        y, res, rnorm = y_new, res_new, rn
+        y, d, res, rnorm = y_new, d_new, res_new, rn
     fstar_sq = norm.value(y) ** 2
     if rnorm > 1e-12 * max(fstar_sq, ZERO_EXCLUSION):
         raise NoConvergence(NEWTON_MAX_ITER, rnorm)
@@ -164,28 +167,34 @@ def subspace_dual(norm: MinkowskiNorm, m: int) -> MinkowskiNorm:
         return norm.restricted(m)
 
 
-def subspace_dual_sup(norm: MinkowskiNorm, m: int, ybar, count: int = 10_000) -> float:
-    """Oracle for Ftilde(ybar): sup of xibar(ybar)/F*(xibar) over a Vbar* grid."""
+def subspace_dual_sup(norm: MinkowskiNorm, m: int, ybars, count: int = 10_000) -> np.ndarray:
+    """Oracle for Ftilde at each row of ``ybars`` (shape (k, m)): the sup of
+    xibar(ybar)/F*(xibar) over one Vbar* grid of F* values, refined per row
+    by Nelder-Mead.  Returns the k values."""
     from scipy.optimize import minimize
 
-    ybar = np.asarray(ybar, dtype=float)
-    if ybar.shape != (m,):
-        raise BadDimension(f"expected a vector of length {m}")
+    ybars = np.asarray(ybars, dtype=float)
+    if ybars.ndim != 2 or ybars.shape[1] != m:
+        raise BadDimension(f"expected rows of length {m}, got shape {ybars.shape}")
     dirs = sphere_directions(m, count, seed=0) if m > 1 else np.array([[1.0], [-1.0]])
-    vals = []
-    for u in dirs:
+
+    def fstar(u):
         xi = np.zeros(norm.dim)
         xi[:m] = u
-        vals.append(float(u @ ybar) / dual_norm(norm, xi))
-    best = dirs[int(np.argmax(vals))]
+        return dual_norm(norm, xi)
 
-    def neg(u):
-        if np.linalg.norm(u) < 1e-12:
-            return np.inf
-        xi = np.zeros(norm.dim)
-        xi[:m] = u
-        return -float(u @ ybar) / dual_norm(norm, xi)
+    fstars = [fstar(u) for u in dirs]
+    out = np.empty(len(ybars))
+    for row, ybar in enumerate(ybars):
+        vals = [float(u @ ybar) / fs for u, fs in zip(dirs, fstars)]
+        best = dirs[int(np.argmax(vals))]
 
-    out = minimize(neg, best, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-    return float(-out.fun)
+        def neg(u):
+            if np.linalg.norm(u) < 1e-12:
+                return np.inf
+            return -float(u @ ybar) / fstar(u)
+
+        res = minimize(neg, best, method="Nelder-Mead",
+                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
+        out[row] = -res.fun
+    return out

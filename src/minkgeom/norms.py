@@ -43,11 +43,15 @@ STRATEGIES = ("analytic", "taylor", "fd")
 
 @dataclass(frozen=True)
 class Derivatives:
-    """Derivative bundle of G = F^2/2 at a fixed direction y."""
+    """Derivative bundle of G = F^2/2 at a fixed direction y.
+
+    ``d1`` is always present; ``d2``, ``d3`` and ``d4`` are present from
+    orders 2, 3 and 4 and may be None below them.
+    """
 
     F: float
     d1: np.ndarray
-    d2: np.ndarray
+    d2: np.ndarray | None
     d3: np.ndarray | None = None
     d4: np.ndarray | None = None
 
@@ -166,13 +170,13 @@ class MinkowskiNorm:
     # -- shared machinery ------------------------------------------------------
 
     def _taylor(self, y: np.ndarray, order: int) -> Derivatives:
-        sp = _taylor.space(self.dim)
+        sp = _taylor.space(self.dim, order)
         F = self._jet_F(_taylor.Jet.variables(sp, y))
         G = F * F * 0.5
         return Derivatives(
             F=F.value,
             d1=G.derivative_tensor(1),
-            d2=G.derivative_tensor(2),
+            d2=G.derivative_tensor(2) if order >= 2 else None,
             d3=G.derivative_tensor(3) if order >= 3 else None,
             d4=G.derivative_tensor(4) if order >= 4 else None,
         )
@@ -199,7 +203,7 @@ class MinkowskiNorm:
             return out
 
         d1 = fd_gradient(G, y, 1e-2 * scale)
-        d2 = hess_at(y)
+        d2 = hess_at(y) if order >= 2 else None
         d3 = third(y) if order >= 3 else None
         d4 = None
         if order >= 4:
@@ -621,7 +625,7 @@ class ScaledNorm(MinkowskiNorm):
         return Derivatives(
             F=self.factor * d.F,
             d1=c2 * d.d1,
-            d2=c2 * d.d2,
+            d2=None if d.d2 is None else c2 * d.d2,
             d3=None if d.d3 is None else c2 * d.d3,
             d4=None if d.d4 is None else c2 * d.d4,
         )

@@ -89,10 +89,11 @@ def dual_subspace_condition_check(norm: MinkowskiNorm, m: int, count: int = 64,
         worst = max(worst, float(np.max(np.abs(norm.grad(ybar)[m:]))))
     holds = worst <= tol
     if holds:
-        for u in dirs[:verify_points]:
+        rows = dirs[:verify_points]
+        ftildes = duality.subspace_dual_sup(norm, m, rows, count=4000)
+        for u, ftilde in zip(rows, ftildes):
             ybar = np.zeros(n)
             ybar[:m] = u
-            ftilde = duality.subspace_dual_sup(norm, m, u, count=4000)
             if abs(ftilde - norm.value(ybar)) > 1e-8 * (1.0 + norm.value(ybar)):
                 raise NotInDomain(
                     "subspace condition held but Ftilde != F restricted; "

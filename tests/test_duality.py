@@ -51,8 +51,12 @@ class TestLegendre:
                 assert xi @ y == pytest.approx(fstar**2, rel=1e-9)
 
     def test_newton_matches_closed_forms(self, euclid3, randers3, quartic3, rng):
-        # every family with a closed-form Legendre inverse, and a scaled one
-        for norm in (euclid3, randers3, quartic3, randers3.scaled(2.0)):
+        # every family with a closed-form Legendre inverse, and a scaled one;
+        # the taylor-strategy norms run Newton on order-2 jets
+        randers_jets = norms.RandersNorm([0.5, 0.0, 0.0], strategy="taylor")
+        quartic_jets = norms.KthRootNorm(4, 3, strategy="taylor")
+        for norm in (euclid3, randers3, quartic3, randers3.scaled(2.0),
+                     randers_jets, quartic_jets):
             for _ in range(50):
                 xi = rng.standard_normal(3)
                 closed = duality.legendre_inverse(norm, xi)
@@ -137,7 +141,7 @@ class TestSubspaceDual:
         ybar = np.array([1.0, 0.0])
         assert tilde.value(ybar) == pytest.approx(np.sqrt(0.91))
         assert norm.value(embedded(ybar)) - tilde.value(ybar) > 0.04  # Ftilde < F restricted
-        oracle = duality.subspace_dual_sup(norm, 2, ybar, count=4000)
+        (oracle,) = duality.subspace_dual_sup(norm, 2, ybar[None], count=4000)
         assert oracle == pytest.approx(tilde.value(ybar), rel=1e-6)
 
     def test_subspace_inequality(self, randers3_mixed, rng):

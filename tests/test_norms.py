@@ -262,3 +262,41 @@ class TestStructuralHelpers:
         d = prof.derivatives(0.2)
         assert d[3] == pytest.approx(np.exp(0.2), rel=1e-6)
         assert d[4] == pytest.approx(np.exp(0.2), rel=1e-4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_lower_order_jets_match_order_four(n):
+    # jets built to the request's order give the bits of the order-4 jets
+    rng = np.random.default_rng(100 + n)
+    for norm in (
+        norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, n, validate=False),
+        norms.RandersNorm(np.r_[0.4, -0.2, np.zeros(n - 2)], strategy="taylor", validate=False),
+        norms.KthRootNorm(4, n, strategy="taylor", validate=False),
+        norms.EuclideanNorm(n, strategy="taylor"),
+    ):
+        for _ in range(20):
+            y = rng.standard_normal(n)
+            full = norm.derivatives(y, order=4)
+            for order in (1, 2, 3):
+                low = norm.derivatives(y, order=order)
+                assert low.F == full.F
+                for k, name in enumerate(("d1", "d2", "d3", "d4"), start=1):
+                    got = getattr(low, name)
+                    if k <= order:
+                        assert np.array_equal(got, getattr(full, name)), (norm, order, name)
+                    else:
+                        assert got is None
+
+
+@pytest.mark.parametrize("n, count", [(3, 256), (5, 512)])
+def test_validation_samples_every_direction(monkeypatch, n, count):
+    orders = []
+    original = norms.MinkowskiNorm.derivatives
+
+    def counting(self, y, order=2):
+        orders.append(order)
+        return original(self, y, order)
+
+    monkeypatch.setattr(norms.MinkowskiNorm, "derivatives", counting)
+    norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, n)
+    assert orders == [2] * count

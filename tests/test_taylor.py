@@ -8,7 +8,7 @@ from minkgeom import _taylor
 
 
 def jet_of(fn, base):
-    sp = _taylor.space(len(base))
+    sp = _taylor.space(len(base), _taylor.ORDER)
     return fn(_taylor.Jet.variables(sp, np.asarray(base, dtype=float)))
 
 
@@ -72,7 +72,7 @@ def test_compose_univariate_matches_polynomial_arithmetic():
 
 
 def test_fractional_power_of_nonpositive_raises():
-    sp = _taylor.space(1)
+    sp = _taylor.space(1, _taylor.ORDER)
     j = _taylor.Jet.variable(sp, 0, -1.0)
     with pytest.raises(ValueError):
         j.sqrt()
@@ -81,26 +81,41 @@ def test_fractional_power_of_nonpositive_raises():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_space_matches_enumerated_reference(n):
     # reference: monomials by exhaustive enumeration, the product table by a
-    # loop over monomial pairs, tensors by scattering over index permutations
-    monos = [m for d in range(_taylor.ORDER + 1)
-             for m in sorted(k for k in itertools.product(range(d + 1), repeat=n) if sum(k) == d)]
-    index = {m: i for i, m in enumerate(monos)}
-    pairs = [(a, b, index[tuple(x + y for x, y in zip(ma, mb))])
-             for a, ma in enumerate(monos) for b, mb in enumerate(monos)
-             if sum(ma) + sum(mb) <= _taylor.ORDER]
-    sp = _taylor.JetSpace(n)
-    assert sp.size == len(monos)
-    assert np.array_equal(np.column_stack([sp._mul_a, sp._mul_b, sp._mul_out]), pairs)
-    c = np.random.default_rng(n).standard_normal(sp.size)
-    jet = _taylor.Jet(sp, c)
+    # loop over monomial pairs, tensors by scattering over index permutations,
+    # all truncated at each space order
     for order in range(1, _taylor.ORDER + 1):
-        want = np.zeros((n,) * order)
-        for i, m in enumerate(monos):
-            if sum(m) == order:
-                val = c[i] * math.prod(math.factorial(e) for e in m)
-                for perm in itertools.permutations([v for v in range(n) for _ in range(m[v])]):
-                    want[perm] = val
-        assert np.array_equal(jet.derivative_tensor(order), want)
-    for i in range(n):
-        unit = tuple(int(v == i) for v in range(n))
-        assert _taylor.Jet.variable(sp, i, 0.5).c[index[unit]] == 1.0
+        monos = [m for d in range(order + 1)
+                 for m in sorted(k for k in itertools.product(range(d + 1), repeat=n)
+                                 if sum(k) == d)]
+        index = {m: i for i, m in enumerate(monos)}
+        pairs = [(a, b, index[tuple(x + y for x, y in zip(ma, mb))])
+                 for a, ma in enumerate(monos) for b, mb in enumerate(monos)
+                 if sum(ma) + sum(mb) <= order]
+        sp = _taylor.JetSpace(n, order)
+        assert sp.size == len(monos)
+        assert np.array_equal(np.column_stack([sp._mul_a, sp._mul_b, sp._mul_out]), pairs)
+        c = np.random.default_rng(n).standard_normal(sp.size)
+        jet = _taylor.Jet(sp, c)
+        for k in range(1, order + 1):
+            want = np.zeros((n,) * k)
+            for i, m in enumerate(monos):
+                if sum(m) == k:
+                    val = c[i] * math.prod(math.factorial(e) for e in m)
+                    for perm in itertools.permutations([v for v in range(n)
+                                                        for _ in range(m[v])]):
+                        want[perm] = val
+            assert np.array_equal(jet.derivative_tensor(k), want)
+        base = np.arange(1.0, n + 1.0)
+        for i, var in enumerate(_taylor.Jet.variables(sp, base)):
+            unit = tuple(int(v == i) for v in range(n))
+            want = np.zeros(sp.size)
+            want[0], want[index[unit]] = base[i], 1.0
+            assert np.array_equal(var.c, want)
+
+
+def test_space_cache_is_per_order():
+    assert _taylor.space(3, 2) is _taylor.space(3, 2)
+    assert _taylor.space(3, 2) is not _taylor.space(3, _taylor.ORDER)
+    assert _taylor.space(3, _taylor.ORDER).order == _taylor.ORDER
+    with pytest.raises(ValueError):
+        _taylor.JetSpace(3, 0)
