@@ -56,7 +56,8 @@ def main():
     f = calculus.sphere_potential(norm)
     x0 = iso.sample_level(norm, f, 0.5, 8).points[0]
     flow = iso.f_segment_flow(norm, f, x0, 0.5, 2.0)
-    integral, _ = quad(lambda t: 1.0 / iso.transnormal_profile_value(norm, f, t), 0.5, 2.0)
+    integral, _ = quad(lambda t: 1.0 / float(iso.sample_level(norm, f, t, 8).fstar.mean()),
+                       0.5, 2.0)
     print("  arclength          =", flow.arclength)
     print("  integral dt / a(t) =", integral)
     print("  chord deviation    =", flow.chord_deviation)

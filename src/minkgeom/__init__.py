@@ -21,7 +21,6 @@ from .norms import (
     PolynomialProfile,
     RandersNorm,
     ScaledNorm,
-    TabulatedProfile,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "ScaledNorm",
     "CartanData",
     "PolynomialProfile",
-    "TabulatedProfile",
 ]
 
 __version__ = "0.1.0"

@@ -42,17 +42,6 @@ CRITICAL_EPS = 1e-8
 # relative central-difference step of custom_field (times 10 for D^2f)
 CUSTOM_FD_STEP = 1e-5
 
-CATALOG_TAGS = (
-    "linear",
-    "half_squared_norm",
-    "half_squared_norm_reverse",
-    "half_squared_subspace_dual",
-    "half_squared_subspace_dual_reverse",
-    "norm_plus_linear",
-    "custom",
-    "reparametrized",
-)
-
 
 @dataclass
 class ScalarField:
@@ -214,8 +203,7 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
 def custom_field(dim: int, value_fn, d1_fn=None, d2_fn=None) -> ScalarField:
     """Wrap user callables; missing derivatives use central differences.
 
-    Custom evaluators must be side-effect free: fields are shared freely
-    across threads by the verification pipeline.
+    Custom evaluators must be side-effect free.
     """
 
     def fd_d1(x):
@@ -418,14 +406,6 @@ def laplacian(norm: MinkowskiNorm, field: ScalarField, x, method: str = "primal"
         (grad / math.sqrt(grad @ geo.g @ grad))[None, :],
     ])
     return float(sum(e @ hess @ e for e in frame))
-
-
-def laplacian_trace_check(norm: MinkowskiNorm, field: ScalarField, x) -> tuple[float, float]:
-    """(dual-trace value, orthonormal-frame trace value); the two must agree."""
-    return (
-        laplacian(norm, field, x, method="dual"),
-        laplacian(norm, field, x, method="frame_trace"),
-    )
 
 
 def divergence_fd(norm: MinkowskiNorm, field: ScalarField, x, step: float = 1e-5) -> float:

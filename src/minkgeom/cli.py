@@ -197,8 +197,14 @@ def load_scenario(args) -> Scenario:
     tol = args.tol
     if tol is None and sampled:
         tol = _optional(cfg, "tolerance", float, _TOLERANCE_DEFAULTS[args.command])
-    output = cfg.get("output", {})
+    expect = _optional(cfg, "expect", dict, {})
+    _reject_unknown(expect, _EXPECT_KEYS, "expect.")
+    for key in expect:
+        _require(expect, key, bool, "expect.")
+    output = _optional(cfg, "output", dict, {})
     _reject_unknown(output, _OUTPUT_KEYS, "output.")
+    for key in output:
+        _require(output, key, str, "output.")
     return Scenario(cfg, _scenario_id(cfg, args.config), norm, seed, tol, output,
                     field, levels, samples)
 
@@ -211,14 +217,12 @@ def cmd_verify(args) -> int:
     report.scenario_id = sc.id
     report.write_json(_out_path(args.out, sc.output.get("json", "report.json")))
     report.write_csv(_out_path(args.out, sc.output.get("csv", "samples.csv")))
-    expect = sc.cfg.get("expect")
-    if expect is not None:
-        _reject_unknown(expect, _EXPECT_KEYS, "expect.")
-        for key in ("transnormal", "isoparametric"):
-            if key in expect and bool(getattr(report, key)) != bool(expect[key]):
-                log.warning("verdict mismatch: %s is %r, expected %r",
-                            key, getattr(report, key), expect[key])
-                return 2
+    expect = sc.cfg.get("expect", {})
+    for key in ("transnormal", "isoparametric"):
+        if key in expect and getattr(report, key) != expect[key]:
+            log.warning("verdict mismatch: %s is %r, expected %r",
+                        key, getattr(report, key), expect[key])
+            return 2
     return 0
 
 

@@ -1,10 +1,11 @@
-"""Legendre transform, dual norms, and subspace duals.
+"""Legendre inverse, dual norms, and subspace duals.
 
 The Legendre transform L maps vectors to covectors by L(y)_i = F F_{y^i}(y),
 which is the gradient of G = F^2/2, so its Jacobian is exactly the
-fundamental tensor g(y).  It is a norm-preserving diffeomorphism away from
-zero.  Its inverse, the dual fundamental tensor and the subspace dual come
-from the norm family's closed-form hooks where it has them (``_legendre_inverse``,
+fundamental tensor g(y); ``MinkowskiNorm.legendre`` computes it.  It is a
+norm-preserving diffeomorphism away from zero.  Its inverse, the dual
+fundamental tensor and the subspace dual come from the norm family's
+closed-form hooks where it has them (``_legendre_inverse``,
 ``_dual_fundamental_tensor``, ``_subspace_dual``); otherwise the inverse is
 a damped Newton iteration and the subspace dual is the restriction.
 
@@ -26,7 +27,6 @@ import numpy as np
 
 from .errors import BadDimension, NoConvergence, ZeroCovector, ZeroVector
 from .norms import MinkowskiNorm, ZERO_EXCLUSION
-from .sampling import sphere_directions
 
 NEWTON_MAX_ITER = 50
 
@@ -39,11 +39,6 @@ def _as_covector(xi, n: int) -> np.ndarray:
     if (not math.isfinite(sq) and not np.all(np.isfinite(xi))) or math.sqrt(sq) < ZERO_EXCLUSION:
         raise ZeroCovector("covector is inside the zero-exclusion ball")
     return xi
-
-
-def legendre(norm: MinkowskiNorm, y) -> np.ndarray:
-    """L(y)_i = F(y) F_{y^i}(y); equals g_ij(y) y^j; 1-homogeneous."""
-    return norm.legendre(y)
 
 
 def legendre_inverse(norm: MinkowskiNorm, xi) -> np.ndarray:
@@ -124,30 +119,6 @@ def dual_fundamental_tensor(norm: MinkowskiNorm, xi) -> np.ndarray:
         return np.linalg.inv(norm.derivatives(legendre_inverse(norm, xi), order=2).d2)
 
 
-def dual_norm_grid_sup(norm: MinkowskiNorm, xi, count: int = 10_000) -> float:
-    """Grid-maximization oracle for F*: max of xi(u)/F(u) over a sphere lattice.
-
-    Independent of the Legendre machinery (uses only norm values); local
-    Nelder-Mead refinement sharpens the best grid direction.
-    """
-    from scipy.optimize import minimize
-
-    xi = _as_covector(xi, norm.dim)
-    dirs = sphere_directions(norm.dim, count, seed=0)
-    ratios = dirs @ xi / np.array([norm.value(u) for u in dirs])
-    best = dirs[int(np.argmax(ratios))]
-
-    def neg_ratio(u):
-        nrm = np.linalg.norm(u)
-        if nrm < 1e-12:
-            return np.inf
-        return -float(u @ xi) / norm.value(u)
-
-    out = minimize(neg_ratio, best, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-    return float(-out.fun)
-
-
 # -- subspace duals ------------------------------------------------------------
 
 
@@ -165,36 +136,3 @@ def subspace_dual(norm: MinkowskiNorm, m: int) -> MinkowskiNorm:
         return norm._subspace_dual(m)
     except NotImplementedError:
         return norm.restricted(m)
-
-
-def subspace_dual_sup(norm: MinkowskiNorm, m: int, ybars, count: int = 10_000) -> np.ndarray:
-    """Oracle for Ftilde at each row of ``ybars`` (shape (k, m)): the sup of
-    xibar(ybar)/F*(xibar) over one Vbar* grid of F* values, refined per row
-    by Nelder-Mead.  Returns the k values."""
-    from scipy.optimize import minimize
-
-    ybars = np.asarray(ybars, dtype=float)
-    if ybars.ndim != 2 or ybars.shape[1] != m:
-        raise BadDimension(f"expected rows of length {m}, got shape {ybars.shape}")
-    dirs = sphere_directions(m, count, seed=0) if m > 1 else np.array([[1.0], [-1.0]])
-
-    def fstar(u):
-        xi = np.zeros(norm.dim)
-        xi[:m] = u
-        return dual_norm(norm, xi)
-
-    fstars = [fstar(u) for u in dirs]
-    out = np.empty(len(ybars))
-    for row, ybar in enumerate(ybars):
-        vals = [float(u @ ybar) / fs for u, fs in zip(dirs, fstars)]
-        best = dirs[int(np.argmax(vals))]
-
-        def neg(u):
-            if np.linalg.norm(u) < 1e-12:
-                return np.inf
-            return -float(u @ ybar) / fstar(u)
-
-        res = minimize(neg, best, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-        out[row] = -res.fun
-    return out

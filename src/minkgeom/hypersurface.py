@@ -36,20 +36,18 @@ ORTHO_TOL = 1e-8
 class HypersurfacePointFrame:
     """Frame data of a level set at one regular point.
 
-    ``tangent_basis`` rows are ghat-orthonormal, so ``ghat`` is the identity
-    by construction and ``principal_curvatures`` are plain eigenvalues of
-    ``hhat``.  ``groups`` lists (kappa_r, m_r) for distinct curvature values
-    merged within max(1e-9, 1e-6 max|kappa|), or max(1e-4, 1e-4 max|kappa|)
-    under finite differences; ``eigenvectors`` rows are the corresponding
-    ambient principal directions (sorted like the curvatures).  ``geometry``
-    is the shared point geometry the frame was built from (grad f, F(grad f),
-    Delta f).
+    ``tangent_basis`` rows are ghat-orthonormal, so ``principal_curvatures``
+    are plain eigenvalues of ``hhat``.  ``groups`` lists (kappa_r, m_r) for
+    distinct curvature values merged within max(1e-9, 1e-6 max|kappa|), or
+    max(1e-4, 1e-4 max|kappa|) under finite differences; ``eigenvectors``
+    rows are the corresponding ambient principal directions (sorted like the
+    curvatures).  ``geometry`` is the shared point geometry the frame was
+    built from (grad f, F(grad f), Delta f).
     """
 
     x: np.ndarray
     normal: np.ndarray
     tangent_basis: np.ndarray
-    ghat: np.ndarray
     hhat: np.ndarray
     principal_curvatures: np.ndarray
     eigenvectors: np.ndarray
@@ -79,7 +77,6 @@ def frame_at(norm: MinkowskiNorm, field: ScalarField, x,
         vals, vecs = np.linalg.eigh(hhat)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure("eigendecomposition of the shape operator failed") from exc
-    g = geo.g if m == n else norm.derivatives(geo.grad, order=2).d2
     uses_fd = norm.strategy == "fd" or field.uses_fd
     kmax = float(np.max(np.abs(vals))) if vals.size else 0.0
     group_tol = max(1e-4, 1e-4 * kmax) if uses_fd else max(1e-9, 1e-6 * kmax)
@@ -87,7 +84,6 @@ def frame_at(norm: MinkowskiNorm, field: ScalarField, x,
         x=geo.x,
         normal=n_vec,
         tangent_basis=tangent,
-        ghat=tangent @ g @ tangent.T,
         hhat=hhat,
         principal_curvatures=vals,
         eigenvectors=vecs.T @ tangent,

@@ -41,7 +41,6 @@ from .randers import randers_isoparametric_residual
 from .sampling import sphere_directions
 
 LEVEL_RESIDUAL = 1e-10
-VERDICTS = ("yes", "inconclusive", "no")
 WITNESS_POINTS = 8     # points per level fed to the Randers witness
 IDENTITY_POINTS = 4    # points per level of the consistency-identity table
 FLOW_STEP = 1e-4       # flow-line differencing step, relative to a(t)
@@ -578,13 +577,6 @@ def f_segment_flow(norm: MinkowskiNorm, field: ScalarField, x0, t1: float, t2: f
     deviation = float(np.max(np.linalg.norm(rel - proj, axis=1)))
     return FlowResult(endpoint=x, arclength=float(arclength),
                       trajectory=traj, chord_deviation=deviation)
-
-
-def transnormal_profile_value(norm: MinkowskiNorm, field: ScalarField, t: float,
-                              count: int = 8, seed: int = 0) -> float:
-    """a(t) of a transnormal field, measured from a small level sample."""
-    s = sample_level(norm, field, t, count, seed=seed)
-    return float(s.fstar.mean())
 
 
 def reparametrize_isoparametric(report: VerificationReport, profile,

@@ -233,9 +233,6 @@ class MinkowskiNorm:
 
     # -- structural helpers ----------------------------------------------------
 
-    def scaled(self, factor: float) -> "MinkowskiNorm":
-        return ScaledNorm(self, factor)
-
     def restricted(self, m: int) -> "MinkowskiNorm":
         """The restriction F|_{first m coordinates}, as a norm on R^m."""
         raise BadDimension(f"{self.family} norm does not support restriction")
@@ -536,27 +533,6 @@ def _horner(row, s: float) -> float:
     for c in row:
         v = v * s + c
     return v
-
-
-class TabulatedProfile:
-    """Profile given by callables for phi, phi', phi''; higher orders by FD.
-
-    Use when only two derivatives are available analytically; the third and
-    fourth orders come from central differences of phi'' and inherit the
-    reduced accuracy.
-    """
-
-    FD_STEP = 1e-4
-
-    def __init__(self, phi, dphi, d2phi):
-        self.phi, self.dphi, self.d2phi = phi, dphi, d2phi
-
-    def derivatives(self, s: float):
-        h = self.FD_STEP * max(1.0, abs(s))
-        lo, mid, hi = self.d2phi(s - h), self.d2phi(s), self.d2phi(s + h)
-        d3 = (hi - lo) / (2 * h)
-        d4 = (hi - 2 * mid + lo) / h**2
-        return (self.phi(s), self.dphi(s), mid, d3, d4)
 
 
 class AlphaBetaNorm(MinkowskiNorm):

@@ -6,17 +6,21 @@ dual metric is again of Randers type with the coefficients
 system, the subspace-dual cylinders and the Cartan curvature have explicit
 closed forms.  The witnesses below take the ``RandersNorm`` itself, reject
 any other norm with NotInDomain, and check the generic tensor machinery
-independently; ``dual_subspace_condition_check`` applies to every family.
+independently; ``dual_subspace_condition_check``, the gradient test of
+subspace preservation by the Legendre map, applies to every family.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import duality, hypersurface
+from . import hypersurface
 from .errors import BadDimension, NotInDomain, NotUnit
 from .norms import MinkowskiNorm, RandersNorm
 from .sampling import sphere_directions
+
+SUBSPACE_DIRECTIONS = 64  # directions of the subspace sampled by the gradient test
+SUBSPACE_TOL = 1e-8       # bound on |F_{y^lam}(ybar)|
 
 
 def _require_randers(norm) -> RandersNorm:
@@ -70,33 +74,20 @@ def lemma61_check(norm: RandersNorm, y, X, Y) -> tuple[float, float]:
     return lhs, rhs
 
 
-def dual_subspace_condition_check(norm: MinkowskiNorm, m: int, count: int = 64,
-                                  tol: float = 1e-8, verify_points: int = 4) -> bool:
+def dual_subspace_condition_check(norm: MinkowskiNorm, m: int) -> bool:
     """Test the Legendre subspace-preservation condition F_{y^lam}(ybar) = 0.
 
-    Samples ybar in the first-m-coordinates subspace; when the condition
-    holds, Ftilde = F restricted, which is verified numerically against the
-    sup-construction oracle.
+    Samples ybar in the first-m-coordinates subspace.  When the condition
+    holds, the Legendre map preserves the subspace, so Ftilde = F restricted.
     """
     n = norm.dim
     if not 1 <= m < n:
         raise BadDimension(f"m must satisfy 1 <= m < {n}")
-    dirs = sphere_directions(m, count, seed=0) if m > 1 else np.array([[1.0], [-1.0]])
+    dirs = (sphere_directions(m, SUBSPACE_DIRECTIONS, seed=0) if m > 1
+            else np.array([[1.0], [-1.0]]))
     worst = 0.0
     for u in dirs:
         ybar = np.zeros(n)
         ybar[:m] = u
         worst = max(worst, float(np.max(np.abs(norm.grad(ybar)[m:]))))
-    holds = worst <= tol
-    if holds:
-        rows = dirs[:verify_points]
-        ftildes = duality.subspace_dual_sup(norm, m, rows, count=4000)
-        for u, ftilde in zip(rows, ftildes):
-            ybar = np.zeros(n)
-            ybar[:m] = u
-            if abs(ftilde - norm.value(ybar)) > 1e-8 * (1.0 + norm.value(ybar)):
-                raise NotInDomain(
-                    "subspace condition held but Ftilde != F restricted; "
-                    "the norm violates the Legendre identity"
-                )
-    return holds
+    return worst <= SUBSPACE_TOL

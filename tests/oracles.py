@@ -1,0 +1,68 @@
+"""Sup-over-grid oracles for the dual norm and the subspace dual.
+
+Both use only norm values (and, for the subspace dual, F* values) on a
+sphere lattice, refined by Nelder-Mead, so they are independent of the
+Legendre machinery they check.  They need scipy, which the package does
+not; ``demos/02_legendre_duality.py`` loads this file by path.
+"""
+
+import numpy as np
+from scipy.optimize import minimize
+
+from minkgeom.duality import _as_covector, dual_norm
+from minkgeom.errors import BadDimension
+from minkgeom.norms import MinkowskiNorm
+from minkgeom.sampling import sphere_directions
+
+
+def dual_norm_grid_sup(norm: MinkowskiNorm, xi, count: int = 10_000) -> float:
+    """Grid-maximization oracle for F*: max of xi(u)/F(u) over a sphere lattice.
+
+    Independent of the Legendre machinery (uses only norm values); local
+    Nelder-Mead refinement sharpens the best grid direction.
+    """
+    xi = _as_covector(xi, norm.dim)
+    dirs = sphere_directions(norm.dim, count, seed=0)
+    ratios = dirs @ xi / np.array([norm.value(u) for u in dirs])
+    best = dirs[int(np.argmax(ratios))]
+
+    def neg_ratio(u):
+        nrm = np.linalg.norm(u)
+        if nrm < 1e-12:
+            return np.inf
+        return -float(u @ xi) / norm.value(u)
+
+    out = minimize(neg_ratio, best, method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
+    return float(-out.fun)
+
+
+def subspace_dual_sup(norm: MinkowskiNorm, m: int, ybars, count: int = 10_000) -> np.ndarray:
+    """Oracle for Ftilde at each row of ``ybars`` (shape (k, m)): the sup of
+    xibar(ybar)/F*(xibar) over one Vbar* grid of F* values, refined per row
+    by Nelder-Mead.  Returns the k values."""
+    ybars = np.asarray(ybars, dtype=float)
+    if ybars.ndim != 2 or ybars.shape[1] != m:
+        raise BadDimension(f"expected rows of length {m}, got shape {ybars.shape}")
+    dirs = sphere_directions(m, count, seed=0) if m > 1 else np.array([[1.0], [-1.0]])
+
+    def fstar(u):
+        xi = np.zeros(norm.dim)
+        xi[:m] = u
+        return dual_norm(norm, xi)
+
+    fstars = [fstar(u) for u in dirs]
+    out = np.empty(len(ybars))
+    for row, ybar in enumerate(ybars):
+        vals = [float(u @ ybar) / fs for u, fs in zip(dirs, fstars)]
+        best = dirs[int(np.argmax(vals))]
+
+        def neg(u):
+            if np.linalg.norm(u) < 1e-12:
+                return np.inf
+            return -float(u @ ybar) / fstar(u)
+
+        res = minimize(neg, best, method="Nelder-Mead",
+                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
+        out[row] = -res.fun
+    return out

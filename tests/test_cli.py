@@ -59,6 +59,22 @@ class TestVerifyCommand:
         assert run(["verify", cfg, "--out", tmp_path / "out"]) == 1
         assert "norm.bee" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,where", [
+        ("expect", {"transnormall": True}, "expect.transnormall"),
+        ("expect", True, "expect"),
+        ("expect", {"transnormal": "no"}, "expect.transnormal"),
+        ("output", True, "output"),
+        ("output", {"json": 3}, "output.json"),
+    ], ids=["unknown-expect-key", "expect-not-object", "expect-not-bool",
+            "output-not-object", "output-name-not-string"])
+    def test_bad_block_rejected_before_computing(self, tmp_path, capsys, key, value, where):
+        cfg = write_config(tmp_path, "b.json", {**SPHERE, key: value})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["verify", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {where}: ")
+        assert not list(out.iterdir())
+
     def test_json_syntax_error_reports_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"norm": \n !')

@@ -55,20 +55,31 @@ def test_demo_reports_regenerate(name, norm, field, levels):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # scipy serves only the sup oracles and the demos; an n = 5 alpha-beta
-    # verify reaches the n >= 4 direction sets and the jets
+    # scipy serves only the tests and demos 02 and 05: with every scipy import
+    # made to fail, each minkgeom module imports, a verify runs, an n = 5
+    # alpha-beta verify reaches the n >= 4 direction sets and the jets, and
+    # the subspace condition check runs
     script = (
-        "import sys\n"
-        "from minkgeom import calculus, cli, isoparametric, norms\n"
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import minkgeom\n"
+        "for mod in pkgutil.iter_modules(minkgeom.__path__):\n"
+        "    importlib.import_module('minkgeom.' + mod.name)\n"
+        "from minkgeom import calculus, cli, isoparametric, norms, randers\n"
         "code = cli.main(['verify', 'demos/configs/randers_sphere.json', '--out', sys.argv[1]])\n"
         "assert code == 0, code\n"
         "ab = norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 5)\n"
         "rep = isoparametric.verify(ab, calculus.sphere_potential(ab), [0.5, 2.0, 4.5], count=8)\n"
         "assert (rep.transnormal_verdict, rep.isoparametric_verdict) == ('yes', 'yes'), rep\n"
+        "assert randers.dual_subspace_condition_check(norms.KthRootNorm(4, 3), 2)\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
+        "assert loaded == ['scipy'], loaded  # only the blocking entry\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], cwd=ROOT,
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert not [d for d in project["dependencies"] if d.startswith("scipy")]
+    assert [d for d in project["optional-dependencies"]["test"] if d.startswith("scipy")]

@@ -48,7 +48,7 @@ class TestFrame:
         g = randers3.fundamental_tensor(fr.normal)
         assert float(fr.normal @ g @ fr.normal) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(fr.tangent_basis @ g @ fr.normal)) <= 1e-10
-        assert np.max(np.abs(fr.ghat - np.eye(2))) <= 1e-10
+        assert np.max(np.abs(fr.tangent_basis @ g @ fr.tangent_basis.T - np.eye(2))) <= 1e-10
 
     def test_basis_seed_invariance(self, randers3_mixed, rng):
         f = calculus.norm_plus_linear(randers3_mixed, 2)

@@ -187,7 +187,7 @@ class TestCartanTensors:
 
 class TestStructuralHelpers:
     def test_scaled_norm(self, randers3, rng):
-        s = randers3.scaled(2.5)
+        s = norms.ScaledNorm(randers3, 2.5)
         y = rng.standard_normal(3)
         assert s.value(y) == pytest.approx(2.5 * randers3.value(y))
         assert np.allclose(s.derivatives(y, order=2).d2,
@@ -239,29 +239,6 @@ class TestStructuralHelpers:
             assert got == want
             assert [v.hex() for v in got] == [v.hex() for v in want]  # sign of zero too
             assert prof.phi(s) == got[0]
-
-    def test_tabulated_profile_calls_d2phi_three_times(self):
-        calls = []
-
-        def d2phi(s):
-            calls.append(s)
-            return math.exp(s)
-
-        prof = norms.TabulatedProfile(phi=math.exp, dphi=math.exp, d2phi=d2phi)
-        d = prof.derivatives(0.2)
-        h = norms.TabulatedProfile.FD_STEP
-        assert len(calls) == 3
-        # the bits of the stencil that evaluated d2phi once per use
-        assert d[2] == math.exp(0.2)
-        assert d[3] == (math.exp(0.2 + h) - math.exp(0.2 - h)) / (2 * h)
-        assert d[4] == (math.exp(0.2 + h) - 2 * math.exp(0.2) + math.exp(0.2 - h)) / h**2
-
-    def test_tabulated_profile_fd_orders(self):
-        prof = norms.TabulatedProfile(
-            phi=lambda s: np.exp(s), dphi=lambda s: np.exp(s), d2phi=lambda s: np.exp(s))
-        d = prof.derivatives(0.2)
-        assert d[3] == pytest.approx(np.exp(0.2), rel=1e-6)
-        assert d[4] == pytest.approx(np.exp(0.2), rel=1e-4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6])

@@ -5,6 +5,9 @@ from minkgeom import calculus, duality, hypersurface as hs, isoparametric as iso
 from minkgeom.hypersurface import gram_orthogonal_triple
 from minkgeom import randers as rd
 from minkgeom.errors import NotInDomain, NotUnit
+from minkgeom.sampling import sphere_directions
+
+from .oracles import subspace_dual_sup
 
 
 class TestDualCoefficients:
@@ -183,16 +186,30 @@ class TestLemma61:
             rd.lemma61_check(norm, 2.0 * y, 2.0 * X, 2.0 * Y)
 
 
+def assert_subspace_dual_is_restriction(norm, m):
+    # where the subspace condition holds, Ftilde = F restricted: the sup
+    # oracle at the first 4 of the check's directions, to 1e-8 (1 + F)
+    dirs = (sphere_directions(m, rd.SUBSPACE_DIRECTIONS, seed=0) if m > 1
+            else np.array([[1.0], [-1.0]]))[:4]
+    for u, ftilde in zip(dirs, subspace_dual_sup(norm, m, dirs, count=4000)):
+        F = norm.value(np.append(u, np.zeros(norm.dim - m)))
+        assert abs(ftilde - F) <= 1e-8 * (1.0 + F)
+
+
 class TestSubspaceCondition:
     def test_kth_root_always_holds(self, quartic3):
         for m in (1, 2):
             assert rd.dual_subspace_condition_check(quartic3, m)
+            assert_subspace_dual_is_restriction(quartic3, m)
 
     def test_alpha_beta_first_coordinate(self, alphabeta3):
         assert rd.dual_subspace_condition_check(alphabeta3, 2)
+        assert_subspace_dual_is_restriction(alphabeta3, 2)
 
     def test_randers_depends_on_b_support(self):
-        assert rd.dual_subspace_condition_check(norms.RandersNorm([0.3, 0.0, 0.0]), 2)
+        inside = norms.RandersNorm([0.3, 0.0, 0.0])
+        assert rd.dual_subspace_condition_check(inside, 2)
+        assert_subspace_dual_is_restriction(inside, 2)
         assert not rd.dual_subspace_condition_check(norms.RandersNorm([0.0, 0.0, 0.3]), 2)
         # strict gap when the condition fails
         norm = norms.RandersNorm([0.0, 0.0, 0.3])
