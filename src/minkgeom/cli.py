@@ -72,9 +72,7 @@ def _require(cfg: dict, key: str, typ, path: str):
         raise ConfigError(f"{path}{key}", "missing required key")
     val = cfg[key]
     if typ is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{path}{key}", f"expected a number, got {type(val).__name__}")
-        return float(val)
+        return _number(val, f"{path}{key}")
     if typ is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{path}{key}", f"expected an integer, got {type(val).__name__}")
@@ -94,8 +92,7 @@ def build_norm(cfg: dict, strategy_override: str | None = None) -> norms.Minkows
         if family == "euclidean":
             return norms.EuclideanNorm(_require(cfg, "dim", int, "norm."), strategy)
         if family == "randers":
-            b = _require(cfg, "b", list, "norm.")
-            return norms.RandersNorm(np.asarray(b, dtype=float), strategy)
+            return norms.RandersNorm(np.asarray(_numbers(cfg, "b", "norm.")), strategy)
         if family == "kth_root":
             return norms.KthRootNorm(_require(cfg, "k", int, "norm."),
                                      _require(cfg, "dim", int, "norm."), strategy)
@@ -104,7 +101,7 @@ def build_norm(cfg: dict, strategy_override: str | None = None) -> norms.Minkows
             _reject_unknown(prof_cfg, _PROFILE_KEYS, "norm.profile.")
             if _require(prof_cfg, "type", str, "norm.profile.") != "polynomial":
                 raise ConfigError("norm.profile.type", "only 'polynomial' is supported")
-            profile = norms.PolynomialProfile(_require(prof_cfg, "coeffs", list, "norm.profile."))
+            profile = norms.PolynomialProfile(_numbers(prof_cfg, "coeffs", "norm.profile."))
             return norms.AlphaBetaNorm(profile, _require(cfg, "b_scalar", float, "norm."),
                                        _require(cfg, "dim", int, "norm."),
                                        strategy if strategy != "analytic" else "taylor")
@@ -120,7 +117,7 @@ def build_field(cfg: dict, norm: norms.MinkowskiNorm) -> calculus.ScalarField:
     catalog = _require(cfg, "catalog", str, "field.")
     try:
         if catalog == "linear":
-            c = np.asarray(_require(cfg, "c", list, "field."), dtype=float)
+            c = np.asarray(_numbers(cfg, "c", "field."))
             if c.size != norm.dim:
                 raise ConfigError("field.c", f"length must equal dim {norm.dim}")
             return calculus.linear_field(c)
@@ -147,18 +144,34 @@ def _optional(cfg: dict, key: str, typ, default, path: str = ""):
     return _require(cfg, key, typ, path)
 
 
-def _levels(cfg: dict) -> list:
-    levels = _require(cfg, "levels", list, "")
-    out = []
+def _number(val, where: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(where, f"expected a number, got {type(val).__name__}")
+    # the bound fails for nan and inf, and compares integers too large for a float exactly
+    if not abs(val) <= sys.float_info.max:
+        raise ConfigError(where, "expected a finite number")
+    return float(val)
+
+
+def _numbers(cfg: dict, key: str, path: str) -> list:
+    vals = _require(cfg, key, list, path)
+    return [_number(v, f"{path}{key}[{i}]") for i, v in enumerate(vals)]
+
+
+def _levels(cfg: dict, field: calculus.ScalarField, command: str) -> list:
+    levels = _numbers(cfg, "levels", "")
+    if command == "verify" and len(levels) < 3:
+        raise ConfigError("levels", "verify needs at least 3 levels")
+    lo, hi = field.regular_range
     for i, t in enumerate(levels):
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise ConfigError(f"levels[{i}]", "expected a number")
-        out.append(float(t))
-    return out
+        if not lo < t < hi:
+            raise ConfigError(f"levels[{i}]", f"outside the regular range ({lo}, {hi})")
+    return levels
 
 
 def _scenario_id(cfg: dict, path: str) -> str:
-    return cfg.get("scenario") or os.path.splitext(os.path.basename(path))[0]
+    return (_optional(cfg, "scenario", str, "")
+            or os.path.splitext(os.path.basename(path))[0])
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -191,8 +204,10 @@ def load_scenario(args) -> Scenario:
     norm = build_norm(_require(cfg, "norm", dict, ""), args.strategy)
     sampled = args.command in _TOLERANCE_DEFAULTS
     field = build_field(_require(cfg, "field", dict, ""), norm) if sampled else None
-    levels = _levels(cfg) if sampled else None
+    levels = _levels(cfg, field, args.command) if sampled else None
     samples = _optional(cfg, "samples", int, 64) if sampled else None
+    if sampled and samples < 8:
+        raise ConfigError("samples", "must be at least 8")
     seed = args.seed if args.seed is not None else _optional(cfg, "seed", int, 0)
     tol = args.tol
     if tol is None and sampled:

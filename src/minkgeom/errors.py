@@ -55,7 +55,7 @@ class CriticalPointOnLevel(MinkGeomError):
 
 
 class LevelNotReached(MinkGeomError):
-    """Bisection failed to bracket the target level in too many directions."""
+    """The ray ladder failed to bracket the target level in too many directions."""
 
 
 class LeftRegularRegion(MinkGeomError):

@@ -3,12 +3,13 @@
 A function f is transnormal when F(grad f) is constant on each level set
 (equal to a(f) for a profile a), and isoparametric when additionally the
 Finsler Laplacian is constant on each level set (Delta f = b(f)).  The
-verifier samples points of each requested level by radial bisection from an
-anchor along a low-discrepancy direction set, computes F*(df), Delta f and
-principal curvatures per point, and turns within-level constancy into
-verdicts.  A margin band above the tolerance yields "inconclusive" rather
-than "no", separating numerical noise from genuine failures, whose spread is
-orders of magnitude larger.
+verifier samples points of each requested level on rays from an anchor along
+a low-discrepancy direction set (a fixed ladder of radii brackets the level,
+Illinois regula falsi narrows the bracket, Newton polishes the root),
+computes F*(df), Delta f and principal curvatures per point, and turns
+within-level constancy into verdicts.  A margin band above the tolerance
+yields "inconclusive" rather than "no", separating numerical noise from
+genuine failures, whose spread is orders of magnitude larger.
 
 Profiles a(t), b(t) are tabulated per-level means; derivative-sensitive
 identities use pointwise flow-line differencing of the measured profile,
@@ -44,6 +45,8 @@ LEVEL_RESIDUAL = 1e-10
 WITNESS_POINTS = 8     # points per level fed to the Randers witness
 IDENTITY_POINTS = 4    # points per level of the consistency-identity table
 FLOW_STEP = 1e-4       # flow-line differencing step, relative to a(t)
+# radii s of the ray ladder anchor + s * d that brackets a level, ratio sqrt(2)
+_LADDER = np.geomspace(2.0**-40, 2.0**40, 161)
 
 
 @dataclass
@@ -65,13 +68,16 @@ class LevelSample:
 
 def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
                  seed: int = 0) -> LevelSample:
-    """Sample ``count`` points of f^{-1}(t) by radial bisection plus Newton.
+    """Sample ``count`` points of f^{-1}(t) on rays from ``field.anchor``.
 
-    Rays start at ``field.anchor``.  Directions that never bracket the level
-    are skipped; more than half skipped raises LevelNotReached.  Every
-    returned point satisfies |f(x) - t| <= 1e-10 (1 + |t|) and is regular.
-    F*(df), Delta f and the curvatures of a point all come from its one
-    ``frame_at`` frame.
+    Each ray is walked along the radii ``_LADDER`` (2^-40 to 2^40, ratio
+    sqrt(2)) until f - t changes sign; Illinois regula falsi narrows that
+    rung step and three Newton steps polish the root.  A ray that brackets
+    nothing, or whose bracket holds a point where f fails, is tried mirrored;
+    if that fails too the direction is skipped, and more than half skipped
+    raises LevelNotReached.  Every returned point satisfies
+    |f(x) - t| <= 1e-10 (1 + |t|) and is regular.  F*(df), Delta f and the
+    curvatures of a point all come from its one ``frame_at`` frame.
     """
     if count < 8:
         raise ValueError("count must be at least 8")
@@ -80,16 +86,15 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
         raise ValueError(f"level {t} outside the declared regular range {field.regular_range}")
     anchor = np.asarray(field.anchor, dtype=float)
     dirs = sphere_directions(field.dim, count, seed=seed)
-    ladder = np.geomspace(2.0**-40, 2.0**40, 161)
     points = []
     skipped = 0
     for d in dirs:
-        s = _radial_root(field, anchor, d, t, ladder)
+        s = _radial_root(field, anchor, d, t)
         if s is None:
             # half-space fields (linear levels, one-sided potentials) only
             # bracket on one side; the mirrored ray keeps the sample full
             d = -d
-            s = _radial_root(field, anchor, d, t, ladder)
+            s = _radial_root(field, anchor, d, t)
         if s is None:
             skipped += 1
             continue
@@ -121,42 +126,52 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
                        curvatures=curvs, frames=frames, skipped=skipped)
 
 
-def _radial_root(field: ScalarField, anchor, d, t, ladder):
+def _radial_root(field: ScalarField, anchor, d, t):
     def gap(x):
         try:
             return field.value(x) - t
         except MinkGeomError:
             return math.nan
 
-    vals = [gap(x) for x in anchor + ladder[:, None] * d]  # rows: anchor + s * d
-    bracket = None
-    for a in range(len(ladder) - 1):
+    vals = [gap(x) for x in anchor + _LADDER[:, None] * d]  # rows: anchor + s * d
+    for a in range(len(_LADDER) - 1):
         va, vb = vals[a], vals[a + 1]
         if math.isnan(va) or math.isnan(vb):
             continue
-        if va == 0.0:
-            bracket = (ladder[a], ladder[a])
+        if va == 0.0 or va * vb < 0.0:
             break
-        if va * vb < 0.0:
-            bracket = (ladder[a], ladder[a + 1])
-            break
-    if bracket is None:
+    else:
         return None
-    sa, sb = bracket
-    va = gap(anchor + sa * d)
-    for _ in range(60):
-        if sb - sa <= 1e-13 * max(1.0, sb):
-            break
-        sm = 0.5 * (sa + sb)
-        vm = gap(anchor + sm * d)
-        if vm == 0.0:
-            sa = sb = sm
-            break
-        if va * vm < 0.0:
-            sb = sm
-        else:
-            sa, va = sm, vm
-    s = 0.5 * (sa + sb)
+    # Illinois regula falsi inside the rung step: an end kept for a second
+    # step in a row has its value halved, a trial outside the open bracket
+    # falls back to the midpoint, and a failed evaluation gives up the ray
+    sa, sb = _LADDER[a], _LADDER[a + 1]
+    s = sa
+    if va != 0.0:
+        stop = 1e-3 * LEVEL_RESIDUAL * (1.0 + abs(t))
+        moved = 0   # the end the last trial replaced: -1 for sa, 1 for sb
+        for _ in range(60):
+            if sb - sa <= 1e-13 * sb:
+                s = 0.5 * (sa + sb)
+                break
+            s = sa - va * (sb - sa) / (vb - va)
+            if not sa < s < sb:
+                s = 0.5 * (sa + sb)
+            v = gap(anchor + s * d)
+            if math.isnan(v):
+                return None
+            if abs(v) <= stop:
+                break
+            if (v < 0.0) == (va < 0.0):
+                sa, va = s, v
+                if moved < 0:
+                    vb *= 0.5
+                moved = -1
+            else:
+                sb, vb = s, v
+                if moved > 0:
+                    va *= 0.5
+                moved = 1
     for _ in range(3):
         x = anchor + s * d
         try:

@@ -65,8 +65,17 @@ class TestVerifyCommand:
         ("expect", {"transnormal": "no"}, "expect.transnormal"),
         ("output", True, "output"),
         ("output", {"json": 3}, "output.json"),
+        ("scenario", 3, "scenario"),
+        ("levels", [0.5, 2.0], "levels"),
+        ("levels", [0.5, -2.0, 4.5], "levels[1]"),
+        ("levels", [0.5, 10**400, 4.5], "levels[1]"),
+        ("samples", 4, "samples"),
+        ("tolerance", float("nan"), "tolerance"),
+        ("norm", {"family": "randers", "b": ["x", 0, 0]}, "norm.b[0]"),
     ], ids=["unknown-expect-key", "expect-not-object", "expect-not-bool",
-            "output-not-object", "output-name-not-string"])
+            "output-not-object", "output-name-not-string", "scenario-not-string",
+            "too-few-levels", "level-outside-range", "level-beyond-float", "too-few-samples",
+            "tolerance-not-finite", "b-not-number"])
     def test_bad_block_rejected_before_computing(self, tmp_path, capsys, key, value, where):
         cfg = write_config(tmp_path, "b.json", {**SPHERE, key: value})
         out = tmp_path / "out"

@@ -1,11 +1,13 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from minkgeom import calculus, cli, duality, hypersurface as hs, isoparametric as iso, norms
-from minkgeom.errors import NotIsoparametric, NotMonotone
+from minkgeom import (calculus, cli, duality, hypersurface as hs, isoparametric as iso, norms,
+                      sampling)
+from minkgeom.errors import MinkGeomError, NotIsoparametric, NotMonotone
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -90,6 +92,85 @@ class TestSampling:
                          count=16)
         assert rep.witness is not None
         assert calls["d2"] == sum(len(s.points) for s in rep.samples) == 48
+
+
+def _counted(field, calls):
+    """A copy of ``field`` that counts its value and d1 calls into ``calls``."""
+    def counting(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+    return dataclasses.replace(field, value_fn=counting("value", field.value_fn),
+                               d1_fn=counting("d1", field.d1_fn))
+
+
+class TestRadialRoot:
+    @pytest.mark.parametrize("case", ["randers-sphere", "randers-hyperplane",
+                                      "randers-cylinder", "alphabeta-sphere",
+                                      "cubic-of-sphere"])
+    def test_polish_cost_per_ray(self, case, randers3, alphabeta3):
+        # value calls beyond the ladder and the Newton polish (one value per d1)
+        field, t = {
+            "randers-sphere": (calculus.sphere_potential(randers3), 2.0),
+            "randers-hyperplane": (calculus.linear_field([1.0, 2.0, 0.5]), 0.5),
+            "randers-cylinder": (calculus.cylinder_potential(randers3, 2), 2.0),
+            "alphabeta-sphere": (calculus.sphere_potential(alphabeta3), 2.0),
+            # phi(s) = s + s^3 makes f of degree 6 along the ray: the regula
+            # falsi keeps one end for many steps unless the halving runs
+            "cubic-of-sphere": (calculus.reparametrized_field(
+                calculus.sphere_potential(randers3),
+                norms.PolynomialProfile([0.0, 1.0, 0.0, 1.0])), 10.0),
+        }[case]
+        calls = {"value": 0, "d1": 0}
+        field = _counted(field, calls)
+        anchor = np.asarray(field.anchor, dtype=float)
+        found = 0
+        for d in sampling.sphere_directions(field.dim, 16, seed=0):
+            for ray in (d, -d):
+                calls.update(value=0, d1=0)
+                s = iso._radial_root(field, anchor, ray, t)
+                assert calls["value"] - len(iso._LADDER) - calls["d1"] <= 12
+                if s is not None:
+                    break
+            if s is None:
+                continue
+            found += 1
+            assert abs(field.value(anchor + s * ray) - t) <= iso.LEVEL_RESIDUAL * (1.0 + abs(t))
+        assert found == 16
+
+    def test_error_inside_the_bracket_skips_the_ray(self):
+        # f = |x|^2 raises on a shell strictly inside the rung step that
+        # brackets t = 1.5; the first regula falsi trial lands in the shell,
+        # the root sqrt(1.5) does not
+        t, lo, hi = 1.5, 1.19, 1.215
+        a = int(np.searchsorted(iso._LADDER, np.sqrt(t))) - 1
+        assert iso._LADDER[a] < lo < hi < np.sqrt(t) < iso._LADDER[a + 1]
+
+        def value(x, shell=True):
+            if shell and lo < np.linalg.norm(x) < hi:
+                raise MinkGeomError("undefined on the shell")
+            return x @ x
+
+        def field(shell):
+            return calculus.custom_field(3, lambda x: value(x, shell), lambda x: 2.0 * x,
+                                         lambda x: 2.0 * np.eye(3))
+
+        d = np.array([1.0, 0.0, 0.0])
+        assert iso._radial_root(field(False), np.zeros(3), d, t) == pytest.approx(np.sqrt(t))
+        assert iso._radial_root(field(True), np.zeros(3), d, t) is None
+
+    @pytest.mark.parametrize("k", [-20, 7, 30])
+    def test_points_scale_with_the_level(self, randers3, k):
+        # f = F^2/2 is 2-homogeneous: level c^2 t is c times level t, and a
+        # power of 2 moves the ladder by whole rungs
+        f = calculus.sphere_potential(randers3)
+        c = 2.0**k
+        base = iso.sample_level(randers3, f, 2.0, 16, seed=3).points
+        scaled = iso.sample_level(randers3, f, c * c * 2.0, 16, seed=3).points
+        assert scaled.shape == base.shape
+        err = np.linalg.norm(scaled - c * base, axis=1) / (c * np.linalg.norm(base, axis=1))
+        assert np.max(err) <= 1e-13
 
 
 class TestVerify:
