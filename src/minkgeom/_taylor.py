@@ -8,6 +8,11 @@ derivatives at the inner value) are exact on the truncated algebra, so the
 extracted derivative tensors are accurate to roundoff.  This is the generic
 derivative path for norm families without closed forms, and the cross-check
 for the families that have them.
+
+The polynomial pieces of a norm, |x|^2 and w.x, are written directly into
+their coefficients (:meth:`Jet.norm_squared`, :meth:`Jet.linear`) instead of
+being multiplied out of variable jets, so a family pays jet products only for
+its transcendental parts.
 """
 
 from __future__ import annotations
@@ -56,8 +61,10 @@ class JetSpace:
         self._mul_out = self._lookup(codes[self._mul_a] + codes[self._mul_b])
         factorials = np.array([math.factorial(e) for e in range(order + 1)], dtype=float)
         self._factorial = factorials[exps].prod(axis=1)
-        # Coefficient index of each variable x_i.
-        self._unit = self._lookup(_BASE ** np.arange(n, dtype=np.int64))
+        # Coefficient index of each variable x_i and, from order 2, of each x_i^2.
+        powers = _BASE ** np.arange(n, dtype=np.int64)
+        self._unit = self._lookup(powers)
+        self._square = self._lookup(2 * powers) if order >= 2 else powers[:0]
         # Entry (i1, ..., ik) of the order-k derivative tensor reads the
         # coefficient of x_i1 ... x_ik, scaled by the exponents' factorials.
         self._tensor_index = [
@@ -70,9 +77,8 @@ class JetSpace:
         return self._by_code[np.searchsorted(self._sorted_codes, codes)]
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.size)
-        np.add.at(out, self._mul_out, a[self._mul_a] * b[self._mul_b])
-        return out
+        # bincount adds the weights in input order, the sums of np.add.at
+        return np.bincount(self._mul_out, a[self._mul_a] * b[self._mul_b], self.size)
 
 
 def space(n: int, order: int) -> JetSpace:
@@ -107,6 +113,23 @@ class Jet:
     @staticmethod
     def variables(sp: JetSpace, base: np.ndarray) -> list["Jet"]:
         return [Jet.variable(sp, i, float(base[i])) for i in range(sp.n)]
+
+    @staticmethod
+    def norm_squared(sp: JetSpace, y: np.ndarray) -> "Jet":
+        """|x|^2 around y: |y|^2 (the bits of ``y @ y``), 2 y_i on x_i, 1 on x_i^2."""
+        c = np.zeros(sp.size)
+        c[0] = y @ y
+        c[sp._unit] = 2.0 * y
+        c[sp._square] = 1.0
+        return Jet(sp, c)
+
+    @staticmethod
+    def linear(sp: JetSpace, y: np.ndarray, w: np.ndarray) -> "Jet":
+        """w.x around y: w.y (the bits of ``w @ y``) and w_i on x_i."""
+        c = np.zeros(sp.size)
+        c[0] = w @ y
+        c[sp._unit] = w
+        return Jet(sp, c)
 
     # -- ring operations ----------------------------------------------------
 

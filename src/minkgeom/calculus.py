@@ -225,7 +225,7 @@ def custom_field(dim: int, value_fn, d1_fn=None, d2_fn=None) -> ScalarField:
 
 def reparametrized_field(field: ScalarField, profile) -> ScalarField:
     """phi o f with chain-rule derivatives; the profile provides ``phi(s)`` and
-    ``derivatives(s)``, as for ``AlphaBetaNorm``."""
+    ``derivatives(s)``, phi and at least its first two derivatives at s."""
 
     def value(x):
         return profile.phi(field.value(x))

@@ -55,7 +55,12 @@ class CriticalPointOnLevel(MinkGeomError):
 
 
 class LevelNotReached(MinkGeomError):
-    """The ray ladder failed to bracket the target level in too many directions."""
+    """More than half the sampled directions gave no point of the level.
+
+    A direction fails when neither its ray nor the mirrored ray brackets the
+    level on the ladder, when f fails inside the bracket or during the Newton
+    polish, or when the point misses |f - t| <= 1e-10 (1 + |t|).
+    """
 
 
 class LeftRegularRegion(MinkGeomError):

@@ -5,11 +5,12 @@ A function f is transnormal when F(grad f) is constant on each level set
 Finsler Laplacian is constant on each level set (Delta f = b(f)).  The
 verifier samples points of each requested level on rays from an anchor along
 a low-discrepancy direction set (a fixed ladder of radii brackets the level,
-Illinois regula falsi narrows the bracket, Newton polishes the root),
-computes F*(df), Delta f and principal curvatures per point, and turns
-within-level constancy into verdicts.  A margin band above the tolerance
-yields "inconclusive" rather than "no", separating numerical noise from
-genuine failures, whose spread is orders of magnitude larger.
+Illinois regula falsi narrows the bracket, Newton polishes a point the
+regula falsi left short of the level), computes F*(df), Delta f and
+principal curvatures per point, and turns within-level constancy into
+verdicts.  A margin band above the tolerance yields "inconclusive" rather
+than "no", separating numerical noise from genuine failures, whose spread is
+orders of magnitude larger.
 
 Profiles a(t), b(t) are tabulated per-level means; derivative-sensitive
 identities use pointwise flow-line differencing of the measured profile,
@@ -72,9 +73,10 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
 
     Each ray is walked along the radii ``_LADDER`` (2^-40 to 2^40, ratio
     sqrt(2)) until f - t changes sign; Illinois regula falsi narrows that
-    rung step and three Newton steps polish the root.  A ray that brackets
-    nothing, or whose bracket holds a point where f fails, is tried mirrored;
-    if that fails too the direction is skipped, and more than half skipped
+    rung step, and three Newton steps polish its point unless it already
+    meets |f - t| <= 1e-13 |t|.  A ray that brackets nothing, or whose
+    bracket holds a point where f fails, is tried mirrored; if that fails
+    too the direction is skipped, and more than half skipped
     raises LevelNotReached.  Every returned point satisfies
     |f(x) - t| <= 1e-10 (1 + |t|) and is regular.  F*(df), Delta f and the
     curvatures of a point all come from its one ``frame_at`` frame.
@@ -146,13 +148,13 @@ def _radial_root(field: ScalarField, anchor, d, t):
     # step in a row has its value halved, a trial outside the open bracket
     # falls back to the midpoint, and a failed evaluation gives up the ray
     sa, sb = _LADDER[a], _LADDER[a + 1]
-    s = sa
+    s, v = sa, va
     if va != 0.0:
         stop = 1e-3 * LEVEL_RESIDUAL * (1.0 + abs(t))
         moved = 0   # the end the last trial replaced: -1 for sa, 1 for sb
         for _ in range(60):
             if sb - sa <= 1e-13 * sb:
-                s = 0.5 * (sa + sb)
+                s, v = 0.5 * (sa + sb), math.nan
                 break
             s = sa - va * (sb - sa) / (vb - va)
             if not sa < s < sb:
@@ -172,6 +174,10 @@ def _radial_root(field: ScalarField, anchor, d, t):
                 if moved > 0:
                     va *= 0.5
                 moved = 1
+    # a level met to 1e-13 |t| needs no polish; the stop above is relative to
+    # 1 + |t| and would leave points of small levels percents off
+    if abs(v) <= 1e-3 * LEVEL_RESIDUAL * abs(t):
+        return s
     for _ in range(3):
         x = anchor + s * d
         try:

@@ -98,7 +98,8 @@ class MinkowskiNorm:
     def _value(self, y: np.ndarray) -> float:
         raise NotImplementedError
 
-    def _jet_F(self, ys: list) -> "_taylor.Jet":
+    def _jet_F(self, sp: "_taylor.JetSpace", y: np.ndarray) -> "_taylor.Jet":
+        """The jet of F around y in the space ``sp``."""
         raise NotImplementedError
 
     def _analytic(self, y: np.ndarray, order: int) -> Derivatives:
@@ -171,7 +172,7 @@ class MinkowskiNorm:
 
     def _taylor(self, y: np.ndarray, order: int) -> Derivatives:
         sp = _taylor.space(self.dim, order)
-        F = self._jet_F(_taylor.Jet.variables(sp, y))
+        F = self._jet_F(sp, y)
         G = F * F * 0.5
         return Derivatives(
             F=F.value,
@@ -251,11 +252,8 @@ class EuclideanNorm(MinkowskiNorm):
     def _value(self, y):
         return math.sqrt(y @ y)
 
-    def _jet_F(self, ys):
-        s = ys[0] * ys[0]
-        for v in ys[1:]:
-            s = s + v * v
-        return s.sqrt()
+    def _jet_F(self, sp, y):
+        return _taylor.Jet.norm_squared(sp, y).sqrt()
 
     def _analytic(self, y, order):
         n = self.dim
@@ -308,14 +306,8 @@ class RandersNorm(MinkowskiNorm):
     def _value(self, y):
         return float(math.sqrt(y @ y) + self.b @ y)
 
-    def _jet_F(self, ys):
-        s = ys[0] * ys[0]
-        for v in ys[1:]:
-            s = s + v * v
-        beta = ys[0] * self.b[0]
-        for i, v in enumerate(ys[1:], start=1):
-            beta = beta + v * self.b[i]
-        return s.sqrt() + beta
+    def _jet_F(self, sp, y):
+        return _taylor.Jet.norm_squared(sp, y).sqrt() + _taylor.Jet.linear(sp, y, self.b)
 
     def _analytic(self, y, order):
         b = self.b
@@ -433,7 +425,8 @@ class KthRootNorm(MinkowskiNorm):
     def _value(self, y):
         return float(np.sum(y**self.k) ** (1.0 / self.k))
 
-    def _jet_F(self, ys):
+    def _jet_F(self, sp, y):
+        ys = _taylor.Jet.variables(sp, y)
         s = ys[0] ** self.k
         for v in ys[1:]:
             s = s + v**self.k
@@ -523,9 +516,10 @@ class PolynomialProfile:
     def phi(self, s: float) -> float:
         return _horner(self._rows[0], float(s))
 
-    def derivatives(self, s: float):
+    def derivatives(self, s: float, order: int = 4):
+        """phi, phi', ..., the derivative of the given order (at most 4), at s."""
         s = float(s)
-        return tuple(_horner(row, s) for row in self._rows)
+        return tuple(_horner(row, s) for row in self._rows[:order + 1])
 
 
 def _horner(row, s: float) -> float:
@@ -538,9 +532,10 @@ def _horner(row, s: float) -> float:
 class AlphaBetaNorm(MinkowskiNorm):
     """F = alpha phi(beta/alpha) with alpha Euclidean and beta = b y^1.
 
-    A profile provides ``phi(s)`` and ``derivatives(s)``, phi and its first
-    four derivatives at s.  Values read phi alone; the derivative path is jet
-    composition with those derivatives; there is no separate closed form.
+    A profile provides ``phi(s)`` and ``derivatives(s, order)``, phi and its
+    derivatives up to that order (at most 4) at s.  Values read phi alone; the
+    derivative path is the jet of alpha^2 composed once with t^-1/2, giving
+    F = (alpha^2 / alpha) phi(beta / alpha); there is no separate closed form.
     """
 
     family = "alpha_beta"
@@ -557,20 +552,15 @@ class AlphaBetaNorm(MinkowskiNorm):
 
     def _value(self, y):
         alpha = math.sqrt(y @ y)
-        s = float(self.beta_vec @ y) / alpha
+        s = self.b * float(y[0]) / alpha
         return alpha * self.profile.phi(s)
 
-    def _jet_F(self, ys):
-        s2 = ys[0] * ys[0]
-        for v in ys[1:]:
-            s2 = s2 + v * v
-        alpha = s2.sqrt()
-        beta = ys[0] * self.beta_vec[0]
-        for i, v in enumerate(ys[1:], start=1):
-            beta = beta + v * self.beta_vec[i]
-        ratio = beta / alpha
-        phi = ratio.compose_univariate(self.profile.derivatives(ratio.value))
-        return alpha * phi
+    def _jet_F(self, sp, y):
+        a2 = _taylor.Jet.norm_squared(sp, y)
+        inv = a2 ** -0.5
+        s = _taylor.Jet.linear(sp, y, self.beta_vec) * inv
+        phi = s.compose_univariate(self.profile.derivatives(s.value, sp.order))
+        return (a2 * inv) * phi
 
     def restricted(self, m):
         _check_subdim(m, self.dim)
@@ -592,8 +582,8 @@ class ScaledNorm(MinkowskiNorm):
     def _value(self, y):
         return self.factor * self.base._value(y)
 
-    def _jet_F(self, ys):
-        return self.base._jet_F(ys) * self.factor
+    def _jet_F(self, sp, y):
+        return self.base._jet_F(sp, y) * self.factor
 
     def derivatives(self, y, order: int = 2):
         d = self.base.derivatives(y, order)

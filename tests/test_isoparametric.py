@@ -139,6 +139,43 @@ class TestRadialRoot:
             assert abs(field.value(anchor + s * ray) - t) <= iso.LEVEL_RESIDUAL * (1.0 + abs(t))
         assert found == 16
 
+    @pytest.mark.parametrize("case", ["randers-sphere", "randers-hyperplane"])
+    def test_met_level_skips_the_polish(self, case, randers3):
+        # the regula falsi meets t = 2 and t = 0.5 to 1e-13 |t| on every ray,
+        # so no Newton step runs
+        field, t = {
+            "randers-sphere": (calculus.sphere_potential(randers3), 2.0),
+            "randers-hyperplane": (calculus.linear_field([1.0, 2.0, 0.5]), 0.5),
+        }[case]
+        calls = {"value": 0, "d1": 0}
+        field = _counted(field, calls)
+        anchor = np.asarray(field.anchor, dtype=float)
+        found = 0
+        for d in sampling.sphere_directions(field.dim, 16, seed=0):
+            for ray in (d, -d):
+                calls.update(value=0, d1=0)
+                s = iso._radial_root(field, anchor, ray, t)
+                if s is not None:
+                    break
+            if s is None:
+                continue
+            found += 1
+            assert calls["d1"] == 0
+            assert abs(field.value(anchor + s * ray) - t) <= 1e-13 * abs(t)
+        assert found == 16
+
+    def test_small_level_is_polished(self, randers3):
+        # at t = 2^-39 the regula falsi stop 1e-13 (1 + |t|) is met by points
+        # percents off the level: all three Newton steps must still run
+        t = 2.0 * 2.0**-40
+        calls = {"value": 0, "d1": 0}
+        field = _counted(calculus.sphere_potential(randers3), calls)
+        for d in sampling.sphere_directions(field.dim, 16, seed=0):
+            calls.update(value=0, d1=0)
+            s = iso._radial_root(field, np.zeros(3), d, t)
+            assert calls["d1"] == 3
+            assert abs(field.value(s * d) - t) <= 1e-13 * t
+
     def test_error_inside_the_bracket_skips_the_ray(self):
         # f = |x|^2 raises on a shell strictly inside the rung step that
         # brackets t = 1.5; the first regula falsi trial lands in the shell,

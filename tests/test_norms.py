@@ -239,6 +239,9 @@ class TestStructuralHelpers:
             assert got == want
             assert [v.hex() for v in got] == [v.hex() for v in want]  # sign of zero too
             assert prof.phi(s) == got[0]
+            for order in range(5):
+                prefix = prof.derivatives(s, order)
+                assert [v.hex() for v in prefix] == [v.hex() for v in want[:order + 1]]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from minkgeom import _taylor
+from minkgeom import _taylor, norms
 
 
 def jet_of(fn, base):
@@ -119,3 +119,61 @@ def test_space_cache_is_per_order():
     assert _taylor.space(3, _taylor.ORDER).order == _taylor.ORDER
     with pytest.raises(ValueError):
         _taylor.JetSpace(3, 0)
+
+
+def _product_sum(terms):
+    out = terms[0]
+    for term in terms[1:]:
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_polynomial_constructors_match_products(n):
+    # the directly written jets of |x|^2 and w.x against the same polynomials
+    # multiplied out of variable jets: every coefficient but the constant is
+    # exact, and the constant is the bits of the dot product
+    rng = np.random.default_rng(n)
+    for order in range(1, _taylor.ORDER + 1):
+        sp = _taylor.space(n, order)
+        for _ in range(10):
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            w = rng.standard_normal(n)
+            xs = _taylor.Jet.variables(sp, y)
+            for got, want, const in (
+                (_taylor.Jet.norm_squared(sp, y), _product_sum([v * v for v in xs]), y @ y),
+                (_taylor.Jet.linear(sp, y, w), _product_sum([v * wi for v, wi in zip(xs, w)]),
+                 w @ y),
+            ):
+                assert got.c[0] == const
+                assert got.c[0] == pytest.approx(want.c[0], rel=4 * n * 2.0**-52)
+                assert np.array_equal(got.c[1:], want.c[1:])
+
+
+def _product_alpha_beta_F(norm, sp, y):
+    # alpha-beta F built from variable jets by products, sqrt and reciprocal,
+    # with every profile derivative: kept as the oracle of the composed jet
+    xs = _taylor.Jet.variables(sp, y)
+    alpha = _product_sum([v * v for v in xs]).sqrt()
+    beta = _product_sum([v * w for v, w in zip(xs, norm.beta_vec)])
+    ratio = beta / alpha
+    return alpha * ratio.compose_univariate(norm.profile.derivatives(ratio.value))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_alpha_beta_jets_match_the_product_construction(n):
+    rng = np.random.default_rng(200 + n)
+    for coeffs, b in (([1.0, 1.0, 0.1], 0.3), ([1.0, -0.4, 0.3, 0.05], 0.6)):
+        norm = norms.AlphaBetaNorm(norms.PolynomialProfile(coeffs), b, n, validate=False)
+        for order in range(1, _taylor.ORDER + 1):
+            sp = _taylor.space(n, order)
+            for _ in range(10):
+                y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+                F = _product_alpha_beta_F(norm, sp, y)
+                G = F * F * 0.5
+                got = norm.derivatives(y, order)
+                assert got.F == pytest.approx(F.value, rel=1e-12)
+                for k, name in enumerate(("d1", "d2", "d3", "d4")[:order], start=1):
+                    want = G.derivative_tensor(k)
+                    err = np.max(np.abs(getattr(got, name) - want))
+                    assert err <= 1e-12 * np.max(np.abs(want)), (order, name, err)
