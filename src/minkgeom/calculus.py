@@ -35,7 +35,7 @@ from .errors import (
     MinkGeomError,
     NoConvergence,
 )
-from .norms import MinkowskiNorm, RandersNorm, fd_gradient, fd_hessian
+from .norms import MinkowskiNorm, RandersNorm, _check_subdim, fd_gradient, fd_hessian
 from .sampling import sphere_directions, sphere_mean
 
 CRITICAL_EPS = 1e-8
@@ -170,8 +170,7 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
     if not isinstance(norm, RandersNorm):
         raise BadDimension("norm_plus_linear requires a Randers norm")
     n = norm.dim
-    if not 1 <= m < n:
-        raise BadDimension(f"m must satisfy 1 <= m < {n}")
+    _check_subdim(m, n)
     b = norm.b
 
     def value(x):

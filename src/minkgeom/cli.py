@@ -103,8 +103,7 @@ def build_norm(cfg: dict, strategy_override: str | None = None) -> norms.Minkows
                 raise ConfigError("norm.profile.type", "only 'polynomial' is supported")
             profile = norms.PolynomialProfile(_numbers(prof_cfg, "coeffs", "norm.profile."))
             return norms.AlphaBetaNorm(profile, _require(cfg, "b_scalar", float, "norm."),
-                                       _require(cfg, "dim", int, "norm."),
-                                       strategy if strategy != "analytic" else "taylor")
+                                       _require(cfg, "dim", int, "norm."), strategy)
     except ConfigError:
         raise
     except MinkGeomError as exc:

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import BadDimension, NoConvergence, ZeroCovector, ZeroVector
-from .norms import MinkowskiNorm, ZERO_EXCLUSION
+from .norms import MinkowskiNorm, ZERO_EXCLUSION, _check_subdim
 
 NEWTON_MAX_ITER = 50
 
@@ -129,9 +129,7 @@ def subspace_dual(norm: MinkowskiNorm, m: int) -> MinkowskiNorm:
     subspaces (supported for Euclidean/Randers; the k-th root family is not
     rotation invariant and rejects rotation).
     """
-    n = norm.dim
-    if not 1 <= m < n:
-        raise BadDimension(f"subspace dimension must satisfy 1 <= m < {n}, got {m}")
+    _check_subdim(m, norm.dim)
     try:
         return norm._subspace_dual(m)
     except NotImplementedError:

@@ -58,8 +58,8 @@ class LevelNotReached(MinkGeomError):
     """More than half the sampled directions gave no point of the level.
 
     A direction fails when neither its ray nor the mirrored ray brackets the
-    level on the ladder, when f fails inside the bracket or during the Newton
-    polish, or when the point misses |f - t| <= 1e-10 (1 + |t|).
+    level on the ladder, when f fails inside the bracket, or when the point
+    misses |f - t| <= 1e-10 (1 + |t|).
     """
 
 

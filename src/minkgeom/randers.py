@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import hypersurface
-from .errors import BadDimension, NotInDomain, NotUnit
-from .norms import MinkowskiNorm, RandersNorm
+from .errors import NotInDomain, NotUnit
+from .norms import MinkowskiNorm, RandersNorm, _check_subdim
 from .sampling import sphere_directions
 
 SUBSPACE_DIRECTIONS = 64  # directions of the subspace sampled by the gradient test
@@ -81,8 +81,7 @@ def dual_subspace_condition_check(norm: MinkowskiNorm, m: int) -> bool:
     holds, the Legendre map preserves the subspace, so Ftilde = F restricted.
     """
     n = norm.dim
-    if not 1 <= m < n:
-        raise BadDimension(f"m must satisfy 1 <= m < {n}")
+    _check_subdim(m, n)
     dirs = (sphere_directions(m, SUBSPACE_DIRECTIONS, seed=0) if m > 1
             else np.array([[1.0], [-1.0]]))
     worst = 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkgeom import duality, norms
+from minkgeom import calculus, duality, norms, randers
 
 from .oracles import dual_norm_grid_sup, subspace_dual_sup
 from minkgeom.errors import BadDimension, ZeroCovector
@@ -165,6 +165,21 @@ class TestSubspaceDual:
         for m in (0, 3, 5):
             with pytest.raises(BadDimension):
                 duality.subspace_dual(randers3, m)
+
+
+@pytest.mark.parametrize("m", [0, 3])
+@pytest.mark.parametrize("entry", [
+    duality.subspace_dual,
+    calculus.cylinder_potential,
+    calculus.norm_plus_linear,
+    randers.dual_subspace_condition_check,
+    lambda norm, m: norm.restricted(m),
+], ids=["subspace_dual", "cylinder_potential", "norm_plus_linear",
+        "dual_subspace_condition_check", "restricted"])
+def test_subspace_dimension_rule_is_shared(entry, m, randers3):
+    # every entry point taking a subspace dimension requires 1 <= m < n
+    with pytest.raises(BadDimension, match=r"subspace dimension must satisfy 1 <= m < 3"):
+        entry(randers3, m)
 
 
 @given(ybar=st.tuples(st.floats(-5, 5), st.floats(-5, 5)).filter(

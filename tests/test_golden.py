@@ -1,7 +1,9 @@
-"""Golden reports: the committed ``demos/out`` verify reports regenerate.
+"""Golden reports: the committed ``demos/out`` reports regenerate.
 
-The runs are those of ``demos/05_isoparametric_verification.py``.  Verdicts
-and strings must match exactly, numbers to 1e-12 max(1, |v|).
+The verify runs are those of ``demos/05_isoparametric_verification.py``; the
+CLI reports under ``demos/out/cli`` are every ``demos/configs`` scenario
+through the commands it serves.  Verdicts and strings must match exactly,
+numbers to 1e-12 max(1, |v|).
 """
 
 import importlib.util
@@ -13,10 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from minkgeom import isoparametric as iso
+from minkgeom import cli, isoparametric as iso
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_REL = 1e-12
+# central differences turn last-bit moves of the sampled points into moves
+# near 1e-8 of the fd derivatives; 1e-6 is still 100x below fd's verify
+# tolerance of 1e-4
+FD_GOLDEN_REL = 1e-6
 
 
 def _demo05():
@@ -30,19 +36,19 @@ def _demo05():
 DEMO05 = _demo05()
 
 
-def _assert_matches(got, want, path="$"):
+def _assert_matches(got, want, path="$", rel=GOLDEN_REL):
     if isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), path
         for key in want:
-            _assert_matches(got[key], want[key], f"{path}.{key}")
+            _assert_matches(got[key], want[key], f"{path}.{key}", rel)
     elif isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want), path
         for i, (g, w) in enumerate(zip(got, want)):
-            _assert_matches(g, w, f"{path}[{i}]")
+            _assert_matches(g, w, f"{path}[{i}]", rel)
     elif isinstance(want, (bool, str)) or want is None:
         assert got == want and type(got) is type(want), path
     else:
-        assert abs(got - want) <= GOLDEN_REL * max(1.0, abs(want)), (path, got, want)
+        assert abs(got - want) <= rel * max(1.0, abs(want)), (path, got, want)
 
 
 @pytest.mark.parametrize("name,norm,field,levels", DEMO05.runs, ids=[r[0] for r in DEMO05.runs])
@@ -52,6 +58,29 @@ def test_demo_reports_regenerate(name, norm, field, levels):
     got = json.loads(iso.dumps_17g(rep.to_json_dict()))
     want = json.loads((ROOT / "demos" / "out" / f"{name}.json").read_text())
     _assert_matches(got, want)
+
+
+CLI_GOLDENS = sorted((ROOT / "demos" / "out" / "cli").glob("*.json"))
+
+
+@pytest.mark.parametrize("golden", CLI_GOLDENS, ids=[p.stem for p in CLI_GOLDENS])
+def test_cli_reports_regenerate(golden, tmp_path):
+    # golden name: <command>-<config stem>.json; the command writes one JSON report
+    command, config = golden.stem.split("-", 1)
+    path = ROOT / "demos" / "configs" / f"{config}.json"
+    assert cli.main([command, str(path), "--out", str(tmp_path)]) == 0
+    (report,) = tmp_path.glob("*.json")
+    rel = FD_GOLDEN_REL if config.endswith("_fd") else GOLDEN_REL
+    _assert_matches(json.loads(report.read_text()), json.loads(golden.read_text()), rel=rel)
+
+
+def test_cli_goldens_cover_every_config():
+    # verify and curvatures for each config with a field block, dualcheck otherwise
+    want = []
+    for path in sorted((ROOT / "demos" / "configs").glob("*.json")):
+        commands = ("verify", "curvatures") if "field" in json.loads(path.read_text()) else ("dualcheck",)
+        want += [f"{c}-{path.stem}" for c in commands]
+    assert sorted(p.stem for p in CLI_GOLDENS) == sorted(want)
 
 
 def test_cli_runs_without_scipy(tmp_path):

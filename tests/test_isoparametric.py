@@ -110,7 +110,7 @@ class TestRadialRoot:
                                       "randers-cylinder", "alphabeta-sphere",
                                       "cubic-of-sphere"])
     def test_polish_cost_per_ray(self, case, randers3, alphabeta3):
-        # value calls beyond the ladder and the Newton polish (one value per d1)
+        # value calls beyond the ladder: the regula falsi trials alone
         field, t = {
             "randers-sphere": (calculus.sphere_potential(randers3), 2.0),
             "randers-hyperplane": (calculus.linear_field([1.0, 2.0, 0.5]), 0.5),
@@ -130,7 +130,7 @@ class TestRadialRoot:
             for ray in (d, -d):
                 calls.update(value=0, d1=0)
                 s = iso._radial_root(field, anchor, ray, t)
-                assert calls["value"] - len(iso._LADDER) - calls["d1"] <= 12
+                assert calls["value"] - len(iso._LADDER) <= 12
                 if s is not None:
                     break
             if s is None:
@@ -139,13 +139,25 @@ class TestRadialRoot:
             assert abs(field.value(anchor + s * ray) - t) <= iso.LEVEL_RESIDUAL * (1.0 + abs(t))
         assert found == 16
 
-    @pytest.mark.parametrize("case", ["randers-sphere", "randers-hyperplane"])
-    def test_met_level_skips_the_polish(self, case, randers3):
-        # the regula falsi meets t = 2 and t = 0.5 to 1e-13 |t| on every ray,
-        # so no Newton step runs
+    @pytest.mark.parametrize("case", ["randers-sphere", "randers-reverse-sphere",
+                                      "randers-hyperplane", "randers-cylinder",
+                                      "norm-plus-linear", "alphabeta-sphere",
+                                      "cubic-of-sphere", "small-level"])
+    def test_met_level_skips_the_polish(self, case, randers3, randers3_mixed, alphabeta3):
+        # the regula falsi alone meets the level to 1e-13 |t| on every found
+        # ray, and only f is evaluated: no d1 call.  At t = 2^-39 a bound
+        # relative to 1 + |t| would admit points percents off the level
         field, t = {
             "randers-sphere": (calculus.sphere_potential(randers3), 2.0),
+            "randers-reverse-sphere": (calculus.sphere_potential(randers3, reverse=True), -2.0),
             "randers-hyperplane": (calculus.linear_field([1.0, 2.0, 0.5]), 0.5),
+            "randers-cylinder": (calculus.cylinder_potential(randers3, 2), 2.0),
+            "norm-plus-linear": (calculus.norm_plus_linear(randers3_mixed, 2), 1.0),
+            "alphabeta-sphere": (calculus.sphere_potential(alphabeta3), 2.0),
+            "cubic-of-sphere": (calculus.reparametrized_field(
+                calculus.sphere_potential(randers3),
+                norms.PolynomialProfile([0.0, 1.0, 0.0, 1.0])), 10.0),
+            "small-level": (calculus.sphere_potential(randers3), 2.0 * 2.0**-40),
         }[case]
         calls = {"value": 0, "d1": 0}
         field = _counted(field, calls)
@@ -153,28 +165,22 @@ class TestRadialRoot:
         found = 0
         for d in sampling.sphere_directions(field.dim, 16, seed=0):
             for ray in (d, -d):
-                calls.update(value=0, d1=0)
                 s = iso._radial_root(field, anchor, ray, t)
                 if s is not None:
                     break
             if s is None:
                 continue
             found += 1
-            assert calls["d1"] == 0
             assert abs(field.value(anchor + s * ray) - t) <= 1e-13 * abs(t)
         assert found == 16
+        assert calls["d1"] == 0
 
-    def test_small_level_is_polished(self, randers3):
-        # at t = 2^-39 the regula falsi stop 1e-13 (1 + |t|) is met by points
-        # percents off the level: all three Newton steps must still run
-        t = 2.0 * 2.0**-40
-        calls = {"value": 0, "d1": 0}
-        field = _counted(calculus.sphere_potential(randers3), calls)
-        for d in sampling.sphere_directions(field.dim, 16, seed=0):
-            calls.update(value=0, d1=0)
-            s = iso._radial_root(field, np.zeros(3), d, t)
-            assert calls["d1"] == 3
-            assert abs(field.value(s * d) - t) <= 1e-13 * t
+    def test_zero_level_stops_on_the_bracket_width(self):
+        # at t = 0 the residual stop admits only an exact zero, so the width
+        # stop 1e-13 s (or an exact zero) ends the search at |x| = sqrt(3)
+        field = calculus.custom_field(3, lambda x: x @ x - 3.0)
+        s = iso._radial_root(field, np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.0)
+        assert s == pytest.approx(np.sqrt(3.0), rel=1e-13, abs=0.0)
 
     def test_error_inside_the_bracket_skips_the_ray(self):
         # f = |x|^2 raises on a shell strictly inside the rung step that
@@ -302,6 +308,20 @@ class TestIdentities:
         assert table["max_model_sum_sq"] <= 1e-9
         s = rep.samples[1]
         assert float(np.sum(s.curvatures[0])) == pytest.approx(-1.0, abs=1e-9)
+
+    def test_sphere_numbers_at_small_scale(self, randers3):
+        # levels c^2 t with c = 1e-6: points scale by c, curvatures by 1/c,
+        # and the flow step h = FLOW_STEP a(t) shrinks with a(t) = c sqrt(2t)
+        c = 1e-6
+        f = calculus.sphere_potential(randers3)
+        rep = iso.verify(randers3, f, [c * c * 0.5, c * c * 2.0, c * c * 4.5], count=32)
+        assert (rep.transnormal_verdict, rep.isoparametric_verdict) == ("yes", "yes")
+        assert rep.witness["r1_pass"] and rep.witness["r2_pass"]
+        assert rep.witness["r2_max"] <= 1e-12
+        table = iso.consistency_identities(rep)
+        assert table["max_sum_k_vs_profile"] <= 1e-6 / c
+        assert table["max_riccati"] <= 1e-6 / c**2
+        assert table["max_model_sum_sq"] <= 1e-9 / c**2
 
     def test_requires_isoparametric(self, randers3_mixed):
         f = calculus.norm_plus_linear(randers3_mixed, 2)
