@@ -40,7 +40,7 @@ print("  two-curvature relation residuals:",
 print("\nCartan curvature identity 1 - Q = alpha (1 - b^2):")
 rng = np.random.default_rng(7)
 for b in (0.1, 0.5, 0.9):
-    nb = norms.RandersNorm([b, 0.0, 0.0], validate=False)
+    nb = norms.RandersNorm([b, 0.0, 0.0])
     worst = 0.0
     for _ in range(25):
         y, X, Y = hs.gram_orthogonal_triple(nb, rng)

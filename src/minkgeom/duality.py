@@ -6,8 +6,11 @@ fundamental tensor g(y); ``MinkowskiNorm.legendre`` computes it.  It is a
 norm-preserving diffeomorphism away from zero.  Its inverse, the dual
 fundamental tensor and the subspace dual come from the norm family's
 closed-form hooks where it has them (``_legendre_inverse``,
-``_dual_fundamental_tensor``, ``_subspace_dual``); otherwise the inverse is
-a damped Newton iteration and the subspace dual is the restriction.
+``_dual_fundamental_tensor``, ``_subspace_dual``); otherwise the dual tensor
+is g^{-1} at the preimage and the subspace dual is the restriction.  Every
+family in the package has an inverse hook (the alpha-beta one is a solve for
+one angle); a family without one falls back to the damped Newton iteration
+``legendre_inverse_newton``, which is also the tests' oracle for the hooks.
 
 The dual norm is F*(xi) = sup_{y != 0} xi(y)/F(y) = F(L^{-1}(xi)), and the
 dual fundamental tensor satisfies g*(L(y)) = g(y)^{-1}.
@@ -44,7 +47,7 @@ def _as_covector(xi, n: int) -> np.ndarray:
 def legendre_inverse(norm: MinkowskiNorm, xi) -> np.ndarray:
     """The vector y with L(y) = xi.
 
-    The family's closed form where it has one, damped Newton otherwise.
+    The family's inverse hook where it has one, damped Newton otherwise.
     """
     xi = _as_covector(xi, norm.dim)
     try:
@@ -56,12 +59,15 @@ def legendre_inverse(norm: MinkowskiNorm, xi) -> np.ndarray:
 def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
     """Generic damped Newton inversion of the Legendre map.
 
-    Seeded with a naive index raise through g at the covector's components;
-    L is a global diffeomorphism, so for well-conditioned norms this
-    converges from that seed.  Iterates past the acceptance threshold down to
-    stagnation, so the result is limited by conditioning, not by the stop
-    rule.  One order-2 ``derivatives`` call per iterate gives both its
-    residual L(y) - xi (d1) and the Jacobian g(y) of the next step (d2).
+    The fallback of ``legendre_inverse`` for a family without an inverse
+    hook; no family in the package takes it, and it serves as the oracle the
+    hooks are tested against.  Seeded with a naive index raise through g at
+    the covector's components; L is a global diffeomorphism, so for
+    well-conditioned norms this converges from that seed.  Iterates past the
+    acceptance threshold down to stagnation, so the result is limited by
+    conditioning, not by the stop rule.  One order-2 ``derivatives`` call per
+    iterate gives both its residual L(y) - xi (d1) and the Jacobian g(y) of
+    the next step (d2).
     """
     xi = _as_covector(xi, norm.dim)
     scale = float(np.linalg.norm(xi))

@@ -27,7 +27,8 @@ class DegenerateMetric(MinkGeomError):
 
 
 class NoConvergence(MinkGeomError):
-    """Newton inversion of the Legendre map did not converge."""
+    """Inversion of the Legendre map (Newton, or the alpha-beta angle solve)
+    did not converge."""
 
     def __init__(self, iterations, residual):
         self.iterations = iterations

@@ -33,10 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _taylor
-from .errors import BadDimension, DegenerateMetric, NotInDomain, ZeroVector
+from .errors import BadDimension, DegenerateMetric, NoConvergence, NotInDomain, ZeroVector
 from .sampling import sphere_directions
 
 ZERO_EXCLUSION = 1e-8
+ANGLE_MAX_ITER = 100  # the alpha-beta Legendre inverse's regula falsi
 
 STRATEGIES = ("analytic", "taylor", "fd")
 
@@ -107,7 +108,8 @@ class MinkowskiNorm:
 
     # Closed forms of the dual geometry.  A family without one leaves the hook
     # raising NotImplementedError and ``duality`` falls back to damped Newton
-    # (inverse, dual tensor) or to ``restricted(m)`` (subspace dual).
+    # (inverse), to g^-1 at the Legendre preimage (dual tensor) or to
+    # ``restricted(m)`` (subspace dual).  Every family here has an inverse.
 
     def _legendre_inverse(self, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -282,6 +284,9 @@ class EuclideanNorm(MinkowskiNorm):
 class RandersNorm(MinkowskiNorm):
     """F = |y| + b.y with ||b|| < 1 (Euclidean alpha).
 
+    ||b|| < 1 is exactly strong convexity, so the constructor samples no
+    directions.
+
     The dual norm is again of Randers type, F*(xi) = sqrt(xi a* xi) + b*.xi
     with a* = (lam I + b b^T) / lam^2 and b* = -b / lam, lam = 1 - |b|^2;
     ``astar`` and ``bstar`` hold these coefficients.
@@ -289,7 +294,7 @@ class RandersNorm(MinkowskiNorm):
 
     family = "randers"
 
-    def __init__(self, b, strategy: str = "analytic", validate: bool = True):
+    def __init__(self, b, strategy: str = "analytic"):
         b = np.asarray(b, dtype=float)
         super().__init__(b.size, strategy)
         bnorm = np.linalg.norm(b)
@@ -300,8 +305,6 @@ class RandersNorm(MinkowskiNorm):
         self.lam = float(1.0 - bnorm**2)
         self.astar = (self.lam * np.eye(b.size) + np.outer(b, b)) / self.lam**2
         self.bstar = -b / self.lam
-        if validate:
-            self._validate()
 
     def _value(self, y):
         return float(math.sqrt(y @ y) + self.b @ y)
@@ -393,15 +396,15 @@ class RandersNorm(MinkowskiNorm):
             return self.restricted(m)
         if np.linalg.norm(bbar) == 0.0:
             return ScaledNorm(EuclideanNorm(m, strategy=self.strategy), c)
-        return ScaledNorm(RandersNorm(bbar / c, strategy=self.strategy, validate=False), c)
+        return ScaledNorm(RandersNorm(bbar / c, strategy=self.strategy), c)
 
     def restricted(self, m):
         _check_subdim(m, self.dim)
-        return RandersNorm(self.b[:m], strategy=self.strategy, validate=False)
+        return RandersNorm(self.b[:m], strategy=self.strategy)
 
     def rotated(self, Q):
         Q = np.asarray(Q, dtype=float)
-        return RandersNorm(Q.T @ self.b, strategy=self.strategy, validate=False)
+        return RandersNorm(Q.T @ self.b, strategy=self.strategy)
 
 
 class KthRootNorm(MinkowskiNorm):
@@ -409,18 +412,16 @@ class KthRootNorm(MinkowskiNorm):
 
     Smooth and strongly convex away from the coordinate hyperplanes; the
     fundamental tensor degenerates as any coordinate tends to zero, which is
-    inherent to the family.
+    inherent to the family.  The constructor checks k alone.
     """
 
     family = "kth_root"
 
-    def __init__(self, k: int, dim: int, strategy: str = "analytic", validate: bool = True):
+    def __init__(self, k: int, dim: int, strategy: str = "analytic"):
         if k <= 2 or k % 2 != 0:
             raise NotInDomain(f"k-th root norm needs even k > 2, got {k}")
         super().__init__(dim, strategy)
         self.k = int(k)
-        if validate:
-            self._validate()
 
     def _value(self, y):
         return float(np.sum(y**self.k) ** (1.0 / self.k))
@@ -497,7 +498,7 @@ class KthRootNorm(MinkowskiNorm):
 
     def restricted(self, m):
         _check_subdim(m, self.dim)
-        return KthRootNorm(self.k, m, strategy=self.strategy, validate=False)
+        return KthRootNorm(self.k, m, strategy=self.strategy)
 
 
 class PolynomialProfile:
@@ -535,7 +536,9 @@ class AlphaBetaNorm(MinkowskiNorm):
     A profile provides ``phi(s)`` and ``derivatives(s, order)``, phi and its
     derivatives up to that order (at most 4) at s.  Values read phi alone; the
     derivative path is the jet of alpha^2 composed once with t^-1/2, giving
-    F = (alpha^2 / alpha) phi(beta / alpha); there is no separate closed form.
+    F = (alpha^2 / alpha) phi(beta / alpha).  The Legendre inverse is a solve
+    for one angle: L(y) lies in span{y, e1} (Chern & Shen, Riemann-Finsler
+    Geometry, 1.3), so the preimage of xi lies in the plane of xi and e1.
     """
 
     family = "alpha_beta"
@@ -561,6 +564,61 @@ class AlphaBetaNorm(MinkowskiNorm):
         s = _taylor.Jet.linear(sp, y, self.beta_vec) * inv
         phi = s.compose_univariate(self.profile.derivatives(s.value, sp.order))
         return (a2 * inv) * phi
+
+    def _legendre_inverse(self, xi):
+        # y = alpha (cos t e1 + sin t u), u the unit part of xi off e1, has
+        # L(y) = alpha image(cos t, sin t).  The angle of the image from e1
+        # increases from 0 to pi with t, so t is the one root of its gap to
+        # psi, the angle of xi, on [0, pi].
+        b = self.b
+        x1 = float(xi[0])
+        perp = math.hypot(*xi[1:])
+        size = math.hypot(x1, perp)
+
+        def image(c, s):
+            phi, dphi = self.profile.derivatives(b * c, 1)
+            p = phi * (phi - b * c * dphi)
+            return p * c + b * phi * dphi, p * s
+
+        if perp == 0.0 or b == 0.0:
+            # xi on the axis, or F a multiple of alpha: y is parallel to xi
+            c, s = x1 / size, perp / size
+        else:
+            psi = math.atan2(perp, x1)
+
+            def gap(t):
+                i1, ip = image(math.cos(t), math.sin(t))
+                return math.atan2(ip, i1) - psi
+
+            # Illinois regula falsi, to float resolution of the angle
+            lo, hi, glo, ghi = 0.0, math.pi, -psi, math.pi - psi
+            side = 0
+            for _ in range(ANGLE_MAX_ITER):
+                t = (lo * ghi - hi * glo) / (ghi - glo)
+                if not lo < t < hi:
+                    break
+                g = gap(t)
+                if abs(g) <= 2.0 * math.ulp(psi):
+                    break
+                if g < 0.0:
+                    lo, glo = t, g
+                    if side < 0:
+                        ghi *= 0.5
+                    side = -1
+                else:
+                    hi, ghi = t, g
+                    if side > 0:
+                        glo *= 0.5
+                    side = 1
+            else:
+                raise NoConvergence(ANGLE_MAX_ITER, abs(g))
+            c, s = math.cos(t), math.sin(t)
+        alpha = size / math.hypot(*image(c, s))
+        y = np.zeros(self.dim)
+        y[0] = alpha * c
+        if perp > 0.0:
+            y[1:] = (alpha * s / perp) * xi[1:]
+        return y
 
     def restricted(self, m):
         _check_subdim(m, self.dim)

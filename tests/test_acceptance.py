@@ -135,7 +135,7 @@ def test_c06_kth_root_sphere():
 def test_c07_lemma61_identity(rng):
     worst = 0.0
     for b in (0.1, 0.5, 0.9):
-        norm = norms.RandersNorm([b, 0.0, 0.0], validate=False)
+        norm = norms.RandersNorm([b, 0.0, 0.0])
         for _ in range(50):
             y, X, Y = hs.gram_orthogonal_triple(norm, rng)
             lhs, rhs = rd.lemma61_check(norm, y, X, Y)

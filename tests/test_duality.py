@@ -185,6 +185,52 @@ def test_subspace_dimension_rule_is_shared(entry, m, randers3):
 @given(ybar=st.tuples(st.floats(-5, 5), st.floats(-5, 5)).filter(
     lambda t: np.linalg.norm(t) > 1e-3))
 def test_subspace_dual_never_exceeds_restriction(ybar):
-    norm = norms.RandersNorm([0.1, 0.0, 0.2], validate=False)
+    norm = norms.RandersNorm([0.1, 0.0, 0.2])
     tilde = duality.subspace_dual(norm, 2)
     assert tilde.value(np.array(ybar)) <= norm.value(embedded(ybar)) + 1e-12
+
+
+# -- the alpha-beta Legendre inverse against the Newton oracle -------------------
+
+AB_PROFILES = ([1.0, 1.0, 0.1], [1.0, 0.5, 0.2], [1.0, 0.3, 0.0, 0.05])
+AB_B = (-0.8, -0.3, 0.0, 0.3, 0.6)
+
+
+@pytest.fixture(scope="module")
+def alpha_beta_pairs():
+    # strong convexity of an (alpha, beta) norm depends on b and phi alone for
+    # n >= 3, and n = 2 asks for less (Chern & Shen, Lemma 1.1.2), so the
+    # n = 3 grid of the constructor checks each pair for every n
+    for coeffs in AB_PROFILES:
+        for b in AB_B:
+            norms.AlphaBetaNorm(norms.PolynomialProfile(coeffs), b, 3)
+    return [(coeffs, b) for coeffs in AB_PROFILES for b in AB_B]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_alpha_beta_inverse_matches_newton(alpha_beta_pairs, n):
+    # on the e1 axis, 1e-9 off it and generic with |xi| in [0.1, 1e3]: the
+    # hook agrees with Newton, meets L(y) = xi, is 1-homogeneous, commutes
+    # with a rotation fixing e1, and g*(xi) g(y) = I
+    rng = np.random.default_rng(300 + n)
+    e1, off = np.eye(n)[0], 1e-9 * np.eye(n)[-1]
+    Q = np.eye(n)
+    Q[1:, 1:] = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+    for coeffs, b in alpha_beta_pairs:
+        norm = norms.AlphaBetaNorm(norms.PolynomialProfile(coeffs), b, n, validate=False)
+        covectors = [2.5 * e1, -0.4 * e1, e1 + off, -e1 - off, 7.0 * (e1 - off)]
+        for size in (0.1, 1.0, 37.0, 1e3):
+            v = rng.standard_normal(n)
+            covectors.append(size * v / np.linalg.norm(v))
+        for xi in covectors:
+            y = norm._legendre_inverse(xi)
+            scale = np.linalg.norm(y)
+            oracle = duality.legendre_inverse_newton(norm, xi)
+            assert np.linalg.norm(y - oracle) <= 1e-13 * np.linalg.norm(oracle), (coeffs, b, xi)
+            assert np.linalg.norm(norm.legendre(y) - xi) <= 1e-14 * np.linalg.norm(xi)
+            for lam in (1e-3, 0.7, 2.0**20):
+                assert np.linalg.norm(norm._legendre_inverse(lam * xi) - lam * y) <= (
+                    1e-14 * lam * scale)
+            assert np.linalg.norm(norm._legendre_inverse(Q @ xi) - Q @ y) <= 1e-14 * scale
+            gstar = duality.dual_fundamental_tensor(norm, xi)
+            assert np.max(np.abs(gstar @ norm.fundamental_tensor(y) - np.eye(n))) <= 1e-12

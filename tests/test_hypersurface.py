@@ -113,7 +113,7 @@ class TestCartanCurvature:
     def test_randers_identity(self, rng):
         # 1 - Q = alpha (1 - b^2) across the b range
         for b in (0.1, 0.5, 0.9):
-            norm = norms.RandersNorm([b, 0.0, 0.0], validate=False)
+            norm = norms.RandersNorm([b, 0.0, 0.0])
             for _ in range(10):
                 y, X, Y = hs.gram_orthogonal_triple(norm, rng)
                 lhs = 1.0 - hs.cartan_curvature_Q(norm, y, X, Y)

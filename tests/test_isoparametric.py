@@ -62,8 +62,9 @@ class TestSampling:
                                     tmp_path):
         # F*, Delta f and the frame share one Legendre inversion and one
         # subspace-dual reduction per accepted point, and later stages (the
-        # curvature table, the Randers witness) read the frames sampling built
-        calls = {"newton": 0, "subspace_dual": 0, "geometry": 0, "d2": 0}
+        # curvature table, the Randers witness) read the frames sampling built;
+        # the alpha-beta inversion is the family's hook, never Newton
+        calls = {"inverse": 0, "newton": 0, "subspace_dual": 0, "geometry": 0, "d2": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -72,12 +73,15 @@ class TestSampling:
             return wrapper
 
         cylinder = calculus.cylinder_potential(quartic3, 2)
+        monkeypatch.setattr(duality, "legendre_inverse",
+                            counting("inverse", duality.legendre_inverse))
         monkeypatch.setattr(duality, "legendre_inverse_newton",
                             counting("newton", duality.legendre_inverse_newton))
         monkeypatch.setattr(duality, "subspace_dual",
                             counting("subspace_dual", duality.subspace_dual))
         s = iso.sample_level(alphabeta3, calculus.sphere_potential(alphabeta3), 2.0, 8)
-        assert calls["newton"] == len(s.points) == 8
+        assert calls["inverse"] == len(s.points) == 8
+        assert calls["newton"] == 0
         s = iso.sample_level(quartic3, cylinder, 2.0, 8)
         assert len(s.points) == 8 and calls["subspace_dual"] <= len(s.points)
 

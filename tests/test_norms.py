@@ -110,7 +110,7 @@ class TestFundamentalTensor:
                 assert np.max(np.abs(d.d2 @ y - d.d1)) <= 1e-9 * F**2
 
     def test_euler_identities_fd_strategy(self, rng):
-        norm = norms.RandersNorm([0.5, 0.0, 0.0], strategy="fd", validate=False)
+        norm = norms.RandersNorm([0.5, 0.0, 0.0], strategy="fd")
         for _ in range(5):
             y = rng.standard_normal(3)
             d = norm.derivatives(y, order=2)
@@ -174,7 +174,7 @@ class TestCartanTensors:
             assert np.max(np.abs(getattr(da, name) - getattr(dt, name))) <= 1e-8
 
     def test_fd_cross_check(self, rng):
-        fd = norms.RandersNorm([0.5, 0.0, 0.0], strategy="fd", validate=False)
+        fd = norms.RandersNorm([0.5, 0.0, 0.0], strategy="fd")
         exact = norms.RandersNorm([0.5, 0.0, 0.0])
         y = rng.standard_normal(3)
         dfd = fd.derivatives(y, order=4)
@@ -250,8 +250,8 @@ def test_lower_order_jets_match_order_four(n):
     rng = np.random.default_rng(100 + n)
     for norm in (
         norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, n, validate=False),
-        norms.RandersNorm(np.r_[0.4, -0.2, np.zeros(n - 2)], strategy="taylor", validate=False),
-        norms.KthRootNorm(4, n, strategy="taylor", validate=False),
+        norms.RandersNorm(np.r_[0.4, -0.2, np.zeros(n - 2)], strategy="taylor"),
+        norms.KthRootNorm(4, n, strategy="taylor"),
         norms.EuclideanNorm(n, strategy="taylor"),
     ):
         for _ in range(20):
@@ -280,3 +280,26 @@ def test_validation_samples_every_direction(monkeypatch, n, count):
     monkeypatch.setattr(norms.MinkowskiNorm, "derivatives", counting)
     norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, n)
     assert orders == [2] * count
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_constructor_checks_decide_validity(n):
+    # ||b|| < 1 and an even k > 2 are exactly strong convexity, so these
+    # constructors skip the sampled grid: it accepts every norm they accept
+    for k in (4, 6, 8):
+        norms.KthRootNorm(k, n)._validate()
+    for size in (0.0, 0.5, 0.9, 0.999):
+        for d in (np.eye(n)[0], -np.ones(n) / np.sqrt(n)):
+            norms.RandersNorm(size * d)._validate()
+
+
+@pytest.mark.parametrize("make", [lambda: norms.RandersNorm([0.999, 0.0, 0.0]),
+                                  lambda: norms.KthRootNorm(8, 3)], ids=["randers", "kth_root"])
+def test_closed_form_families_construct_without_the_grid(monkeypatch, make):
+    def refuse(self, count=None):
+        raise AssertionError("_validate ran")
+
+    monkeypatch.setattr(norms.MinkowskiNorm, "_validate", refuse)
+    norm = make()
+    for derived in (norm.restricted(2), duality.subspace_dual(norm, 2)):
+        assert derived.dim == 2

@@ -46,7 +46,7 @@ class TestDualCoefficients:
 
 class TestGradient:
     def test_b_zero_is_euclidean_raise(self):
-        norm = norms.RandersNorm([0.0, 0.0], validate=False)
+        norm = norms.RandersNorm([0.0, 0.0])
         assert np.allclose(duality.legendre_inverse(norm, [0.3, -0.7]), [0.3, -0.7])
 
     def test_worked_example(self, randers2):
@@ -66,7 +66,7 @@ class TestGradient:
 class TestDualAgreement:
     @pytest.mark.parametrize("bnorm", [0.1, 0.3, 0.5, 0.7, 0.9 * 0.999])
     def test_analytic_dual_vs_newton(self, bnorm, rng):
-        norm = norms.RandersNorm([bnorm, 0.0, 0.0], validate=False)
+        norm = norms.RandersNorm([bnorm, 0.0, 0.0])
         worst = 0.0
         for _ in range(1000):
             xi = rng.standard_normal(3)
@@ -166,7 +166,7 @@ class TestCylinders:
 
 class TestLemma61:
     def test_b_zero_gives_unity(self, rng):
-        norm = norms.RandersNorm([0.0, 0.0, 0.0], validate=False)
+        norm = norms.RandersNorm([0.0, 0.0, 0.0])
         y, X, Y = gram_orthogonal_triple(norm, rng)
         lhs, rhs = rd.lemma61_check(norm, y, X, Y)
         assert lhs == pytest.approx(1.0, abs=1e-12)
