@@ -64,8 +64,9 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
     hooks are tested against.  Seeded with a naive index raise through g at
     the covector's components; L is a global diffeomorphism, so for
     well-conditioned norms this converges from that seed.  Iterates past the
-    acceptance threshold down to stagnation, so the result is limited by
-    conditioning, not by the stop rule.  One order-2 ``derivatives`` call per
+    acceptance threshold, |L(y) - xi| <= 1e-12 |xi| (both of degree 1 in xi),
+    down to stagnation, so the result is limited by conditioning, not by the
+    stop rule.  One order-2 ``derivatives`` call per
     iterate gives both its residual L(y) - xi (d1) and the Jacobian g(y) of
     the next step (d2).
     """
@@ -101,8 +102,7 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
         else:
             break  # stagnated; accept current iterate if below tolerance
         y, d, res, rnorm = y_new, d_new, res_new, rn
-    fstar_sq = norm.value(y) ** 2
-    if rnorm > 1e-12 * max(fstar_sq, ZERO_EXCLUSION):
+    if rnorm > 1e-12 * scale:
         raise NoConvergence(NEWTON_MAX_ITER, rnorm)
     return y
 

@@ -22,7 +22,9 @@ Three derivative strategies are supported per norm:
 * ``fd``        -- central finite differences with Richardson extrapolation;
   an independent, lower-accuracy check.
 
-Norms are immutable after construction and all operations are pure.
+Norms are immutable after construction and all operations are pure, except
+that ``derivatives`` keeps its last bundle for a repeat call at the same y and
+an order no higher; the arrays of every bundle it returns are read-only.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class Derivatives:
     """Derivative bundle of G = F^2/2 at a fixed direction y.
 
     ``d1`` is always present; ``d2``, ``d3`` and ``d4`` are present from
-    orders 2, 3 and 4 and may be None below them.
+    orders 2, 3 and 4 and None below them.
     """
 
     F: float
@@ -63,6 +65,13 @@ class CartanData:
 
     C: np.ndarray
     Ccal: np.ndarray
+
+
+def _read_only(d: Derivatives) -> Derivatives:
+    for a in (d.d1, d.d2, d.d3, d.d4):
+        if a is not None:
+            a.flags.writeable = False
+    return d
 
 
 def _as_vector(y, n: int) -> np.ndarray:
@@ -85,6 +94,7 @@ class MinkowskiNorm:
     """Base class for Minkowski norm families."""
 
     family = "abstract"
+    _last: tuple | None = None  # (y bytes, order, Derivatives) of the last call
 
     def __init__(self, dim: int, strategy: str = "analytic"):
         if dim < 2:
@@ -160,7 +170,25 @@ class MinkowskiNorm:
         return CartanData(C=0.5 * d.d3, Ccal=0.5 * d.d4)
 
     def derivatives(self, y, order: int = 2) -> Derivatives:
+        """The bundle of G = F^2/2 at y up to ``order``, arrays read-only.
+
+        The norm keeps its last bundle: a call at the same y and an order no
+        higher returns it, truncated to the order asked for.
+        """
         y = _as_vector(y, self.dim)
+        key = y.tobytes()
+        last = self._last
+        if last is not None and last[0] == key and last[1] >= order:
+            d = last[2]
+            if last[1] == order:
+                return d
+            return Derivatives(d.F, d.d1, d.d2 if order >= 2 else None,
+                               d.d3 if order >= 3 else None)
+        d = _read_only(self._derivatives(y, order))
+        self._last = (key, order, d)  # one store: a racing thread only misses
+        return d
+
+    def _derivatives(self, y: np.ndarray, order: int) -> Derivatives:
         if self.strategy == "fd":
             return self._fd(y, order)
         if self.strategy == "analytic":
@@ -262,7 +290,7 @@ class EuclideanNorm(MinkowskiNorm):
         return Derivatives(
             F=float(np.linalg.norm(y)),
             d1=y.copy(),
-            d2=np.eye(n),
+            d2=np.eye(n) if order >= 2 else None,
             d3=np.zeros((n, n, n)) if order >= 3 else None,
             d4=np.zeros((n, n, n, n)) if order >= 4 else None,
         )
@@ -314,53 +342,36 @@ class RandersNorm(MinkowskiNorm):
 
     def _analytic(self, y, order):
         b = self.b
-        alpha = float(np.linalg.norm(y))
+        alpha = math.sqrt(y @ y)
         ell = y / alpha
-        h = np.eye(self.dim) - np.outer(ell, ell)
         beta = float(b @ y)
         F = alpha + beta
         Fi = ell + b
+        if order < 2:
+            return Derivatives(F=F, d1=F * Fi, d2=None)
+        h = np.eye(self.dim) - np.outer(ell, ell)
         g = np.outer(Fi, Fi) + (F / alpha) * h
         d3 = d4 = None
         if order >= 3:
+            # A2, A3: the second and third derivatives of alpha; c = d(F/alpha)
             A2 = h / alpha
             c = b / alpha - beta * ell / alpha**2
-            # twice the Cartan tensor: d(g_ij)/dy^k
-            d3 = (
-                np.einsum("k,ij->ijk", c, h)
-                - (F / alpha) * (np.einsum("ik,j->ijk", A2, ell) + np.einsum("i,jk->ijk", ell, A2))
-                + np.einsum("ik,j->ijk", A2, Fi)
-                + np.einsum("i,jk->ijk", Fi, A2)
-            )
+            u = Fi - (F / alpha) * ell
+            # twice the Cartan tensor, d(g_ij)/dy^k = h_ij c_k + A2_ik u_j + u_i A2_jk
+            V = u[:, None, None] * A2
+            d3 = h[:, :, None] * c + V + V.transpose(1, 0, 2)
             if order >= 4:
-                A3 = -(
-                    np.einsum("ij,k->ijk", h, ell)
-                    + np.einsum("jk,i->ijk", h, ell)
-                    + np.einsum("ik,j->ijk", h, ell)
-                ) / alpha**2
-                d = (
-                    -(np.einsum("k,l->kl", b, ell) + np.einsum("l,k->kl", b, ell)) / alpha**2
-                    - beta * h / alpha**3
-                    + 2.0 * beta * np.outer(ell, ell) / alpha**3
-                )
-                d4 = (
-                    np.einsum("kl,ij->ijkl", d, h)
-                    - np.einsum("k,il,j->ijkl", c, A2, ell)
-                    - np.einsum("k,i,jl->ijkl", c, ell, A2)
-                    - np.einsum("l,ik,j->ijkl", c, A2, ell)
-                    - np.einsum("l,i,jk->ijkl", c, ell, A2)
-                    - (F / alpha)
-                    * (
-                        np.einsum("ikl,j->ijkl", A3, ell)
-                        + np.einsum("ik,jl->ijkl", A2, A2)
-                        + np.einsum("il,jk->ijkl", A2, A2)
-                        + np.einsum("i,jkl->ijkl", ell, A3)
-                    )
-                    + np.einsum("ikl,j->ijkl", A3, Fi)
-                    + np.einsum("ik,jl->ijkl", A2, A2)
-                    + np.einsum("il,jk->ijkl", A2, A2)
-                    + np.einsum("i,jkl->ijkl", Fi, A3)
-                )
+                hl = h[:, :, None] * ell
+                A3 = -(hl + hl.transpose(2, 0, 1) + hl.transpose(0, 2, 1)) / alpha**2
+                bl = np.outer(b, ell)
+                dc = (-(bl + bl.T) / alpha**2 - beta * h / alpha**3
+                      + 2.0 * beta * np.outer(ell, ell) / alpha**3)
+                # P_ijk = A2_ik ell_j + ell_i A2_jk, the y^k-derivative of h_ij
+                P = A2[:, None, :] * ell[:, None] + ell[:, None, None] * A2
+                X = (1.0 - F / alpha) * A2[:, None, :, None] * A2[:, None, :] - P[..., None] * c
+                W = u[:, None, None, None] * A3
+                d4 = (h[:, :, None, None] * dc + X + X.transpose(0, 1, 3, 2)
+                      + W + W.transpose(1, 0, 2, 3))
         return Derivatives(F=F, d1=F * Fi, d2=g, d3=d3, d4=d4)
 
     def _dual_parts(self, xi):
@@ -434,6 +445,9 @@ class KthRootNorm(MinkowskiNorm):
         return s ** (1.0 / self.k)
 
     def _analytic(self, y, order):
+        # Faa di Bruno for G = H(S), S = sum_i y_i^k: the order-m tensor sums,
+        # over the partitions of its m indices, H^(number of blocks) times one
+        # derivative of S per block; those derivatives are diagonal.
         k, n = self.k, self.dim
         S = float(np.sum(y**k))
         w = 2.0 / k
@@ -443,52 +457,33 @@ class KthRootNorm(MinkowskiNorm):
             coef *= w - (j - 1)
             H.append(coef * S ** (w - j))
         Sv = k * y ** (k - 1)
-        s2 = k * (k - 1) * y ** (k - 2)
-        s3 = k * (k - 1) * (k - 2) * y ** (k - 3)
-        s4 = k * (k - 1) * (k - 2) * (k - 3) * y ** (k - 4)
-        D2 = np.diag(s2)
         d1 = H[1] * Sv
-        d2 = H[2] * np.outer(Sv, Sv) + H[1] * D2
+        if order < 2:
+            return Derivatives(F=S ** (1.0 / k), d1=d1, d2=None)
+        D2 = np.diag(k * (k - 1) * y ** (k - 2))
+        v2 = np.outer(Sv, Sv)
+        d2 = H[2] * v2 + H[1] * D2
         d3 = d4 = None
         if order >= 3:
+            diag = np.arange(n)
             D3 = np.zeros((n, n, n))
-            D3[np.arange(n), np.arange(n), np.arange(n)] = s3
-            d3 = (
-                H[3] * np.einsum("i,j,k->ijk", Sv, Sv, Sv)
-                + H[2]
-                * (
-                    np.einsum("ij,k->ijk", D2, Sv)
-                    + np.einsum("ik,j->ijk", D2, Sv)
-                    + np.einsum("jk,i->ijk", D2, Sv)
-                )
-                + H[1] * D3
-            )
+            D3[diag, diag, diag] = k * (k - 1) * (k - 2) * y ** (k - 3)
+            t = np.multiply.outer(H[2] * D2, Sv)
+            d3 = (H[3] * np.multiply.outer(v2, Sv) + t + t.transpose(0, 2, 1)
+                  + t.transpose(2, 0, 1) + H[1] * D3)
             if order >= 4:
-                D4 = np.zeros((n, n, n, n))
-                D4[np.arange(n), np.arange(n), np.arange(n), np.arange(n)] = s4
-                d4 = (
-                    H[4] * np.einsum("i,j,k,l->ijkl", Sv, Sv, Sv, Sv)
-                    + H[3]
-                    * (
-                        np.einsum("ij,k,l->ijkl", D2, Sv, Sv)
-                        + np.einsum("ik,j,l->ijkl", D2, Sv, Sv)
-                        + np.einsum("il,j,k->ijkl", D2, Sv, Sv)
-                        + np.einsum("jk,i,l->ijkl", D2, Sv, Sv)
-                        + np.einsum("jl,i,k->ijkl", D2, Sv, Sv)
-                        + np.einsum("kl,i,j->ijkl", D2, Sv, Sv)
-                    )
-                    + H[2]
-                    * (
-                        np.einsum("ij,kl->ijkl", D2, D2)
-                        + np.einsum("ik,jl->ijkl", D2, D2)
-                        + np.einsum("il,jk->ijkl", D2, D2)
-                        + np.einsum("ijk,l->ijkl", D3, Sv)
-                        + np.einsum("ijl,k->ijkl", D3, Sv)
-                        + np.einsum("ikl,j->ijkl", D3, Sv)
-                        + np.einsum("jkl,i->ijkl", D3, Sv)
-                    )
-                    + H[1] * D4
-                )
+                # the blocks {3, 1}: T_abcd = D3_abc Sv_d at the four places of d
+                T = np.multiply.outer(D3, H[2] * Sv)
+                d4 = (H[4] * np.multiply.outer(v2, v2) + T + T.transpose(0, 1, 3, 2)
+                      + T.transpose(0, 3, 1, 2) + T.transpose(3, 0, 1, 2))
+                # the blocks {2, 1, 1} and {2, 2}: Z_abcd + Z_cdab summed over
+                # the three pairings of the indices, Z = D2 (x) (H3 v2 + H2 D2 / 2)
+                Z = np.multiply.outer(D2, H[3] * v2 + 0.5 * H[2] * D2)
+                for axes in ((0, 1, 2, 3), (2, 3, 0, 1), (0, 2, 1, 3),
+                             (2, 0, 3, 1), (0, 2, 3, 1), (2, 0, 1, 3)):
+                    d4 += Z.transpose(axes)
+                s4 = k * (k - 1) * (k - 2) * (k - 3) * y ** (k - 4)
+                d4[diag, diag, diag, diag] += H[1] * s4
         return Derivatives(F=S ** (1.0 / k), d1=d1, d2=d2, d3=d3, d4=d4)
 
     def _legendre_inverse(self, xi):
@@ -646,13 +641,13 @@ class ScaledNorm(MinkowskiNorm):
     def derivatives(self, y, order: int = 2):
         d = self.base.derivatives(y, order)
         c2 = self.factor**2
-        return Derivatives(
+        return _read_only(Derivatives(
             F=self.factor * d.F,
             d1=c2 * d.d1,
             d2=None if d.d2 is None else c2 * d.d2,
             d3=None if d.d3 is None else c2 * d.d3,
             d4=None if d.d4 is None else c2 * d.d4,
-        )
+        ))
 
     def _legendre_inverse(self, xi):
         return self.base._legendre_inverse(xi / self.factor**2)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from minkgeom import calculus, duality, norms, randers
 
 from .oracles import dual_norm_grid_sup, subspace_dual_sup
-from minkgeom.errors import BadDimension, ZeroCovector
+from minkgeom.errors import BadDimension, NoConvergence, ZeroCovector
 
 settings.register_profile("suite", max_examples=40, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -64,6 +64,33 @@ class TestLegendre:
                 closed = duality.legendre_inverse(norm, xi)
                 newton = duality.legendre_inverse_newton(norm, xi)
                 assert np.linalg.norm(closed - newton) <= 1e-9 * np.linalg.norm(closed)
+
+    @pytest.mark.parametrize("make", [
+        lambda: norms.AlphaBetaNorm(norms.PolynomialProfile([2.0]), 0.0, 2),
+        lambda: norms.ScaledNorm(norms.EuclideanNorm(2, strategy="taylor"), 2),
+    ], ids=["alpha_beta", "scaled"])
+    def test_newton_accepts_converged_small_covectors(self, make):
+        # the acceptance bound is of degree 1 in xi, like the residual, so a
+        # converged solve at |xi| = 1e-3 is accepted
+        norm = make()
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            v = rng.standard_normal(2)
+            xi = 1e-3 * v / np.linalg.norm(v)
+            y = duality.legendre_inverse_newton(norm, xi)
+            assert np.linalg.norm(norm.legendre(y) - xi) <= 1e-12 * np.linalg.norm(xi)
+
+    def test_newton_rejects_a_residual_above_the_bound(self):
+        # L(y) rounded to a 1e-10 grid stays 3e-11 from xi, 30 times the bound
+        class Coarse(norms.EuclideanNorm):
+            def derivatives(self, y, order=2):
+                d = super().derivatives(y, order)
+                return norms.Derivatives(d.F, np.round(d.d1, 10), d.d2)
+
+        with pytest.raises(NoConvergence):
+            duality.legendre_inverse_newton(Coarse(2), [0.6 + 3e-11, 0.8])
+        y = duality.legendre_inverse_newton(Coarse(2), [0.6 + 3e-13, 0.8])
+        assert np.linalg.norm(y - [0.6, 0.8]) <= 1e-12
 
     def test_zero_covector_rejected(self, randers3):
         with pytest.raises(ZeroCovector):

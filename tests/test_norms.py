@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkgeom import duality, norms
+from minkgeom import duality, hypersurface, norms
 from minkgeom.errors import (BadDimension, DegenerateMetric, NotInDomain, ZeroCovector,
                              ZeroVector)
 
@@ -157,21 +158,22 @@ class TestCartanTensors:
         assert got == pytest.approx(0.75, abs=1e-12)
 
     def test_randers_analytic_agrees_with_taylor(self, rng):
-        for n in (3, 10):
-            analytic = norms.RandersNorm(np.r_[0.4, -0.2, 0.1, np.zeros(n - 3)])
-            for _ in range(5):
-                y = rng.standard_normal(n)
-                da = analytic._analytic(y, 4)
-                dt = analytic._taylor(y, 4)
-                for name in ("d1", "d2", "d3", "d4"):
-                    assert np.max(np.abs(getattr(da, name) - getattr(dt, name))) <= 1e-8
+        for n in (2, 3, 4, 5, 6, 10):
+            for size in (0.1, 0.5, 0.9):
+                b = rng.standard_normal(n)
+                norm = norms.RandersNorm(size * b / np.linalg.norm(b))
+                for _ in range(5):
+                    _assert_analytic_kernels(norm, rng.standard_normal(n))
 
-    def test_kth_root_analytic_agrees_with_taylor(self, quartic3, rng):
-        y = rng.standard_normal(3)
-        da = quartic3._analytic(y, 4)
-        dt = quartic3._taylor(y, 4)
-        for name in ("d1", "d2", "d3", "d4"):
-            assert np.max(np.abs(getattr(da, name) - getattr(dt, name))) <= 1e-8
+    def test_kth_root_analytic_agrees_with_taylor(self, rng):
+        for n in (2, 3, 4, 5, 6):
+            for k in (4, 6):
+                norm = norms.KthRootNorm(k, n)
+                for _ in range(5):
+                    # g degenerates on the coordinate hyperplanes, so every
+                    # coordinate stays at least a quarter of the largest
+                    y = rng.choice([-1.0, 1.0], n) * rng.uniform(0.25, 1.0, n)
+                    _assert_analytic_kernels(norm, y)
 
     def test_fd_cross_check(self, rng):
         fd = norms.RandersNorm([0.5, 0.0, 0.0], strategy="fd")
@@ -183,6 +185,24 @@ class TestCartanTensors:
         assert np.max(np.abs(dfd.d2 - dan.d2)) <= 1e-6
         assert np.max(np.abs(dfd.d3 - dan.d3)) <= 1e-4
         assert np.max(np.abs(dfd.d4 - dan.d4)) <= 1e-2
+
+
+def _assert_analytic_kernels(norm, y):
+    # the closed forms against the jets at 1e-10 relative; d3 and d4 fully
+    # symmetric and obeying Euler's identities d3.y = 0 and d4.y = -d3
+    da, dt = norm._analytic(y, 4), norm._taylor(y, 4)
+    assert da.F == pytest.approx(dt.F, rel=1e-14)
+    for name in ("d1", "d2", "d3", "d4"):
+        got, want = getattr(da, name), getattr(dt, name)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (norm, name)
+    d3, d4 = da.d3, da.d4
+    s3, s4 = np.max(np.abs(d3)), np.max(np.abs(d4))
+    for perm in itertools.permutations(range(3)):
+        assert np.max(np.abs(d3 - d3.transpose(perm))) <= 1e-13 * s3
+    for perm in itertools.permutations(range(4)):
+        assert np.max(np.abs(d4 - d4.transpose(perm))) <= 1e-13 * s4
+    assert np.max(np.abs(d3 @ y)) <= 1e-12 * s3 * np.linalg.norm(y)
+    assert np.max(np.abs(d4 @ y + d3)) <= 1e-12 * s4 * np.linalg.norm(y)
 
 
 class TestStructuralHelpers:
@@ -258,7 +278,7 @@ def test_lower_order_jets_match_order_four(n):
             y = rng.standard_normal(n)
             full = norm.derivatives(y, order=4)
             for order in (1, 2, 3):
-                low = norm.derivatives(y, order=order)
+                low = norm._derivatives(y, order)  # computed, not the kept bundle
                 assert low.F == full.F
                 for k, name in enumerate(("d1", "d2", "d3", "d4"), start=1):
                     got = getattr(low, name)
@@ -266,6 +286,84 @@ def test_lower_order_jets_match_order_four(n):
                         assert np.array_equal(got, getattr(full, name)), (norm, order, name)
                     else:
                         assert got is None
+
+
+def _memo_norms():
+    makers = {
+        "euclidean": lambda s: norms.EuclideanNorm(3, strategy=s),
+        "randers": lambda s: norms.RandersNorm([0.4, -0.2, 0.1], strategy=s),
+        "kth_root": lambda s: norms.KthRootNorm(4, 3, strategy=s),
+        "alpha_beta": lambda s: norms.AlphaBetaNorm(
+            norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3, strategy=s, validate=False),
+    }
+    cases = []
+    for family, make in makers.items():
+        for s in norms.STRATEGIES:
+            cases.append(pytest.param(lambda make=make, s=s: make(s), id=f"{family}-{s}"))
+            cases.append(pytest.param(lambda make=make, s=s: norms.ScaledNorm(make(s), 1.7),
+                                      id=f"scaled-{family}-{s}"))
+    return cases
+
+
+@pytest.mark.parametrize("make", _memo_norms())
+def test_derivatives_keeps_its_last_bundle(monkeypatch, make):
+    # a repeat at the same y and an order no higher returns the bits a fresh
+    # norm computes, with None above the order and every array read-only; a
+    # new y or a higher order computes again
+    computed = []
+    original = norms.MinkowskiNorm._derivatives
+
+    def counting(self, y, order):
+        computed.append(order)
+        return original(self, y, order)
+
+    y, y2 = np.array([0.7, -0.4, 0.9]), np.array([0.7, -0.4, 0.9000000000000001])
+    fresh = {order: make().derivatives(y, order) for order in (1, 2, 4)}
+    norm = make()
+    monkeypatch.setattr(norms.MinkowskiNorm, "_derivatives", counting)
+    for order in (4, 1, 2, 4):
+        got, want = norm.derivatives(y, order), fresh[order]
+        assert got.F == want.F
+        for k, name in enumerate(("d1", "d2", "d3", "d4"), start=1):
+            a, b = getattr(got, name), getattr(want, name)
+            if k > order:
+                assert a is None and b is None, (order, name)
+            else:
+                assert a.tobytes() == b.tobytes() and not a.flags.writeable, (order, name)
+                with pytest.raises(ValueError):
+                    a[(0,) * k] = 1.0
+    assert computed == [4]
+    norm.derivatives(y2, 2)
+    norm.derivatives(y2, 3)
+    norm.derivatives(y2, 3)
+    norm.derivatives(y2, 1)
+    assert computed == [4, 2, 3]
+
+
+@pytest.mark.parametrize("make, hook", [
+    (lambda: norms.EuclideanNorm(3), "_analytic"),
+    (lambda: norms.RandersNorm([0.5, 0.0, 0.0]), "_analytic"),
+    (lambda: norms.KthRootNorm(4, 3), "_analytic"),
+    (lambda: norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3,
+                                 validate=False), "_taylor"),
+], ids=["euclidean", "randers", "kth_root", "alpha_beta"])
+def test_one_bundle_per_direction(monkeypatch, make, hook):
+    # order-4 tensors, the Cartan curvature and the Legendre image at one y
+    # cost one computation of the family's tensors
+    y, X, Y = hypersurface.gram_orthogonal_triple(make(), np.random.default_rng(5))
+    norm = make()
+    calls = []
+    original = getattr(type(norm), hook)
+
+    def counting(self, *args):
+        calls.append(args[1])
+        return original(self, *args)
+
+    monkeypatch.setattr(type(norm), hook, counting)
+    d = norm.derivatives(y, 4)
+    Q = hypersurface.cartan_curvature_Q(norm, y, X, Y)
+    assert np.array_equal(norm.legendre(y), d.d1) and math.isfinite(Q)
+    assert calls == [4]
 
 
 @pytest.mark.parametrize("n, count", [(3, 256), (5, 512)])
