@@ -36,7 +36,6 @@ import numpy as np
 
 from . import _taylor
 from .errors import BadDimension, DegenerateMetric, NoConvergence, NotInDomain, ZeroVector
-from .sampling import sphere_directions
 
 ZERO_EXCLUSION = 1e-8
 ANGLE_MAX_ITER = 100  # the alpha-beta Legendre inverse's regula falsi
@@ -245,22 +244,6 @@ class MinkowskiNorm:
                 e[ll] = h4
                 d4[:, :, :, ll] = (third(y + e) - third(y - e)) / (2 * h4)
         return Derivatives(F=self._value(y), d1=d1, d2=d2, d3=d3, d4=d4)
-
-    def _validate(self, count: int | None = None):
-        """Falsification pass: F > 0 and g positive definite on a sphere grid."""
-        n = self.dim
-        if count is None:
-            count = 2 ** max(8, n + 4)
-        for u in sphere_directions(n, count, seed=0):
-            F = self._value(u)
-            if not F > 0.0:
-                raise NotInDomain(f"F <= 0 at sampled direction {u!r}")
-            try:
-                np.linalg.cholesky(self.derivatives(u, order=2).d2)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateMetric(
-                    f"fundamental tensor not positive definite at direction {u!r}"
-                ) from exc
 
     # -- structural helpers ----------------------------------------------------
 
@@ -491,6 +474,18 @@ class KthRootNorm(MinkowskiNorm):
         sstar = float(np.sum(np.abs(xi) ** (k / (k - 1.0))))
         return np.sign(xi) * np.abs(xi) ** (1.0 / (k - 1.0)) * sstar ** ((k - 2.0) / k)
 
+    def _dual_fundamental_tensor(self, xi):
+        # F* is the l^q norm, q = k/(k-1); the Hessian of F*^2/2 with
+        # S* = sum |xi_i|^q and v_i = sign(xi_i) |xi_i|^(q-1) is
+        # S*^(-2/k) ((2 - q) v v^T + (q - 1) S* diag |xi_i|^(q-2))
+        k = self.k
+        a = np.abs(xi)
+        sstar = float(np.sum(a ** (k / (k - 1.0))))
+        v = np.sign(xi) * a ** (1.0 / (k - 1.0))
+        return sstar ** (-2.0 / k) * (
+            ((k - 2.0) / (k - 1.0)) * np.outer(v, v)
+            + np.diag(sstar / (k - 1.0) * a ** (-(k - 2.0) / (k - 1.0))))
+
     def restricted(self, m):
         _check_subdim(m, self.dim)
         return KthRootNorm(self.k, m, strategy=self.strategy)
@@ -528,25 +523,74 @@ def _horner(row, s: float) -> float:
 class AlphaBetaNorm(MinkowskiNorm):
     """F = alpha phi(beta/alpha) with alpha Euclidean and beta = b y^1.
 
-    A profile provides ``phi(s)`` and ``derivatives(s, order)``, phi and its
+    A profile provides ``coeffs``, the power-series coefficients of phi
+    (lowest first), ``phi(s)`` and ``derivatives(s, order)``, phi and its
     derivatives up to that order (at most 4) at s.  Values read phi alone; the
     derivative path is the jet of alpha^2 composed once with t^-1/2, giving
     F = (alpha^2 / alpha) phi(beta / alpha).  The Legendre inverse is a solve
     for one angle: L(y) lies in span{y, e1} (Chern & Shen, Riemann-Finsler
     Geometry, 1.3), so the preimage of xi lies in the plane of xi and e1.
+
+    The constructor decides validity exactly and samples no directions.  With
+    s = beta/alpha, which covers [-|b|, |b|], g has the eigenvalue
+    phi (phi - s phi') off span{y, e1} (n >= 3) and
+    det g = phi^(n+1) (phi - s phi')^(n-2) (phi - s phi' + (b^2 - s^2) phi''),
+    so F is a Minkowski norm exactly when, on |s| <= |b|,
+
+        phi > 0,   phi - s phi' > 0 (n >= 3),   phi - s phi' + (b^2 - s^2) phi'' > 0
+
+    (Chern & Shen, Lemma 1.1.2).  n = 2 has no direction off span{y, e1}, so
+    it needs only the first and the last.
     """
 
     family = "alpha_beta"
 
-    def __init__(self, profile, b: float, dim: int, strategy: str = "taylor",
-                 validate: bool = True):
+    def __init__(self, profile, b: float, dim: int, strategy: str = "taylor"):
         super().__init__(dim, strategy if strategy != "analytic" else "taylor")
         self.profile = profile
         self.beta_vec = np.zeros(dim)
         self.beta_vec[0] = float(b)
         self.b = float(b)
-        if validate:
-            self._validate()
+        self._check_profile()
+
+    def _check_profile(self):
+        """Raise unless the three conditions of the class docstring hold.
+
+        Each is a polynomial in s, whose minimum on [-|b|, |b|] lies at an
+        end or at a root of its derivative; the real parts of all those roots
+        are tried, a superset of the real ones.  A message names the failed
+        condition and an s where it fails.  The last condition implies the
+        second (h = phi - s phi' has h' = -s phi'', so the last equals h at an
+        interior minimum of h, or is at most h there at s = 0); the second is
+        tried first so that the message names the eigenvalue phi h.
+        """
+        b = self.b
+        r = abs(b)
+        if not math.isfinite(b):
+            raise NotInDomain(f"alpha-beta needs a finite b, got {b}: s = b y^1 / alpha "
+                              "is then not finite")
+        c = np.array(self.profile.coeffs or (0.0,), dtype=float)
+        if not np.all(np.isfinite(c)):
+            raise NotInDomain(f"phi > 0 fails at s = {-r!r}: phi has the non-finite "
+                              f"coefficients {c.tolist()}")
+        # s^m coefficients: phi - s phi' has (1 - m) c_m, and (b^2 - s^2) phi''
+        # adds b^2 (m + 1)(m + 2) c_(m+2) - m (m - 1) c_m
+        m = np.arange(c.size)
+        c2 = (1 - m * m) * c
+        c2[:-2] += b * b * m[2:] * (m[2:] - 1) * c[2:]
+        conditions = [("phi > 0", c, NotInDomain)]
+        if self.dim >= 3:
+            conditions.append(("phi - s phi' > 0", (1 - m) * c, DegenerateMetric))
+        conditions.append(("phi - s phi' + (b^2 - s^2) phi'' > 0", c2, DegenerateMetric))
+        for name, coeffs, error in conditions:
+            p = coeffs[::-1]
+            crit = np.roots(np.polyder(p)).real
+            s = np.concatenate(([-r, r], crit[np.abs(crit) < r]))
+            v = np.polyval(p, s)
+            i = int(np.argmin(v))
+            if not v[i] > 0.0:
+                raise error(f"{name} fails at s = {float(s[i])!r}, where the left side "
+                            f"is {float(v[i])!r} (b = {b!r}, |s| <= |b|)")
 
     def _value(self, y):
         alpha = math.sqrt(y @ y)
@@ -617,7 +661,7 @@ class AlphaBetaNorm(MinkowskiNorm):
 
     def restricted(self, m):
         _check_subdim(m, self.dim)
-        return AlphaBetaNorm(self.profile, self.b, m, strategy=self.strategy, validate=False)
+        return AlphaBetaNorm(self.profile, self.b, m, strategy=self.strategy)
 
 
 class ScaledNorm(MinkowskiNorm):

@@ -1,18 +1,49 @@
-"""Sup-over-grid oracles for the dual norm and the subspace dual.
+"""Sampled-grid oracles: norm validity, the dual norm and the subspace dual.
 
-Both use only norm values (and, for the subspace dual, F* values) on a
-sphere lattice, refined by Nelder-Mead, so they are independent of the
-Legendre machinery they check.  They need scipy, which the package does
-not; ``demos/02_legendre_duality.py`` loads this file by path.
+``grid_validate`` samples F and g on a sphere lattice, independent of the
+alpha-beta constructor's exact criterion it checks.  The sup oracles use
+only norm values (and, for the subspace dual, F* values) on a sphere
+lattice, refined by Nelder-Mead, so they are independent of the Legendre
+machinery they check.  They need scipy, which the package does not;
+``demos/02_legendre_duality.py`` loads this file by path.
 """
 
 import numpy as np
 from scipy.optimize import minimize
 
 from minkgeom.duality import _as_covector, dual_norm
-from minkgeom.errors import BadDimension
-from minkgeom.norms import MinkowskiNorm
+from minkgeom.errors import BadDimension, DegenerateMetric, NotInDomain
+from minkgeom.norms import AlphaBetaNorm, MinkowskiNorm
 from minkgeom.sampling import sphere_directions
+
+
+def grid_validate(norm: MinkowskiNorm, count: int | None = None):
+    """Falsification pass: F > 0 and g positive definite on a sphere grid of
+    ``2 ** max(8, n + 4)`` directions by default."""
+    n = norm.dim
+    if count is None:
+        count = 2 ** max(8, n + 4)
+    for u in sphere_directions(n, count, seed=0):
+        F = norm._value(u)
+        if not F > 0.0:
+            raise NotInDomain(f"F <= 0 at sampled direction {u!r}")
+        try:
+            np.linalg.cholesky(norm.derivatives(u, order=2).d2)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateMetric(
+                f"fundamental tensor not positive definite at direction {u!r}"
+            ) from exc
+
+
+class _Unchecked(AlphaBetaNorm):
+    def _check_profile(self):
+        pass
+
+
+def unchecked_alpha_beta(profile, b: float, n: int) -> AlphaBetaNorm:
+    """The alpha-beta norm without the constructor's validity criterion, so
+    that the grid and the tests can look at the norms the criterion rejects."""
+    return _Unchecked(profile, b, n)
 
 
 def dual_norm_grid_sup(norm: MinkowskiNorm, xi, count: int = 10_000) -> float:

@@ -140,6 +140,33 @@ class TestDualNorm:
             ginv = np.linalg.inv(norm.derivatives(y, order=2).d2)
             assert np.max(np.abs(gstar - ginv)) <= 1e-8
 
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_kth_root_dual_tensor_closed_form(self, monkeypatch, k):
+        # the Hessian of F*^2/2 for the l^q norm F*, q = k/(k-1), equals
+        # inv(g(L^-1 xi)) at 1e-12 relative and evaluates no k-th root tensor;
+        # every coordinate stays at least a quarter of the largest, since g
+        # degenerates on the coordinate hyperplanes
+        rng = np.random.default_rng(400 + k)
+        calls = []
+        original = norms.KthRootNorm._analytic
+
+        def counting(self, y, order):
+            calls.append(order)
+            return original(self, y, order)
+
+        for n in range(2, 7):
+            norm = norms.KthRootNorm(k, n)
+            for _ in range(10):
+                xi = (rng.choice([-1.0, 1.0], n) * rng.uniform(0.25, 1.0, n)
+                      * 10.0 ** rng.uniform(-3, 3))
+                want = np.linalg.inv(
+                    norm.derivatives(duality.legendre_inverse(norm, xi), order=2).d2)
+                with monkeypatch.context() as patch:
+                    patch.setattr(norms.KthRootNorm, "_analytic", counting)
+                    got = duality.dual_fundamental_tensor(norm, xi)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n, xi)
+        assert calls == []
+
     def test_modes(self, randers3):
         # closed form, Newton inversion and the grid sup agree on F*
         xi = np.array([0.9, 0.1, -0.3])
@@ -225,12 +252,9 @@ AB_B = (-0.8, -0.3, 0.0, 0.3, 0.6)
 
 @pytest.fixture(scope="module")
 def alpha_beta_pairs():
-    # strong convexity of an (alpha, beta) norm depends on b and phi alone for
-    # n >= 3, and n = 2 asks for less (Chern & Shen, Lemma 1.1.2), so the
-    # n = 3 grid of the constructor checks each pair for every n
-    for coeffs in AB_PROFILES:
-        for b in AB_B:
-            norms.AlphaBetaNorm(norms.PolynomialProfile(coeffs), b, 3)
+    # every pair is a Minkowski norm at every n: the constructor's exact
+    # criterion (Chern & Shen, Lemma 1.1.2) checks it wherever the test
+    # below builds the norm
     return [(coeffs, b) for coeffs in AB_PROFILES for b in AB_B]
 
 
@@ -244,7 +268,7 @@ def test_alpha_beta_inverse_matches_newton(alpha_beta_pairs, n):
     Q = np.eye(n)
     Q[1:, 1:] = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
     for coeffs, b in alpha_beta_pairs:
-        norm = norms.AlphaBetaNorm(norms.PolynomialProfile(coeffs), b, n, validate=False)
+        norm = norms.AlphaBetaNorm(norms.PolynomialProfile(coeffs), b, n)
         covectors = [2.5 * e1, -0.4 * e1, e1 + off, -e1 - off, 7.0 * (e1 - off)]
         for size in (0.1, 1.0, 37.0, 1e3):
             v = rng.standard_normal(n)

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from minkgeom import duality, hypersurface, norms
 from minkgeom.errors import (BadDimension, DegenerateMetric, NotInDomain, ZeroCovector,
                              ZeroVector)
+
+from .oracles import grid_validate, unchecked_alpha_beta
 
 settings.register_profile("suite", max_examples=40, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -269,7 +275,7 @@ def test_lower_order_jets_match_order_four(n):
     # jets built to the request's order give the bits of the order-4 jets
     rng = np.random.default_rng(100 + n)
     for norm in (
-        norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, n, validate=False),
+        norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, n),
         norms.RandersNorm(np.r_[0.4, -0.2, np.zeros(n - 2)], strategy="taylor"),
         norms.KthRootNorm(4, n, strategy="taylor"),
         norms.EuclideanNorm(n, strategy="taylor"),
@@ -294,7 +300,7 @@ def _memo_norms():
         "randers": lambda s: norms.RandersNorm([0.4, -0.2, 0.1], strategy=s),
         "kth_root": lambda s: norms.KthRootNorm(4, 3, strategy=s),
         "alpha_beta": lambda s: norms.AlphaBetaNorm(
-            norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3, strategy=s, validate=False),
+            norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3, strategy=s),
     }
     cases = []
     for family, make in makers.items():
@@ -344,8 +350,7 @@ def test_derivatives_keeps_its_last_bundle(monkeypatch, make):
     (lambda: norms.EuclideanNorm(3), "_analytic"),
     (lambda: norms.RandersNorm([0.5, 0.0, 0.0]), "_analytic"),
     (lambda: norms.KthRootNorm(4, 3), "_analytic"),
-    (lambda: norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3,
-                                 validate=False), "_taylor"),
+    (lambda: norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3), "_taylor"),
 ], ids=["euclidean", "randers", "kth_root", "alpha_beta"])
 def test_one_bundle_per_direction(monkeypatch, make, hook):
     # order-4 tensors, the Cartan curvature and the Legendre image at one y
@@ -366,38 +371,179 @@ def test_one_bundle_per_direction(monkeypatch, make, hook):
     assert calls == [4]
 
 
-@pytest.mark.parametrize("n, count", [(3, 256), (5, 512)])
-def test_validation_samples_every_direction(monkeypatch, n, count):
-    orders = []
-    original = norms.MinkowskiNorm.derivatives
+@pytest.mark.parametrize("n", range(2, 11))
+def test_construction_makes_no_derivatives_call(monkeypatch, n):
+    # the alpha-beta constructor decides validity from phi's coefficients
+    calls = []
 
-    def counting(self, y, order=2):
-        orders.append(order)
-        return original(self, y, order)
+    def refuse(name):
+        def hook(self, *args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran")
+        return hook
 
-    monkeypatch.setattr(norms.MinkowskiNorm, "derivatives", counting)
-    norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, n)
-    assert orders == [2] * count
+    monkeypatch.setattr(norms.MinkowskiNorm, "derivatives", refuse("derivatives"))
+    monkeypatch.setattr(norms.AlphaBetaNorm, "_value", refuse("_value"))
+    norm = norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, n)
+    if n > 2:
+        norm.restricted(2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_constructor_checks_decide_validity(n):
     # ||b|| < 1 and an even k > 2 are exactly strong convexity, so these
-    # constructors skip the sampled grid: it accepts every norm they accept
+    # constructors sample nothing: the grid oracle accepts every norm they accept
     for k in (4, 6, 8):
-        norms.KthRootNorm(k, n)._validate()
+        grid_validate(norms.KthRootNorm(k, n))
     for size in (0.0, 0.5, 0.9, 0.999):
         for d in (np.eye(n)[0], -np.ones(n) / np.sqrt(n)):
-            norms.RandersNorm(size * d)._validate()
+            grid_validate(norms.RandersNorm(size * d))
 
 
 @pytest.mark.parametrize("make", [lambda: norms.RandersNorm([0.999, 0.0, 0.0]),
                                   lambda: norms.KthRootNorm(8, 3)], ids=["randers", "kth_root"])
 def test_closed_form_families_construct_without_the_grid(monkeypatch, make):
-    def refuse(self, count=None):
-        raise AssertionError("_validate ran")
+    # construction, restriction and the subspace dual evaluate nothing; the
+    # grid oracle then accepts what they built
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a norm was evaluated during construction")
 
-    monkeypatch.setattr(norms.MinkowskiNorm, "_validate", refuse)
-    norm = make()
-    for derived in (norm.restricted(2), duality.subspace_dual(norm, 2)):
-        assert derived.dim == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(norms.MinkowskiNorm, "derivatives", refuse)
+        for cls in (norms.RandersNorm, norms.KthRootNorm):
+            patch.setattr(cls, "_value", refuse)
+        norm = make()
+        derived = [norm.restricted(2), duality.subspace_dual(norm, 2)]
+    for built in [norm] + derived:
+        grid_validate(built)
+    assert [d.dim for d in derived] == [2, 2]
+
+
+# -- the alpha-beta validity criterion -------------------------------------------
+
+GRID_MISSES = [  # accepted by the sampled grid before the exact criterion
+    ([1.0, 0.0, 0.0, 0.0, 0.4], 0.96, 4),
+    ([1.0, 0.0, 0.0, 0.0, 0.4], 0.96, 5),
+    ([1.0, 1.560685916993547, 0.27392906590093297, -0.5726094050626782,
+      0.13221553118226376], -0.8354122721394381, 4),
+]
+
+
+@pytest.mark.parametrize("coeffs, b, n", GRID_MISSES)
+def test_criterion_rejects_what_the_grid_missed(coeffs, b, n):
+    # phi (phi - s phi') < 0 at s = b: g(e1) has a negative eigenvalue
+    prof = norms.PolynomialProfile(coeffs)
+    with pytest.raises(DegenerateMetric, match=r"phi - s phi' > 0 fails at s = "):
+        norms.AlphaBetaNorm(prof, b, n)
+    g = unchecked_alpha_beta(prof, b, n).derivatives(np.eye(n)[0], 2).d2
+    phi, dphi = prof.derivatives(b, 1)
+    assert np.linalg.eigvalsh(g)[0] == pytest.approx(phi * (phi - b * dphi), rel=1e-12)
+    assert np.linalg.eigvalsh(g)[0] < 0.0
+
+
+def _failing_s(message):
+    return float(message.split("fails at s = ")[1].split(",")[0])
+
+
+@pytest.mark.parametrize("coeffs, b, n, error, condition", [
+    ([0.1, 1.0], 0.5, 3, NotInDomain, "phi > 0"),
+    ([0.1, 1.0], -0.5, 2, NotInDomain, "phi > 0"),
+    ([], 0.3, 3, NotInDomain, "phi > 0"),
+    ([], 0.0, 2, NotInDomain, "phi > 0"),
+    ([-1.0, 0.0, 1.0], 0.0, 4, NotInDomain, "phi > 0"),
+    ([1.0, 0.0, 2.0], 0.9, 3, DegenerateMetric, "phi - s phi' > 0"),
+    ([1.0, 0.0, 2.0], -0.9, 6, DegenerateMetric, "phi - s phi' > 0"),
+    ([1.0, 0.0, 2.0], -0.9, 2, DegenerateMetric, "phi - s phi' + (b^2 - s^2) phi'' > 0"),
+    ([1.0, 0.0, -0.8], -0.9, 3, DegenerateMetric, "phi - s phi' + (b^2 - s^2) phi'' > 0"),
+    ([1.0, 0.0, -0.8], 0.9, 2, DegenerateMetric, "phi - s phi' + (b^2 - s^2) phi'' > 0"),
+    ([1.0, 0.0, 2.5, 0.0, -0.5], 1.2, 3, DegenerateMetric, "phi - s phi' > 0"),
+    ([1.0, 0.0, 2.5, 0.0, -0.5], -1.2, 2, DegenerateMetric,
+     "phi - s phi' + (b^2 - s^2) phi'' > 0"),
+])
+def test_rejections_name_the_condition_and_a_point(coeffs, b, n, error, condition):
+    with pytest.raises(error) as info:
+        norms.AlphaBetaNorm(norms.PolynomialProfile(coeffs), b, n)
+    message = str(info.value)
+    assert message.startswith(f"{condition} fails at s = "), message
+    s = _failing_s(message)
+    assert abs(s) <= abs(b)
+    phi, dphi, ddphi = norms.PolynomialProfile(coeffs).derivatives(s, 2)
+    left = {"phi > 0": phi, "phi - s phi' > 0": phi - s * dphi,
+            "phi - s phi' + (b^2 - s^2) phi'' > 0": phi - s * dphi + (b * b - s * s) * ddphi}
+    assert left[condition] <= 1e-15
+
+
+@pytest.mark.parametrize("coeffs, b, match", [
+    ([1.0], math.nan, "finite b"),
+    ([1.0, 0.5], math.inf, "finite b"),
+    ([1.0, 0.5], -math.inf, "finite b"),
+    ([math.inf], 0.3, r"phi > 0 fails at s = -0.3: .*non-finite"),
+    ([1.0, math.nan], -0.3, r"phi > 0 fails at s = -0.3: .*non-finite"),
+    ([1.0, 0.0, -math.inf], 0.0, r"phi > 0 fails at s = -0.0: .*non-finite"),
+])
+def test_non_finite_parameters_are_not_in_the_domain(coeffs, b, match):
+    for n in (2, 3):
+        with pytest.raises(NotInDomain, match=match):
+            norms.AlphaBetaNorm(norms.PolynomialProfile(coeffs), b, n)
+
+
+def _agreement_rows():
+    from .test_duality import AB_B, AB_PROFILES
+
+    rows = [(coeffs, b) for coeffs in AB_PROFILES for b in AB_B] + [([1.0, 0.0, 2.0], 0.9)]
+    # near the boundary: 1 - 3 c4 b^4 = phi - s phi' at s = b is zero at c4 = 1/(3 b^4)
+    for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+        rows.append(([1.0, 0.0, 0.0, 0.0, factor / (3 * 0.96**4)], 0.96))
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        coeffs = [rng.uniform(0.2, 2.0)] + rng.standard_normal(rng.integers(0, 5)).tolist()
+        rows.append((coeffs, rng.uniform(-1.0, 1.0)))
+    return rows
+
+
+def test_criterion_agrees_with_the_grid():
+    # every row the grid rejects, the criterion rejects; every row only the
+    # criterion rejects has a direction where F <= 0 or g has a negative
+    # eigenvalue, at the s its message names; the criterion's verdict does
+    # not depend on n
+    counts = {}
+    for coeffs, b in _agreement_rows():
+        prof = norms.PolynomialProfile(coeffs)
+        verdicts = []
+        for n in (2, 3, 4):
+            try:
+                norms.AlphaBetaNorm(prof, b, n)
+                reason = None
+            except (NotInDomain, DegenerateMetric) as exc:
+                reason = str(exc)
+            verdicts.append(reason is None)
+            norm = unchecked_alpha_beta(prof, b, n)
+            try:
+                grid_validate(norm)
+                grid = True
+            except (NotInDomain, DegenerateMetric):
+                grid = False
+            assert grid or reason is not None, (coeffs, b, n)
+            if reason is not None and grid:
+                c = _failing_s(reason) / b if b else 1.0
+                y = np.zeros(n)
+                y[:2] = c, math.sqrt(max(0.0, 1.0 - c * c))
+                F = norm._value(y)
+                assert F <= 0.0 or np.linalg.eigvalsh(norm.derivatives(y, 2).d2)[0] < 0.0, (
+                    coeffs, b, n, reason)
+            key = (reason is None, grid)
+            counts[key] = counts.get(key, 0) + 1
+        assert verdicts == [verdicts[0]] * 3, (coeffs, b)
+    assert counts[(True, True)] > 300 and counts[(False, False)] > 100, counts
+
+
+def test_import_does_not_load_numpy_polynomial():
+    script = ("import sys, minkgeom\n"
+              "minkgeom.AlphaBetaNorm(minkgeom.PolynomialProfile([1, 1, 0.1]), 0.3, 3)\n"
+              "assert 'numpy.polynomial' not in sys.modules\n")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

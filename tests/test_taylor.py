@@ -164,7 +164,7 @@ def _product_alpha_beta_F(norm, sp, y):
 def test_alpha_beta_jets_match_the_product_construction(n):
     rng = np.random.default_rng(200 + n)
     for coeffs, b in (([1.0, 1.0, 0.1], 0.3), ([1.0, -0.4, 0.3, 0.05], 0.6)):
-        norm = norms.AlphaBetaNorm(norms.PolynomialProfile(coeffs), b, n, validate=False)
+        norm = norms.AlphaBetaNorm(norms.PolynomialProfile(coeffs), b, n)
         for order in range(1, _taylor.ORDER + 1):
             sp = _taylor.space(n, order)
             for _ in range(10):
