@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import EigenFailure
@@ -20,14 +22,16 @@ def orthonormal_basis(g: np.ndarray, first: np.ndarray | None = None,
     Returns an array of shape (count, n): the n-1 tangent vectors when
     ``first`` is given (first excluded), else a full basis of n vectors.
     """
+    g = np.asarray(g, dtype=float)
     n = g.shape[0]
     frame = []
     if first is not None:
-        nrm2 = float(first @ g @ first)
+        first = np.asarray(first, dtype=float)
+        nrm2 = float(first.dot(g).dot(first))
         if nrm2 <= 0.0:
             raise EigenFailure("frame metric is not positive on the seed vector")
-        frame.append(first / np.sqrt(nrm2))
-        align = np.abs(g @ frame[0]) / np.sqrt(np.maximum(np.diag(g), 1e-300))
+        frame.append(first / math.sqrt(nrm2))
+        align = np.abs(g.dot(frame[0])) / np.sqrt(np.maximum(np.diag(g), 1e-300))
         drop = int(np.argmax(align))
         candidates = [i for i in range(n) if i != drop]
     else:
@@ -39,11 +43,11 @@ def orthonormal_basis(g: np.ndarray, first: np.ndarray | None = None,
         v = np.zeros(n)
         v[i] = 1.0
         for e in frame:
-            v = v - (v @ g @ e) * e
-        nrm2 = float(v @ g @ v)
+            v = v - v.dot(g).dot(e) * e
+        nrm2 = float(v.dot(g).dot(v))
         if nrm2 <= 1e-24:
             raise EigenFailure("Gram-Schmidt collapsed; frame metric degenerate")
-        e = v / np.sqrt(nrm2)
+        e = v / math.sqrt(nrm2)
         frame.append(e)
         out.append(e)
     return np.array(out)

@@ -116,18 +116,18 @@ class Jet:
 
     @staticmethod
     def norm_squared(sp: JetSpace, y: np.ndarray) -> "Jet":
-        """|x|^2 around y: |y|^2 (the bits of ``y @ y``), 2 y_i on x_i, 1 on x_i^2."""
+        """|x|^2 around y: |y|^2 (the bits of ``y.dot(y)``), 2 y_i on x_i, 1 on x_i^2."""
         c = np.zeros(sp.size)
-        c[0] = y @ y
+        c[0] = y.dot(y)
         c[sp._unit] = 2.0 * y
         c[sp._square] = 1.0
         return Jet(sp, c)
 
     @staticmethod
     def linear(sp: JetSpace, y: np.ndarray, w: np.ndarray) -> "Jet":
-        """w.x around y: w.y (the bits of ``w @ y``) and w_i on x_i."""
+        """w.x around y: w.y (the bits of ``w.dot(y)``) and w_i on x_i."""
         c = np.zeros(sp.size)
-        c[0] = w @ y
+        c[0] = w.dot(y)
         c[sp._unit] = w
         return Jet(sp, c)
 

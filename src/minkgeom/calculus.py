@@ -90,7 +90,7 @@ def linear_field(c) -> ScalarField:
     return ScalarField(
         dim=n,
         tag="linear",
-        value_fn=lambda x: c @ x,
+        value_fn=lambda x: c.dot(x),
         d1_fn=lambda x: c.copy(),
         d2_fn=lambda x: np.zeros((n, n)),
         meta={"c": c},
@@ -174,17 +174,17 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
     b = norm.b
 
     def value(x):
-        return math.sqrt(x[:m] @ x[:m]) + b @ x
+        return math.sqrt(x[:m].dot(x[:m])) + b.dot(x)
 
     def d1(x):
         out = b.copy()
-        r = np.linalg.norm(x[:m])
+        r = math.sqrt(x[:m].dot(x[:m]))
         out[:m] += x[:m] / r
         return out
 
     def d2(x):
         out = np.zeros((n, n))
-        r = np.linalg.norm(x[:m])
+        r = math.sqrt(x[:m].dot(x[:m]))
         out[:m, :m] = (np.eye(m) - np.outer(x[:m], x[:m]) / r**2) / r
         return out
 
@@ -275,12 +275,14 @@ def _regular_jet(field: ScalarField, x) -> tuple[np.ndarray, np.ndarray]:
     The test is unchanged under x -> cx for homogeneous fields and under
     f -> lam f + const.
     """
+    x = np.asarray(x, dtype=float)
     df = field.d1(x)
     hess = field.d2(x)
-    dnorm = float(np.linalg.norm(df))
-    if dnorm == 0.0 or dnorm <= CRITICAL_EPS * float(np.linalg.norm(hess) * np.linalg.norm(x)):
+    dnorm = math.sqrt(df.dot(df))
+    h = hess.ravel()
+    if dnorm == 0.0 or dnorm <= CRITICAL_EPS * (math.sqrt(h.dot(h)) * math.sqrt(x.dot(x))):
         raise CriticalPoint(
-            f"df vanishes at x={np.asarray(x)!r}; downstream formulas divide by F(grad f)"
+            f"df vanishes at x={x!r}; downstream formulas divide by F(grad f)"
         )
     return df, hess
 
@@ -341,7 +343,7 @@ def _geometry_in(norm: MinkowskiNorm, m: int, x, df, hess) -> PointGeometry:
     return PointGeometry(
         x=x, norm=norm, m=m, df=df, hess=hess, grad=grad,
         fstar=norm.value(grad_m), g=g,
-        lap=float(np.tensordot(np.linalg.inv(g), hess[:m, :m])),
+        lap=float(np.linalg.inv(g).ravel().dot(hess[:m, :m].ravel())),
     )
 
 

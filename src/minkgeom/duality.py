@@ -38,7 +38,7 @@ def _as_covector(xi, n: int) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (n,):
         raise BadDimension(f"expected a covector of length {n}, got shape {xi.shape}")
-    sq = float(xi @ xi)  # the one-dot test of norms._as_vector
+    sq = xi.dot(xi)  # the one-dot test of norms._as_vector
     if (not math.isfinite(sq) and not np.all(np.isfinite(xi))) or math.sqrt(sq) < ZERO_EXCLUSION:
         raise ZeroCovector("covector is inside the zero-exclusion ball")
     return xi
@@ -108,7 +108,11 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
 
 
 def dual_norm(norm: MinkowskiNorm, xi) -> float:
-    """F*(xi) = sup_y xi(y)/F(y) = F(L^{-1} xi)."""
+    """F*(xi) = sup_y xi(y)/F(y) = F(L^{-1} xi); s F*(xi/s) when xi.xi overflows."""
+    xi = _as_covector(xi, norm.dim)
+    if xi.dot(xi) == math.inf:
+        s = float(abs(xi).max())
+        return s * dual_norm(norm, xi / s)
     return norm.value(legendre_inverse(norm, xi))
 
 

@@ -138,17 +138,17 @@ def cartan_curvature_Q(norm: MinkowskiNorm, y, X, Y) -> float:
     Y = _as_vector(Y, norm.dim)
     d = norm.derivatives(y, order=4)
     g = d.d2
-    gyy = float(y @ g @ y)
-    gXX = float(X @ g @ X)
-    gYY = float(Y @ g @ Y)
+    gyy = float(y.dot(g).dot(y))
+    gXX = float(X.dot(g).dot(X))
+    gYY = float(Y.dot(g).dot(Y))
     for u, v, su, sv in ((y, X, gyy, gXX), (y, Y, gyy, gYY), (X, Y, gXX, gYY)):
-        if abs(u @ g @ v) > ORTHO_TOL * math.sqrt(su * sv):
+        if abs(u.dot(g).dot(v)) > ORTHO_TOL * math.sqrt(su * sv):
             raise NotOrthogonal("vectors are not mutually g_y-orthogonal")
     C = 0.5 * d.d3
     Ccal = 0.5 * d.d4
     cXX = np.einsum("ijk,i,j->k", C, X, X)
     cYY = np.einsum("ijk,i,j->k", C, Y, Y)
-    frame_sum = float(cXX @ np.linalg.solve(g, cYY))
+    frame_sum = float(cXX.dot(np.linalg.solve(g, cYY)))
     quad = float(np.einsum("ijkl,i,j,k,l->", Ccal, X, X, Y, Y))
     return (2.0 * d.F**2 / (gXX * gYY)) * (2.0 * frame_sum - quad)
 

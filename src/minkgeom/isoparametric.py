@@ -447,7 +447,7 @@ def _randers_witness(norm: RandersNorm, field: ScalarField, samples, tol) -> dic
         for fr in frames:
             df, hess = fr.geometry.df, fr.geometry.hess
             r1, r2 = randers_isoparametric_residual(norm, df, hess, a_fit, b_fit, a_prime)
-            r1_max = max(r1_max, abs(r1) / (1.0 + df @ df))
+            r1_max = max(r1_max, abs(r1) / (1.0 + df.dot(df)))
             r2_max = max(r2_max, abs(r2) / (1.0 + abs(float(np.trace(hess)))))
     w_tol = max(100.0 * tol, 1e-4)
     return {

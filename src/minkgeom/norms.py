@@ -79,7 +79,7 @@ def _as_vector(y, n: int) -> np.ndarray:
         raise BadDimension(f"expected a vector of length {n}, got shape {y.shape}")
     # finite iff every entry is and the square does not overflow; its root is
     # the bits of np.linalg.norm(y)
-    sq = float(y @ y)
+    sq = y.dot(y)
     if not math.isfinite(sq) and not np.all(np.isfinite(y)):
         raise ZeroVector("vector has non-finite entries")
     if math.sqrt(sq) < ZERO_EXCLUSION:
@@ -137,6 +137,9 @@ class MinkowskiNorm:
         """F(y).  Raises ZeroVector inside the exclusion ball."""
         y = _as_vector(y, self.dim)
         F = self._value(y)
+        if not F < math.inf:  # y is finite, so y.y, b.y or y**k overflowed: F(y) = s F(y/s)
+            s = float(abs(y).max())
+            F = s * self._value(y / s)
         if not F > 0.0:
             raise NotInDomain(f"F(y) = {F} is not positive; norm is invalid at y")
         return F
@@ -263,7 +266,7 @@ class EuclideanNorm(MinkowskiNorm):
     family = "euclidean"
 
     def _value(self, y):
-        return math.sqrt(y @ y)
+        return math.sqrt(y.dot(y))
 
     def _jet_F(self, sp, y):
         return _taylor.Jet.norm_squared(sp, y).sqrt()
@@ -318,16 +321,16 @@ class RandersNorm(MinkowskiNorm):
         self.bstar = -b / self.lam
 
     def _value(self, y):
-        return float(math.sqrt(y @ y) + self.b @ y)
+        return math.sqrt(y.dot(y)) + float(self.b.dot(y))
 
     def _jet_F(self, sp, y):
         return _taylor.Jet.norm_squared(sp, y).sqrt() + _taylor.Jet.linear(sp, y, self.b)
 
     def _analytic(self, y, order):
         b = self.b
-        alpha = math.sqrt(y @ y)
+        alpha = math.sqrt(y.dot(y))
         ell = y / alpha
-        beta = float(b @ y)
+        beta = float(b.dot(y))
         F = alpha + beta
         Fi = ell + b
         if order < 2:
@@ -359,9 +362,9 @@ class RandersNorm(MinkowskiNorm):
 
     def _dual_parts(self, xi):
         """(a* xi, alpha*(xi), F*(xi))."""
-        astar_xi = self.astar @ xi
-        alpha_star = float(np.sqrt(xi @ astar_xi))
-        return astar_xi, alpha_star, alpha_star + float(self.bstar @ xi)
+        astar_xi = self.astar.dot(xi)
+        alpha_star = math.sqrt(xi.dot(astar_xi))
+        return astar_xi, alpha_star, alpha_star + float(self.bstar.dot(xi))
 
     def _legendre_inverse(self, xi):
         _, alpha_star, fstar = self._dual_parts(xi)
@@ -418,7 +421,7 @@ class KthRootNorm(MinkowskiNorm):
         self.k = int(k)
 
     def _value(self, y):
-        return float(np.sum(y**self.k) ** (1.0 / self.k))
+        return float((y**self.k).sum() ** (1.0 / self.k))
 
     def _jet_F(self, sp, y):
         ys = _taylor.Jet.variables(sp, y)
@@ -432,7 +435,7 @@ class KthRootNorm(MinkowskiNorm):
         # over the partitions of its m indices, H^(number of blocks) times one
         # derivative of S per block; those derivatives are diagonal.
         k, n = self.k, self.dim
-        S = float(np.sum(y**k))
+        S = float((y**k).sum())
         w = 2.0 / k
         H = [0.5 * S**w]
         coef = 0.5
@@ -471,7 +474,7 @@ class KthRootNorm(MinkowskiNorm):
 
     def _legendre_inverse(self, xi):
         k = self.k
-        sstar = float(np.sum(np.abs(xi) ** (k / (k - 1.0))))
+        sstar = float((np.abs(xi) ** (k / (k - 1.0))).sum())
         return np.sign(xi) * np.abs(xi) ** (1.0 / (k - 1.0)) * sstar ** ((k - 2.0) / k)
 
     def _dual_fundamental_tensor(self, xi):
@@ -480,7 +483,7 @@ class KthRootNorm(MinkowskiNorm):
         # S*^(-2/k) ((2 - q) v v^T + (q - 1) S* diag |xi_i|^(q-2))
         k = self.k
         a = np.abs(xi)
-        sstar = float(np.sum(a ** (k / (k - 1.0))))
+        sstar = float((a ** (k / (k - 1.0))).sum())
         v = np.sign(xi) * a ** (1.0 / (k - 1.0))
         return sstar ** (-2.0 / k) * (
             ((k - 2.0) / (k - 1.0)) * np.outer(v, v)
@@ -593,7 +596,7 @@ class AlphaBetaNorm(MinkowskiNorm):
                             f"is {float(v[i])!r} (b = {b!r}, |s| <= |b|)")
 
     def _value(self, y):
-        alpha = math.sqrt(y @ y)
+        alpha = math.sqrt(y.dot(y))
         s = self.b * float(y[0]) / alpha
         return alpha * self.profile.phi(s)
 

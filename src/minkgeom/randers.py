@@ -40,8 +40,9 @@ def randers_isoparametric_residual(norm: RandersNorm, df, hess, a: float, b: flo
     at its level t and Delta^a f = tr D^2 f the Euclidean Laplacian.
     """
     norm = _require_randers(norm)
-    zeta = float(df @ norm.b)
-    r1 = float(df @ df) - norm.lam * a**2 - 2.0 * a * zeta
+    df = np.asarray(df, dtype=float)
+    zeta = float(df.dot(norm.b))
+    r1 = float(df.dot(df)) - norm.lam * a**2 - 2.0 * a * zeta
     r2 = float(np.trace(hess)) - norm.lam * b - (b / a + a_prime) * zeta
     return r1, r2
 

@@ -46,9 +46,9 @@ class TestEvaluation:
         ([1e-9, 0.0, 0.0], (ZeroVector, "zero-exclusion"), ZeroCovector),
         ([1e-170, 0.0, 0.0], (ZeroVector, "zero-exclusion"), ZeroCovector),
         ([0.0, 0.0, 0.0], (ZeroVector, "zero-exclusion"), ZeroCovector),
-        # finite entries whose squared norm overflows pass the exclusion test;
-        # the Legendre preimage of that covector has non-finite entries
-        ([1e200, 0.0, 0.0], math.inf, (ZeroVector, "non-finite")),
+        # finite entries whose squared norm overflows: F and F* are
+        # 1-homogeneous, so both are s F(y/s) with s = max|y_i| (F*(e1) = 2/3)
+        ([1e200, 0.0, 0.0], 1.5e200, 1e200 * 0.6666666666666667),
         ([1.0, -2.0, 0.5], math.sqrt(5.25) + 0.5, 2.0617842572908165),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -62,6 +62,21 @@ class TestEvaluation:
             exc, match = want if isinstance(want, tuple) else (want, None)
             with pytest.raises(exc, match=match):
                 fn(y)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_inputs_scale_out(self, family_zoo, rng):
+        # y.y overflows beyond about 1e154 and the quartic's y**4 beyond 1e77;
+        # F and F* stay finite and 1-homogeneous up to 1e250
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        for norm in family_zoo:
+            F, Fstar = norm.value(u), duality.dual_norm(norm, u)
+            for c in (1e80, 1e160, 1e200, 1e250):
+                assert norm.value(c * u) == pytest.approx(c * F, rel=1e-14)
+                assert duality.dual_norm(norm, c * u) == pytest.approx(c * Fstar, rel=1e-13)
+        # alpha and b.y both overflow, with opposite signs: inf - inf is nan
+        r = norms.RandersNorm([0.5, 0.5, 0.5])
+        assert r.value([-1.5e308] * 3) == pytest.approx(1.5e308 * r.value([-1.0] * 3), rel=1e-14)
 
     def test_wrong_shape_rejected(self, randers2):
         with pytest.raises(BadDimension):
