@@ -35,7 +35,8 @@ from .errors import (
     MinkGeomError,
     NoConvergence,
 )
-from .norms import MinkowskiNorm, RandersNorm, _check_subdim, fd_gradient, fd_hessian
+from .norms import (MinkowskiNorm, RandersNorm, _check_subdim, fd_gradient, fd_hessian,
+                    fd_jacobian)
 from .sampling import sphere_directions, sphere_mean
 
 CRITICAL_EPS = 1e-8
@@ -410,18 +411,14 @@ def laplacian(norm: MinkowskiNorm, field: ScalarField, x, method: str = "primal"
 
 
 def divergence_fd(norm: MinkowskiNorm, field: ScalarField, x, step: float = 1e-5) -> float:
-    """Centered finite difference of div(grad f); an independent oracle."""
+    """Centered finite difference of div(grad f); an independent oracle.
+
+    The step is step |x|, relative so that the oracle holds at every scale of
+    a homogeneous field; at x = 0, which has no scale, it is ``step``.
+    """
     x = np.asarray(x, dtype=float)
-    n = field.dim
-    h = step * (1.0 + np.linalg.norm(x))
-    total = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        gp = gradient(norm, field, x + e)[i]
-        gm = gradient(norm, field, x - e)[i]
-        total += (gp - gm) / (2 * h)
-    return total
+    h = step * (float(np.linalg.norm(x)) or 1.0)
+    return float(fd_jacobian(lambda z: gradient(norm, field, z), x, h).trace())
 
 
 # -- volume constants -------------------------------------------------------------

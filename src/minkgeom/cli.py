@@ -286,6 +286,8 @@ def cmd_dualcheck(args) -> int:
     sc = load_scenario(args)
     norm = sc.norm
     trials = _optional(sc.cfg, "trials", int, 1000)
+    if trials < 1:
+        raise ConfigError("trials", "must be at least 1")
     rng = np.random.default_rng(sc.seed)
     preserve = roundtrip = agree = 0.0
     for _ in range(trials):

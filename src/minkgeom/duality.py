@@ -4,13 +4,13 @@ The Legendre transform L maps vectors to covectors by L(y)_i = F F_{y^i}(y),
 which is the gradient of G = F^2/2, so its Jacobian is exactly the
 fundamental tensor g(y); ``MinkowskiNorm.legendre`` computes it.  It is a
 norm-preserving diffeomorphism away from zero.  Its inverse, the dual
-fundamental tensor and the subspace dual come from the norm family's
-closed-form hooks where it has them (``_legendre_inverse``,
-``_dual_fundamental_tensor``, ``_subspace_dual``); otherwise the dual tensor
-is g^{-1} at the preimage and the subspace dual is the restriction.  Every
-family in the package has an inverse hook (the alpha-beta one is a solve for
-one angle); a family without one falls back to the damped Newton iteration
-``legendre_inverse_newton``, which is also the tests' oracle for the hooks.
+fundamental tensor and the subspace dual are the norm's methods
+``_legendre_inverse``, ``_dual_fundamental_tensor`` and ``_subspace_dual``.
+Every family defines the inverse (the alpha-beta one is a solve for one
+angle); the base class's dual tensor is g^{-1} at the preimage and its
+subspace dual the restriction, which a family with a closed form overrides.
+The damped Newton iteration ``legendre_inverse_newton`` is the tests' oracle
+for the inverses.
 
 The dual norm is F*(xi) = sup_{y != 0} xi(y)/F(y) = F(L^{-1}(xi)), and the
 dual fundamental tensor satisfies g*(L(y)) = g(y)^{-1}.
@@ -45,28 +45,19 @@ def _as_covector(xi, n: int) -> np.ndarray:
 
 
 def legendre_inverse(norm: MinkowskiNorm, xi) -> np.ndarray:
-    """The vector y with L(y) = xi.
-
-    The family's inverse hook where it has one, damped Newton otherwise.
-    """
-    xi = _as_covector(xi, norm.dim)
-    try:
-        return norm._legendre_inverse(xi)
-    except NotImplementedError:
-        return legendre_inverse_newton(norm, xi)
+    """The vector y with L(y) = xi, from the family's inverse."""
+    return norm._legendre_inverse(_as_covector(xi, norm.dim))
 
 
 def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
     """Generic damped Newton inversion of the Legendre map.
 
-    The fallback of ``legendre_inverse`` for a family without an inverse
-    hook; no family in the package takes it, and it serves as the oracle the
-    hooks are tested against.  Seeded with a naive index raise through g at
-    the covector's components; L is a global diffeomorphism, so for
-    well-conditioned norms this converges from that seed.  Iterates past the
-    acceptance threshold, |L(y) - xi| <= 1e-12 |xi| (both of degree 1 in xi),
-    down to stagnation, so the result is limited by conditioning, not by the
-    stop rule.  One order-2 ``derivatives`` call per
+    The oracle the families' inverses are tested against.  Seeded with a
+    naive index raise through g at the covector's components; L is a global
+    diffeomorphism, so for well-conditioned norms this converges from that
+    seed.  Iterates past the acceptance threshold, |L(y) - xi| <= 1e-12 |xi|
+    (both of degree 1 in xi), down to stagnation, so the result is limited by
+    conditioning, not by the stop rule.  One order-2 ``derivatives`` call per
     iterate gives both its residual L(y) - xi (d1) and the Jacobian g(y) of
     the next step (d2).
     """
@@ -122,11 +113,7 @@ def dual_fundamental_tensor(norm: MinkowskiNorm, xi) -> np.ndarray:
     The family's closed form where it has one (Randers: from the dual
     coefficients), the inverse of g at the Legendre preimage otherwise.
     """
-    xi = _as_covector(xi, norm.dim)
-    try:
-        return norm._dual_fundamental_tensor(xi)
-    except NotImplementedError:
-        return np.linalg.inv(norm.derivatives(legendre_inverse(norm, xi), order=2).d2)
+    return norm._dual_fundamental_tensor(_as_covector(xi, norm.dim))
 
 
 # -- subspace duals ------------------------------------------------------------
@@ -140,7 +127,4 @@ def subspace_dual(norm: MinkowskiNorm, m: int) -> MinkowskiNorm:
     rotation invariant and rejects rotation).
     """
     _check_subdim(m, norm.dim)
-    try:
-        return norm._subspace_dual(m)
-    except NotImplementedError:
-        return norm.restricted(m)
+    return norm._subspace_dual(m)

@@ -16,7 +16,7 @@ by the derivatives of G = F^2/2 up to fourth order:
 Three derivative strategies are supported per norm:
 
 * ``analytic``  -- hand-derived closed forms (Euclidean, Randers, k-th root);
-  families without closed forms fall back to the jet path, which is exact.
+  a family without closed forms (alpha-beta) maps it to ``taylor``.
 * ``taylor``    -- truncated multivariate Taylor (jet) arithmetic, exact to
   roundoff for every family; the generic path and the cross-check.
 * ``fd``        -- central finite differences with Richardson extrapolation;
@@ -112,24 +112,21 @@ class MinkowskiNorm:
         """The jet of F around y in the space ``sp``."""
         raise NotImplementedError
 
-    def _analytic(self, y: np.ndarray, order: int) -> Derivatives:
-        raise NotImplementedError
-
-    # Closed forms of the dual geometry.  A family without one leaves the hook
-    # raising NotImplementedError and ``duality`` falls back to damped Newton
-    # (inverse), to g^-1 at the Legendre preimage (dual tensor) or to
-    # ``restricted(m)`` (subspace dual).  Every family here has an inverse.
-
     def _legendre_inverse(self, xi: np.ndarray) -> np.ndarray:
+        """The vector y with L(y) = xi."""
         raise NotImplementedError
+
+    # The dual geometry: a family with a closed form overrides these generic
+    # bodies.
 
     def _dual_fundamental_tensor(self, xi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """g*(xi), the inverse of g at the Legendre preimage of xi."""
+        return np.linalg.inv(self.derivatives(self._legendre_inverse(xi), order=2).d2)
 
     def _subspace_dual(self, m: int) -> "MinkowskiNorm":
-        """Ftilde on the first m coordinates.  The fallback, F restricted, is
-        exact only when L preserves that coordinate subspace."""
-        raise NotImplementedError
+        """Ftilde on the first m coordinates.  F restricted, exact only when L
+        preserves that coordinate subspace."""
+        return self.restricted(m)
 
     # -- public services -----------------------------------------------------
 
@@ -194,10 +191,7 @@ class MinkowskiNorm:
         if self.strategy == "fd":
             return self._fd(y, order)
         if self.strategy == "analytic":
-            try:
-                return self._analytic(y, order)
-            except NotImplementedError:
-                pass
+            return self._analytic(y, order)
         return self._taylor(y, order)
 
     # -- shared machinery ------------------------------------------------------
@@ -215,7 +209,6 @@ class MinkowskiNorm:
         )
 
     def _fd(self, y: np.ndarray, order: int) -> Derivatives:
-        n = self.dim
         scale = np.linalg.norm(y)
 
         def G(z):
@@ -225,27 +218,13 @@ class MinkowskiNorm:
             h = 2e-2 * scale
             return (4 * fd_hessian(G, z, 0.5 * h) - fd_hessian(G, z, h)) / 3
 
-        h3 = 2e-3 * scale
-
         def third(z):
-            out = np.zeros((n, n, n))
-            for k in range(n):
-                e = np.zeros(n)
-                e[k] = h3
-                out[:, :, k] = (hess_at(z + e) - hess_at(z - e)) / (2 * h3)
-            return out
+            return fd_jacobian(hess_at, z, 2e-3 * scale)
 
         d1 = fd_gradient(G, y, 1e-2 * scale)
         d2 = hess_at(y) if order >= 2 else None
         d3 = third(y) if order >= 3 else None
-        d4 = None
-        if order >= 4:
-            h4 = 5e-3 * scale
-            d4 = np.zeros((n, n, n, n))
-            for ll in range(n):
-                e = np.zeros(n)
-                e[ll] = h4
-                d4[:, :, :, ll] = (third(y + e) - third(y - e)) / (2 * h4)
+        d4 = fd_jacobian(third, y, 5e-3 * scale) if order >= 4 else None
         return Derivatives(F=self._value(y), d1=d1, d2=d2, d3=d3, d4=d4)
 
     # -- structural helpers ----------------------------------------------------
@@ -682,9 +661,6 @@ class ScaledNorm(MinkowskiNorm):
     def _value(self, y):
         return self.factor * self.base._value(y)
 
-    def _jet_F(self, sp, y):
-        return self.base._jet_F(sp, y) * self.factor
-
     def derivatives(self, y, order: int = 2):
         d = self.base.derivatives(y, order)
         c2 = self.factor**2
@@ -720,18 +696,21 @@ def _check_subdim(m: int, n: int):
 # -- finite differences --------------------------------------------------------
 
 
+def fd_jacobian(fn, z: np.ndarray, h: float) -> np.ndarray:
+    """Central differences (fn(z + h e_i) - fn(z - h e_i)) / 2h of a scalar- or
+    array-valued function, stacked on a new last axis."""
+    out = []
+    for i in range(z.size):
+        e = np.zeros(z.size)
+        e[i] = h
+        out.append((fn(z + e) - fn(z - e)) / (2 * h))
+    return np.stack(out, axis=-1)
+
+
 def fd_gradient(fn, z: np.ndarray, h: float) -> np.ndarray:
     """Gradient of a scalar function by central differences, Richardson
     extrapolated over the steps h and h/2."""
-    n = z.size
-    out = np.zeros(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        d_h = (fn(z + e) - fn(z - e)) / (2 * h)
-        d_h2 = (fn(z + 0.5 * e) - fn(z - 0.5 * e)) / h
-        out[i] = (4 * d_h2 - d_h) / 3
-    return out
+    return (4 * fd_jacobian(fn, z, 0.5 * h) - fd_jacobian(fn, z, h)) / 3
 
 
 def fd_hessian(fn, z: np.ndarray, h: float) -> np.ndarray:

@@ -122,6 +122,17 @@ class TestLaplacian:
             fd = calculus.divergence_fd(norm, f, x)
             assert abs(lap - fd) <= 1e-4 * (1.0 + abs(lap))
 
+    def test_divergence_fd_holds_at_every_scale(self):
+        # grad f is 0-homogeneous, so s Delta f(s x) = Delta f(x); the step
+        # scales with |x|, so the oracle keeps its accuracy over 12 decades
+        norm = norms.RandersNorm([0.1, 0.0, 0.2])
+        f = calculus.norm_plus_linear(norm, 2)
+        x = np.array([0.8, -0.5, 0.3])
+        lap = calculus.laplacian(norm, f, x)
+        for s in 10.0 ** np.arange(-6, 7):
+            fd = s * calculus.divergence_fd(norm, f, s * x)
+            assert abs(fd - lap) <= 1e-8 * abs(lap), s
+
     def test_trace_check_pair(self, randers3_mixed):
         f = calculus.norm_plus_linear(randers3_mixed, 2)
         x = [1.0, 0.3, 0.5]

@@ -162,6 +162,18 @@ class TestDualcheckCommand:
         })
         assert run(["dualcheck", cfg, "--out", tmp_path / "out"]) == 0
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected_before_computing(self, tmp_path, capsys, trials):
+        cfg = write_config(tmp_path, "d.json", {
+            "norm": {"family": "randers", "b": [0.5, 0.0, 0.0]},
+            "trials": trials,
+        })
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["dualcheck", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("config error: trials: ")
+        assert not list(out.iterdir())
+
     def test_impossible_tolerance_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "d.json", {
             "norm": {"family": "randers", "b": [0.5, 0.0, 0.0]},

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,6 +244,55 @@ def test_subspace_dual_never_exceeds_restriction(ybar):
     norm = norms.RandersNorm([0.1, 0.0, 0.2])
     tilde = duality.subspace_dual(norm, 2)
     assert tilde.value(np.array(ybar)) <= norm.value(embedded(ybar)) + 1e-12
+
+
+# -- the base class's generic dual geometry ------------------------------------
+
+AB_PROFILE = norms.PolynomialProfile([1.0, 0.5, 0.2])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("factor", [None, 1.7], ids=["alpha_beta", "scaled_alpha_beta"])
+def test_generic_dual_tensor_is_inverse_metric_at_preimage(n, factor):
+    norm = norms.AlphaBetaNorm(AB_PROFILE, 0.4, n)
+    if factor is not None:
+        norm = norms.ScaledNorm(norm, factor)
+    rng = np.random.default_rng(500 + n)
+    for _ in range(20):
+        xi = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+        want = np.linalg.inv(norm.derivatives(duality.legendre_inverse(norm, xi), order=2).d2)
+        got = duality.dual_fundamental_tensor(norm, xi)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), xi
+
+
+@pytest.mark.parametrize("make", [
+    lambda: norms.EuclideanNorm(4),
+    lambda: norms.KthRootNorm(4, 4),
+    lambda: norms.AlphaBetaNorm(AB_PROFILE, 0.4, 4),
+], ids=["euclidean", "kth_root", "alpha_beta"])
+def test_generic_subspace_dual_is_restriction(make):
+    norm = make()
+    rng = np.random.default_rng(7)
+    for m in (2, 3):
+        tilde, want = duality.subspace_dual(norm, m), norm.restricted(m)
+        assert type(tilde) is type(want) and tilde.dim == m
+        for _ in range(10):
+            ybar = rng.standard_normal(m)
+            assert tilde.value(ybar) == want.value(ybar)
+
+
+def test_family_without_inverse_raises():
+    # the inverse is a required hook: no silent Newton in its place
+    class NoInverse(norms.MinkowskiNorm):
+        family = "no_inverse"
+
+        def _value(self, y):
+            return math.sqrt(y.dot(y))
+
+    norm = NoInverse(3, strategy="fd")
+    for entry in (duality.legendre_inverse, duality.dual_norm, duality.dual_fundamental_tensor):
+        with pytest.raises(NotImplementedError):
+            entry(norm, [1.0, 0.5, 0.0])
 
 
 # -- the alpha-beta Legendre inverse against the Newton oracle -------------------

@@ -208,6 +208,36 @@ class TestCartanTensors:
         assert np.max(np.abs(dfd.d4 - dan.d4)) <= 1e-2
 
 
+@pytest.mark.parametrize("fn", [
+    lambda z: float(np.sin(z[0]) * z[1] + z[2] ** 3),
+    lambda z: np.outer(np.cos(z), z) * z[1],
+], ids=["scalar", "matrix"])
+def test_fd_jacobian_is_the_per_axis_loop(fn):
+    z, h = np.array([0.3, -1.2, 0.5]), 1e-3
+    want = np.zeros(np.shape(fn(z)) + (3,))
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = h
+        want[..., i] = (fn(z + e) - fn(z - e)) / (2 * h)
+    got = norms.fd_jacobian(fn, z, h)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_fd_gradient_is_the_richardson_loop():
+    def fn(z):
+        return float(np.exp(z[0]) * z[1] - z[2] ** 4)
+
+    z, h = np.array([0.3, -1.2, 0.5]), 1e-2
+    want = np.zeros(3)
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = h
+        d_h = (fn(z + e) - fn(z - e)) / (2 * h)
+        d_h2 = (fn(z + 0.5 * e) - fn(z - 0.5 * e)) / h
+        want[i] = (4 * d_h2 - d_h) / 3
+    assert norms.fd_gradient(fn, z, h).tobytes() == want.tobytes()
+
+
 def _assert_analytic_kernels(norm, y):
     # the closed forms against the jets at 1e-10 relative; d3 and d4 fully
     # symmetric and obeying Euler's identities d3.y = 0 and d4.y = -d3
