@@ -24,29 +24,18 @@ preserves the subspace.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import BadDimension, NoConvergence, ZeroCovector, ZeroVector
-from .norms import MinkowskiNorm, ZERO_EXCLUSION, _check_subdim
+from .errors import NoConvergence, ZeroCovector, ZeroVector
+from .norms import MinkowskiNorm, _as_vector, _check_subdim, _rescale
 
 NEWTON_MAX_ITER = 50
 
 
-def _as_covector(xi, n: int) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (n,):
-        raise BadDimension(f"expected a covector of length {n}, got shape {xi.shape}")
-    sq = xi.dot(xi)  # the one-dot test of norms._as_vector
-    if (not math.isfinite(sq) and not np.all(np.isfinite(xi))) or math.sqrt(sq) < ZERO_EXCLUSION:
-        raise ZeroCovector("covector is inside the zero-exclusion ball")
-    return xi
-
-
 def legendre_inverse(norm: MinkowskiNorm, xi) -> np.ndarray:
-    """The vector y with L(y) = xi, from the family's inverse."""
-    return norm._legendre_inverse(_as_covector(xi, norm.dim))
+    """The y with L(y) = xi: the family's inverse at xi / s, times s (``_as_vector``)."""
+    xi, s = _as_vector(xi, norm, ZeroCovector)
+    return _rescale(norm._legendre_inverse(xi), s, 1)
 
 
 def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
@@ -59,9 +48,9 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
     (both of degree 1 in xi), down to stagnation, so the result is limited by
     conditioning, not by the stop rule.  One order-2 ``derivatives`` call per
     iterate gives both its residual L(y) - xi (d1) and the Jacobian g(y) of
-    the next step (d2).
+    the next step (d2).  It solves at xi / s and scales y back by s.
     """
-    xi = _as_covector(xi, norm.dim)
+    xi, s = _as_vector(xi, norm, ZeroCovector)
     scale = float(np.linalg.norm(xi))
     try:
         y = np.linalg.solve(norm.derivatives(xi, order=2).d2, xi)
@@ -95,15 +84,11 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
         y, d, res, rnorm = y_new, d_new, res_new, rn
     if rnorm > 1e-12 * scale:
         raise NoConvergence(NEWTON_MAX_ITER, rnorm)
-    return y
+    return _rescale(y, s, 1)
 
 
 def dual_norm(norm: MinkowskiNorm, xi) -> float:
-    """F*(xi) = sup_y xi(y)/F(y) = F(L^{-1} xi); s F*(xi/s) when xi.xi overflows."""
-    xi = _as_covector(xi, norm.dim)
-    if xi.dot(xi) == math.inf:
-        s = float(abs(xi).max())
-        return s * dual_norm(norm, xi / s)
+    """F*(xi) = sup_y xi(y)/F(y) = F(L^{-1} xi)."""
     return norm.value(legendre_inverse(norm, xi))
 
 
@@ -111,9 +96,10 @@ def dual_fundamental_tensor(norm: MinkowskiNorm, xi) -> np.ndarray:
     """g*^{ij}(xi) of the dual norm; equals g(L^{-1} xi)^{-1}.
 
     The family's closed form where it has one (Randers: from the dual
-    coefficients), the inverse of g at the Legendre preimage otherwise.
+    coefficients), the inverse of g at the Legendre preimage otherwise; g*
+    is 0-homogeneous, so it is taken at xi / s (``norms._as_vector``).
     """
-    return norm._dual_fundamental_tensor(_as_covector(xi, norm.dim))
+    return norm._dual_fundamental_tensor(_as_vector(xi, norm, ZeroCovector)[0])
 
 
 # -- subspace duals ------------------------------------------------------------

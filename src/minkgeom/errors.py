@@ -11,15 +11,15 @@ class MinkGeomError(Exception):
 
 
 class ZeroVector(MinkGeomError):
-    """A tangent vector fell below the zero-exclusion threshold."""
+    """A tangent vector is zero, where F is not smooth, or has a non-finite entry."""
 
 
 class ZeroCovector(MinkGeomError):
-    """A covector fell below the zero-exclusion threshold."""
+    """A covector is zero or has a non-finite entry."""
 
 
 class NotInDomain(MinkGeomError):
-    """Argument outside the norm's domain of positivity."""
+    """Argument outside the norm's domain (of positivity, or of its strategies)."""
 
 
 class DegenerateMetric(MinkGeomError):

@@ -130,12 +130,10 @@ def cartan_curvature_Q(norm: MinkowskiNorm, y, X, Y) -> float:
         Q = (2 F^2 / (g(X,X) g(Y,Y))) (2 sum_i C(X,X,e_i) C(Y,Y,e_i) - Ccal(X,X,Y,Y))
 
     over any g_y-orthonormal frame; the frame sum is evaluated as a
-    g^{-1}-contraction, so no explicit frame is needed.  Scale invariant in X
-    and Y separately.
+    g^{-1}-contraction, so no explicit frame is needed.  Scale invariant in
+    y, X and Y separately, so each is taken at its ``_as_vector`` scale.
     """
-    y = _as_vector(y, norm.dim)
-    X = _as_vector(X, norm.dim)
-    Y = _as_vector(Y, norm.dim)
+    y, X, Y = (_as_vector(v, norm)[0] for v in (y, X, Y))
     d = norm.derivatives(y, order=4)
     g = d.d2
     gyy = float(y.dot(g).dot(y))

@@ -254,23 +254,18 @@ class VerificationReport:
             fh.write(dumps_17g(self.to_json_dict()))
             fh.write("\n")
 
-    def write_csv(self, path, coord_columns: int = 6, curvature_columns: int = 5):
-        """One row per sample point with fixed, padded columns."""
-        cols = (
-            ["scenario", "level"]
-            + [f"x{i+1}" for i in range(coord_columns)]
-            + ["fstar_df", "laplacian"]
-            + [f"k{i+1}" for i in range(curvature_columns)]
-        )
-        lines = [",".join(cols)]
+    def write_csv(self, path):
+        """One row per sample point, with max(6, n) coordinate and max(5, n - 1)
+        curvature columns, empty beyond n and n - 1."""
+        n = self.field.dim
+        nx, nk = max(6, n), max(5, n - 1)
+        lines = [",".join(["scenario", "level"] + [f"x{i+1}" for i in range(nx)]
+                          + ["fstar_df", "laplacian"] + [f"k{i+1}" for i in range(nk)])]
         for sample in self.samples:
             for i in range(len(sample.points)):
-                row = [self.scenario_id, _fmt(sample.t)]
-                coords = list(sample.points[i]) + [None] * (coord_columns - self.field.dim)
-                row += ["" if c is None else _fmt(c) for c in coords]
-                row += [_fmt(sample.fstar[i]), _fmt(sample.lap[i])]
-                ks = list(sample.curvatures[i]) + [None] * (curvature_columns - (self.field.dim - 1))
-                row += ["" if k is None else _fmt(k) for k in ks]
+                row = ([self.scenario_id, _fmt(sample.t)] + [_fmt(c) for c in sample.points[i]]
+                       + [""] * (nx - n) + [_fmt(sample.fstar[i]), _fmt(sample.lap[i])]
+                       + [_fmt(k) for k in sample.curvatures[i]] + [""] * (nk - (n - 1)))
                 lines.append(",".join(row))
         with open(path, "w") as fh:
             fh.write("\n".join(lines))
@@ -510,14 +505,6 @@ def _model_q(report: VerificationReport):
     return None
 
 
-def _f_length(norm: MinkowskiNorm, delta: np.ndarray) -> float:
-    # homogeneity-normalized evaluation, safe below the zero-exclusion ball
-    nrm = float(np.linalg.norm(delta))
-    if nrm == 0.0:
-        return 0.0
-    return nrm * norm.value(delta / nrm)
-
-
 @dataclass(frozen=True)
 class FlowResult:
     endpoint: np.ndarray
@@ -535,7 +522,8 @@ def f_segment_flow(norm: MinkowskiNorm, field: ScalarField, x0, t1: float, t2: f
     is Newton-projected onto f = t2, and the F-arclength is accumulated along
     the polyline, which is exact for the straight segments of a Minkowski
     space.  ``chord_deviation`` is the maximum Euclidean distance of the
-    trajectory from the chord, a direct straightness check.
+    trajectory from the chord, a direct straightness check.  The flow has
+    left the regular region where F*(df) falls below 1e-10 of its value at x0.
     """
     if not t1 < t2:
         raise ValueError("need t1 < t2")
@@ -543,14 +531,18 @@ def f_segment_flow(norm: MinkowskiNorm, field: ScalarField, x0, t1: float, t2: f
     if abs(field.value(x) - t1) > 1e-8 * (1.0 + abs(t1)):
         raise ValueError("x0 does not lie on the level t1")
 
-    def velocity(x_cur):
+    def gradient(x_cur):  # (grad f, F*(df))
         try:
-            df = field.d1(x_cur)
-            grad = duality.legendre_inverse(norm, df)
-        except (CriticalPoint, MinkGeomError) as exc:
+            grad = duality.legendre_inverse(norm, field.d1(x_cur))
+        except MinkGeomError as exc:
             raise LeftRegularRegion(str(exc)) from exc
-        fstar = norm.value(grad)
-        if fstar < 1e-10:
+        return grad, norm.value(grad)
+
+    floor = 1e-10 * gradient(x)[1]
+
+    def velocity(x_cur):
+        grad, fstar = gradient(x_cur)
+        if fstar < floor:
             raise LeftRegularRegion("F(grad f) collapsed along the flow")
         return grad / fstar**2
 
@@ -565,16 +557,14 @@ def f_segment_flow(norm: MinkowskiNorm, field: ScalarField, x0, t1: float, t2: f
         k3 = velocity(x + 0.5 * dt * k2)
         k4 = velocity(x + dt * k3)
         delta = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        arclength += _f_length(norm, delta)
+        arclength += norm.value(delta)
         x = x + delta
         traj.append(x.copy())
     for _ in range(3):
-        df = field.d1(x)
-        grad = duality.legendre_inverse(norm, df)
-        fstar = norm.value(grad)
-        correction = (field.value(x) - t2) / fstar**2
-        x = x - correction * grad
-    arclength += _f_length(norm, x - traj[-1])
+        grad, fstar = gradient(x)
+        x = x - (field.value(x) - t2) / fstar**2 * grad
+    tail = x - traj[-1]
+    arclength += norm.value(tail) if tail.any() else 0.0
     traj[-1] = x.copy()
     traj = np.array(traj)
     chord = traj[-1] - traj[0]

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _taylor
-from .errors import BadDimension, DegenerateMetric, NoConvergence, NotInDomain, ZeroVector
+from .errors import (BadDimension, DegenerateMetric, NoConvergence, NotInDomain, ZeroCovector,
+                     ZeroVector)
 
-ZERO_EXCLUSION = 1e-8
 ANGLE_MAX_ITER = 100  # the alpha-beta Legendre inverse's regula falsi
 
 STRATEGIES = ("analytic", "taylor", "fd")
@@ -73,33 +73,57 @@ def _read_only(d: Derivatives) -> Derivatives:
     return d
 
 
-def _as_vector(y, n: int) -> np.ndarray:
+def _as_vector(y, norm: "MinkowskiNorm", error=ZeroVector) -> tuple:
+    """(y / s, s): the checked vector (or covector) of ``norm`` and its scale s.
+
+    Rejects a wrong shape (BadDimension), a non-finite entry or y = 0
+    (``error``).  s is 1.0 when |y| (``math.hypot``: no overflow, no warning)
+    lies in ``norm._window``, else the power of two with max|y_i| / s in
+    [1, 2), so y / s is exact and a result of degree k scales back as s^k
+    (``_rescale``).
+    """
     y = np.asarray(y, dtype=float)
+    n, window = norm.dim, norm._window
+    if y.shape == (n,) and window[0] <= math.hypot(*y.tolist()) <= window[1]:
+        return y, 1.0
+    kind = "covector" if error is ZeroCovector else "vector"
     if y.shape != (n,):
-        raise BadDimension(f"expected a vector of length {n}, got shape {y.shape}")
-    # finite iff every entry is and the square does not overflow; its root is
-    # the bits of np.linalg.norm(y)
-    sq = y.dot(y)
-    if not math.isfinite(sq) and not np.all(np.isfinite(y)):
-        raise ZeroVector("vector has non-finite entries")
-    if math.sqrt(sq) < ZERO_EXCLUSION:
-        raise ZeroVector(
-            "vector is inside the zero-exclusion ball; F is not smooth at 0"
-        )
-    return y
+        raise BadDimension(f"expected a {kind} of length {n}, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise error(f"{kind} has non-finite entries")
+    m = float(abs(y).max())
+    if m == 0.0:
+        raise error(f"{kind} is zero; F is not smooth at 0")
+    s = math.ldexp(1.0, math.frexp(m)[1] - 1)
+    return y / s, s
+
+
+def _rescale(x, s: float, degree: int):
+    """x s^degree for a power of two s: exact, or inf or 0 out of range."""
+    if s != 1.0:
+        with np.errstate(over="ignore", under="ignore"):
+            for _ in range(abs(degree)):
+                x = x * s if degree > 0 else x / s
+    return x
 
 
 class MinkowskiNorm:
     """Base class for Minkowski norm families."""
 
     family = "abstract"
-    _last: tuple | None = None  # (y bytes, order, Derivatives) of the last call
+    _last: tuple | None = None  # (y / s bytes, s, order, Derivatives) of the last call
+    # |y| in [2^-64, 2^64] is computed directly: every power of |y| formed up to
+    # order 4 (|y|^-9 in the alpha-beta jets, alpha^3 in the Randers tensors,
+    # |y|^(2-4k) in the k-th root ones, which narrow it) stays within 2^+-896
+    _window = (2.0**-64, 2.0**64)
 
     def __init__(self, dim: int, strategy: str = "analytic"):
         if dim < 2:
             raise BadDimension("Minkowski norms need dimension >= 2")
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
+        if strategy == "analytic" and not hasattr(self, "_analytic"):
+            raise NotInDomain(f"the {self.family} family has no analytic derivatives")
         self.dim = int(dim)
         self.strategy = strategy
 
@@ -131,12 +155,9 @@ class MinkowskiNorm:
     # -- public services -----------------------------------------------------
 
     def value(self, y) -> float:
-        """F(y).  Raises ZeroVector inside the exclusion ball."""
-        y = _as_vector(y, self.dim)
-        F = self._value(y)
-        if not F < math.inf:  # y is finite, so y.y, b.y or y**k overflowed: F(y) = s F(y/s)
-            s = float(abs(y).max())
-            F = s * self._value(y / s)
+        """F(y) = s F(y / s), s the scale of ``_as_vector``, for finite y != 0."""
+        y, s = _as_vector(y, self)
+        F = s * self._value(y)
         if not F > 0.0:
             raise NotInDomain(f"F(y) = {F} is not positive; norm is invalid at y")
         return F
@@ -171,20 +192,25 @@ class MinkowskiNorm:
     def derivatives(self, y, order: int = 2) -> Derivatives:
         """The bundle of G = F^2/2 at y up to ``order``, arrays read-only.
 
-        The norm keeps its last bundle: a call at the same y and an order no
-        higher returns it, truncated to the order asked for.
+        It is computed at y / s and scaled back by the degrees 1, 1, 0, -1, -2
+        of F, d1 ... d4 (``_as_vector``).  The norm keeps its last bundle: a call
+        at the same y and an order no higher returns it, truncated to that order.
         """
-        y = _as_vector(y, self.dim)
+        y, s = _as_vector(y, self)
         key = y.tobytes()
         last = self._last
-        if last is not None and last[0] == key and last[1] >= order:
-            d = last[2]
-            if last[1] == order:
+        if last is not None and last[0] == key and last[1] == s and last[2] >= order:
+            d = last[3]
+            if last[2] == order:
                 return d
             return Derivatives(d.F, d.d1, d.d2 if order >= 2 else None,
                                d.d3 if order >= 3 else None)
-        d = _read_only(self._derivatives(y, order))
-        self._last = (key, order, d)  # one store: a racing thread only misses
+        d = self._derivatives(y, order)
+        if s != 1.0:
+            d = Derivatives(*(a if a is None else _rescale(a, s, k) for a, k in
+                              zip((d.F, d.d1, d.d2, d.d3, d.d4), (1, 1, 0, -1, -2))))
+        d = _read_only(d)
+        self._last = (key, s, order, d)  # one store: a racing thread only misses
         return d
 
     def _derivatives(self, y: np.ndarray, order: int) -> Derivatives:
@@ -398,6 +424,8 @@ class KthRootNorm(MinkowskiNorm):
             raise NotInDomain(f"k-th root norm needs even k > 2, got {k}")
         super().__init__(dim, strategy)
         self.k = int(k)
+        e = 896 // (4 * self.k - 2)  # the order-4 tensor has S^(2/k-4) ~ |y|^(2-4k)
+        self._window = (2.0**-e, 2.0**e)
 
     def _value(self, y):
         return float((y**self.k).sum() ** (1.0 / self.k))
@@ -654,7 +682,8 @@ class ScaledNorm(MinkowskiNorm):
     def __init__(self, base: MinkowskiNorm, factor: float):
         if not factor > 0.0:
             raise NotInDomain("scale factor must be positive")
-        super().__init__(base.dim, base.strategy)
+        # the base is checked and computes the bundles, so no _analytic is needed
+        self.dim, self.strategy, self._window = base.dim, base.strategy, base._window
         self.base = base
         self.factor = float(factor)
 
@@ -664,13 +693,8 @@ class ScaledNorm(MinkowskiNorm):
     def derivatives(self, y, order: int = 2):
         d = self.base.derivatives(y, order)
         c2 = self.factor**2
-        return _read_only(Derivatives(
-            F=self.factor * d.F,
-            d1=c2 * d.d1,
-            d2=None if d.d2 is None else c2 * d.d2,
-            d3=None if d.d3 is None else c2 * d.d3,
-            d4=None if d.d4 is None else c2 * d.d4,
-        ))
+        return _read_only(Derivatives(self.factor * d.F, *(
+            None if a is None else c2 * a for a in (d.d1, d.d2, d.d3, d.d4))))
 
     def _legendre_inverse(self, xi):
         return self.base._legendre_inverse(xi / self.factor**2)

@@ -1,7 +1,7 @@
 """Deterministic low-discrepancy direction sets on Euclidean spheres.
 
-Direction sets drive level-set sampling, positive-definiteness validation at
-norm construction, sup-oracle grids and the volume quadratures.  Everything is
+Direction sets drive level-set sampling, the subspace-condition check, the
+tests' grid oracles and the volume quadratures.  Everything is
 seeded and reproducible: the same ``(n, count, seed)`` always yields the same
 array, independent of evaluation order.
 """

@@ -11,9 +11,9 @@ machinery they check.  They need scipy, which the package does not;
 import numpy as np
 from scipy.optimize import minimize
 
-from minkgeom.duality import _as_covector, dual_norm
-from minkgeom.errors import BadDimension, DegenerateMetric, NotInDomain
-from minkgeom.norms import AlphaBetaNorm, MinkowskiNorm
+from minkgeom.duality import dual_norm
+from minkgeom.errors import BadDimension, DegenerateMetric, NotInDomain, ZeroCovector
+from minkgeom.norms import AlphaBetaNorm, MinkowskiNorm, _as_vector
 from minkgeom.sampling import sphere_directions
 
 
@@ -50,9 +50,10 @@ def dual_norm_grid_sup(norm: MinkowskiNorm, xi, count: int = 10_000) -> float:
     """Grid-maximization oracle for F*: max of xi(u)/F(u) over a sphere lattice.
 
     Independent of the Legendre machinery (uses only norm values); local
-    Nelder-Mead refinement sharpens the best grid direction.
+    Nelder-Mead refinement sharpens the best grid direction.  F* is
+    1-homogeneous: the sup is taken at xi / s and scaled back by s.
     """
-    xi = _as_covector(xi, norm.dim)
+    xi, s = _as_vector(xi, norm, ZeroCovector)
     dirs = sphere_directions(norm.dim, count, seed=0)
     ratios = dirs @ xi / np.array([norm.value(u) for u in dirs])
     best = dirs[int(np.argmax(ratios))]
@@ -65,7 +66,7 @@ def dual_norm_grid_sup(norm: MinkowskiNorm, xi, count: int = 10_000) -> float:
 
     out = minimize(neg_ratio, best, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-    return float(-out.fun)
+    return s * float(-out.fun)
 
 
 def subspace_dual_sup(norm: MinkowskiNorm, m: int, ybars, count: int = 10_000) -> np.ndarray:

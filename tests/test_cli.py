@@ -162,6 +162,26 @@ class TestDualcheckCommand:
         })
         assert run(["dualcheck", cfg, "--out", tmp_path / "out"]) == 0
 
+    @pytest.mark.parametrize("norm", [
+        {"family": "kth_root", "k": 4, "dim": 3},
+        {"family": "alpha_beta", "dim": 3, "b_scalar": 0.3,
+         "profile": {"type": "polynomial", "coeffs": [1.0, 1.0, 0.1]}},
+    ], ids=["kth_root", "alpha_beta"])
+    def test_reports_only_the_checks_it_ran(self, tmp_path, norm):
+        # the Newton agreement and Lemma 6.1 run for Randers norms alone
+        cfg = write_config(tmp_path, "d.json", {"norm": norm, "trials": 50})
+        assert run(["dualcheck", cfg, "--out", tmp_path / "out"]) == 0
+        payload = json.loads((tmp_path / "out" / "dualcheck.json").read_text())
+        for key in ("residuals", "thresholds", "pass"):
+            assert sorted(payload[key]) == ["norm_preservation", "roundtrip"]
+
+    def test_lemma61_needs_three_dimensions(self, tmp_path):
+        cfg = write_config(tmp_path, "d.json", {
+            "norm": {"family": "randers", "b": [0.5, 0.0]}, "trials": 50})
+        assert run(["dualcheck", cfg, "--out", tmp_path / "out"]) == 0
+        payload = json.loads((tmp_path / "out" / "dualcheck.json").read_text())
+        assert sorted(payload["pass"]) == ["dual_agreement", "norm_preservation", "roundtrip"]
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_rejected_before_computing(self, tmp_path, capsys, trials):
         cfg = write_config(tmp_path, "d.json", {

@@ -95,10 +95,13 @@ class TestLegendre:
         assert np.linalg.norm(y - [0.6, 0.8]) <= 1e-12
 
     def test_zero_covector_rejected(self, randers3):
-        with pytest.raises(ZeroCovector):
-            duality.legendre_inverse(randers3, [1e-10, 0.0, 0.0])
-        with pytest.raises(ZeroCovector):
+        with pytest.raises(ZeroCovector, match="covector is zero"):
+            duality.legendre_inverse(randers3, np.zeros(3))
+        with pytest.raises(ZeroCovector, match="covector is zero"):
             duality.dual_norm(randers3, np.zeros(3))
+        # any other finite covector has its preimage, however small
+        assert np.array_equal(duality.legendre_inverse(randers3, [1e-10, 0.0, 0.0]),
+                              [1e-10 / 2.25, 0.0, 0.0])
 
     def test_sphere_potential_gradient_is_legendre_image(self, randers3, rng):
         # df of F^2/2 equals L(x): Legendre consistency of the catalog field

@@ -138,7 +138,8 @@ HOT_PATHS = (
     norms.RandersNorm._analytic, norms.RandersNorm._dual_parts,
     norms.KthRootNorm._analytic, norms.KthRootNorm._legendre_inverse,
     norms.KthRootNorm._dual_fundamental_tensor,
-    duality._as_covector, duality.dual_norm,
+    duality.legendre_inverse, duality.dual_norm, duality.dual_fundamental_tensor,
+    norms._rescale,
     calculus.linear_field, calculus.norm_plus_linear,
     calculus._regular_jet, calculus._geometry_in,
     _linalg.orthonormal_basis, hypersurface.cartan_curvature_Q,

@@ -238,6 +238,38 @@ class TestVerify:
         assert (rep.transnormal_verdict, rep.isoparametric_verdict) == ("yes", "yes")
         assert np.allclose(rep.a_nodes[:, 1], np.sqrt(2 * rep.a_nodes[:, 0]), rtol=1e-10)
 
+    @pytest.mark.parametrize("c", [1e-20, 1e-10, 1.0, 1e10, 1e20])
+    def test_sphere_isoparametric_at_every_scale(self, randers3, c):
+        # F^2/2 is 2-homogeneous: the levels c [1, 2, 4] are the spheres of
+        # radius sqrt(2c) times 1, sqrt(2) and 2, however small or large c is
+        f = calculus.sphere_potential(randers3)
+        rep = iso.verify(randers3, f, [c, 2.0 * c, 4.0 * c], count=16)
+        assert (rep.transnormal_verdict, rep.isoparametric_verdict) == ("yes", "yes")
+        a = rep.a_nodes
+        assert np.max(np.abs(a[:, 1] / np.sqrt(2.0 * a[:, 0]) - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("catalog, levels", [
+        ("sphere", [0.5, 2.0, 4.5]),
+        ("reverse_sphere", [-4.5, -2.0, -0.5]),
+        ("cylinder", [0.125, 0.5, 1.125]),
+    ])
+    def test_model_fields_raise_nothing_on_the_ladder(self, randers3, catalog, levels):
+        # every rung of the ray ladder, down to 2^-40, is a vector with a value
+        field = cli.build_field({"catalog": catalog, "m": 2}, randers3)
+        raised = []
+        inner = field.value_fn
+
+        def value_fn(x):
+            try:
+                return inner(x)
+            except MinkGeomError as exc:
+                raised.append(exc)
+                raise
+
+        field.value_fn = value_fn
+        rep = iso.verify(randers3, field, levels, count=8)
+        assert rep.isoparametric and raised == []
+
     def test_linear_isoparametric(self, randers3):
         f = calculus.linear_field([1.0, 2.0, 0.5])
         rep = iso.verify(randers3, f, [1.0, 2.0, 3.0], count=32)
@@ -369,6 +401,18 @@ class TestFlow:
         res = iso.f_segment_flow(randers3, f, s.points[0], -4.5, -0.5)
         assert res.arclength == pytest.approx(2.0, abs=1e-6)  # r: 3 -> 1
 
+    def test_arclength_at_every_scale(self, randers3):
+        # from F = sqrt(2c) to F = sqrt(8c) is F-distance sqrt(2c) at every c
+        f = calculus.sphere_potential(randers3)
+        u = np.array([0.6, -0.5, 0.62])
+        ratios = []
+        for c in (1e-24, 1.0, 1e24):
+            x0 = np.sqrt(2.0 * c) / randers3.value(u) * u
+            res = iso.f_segment_flow(randers3, f, x0, c, 4.0 * c)
+            ratios.append(res.arclength / np.sqrt(2.0 * c))
+        assert ratios[0] == pytest.approx(1.0, abs=1e-6)
+        assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-12)
+
     def test_flow_rejects_wrong_start(self, randers3):
         f = calculus.sphere_potential(randers3)
         with pytest.raises(ValueError):
@@ -459,3 +503,16 @@ class TestReportSerialization:
         first = lines[1].split(",")
         assert first[0] == "unit"
         assert first[5] == "" and first[-1] == ""  # padding columns empty
+
+    def test_csv_columns_beyond_six_dimensions(self, tmp_path):
+        # n = 7 has 7 coordinates and 6 curvatures: no padding, no ragged rows
+        norm = norms.RandersNorm([0.3] + [0.0] * 6)
+        rep = iso.verify(norm, calculus.sphere_potential(norm), [0.5, 2.0, 4.5], count=8)
+        path = tmp_path / "s.csv"
+        rep.write_csv(path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows[0] == ["scenario", "level"] + [f"x{i}" for i in range(1, 8)] + \
+            ["fstar_df", "laplacian"] + [f"k{i}" for i in range(1, 7)]
+        assert len(rows) == 1 + 3 * 8
+        assert {len(r) for r in rows} == {17}
+        assert "" not in {v for r in rows[1:] for v in r[1:]}

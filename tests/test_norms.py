@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minkgeom import duality, hypersurface, norms
-from minkgeom.errors import (BadDimension, DegenerateMetric, NotInDomain, ZeroCovector,
-                             ZeroVector)
+from minkgeom.errors import (BadDimension, DegenerateMetric, MinkGeomError, NotInDomain,
+                             ZeroCovector, ZeroVector)
 
 from .oracles import grid_validate, unchecked_alpha_beta
 
@@ -34,8 +34,10 @@ class TestEvaluation:
         assert norms.KthRootNorm(4, 2).value([1.0, 1.0]) == pytest.approx(2.0 ** 0.25)
 
     def test_zero_vector_rejected(self, randers2):
-        with pytest.raises(ZeroVector):
-            randers2.value([1e-9, 0.0])
+        with pytest.raises(ZeroVector, match="is zero"):
+            randers2.value([0.0, 0.0])
+        # any other finite vector has its value, however small
+        assert randers2.value([1e-9, 0.0]) == 1.5000000000000002e-09
 
     # input, outcome of norm.value, outcome of duality.dual_norm on RandersNorm
     # b = (0.5, 0, 0): an exception (with its message) or the value returned
@@ -43,15 +45,16 @@ class TestEvaluation:
         ([np.nan, 0.0, 0.0], (ZeroVector, "non-finite"), ZeroCovector),
         ([np.inf, 0.0, 0.0], (ZeroVector, "non-finite"), ZeroCovector),
         ([-np.inf, 1.0, 0.0], (ZeroVector, "non-finite"), ZeroCovector),
-        ([1e-9, 0.0, 0.0], (ZeroVector, "zero-exclusion"), ZeroCovector),
-        ([1e-170, 0.0, 0.0], (ZeroVector, "zero-exclusion"), ZeroCovector),
-        ([0.0, 0.0, 0.0], (ZeroVector, "zero-exclusion"), ZeroCovector),
-        # finite entries whose squared norm overflows: F and F* are
-        # 1-homogeneous, so both are s F(y/s) with s = max|y_i| (F*(e1) = 2/3)
-        ([1e200, 0.0, 0.0], 1.5e200, 1e200 * 0.6666666666666667),
+        # small and large vectors have their values: F = 1.5 y1 and F* = y1 2/3
+        # (to an ulp); beyond 2^+-64, and where y.y under- or overflows, both
+        # are s F(y/s) with s a power of two
+        ([1e-9, 0.0, 0.0], 1.5000000000000002e-09, 6.666666666666668e-10),
+        ([1e-170, 0.0, 0.0], 1.4999999999999999e-170, 6.666666666666668e-171),
+        ([0.0, 0.0, 0.0], (ZeroVector, "vector is zero"), ZeroCovector),
+        ([1e200, 0.0, 0.0], 1.5e200, 6.666666666666667e+199),
         ([1.0, -2.0, 0.5], math.sqrt(5.25) + 0.5, 2.0617842572908165),
     ])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_input_validation_edge_cases(self, randers3, y, value, dual):
         y = np.array(y)
         for fn, want in ((randers3.value, value),
@@ -63,7 +66,7 @@ class TestEvaluation:
             with pytest.raises(exc, match=match):
                 fn(y)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_inputs_scale_out(self, family_zoo, rng):
         # y.y overflows beyond about 1e154 and the quartic's y**4 beyond 1e77;
         # F and F* stay finite and 1-homogeneous up to 1e250
@@ -592,3 +595,65 @@ def test_import_does_not_load_numpy_polynomial():
     proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_family_without_closed_forms_is_rejected_at_the_default_strategy():
+    class Jetless(norms.MinkowskiNorm):
+        family = "jetless"
+
+        def _value(self, y):
+            return math.sqrt(y.dot(y))
+
+    with pytest.raises(MinkGeomError, match="jetless family has no analytic derivatives"):
+        Jetless(3)
+    assert Jetless(3, strategy="fd").value([3.0, 4.0, 0.0]) == 5.0
+
+
+# -- every scale -----------------------------------------------------------------
+
+SCALE_NORMS = {
+    "euclidean": lambda: norms.EuclideanNorm(3),
+    "randers": lambda: norms.RandersNorm([0.3, -0.1, 0.2]),
+    "kth_root_4": lambda: norms.KthRootNorm(4, 3),
+    "kth_root_6": lambda: norms.KthRootNorm(6, 3),
+    "alpha_beta": lambda: norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3),
+    "scaled_kth_root_6": lambda: norms.ScaledNorm(norms.KthRootNorm(6, 3), 1.7),
+}
+
+
+def _scale_results(norm, y, xi) -> dict:
+    """Each homogeneous result at (y, xi), keyed by (name, homogeneity degree)."""
+    d = norm.derivatives(y, order=4)
+    return {("value", 1): norm.value(y), ("F", 1): d.F, ("d1", 1): d.d1, ("d2", 0): d.d2,
+            ("d3", -1): d.d3, ("d4", -2): d.d4,
+            ("legendre_inverse", 1): duality.legendre_inverse(norm, xi),
+            ("dual_norm", 1): duality.dual_norm(norm, xi),
+            ("dual_fundamental_tensor", 0): duality.dual_fundamental_tensor(norm, xi)}
+
+
+@pytest.mark.parametrize("name", SCALE_NORMS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_results_hold_at_every_scale(name):
+    # y = 10^e u for e in [-300, 300]: each result is 10^(e k) times its value
+    # at u, k its degree, to 1e-12 wherever that is a normal float; nothing
+    # raises or warns, also where it is not
+    norm = SCALE_NORMS[name]()
+    u = np.array([0.6, -0.5, 0.62])
+    v = norm.legendre(u)
+    ref = _scale_results(norm, u, v)
+    for e in range(-300, 301, 5):
+        got = _scale_results(norm, 10.0**e * u, 10.0**e * v)
+        for (what, k), want in ref.items():
+            mag = float(np.max(np.abs(want)))
+            if mag == 0.0:
+                assert np.all(got[what, k] == 0.0), (name, what, e)
+            elif abs(e * k + math.log10(mag)) <= 300:
+                err = float(np.max(np.abs(got[what, k] - want * 10.0 ** (e * k))))
+                assert err <= 1e-12 * mag * 10.0 ** (e * k), (name, what, e, err)
+    for bad in ([0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [1.0, -np.inf, 0.0]):
+        for fn in (norm.value, norm.derivatives):
+            with pytest.raises(ZeroVector):
+                fn(bad)
+        for fn in (duality.legendre_inverse, duality.dual_norm, duality.dual_fundamental_tensor):
+            with pytest.raises(ZeroCovector):
+                fn(norm, bad)
