@@ -53,6 +53,14 @@ class ScalarField:
     verification reports.  ``regular_range`` is the declared open interval of
     regular values J, and ``anchor`` the star-shape center used by radial
     level sampling.
+
+    ``one_root_per_ray`` declares that f - t has at most one root on every
+    ray from the anchor, so radial sampling may start a ray's walk at any
+    rung.  The catalog fields declare it: each is positively homogeneous
+    about its anchor, the origin, f(s x) = s^k f(x) with k = 1 (linear fields
+    and |xbar| + b.x) or k = 2 (the sphere and cylinder potentials, either
+    sign), so on a ray f - t = s^k f(x) - t is strictly monotone in s > 0 or
+    constant.  Custom and reparametrized fields do not declare it.
     """
 
     dim: int
@@ -64,6 +72,7 @@ class ScalarField:
     anchor: np.ndarray | None = None
     regular_range: tuple = (-math.inf, math.inf)
     meta: dict = dc_field(default_factory=dict)
+    one_root_per_ray: bool = False
 
     def __post_init__(self):
         if self.anchor is None:
@@ -95,6 +104,7 @@ def linear_field(c) -> ScalarField:
         d1_fn=lambda x: c.copy(),
         d2_fn=lambda x: np.zeros((n, n)),
         meta={"c": c},
+        one_root_per_ray=True,
     )
 
 
@@ -116,6 +126,7 @@ def sphere_potential(norm: MinkowskiNorm, reverse: bool = False) -> ScalarField:
             d2_fn=lambda x: -norm.derivatives(-x, order=2).d2,
             regular_range=(-math.inf, 0.0),
             meta={"norm": norm, "reverse": True},
+            one_root_per_ray=True,
         )
     return ScalarField(
         dim=n,
@@ -125,6 +136,7 @@ def sphere_potential(norm: MinkowskiNorm, reverse: bool = False) -> ScalarField:
         d2_fn=lambda x: norm.derivatives(x, order=2).d2,
         regular_range=(0.0, math.inf),
         meta={"norm": norm, "reverse": False},
+        one_root_per_ray=True,
     )
 
 
@@ -158,6 +170,7 @@ def cylinder_potential(norm: MinkowskiNorm, m: int, reverse: bool = False) -> Sc
         d2_fn=lambda x: sign * embed_mat(tilde.derivatives(sign * x[:m], order=2).d2),
         regular_range=(0.0, math.inf) if not reverse else (-math.inf, 0.0),
         meta={"norm": norm, "m": m, "reverse": reverse, "tilde": tilde},
+        one_root_per_ray=True,
     )
 
 
@@ -197,6 +210,7 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
         d2_fn=d2,
         regular_range=(0.0, math.inf),
         meta={"norm": norm, "m": m, "b": b},
+        one_root_per_ray=True,
     )
 
 

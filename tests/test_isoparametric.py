@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from minkgeom import (calculus, cli, duality, hypersurface as hs, isoparametric as iso, norms,
                       sampling)
-from minkgeom.errors import MinkGeomError, NotIsoparametric, NotMonotone
+from minkgeom.errors import LevelNotReached, MinkGeomError, NotIsoparametric, NotMonotone
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -58,6 +58,49 @@ class TestSampling:
         with pytest.raises(ValueError):
             iso.sample_level(randers3, f, -1.0, 16)
 
+    def test_level_beyond_the_ladder_is_named(self, randers3):
+        # the Randers sphere of level 1e30 has radius about 1e15, beyond the
+        # ladder's end at 2^40; a custom field declares no single root, so
+        # its message cannot say where the level lies
+        sphere = calculus.sphere_potential(randers3)
+        with pytest.raises(LevelNotReached, match="lies beyond the ladder's span"):
+            iso.verify(randers3, sphere, [1e30, 2e30, 4e30], count=16)
+        custom = calculus.custom_field(3, lambda x: 0.5 * x.dot(x))
+        with pytest.raises(LevelNotReached, match="check the anchor"):
+            iso.verify(randers3, custom, [1e30, 2e30, 4e30], count=16)
+
+    @pytest.mark.parametrize("case", ["sphere", "reverse-sphere", "hyperplane", "cylinder",
+                                      "counterexample"])
+    def test_field_calls_per_point(self, case, monkeypatch):
+        # the five Randers model fields of the verify benchmark, at its
+        # levels and counts: a point costs at most 16 evaluations of f, where
+        # a full scan of the ladder cost 164 to 244
+        sphere_norm = norms.RandersNorm([0.5, 0.0, 0.0])
+        cyl_norm = norms.RandersNorm([0.3, 0.0, 0.0])
+        cex_norm = norms.RandersNorm([0.1, 0.0, 0.2])
+        norm, field, levels, count = {
+            "sphere": (sphere_norm, calculus.sphere_potential(sphere_norm), [0.5, 2.0, 4.5], 64),
+            "reverse-sphere": (sphere_norm, calculus.sphere_potential(sphere_norm, reverse=True),
+                               [-4.5, -2.0, -0.5], 64),
+            "hyperplane": (sphere_norm, calculus.linear_field([1.0, 2.0, 0.5]),
+                           [1.0, 2.0, 3.0], 160),
+            "cylinder": (cyl_norm, calculus.cylinder_potential(cyl_norm, 2),
+                         [0.125, 0.5, 1.125], 64),
+            "counterexample": (cex_norm, calculus.norm_plus_linear(cex_norm, 2),
+                               [0.8, 1.0, 1.25], 128),
+        }[case]
+        calls = [0]
+        value = calculus.ScalarField.value
+
+        def counting(self, x):
+            calls[0] += 1
+            return value(self, x)
+
+        monkeypatch.setattr(calculus.ScalarField, "value", counting)
+        points = sum(len(iso.sample_level(norm, field, t, count).points) for t in levels)
+        assert points == len(levels) * count
+        assert calls[0] <= 16 * points
+
     def test_one_geometry_per_point(self, alphabeta3, quartic3, randers3, monkeypatch,
                                     tmp_path):
         # F*, Delta f and the frame share one Legendre inversion and one
@@ -98,11 +141,14 @@ class TestSampling:
         assert calls["d2"] == sum(len(s.points) for s in rep.samples) == 48
 
 
-def _counted(field, calls):
-    """A copy of ``field`` that counts its value and d1 calls into ``calls``."""
+def _counted(field, calls, at=None):
+    """A copy of ``field`` that counts its value and d1 calls into ``calls``
+    and appends each point f is evaluated at to the list ``at``."""
     def counting(name, fn):
         def wrapper(x):
             calls[name] += 1
+            if name == "value" and at is not None:
+                at.append(x)
             return fn(x)
         return wrapper
     return dataclasses.replace(field, value_fn=counting("value", field.value_fn),
@@ -114,7 +160,8 @@ class TestRadialRoot:
                                       "randers-cylinder", "alphabeta-sphere",
                                       "cubic-of-sphere"])
     def test_polish_cost_per_ray(self, case, randers3, alphabeta3):
-        # value calls beyond the ladder: the regula falsi trials alone
+        # value calls off the ladder's rungs: the regula falsi trials alone,
+        # whichever rungs the walk visited, from the bottom or from s = 1
         field, t = {
             "randers-sphere": (calculus.sphere_potential(randers3), 2.0),
             "randers-hyperplane": (calculus.linear_field([1.0, 2.0, 0.5]), 0.5),
@@ -127,21 +174,26 @@ class TestRadialRoot:
                 norms.PolynomialProfile([0.0, 1.0, 0.0, 1.0])), 10.0),
         }[case]
         calls = {"value": 0, "d1": 0}
-        field = _counted(field, calls)
+        at = []
+        field = _counted(field, calls, at)
         anchor = np.asarray(field.anchor, dtype=float)
-        found = 0
-        for d in sampling.sphere_directions(field.dim, 16, seed=0):
-            for ray in (d, -d):
-                calls.update(value=0, d1=0)
-                s = iso._radial_root(field, anchor, ray, t)
-                assert calls["value"] - len(iso._LADDER) <= 12
-                if s is not None:
-                    break
-            if s is None:
-                continue
-            found += 1
-            assert abs(field.value(anchor + s * ray) - t) <= iso.LEVEL_RESIDUAL * (1.0 + abs(t))
-        assert found == 16
+        for start in (None, iso._MID_RUNG):
+            found = 0
+            for d in sampling.sphere_directions(field.dim, 16, seed=0):
+                for ray in (d, -d):
+                    at.clear()
+                    s = iso._radial_root(field, anchor, ray, t, start)
+                    rungs = anchor + iso._LADDER[:, None] * ray
+                    trials = sum(not (rungs == x).all(axis=1).any() for x in at)
+                    assert trials <= 12
+                    if s is not None:
+                        break
+                if s is None:
+                    continue
+                found += 1
+                x = anchor + s * ray
+                assert abs(field.value(x) - t) <= iso.LEVEL_RESIDUAL * (1.0 + abs(t))
+            assert found == 16
 
     @pytest.mark.parametrize("case", ["randers-sphere", "randers-reverse-sphere",
                                       "randers-hyperplane", "randers-cylinder",
@@ -218,6 +270,98 @@ class TestRadialRoot:
         assert scaled.shape == base.shape
         err = np.linalg.norm(scaled - c * base, axis=1) / (c * np.linalg.norm(base, axis=1))
         assert np.max(err) <= 1e-13
+
+    @pytest.mark.parametrize("catalog", ["linear", "sphere", "reverse_sphere", "cylinder",
+                                         "reverse_cylinder", "norm_plus_linear"])
+    def test_warm_walk_matches_the_bottom_up_walk(self, catalog, randers3, randers3_mixed):
+        # on a one-root field the walk from any start rung brackets the rung
+        # pair the bottom-up walk brackets, so the polish returns the same
+        # float, or None on the same rays.  The rays: a direction and its
+        # mirror, the x3 axis both ways (the cylinder potentials fail at
+        # every rung of it, and |xbar| + b.x is negative on one side) and a
+        # ray on which the linear field vanishes; no ray reaches level 1e30
+        field = _memoized({
+            "linear": calculus.linear_field([1.0, 2.0, 0.5]),
+            "sphere": calculus.sphere_potential(randers3),
+            "reverse_sphere": calculus.sphere_potential(randers3, reverse=True),
+            "cylinder": calculus.cylinder_potential(randers3, 2),
+            "reverse_cylinder": calculus.cylinder_potential(randers3, 2, reverse=True),
+            "norm_plus_linear": calculus.norm_plus_linear(randers3_mixed, 2),
+        }[catalog])
+        assert field.one_root_per_ray
+        sign = -1.0 if catalog.startswith("reverse") else 1.0
+        levels = [sign * m for m in (1e-20, 1e-7, 2.0, 1e7, 1e20, 1e30)]
+        if catalog == "linear":
+            levels += [-2.0, 0.0]
+        d = sampling.sphere_directions(3, 1, seed=0)[0]
+        rays = [d, -d, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]),
+                np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)]
+        outcomes = set()
+        for t in levels:
+            for ray in rays:
+                want = iso._radial_root(field, field.anchor, ray, t)
+                outcomes.add(want is None)
+                for start in range(1, len(iso._LADDER) - 1):
+                    assert iso._radial_root(field, field.anchor, ray, t, start) == want
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("c", [1.0, 0.25])
+    def test_two_roots_on_a_ray_give_the_nearest(self, randers3, c):
+        # f = (|x|^2 - c)^2 meets t = c^2/4 at |x| = sqrt(c/2) and sqrt(3c/2)
+        # on every ray.  A custom field declares no single root, so each ray
+        # is walked from the bottom rung; a walk started above both roots, as
+        # the first ray's s = 1 is at c = 1/4, would find neither
+        field = calculus.custom_field(
+            3, lambda x: (x.dot(x) - c) ** 2, lambda x: 4.0 * (x.dot(x) - c) * x,
+            lambda x: 4.0 * (x.dot(x) - c) * np.eye(3) + 8.0 * np.outer(x, x))
+        assert not field.one_root_per_ray
+        s = iso.sample_level(randers3, field, c * c / 4.0, 16)
+        assert len(s.points) == 16
+        radii = np.linalg.norm(s.points, axis=1)
+        assert np.allclose(radii, np.sqrt(c / 2.0), rtol=1e-10, atol=0.0)
+        above = int(np.searchsorted(iso._LADDER, np.sqrt(1.5 * c)))
+        d = s.points[0] / radii[0]
+        assert iso._radial_root(field, field.anchor, d, c * c / 4.0, above) is None
+
+    @pytest.mark.parametrize("t", [0.02, 0.5, 2.0, 50.0])
+    def test_failing_rungs_send_the_walk_to_the_bottom(self, randers3, t):
+        # a one-root field that raises on the shell 0.9 < |x| < 1.1 around
+        # the first ray's start rung s = 1: every start near it gives the
+        # bottom-up result, found or not
+        sphere = calculus.sphere_potential(randers3)
+
+        def value_fn(x):
+            if 0.9 < np.sqrt(x.dot(x)) < 1.1:
+                raise MinkGeomError("undefined on the shell")
+            return sphere.value_fn(x)
+
+        field = dataclasses.replace(sphere, value_fn=value_fn)
+        assert field.one_root_per_ray
+        dirs = sampling.sphere_directions(3, 8, seed=0)
+        for ray in [*dirs, *-dirs]:
+            want = iso._radial_root(field, field.anchor, ray, t)
+            for start in range(iso._MID_RUNG - 4, iso._MID_RUNG + 5):
+                assert iso._radial_root(field, field.anchor, ray, t, start) == want
+
+
+def _memoized(field):
+    """A copy of the pure ``field`` whose ``value`` evaluates f once per point."""
+    copy = dataclasses.replace(field)
+    memo = {}
+
+    def value(x):
+        key = x.tobytes()
+        if key not in memo:
+            try:
+                memo[key] = field.value(x)
+            except MinkGeomError as exc:
+                memo[key] = exc
+        if isinstance(memo[key], MinkGeomError):
+            raise memo[key].with_traceback(None)
+        return memo[key]
+
+    copy.value = value
+    return copy
 
 
 class TestVerify:
