@@ -54,13 +54,13 @@ class ScalarField:
     regular values J, and ``anchor`` the star-shape center used by radial
     level sampling.
 
-    ``one_root_per_ray`` declares that f - t has at most one root on every
-    ray from the anchor, so radial sampling may start a ray's walk at any
-    rung.  The catalog fields declare it: each is positively homogeneous
-    about its anchor, the origin, f(s x) = s^k f(x) with k = 1 (linear fields
-    and |xbar| + b.x) or k = 2 (the sphere and cylinder potentials, either
-    sign), so on a ray f - t = s^k f(x) - t is strictly monotone in s > 0 or
-    constant.  Custom and reparametrized fields do not declare it.
+    ``degree`` declares a positive integer k with f(anchor + s y) =
+    s^k f(anchor + y) for s > 0, so a ray from the anchor meets level t at
+    s = (t / f(anchor + d))^(1/k) and radial sampling needs no search.  The
+    catalog fields declare it about their anchor, the origin: k = 1 for
+    linear fields and |xbar| + b.x, k = 2 for the sphere and cylinder
+    potentials (either sign).  Custom and reparametrized fields leave it
+    None, and radial sampling searches each ray for its nearest root.
     """
 
     dim: int
@@ -72,7 +72,7 @@ class ScalarField:
     anchor: np.ndarray | None = None
     regular_range: tuple = (-math.inf, math.inf)
     meta: dict = dc_field(default_factory=dict)
-    one_root_per_ray: bool = False
+    degree: int | None = None
 
     def __post_init__(self):
         if self.anchor is None:
@@ -104,7 +104,7 @@ def linear_field(c) -> ScalarField:
         d1_fn=lambda x: c.copy(),
         d2_fn=lambda x: np.zeros((n, n)),
         meta={"c": c},
-        one_root_per_ray=True,
+        degree=1,
     )
 
 
@@ -126,7 +126,7 @@ def sphere_potential(norm: MinkowskiNorm, reverse: bool = False) -> ScalarField:
             d2_fn=lambda x: -norm.derivatives(-x, order=2).d2,
             regular_range=(-math.inf, 0.0),
             meta={"norm": norm, "reverse": True},
-            one_root_per_ray=True,
+            degree=2,
         )
     return ScalarField(
         dim=n,
@@ -136,7 +136,7 @@ def sphere_potential(norm: MinkowskiNorm, reverse: bool = False) -> ScalarField:
         d2_fn=lambda x: norm.derivatives(x, order=2).d2,
         regular_range=(0.0, math.inf),
         meta={"norm": norm, "reverse": False},
-        one_root_per_ray=True,
+        degree=2,
     )
 
 
@@ -170,7 +170,7 @@ def cylinder_potential(norm: MinkowskiNorm, m: int, reverse: bool = False) -> Sc
         d2_fn=lambda x: sign * embed_mat(tilde.derivatives(sign * x[:m], order=2).d2),
         regular_range=(0.0, math.inf) if not reverse else (-math.inf, 0.0),
         meta={"norm": norm, "m": m, "reverse": reverse, "tilde": tilde},
-        one_root_per_ray=True,
+        degree=2,
     )
 
 
@@ -210,7 +210,7 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
         d2_fn=d2,
         regular_range=(0.0, math.inf),
         meta={"norm": norm, "m": m, "b": b},
-        one_root_per_ray=True,
+        degree=1,
     )
 
 

@@ -58,9 +58,10 @@ class CriticalPointOnLevel(MinkGeomError):
 class LevelNotReached(MinkGeomError):
     """More than half the sampled directions gave no point of the level.
 
-    A direction fails when neither its ray nor the mirrored ray brackets the
-    level on the ladder, when f fails inside the bracket, or when the point
-    misses |f - t| <= 1e-10 (1 + |t|).
+    A direction fails when neither its ray nor the mirrored ray meets the
+    level (in closed form on a field with a degree, else inside the ray
+    ladder's span), when f fails at the point or inside the bracket, or when
+    the point misses |f - t| <= 1e-10 (1 + |t|).
     """
 
 

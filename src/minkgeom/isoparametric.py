@@ -4,15 +4,15 @@ A function f is transnormal when F(grad f) is constant on each level set
 (equal to a(f) for a profile a), and isoparametric when additionally the
 Finsler Laplacian is constant on each level set (Delta f = b(f)).  The
 verifier samples points of each requested level on rays from an anchor along
-a low-discrepancy direction set (a walk along a fixed ladder of radii, which
-evaluates f only at the rungs it visits, brackets the level, and Illinois
-regula falsi narrows the bracket), computes F*(df), Delta f and principal
+a low-discrepancy direction set, computes F*(df), Delta f and principal
 curvatures per point, and turns within-level constancy into verdicts.  On a
-field with one root per ray the walk starts where the previous ray met the
-level, so a point costs some 12 evaluations of f instead of a full ladder.
-A margin band above the tolerance yields "inconclusive" rather than "no",
-separating numerical noise from genuine failures, whose spread is orders of
-magnitude larger.
+field of declared degree k (every catalog field) f is positively homogeneous
+about the anchor, so a ray meets level t at s = (t / f(anchor + d))^(1/k),
+one evaluation of f; on other fields a walk along a fixed ladder of radii
+brackets the level nearest the anchor and Illinois regula falsi narrows the
+bracket.  A margin band above the tolerance yields "inconclusive" rather
+than "no", separating numerical noise from genuine failures, whose spread is
+orders of magnitude larger.
 
 Profiles a(t), b(t) are tabulated per-level means; derivative-sensitive
 identities use pointwise flow-line differencing of the measured profile,
@@ -50,7 +50,6 @@ IDENTITY_POINTS = 4    # points per level of the consistency-identity table
 FLOW_STEP = 1e-4       # flow-line differencing step, relative to a(t)
 # radii s of the ray ladder anchor + s * d that brackets a level, ratio sqrt(2)
 _LADDER = np.geomspace(2.0**-40, 2.0**40, 161)
-_MID_RUNG = len(_LADDER) // 2   # s = 1
 
 
 @dataclass
@@ -74,20 +73,14 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
                  seed: int = 0) -> LevelSample:
     """Sample ``count`` points of f^{-1}(t) on rays from ``field.anchor``.
 
-    Each ray is walked along the radii ``_LADDER`` (2^-40 to 2^40, ratio
-    sqrt(2)) to the first rung pair where f - t changes sign, evaluating f
-    only at the rungs it visits; Illinois regula falsi narrows that rung step
-    until |f - t| <= 1e-13 |t| or the step is 1e-13 of its radius, and no
-    derivative of f is evaluated.  The walk starts at the bottom rung, so the root nearest
-    the anchor is found; on a ``one_root_per_ray`` field it starts at the
-    rung of the previous ray's bracket (s = 1 for the first ray) and finds
-    the same pair, hence the same point, in a few evaluations.  A ray that
-    brackets nothing, or whose bracket holds a point where f fails, is tried
-    mirrored; if that fails too the direction is skipped, and more than half
-    skipped raises LevelNotReached, which says when the level lies beyond
-    the ladder's span.  Every returned point satisfies
-    |f(x) - t| <= 1e-10 (1 + |t|) and is regular.  F*(df), Delta f and the
-    curvatures of a point all come from its one ``frame_at`` frame.
+    Each ray gets one ``_radial_root``: in closed form on a field with a
+    ``degree``, else by the ladder walk to the root nearest the anchor.  A
+    ray that gives no point is tried mirrored; if that fails too the
+    direction is skipped, and more than half skipped raises LevelNotReached,
+    which says when the level passes through the anchor of such a field.
+    Every returned point satisfies |f(x) - t| <= 1e-10 (1 + |t|) and is
+    regular.  F*(df), Delta f and the curvatures of a point all come from
+    its one ``frame_at`` frame.
     """
     if count < 8:
         raise ValueError("count must be at least 8")
@@ -98,21 +91,16 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
     dirs = sphere_directions(field.dim, count, seed=seed)
     points = []
     skipped = 0
-    # neighbouring rays of a level meet it at nearby radii: a one-root ray
-    # starts its walk at the rung of the previous bracket, the first at s = 1
-    start = _MID_RUNG if field.one_root_per_ray else None
     for d in dirs:
-        s = _radial_root(field, anchor, d, t, start)
+        s = _radial_root(field, anchor, d, t)
         if s is None:
             # half-space fields (linear levels, one-sided potentials) only
-            # bracket on one side; the mirrored ray keeps the sample full
+            # meet the level on one side; the mirrored ray keeps the sample full
             d = -d
-            s = _radial_root(field, anchor, d, t, start)
+            s = _radial_root(field, anchor, d, t)
         if s is None:
             skipped += 1
             continue
-        if start is not None:
-            start = int(np.searchsorted(_LADDER, s, side="right")) - 1
         x = anchor + s * d
         if abs(field.value(x) - t) > LEVEL_RESIDUAL * (1.0 + abs(t)):
             skipped += 1
@@ -120,8 +108,8 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
         points.append(x)
     if skipped > count // 2:
         raise LevelNotReached(
-            f"level {t}: {skipped}/{count} directions failed to bracket; "
-            + _unreached_reason(field, anchor, dirs, t)
+            f"level {t}: {skipped}/{count} directions gave no point; "
+            + _unreached_reason(field, t)
         )
     points = np.array(points)
     fstar = np.empty(len(points))
@@ -141,15 +129,10 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
                        curvatures=curvs, frames=frames, skipped=skipped)
 
 
-def _unreached_reason(field: ScalarField, anchor, dirs, t) -> str:
-    """Why a level was not reached: beyond the ladder's span when, on a
-    one-root field, f - t has one sign at both ladder ends of every ray."""
-    lo, hi = _LADDER[0], _LADDER[-1]
-    if field.one_root_per_ray and all(
-            _gap(field, anchor + lo * e, t) * _gap(field, anchor + hi * e, t) > 0.0
-            for d in dirs for e in (d, -d)):
-        return ("the level lies beyond the ladder's span: f - t keeps its sign "
-                "from s = 2^-40 to s = 2^40 on every ray")
+def _unreached_reason(field: ScalarField, t) -> str:
+    """Why a level was not reached: f(anchor) = 0 on a field with a degree."""
+    if field.degree is not None and t == 0.0:
+        return "the level passes through the anchor, where a field with a degree is 0"
     return "check the anchor or the declared regular range"
 
 
@@ -166,28 +149,29 @@ def _brackets(va, vb) -> bool:
     return va * vb < 0.0 or (va == 0.0 and not math.isnan(vb))
 
 
-def _radial_root(field: ScalarField, anchor, d, t, start=None):
+def _radial_root(field: ScalarField, anchor, d, t):
     """The radius s of the ray anchor + s d where f = t, or None.
 
-    Without ``start`` the ladder is walked from its bottom rung and the first
-    bracketing rung pair is polished, so the root nearest the anchor is
-    found.  ``start`` is a rung for a one-root ray (``one_root_per_ray``):
-    the walk goes from there towards the bracket, which is the same pair, and
-    a NaN rung on the way sends it back to the bottom-up walk.
+    On a field of degree k, f(anchor + s d) = s^k v with v = f(anchor + d),
+    so s = (t / v)^(1/k) when 0 < t / v < inf, and None for a wrong sign, a
+    zero or infinite v, or a failed f: one evaluation of f.  On any other
+    field the ladder ``_LADDER`` is walked from its bottom rung, evaluating
+    f only at the rungs it visits, and the first rung pair where f - t
+    changes sign is narrowed by Illinois regula falsi, so the root nearest
+    the anchor is found.
     """
-    vals = [None] * len(_LADDER)
-
-    def rung(i):
-        if vals[i] is None:
-            vals[i] = _gap(field, anchor + _LADDER[i] * d, t)
-        return vals[i]
-
-    a = None if start is None else _one_root_bracket(rung, start)
-    if a is None:
-        a = next((i for i in range(len(_LADDER) - 1) if _brackets(rung(i), rung(i + 1))), -1)
-    if a < 0:
+    if field.degree is not None:
+        v = _gap(field, anchor + d, 0.0)   # f(anchor + d), NaN where f fails
+        q = t / v if v else math.nan
+        return q ** (1.0 / field.degree) if 0.0 < q < math.inf else None
+    vb = _gap(field, anchor + _LADDER[0] * d, t)
+    for a in range(len(_LADDER) - 1):
+        va, vb = vb, _gap(field, anchor + _LADDER[a + 1] * d, t)
+        if _brackets(va, vb):
+            break
+    else:
         return None
-    sa, sb, va, vb = _LADDER[a], _LADDER[a + 1], vals[a], vals[a + 1]
+    sa, sb = _LADDER[a], _LADDER[a + 1]
     if va == 0.0:
         return sa
     # Illinois regula falsi inside the rung step: an end kept for a second
@@ -220,29 +204,6 @@ def _radial_root(field: ScalarField, anchor, d, t, start=None):
                 va *= 0.5
             moved = 1
     return 0.5 * (sa + sb)
-
-
-def _one_root_bracket(rung, k):
-    """The bracketing rung of a ray with at most one root, walked from rung k.
-
-    The gaps at rung 0 and rung k have opposite signs when the root lies
-    below k, and the walk goes down; otherwise it goes up, and a gap that
-    moves strictly away from zero means no root lies above either.  Returns
-    -1 for no bracket, and None at a NaN rung or a zero at rung 0.
-    """
-    v0, vk = rung(0), rung(k)
-    if math.isnan(v0) or math.isnan(vk) or v0 == 0.0:
-        return None
-    down = v0 * vk < 0.0
-    for a in range(k - 1, -1, -1) if down else range(k, len(_LADDER) - 1):
-        va, vb = rung(a), rung(a + 1)
-        if math.isnan(va) or math.isnan(vb):
-            return None
-        if _brackets(va, vb):
-            return a
-        if not down and (vb - va) * va > 0.0:
-            return -1
-    return None if down else -1
 
 
 # -- verification ---------------------------------------------------------------

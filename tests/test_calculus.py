@@ -195,6 +195,26 @@ class TestFields:
         expect_d2 = np.outer(f.d1(x), f.d1(x)) + (2.0 + t) * f.d2(x)
         assert np.allclose(g.d2(x), expect_d2)
 
+    def test_declared_degree_is_the_homogeneity(self, randers3, randers3_mixed, alphabeta3,
+                                                 quartic3, rng):
+        # f(c x) = c^k f(x) about the origin for each catalog field's declared
+        # k, at c = 2^j for j = -60 ... 60, where c x is exact; custom and
+        # reparametrized fields declare none
+        fields = [f for _, f, _ in catalog_fields(randers3, randers3_mixed)]
+        fields += [calculus.sphere_potential(alphabeta3), calculus.cylinder_potential(quartic3, 2)]
+        assert [f.degree for f in fields] == [1, 2, 2, 2, 2, 1, 2, 2]
+        for f in fields:
+            assert not f.anchor.any()
+            for x in rng.standard_normal((4, 3)):
+                fx = f.value(x)
+                for j in range(-60, 61):
+                    c = 2.0**j
+                    assert abs(f.value(c * x) - c**f.degree * fx) <= 1e-14 * c**f.degree * abs(fx)
+        custom = calculus.custom_field(3, lambda x: x.dot(x))
+        assert custom.degree is None
+        assert calculus.reparametrized_field(
+            fields[1], norms.PolynomialProfile([0.0, 2.0, 0.5])).degree is None
+
     def test_example4_field_values(self, randers3_mixed):
         f = calculus.norm_plus_linear(randers3_mixed, 2)
         x = np.array([3.0, 4.0, 2.0])

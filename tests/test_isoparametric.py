@@ -58,23 +58,36 @@ class TestSampling:
         with pytest.raises(ValueError):
             iso.sample_level(randers3, f, -1.0, 16)
 
-    def test_level_beyond_the_ladder_is_named(self, randers3):
+    @pytest.mark.parametrize("c", [1e30, 1e100])
+    def test_levels_beyond_the_ladder(self, randers3, c):
         # the Randers sphere of level 1e30 has radius about 1e15, beyond the
-        # ladder's end at 2^40; a custom field declares no single root, so
-        # its message cannot say where the level lies
+        # ladder's end at 2^40; the closed form of a degree-2 field has no
+        # span, so it is sampled like level 1
         sphere = calculus.sphere_potential(randers3)
-        with pytest.raises(LevelNotReached, match="lies beyond the ladder's span"):
-            iso.verify(randers3, sphere, [1e30, 2e30, 4e30], count=16)
+        rep = iso.verify(randers3, sphere, [c, 2.0 * c, 4.0 * c], count=16)
+        assert (rep.transnormal_verdict, rep.isoparametric_verdict) == ("yes", "yes")
+        a = rep.a_nodes
+        assert np.max(np.abs(a[:, 1] / np.sqrt(2.0 * a[:, 0]) - 1.0)) <= 1e-10
+
+    def test_custom_level_beyond_the_ladder_names_the_anchor(self, randers3):
+        # a custom field has no degree: its rays are walked on the ladder,
+        # and its message cannot say where the level lies
         custom = calculus.custom_field(3, lambda x: 0.5 * x.dot(x))
         with pytest.raises(LevelNotReached, match="check the anchor"):
             iso.verify(randers3, custom, [1e30, 2e30, 4e30], count=16)
+
+    def test_level_through_the_anchor_is_named(self, randers3):
+        # a field of positive degree is 0 at its anchor, so level 0 of a
+        # linear field is the hyperplane through it, met by no ray
+        with pytest.raises(LevelNotReached, match="passes through the anchor"):
+            iso.sample_level(randers3, calculus.linear_field([1.0, 2.0, 0.5]), 0.0, 16)
 
     @pytest.mark.parametrize("case", ["sphere", "reverse-sphere", "hyperplane", "cylinder",
                                       "counterexample"])
     def test_field_calls_per_point(self, case, monkeypatch):
         # the five Randers model fields of the verify benchmark, at its
-        # levels and counts: a point costs at most 16 evaluations of f, where
-        # a full scan of the ladder cost 164 to 244
+        # levels and counts: a point costs at most 3 evaluations of f, one
+        # per ray tried (a direction and its mirror) and the acceptance test
         sphere_norm = norms.RandersNorm([0.5, 0.0, 0.0])
         cyl_norm = norms.RandersNorm([0.3, 0.0, 0.0])
         cex_norm = norms.RandersNorm([0.1, 0.0, 0.2])
@@ -99,7 +112,7 @@ class TestSampling:
         monkeypatch.setattr(calculus.ScalarField, "value", counting)
         points = sum(len(iso.sample_level(norm, field, t, count).points) for t in levels)
         assert points == len(levels) * count
-        assert calls[0] <= 16 * points
+        assert calls[0] <= 3 * points
 
     def test_one_geometry_per_point(self, alphabeta3, quartic3, randers3, monkeypatch,
                                     tmp_path):
@@ -161,7 +174,8 @@ class TestRadialRoot:
                                       "cubic-of-sphere"])
     def test_polish_cost_per_ray(self, case, randers3, alphabeta3):
         # value calls off the ladder's rungs: the regula falsi trials alone,
-        # whichever rungs the walk visited, from the bottom or from s = 1
+        # whichever rungs the walk visited.  The catalog fields are copied
+        # without their degree, so their rays walk the ladder
         field, t = {
             "randers-sphere": (calculus.sphere_potential(randers3), 2.0),
             "randers-hyperplane": (calculus.linear_field([1.0, 2.0, 0.5]), 0.5),
@@ -175,25 +189,24 @@ class TestRadialRoot:
         }[case]
         calls = {"value": 0, "d1": 0}
         at = []
-        field = _counted(field, calls, at)
+        field = _counted(dataclasses.replace(field, degree=None), calls, at)
         anchor = np.asarray(field.anchor, dtype=float)
-        for start in (None, iso._MID_RUNG):
-            found = 0
-            for d in sampling.sphere_directions(field.dim, 16, seed=0):
-                for ray in (d, -d):
-                    at.clear()
-                    s = iso._radial_root(field, anchor, ray, t, start)
-                    rungs = anchor + iso._LADDER[:, None] * ray
-                    trials = sum(not (rungs == x).all(axis=1).any() for x in at)
-                    assert trials <= 12
-                    if s is not None:
-                        break
-                if s is None:
-                    continue
-                found += 1
-                x = anchor + s * ray
-                assert abs(field.value(x) - t) <= iso.LEVEL_RESIDUAL * (1.0 + abs(t))
-            assert found == 16
+        found = 0
+        for d in sampling.sphere_directions(field.dim, 16, seed=0):
+            for ray in (d, -d):
+                at.clear()
+                s = iso._radial_root(field, anchor, ray, t)
+                rungs = anchor + iso._LADDER[:, None] * ray
+                trials = sum(not (rungs == x).all(axis=1).any() for x in at)
+                assert trials <= 12
+                if s is not None:
+                    break
+            if s is None:
+                continue
+            found += 1
+            x = anchor + s * ray
+            assert abs(field.value(x) - t) <= iso.LEVEL_RESIDUAL * (1.0 + abs(t))
+        assert found == 16
 
     @pytest.mark.parametrize("case", ["randers-sphere", "randers-reverse-sphere",
                                       "randers-hyperplane", "randers-cylinder",
@@ -202,7 +215,8 @@ class TestRadialRoot:
     def test_met_level_skips_the_polish(self, case, randers3, randers3_mixed, alphabeta3):
         # the regula falsi alone meets the level to 1e-13 |t| on every found
         # ray, and only f is evaluated: no d1 call.  At t = 2^-39 a bound
-        # relative to 1 + |t| would admit points percents off the level
+        # relative to 1 + |t| would admit points percents off the level.  The
+        # ladder runs on a copy without the degree, the closed form on the field
         field, t = {
             "randers-sphere": (calculus.sphere_potential(randers3), 2.0),
             "randers-reverse-sphere": (calculus.sphere_potential(randers3, reverse=True), -2.0),
@@ -216,19 +230,20 @@ class TestRadialRoot:
             "small-level": (calculus.sphere_potential(randers3), 2.0 * 2.0**-40),
         }[case]
         calls = {"value": 0, "d1": 0}
-        field = _counted(field, calls)
-        anchor = np.asarray(field.anchor, dtype=float)
-        found = 0
-        for d in sampling.sphere_directions(field.dim, 16, seed=0):
-            for ray in (d, -d):
-                s = iso._radial_root(field, anchor, ray, t)
-                if s is not None:
-                    break
-            if s is None:
-                continue
-            found += 1
-            assert abs(field.value(anchor + s * ray) - t) <= 1e-13 * abs(t)
-        assert found == 16
+        for f in (dataclasses.replace(field, degree=None), field):
+            f = _counted(f, calls)
+            anchor = np.asarray(f.anchor, dtype=float)
+            found = 0
+            for d in sampling.sphere_directions(f.dim, 16, seed=0):
+                for ray in (d, -d):
+                    s = iso._radial_root(f, anchor, ray, t)
+                    if s is not None:
+                        break
+                if s is None:
+                    continue
+                found += 1
+                assert abs(f.value(anchor + s * ray) - t) <= 1e-13 * abs(t)
+            assert found == 16
         assert calls["d1"] == 0
 
     def test_zero_level_stops_on_the_bracket_width(self):
@@ -273,95 +288,52 @@ class TestRadialRoot:
 
     @pytest.mark.parametrize("catalog", ["linear", "sphere", "reverse_sphere", "cylinder",
                                          "reverse_cylinder", "norm_plus_linear"])
-    def test_warm_walk_matches_the_bottom_up_walk(self, catalog, randers3, randers3_mixed):
-        # on a one-root field the walk from any start rung brackets the rung
-        # pair the bottom-up walk brackets, so the polish returns the same
-        # float, or None on the same rays.  The rays: a direction and its
-        # mirror, the x3 axis both ways (the cylinder potentials fail at
-        # every rung of it, and |xbar| + b.x is negative on one side) and a
-        # ray on which the linear field vanishes; no ray reaches level 1e30
-        field = _memoized({
+    def test_closed_form_matches_the_ladder(self, catalog, randers3, randers3_mixed):
+        # on a field with a degree the closed form returns the ladder walk's
+        # radius to 1e-12, or None on the same rays.  The rays: a direction
+        # and its mirror, the x3 axis both ways (the cylinder potentials fail
+        # there, and |xbar| + b.x is negative on one side) and a ray on which
+        # the linear field vanishes.  The levels t = +-m^k for m from 1e-10
+        # to 1e10 keep the radii inside the ladder's span: +-1e-20 to +-1e20
+        # at degree 2, +-1e-10 to +-1e10 at degree 1
+        field = {
             "linear": calculus.linear_field([1.0, 2.0, 0.5]),
             "sphere": calculus.sphere_potential(randers3),
             "reverse_sphere": calculus.sphere_potential(randers3, reverse=True),
             "cylinder": calculus.cylinder_potential(randers3, 2),
             "reverse_cylinder": calculus.cylinder_potential(randers3, 2, reverse=True),
             "norm_plus_linear": calculus.norm_plus_linear(randers3_mixed, 2),
-        }[catalog])
-        assert field.one_root_per_ray
-        sign = -1.0 if catalog.startswith("reverse") else 1.0
-        levels = [sign * m for m in (1e-20, 1e-7, 2.0, 1e7, 1e20, 1e30)]
-        if catalog == "linear":
-            levels += [-2.0, 0.0]
+        }[catalog]
+        ladder = dataclasses.replace(field, degree=None)
         d = sampling.sphere_directions(3, 1, seed=0)[0]
         rays = [d, -d, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]),
                 np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)]
         outcomes = set()
-        for t in levels:
-            for ray in rays:
-                want = iso._radial_root(field, field.anchor, ray, t)
-                outcomes.add(want is None)
-                for start in range(1, len(iso._LADDER) - 1):
-                    assert iso._radial_root(field, field.anchor, ray, t, start) == want
+        for m in (1e-10, 1e-7, 1.5, 1e7, 1e10):
+            for t in (m**field.degree, -m**field.degree):
+                for ray in rays:
+                    want = iso._radial_root(ladder, field.anchor, ray, t)
+                    got = iso._radial_root(field, field.anchor, ray, t)
+                    outcomes.add(want is None)
+                    if want is None:
+                        assert got is None, (t, ray)
+                    else:
+                        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (t, ray)
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("c", [1.0, 0.25])
     def test_two_roots_on_a_ray_give_the_nearest(self, randers3, c):
         # f = (|x|^2 - c)^2 meets t = c^2/4 at |x| = sqrt(c/2) and sqrt(3c/2)
-        # on every ray.  A custom field declares no single root, so each ray
-        # is walked from the bottom rung; a walk started above both roots, as
-        # the first ray's s = 1 is at c = 1/4, would find neither
+        # on every ray.  A custom field declares no degree, so each ray is
+        # walked from the bottom rung of the ladder
         field = calculus.custom_field(
             3, lambda x: (x.dot(x) - c) ** 2, lambda x: 4.0 * (x.dot(x) - c) * x,
             lambda x: 4.0 * (x.dot(x) - c) * np.eye(3) + 8.0 * np.outer(x, x))
-        assert not field.one_root_per_ray
+        assert field.degree is None
         s = iso.sample_level(randers3, field, c * c / 4.0, 16)
         assert len(s.points) == 16
         radii = np.linalg.norm(s.points, axis=1)
         assert np.allclose(radii, np.sqrt(c / 2.0), rtol=1e-10, atol=0.0)
-        above = int(np.searchsorted(iso._LADDER, np.sqrt(1.5 * c)))
-        d = s.points[0] / radii[0]
-        assert iso._radial_root(field, field.anchor, d, c * c / 4.0, above) is None
-
-    @pytest.mark.parametrize("t", [0.02, 0.5, 2.0, 50.0])
-    def test_failing_rungs_send_the_walk_to_the_bottom(self, randers3, t):
-        # a one-root field that raises on the shell 0.9 < |x| < 1.1 around
-        # the first ray's start rung s = 1: every start near it gives the
-        # bottom-up result, found or not
-        sphere = calculus.sphere_potential(randers3)
-
-        def value_fn(x):
-            if 0.9 < np.sqrt(x.dot(x)) < 1.1:
-                raise MinkGeomError("undefined on the shell")
-            return sphere.value_fn(x)
-
-        field = dataclasses.replace(sphere, value_fn=value_fn)
-        assert field.one_root_per_ray
-        dirs = sampling.sphere_directions(3, 8, seed=0)
-        for ray in [*dirs, *-dirs]:
-            want = iso._radial_root(field, field.anchor, ray, t)
-            for start in range(iso._MID_RUNG - 4, iso._MID_RUNG + 5):
-                assert iso._radial_root(field, field.anchor, ray, t, start) == want
-
-
-def _memoized(field):
-    """A copy of the pure ``field`` whose ``value`` evaluates f once per point."""
-    copy = dataclasses.replace(field)
-    memo = {}
-
-    def value(x):
-        key = x.tobytes()
-        if key not in memo:
-            try:
-                memo[key] = field.value(x)
-            except MinkGeomError as exc:
-                memo[key] = exc
-        if isinstance(memo[key], MinkGeomError):
-            raise memo[key].with_traceback(None)
-        return memo[key]
-
-    copy.value = value
-    return copy
 
 
 class TestVerify:
@@ -398,8 +370,10 @@ class TestVerify:
         ("cylinder", [0.125, 0.5, 1.125]),
     ])
     def test_model_fields_raise_nothing_on_the_ladder(self, randers3, catalog, levels):
-        # every rung of the ray ladder, down to 2^-40, is a vector with a value
-        field = cli.build_field({"catalog": catalog, "m": 2}, randers3)
+        # every rung of the ray ladder, down to 2^-40, is a vector with a
+        # value; the copy without the degree walks the ladder
+        field = dataclasses.replace(cli.build_field({"catalog": catalog, "m": 2}, randers3),
+                                    degree=None)
         raised = []
         inner = field.value_fn
 
