@@ -14,7 +14,6 @@ cli            batch driver (``minkgeom verify|curvatures|dualcheck``)
 from . import calculus, duality, errors, hypersurface, isoparametric, norms, randers
 from .norms import (
     AlphaBetaNorm,
-    CartanData,
     EuclideanNorm,
     KthRootNorm,
     MinkowskiNorm,
@@ -37,7 +36,6 @@ __all__ = [
     "KthRootNorm",
     "AlphaBetaNorm",
     "ScaledNorm",
-    "CartanData",
     "PolynomialProfile",
 ]
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import EigenFailure
@@ -21,33 +19,46 @@ def orthonormal_basis(g: np.ndarray, first: np.ndarray | None = None,
 
     Returns an array of shape (count, n): the n-1 tangent vectors when
     ``first`` is given (first excluded), else a full basis of n vectors.
+    A stack of inner products g (N, n, n), with ``first`` (N, n), gives the
+    stack (N, count, n), each row built as on its own.
     """
     g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    frame = []
+    first = None if first is None else np.asarray(first, dtype=float)
+    single = g.ndim == 2
+    if single:
+        g = g[None]
+        first = None if first is None else first[None]
+    N, n = g.shape[0], g.shape[-1]
+    frame = []  # (e, g e) of the vectors so far, each (N, n)
     if first is not None:
-        first = np.asarray(first, dtype=float)
-        nrm2 = float(first.dot(g).dot(first))
-        if nrm2 <= 0.0:
+        gf = (g * first[:, None, :]).sum(axis=2)
+        nrm2 = (first * gf).sum(axis=1)
+        if not np.all(nrm2 > 0.0):
             raise EigenFailure("frame metric is not positive on the seed vector")
-        frame.append(first / math.sqrt(nrm2))
-        align = np.abs(g.dot(frame[0])) / np.sqrt(np.maximum(np.diag(g), 1e-300))
-        drop = int(np.argmax(align))
-        candidates = [i for i in range(n) if i != drop]
+        r = np.sqrt(nrm2)[:, None]
+        frame.append((first / r, gf / r))
+        diag = g.reshape(N, n * n)[:, :: n + 1]
+        align = abs(frame[0][1]) / np.sqrt(np.maximum(diag, 1e-300))
+        drop = align.argmax(axis=1)[:, None]
+        candidates = np.arange(n - 1) + (np.arange(n - 1) >= drop)
     else:
-        candidates = list(range(n))
+        candidates = np.broadcast_to(np.arange(n), (N, n))
     if basis_seed % 2 == 1:
-        candidates = candidates[::-1]
+        candidates = candidates[:, ::-1]
+    rows = np.arange(N)
     out = []
-    for i in candidates:
-        v = np.zeros(n)
-        v[i] = 1.0
-        for e in frame:
-            v = v - v.dot(g).dot(e) * e
-        nrm2 = float(v.dot(g).dot(v))
-        if nrm2 <= 1e-24:
+    for j in range(candidates.shape[1]):
+        v = np.zeros((N, n))
+        v[rows, candidates[:, j]] = 1.0
+        for e, ge in frame:
+            v = v - (v * ge).sum(axis=1)[:, None] * e
+        gv = (g * v[:, None, :]).sum(axis=2)
+        nrm2 = (v * gv).sum(axis=1)
+        if not np.all(nrm2 > 1e-24):
             raise EigenFailure("Gram-Schmidt collapsed; frame metric degenerate")
-        e = v / math.sqrt(nrm2)
-        frame.append(e)
+        r = np.sqrt(nrm2)[:, None]
+        e = v / r
+        frame.append((e, gv / r))
         out.append(e)
-    return np.array(out)
+    basis = np.stack(out, axis=1)
+    return basis[0] if single else basis

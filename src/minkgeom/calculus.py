@@ -13,7 +13,9 @@ form, so BH and HT agree) reduces to
     Delta f = g*^{ij}(df) f_ij = g^{ij}(grad f) f_ij = tr_{g_{grad f}} D^2 f.
 
 Every quantity at a point comes from the same df, D^2 f, grad f and g at
-grad f, which ``point_geometry`` computes once.  The dual-tensor and
+grad f, which ``point_geometry`` computes once; ``level_geometry`` computes
+them for all the points of a level, as whole arrays where the norm and the
+field have stacked closed forms (``stacked_geometry``).  The dual-tensor and
 orthonormal-frame-trace Laplacians are kept as independent pipelines to
 cross-check the shared one.
 """
@@ -61,6 +63,12 @@ class ScalarField:
     linear fields and |xbar| + b.x, k = 2 for the sphere and cylinder
     potentials (either sign).  Custom and reparametrized fields leave it
     None, and radial sampling searches each ray for its nearest root.
+
+    ``rows(X, order)`` evaluates the field at the rows of X (N, n) as whole
+    arrays: order 0 gives f (N,), NaN where f fails, and order 2 gives
+    (df, D^2 f), (N, n) and (N, n, n).  The catalog constructors set it;
+    ``values`` and ``stacked_geometry`` read it, and without it each row is
+    evaluated on its own.
     """
 
     dim: int
@@ -73,6 +81,7 @@ class ScalarField:
     regular_range: tuple = (-math.inf, math.inf)
     meta: dict = dc_field(default_factory=dict)
     degree: int | None = None
+    rows: object = None
 
     def __post_init__(self):
         if self.anchor is None:
@@ -87,6 +96,18 @@ class ScalarField:
     def d2(self, x) -> np.ndarray:
         return np.asarray(self.d2_fn(np.asarray(x, dtype=float)), dtype=float)
 
+    def values(self, X) -> np.ndarray:
+        """f at each row of X, NaN where f fails."""
+        if self.rows is not None:
+            return self.rows(X, 0)
+        out = np.full(len(X), np.nan)
+        for i, x in enumerate(X):
+            try:
+                out[i] = self.value(x)
+            except MinkGeomError:
+                pass
+        return out
+
     def __repr__(self):
         return f"<ScalarField {self.tag} dim={self.dim}>"
 
@@ -97,6 +118,12 @@ class ScalarField:
 def linear_field(c) -> ScalarField:
     c = np.asarray(c, dtype=float)
     n = c.size
+
+    def rows(X, order):
+        if order == 0:
+            return X.dot(c)
+        return np.broadcast_to(c, X.shape), np.zeros((len(X), n, n))
+
     return ScalarField(
         dim=n,
         tag="linear",
@@ -105,6 +132,7 @@ def linear_field(c) -> ScalarField:
         d2_fn=lambda x: np.zeros((n, n)),
         meta={"c": c},
         degree=1,
+        rows=rows,
     )
 
 
@@ -117,6 +145,14 @@ def sphere_potential(norm: MinkowskiNorm, reverse: bool = False) -> ScalarField:
     the center, which is what flips the principal curvature sign.
     """
     n = norm.dim
+    sign = -1.0 if reverse else 1.0
+
+    def rows(X, order):
+        if order == 0:
+            return sign * 0.5 * norm._values(sign * X) ** 2
+        _, d1, d2 = norm._derivative_rows(sign * X)
+        return d1, sign * d2
+
     if reverse:
         return ScalarField(
             dim=n,
@@ -127,6 +163,7 @@ def sphere_potential(norm: MinkowskiNorm, reverse: bool = False) -> ScalarField:
             regular_range=(-math.inf, 0.0),
             meta={"norm": norm, "reverse": True},
             degree=2,
+            rows=rows,
         )
     return ScalarField(
         dim=n,
@@ -137,6 +174,7 @@ def sphere_potential(norm: MinkowskiNorm, reverse: bool = False) -> ScalarField:
         regular_range=(0.0, math.inf),
         meta={"norm": norm, "reverse": False},
         degree=2,
+        rows=rows,
     )
 
 
@@ -162,6 +200,17 @@ def cylinder_potential(norm: MinkowskiNorm, m: int, reverse: bool = False) -> Sc
 
     sign = -1.0 if reverse else 1.0
     tag = "half_squared_subspace_dual" + ("_reverse" if reverse else "")
+
+    def rows(X, order):
+        xbar = sign * X[:, :m]
+        if order == 0:
+            return sign * 0.5 * tilde._values(xbar) ** 2
+        _, d1, d2 = tilde._derivative_rows(xbar)
+        df, hess = np.zeros(X.shape), np.zeros((len(X), n, n))
+        df[:, :m] = d1
+        hess[:, :m, :m] = sign * d2
+        return df, hess
+
     return ScalarField(
         dim=n,
         tag=tag,
@@ -171,6 +220,7 @@ def cylinder_potential(norm: MinkowskiNorm, m: int, reverse: bool = False) -> Sc
         regular_range=(0.0, math.inf) if not reverse else (-math.inf, 0.0),
         meta={"norm": norm, "m": m, "reverse": reverse, "tilde": tilde},
         degree=2,
+        rows=rows,
     )
 
 
@@ -202,6 +252,19 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
         out[:m, :m] = (np.eye(m) - np.outer(x[:m], x[:m]) / r**2) / r
         return out
 
+    def rows(X, order):
+        xbar = X[:, :m]
+        r = np.sqrt((xbar * xbar).sum(axis=1))
+        if order == 0:
+            return r + X.dot(b)
+        with np.errstate(divide="ignore", invalid="ignore"):  # xbar = 0: NaN rows
+            df = np.tile(b, (len(X), 1))
+            df[:, :m] += xbar / r[:, None]
+            hess = np.zeros((len(X), n, n))
+            hess[:, :m, :m] = (np.eye(m) - xbar[:, :, None] * xbar[:, None, :]
+                               / (r**2)[:, None, None]) / r[:, None, None]
+        return df, hess
+
     return ScalarField(
         dim=n,
         tag="norm_plus_linear",
@@ -211,6 +274,7 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
         regular_range=(0.0, math.inf),
         meta={"norm": norm, "m": m, "b": b},
         degree=1,
+        rows=rows,
     )
 
 
@@ -348,6 +412,51 @@ def point_geometry(norm: MinkowskiNorm, field: ScalarField, x) -> PointGeometry:
         if np.max(np.abs(norm.legendre(geo.grad) - df)) > 1e-8 * np.max(np.abs(df)):
             raise exc  # L does not preserve the subspace; the reduction is invalid
         return geo
+
+
+def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> list:
+    """The ``PointGeometry`` of each row of X (N, n), a level's points.
+
+    The norm's ``_level_geometry`` chooses the path: ``stacked_geometry`` for
+    the families with stacked closed forms, one ``point_geometry`` per row for
+    every other.  Raises CriticalPoint at the first critical row.
+    """
+    return norm._level_geometry(field, np.asarray(X, dtype=float))
+
+
+def stacked_geometry(norm: MinkowskiNorm, field: ScalarField, X: np.ndarray) -> list:
+    """``point_geometry`` at every row of X, computed as whole arrays.
+
+    Takes the field's ``rows`` and the norm's ``_dual_rows`` on the analytic
+    strategy; otherwise, or without ``rows``, each row takes
+    ``point_geometry``.  Each row is scaled by the rule of
+    ``norms._as_vector``.  A row that fails the critical-point test of
+    ``_regular_jet`` or is non-finite, and every row when the Cholesky test
+    of g fails on one, takes ``point_geometry``, which raises or reduces to
+    the subspace dual as for one point.
+    """
+    if norm.strategy != "analytic" or field.rows is None:
+        return [point_geometry(norm, field, x) for x in X]
+    df, hess = field.rows(X, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dnorm = np.sqrt((df * df).sum(axis=1))
+        hnorm = np.sqrt((hess * hess).sum(axis=(1, 2)))
+        xnorm = np.sqrt((X * X).sum(axis=1))
+        ok = (np.isfinite(dnorm) & np.isfinite(hnorm) & np.isfinite(xnorm) & (dnorm > 0.0)
+              & ~(dnorm <= CRITICAL_EPS * (hnorm * xnorm)))
+    grad, fstar, g = norm._dual_rows(df)
+    ok &= np.isfinite(fstar) & (fstar > 0.0) & np.isfinite(g).all(axis=(1, 2))
+    try:
+        np.linalg.cholesky(g[ok])
+    except np.linalg.LinAlgError:
+        ok[:] = False  # the one-point path finds the failing row
+    lap = np.full(len(X), np.nan)
+    if ok.any():
+        lap[ok] = (np.linalg.inv(g[ok]) * hess[ok]).sum(axis=(1, 2))
+    n = norm.dim
+    return [PointGeometry(x=X[i], norm=norm, m=n, df=df[i], hess=hess[i], grad=grad[i],
+                          fstar=float(fstar[i]), g=g[i], lap=float(lap[i]))
+            if ok[i] else point_geometry(norm, field, X[i]) for i in range(len(X))]
 
 
 def _geometry_in(norm: MinkowskiNorm, m: int, x, df, hess) -> PointGeometry:

@@ -7,8 +7,11 @@ ghat = g_n is
     hhat(X, Y) = -D^2 f(X, Y) / F(grad f)
 
 on the tangent space.  Principal curvatures are the eigenvalues of hhat in a
-ghat-orthonormal tangent frame.  The sectional curvature of the induced
-connection reduces in a Minkowski space to the product identity
+ghat-orthonormal tangent frame.  ``level_frames`` is the one frame builder:
+it builds the frames of a level's point geometries as one stack (one
+g-Gram-Schmidt, one shape-operator product, one batched ``eigh``), and
+``frame_at`` is its call on one point.  The sectional curvature of the
+induced connection reduces in a Minkowski space to the product identity
 Khat(e_a ^ e_b) = k_a k_b, which is how it is computed here (the intrinsic
 connection itself is never constructed).
 
@@ -57,48 +60,71 @@ class HypersurfacePointFrame:
 
 def frame_at(norm: MinkowskiNorm, field: ScalarField, x,
              basis_seed: int = 0) -> HypersurfacePointFrame:
-    """Build the hypersurface frame of the level set of ``field`` through x.
+    """Build the hypersurface frame of the level set of ``field`` through x:
+    ``level_frames`` of its one ``point_geometry``."""
+    return level_frames(norm, field, [point_geometry(norm, field, x)], basis_seed)[0]
 
+
+def level_frames(norm: MinkowskiNorm, field: ScalarField, geometries,
+                 basis_seed: int = 0) -> list:
+    """The hypersurface frame at each point geometry, built as one stack.
+
+    The rows of one geometry dimension m share one g-Gram-Schmidt
+    (``orthonormal_basis``), one shape operator and one batched ``eigh``.
     When the point geometry is the subspace-dual reduction (k-th root
     families, whose gradient for cylinder potentials lies on a coordinate
     plane), the tangent frame is built on the first m coordinates and the
     complement directions are principal with curvature zero, as in the
     cylinder model.
     """
-    geo = point_geometry(norm, field, x)
-    n, m = norm.dim, geo.m
-    n_vec = geo.grad / geo.fstar
-    tangent = np.zeros((n - 1, n))
-    tangent[: m - 1, :m] = orthonormal_basis(geo.g, first=n_vec[:m], basis_seed=basis_seed)
-    tangent[m - 1:, m:] = np.eye(n - m)
-    hhat = -(tangent @ geo.hess @ tangent.T) / geo.fstar
-    hhat = 0.5 * (hhat + hhat.T)
-    try:
-        vals, vecs = np.linalg.eigh(hhat)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure("eigendecomposition of the shape operator failed") from exc
+    n = norm.dim
     uses_fd = norm.strategy == "fd" or field.uses_fd
-    kmax = float(np.max(np.abs(vals))) if vals.size else 0.0
-    group_tol = max(1e-4, 1e-4 * kmax) if uses_fd else max(1e-9, 1e-6 * kmax)
-    return HypersurfacePointFrame(
-        x=geo.x,
-        normal=n_vec,
-        tangent_basis=tangent,
-        hhat=hhat,
-        principal_curvatures=vals,
-        eigenvectors=vecs.T @ tangent,
-        groups=_group_eigenvalues(vals, group_tol),
-        geometry=geo,
-    )
+    frames = [None] * len(geometries)
+    for m in sorted({geo.m for geo in geometries}):
+        idx = [i for i, geo in enumerate(geometries) if geo.m == m]
+        geos = [geometries[i] for i in idx]
+        fstar = np.array([geo.fstar for geo in geos])
+        normal = np.array([geo.grad for geo in geos]) / fstar[:, None]
+        hess = np.array([geo.hess for geo in geos])
+        tangent = np.zeros((len(geos), n - 1, n))
+        tangent[:, : m - 1, :m] = orthonormal_basis(np.array([geo.g for geo in geos]),
+                                                    first=normal[:, :m], basis_seed=basis_seed)
+        tangent[:, m - 1:, m:] = np.eye(n - m)
+        hhat = -(tangent @ hess @ tangent.transpose(0, 2, 1)) / fstar[:, None, None]
+        hhat = 0.5 * (hhat + hhat.transpose(0, 2, 1))
+        try:
+            vals, vecs = np.linalg.eigh(hhat)
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure("eigendecomposition of the shape operator failed") from exc
+        principal = vecs.transpose(0, 2, 1) @ tangent
+        kmax = abs(vals).max(axis=1)
+        group_tol = (np.maximum(1e-4, 1e-4 * kmax) if uses_fd
+                     else np.maximum(1e-9, 1e-6 * kmax)).tolist()
+        val_rows = vals.tolist()
+        for r, (i, geo) in enumerate(zip(idx, geos)):
+            frames[i] = HypersurfacePointFrame(
+                x=geo.x,
+                normal=normal[r],
+                tangent_basis=tangent[r],
+                hhat=hhat[r],
+                principal_curvatures=vals[r],
+                eigenvectors=principal[r],
+                groups=_group_eigenvalues(val_rows[r], group_tol[r]),
+                geometry=geo,
+            )
+    return frames
 
 
-def _group_eigenvalues(vals: np.ndarray, tol: float) -> tuple:
+def _group_eigenvalues(vals: list, tol: float) -> tuple:
+    """(mean, count) of each run of sorted values whose steps are at most tol."""
     groups = []
     start = 0
-    for i in range(1, vals.size + 1):
-        if i == vals.size or vals[i] - vals[i - 1] > tol:
-            block = vals[start:i]
-            groups.append((float(block.mean()), int(block.size)))
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] - vals[i - 1] > tol:
+            total = 0.0
+            for v in vals[start:i]:
+                total += v
+            groups.append((total / (i - start), i - start))
             start = i
     return tuple(groups)
 
@@ -115,13 +141,6 @@ def mean_curvatures(frame: HypersurfacePointFrame) -> tuple[float, float]:
     if abs(hhat_sum - trace_sum) > 1e-6 * (1.0 + abs(hhat_sum)):
         raise EigenFailure("mean-curvature trace identity violated; frame is inconsistent")
     return hhat_sum, hhat_sum
-
-
-def mean_curvature_residual(frame: HypersurfacePointFrame) -> float:
-    """| F(grad f) * Hhat + sum_a D^2 f(e_a, e_a) |, which must vanish."""
-    hess = frame.geometry.hess
-    faa = float(sum(e @ hess @ e for e in frame.tangent_basis))
-    return abs(frame.geometry.fstar * float(np.sum(frame.principal_curvatures)) + faa)
 
 
 def cartan_curvature_Q(norm: MinkowskiNorm, y, X, Y) -> float:
@@ -144,10 +163,11 @@ def cartan_curvature_Q(norm: MinkowskiNorm, y, X, Y) -> float:
             raise NotOrthogonal("vectors are not mutually g_y-orthogonal")
     C = 0.5 * d.d3
     Ccal = 0.5 * d.d4
-    cXX = np.einsum("ijk,i,j->k", C, X, X)
-    cYY = np.einsum("ijk,i,j->k", C, Y, Y)
+    # C_ijk X^i X^j, C_ijk Y^i Y^j and Ccal_ijkl X^i X^j Y^k Y^l as chained dots
+    cXX = X.dot(X.dot(C))
+    cYY = Y.dot(Y.dot(C))
     frame_sum = float(cXX.dot(np.linalg.solve(g, cYY)))
-    quad = float(np.einsum("ijkl,i,j,k,l->", Ccal, X, X, Y, Y))
+    quad = float(Ccal.dot(Y).dot(Y).dot(X).dot(X))
     return (2.0 * d.F**2 / (gXX * gYY)) * (2.0 * frame_sum - quad)
 
 

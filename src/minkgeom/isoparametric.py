@@ -5,14 +5,23 @@ A function f is transnormal when F(grad f) is constant on each level set
 Finsler Laplacian is constant on each level set (Delta f = b(f)).  The
 verifier samples points of each requested level on rays from an anchor along
 a low-discrepancy direction set, computes F*(df), Delta f and principal
-curvatures per point, and turns within-level constancy into verdicts.  On a
-field of declared degree k (every catalog field) f is positively homogeneous
-about the anchor, so a ray meets level t at s = (t / f(anchor + d))^(1/k),
-one evaluation of f; on other fields a walk along a fixed ladder of radii
-brackets the level nearest the anchor and Illinois regula falsi narrows the
-bracket.  A margin band above the tolerance yields "inconclusive" rather
-than "no", separating numerical noise from genuine failures, whose spread is
-orders of magnitude larger.
+curvatures per point, and turns within-level constancy into verdicts.
+
+Each level is computed as one stack.  On a field of declared degree k
+(every catalog field) f is positively homogeneous about the anchor, so a
+ray meets level t at s = (t / f(anchor + d))^(1/k): one evaluation of f over
+all rays of the level as one array.  On other fields a walk along a fixed
+ladder of radii brackets the level nearest the anchor and Illinois regula
+falsi narrows the bracket, ray by ray.  A point is kept when
+|f(x) - t| <= 1e-10 |t|.  The level's points then get their geometry from
+one ``calculus.level_geometry`` (stacked closed forms for the Randers,
+Euclidean and scaled norms on the analytic strategy with a catalog field,
+one ``point_geometry`` per point otherwise) and their frames from one
+``hypersurface.level_frames``.
+
+A margin band above the tolerance yields "inconclusive" rather than "no",
+separating numerical noise from genuine failures, whose spread is orders of
+magnitude larger.
 
 Profiles a(t), b(t) are tabulated per-level means; derivative-sensitive
 identities use pointwise flow-line differencing of the measured profile,
@@ -29,7 +38,7 @@ import numpy as np
 
 from . import duality
 # ``laplacian`` stays reachable here: the benchmark's tracer hooks it by this name
-from .calculus import ScalarField, laplacian, reparametrized_field  # noqa: F401
+from .calculus import ScalarField, laplacian, level_geometry, reparametrized_field  # noqa: F401
 from .errors import (
     CriticalPoint,
     CriticalPointOnLevel,
@@ -39,7 +48,7 @@ from .errors import (
     NotIsoparametric,
     NotMonotone,
 )
-from .hypersurface import frame_at
+from .hypersurface import frame_at, level_frames
 from .norms import MinkowskiNorm, RandersNorm
 from .randers import randers_isoparametric_residual
 from .sampling import sphere_directions
@@ -56,7 +65,7 @@ _LADDER = np.geomspace(2.0**-40, 2.0**40, 161)
 class LevelSample:
     """Sampled points of one regular level set with per-point quantities.
 
-    ``frames`` holds the ``frame_at`` frame of each point, with its point
+    ``frames`` holds the ``level_frames`` frame of each point, with its point
     geometry (df, D^2 f, grad f); later stages read it instead of rebuilding.
     """
 
@@ -73,14 +82,16 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
                  seed: int = 0) -> LevelSample:
     """Sample ``count`` points of f^{-1}(t) on rays from ``field.anchor``.
 
-    Each ray gets one ``_radial_root``: in closed form on a field with a
-    ``degree``, else by the ladder walk to the root nearest the anchor.  A
-    ray that gives no point is tried mirrored; if that fails too the
+    On a field with a ``degree`` every ray meets the level in closed form,
+    all rays as one array (``_degree_radii``); on any other field each ray
+    gets the ladder walk of ``_radial_root`` to the root nearest the anchor.
+    A ray that gives no point is tried mirrored; if that fails too the
     direction is skipped, and more than half skipped raises LevelNotReached,
     which says when the level passes through the anchor of such a field.
-    Every returned point satisfies |f(x) - t| <= 1e-10 (1 + |t|) and is
-    regular.  F*(df), Delta f and the curvatures of a point all come from
-    its one ``frame_at`` frame.
+    Every returned point satisfies |f(x) - t| <= 1e-10 |t| (1e-10 at t = 0)
+    and is regular.  The points' geometry is one ``level_geometry`` and their
+    frames one ``level_frames``; F*(df), Delta f and the curvatures are read
+    from them.
     """
     if count < 8:
         raise ValueError("count must be at least 8")
@@ -89,44 +100,40 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
         raise ValueError(f"level {t} outside the declared regular range {field.regular_range}")
     anchor = np.asarray(field.anchor, dtype=float)
     dirs = sphere_directions(field.dim, count, seed=seed)
-    points = []
-    skipped = 0
-    for d in dirs:
-        s = _radial_root(field, anchor, d, t)
-        if s is None:
-            # half-space fields (linear levels, one-sided potentials) only
-            # meet the level on one side; the mirrored ray keeps the sample full
-            d = -d
-            s = _radial_root(field, anchor, d, t)
-        if s is None:
-            skipped += 1
-            continue
-        x = anchor + s * d
-        if abs(field.value(x) - t) > LEVEL_RESIDUAL * (1.0 + abs(t)):
-            skipped += 1
-            continue
-        points.append(x)
+    if field.degree is not None:
+        s = _degree_radii(field.values(anchor + dirs), t, field.degree)
+        # half-space fields (linear levels, one-sided potentials) only meet
+        # the level on one side; the mirrored ray keeps the sample full
+        miss = np.isnan(s)
+        dirs[miss] = -dirs[miss]
+        s[miss] = _degree_radii(field.values(anchor + dirs[miss]), t, field.degree)
+    else:
+        s = np.full(count, math.nan)
+        for i, d in enumerate(dirs):
+            root = _radial_root(field, anchor, d, t)
+            if root is None:
+                dirs[i] = d = -d
+                root = _radial_root(field, anchor, d, t)
+            if root is not None:
+                s[i] = root
+    points = (anchor + s[:, None] * dirs)[~np.isnan(s)]
+    with np.errstate(invalid="ignore"):
+        points = points[abs(field.values(points) - t) <= LEVEL_RESIDUAL * (abs(t) or 1.0)]
+    skipped = count - len(points)
     if skipped > count // 2:
         raise LevelNotReached(
             f"level {t}: {skipped}/{count} directions gave no point; "
             + _unreached_reason(field, t)
         )
-    points = np.array(points)
-    fstar = np.empty(len(points))
-    lap = np.empty(len(points))
-    curvs = np.empty((len(points), field.dim - 1))
-    frames = []
-    for i, x in enumerate(points):
-        try:
-            fr = frame_at(norm, field, x)
-        except CriticalPoint as exc:
-            raise CriticalPointOnLevel(f"sampled point {x!r} on level {t} is critical") from exc
-        fstar[i] = fr.geometry.fstar
-        lap[i] = fr.geometry.lap
-        curvs[i] = fr.principal_curvatures
-        frames.append(fr)
-    return LevelSample(t=float(t), points=points, fstar=fstar, lap=lap,
-                       curvatures=curvs, frames=frames, skipped=skipped)
+    try:
+        frames = level_frames(norm, field, level_geometry(norm, field, points))
+    except CriticalPoint as exc:
+        raise CriticalPointOnLevel(f"a sampled point on level {t} is critical: {exc}") from exc
+    return LevelSample(t=float(t), points=points,
+                       fstar=np.array([fr.geometry.fstar for fr in frames]),
+                       lap=np.array([fr.geometry.lap for fr in frames]),
+                       curvatures=np.array([fr.principal_curvatures for fr in frames]),
+                       frames=frames, skipped=skipped)
 
 
 def _unreached_reason(field: ScalarField, t) -> str:
@@ -149,21 +156,29 @@ def _brackets(va, vb) -> bool:
     return va * vb < 0.0 or (va == 0.0 and not math.isnan(vb))
 
 
+def _degree_radii(v, t, k: int):
+    """s = (t / v)^(1/k), the radius where a field of degree k with
+    f(anchor + d) = v meets level t, for each v; NaN where t / v is not in
+    (0, inf): a wrong sign, a zero or infinite v, or a failed f (NaN)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = np.divide(t, v)
+        return np.where((q > 0.0) & (q < math.inf), q, math.nan) ** (1.0 / k)
+
+
 def _radial_root(field: ScalarField, anchor, d, t):
     """The radius s of the ray anchor + s d where f = t, or None.
 
     On a field of degree k, f(anchor + s d) = s^k v with v = f(anchor + d),
-    so s = (t / v)^(1/k) when 0 < t / v < inf, and None for a wrong sign, a
-    zero or infinite v, or a failed f: one evaluation of f.  On any other
-    field the ladder ``_LADDER`` is walked from its bottom rung, evaluating
-    f only at the rungs it visits, and the first rung pair where f - t
-    changes sign is narrowed by Illinois regula falsi, so the root nearest
-    the anchor is found.
+    so s = (t / v)^(1/k) when 0 < t / v < inf (``_degree_radii``), and None
+    for a wrong sign, a zero or infinite v, or a failed f: one evaluation of
+    f.  On any other field the ladder ``_LADDER`` is walked from its bottom
+    rung, evaluating f only at the rungs it visits, and the first rung pair
+    where f - t changes sign is narrowed by Illinois regula falsi, so the
+    root nearest the anchor is found.
     """
     if field.degree is not None:
-        v = _gap(field, anchor + d, 0.0)   # f(anchor + d), NaN where f fails
-        q = t / v if v else math.nan
-        return q ** (1.0 / field.degree) if 0.0 < q < math.inf else None
+        s = float(_degree_radii(_gap(field, anchor + d, 0.0), t, field.degree))
+        return None if math.isnan(s) else s
     vb = _gap(field, anchor + _LADDER[0] * d, t)
     for a in range(len(_LADDER) - 1):
         va, vb = vb, _gap(field, anchor + _LADDER[a + 1] * d, t)

@@ -22,6 +22,12 @@ Three derivative strategies are supported per norm:
 * ``fd``        -- central finite differences with Richardson extrapolation;
   an independent, lower-accuracy check.
 
+Every family also evaluates the rows of an (N, n) array at once:
+``_values``, ``_derivative_rows`` (order 2) and ``_dual_rows`` (the Legendre
+preimage with F and g there).  Their generic bodies go row by row; the
+Euclidean, Randers and scaled norms override them with whole-array closed
+forms, each row scaled by the rule of ``_as_vector``.
+
 Norms are immutable after construction and all operations are pure, except
 that ``derivatives`` keeps its last bundle for a repeat call at the same y and
 an order no higher; the arrays of every bundle it returns are read-only.
@@ -35,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _taylor
-from .errors import (BadDimension, DegenerateMetric, NoConvergence, NotInDomain, ZeroCovector,
-                     ZeroVector)
+from .errors import (BadDimension, DegenerateMetric, MinkGeomError, NoConvergence, NotInDomain,
+                     ZeroCovector, ZeroVector)
 
 ANGLE_MAX_ITER = 100  # the alpha-beta Legendre inverse's regula falsi
 
@@ -56,14 +62,6 @@ class Derivatives:
     d2: np.ndarray | None
     d3: np.ndarray | None = None
     d4: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class CartanData:
-    """Cartan tensor C_ijk and its y-derivative Ccal_ijkl at a direction."""
-
-    C: np.ndarray
-    Ccal: np.ndarray
 
 
 def _read_only(d: Derivatives) -> Derivatives:
@@ -96,6 +94,27 @@ def _as_vector(y, norm: "MinkowskiNorm", error=ZeroVector) -> tuple:
         raise error(f"{kind} is zero; F is not smooth at 0")
     s = math.ldexp(1.0, math.frexp(m)[1] - 1)
     return y / s, s
+
+
+def _as_rows(Y: np.ndarray, norm: "MinkowskiNorm") -> tuple:
+    """(Y / s, s) for the rows of Y (N, n), s per row by the rule of ``_as_vector``.
+
+    A zero or non-finite row gets s = NaN, so every result of its row is NaN.
+    """
+    lo, hi = norm._window
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.sqrt((Y * Y).sum(axis=1))
+        m = abs(Y).max(axis=1)
+        s = np.where((r >= lo) & (r <= hi), 1.0, np.ldexp(1.0, np.frexp(m)[1] - 1))
+        s[~(np.isfinite(m) & (m > 0.0))] = np.nan
+        return Y / s[:, None], s
+
+
+def _level_geometry_stacked(norm, field, X) -> list:
+    """``calculus.stacked_geometry``: the ``_level_geometry`` of a family with
+    stacked closed forms."""
+    from .calculus import stacked_geometry  # calculus builds on this module
+    return stacked_geometry(norm, field, X)
 
 
 def _rescale(x, s: float, degree: int):
@@ -152,6 +171,57 @@ class MinkowskiNorm:
         preserves that coordinate subspace."""
         return self.restricted(m)
 
+    # Stacked rows: the points of a level as one (N, n) array.  Each generic
+    # body goes row by row through the one-point services; a family with
+    # closed forms overrides it with whole-array operations.
+
+    def _values(self, Y: np.ndarray) -> np.ndarray:
+        """F at each row of Y, NaN where ``value`` fails."""
+        out = np.full(len(Y), np.nan)
+        for i, y in enumerate(Y):
+            try:
+                out[i] = self.value(y)
+            except MinkGeomError:
+                pass
+        return out
+
+    def _derivative_rows(self, Y: np.ndarray) -> tuple:
+        """(F, d1, d2) of the order-2 bundle at each row of Y, shapes (N,),
+        (N, n) and (N, n, n); NaN rows where ``derivatives`` fails."""
+        N, n = Y.shape
+        F, d1, d2 = np.full(N, np.nan), np.full((N, n), np.nan), np.full((N, n, n), np.nan)
+        for i, y in enumerate(Y):
+            try:
+                d = self.derivatives(y, order=2)
+            except MinkGeomError:
+                continue
+            F[i], d1[i], d2[i] = d.F, d.d1, d.d2
+        return F, d1, d2
+
+    def _dual_rows(self, Xi: np.ndarray) -> tuple:
+        """(y, F(y), g at y) with y = L^{-1}(xi) for each covector row of Xi,
+        shapes (N, n), (N,) and (N, n, n); NaN rows where the inverse or F
+        fails.  The caller makes the Cholesky test of g."""
+        N, n = Xi.shape
+        Y, F, g = np.full((N, n), np.nan), np.full(N, np.nan), np.full((N, n, n), np.nan)
+        for i, xi in enumerate(Xi):
+            try:
+                xi, s = _as_vector(xi, self, ZeroCovector)
+                y = _rescale(self._legendre_inverse(xi), s, 1)
+                Y[i], F[i], g[i] = y, self.value(y), self.derivatives(y, order=2).d2
+            except MinkGeomError:
+                Y[i] = F[i] = np.nan
+        return Y, F, g
+
+    def _level_geometry(self, field, X: np.ndarray) -> list:
+        """The ``calculus.PointGeometry`` of ``field`` at each row of X.
+
+        The generic body takes ``calculus.point_geometry`` per row; the
+        families with stacked closed forms take ``calculus.stacked_geometry``.
+        """
+        from .calculus import point_geometry  # calculus builds on this module
+        return [point_geometry(self, field, x) for x in X]
+
     # -- public services -----------------------------------------------------
 
     def value(self, y) -> float:
@@ -183,11 +253,6 @@ class MinkowskiNorm:
                 f"fundamental tensor not positive definite at y={np.asarray(y)!r}"
             ) from exc
         return g
-
-    def cartan_tensors(self, y) -> CartanData:
-        """Cartan tensor and its derivative, C = G_ijk/2 and Ccal = G_ijkl/2."""
-        d = self.derivatives(y, order=4)
-        return CartanData(C=0.5 * d.d3, Ccal=0.5 * d.d4)
 
     def derivatives(self, y, order: int = 2) -> Derivatives:
         """The bundle of G = F^2/2 at y up to ``order``, arrays read-only.
@@ -292,6 +357,26 @@ class EuclideanNorm(MinkowskiNorm):
     def _dual_fundamental_tensor(self, xi):
         return np.eye(self.dim)
 
+    def _values(self, Y):
+        Y, s = _as_rows(Y, self)
+        return s * np.sqrt((Y * Y).sum(axis=1))
+
+    def _derivative_rows(self, Y):
+        if self.strategy != "analytic":
+            return super()._derivative_rows(Y)
+        F = self._values(Y)
+        ok = np.isfinite(F)
+        g = np.where(ok[:, None, None], np.eye(self.dim), np.nan)
+        return F, np.where(ok[:, None], Y, np.nan), g
+
+    def _dual_rows(self, Xi):
+        if self.strategy != "analytic":
+            return super()._dual_rows(Xi)
+        F, y, g = self._derivative_rows(Xi)   # L is the identity
+        return y, F, g
+
+    _level_geometry = _level_geometry_stacked
+
     def restricted(self, m):
         _check_subdim(m, self.dim)
         return EuclideanNorm(m, strategy=self.strategy)
@@ -364,6 +449,36 @@ class RandersNorm(MinkowskiNorm):
                 d4 = (h[:, :, None, None] * dc + X + X.transpose(0, 1, 3, 2)
                       + W + W.transpose(1, 0, 2, 3))
         return Derivatives(F=F, d1=F * Fi, d2=g, d3=d3, d4=d4)
+
+    def _values(self, Y):
+        Y, s = _as_rows(Y, self)
+        F = s * (np.sqrt((Y * Y).sum(axis=1)) + Y.dot(self.b))
+        return np.where(F > 0.0, F, np.nan)
+
+    def _derivative_rows(self, Y):
+        # ``_analytic`` at order 2, row by row
+        if self.strategy != "analytic":
+            return super()._derivative_rows(Y)
+        Y, s = _as_rows(Y, self)
+        alpha = np.sqrt((Y * Y).sum(axis=1))
+        ell = Y / alpha[:, None]
+        F = alpha + Y.dot(self.b)
+        Fi = ell + self.b
+        h = np.eye(self.dim) - ell[:, :, None] * ell[:, None, :]
+        g = Fi[:, :, None] * Fi[:, None, :] + (F / alpha)[:, None, None] * h
+        return s * F, (F[:, None] * Fi) * s[:, None], g
+
+    def _dual_rows(self, Xi):
+        # ``_legendre_inverse`` row by row, then F and g at the preimages
+        Xi, s = _as_rows(Xi, self)
+        astar_xi = Xi.dot(self.astar)
+        alpha_star = np.sqrt((Xi * astar_xi).sum(axis=1))
+        fstar = alpha_star + Xi.dot(self.bstar)
+        Y = (fstar / (self.lam * alpha_star))[:, None] * (Xi - fstar[:, None] * self.b)
+        F, _, g = self._derivative_rows(Y)
+        return Y * s[:, None], F * s, g
+
+    _level_geometry = _level_geometry_stacked
 
     def _dual_parts(self, xi):
         """(a* xi, alpha*(xi), F*(xi))."""
@@ -698,6 +813,20 @@ class ScaledNorm(MinkowskiNorm):
 
     def _legendre_inverse(self, xi):
         return self.base._legendre_inverse(xi / self.factor**2)
+
+    def _values(self, Y):
+        return self.factor * self.base._values(Y)
+
+    def _derivative_rows(self, Y):
+        F, d1, d2 = self.base._derivative_rows(Y)
+        c2 = self.factor**2
+        return self.factor * F, c2 * d1, c2 * d2
+
+    def _dual_rows(self, Xi):
+        Y, F, g = self.base._dual_rows(Xi / self.factor**2)
+        return Y, self.factor * F, self.factor**2 * g
+
+    _level_geometry = _level_geometry_stacked
 
     def _dual_fundamental_tensor(self, xi):
         return self.base._dual_fundamental_tensor(xi) / self.factor**2

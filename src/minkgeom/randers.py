@@ -3,11 +3,11 @@
 For F = |y| + b.y with ||b|| < 1 (``RandersNorm``, Euclidean alpha), the
 dual metric is again of Randers type with the coefficients
 ``RandersNorm.astar`` and ``RandersNorm.bstar``, and the isoparametric
-system, the subspace-dual cylinders and the Cartan curvature have explicit
-closed forms.  The witnesses below take the ``RandersNorm`` itself, reject
-any other norm with NotInDomain, and check the generic tensor machinery
-independently; ``dual_subspace_condition_check``, the gradient test of
-subspace preservation by the Legendre map, applies to every family.
+system and the Cartan curvature have explicit closed forms.  The witnesses
+below take the ``RandersNorm`` itself, reject any other norm with
+NotInDomain, and check the generic tensor machinery independently;
+``dual_subspace_condition_check``, the gradient test of subspace
+preservation by the Legendre map, applies to every family.
 """
 
 from __future__ import annotations
@@ -45,19 +45,6 @@ def randers_isoparametric_residual(norm: RandersNorm, df, hess, a: float, b: flo
     r1 = float(df.dot(df)) - norm.lam * a**2 - 2.0 * a * zeta
     r2 = float(np.trace(hess)) - norm.lam * b - (b / a + a_prime) * zeta
     return r1, r2
-
-
-def cylinder_surface_residual(norm: RandersNorm, m: int, r: float, x,
-                              reverse: bool = False) -> float:
-    """sqrt(lam + bbar^2)|xbar| +- beta(xbar) - r at x (zero on the cylinder).
-
-    The cylinder is the level +-r^2/2 of ``calculus.cylinder_potential``.
-    """
-    norm = _require_randers(norm)
-    x = np.asarray(x, dtype=float)
-    sign = -1.0 if reverse else 1.0
-    return (norm.subspace_scale(m) * float(np.linalg.norm(x[:m]))
-            + sign * float(norm.b[:m] @ x[:m]) - r)
 
 
 def lemma61_check(norm: RandersNorm, y, X, Y) -> tuple[float, float]:

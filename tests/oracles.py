@@ -1,20 +1,61 @@
-"""Sampled-grid oracles: norm validity, the dual norm and the subspace dual.
+"""Oracles of the tests: sampled grids and closed-form residuals.
 
 ``grid_validate`` samples F and g on a sphere lattice, independent of the
 alpha-beta constructor's exact criterion it checks.  The sup oracles use
 only norm values (and, for the subspace dual, F* values) on a sphere
 lattice, refined by Nelder-Mead, so they are independent of the Legendre
 machinery they check.  They need scipy, which the package does not;
-``demos/02_legendre_duality.py`` loads this file by path.
+``demos/02_legendre_duality.py`` loads this file by path.  The Cartan
+tensors, the trace residual of a frame and the Randers cylinder residual
+are read only by the tests.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from minkgeom.duality import dual_norm
 from minkgeom.errors import BadDimension, DegenerateMetric, NotInDomain, ZeroCovector
-from minkgeom.norms import AlphaBetaNorm, MinkowskiNorm, _as_vector
+from minkgeom.norms import AlphaBetaNorm, MinkowskiNorm, RandersNorm, _as_vector
 from minkgeom.sampling import sphere_directions
+
+
+@dataclass(frozen=True)
+class CartanData:
+    """Cartan tensor C_ijk and its y-derivative Ccal_ijkl at a direction."""
+
+    C: np.ndarray
+    Ccal: np.ndarray
+
+
+def cartan_tensors(norm: MinkowskiNorm, y) -> CartanData:
+    """Cartan tensor and its derivative, C = G_ijk/2 and Ccal = G_ijkl/2."""
+    d = norm.derivatives(y, order=4)
+    return CartanData(C=0.5 * d.d3, Ccal=0.5 * d.d4)
+
+
+def mean_curvature_residual(frame) -> float:
+    """| F(grad f) * Hhat + sum_a D^2 f(e_a, e_a) | of a hypersurface frame,
+    which must vanish."""
+    hess = frame.geometry.hess
+    faa = float(sum(e @ hess @ e for e in frame.tangent_basis))
+    return abs(frame.geometry.fstar * float(np.sum(frame.principal_curvatures)) + faa)
+
+
+def cylinder_surface_residual(norm: RandersNorm, m: int, r: float, x,
+                              reverse: bool = False) -> float:
+    """sqrt(lam + bbar^2)|xbar| +- beta(xbar) - r at x (zero on the cylinder).
+
+    The cylinder is the level +-r^2/2 of ``calculus.cylinder_potential``;
+    NotInDomain for a norm other than Randers.
+    """
+    if not isinstance(norm, RandersNorm):
+        raise NotInDomain("requires a Randers norm with Euclidean alpha")
+    x = np.asarray(x, dtype=float)
+    sign = -1.0 if reverse else 1.0
+    return (norm.subspace_scale(m) * float(np.linalg.norm(x[:m]))
+            + sign * float(norm.b[:m] @ x[:m]) - r)
 
 
 def grid_validate(norm: MinkowskiNorm, count: int | None = None):

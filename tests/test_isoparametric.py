@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,22 @@ class TestSampling:
         with pytest.raises(LevelNotReached, match="check the anchor"):
             iso.verify(randers3, custom, [1e30, 2e30, 4e30], count=16)
 
+    def test_acceptance_is_relative_to_the_level(self, randers3):
+        # f = 0.5 |x|^2 rounded down to a multiple of 1e-15 jumps from 0 to
+        # 1e-15 across level 1e-20, so each ray's bracket closes on the jump
+        # and gives a point with f = 0 or 1e-15: off level 1e-20 by 100% or
+        # more, yet within a bound 1e-10 (1 + |t|).  A bound 1e-10 |t|
+        # accepts none of them
+        step = 1e-15
+        jump = calculus.custom_field(3, lambda x: step * math.floor(0.5 * x.dot(x) / step),
+                                     lambda x: x, lambda x: np.eye(3))
+        with pytest.raises(LevelNotReached, match="16/16 directions"):
+            iso.sample_level(randers3, jump, 1e-20, 16)
+        # the level's own field meets it on every ray
+        exact = calculus.custom_field(3, lambda x: 0.5 * x.dot(x), lambda x: x,
+                                      lambda x: np.eye(3))
+        assert len(iso.sample_level(randers3, exact, 1e-20, 16).points) == 16
+
     def test_level_through_the_anchor_is_named(self, randers3):
         # a field of positive degree is 0 at its anchor, so level 0 of a
         # linear field is the hyperplane through it, met by no ray
@@ -119,8 +136,11 @@ class TestSampling:
         # F*, Delta f and the frame share one Legendre inversion and one
         # subspace-dual reduction per accepted point, and later stages (the
         # curvature table, the Randers witness) read the frames sampling built;
-        # the alpha-beta inversion is the family's hook, never Newton
-        calls = {"inverse": 0, "newton": 0, "subspace_dual": 0, "geometry": 0, "d2": 0}
+        # the alpha-beta inversion is the family's hook, never Newton.  A
+        # geometry is one row of ``level_geometry``, stacked or not, and no
+        # stage computes a point's geometry or D^2 f again
+        calls = {"inverse": 0, "newton": 0, "subspace_dual": 0, "geometry": 0, "d2": 0,
+                 "rows": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -141,17 +161,27 @@ class TestSampling:
         s = iso.sample_level(quartic3, cylinder, 2.0, 8)
         assert len(s.points) == 8 and calls["subspace_dual"] <= len(s.points)
 
-        monkeypatch.setattr(hs, "point_geometry", counting("geometry", hs.point_geometry))
-        config = CONFIGS / "randers_cylinder.json"
-        assert cli.main(["curvatures", str(config), "--out", str(tmp_path)]) == 0
-        assert calls["geometry"] == 3 * 64
+        level_geometry = iso.level_geometry
 
+        def counting_rows(norm, field, X):
+            calls["rows"] += len(X)
+            return level_geometry(norm, field, X)
+
+        monkeypatch.setattr(iso, "level_geometry", counting_rows)
+        for module in (calculus, hs):
+            monkeypatch.setattr(module, "point_geometry",
+                                counting("geometry", calculus.point_geometry))
         monkeypatch.setattr(calculus.ScalarField, "d2",
                             counting("d2", calculus.ScalarField.d2))
+        config = CONFIGS / "randers_cylinder.json"
+        assert cli.main(["curvatures", str(config), "--out", str(tmp_path)]) == 0
+        assert calls["rows"] == 3 * 64
+
         rep = iso.verify(randers3, calculus.sphere_potential(randers3), [0.5, 2.0, 4.5],
                          count=16)
         assert rep.witness is not None
-        assert calls["d2"] == sum(len(s.points) for s in rep.samples) == 48
+        assert calls["rows"] - 3 * 64 == sum(len(s.points) for s in rep.samples) == 48
+        assert calls["geometry"] == calls["d2"] == 0
 
 
 def _counted(field, calls, at=None):

