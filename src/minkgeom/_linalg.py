@@ -1,4 +1,4 @@
-"""Gram-Schmidt frames for a y-dependent inner product."""
+"""Gram-Schmidt frames for a y-dependent inner product, and row lengths."""
 
 from __future__ import annotations
 
@@ -62,3 +62,11 @@ def orthonormal_basis(g: np.ndarray, first: np.ndarray | None = None,
         out.append(e)
     basis = np.stack(out, axis=1)
     return basis[0] if single else basis
+
+
+def lengths(A: np.ndarray) -> np.ndarray:
+    """The Euclidean length of each row of A (N, ...) over its trailing axes,
+    by ``np.hypot``, so no square overflows or underflows."""
+    while A.ndim > 1:
+        A = np.hypot.reduce(A, axis=-1)
+    return A

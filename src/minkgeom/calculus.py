@@ -13,9 +13,10 @@ form, so BH and HT agree) reduces to
     Delta f = g*^{ij}(df) f_ij = g^{ij}(grad f) f_ij = tr_{g_{grad f}} D^2 f.
 
 Every quantity at a point comes from the same df, D^2 f, grad f and g at
-grad f, which ``point_geometry`` computes once; ``level_geometry`` computes
-them for all the points of a level, as whole arrays where the norm and the
-field have stacked closed forms (``stacked_geometry``).  The dual-tensor and
+grad f.  ``level_geometry`` computes them for all the points of a level as
+whole arrays, for every norm family, strategy and field; ``point_geometry``
+computes them at one point, and is the reference and the fallback of the
+rows that fail the stacked checks.  The dual-tensor and
 orthonormal-frame-trace Laplacians are kept as independent pipelines to
 cross-check the shared one.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import duality
-from ._linalg import orthonormal_basis
+from ._linalg import lengths, orthonormal_basis
 from .errors import (
     BadDimension,
     CriticalPoint,
@@ -42,7 +43,7 @@ from .norms import (MinkowskiNorm, RandersNorm, _check_subdim, fd_gradient, fd_h
 from .sampling import sphere_directions, sphere_mean
 
 CRITICAL_EPS = 1e-8
-# relative central-difference step of custom_field (times 10 for D^2f)
+# central-difference step of custom_field relative to |x| (times 10 for D^2f)
 CUSTOM_FD_STEP = 1e-5
 
 
@@ -67,8 +68,8 @@ class ScalarField:
     ``rows(X, order)`` evaluates the field at the rows of X (N, n) as whole
     arrays: order 0 gives f (N,), NaN where f fails, and order 2 gives
     (df, D^2 f), (N, n) and (N, n, n).  The catalog constructors set it;
-    ``values`` and ``stacked_geometry`` read it, and without it each row is
-    evaluated on its own.
+    without it (custom and reparametrized fields) ``values`` and ``jet_rows``
+    evaluate ``value``, or ``d1`` and ``d2``, at each row.
     """
 
     dim: int
@@ -108,6 +109,20 @@ class ScalarField:
                 pass
         return out
 
+    def jet_rows(self, X) -> tuple:
+        """(df, D^2 f) at each row of X; NaN rows where ``d1`` or ``d2`` raises,
+        so that ``point_geometry`` raises the error again at that row."""
+        if self.rows is not None:
+            return self.rows(X, 2)
+        N, n = X.shape
+        df, hess = np.full((N, n), np.nan), np.full((N, n, n), np.nan)
+        for i, x in enumerate(X):
+            try:
+                df[i], hess[i] = self.d1(x), self.d2(x)
+            except Exception:  # a custom callable may raise anything; re-raised at its row
+                pass
+        return df, hess
+
     def __repr__(self):
         return f"<ScalarField {self.tag} dim={self.dim}>"
 
@@ -144,7 +159,6 @@ def sphere_potential(norm: MinkowskiNorm, reverse: bool = False) -> ScalarField:
     F(-x) = sqrt(-2t).  The forward normal of the reverse field points toward
     the center, which is what flips the principal curvature sign.
     """
-    n = norm.dim
     sign = -1.0 if reverse else 1.0
 
     def rows(X, order):
@@ -153,26 +167,14 @@ def sphere_potential(norm: MinkowskiNorm, reverse: bool = False) -> ScalarField:
         _, d1, d2 = norm._derivative_rows(sign * X)
         return d1, sign * d2
 
-    if reverse:
-        return ScalarField(
-            dim=n,
-            tag="half_squared_norm_reverse",
-            value_fn=lambda x: -0.5 * norm.value(-x) ** 2,
-            d1_fn=lambda x: norm.legendre(-x),
-            d2_fn=lambda x: -norm.derivatives(-x, order=2).d2,
-            regular_range=(-math.inf, 0.0),
-            meta={"norm": norm, "reverse": True},
-            degree=2,
-            rows=rows,
-        )
     return ScalarField(
-        dim=n,
-        tag="half_squared_norm",
-        value_fn=lambda x: 0.5 * norm.value(x) ** 2,
-        d1_fn=lambda x: norm.legendre(x),
-        d2_fn=lambda x: norm.derivatives(x, order=2).d2,
-        regular_range=(0.0, math.inf),
-        meta={"norm": norm, "reverse": False},
+        dim=norm.dim,
+        tag="half_squared_norm" + ("_reverse" if reverse else ""),
+        value_fn=lambda x: sign * 0.5 * norm.value(sign * x) ** 2,
+        d1_fn=lambda x: norm.legendre(sign * x),
+        d2_fn=lambda x: sign * norm.derivatives(sign * x, order=2).d2,
+        regular_range=(-math.inf, 0.0) if reverse else (0.0, math.inf),
+        meta={"norm": norm, "reverse": reverse},
         degree=2,
         rows=rows,
     )
@@ -187,17 +189,6 @@ def cylinder_potential(norm: MinkowskiNorm, m: int, reverse: bool = False) -> Sc
     """
     n = norm.dim
     tilde = duality.subspace_dual(norm, m)
-
-    def embed_cov(xibar):
-        out = np.zeros(n)
-        out[:m] = xibar
-        return out
-
-    def embed_mat(h):
-        out = np.zeros((n, n))
-        out[:m, :m] = h
-        return out
-
     sign = -1.0 if reverse else 1.0
     tag = "half_squared_subspace_dual" + ("_reverse" if reverse else "")
 
@@ -215,8 +206,8 @@ def cylinder_potential(norm: MinkowskiNorm, m: int, reverse: bool = False) -> Sc
         dim=n,
         tag=tag,
         value_fn=lambda x: sign * 0.5 * tilde.value(sign * x[:m]) ** 2,
-        d1_fn=lambda x: embed_cov(tilde.legendre(sign * x[:m])),
-        d2_fn=lambda x: sign * embed_mat(tilde.derivatives(sign * x[:m], order=2).d2),
+        d1_fn=lambda x: np.pad(tilde.legendre(sign * x[:m]), (0, n - m)),
+        d2_fn=lambda x: sign * np.pad(tilde.derivatives(sign * x[:m], order=2).d2, (0, n - m)),
         regular_range=(0.0, math.inf) if not reverse else (-math.inf, 0.0),
         meta={"norm": norm, "m": m, "reverse": reverse, "tilde": tilde},
         degree=2,
@@ -237,32 +228,33 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
     _check_subdim(m, n)
     b = norm.b
 
+    # |xbar| by hypot, so no square overflows; u = xbar / |xbar|
     def value(x):
-        return math.sqrt(x[:m].dot(x[:m])) + b.dot(x)
+        return math.hypot(*x[:m].tolist()) + b.dot(x)
 
     def d1(x):
         out = b.copy()
-        r = math.sqrt(x[:m].dot(x[:m]))
-        out[:m] += x[:m] / r
+        out[:m] += x[:m] / math.hypot(*x[:m].tolist())
         return out
 
     def d2(x):
         out = np.zeros((n, n))
-        r = math.sqrt(x[:m].dot(x[:m]))
-        out[:m, :m] = (np.eye(m) - np.outer(x[:m], x[:m]) / r**2) / r
+        r = math.hypot(*x[:m].tolist())
+        u = x[:m] / r
+        out[:m, :m] = (np.eye(m) - np.outer(u, u)) / r
         return out
 
     def rows(X, order):
         xbar = X[:, :m]
-        r = np.sqrt((xbar * xbar).sum(axis=1))
+        r = lengths(xbar)
         if order == 0:
             return r + X.dot(b)
         with np.errstate(divide="ignore", invalid="ignore"):  # xbar = 0: NaN rows
+            u = xbar / r[:, None]
             df = np.tile(b, (len(X), 1))
-            df[:, :m] += xbar / r[:, None]
+            df[:, :m] += u
             hess = np.zeros((len(X), n, n))
-            hess[:, :m, :m] = (np.eye(m) - xbar[:, :, None] * xbar[:, None, :]
-                               / (r**2)[:, None, None]) / r[:, None, None]
+            hess[:, :m, :m] = (np.eye(m) - u[:, :, None] * u[:, None, :]) / r[:, None, None]
         return df, hess
 
     return ScalarField(
@@ -281,14 +273,19 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
 def custom_field(dim: int, value_fn, d1_fn=None, d2_fn=None) -> ScalarField:
     """Wrap user callables; missing derivatives use central differences.
 
-    Custom evaluators must be side-effect free.
+    The step is CUSTOM_FD_STEP |x| (ten times that for D^2 f), relative so
+    that the differences hold at every scale; at x = 0, which has no scale,
+    it is CUSTOM_FD_STEP.  Custom evaluators must be side-effect free.
     """
 
+    def step(x):
+        return CUSTOM_FD_STEP * (math.hypot(*x.tolist()) or 1.0)
+
     def fd_d1(x):
-        return fd_gradient(value_fn, x, CUSTOM_FD_STEP * (1.0 + np.linalg.norm(x)))
+        return fd_gradient(value_fn, x, step(x))
 
     def fd_d2(x):
-        return fd_hessian(value_fn, x, 10 * CUSTOM_FD_STEP * (1.0 + np.linalg.norm(x)))
+        return fd_hessian(value_fn, x, 10 * step(x))
 
     uses_fd = d1_fn is None or d2_fn is None
     return ScalarField(
@@ -352,14 +349,15 @@ def _regular_jet(field: ScalarField, x) -> tuple[np.ndarray, np.ndarray]:
     x is critical when df vanishes or when a critical point lies within
     relative distance CRITICAL_EPS of x: |df| <= CRITICAL_EPS |D^2 f| |x|.
     The test is unchanged under x -> cx for homogeneous fields and under
-    f -> lam f + const.
+    f -> lam f + const; its lengths are taken by hypot, so they do not
+    overflow.
     """
     x = np.asarray(x, dtype=float)
     df = field.d1(x)
     hess = field.d2(x)
-    dnorm = math.sqrt(df.dot(df))
-    h = hess.ravel()
-    if dnorm == 0.0 or dnorm <= CRITICAL_EPS * (math.sqrt(h.dot(h)) * math.sqrt(x.dot(x))):
+    dnorm = math.hypot(*df.tolist())
+    hnorm = math.hypot(*hess.ravel().tolist())
+    if dnorm == 0.0 or dnorm <= CRITICAL_EPS * (hnorm * math.hypot(*x.tolist())):
         raise CriticalPoint(
             f"df vanishes at x={x!r}; downstream formulas divide by F(grad f)"
         )
@@ -392,6 +390,7 @@ class PointGeometry:
     fstar: float
     g: np.ndarray
     lap: float
+    lap_scale: float  # |g^{-1}|_F |D^2 f|_F, the size of the terms that sum to lap
 
 
 def point_geometry(norm: MinkowskiNorm, field: ScalarField, x) -> PointGeometry:
@@ -415,33 +414,18 @@ def point_geometry(norm: MinkowskiNorm, field: ScalarField, x) -> PointGeometry:
 
 
 def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> list:
-    """The ``PointGeometry`` of each row of X (N, n), a level's points.
+    """The ``PointGeometry`` of each row of X (N, n), a level's points, as whole arrays.
 
-    The norm's ``_level_geometry`` chooses the path: ``stacked_geometry`` for
-    the families with stacked closed forms, one ``point_geometry`` per row for
-    every other.  Raises CriticalPoint at the first critical row.
+    df and D^2 f come from the field's ``jet_rows``, grad f, F*(df) and g
+    from the norm's ``_dual_rows``.  A row that fails the critical-point test
+    of ``_regular_jet`` or is non-finite, and every row when the Cholesky
+    test of g fails on one, takes ``point_geometry``, which raises or reduces
+    to the subspace dual as for one point, in row order.
     """
-    return norm._level_geometry(field, np.asarray(X, dtype=float))
-
-
-def stacked_geometry(norm: MinkowskiNorm, field: ScalarField, X: np.ndarray) -> list:
-    """``point_geometry`` at every row of X, computed as whole arrays.
-
-    Takes the field's ``rows`` and the norm's ``_dual_rows`` on the analytic
-    strategy; otherwise, or without ``rows``, each row takes
-    ``point_geometry``.  Each row is scaled by the rule of
-    ``norms._as_vector``.  A row that fails the critical-point test of
-    ``_regular_jet`` or is non-finite, and every row when the Cholesky test
-    of g fails on one, takes ``point_geometry``, which raises or reduces to
-    the subspace dual as for one point.
-    """
-    if norm.strategy != "analytic" or field.rows is None:
-        return [point_geometry(norm, field, x) for x in X]
-    df, hess = field.rows(X, 2)
+    X = np.asarray(X, dtype=float)
+    df, hess = field.jet_rows(X)
     with np.errstate(over="ignore", invalid="ignore"):
-        dnorm = np.sqrt((df * df).sum(axis=1))
-        hnorm = np.sqrt((hess * hess).sum(axis=(1, 2)))
-        xnorm = np.sqrt((X * X).sum(axis=1))
+        dnorm, hnorm, xnorm = lengths(df), lengths(hess), lengths(X)
         ok = (np.isfinite(dnorm) & np.isfinite(hnorm) & np.isfinite(xnorm) & (dnorm > 0.0)
               & ~(dnorm <= CRITICAL_EPS * (hnorm * xnorm)))
     grad, fstar, g = norm._dual_rows(df)
@@ -450,12 +434,15 @@ def stacked_geometry(norm: MinkowskiNorm, field: ScalarField, X: np.ndarray) -> 
         np.linalg.cholesky(g[ok])
     except np.linalg.LinAlgError:
         ok[:] = False  # the one-point path finds the failing row
-    lap = np.full(len(X), np.nan)
+    lap, lap_scale = np.full(len(X), np.nan), np.full(len(X), np.nan)
     if ok.any():
-        lap[ok] = (np.linalg.inv(g[ok]) * hess[ok]).sum(axis=(1, 2))
+        ginv = np.linalg.inv(g[ok])
+        lap[ok] = (ginv * hess[ok]).sum(axis=(1, 2))
+        lap_scale[ok] = lengths(ginv) * hnorm[ok]
     n = norm.dim
     return [PointGeometry(x=X[i], norm=norm, m=n, df=df[i], hess=hess[i], grad=grad[i],
-                          fstar=float(fstar[i]), g=g[i], lap=float(lap[i]))
+                          fstar=float(fstar[i]), g=g[i], lap=float(lap[i]),
+                          lap_scale=float(lap_scale[i]))
             if ok[i] else point_geometry(norm, field, X[i]) for i in range(len(X))]
 
 
@@ -464,10 +451,11 @@ def _geometry_in(norm: MinkowskiNorm, m: int, x, df, hess) -> PointGeometry:
     g = norm.fundamental_tensor(grad_m)
     grad = np.zeros(df.size)
     grad[:m] = grad_m
+    ginv, h = np.linalg.inv(g).ravel(), hess[:m, :m].ravel()
     return PointGeometry(
         x=x, norm=norm, m=m, df=df, hess=hess, grad=grad,
-        fstar=norm.value(grad_m), g=g,
-        lap=float(np.linalg.inv(g).ravel().dot(hess[:m, :m].ravel())),
+        fstar=norm.value(grad_m), g=g, lap=float(ginv.dot(h)),
+        lap_scale=math.hypot(*ginv.tolist()) * math.hypot(*h.tolist()),
     )
 
 

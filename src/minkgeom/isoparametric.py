@@ -14,18 +14,18 @@ all rays of the level as one array.  On other fields a walk along a fixed
 ladder of radii brackets the level nearest the anchor and Illinois regula
 falsi narrows the bracket, ray by ray.  A point is kept when
 |f(x) - t| <= 1e-10 |t|.  The level's points then get their geometry from
-one ``calculus.level_geometry`` (stacked closed forms for the Randers,
-Euclidean and scaled norms on the analytic strategy with a catalog field,
-one ``point_geometry`` per point otherwise) and their frames from one
-``hypersurface.level_frames``.
+one ``calculus.level_geometry``, as whole arrays for every norm family,
+strategy and field, and their frames from one ``hypersurface.level_frames``.
 
-A margin band above the tolerance yields "inconclusive" rather than "no",
+Each verdict compares a level's spread with a scale from the same level, so
+it does not change when the level, the field or the norm is scaled.  A
+margin band above the tolerance yields "inconclusive" rather than "no",
 separating numerical noise from genuine failures, whose spread is orders of
 magnitude larger.
 
 Profiles a(t), b(t) are tabulated per-level means; derivative-sensitive
-identities use pointwise flow-line differencing of the measured profile,
-which is accurate to the differencing step.
+identities use flow-line differencing of the measured profile, which is
+accurate to the differencing step, at all the points of a level at once.
 """
 
 from __future__ import annotations
@@ -358,8 +358,9 @@ def verify(norm: MinkowskiNorm, field: ScalarField, levels, count: int = 64,
            tol: float | None = None, seed: int = 0) -> VerificationReport:
     """Verify the transnormal / isoparametric conditions on the given levels.
 
-    Per-level relative spreads of F*(df) and Delta f drive the verdicts; for
-    a Randers norm the dual-coefficient system in the Euclidean quantities is
+    Per-level relative spreads of F*(df) and Delta f drive the verdicts, each
+    spread over a scale from the same level (``_level_scales``); for a
+    Randers norm the dual-coefficient system in the Euclidean quantities is
     evaluated as an independent second witness and recorded alongside.
     """
     levels = [float(t) for t in levels]
@@ -372,24 +373,24 @@ def verify(norm: MinkowskiNorm, field: ScalarField, levels, count: int = 64,
     stats = []
     worst_f = worst_lap = worst_curv = 0.0
     for s in samples:
+        fscale, lscale, kscale = _level_scales(s)
         st = {
             "level": s.t,
             "points": len(s.points),
             "skipped": s.skipped,
             "fstar_mean": float(s.fstar.mean()),
             "fstar_spread": float(s.fstar.max() - s.fstar.min()),
-            "fstar_cv": _cv(s.fstar),
+            "fstar_cv": _relative(float(s.fstar.std()), fscale),
             "lap_mean": float(s.lap.mean()),
             "lap_spread": float(s.lap.max() - s.lap.min()),
-            "lap_cv": _cv(s.lap),
+            "lap_cv": _relative(float(s.lap.std()), lscale),
             "curvature_groups": [list(g) for g in _modal_groups(s)],
             "curvature_spread": list(s.curvatures.max(axis=0) - s.curvatures.min(axis=0)),
         }
         stats.append(st)
-        worst_f = max(worst_f, st["fstar_spread"] / (1.0 + abs(st["fstar_mean"])))
-        worst_lap = max(worst_lap, st["lap_spread"] / (1.0 + abs(st["lap_mean"])))
-        kscale = 1.0 + float(np.max(np.abs(s.curvatures))) if s.curvatures.size else 1.0
-        worst_curv = max(worst_curv, float(np.max(st["curvature_spread"])) / kscale)
+        worst_f = max(worst_f, _relative(st["fstar_spread"], fscale))
+        worst_lap = max(worst_lap, _relative(st["lap_spread"], lscale))
+        worst_curv = max(worst_curv, _relative(float(np.max(st["curvature_spread"])), kscale))
 
     trans_verdict = _verdict(worst_f, tol)
     lap_verdict = _verdict(worst_lap, tol)
@@ -416,9 +417,18 @@ def verify(norm: MinkowskiNorm, field: ScalarField, levels, count: int = 64,
     )
 
 
-def _cv(values: np.ndarray) -> float:
-    m = float(values.mean())
-    return float(values.std() / (1.0 + abs(m)))
+def _level_scales(sample: LevelSample) -> tuple:
+    """The scales of F*(df), Delta f and the curvatures on one level: |mean F*|;
+    max(|mean Delta f|, the mean ``lap_scale`` of its points), so that a Delta f
+    that vanishes on the level is measured against its terms; max |kappa|."""
+    terms = float(np.mean([fr.geometry.lap_scale for fr in sample.frames]))
+    return (abs(float(sample.fstar.mean())), max(abs(float(sample.lap.mean())), terms),
+            float(np.max(np.abs(sample.curvatures))) if sample.curvatures.size else 0.0)
+
+
+def _relative(spread: float, scale: float) -> float:
+    """spread / scale; a zero spread over a zero scale counts as 0."""
+    return spread / scale if spread else 0.0
 
 
 def _verdict(spread: float, tol: float) -> str:
@@ -456,17 +466,20 @@ def _modal_structure(samples) -> tuple:
     return max(counts, key=counts.get)
 
 
-def measured_profile_derivative(norm, field, frame):
-    """(a(t), a'(t)) at the level through the frame's point, by flow-line differencing.
+def _profile_slopes(norm: MinkowskiNorm, field: ScalarField, frames) -> tuple:
+    """(a(t), a'(t)) at the point of each frame, by flow-line differencing, as arrays.
 
     Moves +-h along the forward unit normal with h = FLOW_STEP * a(t) (the
-    radius scale of the model families); d(F*(df))/drho = a'(f) a(f).
+    radius scale of the model families) and reads F*(df) at both sides from
+    one ``jet_rows`` and one ``_dual_rows``; d(F*(df))/drho = a'(f) a(f).
+    a' is NaN at a point where the field or the dual norm fails.
     """
-    a_pt = frame.geometry.fstar
-    h = FLOW_STEP * a_pt
-    ap = duality.dual_norm(norm, field.d1(frame.x + h * frame.normal))
-    am = duality.dual_norm(norm, field.d1(frame.x - h * frame.normal))
-    return a_pt, (ap - am) / (2.0 * h * a_pt)
+    a = np.array([fr.geometry.fstar for fr in frames])
+    h = FLOW_STEP * a
+    x = np.array([fr.x for fr in frames])
+    step = h[:, None] * np.array([fr.normal for fr in frames])
+    fstar = norm._dual_rows(field.jet_rows(np.concatenate([x + step, x - step]))[0])[1]
+    return a, (fstar[:len(a)] - fstar[len(a):]) / (2.0 * h * a)
 
 
 def _randers_witness(norm: RandersNorm, field: ScalarField, samples, tol) -> dict:
@@ -475,13 +488,9 @@ def _randers_witness(norm: RandersNorm, field: ScalarField, samples, tol) -> dic
         a_fit = float(s.fstar.mean())
         b_fit = float(s.lap.mean())
         frames = s.frames[:WITNESS_POINTS]
-        a_primes = []
-        for fr in frames:
-            try:
-                a_primes.append(measured_profile_derivative(norm, field, fr)[1])
-            except MinkGeomError:
-                continue
-        a_prime = float(np.mean(a_primes)) if a_primes else 0.0
+        a_primes = _profile_slopes(norm, field, frames)[1]
+        a_primes = a_primes[np.isfinite(a_primes)]  # a point that fails is skipped
+        a_prime = float(np.mean(a_primes)) if a_primes.size else 0.0
         for fr in frames:
             df, hess = fr.geometry.df, fr.geometry.hess
             r1, r2 = randers_isoparametric_residual(norm, df, hess, a_fit, b_fit, a_prime)
@@ -518,8 +527,12 @@ def consistency_identities(report: VerificationReport) -> dict:
         a_fit = float(s.fstar.mean())
         b_fit = float(s.lap.mean())
         res_i = res_ii = res_iii = 0.0
-        for fr in s.frames[:IDENTITY_POINTS]:
-            a_pt, a_prime = measured_profile_derivative(norm, field, fr)
+        frames = s.frames[:IDENTITY_POINTS]
+        a_pts, a_primes = _profile_slopes(norm, field, frames)
+        if not np.isfinite(a_primes).all():
+            raise LeftRegularRegion(f"level {s.t}: F*(df) fails a flow-line step "
+                                    "away from a sampled point")
+        for fr, a_pt, a_prime in zip(frames, a_pts.tolist(), a_primes.tolist()):
             sum_k = float(np.sum(fr.principal_curvatures))
             res_i = max(res_i, abs(sum_k - (a_prime - b_fit / a_fit)))
             h = FLOW_STEP * a_pt

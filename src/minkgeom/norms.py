@@ -24,9 +24,11 @@ Three derivative strategies are supported per norm:
 
 Every family also evaluates the rows of an (N, n) array at once:
 ``_values``, ``_derivative_rows`` (order 2) and ``_dual_rows`` (the Legendre
-preimage with F and g there).  Their generic bodies go row by row; the
-Euclidean, Randers and scaled norms override them with whole-array closed
-forms, each row scaled by the rule of ``_as_vector``.
+preimage with F and g there); ``calculus.level_geometry`` reads them for the
+points of a level, whatever the family and strategy.  Their generic bodies
+go row by row through the one-point services; the Euclidean, Randers and
+scaled norms override them with whole-array closed forms on the analytic
+strategy, each row scaled by the rule of ``_as_vector``.
 
 Norms are immutable after construction and all operations are pure, except
 that ``derivatives`` keeps its last bundle for a repeat call at the same y and
@@ -108,13 +110,6 @@ def _as_rows(Y: np.ndarray, norm: "MinkowskiNorm") -> tuple:
         s = np.where((r >= lo) & (r <= hi), 1.0, np.ldexp(1.0, np.frexp(m)[1] - 1))
         s[~(np.isfinite(m) & (m > 0.0))] = np.nan
         return Y / s[:, None], s
-
-
-def _level_geometry_stacked(norm, field, X) -> list:
-    """``calculus.stacked_geometry``: the ``_level_geometry`` of a family with
-    stacked closed forms."""
-    from .calculus import stacked_geometry  # calculus builds on this module
-    return stacked_geometry(norm, field, X)
 
 
 def _rescale(x, s: float, degree: int):
@@ -212,15 +207,6 @@ class MinkowskiNorm:
             except MinkGeomError:
                 Y[i] = F[i] = np.nan
         return Y, F, g
-
-    def _level_geometry(self, field, X: np.ndarray) -> list:
-        """The ``calculus.PointGeometry`` of ``field`` at each row of X.
-
-        The generic body takes ``calculus.point_geometry`` per row; the
-        families with stacked closed forms take ``calculus.stacked_geometry``.
-        """
-        from .calculus import point_geometry  # calculus builds on this module
-        return [point_geometry(self, field, x) for x in X]
 
     # -- public services -----------------------------------------------------
 
@@ -375,8 +361,6 @@ class EuclideanNorm(MinkowskiNorm):
         F, y, g = self._derivative_rows(Xi)   # L is the identity
         return y, F, g
 
-    _level_geometry = _level_geometry_stacked
-
     def restricted(self, m):
         _check_subdim(m, self.dim)
         return EuclideanNorm(m, strategy=self.strategy)
@@ -477,8 +461,6 @@ class RandersNorm(MinkowskiNorm):
         Y = (fstar / (self.lam * alpha_star))[:, None] * (Xi - fstar[:, None] * self.b)
         F, _, g = self._derivative_rows(Y)
         return Y * s[:, None], F * s, g
-
-    _level_geometry = _level_geometry_stacked
 
     def _dual_parts(self, xi):
         """(a* xi, alpha*(xi), F*(xi))."""
@@ -825,8 +807,6 @@ class ScaledNorm(MinkowskiNorm):
     def _dual_rows(self, Xi):
         Y, F, g = self.base._dual_rows(Xi / self.factor**2)
         return Y, self.factor * F, self.factor**2 * g
-
-    _level_geometry = _level_geometry_stacked
 
     def _dual_fundamental_tensor(self, xi):
         return self.base._dual_fundamental_tensor(xi) / self.factor**2

@@ -184,6 +184,17 @@ class TestFields:
         assert f.d1(x)[0] == pytest.approx(np.cos(0.3), abs=1e-8)
         assert f.d2(x)[1, 1] == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("r", [1e-10, 1.0, 1e10])
+    def test_custom_field_steps_are_relative(self, r):
+        # f = |x|^4 / 4 has df = |x|^2 x and D^2 f = |x|^2 I + 2 x x^T; the
+        # step relative to |x| differences it alike at every scale
+        f = calculus.custom_field(3, lambda x: 0.25 * x.dot(x) ** 2)
+        x = r * np.array([0.48, -0.6, 0.64])
+        want_d1 = x.dot(x) * x
+        want_d2 = x.dot(x) * np.eye(3) + 2.0 * np.outer(x, x)
+        assert np.max(np.abs(f.d1(x) - want_d1)) <= 1e-9 * np.max(np.abs(want_d1))
+        assert np.max(np.abs(f.d2(x) - want_d2)) <= 1e-7 * np.max(np.abs(want_d2))
+
     def test_reparametrized_chain_rule(self, randers3):
         f = calculus.sphere_potential(randers3)
         prof = norms.PolynomialProfile([0.0, 2.0, 0.5])  # phi = 2t + 0.5 t^2

@@ -141,9 +141,11 @@ HOT_PATHS = (
     duality.legendre_inverse, duality.dual_norm, duality.dual_fundamental_tensor,
     norms._rescale,
     calculus.linear_field, calculus.norm_plus_linear,
-    calculus._regular_jet, calculus._geometry_in,
+    calculus._regular_jet, calculus._geometry_in, calculus.level_geometry,
+    calculus.ScalarField.jet_rows, _linalg.lengths,
     _linalg.orthonormal_basis, hypersurface.cartan_curvature_Q,
     randers.randers_isoparametric_residual, isoparametric._randers_witness,
+    isoparametric._profile_slopes, isoparametric._level_scales,
     _taylor.Jet.norm_squared, _taylor.Jet.linear,
 )
 SLOW_CALLS = {"np.linalg.norm", "np.sum", "np.tensordot"}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy.integrate import quad
 
 from minkgeom import (calculus, cli, duality, hypersurface as hs, isoparametric as iso, norms,
                       sampling)
-from minkgeom.errors import LevelNotReached, MinkGeomError, NotIsoparametric, NotMonotone
+from minkgeom.errors import (LeftRegularRegion, LevelNotReached, MinkGeomError, NotInDomain,
+                             NotIsoparametric, NotMonotone)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -136,11 +138,13 @@ class TestSampling:
         # F*, Delta f and the frame share one Legendre inversion and one
         # subspace-dual reduction per accepted point, and later stages (the
         # curvature table, the Randers witness) read the frames sampling built;
-        # the alpha-beta inversion is the family's hook, never Newton.  A
-        # geometry is one row of ``level_geometry``, stacked or not, and no
-        # stage computes a point's geometry or D^2 f again
-        calls = {"inverse": 0, "newton": 0, "subspace_dual": 0, "geometry": 0, "d2": 0,
-                 "rows": 0}
+        # the alpha-beta inversion is the family's hook, called once per
+        # point by the rows of ``level_geometry``, never Newton.  A geometry
+        # is one row of ``level_geometry``, and no stage computes a point's
+        # geometry, df or D^2 f again: the witness reads a' from the field's
+        # rows
+        calls = {"inverse": 0, "newton": 0, "subspace_dual": 0, "geometry": 0, "d1": 0,
+                 "d2": 0, "rows": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -149,8 +153,8 @@ class TestSampling:
             return wrapper
 
         cylinder = calculus.cylinder_potential(quartic3, 2)
-        monkeypatch.setattr(duality, "legendre_inverse",
-                            counting("inverse", duality.legendre_inverse))
+        monkeypatch.setattr(norms.AlphaBetaNorm, "_legendre_inverse",
+                            counting("inverse", norms.AlphaBetaNorm._legendre_inverse))
         monkeypatch.setattr(duality, "legendre_inverse_newton",
                             counting("newton", duality.legendre_inverse_newton))
         monkeypatch.setattr(duality, "subspace_dual",
@@ -171,8 +175,9 @@ class TestSampling:
         for module in (calculus, hs):
             monkeypatch.setattr(module, "point_geometry",
                                 counting("geometry", calculus.point_geometry))
-        monkeypatch.setattr(calculus.ScalarField, "d2",
-                            counting("d2", calculus.ScalarField.d2))
+        for meth in ("d1", "d2"):
+            monkeypatch.setattr(calculus.ScalarField, meth,
+                                counting(meth, getattr(calculus.ScalarField, meth)))
         config = CONFIGS / "randers_cylinder.json"
         assert cli.main(["curvatures", str(config), "--out", str(tmp_path)]) == 0
         assert calls["rows"] == 3 * 64
@@ -181,7 +186,7 @@ class TestSampling:
                          count=16)
         assert rep.witness is not None
         assert calls["rows"] - 3 * 64 == sum(len(s.points) for s in rep.samples) == 48
-        assert calls["geometry"] == calls["d2"] == 0
+        assert calls["geometry"] == calls["d1"] == calls["d2"] == 0
 
 
 def _counted(field, calls, at=None):
@@ -394,6 +399,26 @@ class TestVerify:
         a = rep.a_nodes
         assert np.max(np.abs(a[:, 1] / np.sqrt(2.0 * a[:, 0]) - 1.0)) <= 1e-10
 
+    @pytest.mark.parametrize("t", [1e10, 1e150, 1e160, 1e200])
+    def test_counterexample_verdicts_at_every_scale(self, randers3_mixed, t):
+        # Delta f of |xbar| + b.x scales as 1/t, and its spread is measured
+        # against a scale of the level, so it stays isoparametric "no"; |xbar|
+        # is taken by hypot, so 1e160 and 1e200 meet the level without overflow
+        f = calculus.norm_plus_linear(randers3_mixed, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = iso.verify(randers3_mixed, f, [0.8 * t, t, 1.25 * t], count=16)
+        assert (rep.transnormal_verdict, rep.isoparametric_verdict) == ("yes", "no")
+
+    @pytest.mark.parametrize("t", [1e-20, 1e-14, 1.0])
+    def test_euclidean_sphere_in_a_randers_norm_is_not_transnormal(self, t):
+        # F*(df) of |x|^2 / 2 scales as sqrt(t), and its spread is measured
+        # against its mean, so no level scale makes it transnormal
+        norm = norms.RandersNorm([0.5, 0.0, 0.0])
+        f = calculus.sphere_potential(norms.EuclideanNorm(3))
+        rep = iso.verify(norm, f, [t, 4.0 * t, 9.0 * t], count=16)
+        assert (rep.transnormal_verdict, rep.isoparametric_verdict) == ("no", "no")
+
     @pytest.mark.parametrize("catalog, levels", [
         ("sphere", [0.5, 2.0, 4.5]),
         ("reverse_sphere", [-4.5, -2.0, -0.5]),
@@ -512,6 +537,33 @@ class TestIdentities:
         rep = iso.verify(randers3_mixed, f, [0.8, 1.0, 1.25], count=32)
         with pytest.raises(NotIsoparametric):
             iso.consistency_identities(rep)
+
+    def test_a_failed_flow_step_skips_the_witness_point_and_raises_the_table(self, randers3):
+        # a' is read at x +- h n from the field's rows, or from d1 at each row
+        # for a field without them; where df fails there, a' is NaN: the
+        # witness leaves that point out, and the identity table raises
+        # rather than letting the NaN vanish inside max
+        f = calculus.sphere_potential(randers3)
+        rep = iso.verify(randers3, f, [0.5, 2.0, 4.5], count=16)
+        frames = rep.samples[1].frames[:iso.WITNESS_POINTS]
+        a, a_prime = iso._profile_slopes(randers3, f, frames)
+        assert np.allclose(a_prime, 1.0 / a, rtol=1e-6)  # a = sqrt(2t): a' = 1 / a
+
+        def d1(x):
+            if x[0] > 0.0:
+                raise NotInDomain("df undefined here")
+            return f.d1_fn(x)
+
+        partial = dataclasses.replace(f, rows=None, d1_fn=d1)
+        got = iso._profile_slopes(randers3, partial, frames)[1]
+        failed = np.array([fr.x[0] > 0.0 for fr in frames])
+        assert 0 < failed.sum() < len(frames)
+        assert np.isnan(got[failed]).all()
+        assert np.max(np.abs(got[~failed] - a_prime[~failed])) <= 1e-12 * np.max(a_prime)
+        witness = iso._randers_witness(randers3, partial, rep.samples, rep.tolerance)
+        assert witness["r1_max"] == rep.witness["r1_max"] and witness["r2_pass"]
+        with pytest.raises(LeftRegularRegion):
+            iso.consistency_identities(dataclasses.replace(rep, field=partial))
 
 
 class TestFlow:

@@ -1,10 +1,10 @@
 """The stacked level against the one-point path.
 
-``sample_level`` meets a level's rays, and computes its points' geometry and
-frames, as whole arrays where the norm and the field have stacked closed
-forms (Randers, Euclidean and scaled norms on the analytic strategy, with a
-catalog field).  The one-point reference is ``_radial_root`` per ray and
-``frame_at`` (one ``point_geometry``) per point.
+``sample_level`` meets the rays of a field with a degree as whole arrays,
+and computes every level's geometry and frames as whole arrays, for every
+norm family, strategy and field.  The one-point reference is
+``_radial_root`` per ray and ``frame_at`` (one ``point_geometry``) per
+point.
 """
 
 import dataclasses
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from minkgeom import calculus, hypersurface as hs, isoparametric as iso, norms, sampling
-from minkgeom.errors import CriticalPointOnLevel, LevelNotReached, MinkGeomError
+from minkgeom.errors import CriticalPoint, CriticalPointOnLevel, LevelNotReached, MinkGeomError
 
 REL = 1e-13
 
@@ -41,6 +41,38 @@ def scenario(case):
 CASES = ["sphere", "reverse-sphere", "hyperplane", "cylinder", "counterexample"]
 
 
+def family_scenario(case):
+    """(norm, field, levels) beyond the Randers closed forms: the generic rows
+    of the other families and strategies, and fields without rows."""
+    sphere_levels, cylinder_levels = [0.5, 2.0, 4.5], [0.125, 0.5, 1.125]
+    alphabeta = norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3)
+    randers = norms.RandersNorm([0.5, 0.0, 0.0])
+    if case == "alpha-beta":
+        return alphabeta, calculus.sphere_potential(alphabeta), sphere_levels
+    if case == "alpha-beta-cylinder":
+        return alphabeta, calculus.cylinder_potential(alphabeta, 2), cylinder_levels
+    if case in ("quartic", "quartic-fd"):
+        norm = norms.KthRootNorm(4, 3, strategy="analytic" if case == "quartic" else "fd")
+        return norm, calculus.sphere_potential(norm), sphere_levels
+    if case == "quartic-cylinder":
+        norm = norms.KthRootNorm(4, 3)
+        return norm, calculus.cylinder_potential(norm, 2), cylinder_levels
+    if case == "randers-taylor":
+        norm = norms.RandersNorm([0.5, 0.0, 0.0], strategy="taylor")
+        return norm, calculus.sphere_potential(norm), sphere_levels
+    if case == "custom":
+        # the Randers sphere potential by value alone: fd derivatives, ladder rays
+        field = calculus.custom_field(3, lambda x: 0.5 * randers.value(x) ** 2)
+        return randers, dataclasses.replace(field, regular_range=(0.0, np.inf)), sphere_levels
+    profile = norms.PolynomialProfile([0.0, 2.0, 0.5])  # phi(t) = 2t + t^2/2
+    field = calculus.reparametrized_field(calculus.sphere_potential(randers), profile)
+    return randers, field, [profile.phi(t) for t in sphere_levels]
+
+
+FAMILY_CASES = ["alpha-beta", "alpha-beta-cylinder", "quartic", "quartic-fd",
+                "randers-taylor", "custom", "reparametrized"]
+
+
 def reference_points(field, t, count, seed):
     """The accepted points of ``sample_level``, one ``_radial_root`` per ray."""
     anchor = np.asarray(field.anchor, dtype=float)
@@ -55,6 +87,18 @@ def reference_points(field, t, count, seed):
     return np.array(out)
 
 
+def assert_matches_frame_at(norm, field, sample):
+    """F*, Delta f, the curvatures and their groups of each sampled point
+    agree with ``frame_at`` there to REL."""
+    for i, x in enumerate(sample.points):
+        ref = hs.frame_at(norm, field, x)
+        assert abs(sample.fstar[i] - ref.geometry.fstar) <= REL * ref.geometry.fstar
+        assert abs(sample.lap[i] - ref.geometry.lap) <= REL * abs(ref.geometry.lap)
+        k, k_ref = np.sort(sample.curvatures[i]), np.sort(ref.principal_curvatures)
+        assert np.max(np.abs(k - k_ref)) <= REL * np.max(np.abs(k_ref)), (x, k, k_ref)
+        assert [m for _, m in sample.frames[i].groups] == [m for _, m in ref.groups]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("c", [1e-10, 1.0, 1e10, 1e50])
 @pytest.mark.parametrize("case", CASES)
@@ -67,24 +111,26 @@ def test_stack_matches_the_one_point_path(case, c, seed):
         assert sample.points.shape == want.shape == (32, 3)
         err = np.linalg.norm(sample.points - want, axis=1) / np.linalg.norm(want, axis=1)
         assert np.max(err) <= REL, (t, np.max(err))
-        for i, x in enumerate(sample.points):
-            ref = hs.frame_at(norm, field, x)
-            assert abs(sample.fstar[i] - ref.geometry.fstar) <= REL * ref.geometry.fstar
-            assert abs(sample.lap[i] - ref.geometry.lap) <= REL * abs(ref.geometry.lap)
-            k, k_ref = np.sort(sample.curvatures[i]), np.sort(ref.principal_curvatures)
-            assert np.max(np.abs(k - k_ref)) <= REL * np.max(np.abs(k_ref)), (t, k, k_ref)
-            assert [m for _, m in sample.frames[i].groups] == [m for _, m in ref.groups]
+        assert_matches_frame_at(norm, field, sample)
 
 
-def _one_point(field):
-    """The field without its stacked rows: every point takes ``point_geometry``."""
-    return dataclasses.replace(field, rows=None)
+@pytest.mark.parametrize("case", FAMILY_CASES + ["quartic-cylinder"])
+def test_every_family_matches_frame_at(case):
+    # one level path for every family, strategy and field: the generic rows
+    # of alpha-beta, k-th root (analytic and fd) and taylor Randers, and the
+    # per-point d1 and d2 of fields without rows, meet ``frame_at``
+    norm, field, levels = family_scenario(case)
+    for t in levels:
+        sample = iso.sample_level(norm, field, t, 16, seed=1)
+        assert len(sample.points) == 16
+        assert_matches_frame_at(norm, field, sample)
 
 
 def test_a_critical_row_raises_as_on_the_one_point_path():
     # df shrinks by 1e-12 near one sampled point of the Randers sphere, in
     # the stacked rows and in d1 alike, which puts a critical point within
-    # relative distance 1e-8 of it: both paths name the level's critical point
+    # relative distance 1e-8 of it: the level raises the error of
+    # ``point_geometry`` at that point, with the field's rows and without
     norm, field, _ = scenario("sphere")
     x0 = iso.sample_level(norm, field, 2.0, 16).points[5]
 
@@ -102,14 +148,19 @@ def test_a_critical_row_raises_as_on_the_one_point_path():
         return np.where(near(X)[:, None], 1e-12 * df, df), hess
 
     critical = dataclasses.replace(field, d1_fn=d1, rows=rows)
-    for f in (critical, _one_point(critical)):
-        with pytest.raises(CriticalPointOnLevel):
-            iso.sample_level(norm, f, 2.0, 16)
+    with pytest.raises(CriticalPoint) as ref:
+        calculus.point_geometry(norm, critical, x0)
+    with pytest.raises(CriticalPointOnLevel) as info:
+        iso.sample_level(norm, critical, 2.0, 16)
+    assert str(info.value) == f"a sampled point on level 2.0 is critical: {ref.value}"
+    with pytest.raises(CriticalPointOnLevel):
+        iso.sample_level(norm, dataclasses.replace(critical, rows=None), 2.0, 16)
 
 
 def test_a_degenerate_row_raises_as_on_the_one_point_path(monkeypatch):
     # |xbar| + b.x is not differentiable on the x3 axis, where a ray along
-    # it meets the level: both paths raise the one-point path's error there
+    # it meets the level: the level raises the error of ``point_geometry``
+    # at that point, with the field's rows and without
     norm, field, _ = scenario("counterexample")
     directions = sampling.sphere_directions
 
@@ -119,34 +170,54 @@ def test_a_degenerate_row_raises_as_on_the_one_point_path(monkeypatch):
         return dirs
 
     monkeypatch.setattr(iso, "sphere_directions", with_the_axis)
-    raised = []
-    for f in (field, _one_point(field)):
+    axis = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(MinkGeomError) as ref, np.errstate(all="ignore"):
+        calculus.point_geometry(norm, field, iso._radial_root(field, field.anchor, axis, 1.0) * axis)
+    for f in (field, dataclasses.replace(field, rows=None)):
         with pytest.raises(MinkGeomError) as info, np.errstate(all="ignore"):
             iso.sample_level(norm, f, 1.0, 16)
-        raised.append(type(info.value))
-    assert raised[0] is raised[1]
+        assert type(info.value) is type(ref.value) and str(info.value) == str(ref.value)
+
+
+def test_an_error_of_a_custom_derivative_raises_as_on_the_one_point_path():
+    # a custom d1 may raise any error: the level raises it at its point, as
+    # ``point_geometry`` there does
+    randers = norms.RandersNorm([0.5, 0.0, 0.0])
+    sphere = calculus.sphere_potential(randers)
+    x0 = iso.sample_level(randers, sphere, 2.0, 16).points[3]
+
+    def d1(x):
+        if np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0):
+            raise ValueError("d1 undefined here")
+        return sphere.d1_fn(x)
+
+    field = calculus.custom_field(3, sphere.value_fn, d1_fn=d1, d2_fn=sphere.d2_fn)
+    field = dataclasses.replace(field, degree=2, regular_range=(0.0, np.inf))
+    with pytest.raises(ValueError, match="d1 undefined here"):
+        calculus.point_geometry(randers, field, x0)
+    with pytest.raises(ValueError, match="d1 undefined here"):
+        iso.sample_level(randers, field, 2.0, 16)
 
 
 def test_an_unreached_level_raises_as_on_the_one_point_path():
-    # level 0 of a linear field passes through its anchor: no ray meets it
+    # level 0 of a linear field passes through its anchor: no ray meets it,
+    # nor its mirror, on the one-point path either
     norm, field, _ = scenario("hyperplane")
-    for f in (field, _one_point(field)):
+    for f in (field, dataclasses.replace(field, rows=None)):
         with pytest.raises(LevelNotReached, match="passes through the anchor"):
             iso.sample_level(norm, f, 0.0, 16)
+    for d in sampling.sphere_directions(3, 16):
+        assert iso._radial_root(field, field.anchor, d, 0.0) is None
+        assert iso._radial_root(field, field.anchor, -d, 0.0) is None
 
 
-@pytest.mark.parametrize("case", CASES + ["alpha-beta", "quartic-fd"])
+@pytest.mark.parametrize("case", CASES + FAMILY_CASES + ["quartic-cylinder"])
 def test_point_geometry_calls_per_point(case, monkeypatch):
-    # the five Randers fields take no per-point geometry; the alpha-beta
-    # (taylor) sphere and the fd quartic sphere take exactly one per point
-    if case == "alpha-beta":
-        norm = norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3)
-        field, levels = calculus.sphere_potential(norm), [0.5, 2.0, 4.5]
-    elif case == "quartic-fd":
-        norm = norms.KthRootNorm(4, 3, strategy="fd")
-        field, levels = calculus.sphere_potential(norm), [0.5, 2.0, 4.5]
-    else:
-        norm, field, levels = scenario(case)
+    # no family, strategy or field takes a per-point geometry, except where
+    # rows fail the stacked checks: the k-th root cylinder, whose g is
+    # singular at every gradient, takes exactly one per point (the
+    # subspace-dual reduction)
+    norm, field, levels = scenario(case) if case in CASES else family_scenario(case)
     calls = [0]
     one_point = calculus.point_geometry
 
@@ -158,7 +229,7 @@ def test_point_geometry_calls_per_point(case, monkeypatch):
         monkeypatch.setattr(module, "point_geometry", counting)
     points = sum(len(iso.sample_level(norm, field, t, 16).points) for t in levels)
     assert points == 48
-    assert calls[0] == (0 if case in CASES else points)
+    assert calls[0] == (points if case == "quartic-cylinder" else 0)
 
 
 def _rows_norms():
