@@ -418,9 +418,10 @@ def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> list:
 
     df and D^2 f come from the field's ``jet_rows``, grad f, F*(df) and g
     from the norm's ``_dual_rows``.  A row that fails the critical-point test
-    of ``_regular_jet`` or is non-finite, and every row when the Cholesky
-    test of g fails on one, takes ``point_geometry``, which raises or reduces
-    to the subspace dual as for one point, in row order.
+    of ``_regular_jet``, is non-finite or whose g fails the Cholesky test
+    takes ``point_geometry``, which raises or reduces to the subspace dual as
+    for one point, in row order.  Every row is computed as on its own, so the
+    rows of several levels stack.
     """
     X = np.asarray(X, dtype=float)
     df, hess = field.jet_rows(X)
@@ -433,7 +434,11 @@ def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> list:
     try:
         np.linalg.cholesky(g[ok])
     except np.linalg.LinAlgError:
-        ok[:] = False  # the one-point path finds the failing row
+        for i in np.flatnonzero(ok).tolist():  # the rows that fail on their own
+            try:
+                np.linalg.cholesky(g[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
     lap, lap_scale = np.full(len(X), np.nan), np.full(len(X), np.nan)
     if ok.any():
         ginv = np.linalg.inv(g[ok])

@@ -247,8 +247,9 @@ def cmd_curvatures(args) -> int:
     rows = ["scenario,level,group,kappa,multiplicity,mean_curvature,sectional_products"]
     level_reports = []
     worst = 0.0
-    for t in sc.levels:
-        sample = isoparametric.sample_level(norm, field, float(t), sc.samples, seed=sc.seed)
+    samples = isoparametric.sample_levels(norm, field, [float(t) for t in sc.levels], sc.samples,
+                                          seed=sc.seed)
+    for t, sample in zip(sc.levels, samples):
         stats = isoparametric._modal_groups(sample)
         hhat = sum(k * m for k, m in stats)
         products = [stats[r][0] * stats[s][0]

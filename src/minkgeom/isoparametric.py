@@ -7,15 +7,16 @@ verifier samples points of each requested level on rays from an anchor along
 a low-discrepancy direction set, computes F*(df), Delta f and principal
 curvatures per point, and turns within-level constancy into verdicts.
 
-Each level is computed as one stack.  On a field of declared degree k
-(every catalog field) f is positively homogeneous about the anchor, so a
-ray meets level t at s = (t / f(anchor + d))^(1/k): one evaluation of f over
-all rays of the level as one array.  On other fields a walk along a fixed
-ladder of radii brackets the level nearest the anchor and Illinois regula
-falsi narrows the bracket, ray by ray.  A point is kept when
-|f(x) - t| <= 1e-10 |t|.  The level's points then get their geometry from
-one ``calculus.level_geometry``, as whole arrays for every norm family,
-strategy and field, and their frames from one ``hypersurface.level_frames``.
+The levels of a verification are computed as one stack (``sample_levels``).
+On a field of declared degree k (every catalog field) f is positively
+homogeneous about the anchor, so a ray meets level t at
+s = (t / f(anchor + d))^(1/k): one evaluation of f over all rays, shared by
+every level.  On other fields a walk along a fixed ladder of radii brackets
+the level nearest the anchor and Illinois regula falsi narrows the bracket,
+ray by ray.  A point is kept when |f(x) - t| <= 1e-10 |t|.  The points of
+all levels then get their geometry from one ``calculus.level_geometry``, as
+whole arrays for every norm family, strategy and field, and their frames
+from one ``hypersurface.level_frames``.
 
 Each verdict compares a level's spread with a scale from the same level, so
 it does not change when the level, the field or the norm is scaled.  A
@@ -78,37 +79,94 @@ class LevelSample:
     skipped: int
 
 
-def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
-                 seed: int = 0) -> LevelSample:
-    """Sample ``count`` points of f^{-1}(t) on rays from ``field.anchor``.
+def sample_levels(norm: MinkowskiNorm, field: ScalarField, levels, count: int,
+                  seed: int = 0) -> list:
+    """Sample ``count`` points of each level f^{-1}(t), t in ``levels``, on rays
+    from ``field.anchor``, as one stack; a ``LevelSample`` per level.
 
-    On a field with a ``degree`` every ray meets the level in closed form,
-    all rays as one array (``_degree_radii``); on any other field each ray
-    gets the ladder walk of ``_radial_root`` to the root nearest the anchor.
-    A ray that gives no point is tried mirrored; if that fails too the
+    Every level uses the same directions.  On a field with a ``degree`` every
+    ray meets a level in closed form (``_degree_radii``), from one evaluation
+    of f at anchor + d over all rays, shared by the levels; on any other field
+    each ray gets the ladder walk of ``_radial_root`` to the root nearest the
+    anchor.  A ray that gives no point is tried mirrored; if that fails too the
     direction is skipped, and more than half skipped raises LevelNotReached,
     which says when the level passes through the anchor of such a field.
     Every returned point satisfies |f(x) - t| <= 1e-10 |t| (1e-10 at t = 0)
-    and is regular.  The points' geometry is one ``level_geometry`` and their
-    frames one ``level_frames``; F*(df), Delta f and the curvatures are read
-    from them.
+    and is regular.  The points of all levels get their geometry from one
+    ``level_geometry`` and their frames from one ``level_frames``; F*(df),
+    Delta f and the curvatures are read from them.  Each row is computed as
+    on its own, so a level's sample is that of ``sample_level`` bit for bit,
+    and when levels fail, the first failing one in the given order raises
+    what it raises there.
     """
     if count < 8:
         raise ValueError("count must be at least 8")
     lo, hi = field.regular_range
-    if not lo < t < hi:
-        raise ValueError(f"level {t} outside the declared regular range {field.regular_range}")
     anchor = np.asarray(field.anchor, dtype=float)
     dirs = sphere_directions(field.dim, count, seed=seed)
+    rays = {}   # f at anchor +- d, evaluated once for all levels
+    found, error = [], None
+    for t in levels:
+        if not lo < t < hi:
+            error = ValueError(f"level {t} outside the declared regular range "
+                               f"{field.regular_range}")
+            break
+        points = _level_points(field, anchor, dirs, t, rays)
+        skipped = count - len(points)
+        if skipped > count // 2:
+            error = LevelNotReached(f"level {t}: {skipped}/{count} directions gave no point; "
+                                    + _unreached_reason(field, t))
+            break
+        found.append((t, points, skipped))
+    samples = []
+    if found:
+        X = np.concatenate([points for _, points, _ in found])
+        try:
+            frames = level_frames(norm, field, level_geometry(norm, field, X))
+        except Exception:
+            # the first failing level raises the error of its own pass
+            for t, points, _ in found:
+                _frames(norm, field, t, points)
+            raise
+        fstar = np.array([fr.geometry.fstar for fr in frames])
+        lap = np.array([fr.geometry.lap for fr in frames])
+        curvatures = np.array([fr.principal_curvatures for fr in frames])
+        start = 0
+        for t, points, skipped in found:
+            end = start + len(points)
+            samples.append(LevelSample(t=float(t), points=points, fstar=fstar[start:end],
+                                       lap=lap[start:end], curvatures=curvatures[start:end],
+                                       frames=frames[start:end], skipped=skipped))
+            start = end
+    if error is not None:
+        raise error
+    return samples
+
+
+def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
+                 seed: int = 0) -> LevelSample:
+    """Sample ``count`` points of f^{-1}(t): ``sample_levels`` of the one level t."""
+    return sample_levels(norm, field, [t], count, seed)[0]
+
+
+def _level_points(field: ScalarField, anchor, dirs, t, rays) -> np.ndarray:
+    """The accepted points of level t on the rays anchor + s d, d in ``dirs``,
+    each mirrored where it meets no point; ``rays`` keeps f at anchor +- d."""
     if field.degree is not None:
-        s = _degree_radii(field.values(anchor + dirs), t, field.degree)
+        if "+" not in rays:
+            rays["+"] = field.values(anchor + dirs)
+        s = _degree_radii(rays["+"], t, field.degree)
         # half-space fields (linear levels, one-sided potentials) only meet
         # the level on one side; the mirrored ray keeps the sample full
         miss = np.isnan(s)
-        dirs[miss] = -dirs[miss]
-        s[miss] = _degree_radii(field.values(anchor + dirs[miss]), t, field.degree)
+        if miss.any():
+            if "-" not in rays:
+                rays["-"] = field.values(anchor - dirs)
+            s[miss] = _degree_radii(rays["-"][miss], t, field.degree)
+            dirs = np.where(miss[:, None], -dirs, dirs)
     else:
-        s = np.full(count, math.nan)
+        dirs = dirs.copy()
+        s = np.full(len(dirs), math.nan)
         for i, d in enumerate(dirs):
             root = _radial_root(field, anchor, d, t)
             if root is None:
@@ -118,22 +176,15 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
                 s[i] = root
     points = (anchor + s[:, None] * dirs)[~np.isnan(s)]
     with np.errstate(invalid="ignore"):
-        points = points[abs(field.values(points) - t) <= LEVEL_RESIDUAL * (abs(t) or 1.0)]
-    skipped = count - len(points)
-    if skipped > count // 2:
-        raise LevelNotReached(
-            f"level {t}: {skipped}/{count} directions gave no point; "
-            + _unreached_reason(field, t)
-        )
+        return points[abs(field.values(points) - t) <= LEVEL_RESIDUAL * (abs(t) or 1.0)]
+
+
+def _frames(norm: MinkowskiNorm, field: ScalarField, t, points) -> list:
+    """The frames of one level's points; a critical point raises CriticalPointOnLevel."""
     try:
-        frames = level_frames(norm, field, level_geometry(norm, field, points))
+        return level_frames(norm, field, level_geometry(norm, field, points))
     except CriticalPoint as exc:
         raise CriticalPointOnLevel(f"a sampled point on level {t} is critical: {exc}") from exc
-    return LevelSample(t=float(t), points=points,
-                       fstar=np.array([fr.geometry.fstar for fr in frames]),
-                       lap=np.array([fr.geometry.lap for fr in frames]),
-                       curvatures=np.array([fr.principal_curvatures for fr in frames]),
-                       frames=frames, skipped=skipped)
 
 
 def _unreached_reason(field: ScalarField, t) -> str:
@@ -369,7 +420,7 @@ def verify(norm: MinkowskiNorm, field: ScalarField, levels, count: int = 64,
     uses_fd = norm.strategy == "fd" or field.uses_fd
     if tol is None:
         tol = 1e-4 if uses_fd else 1e-6
-    samples = [sample_level(norm, field, t, count, seed=seed) for t in levels]
+    samples = sample_levels(norm, field, levels, count, seed=seed)
     stats = []
     worst_f = worst_lap = worst_curv = 0.0
     for s in samples:
@@ -483,19 +534,34 @@ def _profile_slopes(norm: MinkowskiNorm, field: ScalarField, frames) -> tuple:
 
 
 def _randers_witness(norm: RandersNorm, field: ScalarField, samples, tol) -> dict:
+    """The residuals r1, r2 of ``randers_isoparametric_residual`` at the first
+    WITNESS_POINTS points of each level, each over the size of its terms:
+    r1 over max(|df|^2, lam a^2, 2 |a zeta|) and r2 over
+    max(|tr D^2 f|, |D^2 f|_F, |lam b|, |(b/a + a') zeta|), zeta = <df, b>, so
+    that the pass flags do not change with the level's scale.  a' of every
+    level comes from one ``_profile_slopes``; a point where it fails is left
+    out of its level's mean."""
+    frames = [s.frames[:WITNESS_POINTS] for s in samples]
+    slopes = _profile_slopes(norm, field, [fr for level in frames for fr in level])[1]
     r1_max = r2_max = 0.0
-    for s in samples:
+    start = 0
+    for s, level in zip(samples, frames):
         a_fit = float(s.fstar.mean())
         b_fit = float(s.lap.mean())
-        frames = s.frames[:WITNESS_POINTS]
-        a_primes = _profile_slopes(norm, field, frames)[1]
-        a_primes = a_primes[np.isfinite(a_primes)]  # a point that fails is skipped
+        a_primes = slopes[start:start + len(level)]
+        start += len(level)
+        a_primes = a_primes[np.isfinite(a_primes)]
         a_prime = float(np.mean(a_primes)) if a_primes.size else 0.0
-        for fr in frames:
+        for fr in level:
             df, hess = fr.geometry.df, fr.geometry.hess
             r1, r2 = randers_isoparametric_residual(norm, df, hess, a_fit, b_fit, a_prime)
-            r1_max = max(r1_max, abs(r1) / (1.0 + df.dot(df)))
-            r2_max = max(r2_max, abs(r2) / (1.0 + abs(float(np.trace(hess)))))
+            zeta = float(df.dot(norm.b))
+            h = hess.ravel()
+            r1_scale = max(float(df.dot(df)), norm.lam * a_fit**2, 2.0 * abs(a_fit * zeta))
+            r2_scale = max(abs(float(np.trace(hess))), math.sqrt(h.dot(h)), abs(norm.lam * b_fit),
+                           abs((b_fit / a_fit + a_prime) * zeta))
+            r1_max = max(r1_max, _relative(abs(r1), r1_scale))
+            r2_max = max(r2_max, _relative(abs(r2), r2_scale))
     w_tol = max(100.0 * tol, 1e-4)
     return {
         "r1_max": r1_max,

@@ -25,10 +25,14 @@ Three derivative strategies are supported per norm:
 Every family also evaluates the rows of an (N, n) array at once:
 ``_values``, ``_derivative_rows`` (order 2) and ``_dual_rows`` (the Legendre
 preimage with F and g there); ``calculus.level_geometry`` reads them for the
-points of a level, whatever the family and strategy.  Their generic bodies
-go row by row through the one-point services; the Euclidean, Randers and
-scaled norms override them with whole-array closed forms on the analytic
-strategy, each row scaled by the rule of ``_as_vector``.
+points of all the levels of a verification, whatever the family and
+strategy.  On the taylor strategy ``_derivative_rows`` is one row jet over
+all rows (``_taylor``), for every family.  The Euclidean, Randers and scaled
+norms override the rows with whole-array closed forms on the analytic
+strategy, and the alpha-beta norm evaluates F and solves the angle of its
+Legendre inverse for all rows at once.  Each row is scaled by the rule of
+``_as_vector``.  The generic bodies left (the analytic k-th root and the fd
+strategy) go row by row through the one-point services.
 
 Norms are immutable after construction and all operations are pure, except
 that ``derivatives`` keeps its last bundle for a repeat call at the same y and
@@ -43,10 +47,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _taylor
+from ._linalg import lengths
 from .errors import (BadDimension, DegenerateMetric, MinkGeomError, NoConvergence, NotInDomain,
                      ZeroCovector, ZeroVector)
 
 ANGLE_MAX_ITER = 100  # the alpha-beta Legendre inverse's regula falsi
+ANGLE_NEWTON_STEPS = 8  # Newton steps of the rows' angle solve before the one-point fallback
 
 STRATEGIES = ("analytic", "taylor", "fd")
 
@@ -166,9 +172,10 @@ class MinkowskiNorm:
         preserves that coordinate subspace."""
         return self.restricted(m)
 
-    # Stacked rows: the points of a level as one (N, n) array.  Each generic
-    # body goes row by row through the one-point services; a family with
-    # closed forms overrides it with whole-array operations.
+    # Stacked rows: the points of the levels as one (N, n) array.  Each generic
+    # body goes row by row through the one-point services, except the taylor
+    # bundle, one row jet; a family with closed forms overrides them with
+    # whole-array operations.
 
     def _values(self, Y: np.ndarray) -> np.ndarray:
         """F at each row of Y, NaN where ``value`` fails."""
@@ -182,7 +189,16 @@ class MinkowskiNorm:
 
     def _derivative_rows(self, Y: np.ndarray) -> tuple:
         """(F, d1, d2) of the order-2 bundle at each row of Y, shapes (N,),
-        (N, n) and (N, n, n); NaN rows where ``derivatives`` fails."""
+        (N, n) and (N, n, n); NaN rows where ``derivatives`` fails.
+
+        On the taylor strategy it is the jet of ``_taylor`` as one row jet over
+        all rows, each scaled by the rule of ``_as_vector`` (``_as_rows``).
+        """
+        if self.strategy == "taylor":
+            Y, s = _as_rows(Y, self)
+            F = self._jet_F(_taylor.space(self.dim, 2), Y)
+            G = F * F * 0.5
+            return s * F.value, G.derivative_tensor(1) * s[:, None], G.derivative_tensor(2)
         N, n = Y.shape
         F, d1, d2 = np.full(N, np.nan), np.full((N, n), np.nan), np.full((N, n, n), np.nan)
         for i, y in enumerate(Y):
@@ -600,7 +616,8 @@ class KthRootNorm(MinkowskiNorm):
 
 class PolynomialProfile:
     """Profile phi(s) = sum_j coeffs[j] s^j with exact derivatives, evaluated
-    by Horner from 0.0: the float64 operations of ``np.polyval``, in order."""
+    by Horner from 0.0: the float64 operations of ``np.polyval``, in order.
+    An array of s gives an array per derivative, elementwise the same bits."""
 
     def __init__(self, coeffs):
         self.coeffs = tuple(float(c) for c in coeffs)
@@ -611,16 +628,17 @@ class PolynomialProfile:
             c = c[1:] * np.arange(1, c.size) if c.size > 1 else np.array([])
         self._rows = tuple(rows)
 
-    def phi(self, s: float) -> float:
-        return _horner(self._rows[0], float(s))
+    def phi(self, s):
+        return _horner(self._rows[0], s if isinstance(s, np.ndarray) else float(s))
 
-    def derivatives(self, s: float, order: int = 4):
+    def derivatives(self, s, order: int = 4):
         """phi, phi', ..., the derivative of the given order (at most 4), at s."""
-        s = float(s)
+        if not isinstance(s, np.ndarray):
+            s = float(s)
         return tuple(_horner(row, s) for row in self._rows[:order + 1])
 
 
-def _horner(row, s: float) -> float:
+def _horner(row, s):
     v = 0.0
     for c in row:
         v = v * s + c
@@ -632,11 +650,14 @@ class AlphaBetaNorm(MinkowskiNorm):
 
     A profile provides ``coeffs``, the power-series coefficients of phi
     (lowest first), ``phi(s)`` and ``derivatives(s, order)``, phi and its
-    derivatives up to that order (at most 4) at s.  Values read phi alone; the
-    derivative path is the jet of alpha^2 composed once with t^-1/2, giving
+    derivatives up to that order (at most 4) at s, for a number s or
+    elementwise for an array.  Values read phi alone; the derivative path is
+    the jet of alpha^2 composed once with t^-1/2, giving
     F = (alpha^2 / alpha) phi(beta / alpha).  The Legendre inverse is a solve
     for one angle: L(y) lies in span{y, e1} (Chern & Shen, Riemann-Finsler
     Geometry, 1.3), so the preimage of xi lies in the plane of xi and e1.
+    One point solves it by Illinois regula falsi (``_legendre_inverse``), the
+    rows by Newton (``_dual_rows``).
 
     The constructor decides validity exactly and samples no directions.  With
     s = beta/alpha, which covers [-|b|, |b|], g has the eigenvalue
@@ -711,6 +732,79 @@ class AlphaBetaNorm(MinkowskiNorm):
         phi = s.compose_univariate(self.profile.derivatives(s.value, sp.order))
         return (a2 * inv) * phi
 
+    def _values(self, Y):
+        Y, s = _as_rows(Y, self)
+        alpha = np.sqrt((Y * Y).sum(axis=1))
+        F = s * (alpha * self.profile.phi(self.b * Y[:, 0] / alpha))
+        return np.where(F > 0.0, F, np.nan)
+
+    def _image(self, c, s, order: int = 1):
+        """(i1, i2, P, phi's derivatives to ``order`` at b c) for c = cos t,
+        s = sin t, numbers or rows: L(cos t e1 + sin t u) = (i1, i2) in the
+        (e1, u) plane, with P = phi (phi - b c phi')."""
+        b = self.b
+        d = self.profile.derivatives(b * c, order)
+        phi, dphi = d[0], d[1]
+        p = phi * (phi - b * c * dphi)
+        return p * c + b * phi * dphi, p * s, p, d
+
+    def _dual_rows(self, Xi):
+        # ``_legendre_inverse`` for all rows: Newton on the angle t from
+        # t0 = psi, with dTheta/dt of the image angle Theta from phi, phi' and
+        # phi''.  A row that has not met the one-point stop (a gap of 2 ulp of
+        # psi) within ANGLE_NEWTON_STEPS steps, or whose step leaves (0, pi),
+        # takes the one-point Illinois inverse instead.  F and g at the
+        # preimages are one ``_derivative_rows``.
+        Xi, scale = _as_rows(Xi, self)
+        b = self.b
+        x1 = Xi[:, 0]
+        perp = lengths(Xi[:, 1:])
+        size = np.hypot(x1, perp)
+        psi = np.arctan2(perp, x1)
+        t = psi.copy()
+        # xi on the axis, or F a multiple of alpha: y is parallel to xi
+        todo = np.flatnonzero(perp > 0.0) if b != 0.0 else np.arange(0)
+        solved = np.zeros(len(Xi), dtype=bool)
+        solved[todo] = True
+        stop = 2.0 * np.spacing(psi)
+        fallback = []
+        for _ in range(ANGLE_NEWTON_STEPS):
+            if not todo.size:
+                break
+            tt = t[todo]
+            c, s = np.cos(tt), np.sin(tt)
+            i1, i2, p, (phi, d1, d2) = self._image(c, s, 2)
+            gap = np.arctan2(i2, i1) - psi[todo]
+            on = abs(gap) > stop[todo]
+            # dP/dt and d(phi phi')/dt, with d(b cos t)/dt = -b sin t
+            du = -b * s
+            dq = (d1 * d1 + phi * d2) * du
+            dp = phi * d1 * du - b * c * dq
+            di1 = dp * c - p * s + b * dq
+            di2 = dp * s + p * c
+            slope = (i1 * di2 - i2 * di1) / (i1 * i1 + i2 * i2)
+            todo, step = todo[on], tt[on] - gap[on] / slope[on]
+            t[todo] = step
+            inside = (step > 0.0) & (step < math.pi)
+            fallback.append(todo[~inside])
+            todo = todo[inside]
+        fallback.append(todo)  # not met within the steps
+        c = np.where(solved, np.cos(t), x1 / size)
+        s = np.where(solved, np.sin(t), perp / size)
+        i1, i2 = self._image(c, s)[:2]
+        alpha = size / np.hypot(i1, i2)
+        Y = np.empty_like(Xi)
+        Y[:, 0] = alpha * c
+        with np.errstate(invalid="ignore", divide="ignore"):
+            Y[:, 1:] = np.where(perp > 0.0, alpha * s / perp, 0.0)[:, None] * Xi[:, 1:]
+        for i in np.concatenate(fallback).tolist():
+            try:
+                Y[i] = self._legendre_inverse(Xi[i])
+            except MinkGeomError:
+                Y[i] = np.nan
+        F, _, g = self._derivative_rows(Y)
+        return Y * scale[:, None], F * scale, g
+
     def _legendre_inverse(self, xi):
         # y = alpha (cos t e1 + sin t u), u the unit part of xi off e1, has
         # L(y) = alpha image(cos t, sin t).  The angle of the image from e1
@@ -720,12 +814,6 @@ class AlphaBetaNorm(MinkowskiNorm):
         x1 = float(xi[0])
         perp = math.hypot(*xi[1:])
         size = math.hypot(x1, perp)
-
-        def image(c, s):
-            phi, dphi = self.profile.derivatives(b * c, 1)
-            p = phi * (phi - b * c * dphi)
-            return p * c + b * phi * dphi, p * s
-
         if perp == 0.0 or b == 0.0:
             # xi on the axis, or F a multiple of alpha: y is parallel to xi
             c, s = x1 / size, perp / size
@@ -733,7 +821,7 @@ class AlphaBetaNorm(MinkowskiNorm):
             psi = math.atan2(perp, x1)
 
             def gap(t):
-                i1, ip = image(math.cos(t), math.sin(t))
+                i1, ip = self._image(math.cos(t), math.sin(t))[:2]
                 return math.atan2(ip, i1) - psi
 
             # Illinois regula falsi, to float resolution of the angle
@@ -759,7 +847,7 @@ class AlphaBetaNorm(MinkowskiNorm):
             else:
                 raise NoConvergence(ANGLE_MAX_ITER, abs(g))
             c, s = math.cos(t), math.sin(t)
-        alpha = size / math.hypot(*image(c, s))
+        alpha = size / math.hypot(*self._image(c, s)[:2])
         y = np.zeros(self.dim)
         y[0] = alpha * c
         if perp > 0.0:

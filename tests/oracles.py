@@ -60,20 +60,38 @@ def cylinder_surface_residual(norm: RandersNorm, m: int, r: float, x,
 
 def grid_validate(norm: MinkowskiNorm, count: int | None = None):
     """Falsification pass: F > 0 and g positive definite on a sphere grid of
-    ``2 ** max(8, n + 4)`` directions by default."""
+    ``2 ** max(8, n + 4)`` directions by default, read through one ``_values``
+    and one ``_derivative_rows``; the error names the first failing direction
+    in grid order."""
     n = norm.dim
     if count is None:
         count = 2 ** max(8, n + 4)
-    for u in sphere_directions(n, count, seed=0):
-        F = norm._value(u)
-        if not F > 0.0:
-            raise NotInDomain(f"F <= 0 at sampled direction {u!r}")
-        try:
-            np.linalg.cholesky(norm.derivatives(u, order=2).d2)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateMetric(
-                f"fundamental tensor not positive definite at direction {u!r}"
-            ) from exc
+    dirs = sphere_directions(n, count, seed=0)
+    positive = norm._values(dirs) > 0.0
+    g = norm._derivative_rows(dirs)[2]
+    try:
+        np.linalg.cholesky(g[positive])
+        definite = positive
+    except np.linalg.LinAlgError:
+        definite = np.array([p and _cholesky_error(gi) is None for p, gi in zip(positive, g)])
+    if definite.all():
+        return
+    i = int(np.argmin(definite))
+    u = dirs[i]
+    if not positive[i]:
+        raise NotInDomain(f"F <= 0 at sampled direction {u!r}")
+    raise DegenerateMetric(
+        f"fundamental tensor not positive definite at direction {u!r}"
+    ) from _cholesky_error(g[i])
+
+
+def _cholesky_error(g):
+    """The LinAlgError of the Cholesky factorization of g, or None."""
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        return exc
+    return None
 
 
 class _Unchecked(AlphaBetaNorm):

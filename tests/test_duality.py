@@ -339,3 +339,32 @@ def test_alpha_beta_inverse_matches_newton(alpha_beta_pairs, n):
             assert np.linalg.norm(norm._legendre_inverse(Q @ xi) - Q @ y) <= 1e-14 * scale
             gstar = duality.dual_fundamental_tensor(norm, xi)
             assert np.max(np.abs(gstar @ norm.fundamental_tensor(y) - np.eye(n))) <= 1e-12
+
+
+def _angle(y):
+    return math.atan2(float(np.linalg.norm(y[1:])), float(y[0]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_alpha_beta_rows_solve_the_angle_of_the_one_point_inverse(alpha_beta_pairs, n):
+    # the rows' Newton angle against the one-point Illinois angle, on the
+    # e1 axis, 1e-9 off it and at random covectors of sizes 1e-3 to 1e3.
+    # Both stop once the image angle is within 2 ulp of psi, the angle of
+    # xi; where dTheta/dt is small that leaves Illinois up to about 1.6e-15
+    # relative off the root that Newton meets, hence 2e-15
+    rng = np.random.default_rng(400 + n)
+    e1, off = np.eye(n)[0], 1e-9 * np.eye(n)[-1]
+    V = rng.standard_normal((64, n))
+    Xi = np.vstack([[2.5 * e1, -0.4 * e1, e1 + off, -e1 - off],
+                    V * np.logspace(-3, 3, len(V))[:, None]])
+    for coeffs, b in alpha_beta_pairs:
+        norm = norms.AlphaBetaNorm(norms.PolynomialProfile(coeffs), b, n)
+        Y, F, g = norm._dual_rows(Xi)
+        for xi, y, Fi, gi in zip(Xi, Y, F, g):
+            one = norm._legendre_inverse(xi)
+            if _angle(one) > 0.0:
+                assert abs(_angle(y) - _angle(one)) <= 2e-15 * _angle(one), (coeffs, b, xi)
+            assert np.linalg.norm(y - one) <= 1e-14 * np.linalg.norm(one), (coeffs, b, xi)
+            assert Fi == pytest.approx(norm.value(one), rel=1e-14, abs=0.0)
+            want = norm.fundamental_tensor(one)
+            assert np.max(np.abs(gi - want)) <= 1e-13 * np.max(np.abs(want))

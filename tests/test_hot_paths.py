@@ -6,7 +6,10 @@ paths contract with ``ndarray.dot`` and method reductions: ``a.dot(b)`` for
 ``A.ravel().dot(B.ravel())`` for ``np.tensordot(A, B)`` and ``a.sum()`` for
 ``np.sum(a)``.  These tests pin that each rewritten form gives the bits of
 the form it replaced, that list and tuple inputs still work, and that no
-replaced form comes back into the listed functions.
+replaced form comes back into the listed functions.  The one-point jet keeps
+its 1-D indexing: ``c[..., 0]`` there costs the order-4 kernels several
+percent, so no Ellipsis subscript enters ``_taylor.Jet`` or
+``JetSpace.mul``.
 """
 
 import ast
@@ -176,3 +179,29 @@ class TestNoSlowForms:
         where = inspect.getsourcefile(fn)
         assert not hits, "; ".join(f"{fn.__qualname__} ({where}:{line}) uses {form}"
                                    for line, form in hits)
+
+
+def ellipsis_subscripts(source: str, first_line: int = 1) -> list[int]:
+    """The line of each subscript with an Ellipsis (``c[..., 0]``) in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(textwrap.dedent(source))):
+        if isinstance(node, ast.Subscript) and any(
+                isinstance(part, ast.Constant) and part.value is Ellipsis
+                for part in ast.walk(node.slice)):
+            found.append(first_line + node.lineno - 1)
+    return sorted(found)
+
+
+JET_PATHS = (_taylor.Jet, _taylor.JetSpace.mul, _taylor._pow_derivs)
+
+
+class TestOnePointJets:
+    def test_the_guard_finds_each_form(self):
+        src = "def f(c, d):\n    c[..., 0] = 1.0\n    return d[:, ...] + c[0]\n"
+        assert ellipsis_subscripts(src, 5) == [6, 7]
+
+    @pytest.mark.parametrize("obj", JET_PATHS, ids=lambda obj: obj.__qualname__)
+    def test_no_ellipsis_indexing(self, obj):
+        lines, first = inspect.getsourcelines(obj)
+        hits = ellipsis_subscripts("".join(lines), first)
+        assert not hits, f"{obj.__qualname__} indexes with an Ellipsis at lines {hits}"

@@ -138,8 +138,9 @@ class TestSampling:
         # F*, Delta f and the frame share one Legendre inversion and one
         # subspace-dual reduction per accepted point, and later stages (the
         # curvature table, the Randers witness) read the frames sampling built;
-        # the alpha-beta inversion is the family's hook, called once per
-        # point by the rows of ``level_geometry``, never Newton.  A geometry
+        # the alpha-beta rows solve the angle by their own Newton, so the
+        # one-point inverse is called only for a row that falls back, once
+        # per such row, and the Newton oracle never.  A geometry
         # is one row of ``level_geometry``, and no stage computes a point's
         # geometry, df or D^2 f again: the witness reads a' from the field's
         # rows
@@ -159,8 +160,14 @@ class TestSampling:
                             counting("newton", duality.legendre_inverse_newton))
         monkeypatch.setattr(duality, "subspace_dual",
                             counting("subspace_dual", duality.subspace_dual))
-        s = iso.sample_level(alphabeta3, calculus.sphere_potential(alphabeta3), 2.0, 8)
-        assert calls["inverse"] == len(s.points) == 8
+        sphere = calculus.sphere_potential(alphabeta3)
+        s = iso.sample_level(alphabeta3, sphere, 2.0, 8)
+        assert len(s.points) == 8 and calls["inverse"] == 0
+        with monkeypatch.context() as m:
+            m.setattr(norms, "ANGLE_NEWTON_STEPS", 0)  # every row falls back
+            forced = iso.sample_level(alphabeta3, sphere, 2.0, 8)
+        assert calls["inverse"] == len(forced.points) == 8
+        assert np.max(np.abs(forced.fstar - s.fstar)) <= 1e-13 * np.max(s.fstar)
         assert calls["newton"] == 0
         s = iso.sample_level(quartic3, cylinder, 2.0, 8)
         assert len(s.points) == 8 and calls["subspace_dual"] <= len(s.points)
@@ -481,6 +488,18 @@ class TestVerify:
         f4 = calculus.norm_plus_linear(randers3_mixed, 2)
         rep4 = iso.verify(randers3_mixed, f4, [0.8, 1.0, 1.25], count=32)
         assert rep4.witness["r1_pass"] and not rep4.witness["r2_pass"]
+
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3, 1e6, 1e10])
+    def test_witness_flags_at_every_scale(self, randers3, randers3_mixed, t):
+        # r1 and r2 are each measured against the size of their own terms,
+        # which scale with the level as the residuals do: the counterexample
+        # fails r2 and the Randers sphere passes both at every level scale
+        levels = [t * c for c in (0.8, 1.0, 1.25)]
+        cex = iso.verify(randers3_mixed, calculus.norm_plus_linear(randers3_mixed, 2), levels,
+                         count=16)
+        assert cex.witness["r1_pass"] and not cex.witness["r2_pass"], cex.witness
+        sphere = iso.verify(randers3, calculus.sphere_potential(randers3), levels, count=16)
+        assert sphere.witness["r1_pass"] and sphere.witness["r2_pass"], sphere.witness
 
     def test_needs_three_levels(self, randers3):
         f = calculus.sphere_potential(randers3)

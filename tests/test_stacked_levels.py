@@ -1,10 +1,10 @@
 """The stacked level against the one-point path.
 
-``sample_level`` meets the rays of a field with a degree as whole arrays,
-and computes every level's geometry and frames as whole arrays, for every
-norm family, strategy and field.  The one-point reference is
-``_radial_root`` per ray and ``frame_at`` (one ``point_geometry``) per
-point.
+``sample_levels`` meets the rays of a field with a degree as whole arrays,
+and computes the geometry and frames of all its levels as whole arrays, for
+every norm family, strategy and field; ``sample_level`` is its call on one
+level.  The one-point reference is ``_radial_root`` per ray and
+``frame_at`` (one ``point_geometry``) per point.
 """
 
 import dataclasses
@@ -126,28 +126,33 @@ def test_every_family_matches_frame_at(case):
         assert_matches_frame_at(norm, field, sample)
 
 
-def test_a_critical_row_raises_as_on_the_one_point_path():
-    # df shrinks by 1e-12 near one sampled point of the Randers sphere, in
-    # the stacked rows and in d1 alike, which puts a critical point within
-    # relative distance 1e-8 of it: the level raises the error of
-    # ``point_geometry`` at that point, with the field's rows and without
-    norm, field, _ = scenario("sphere")
-    x0 = iso.sample_level(norm, field, 2.0, 16).points[5]
+def near_critical(norm, field, t, i, factor=1e-12):
+    """(field, x0): ``field`` with df times ``factor`` near x0, the i-th point
+    sampled on level t, in its rows and in d1 alike, which puts a critical
+    point within relative distance 1e-8 of x0 (at x0 for a factor 0)."""
+    x0 = iso.sample_level(norm, field, t, 16).points[i]
 
     def near(X):
         X = np.atleast_2d(X)
         return np.linalg.norm(X - x0, axis=1) <= 1e-12 * np.linalg.norm(x0)
 
     def d1(x):
-        return 1e-12 * field.d1_fn(x) if near(x)[0] else field.d1_fn(x)
+        return factor * field.d1_fn(x) if near(x)[0] else field.d1_fn(x)
 
     def rows(X, order):
         if order == 0:
             return field.rows(X, 0)
         df, hess = field.rows(X, 2)
-        return np.where(near(X)[:, None], 1e-12 * df, df), hess
+        return np.where(near(X)[:, None], factor * df, df), hess
 
-    critical = dataclasses.replace(field, d1_fn=d1, rows=rows)
+    return dataclasses.replace(field, d1_fn=d1, rows=rows), x0
+
+
+def test_a_critical_row_raises_as_on_the_one_point_path():
+    # the level raises the error of ``point_geometry`` at the near-critical
+    # point, with the field's rows and without
+    norm, field, _ = scenario("sphere")
+    critical, x0 = near_critical(norm, field, 2.0, 5)
     with pytest.raises(CriticalPoint) as ref:
         calculus.point_geometry(norm, critical, x0)
     with pytest.raises(CriticalPointOnLevel) as info:
@@ -234,12 +239,15 @@ def test_point_geometry_calls_per_point(case, monkeypatch):
 
 def _rows_norms():
     randers = norms.RandersNorm([0.3, -0.2, 0.4])
+    profile = norms.PolynomialProfile([1.0, 1.0, 0.1])
     return {
         "euclidean": norms.EuclideanNorm(3),
         "randers": randers,
         "scaled-randers": norms.ScaledNorm(randers, 1.7),
         "randers-taylor": norms.RandersNorm([0.3, -0.2, 0.4], strategy="taylor"),
         "quartic": norms.KthRootNorm(4, 3),
+        # one row jet, and the angle of the Legendre inverse by Newton on all rows
+        **{f"alpha-beta-n{n}": norms.AlphaBetaNorm(profile, -0.6, n) for n in (2, 3, 5)},
     }
 
 
@@ -248,8 +256,9 @@ def test_rows_match_the_one_point_services_at_every_scale(name):
     # each row is scaled by the rule of _as_vector, so rows of size 1e-200
     # and 1e200, whose squares leave the float range, agree like size 1
     norm = _rows_norms()[name]
+    n = norm.dim
     rng = np.random.default_rng(5)
-    Y = rng.choice([-1.0, 1.0], (8, 3)) * rng.uniform(0.3, 1.0, (8, 3))
+    Y = rng.choice([-1.0, 1.0], (8, n)) * rng.uniform(0.3, 1.0, (8, n))
     for c in (1e-200, 1e-20, 1.0, 1e20, 1e200):
         F = norm._values(c * Y)
         Fd, d1, d2 = norm._derivative_rows(c * Y)
@@ -265,6 +274,98 @@ def test_rows_match_the_one_point_services_at_every_scale(name):
             assert Fg[i] == pytest.approx(norm.value(y), rel=1e-12, abs=0.0)
             assert np.max(np.abs(g[i] - d.d2)) <= 1e-12 * np.max(np.abs(d.d2))
     # a zero or non-finite row fails alone
-    bad = np.array([[0.0, 0.0, 0.0], [np.inf, 1.0, 0.0], [1.0, 0.5, 0.2]])
-    assert np.isnan(norm._values(bad)[:2]).all() and np.isfinite(norm._values(bad)[2])
-    assert np.isnan(norm._dual_rows(bad)[1][:2]).all()
+    bad = np.zeros((4, n))
+    bad[1, :2] = np.inf, 1.0
+    bad[2, 0] = np.nan
+    bad[3, :2] = 1.0, 0.5
+    for rows in (norm._values(bad), norm._derivative_rows(bad)[0], norm._dual_rows(bad)[1]):
+        assert np.isnan(rows[:3]).all() and np.isfinite(rows[3])
+
+
+def _sample_bits(sample) -> list:
+    """Every array and number of a ``LevelSample``, its frames and their geometry."""
+    out = [sample.t, sample.skipped] + [a.tobytes() for a in
+                                        (sample.points, sample.fstar, sample.lap,
+                                         sample.curvatures)]
+    for fr in sample.frames:
+        geo = fr.geometry
+        out += [fr.groups, geo.m, geo.fstar, geo.lap, geo.lap_scale]
+        out += [a.tobytes() for a in (fr.x, fr.normal, fr.tangent_basis, fr.hhat,
+                                      fr.principal_curvatures, fr.eigenvectors, geo.df,
+                                      geo.hess, geo.grad, geo.g)]
+    return out
+
+
+@pytest.mark.parametrize("case", CASES + FAMILY_CASES + ["quartic-cylinder"])
+def test_levels_stacked_equal_the_per_level_loop_bit_for_bit(case):
+    # every row is computed as on its own: the rays of all levels share one
+    # evaluation of f, and their points one level_geometry and one
+    # level_frames, with the bits of one sample_level per level
+    norm, field, levels = scenario(case) if case in CASES else family_scenario(case)
+    for seed in (0, 3):
+        stacked = iso.sample_levels(norm, field, levels, 24, seed=seed)
+        assert len(stacked) == len(levels)
+        for t, sample in zip(levels, stacked):
+            assert _sample_bits(sample) == _sample_bits(iso.sample_level(norm, field, t, 24,
+                                                                         seed=seed))
+
+
+def test_a_row_that_fails_the_cholesky_test_falls_back_alone(monkeypatch):
+    # g made indefinite at one point of level 2.0 sends that row alone to
+    # point_geometry: the other rows, of its level and of the others, keep
+    # the bits of the stacked pass, so the levels stack as in the loop
+    norm, field, levels = scenario("sphere")
+    x0 = iso.sample_level(norm, field, 2.0, 24).points[7]
+    df0 = field.d1(x0)
+    dual_rows = norm._dual_rows
+
+    def indefinite_at_x0(Xi):
+        grad, fstar, g = dual_rows(Xi)
+        g[np.linalg.norm(Xi - df0, axis=1) <= 1e-12 * np.linalg.norm(df0)] *= -1.0
+        return grad, fstar, g
+
+    calls = [0]
+    one_point = calculus.point_geometry
+
+    def counting(*args):
+        calls[0] += 1
+        return one_point(*args)
+
+    monkeypatch.setattr(norm, "_dual_rows", indefinite_at_x0)
+    monkeypatch.setattr(calculus, "point_geometry", counting)
+    stacked = iso.sample_levels(norm, field, levels, 24)
+    assert calls[0] == 1
+    for t, sample in zip(levels, stacked):
+        assert _sample_bits(sample) == _sample_bits(iso.sample_level(norm, field, t, 24))
+    assert calls[0] == 2
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_the_first_failing_level_raises_as_in_the_per_level_loop():
+    # levels are checked in the given order: a range error, an unreached
+    # level or a critical point on a level raises for the first level that
+    # has one, whatever the later levels raise
+    norm, sphere, _ = scenario("sphere")
+    critical_sphere = near_critical(norm, sphere, 2.0, 5)[0]
+    _, hyperplane, _ = scenario("hyperplane")
+    hyperplane = dataclasses.replace(hyperplane, regular_range=(-1.0, 10.0))
+    critical_plane = near_critical(norm, hyperplane, 2.0, 3, factor=0.0)[0]
+    runs = [
+        (critical_sphere, [0.5, 2.0, -1.0], CriticalPointOnLevel),
+        (critical_sphere, [0.5, -1.0, 2.0], ValueError),
+        (hyperplane, [1.0, 0.0, 20.0], LevelNotReached),
+        (hyperplane, [1.0, 20.0, 0.0], ValueError),
+        (critical_plane, [1.0, 2.0, 0.0], CriticalPointOnLevel),
+        (critical_plane, [0.0, 2.0], LevelNotReached),
+    ]
+    for field, levels, error in runs:
+        want = _outcome(lambda: [iso.sample_level(norm, field, t, 16) for t in levels])
+        assert want is not None and want[0] is error, (levels, want)
+        assert _outcome(lambda: iso.sample_levels(norm, field, levels, 16)) == want, levels

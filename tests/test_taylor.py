@@ -177,3 +177,50 @@ def test_alpha_beta_jets_match_the_product_construction(n):
                     want = G.derivative_tensor(k)
                     err = np.max(np.abs(getattr(got, name) - want))
                     assert err <= 1e-12 * np.max(np.abs(want)), (order, name, err)
+
+
+@pytest.mark.parametrize("n,order", [(2, 4), (3, 2), (5, 4)])
+def test_row_jets_are_the_one_point_jets_of_their_rows(n, order):
+    # a product is one bincount over row * size + out, which adds each row's
+    # terms in the one-point order: the ring operations and a composition
+    # with given derivatives give each row the bits of its one-point jet.
+    # Fractional powers read numpy's array power, which may round the last
+    # bit of a derivative otherwise than the scalar power, as may the row sum
+    # of |y|^2 against y.dot(y)
+    sp = _taylor.space(n, order)
+    rng = np.random.default_rng(n)
+    A, B = rng.standard_normal((2, 7, sp.size))
+    A[:, 0] = rng.uniform(0.5, 2.0, 7)
+    D = rng.standard_normal((5, 7))
+    Y, w = rng.standard_normal((7, n)), rng.standard_normal(n)
+
+    def exact(a, b, d):
+        ja, jb = _taylor.Jet(sp, a), _taylor.Jet(sp, b)
+        return [ja * jb, ja ** 3, 2.0 - ja * 0.5 + 1.0, ja.compose_univariate(d)]
+
+    def rounded(a, y):
+        ja = _taylor.Jet(sp, a)
+        return [ja ** 0.5, ja.sqrt() / ja,
+                _taylor.Jet.norm_squared(sp, y).sqrt() + _taylor.Jet.linear(sp, y, w)]
+
+    rows, rows_rounded = exact(A, B, list(D)), rounded(A, Y)
+    for i in range(7):
+        for got, want in zip(rows, exact(A[i], B[i], list(D[:, i]))):
+            assert got.c.shape == (7, sp.size)
+            assert got.c[i].tobytes() == want.c.tobytes()
+            for k in range(order + 1):
+                assert got.derivative_tensor(k)[i].tobytes() == want.derivative_tensor(k).tobytes()
+        for got, want in zip(rows_rounded, rounded(A[i], Y[i])):
+            assert np.max(np.abs(got.c[i] - want.c)) <= 1e-15 * np.max(np.abs(want.c))
+
+
+def test_a_nonpositive_row_fails_alone():
+    # a fractional power of a non-positive row value is NaN in that row; a
+    # one-point jet raises instead
+    sp = _taylor.space(2, 2)
+    c = np.zeros((3, sp.size))
+    c[:, 0] = [1.0, -1.0, 0.0]
+    c[:, 1] = 1.0
+    root = _taylor.Jet(sp, c).sqrt()
+    assert np.isfinite(root.c[0]).all() and np.isnan(root.c[1:]).all()
+    assert root.c[0].tobytes() == _taylor.Jet(sp, c[0]).sqrt().c.tobytes()
