@@ -14,9 +14,10 @@ form, so BH and HT agree) reduces to
 
 Every quantity at a point comes from the same df, D^2 f, grad f and g at
 grad f.  ``level_geometry`` computes them for all the points of a level as
-whole arrays, for every norm family, strategy and field; ``point_geometry``
-computes them at one point, and is the reference and the fallback of the
-rows that fail the stacked checks.  The dual-tensor and
+one ``LevelGeometry`` of arrays, for every norm family, strategy and field;
+a ``PointGeometry`` is one row of it, built only when asked for.
+``point_geometry`` computes them at one point, and is the reference and the
+fallback of the rows that fail the stacked checks.  The dual-tensor and
 orthonormal-frame-trace Laplacians are kept as independent pipelines to
 cross-check the shared one.
 """
@@ -24,7 +25,7 @@ cross-check the shared one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace as dc_replace
 
 import numpy as np
 
@@ -413,15 +414,79 @@ def point_geometry(norm: MinkowskiNorm, field: ScalarField, x) -> PointGeometry:
         return geo
 
 
-def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> list:
-    """The ``PointGeometry`` of each row of X (N, n), a level's points, as whole arrays.
+class RowRecord:
+    """Row access to a dataclass of per-row arrays (every field but ``norm``):
+    ``rec[i]`` is the one-row view ``rec.row(i)``, built only when asked for,
+    and ``rec[a:b]`` (or an index array) the record of those rows."""
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return self.row(i)
+        return dc_replace(self, **{f.name: getattr(self, f.name)[i]
+                                   for f in dc_fields(self) if f.name != "norm"})
+
+
+def concat_rows(records):
+    """One record of the rows of ``records`` (records of one class), in order."""
+    first = records[0]
+    return dc_replace(first, **{
+        f.name: (concat_rows if isinstance(getattr(first, f.name), RowRecord)
+                 else np.concatenate)([getattr(r, f.name) for r in records])
+        for f in dc_fields(first) if f.name != "norm"})
+
+
+@dataclass(frozen=True)
+class LevelGeometry(RowRecord):
+    """The ``PointGeometry`` fields of a level's points as arrays, one row per
+    point: x, df, grad (N, n); hess, g (N, n, n); fstar, lap, lap_scale, m (N,).
+
+    A row reduced to the subspace dual (m < n) holds its m x m g in
+    g[i, :m, :m].  ``own`` holds the ``PointGeometry`` of each row that took
+    ``point_geometry`` (None elsewhere), which is then its ``geometry[i]``.
+    """
+
+    norm: MinkowskiNorm
+    x: np.ndarray
+    df: np.ndarray
+    hess: np.ndarray
+    grad: np.ndarray
+    fstar: np.ndarray
+    g: np.ndarray
+    lap: np.ndarray
+    lap_scale: np.ndarray
+    m: np.ndarray
+    own: np.ndarray
+
+    def __len__(self):
+        return len(self.x)
+
+    def row(self, i) -> PointGeometry:
+        return self.own[i] or PointGeometry(
+            x=self.x[i], norm=self.norm, m=int(self.m[i]), df=self.df[i], hess=self.hess[i],
+            grad=self.grad[i], fstar=float(self.fstar[i]), g=self.g[i], lap=float(self.lap[i]),
+            lap_scale=float(self.lap_scale[i]))
+
+
+def geometry_rows(norm: MinkowskiNorm, geometries) -> LevelGeometry:
+    """The ``LevelGeometry`` whose rows are the given point geometries, each its own."""
+    n = norm.dim
+    g = np.zeros((len(geometries), n, n))
+    for gi, geo in zip(g, geometries):
+        gi[:geo.m, :geo.m] = geo.g
+    return LevelGeometry(norm=norm, g=g, own=np.array(geometries, dtype=object), **{
+        name: np.array([getattr(geo, name) for geo in geometries])
+        for name in ("x", "df", "hess", "grad", "fstar", "lap", "lap_scale", "m")})
+
+
+def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> LevelGeometry:
+    """The geometry of the rows of X (N, n), a level's points, as whole arrays.
 
     df and D^2 f come from the field's ``jet_rows``, grad f, F*(df) and g
     from the norm's ``_dual_rows``.  A row that fails the critical-point test
     of ``_regular_jet``, is non-finite or whose g fails the Cholesky test
     takes ``point_geometry``, which raises or reduces to the subspace dual as
-    for one point, in row order.  Every row is computed as on its own, so the
-    rows of several levels stack.
+    for one point, in row order, and keeps that geometry as its own.  Every
+    row is computed as on its own, so the rows of several levels stack.
     """
     X = np.asarray(X, dtype=float)
     df, hess = field.jet_rows(X)
@@ -444,11 +509,16 @@ def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> list:
         ginv = np.linalg.inv(g[ok])
         lap[ok] = (ginv * hess[ok]).sum(axis=(1, 2))
         lap_scale[ok] = lengths(ginv) * hnorm[ok]
-    n = norm.dim
-    return [PointGeometry(x=X[i], norm=norm, m=n, df=df[i], hess=hess[i], grad=grad[i],
-                          fstar=float(fstar[i]), g=g[i], lap=float(lap[i]),
-                          lap_scale=float(lap_scale[i]))
-            if ok[i] else point_geometry(norm, field, X[i]) for i in range(len(X))]
+    rows = LevelGeometry(norm=norm, x=X, df=df, hess=hess, grad=grad, fstar=fstar, g=g,
+                         lap=lap, lap_scale=lap_scale, m=np.full(len(X), norm.dim),
+                         own=np.full(len(X), None))
+    bad = np.flatnonzero(~ok)
+    if bad.size:  # each takes the one-point path, in row order, in place of its row
+        order = np.arange(len(X))
+        order[bad] = len(X) + np.arange(bad.size)
+        one = geometry_rows(norm, [point_geometry(norm, field, X[i]) for i in bad.tolist()])
+        rows = concat_rows([rows, one])[order]
+    return rows
 
 
 def _geometry_in(norm: MinkowskiNorm, m: int, x, df, hess) -> PointGeometry:

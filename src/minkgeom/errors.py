@@ -61,7 +61,7 @@ class LevelNotReached(MinkGeomError):
     A direction fails when neither its ray nor the mirrored ray meets the
     level (in closed form on a field with a degree, else inside the ray
     ladder's span), when f fails at the point or inside the bracket, or when
-    the point misses |f - t| <= 1e-10 (1 + |t|).
+    the point misses |f - t| <= 1e-10 |t| (1e-10 at t = 0).
     """
 
 

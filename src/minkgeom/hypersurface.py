@@ -8,12 +8,13 @@ ghat = g_n is
 
 on the tangent space.  Principal curvatures are the eigenvalues of hhat in a
 ghat-orthonormal tangent frame.  ``level_frames`` is the one frame builder:
-it builds the frames of a level's point geometries as one stack (one
-g-Gram-Schmidt, one shape-operator product, one batched ``eigh``), and
-``frame_at`` is its call on one point.  The sectional curvature of the
-induced connection reduces in a Minkowski space to the product identity
-Khat(e_a ^ e_b) = k_a k_b, which is how it is computed here (the intrinsic
-connection itself is never constructed).
+it builds the frames of a level's ``LevelGeometry`` as one ``LevelFrames``
+of arrays (one g-Gram-Schmidt, one shape-operator product, one batched
+``eigh``); a ``HypersurfacePointFrame`` is one row of it, built only when
+asked for, and ``frame_at`` is the builder's call on one point.  The
+sectional curvature of the induced connection reduces in a Minkowski space
+to the product identity Khat(e_a ^ e_b) = k_a k_b, which is how it is
+computed here (the intrinsic connection itself is never constructed).
 
 The Cartan curvature Q_y(X, Y) is the scalar invariant built from the Cartan
 tensor and its derivative that controls the Cartan-type formula; for a
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import orthonormal_basis
-from .calculus import PointGeometry, ScalarField, point_geometry
+from .calculus import (LevelGeometry, PointGeometry, RowRecord, ScalarField, geometry_rows,
+                       point_geometry)
 from .errors import EigenFailure, NotOrthogonal
 from .norms import MinkowskiNorm, _as_vector
 
@@ -37,15 +39,13 @@ ORTHO_TOL = 1e-8
 
 @dataclass(frozen=True)
 class HypersurfacePointFrame:
-    """Frame data of a level set at one regular point.
+    """Frame data of a level set at one regular point: one row of ``LevelFrames``.
 
     ``tangent_basis`` rows are ghat-orthonormal, so ``principal_curvatures``
-    are plain eigenvalues of ``hhat``.  ``groups`` lists (kappa_r, m_r) for
-    distinct curvature values merged within max(1e-9, 1e-6 max|kappa|), or
-    max(1e-4, 1e-4 max|kappa|) under finite differences; ``eigenvectors``
-    rows are the corresponding ambient principal directions (sorted like the
-    curvatures).  ``geometry`` is the shared point geometry the frame was
-    built from (grad f, F(grad f), Delta f).
+    are plain eigenvalues of ``hhat``; ``eigenvectors`` rows are the ambient
+    principal directions, sorted like them.  ``groups`` lists (kappa_r, m_r)
+    for the curvature groups of ``level_frames``.  ``geometry`` is the point
+    geometry the frame was built from (grad f, F(grad f), Delta f).
     """
 
     x: np.ndarray
@@ -58,75 +58,84 @@ class HypersurfacePointFrame:
     geometry: PointGeometry
 
 
+@dataclass(frozen=True)
+class LevelFrames(RowRecord):
+    """The ``HypersurfacePointFrame`` fields of a level's points as arrays, one
+    row per point, built from ``geometry``: normal (N, n), tangent_basis and
+    eigenvectors (N, n-1, n), hhat (N, n-1, n-1), principal_curvatures
+    (N, n-1).  ``breaks`` (N, n-2) marks each step between neighbouring
+    curvatures above the group tolerance, where a new group starts.
+    """
+
+    geometry: LevelGeometry
+    normal: np.ndarray
+    tangent_basis: np.ndarray
+    hhat: np.ndarray
+    principal_curvatures: np.ndarray
+    eigenvectors: np.ndarray
+    breaks: np.ndarray
+
+    def __len__(self):
+        return len(self.normal)
+
+    def row(self, i) -> HypersurfacePointFrame:
+        k = self.principal_curvatures[i].tolist()
+        return HypersurfacePointFrame(
+            x=self.geometry.x[i], normal=self.normal[i], tangent_basis=self.tangent_basis[i],
+            hhat=self.hhat[i], principal_curvatures=self.principal_curvatures[i],
+            eigenvectors=self.eigenvectors[i], geometry=self.geometry[i],
+            groups=tuple((sum(k[a:a + m]) / m, m) for a, m in zip(*group_runs(self.breaks[i]))))
+
+
+def group_runs(breaks: np.ndarray) -> tuple:
+    """(starts, sizes) of the curvature groups of one row of ``LevelFrames.breaks``."""
+    starts = np.flatnonzero(np.append(True, breaks)).tolist()
+    return starts, np.diff(starts + [len(breaks) + 1]).tolist()
+
+
 def frame_at(norm: MinkowskiNorm, field: ScalarField, x,
              basis_seed: int = 0) -> HypersurfacePointFrame:
     """Build the hypersurface frame of the level set of ``field`` through x:
     ``level_frames`` of its one ``point_geometry``."""
-    return level_frames(norm, field, [point_geometry(norm, field, x)], basis_seed)[0]
+    geometry = geometry_rows(norm, [point_geometry(norm, field, x)])
+    return level_frames(norm, field, geometry, basis_seed)[0]
 
 
-def level_frames(norm: MinkowskiNorm, field: ScalarField, geometries,
-                 basis_seed: int = 0) -> list:
-    """The hypersurface frame at each point geometry, built as one stack.
+def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometry,
+                 basis_seed: int = 0) -> LevelFrames:
+    """The hypersurface frames of the rows of ``geometry``, built as one stack.
 
     The rows of one geometry dimension m share one g-Gram-Schmidt
-    (``orthonormal_basis``), one shape operator and one batched ``eigh``.
-    When the point geometry is the subspace-dual reduction (k-th root
+    (``orthonormal_basis``); all rows share one shape-operator product and
+    one batched ``eigh``.  A row of the subspace-dual reduction (k-th root
     families, whose gradient for cylinder potentials lies on a coordinate
-    plane), the tangent frame is built on the first m coordinates and the
+    plane) gets its tangent frame on the first m coordinates, and the
     complement directions are principal with curvature zero, as in the
-    cylinder model.
+    cylinder model.  Curvatures are grouped within max(1e-9, 1e-6 max|kappa|),
+    or max(1e-4, 1e-4 max|kappa|) under finite differences.
     """
     n = norm.dim
-    uses_fd = norm.strategy == "fd" or field.uses_fd
-    frames = [None] * len(geometries)
-    for m in sorted({geo.m for geo in geometries}):
-        idx = [i for i, geo in enumerate(geometries) if geo.m == m]
-        geos = [geometries[i] for i in idx]
-        fstar = np.array([geo.fstar for geo in geos])
-        normal = np.array([geo.grad for geo in geos]) / fstar[:, None]
-        hess = np.array([geo.hess for geo in geos])
-        tangent = np.zeros((len(geos), n - 1, n))
-        tangent[:, : m - 1, :m] = orthonormal_basis(np.array([geo.g for geo in geos]),
-                                                    first=normal[:, :m], basis_seed=basis_seed)
-        tangent[:, m - 1:, m:] = np.eye(n - m)
-        hhat = -(tangent @ hess @ tangent.transpose(0, 2, 1)) / fstar[:, None, None]
-        hhat = 0.5 * (hhat + hhat.transpose(0, 2, 1))
-        try:
-            vals, vecs = np.linalg.eigh(hhat)
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure("eigendecomposition of the shape operator failed") from exc
-        principal = vecs.transpose(0, 2, 1) @ tangent
-        kmax = abs(vals).max(axis=1)
-        group_tol = (np.maximum(1e-4, 1e-4 * kmax) if uses_fd
-                     else np.maximum(1e-9, 1e-6 * kmax)).tolist()
-        val_rows = vals.tolist()
-        for r, (i, geo) in enumerate(zip(idx, geos)):
-            frames[i] = HypersurfacePointFrame(
-                x=geo.x,
-                normal=normal[r],
-                tangent_basis=tangent[r],
-                hhat=hhat[r],
-                principal_curvatures=vals[r],
-                eigenvectors=principal[r],
-                groups=_group_eigenvalues(val_rows[r], group_tol[r]),
-                geometry=geo,
-            )
-    return frames
-
-
-def _group_eigenvalues(vals: list, tol: float) -> tuple:
-    """(mean, count) of each run of sorted values whose steps are at most tol."""
-    groups = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > tol:
-            total = 0.0
-            for v in vals[start:i]:
-                total += v
-            groups.append((total / (i - start), i - start))
-            start = i
-    return tuple(groups)
+    fstar = geometry.fstar
+    normal = geometry.grad / fstar[:, None]
+    tangent = np.zeros((len(geometry), n - 1, n))
+    for m in sorted(set(geometry.m.tolist())):
+        rows = geometry.m == m
+        tangent[rows, : m - 1, :m] = orthonormal_basis(geometry.g[rows, :m, :m],
+                                                       first=normal[rows, :m],
+                                                       basis_seed=basis_seed)
+        tangent[rows, m - 1:, m:] = np.eye(n - m)
+    hhat = -(tangent @ geometry.hess @ tangent.transpose(0, 2, 1)) / fstar[:, None, None]
+    hhat = 0.5 * (hhat + hhat.transpose(0, 2, 1))
+    try:
+        vals, vecs = np.linalg.eigh(hhat)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure("eigendecomposition of the shape operator failed") from exc
+    kmax = abs(vals).max(axis=1)
+    tol = (np.maximum(1e-4, 1e-4 * kmax) if norm.strategy == "fd" or field.uses_fd
+           else np.maximum(1e-9, 1e-6 * kmax))
+    return LevelFrames(geometry=geometry, normal=normal, tangent_basis=tangent, hhat=hhat,
+                       principal_curvatures=vals, eigenvectors=vecs.transpose(0, 2, 1) @ tangent,
+                       breaks=np.diff(vals, axis=1) > tol[:, None])
 
 
 def mean_curvatures(frame: HypersurfacePointFrame) -> tuple[float, float]:
@@ -138,7 +147,8 @@ def mean_curvatures(frame: HypersurfacePointFrame) -> tuple[float, float]:
     """
     hhat_sum = float(np.sum(frame.principal_curvatures))
     trace_sum = float(np.trace(frame.hhat))
-    if abs(hhat_sum - trace_sum) > 1e-6 * (1.0 + abs(hhat_sum)):
+    size = max(float(np.sum(np.abs(frame.principal_curvatures))), abs(trace_sum))
+    if abs(hhat_sum - trace_sum) > 1e-6 * size:
         raise EigenFailure("mean-curvature trace identity violated; frame is inconsistent")
     return hhat_sum, hhat_sum
 

@@ -14,9 +14,11 @@ s = (t / f(anchor + d))^(1/k): one evaluation of f over all rays, shared by
 every level.  On other fields a walk along a fixed ladder of radii brackets
 the level nearest the anchor and Illinois regula falsi narrows the bracket,
 ray by ray.  A point is kept when |f(x) - t| <= 1e-10 |t|.  The points of
-all levels then get their geometry from one ``calculus.level_geometry``, as
-whole arrays for every norm family, strategy and field, and their frames
-from one ``hypersurface.level_frames``.
+all levels then get their geometry from one ``calculus.level_geometry`` and
+their frames from one ``hypersurface.level_frames``, for every norm family,
+strategy and field, kept as arrays: the verdicts, the curvature groups, the
+Randers witness and the identity table read the arrays, and a per-point
+frame object is built only when asked for.
 
 Each verdict compares a level's spread with a scale from the same level, so
 it does not change when the level, the field or the norm is scaled.  A
@@ -33,13 +35,16 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import duality
-# ``laplacian`` stays reachable here: the benchmark's tracer hooks it by this name
-from .calculus import ScalarField, laplacian, level_geometry, reparametrized_field  # noqa: F401
+# ``laplacian`` and ``frame_at`` stay reachable here: the benchmark's tracer
+# hooks them by these names
+from .calculus import (ScalarField, concat_rows, laplacian, level_geometry,  # noqa: F401
+                       reparametrized_field)
 from .errors import (
     CriticalPoint,
     CriticalPointOnLevel,
@@ -49,7 +54,7 @@ from .errors import (
     NotIsoparametric,
     NotMonotone,
 )
-from .hypersurface import frame_at, level_frames
+from .hypersurface import LevelFrames, frame_at, group_runs, level_frames  # noqa: F401
 from .norms import MinkowskiNorm, RandersNorm
 from .randers import randers_isoparametric_residual
 from .sampling import sphere_directions
@@ -66,8 +71,9 @@ _LADDER = np.geomspace(2.0**-40, 2.0**40, 161)
 class LevelSample:
     """Sampled points of one regular level set with per-point quantities.
 
-    ``frames`` holds the ``level_frames`` frame of each point, with its point
-    geometry (df, D^2 f, grad f); later stages read it instead of rebuilding.
+    ``frames`` is the level's rows of the ``LevelFrames`` that
+    ``level_frames`` built, with their ``LevelGeometry`` (df, D^2 f, grad f),
+    for the later stages to read; ``frames[i]`` is the frame of point i.
     """
 
     t: float
@@ -75,7 +81,7 @@ class LevelSample:
     fstar: np.ndarray           # F*(df) per point
     lap: np.ndarray             # Delta f per point
     curvatures: np.ndarray      # (N, n-1) sorted principal curvatures
-    frames: list                # per-point HypersurfacePointFrame
+    frames: LevelFrames
     skipped: int
 
 
@@ -126,18 +132,19 @@ def sample_levels(norm: MinkowskiNorm, field: ScalarField, levels, count: int,
         except Exception:
             # the first failing level raises the error of its own pass
             for t, points, _ in found:
-                _frames(norm, field, t, points)
+                try:
+                    level_frames(norm, field, level_geometry(norm, field, points))
+                except CriticalPoint as exc:
+                    raise CriticalPointOnLevel(f"a sampled point on level {t} is critical: "
+                                               f"{exc}") from exc
             raise
-        fstar = np.array([fr.geometry.fstar for fr in frames])
-        lap = np.array([fr.geometry.lap for fr in frames])
-        curvatures = np.array([fr.principal_curvatures for fr in frames])
         start = 0
         for t, points, skipped in found:
-            end = start + len(points)
-            samples.append(LevelSample(t=float(t), points=points, fstar=fstar[start:end],
-                                       lap=lap[start:end], curvatures=curvatures[start:end],
-                                       frames=frames[start:end], skipped=skipped))
-            start = end
+            rows = frames[start:start + len(points)]
+            samples.append(LevelSample(t=float(t), points=points, fstar=rows.geometry.fstar,
+                                       lap=rows.geometry.lap, curvatures=rows.principal_curvatures,
+                                       frames=rows, skipped=skipped))
+            start += len(points)
     if error is not None:
         raise error
     return samples
@@ -177,14 +184,6 @@ def _level_points(field: ScalarField, anchor, dirs, t, rays) -> np.ndarray:
     points = (anchor + s[:, None] * dirs)[~np.isnan(s)]
     with np.errstate(invalid="ignore"):
         return points[abs(field.values(points) - t) <= LEVEL_RESIDUAL * (abs(t) or 1.0)]
-
-
-def _frames(norm: MinkowskiNorm, field: ScalarField, t, points) -> list:
-    """The frames of one level's points; a critical point raises CriticalPointOnLevel."""
-    try:
-        return level_frames(norm, field, level_geometry(norm, field, points))
-    except CriticalPoint as exc:
-        raise CriticalPointOnLevel(f"a sampled point on level {t} is critical: {exc}") from exc
 
 
 def _unreached_reason(field: ScalarField, t) -> str:
@@ -472,7 +471,7 @@ def _level_scales(sample: LevelSample) -> tuple:
     """The scales of F*(df), Delta f and the curvatures on one level: |mean F*|;
     max(|mean Delta f|, the mean ``lap_scale`` of its points), so that a Delta f
     that vanishes on the level is measured against its terms; max |kappa|."""
-    terms = float(np.mean([fr.geometry.lap_scale for fr in sample.frames]))
+    terms = float(np.mean(sample.frames.geometry.lap_scale))
     return (abs(float(sample.fstar.mean())), max(abs(float(sample.lap.mean())), terms),
             float(np.max(np.abs(sample.curvatures))) if sample.curvatures.size else 0.0)
 
@@ -495,40 +494,44 @@ def _combine(trans: str, lap: str) -> str:
     return max(trans, lap, key=lambda v: order[v])
 
 
-def _modal_groups(sample: LevelSample):
-    structures = {}
-    for fr in sample.frames:
-        key = tuple(m for _, m in fr.groups)
-        structures.setdefault(key, []).append(fr.groups)
-    key = max(structures, key=lambda k: len(structures[k]))
-    chosen = structures[key]
-    out = []
-    for r in range(len(key)):
-        out.append((float(np.mean([g[r][0] for g in chosen])), key[r]))
-    return tuple(out)
+def _modal(breaks: np.ndarray) -> tuple:
+    """(rows, starts, sizes) of the most common curvature-group structure among
+    the rows of ``breaks`` (``LevelFrames.breaks``), a tie going to the one met
+    first: the rows that have it and its ``group_runs``."""
+    code = breaks.dot(1 << np.arange(breaks.shape[1]))
+    counts = Counter(code.tolist())  # in the order first met, which ``max`` keeps on a tie
+    rows = code == max(counts, key=counts.get)
+    return (rows,) + group_runs(breaks[rows.argmax()])
+
+
+def _modal_groups(sample: LevelSample) -> tuple:
+    """(kappa, multiplicity) of each curvature group of the level's most common
+    structure, kappa the mean over its points of their group means."""
+    rows, starts, sizes = _modal(sample.frames.breaks)
+    k = sample.curvatures[rows]
+    # each point's group mean is summed in order from 0, as its frame's groups are
+    return tuple((float(np.mean(sum(k[:, a + j] for j in range(m)) / m)), m)
+                 for a, m in zip(starts, sizes))
 
 
 def _modal_structure(samples) -> tuple:
-    counts = {}
-    for s in samples:
-        for fr in s.frames:
-            key = tuple(m for _, m in fr.groups)
-            counts[key] = counts.get(key, 0) + 1
-    return max(counts, key=counts.get)
+    """The multiplicities of the most common curvature-group structure of all levels."""
+    return tuple(_modal(np.concatenate([s.frames.breaks for s in samples]))[2])
 
 
-def _profile_slopes(norm: MinkowskiNorm, field: ScalarField, frames) -> tuple:
-    """(a(t), a'(t)) at the point of each frame, by flow-line differencing, as arrays.
+def _profile_slopes(norm: MinkowskiNorm, field: ScalarField, frames: LevelFrames) -> tuple:
+    """(a(t), a'(t)) at the point of each row of ``frames``, by flow-line
+    differencing, as arrays.
 
     Moves +-h along the forward unit normal with h = FLOW_STEP * a(t) (the
     radius scale of the model families) and reads F*(df) at both sides from
     one ``jet_rows`` and one ``_dual_rows``; d(F*(df))/drho = a'(f) a(f).
     a' is NaN at a point where the field or the dual norm fails.
     """
-    a = np.array([fr.geometry.fstar for fr in frames])
+    a = frames.geometry.fstar
     h = FLOW_STEP * a
-    x = np.array([fr.x for fr in frames])
-    step = h[:, None] * np.array([fr.normal for fr in frames])
+    x = frames.geometry.x
+    step = h[:, None] * frames.normal
     fstar = norm._dual_rows(field.jet_rows(np.concatenate([x + step, x - step]))[0])[1]
     return a, (fstar[:len(a)] - fstar[len(a):]) / (2.0 * h * a)
 
@@ -539,29 +542,28 @@ def _randers_witness(norm: RandersNorm, field: ScalarField, samples, tol) -> dic
     r1 over max(|df|^2, lam a^2, 2 |a zeta|) and r2 over
     max(|tr D^2 f|, |D^2 f|_F, |lam b|, |(b/a + a') zeta|), zeta = <df, b>, so
     that the pass flags do not change with the level's scale.  a' of every
-    level comes from one ``_profile_slopes``; a point where it fails is left
-    out of its level's mean."""
-    frames = [s.frames[:WITNESS_POINTS] for s in samples]
-    slopes = _profile_slopes(norm, field, [fr for level in frames for fr in level])[1]
-    r1_max = r2_max = 0.0
+    level comes from one ``_profile_slopes`` and the residuals of all the
+    points from one call; a point where a' fails is left out of its level's
+    mean."""
+    frames = concat_rows([s.frames[:WITNESS_POINTS] for s in samples])
+    slopes = _profile_slopes(norm, field, frames)[1]
+    a, b, a_prime = (np.empty(len(frames)) for _ in range(3))
     start = 0
-    for s, level in zip(samples, frames):
-        a_fit = float(s.fstar.mean())
-        b_fit = float(s.lap.mean())
-        a_primes = slopes[start:start + len(level)]
-        start += len(level)
-        a_primes = a_primes[np.isfinite(a_primes)]
-        a_prime = float(np.mean(a_primes)) if a_primes.size else 0.0
-        for fr in level:
-            df, hess = fr.geometry.df, fr.geometry.hess
-            r1, r2 = randers_isoparametric_residual(norm, df, hess, a_fit, b_fit, a_prime)
-            zeta = float(df.dot(norm.b))
-            h = hess.ravel()
-            r1_scale = max(float(df.dot(df)), norm.lam * a_fit**2, 2.0 * abs(a_fit * zeta))
-            r2_scale = max(abs(float(np.trace(hess))), math.sqrt(h.dot(h)), abs(norm.lam * b_fit),
-                           abs((b_fit / a_fit + a_prime) * zeta))
-            r1_max = max(r1_max, _relative(abs(r1), r1_scale))
-            r2_max = max(r2_max, _relative(abs(r2), r2_scale))
+    for s in samples:
+        level = slice(start, start + min(len(s.points), WITNESS_POINTS))
+        start = level.stop
+        a_primes = slopes[level][np.isfinite(slopes[level])]
+        a[level], b[level] = s.fstar.mean(), s.lap.mean()
+        a_prime[level] = a_primes.mean() if a_primes.size else 0.0
+    df, hess = frames.geometry.df, frames.geometry.hess
+    r1, r2 = randers_isoparametric_residual(norm, df, hess, a, b, a_prime)
+    zeta = df.dot(norm.b)
+    h = hess.reshape(len(hess), -1)
+    r1_scale = np.maximum.reduce([(df * df).sum(axis=1), norm.lam * a**2, 2.0 * abs(a * zeta)])
+    r2_scale = np.maximum.reduce([abs(hess.trace(axis1=1, axis2=2)), np.sqrt((h * h).sum(axis=1)),
+                                  abs(norm.lam * b), abs((b / a + a_prime) * zeta)])
+    r1_max, r2_max = (float(np.max(abs(r[r != 0.0]) / scale[r != 0.0], initial=0.0))
+                      for r, scale in ((r1, r1_scale), (r2, r2_scale)))
     w_tol = max(100.0 * tol, 1e-4)
     return {
         "r1_max": r1_max,
@@ -592,22 +594,20 @@ def consistency_identities(report: VerificationReport) -> dict:
     for s in report.samples:
         a_fit = float(s.fstar.mean())
         b_fit = float(s.lap.mean())
-        res_i = res_ii = res_iii = 0.0
         frames = s.frames[:IDENTITY_POINTS]
         a_pts, a_primes = _profile_slopes(norm, field, frames)
         if not np.isfinite(a_primes).all():
             raise LeftRegularRegion(f"level {s.t}: F*(df) fails a flow-line step "
                                     "away from a sampled point")
-        for fr, a_pt, a_prime in zip(frames, a_pts.tolist(), a_primes.tolist()):
-            sum_k = float(np.sum(fr.principal_curvatures))
-            res_i = max(res_i, abs(sum_k - (a_prime - b_fit / a_fit)))
-            h = FLOW_STEP * a_pt
-            kp = frame_at(norm, field, fr.x + h * fr.normal).principal_curvatures
-            km = frame_at(norm, field, fr.x - h * fr.normal).principal_curvatures
-            dk = (kp - km) / (2.0 * h)
-            res_ii = max(res_ii, float(np.max(np.abs(dk - fr.principal_curvatures**2))))
-            if q is not None:
-                res_iii = max(res_iii, abs(float(np.sum(fr.principal_curvatures**2)) - q / a_fit**2))
+        k = frames.principal_curvatures
+        res_i = float(np.max(np.abs(k.sum(axis=1) - (a_primes - b_fit / a_fit))))
+        h = FLOW_STEP * a_pts
+        x, step = frames.geometry.x, h[:, None] * frames.normal
+        k_pm = level_frames(norm, field, level_geometry(norm, field, np.concatenate(
+            [x + step, x - step]))).principal_curvatures
+        dk = (k_pm[:len(k)] - k_pm[len(k):]) / (2.0 * h[:, None])
+        res_ii = float(np.max(np.abs(dk - k**2)))
+        res_iii = float(np.max(np.abs((k**2).sum(axis=1) - q / a_fit**2))) if q is not None else 0.0
         rows["level"].append(s.t)
         rows["sum_k_vs_profile"].append(res_i)
         rows["riccati"].append(res_ii)
@@ -650,7 +650,7 @@ def f_segment_flow(norm: MinkowskiNorm, field: ScalarField, x0, t1: float, t2: f
     if not t1 < t2:
         raise ValueError("need t1 < t2")
     x = np.asarray(x0, dtype=float).copy()
-    if abs(field.value(x) - t1) > 1e-8 * (1.0 + abs(t1)):
+    if abs(field.value(x) - t1) > 1e-8 * (abs(t1) or 1.0):
         raise ValueError("x0 does not lie on the level t1")
 
     def gradient(x_cur):  # (grad f, F*(df))

@@ -29,22 +29,23 @@ def _require_randers(norm) -> RandersNorm:
     return norm
 
 
-def randers_isoparametric_residual(norm: RandersNorm, df, hess, a: float, b: float,
-                                   a_prime: float) -> tuple[float, float]:
+def randers_isoparametric_residual(norm: RandersNorm, df, hess, a, b, a_prime) -> tuple:
     """Residuals of the Euclidean-quantity isoparametric system at a point.
 
         r1 = |df|^2    - lam a(t)^2 - 2 a(t) <df, beta>
         r2 = Delta^a f - lam b(t)   - (b(t)/a(t) + a'(t)) <df, beta>
 
     from the point's df and Hessian D^2 f, with a, b, a' the profile values
-    at its level t and Delta^a f = tr D^2 f the Euclidean Laplacian.
+    at its level t and Delta^a f = tr D^2 f the Euclidean Laplacian.  Rows
+    df (N, n) and hess (N, n, n), with a, b, a' per row or shared, give the
+    arrays (r1, r2) of the rows; one point gives floats.
     """
     norm = _require_randers(norm)
-    df = np.asarray(df, dtype=float)
-    zeta = float(df.dot(norm.b))
-    r1 = float(df.dot(df)) - norm.lam * a**2 - 2.0 * a * zeta
-    r2 = float(np.trace(hess)) - norm.lam * b - (b / a + a_prime) * zeta
-    return r1, r2
+    df, hess = np.asarray(df, dtype=float), np.asarray(hess, dtype=float)
+    zeta = df.dot(norm.b)
+    r1 = (df * df).sum(axis=-1) - norm.lam * a**2 - 2.0 * a * zeta
+    r2 = hess.trace(axis1=-2, axis2=-1) - norm.lam * b - (b / a + a_prime) * zeta
+    return (r1, r2) if df.ndim > 1 else (float(r1), float(r2))
 
 
 def lemma61_check(norm: RandersNorm, y, X, Y) -> tuple[float, float]:

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from minkgeom import calculus, hypersurface as hs, norms
-from minkgeom.errors import NotOrthogonal
+from minkgeom.errors import EigenFailure, NotOrthogonal
 
 from .oracles import mean_curvature_residual
 
@@ -94,6 +96,18 @@ class TestMeanCurvature:
         xbar = np.array([0.6, -0.4]) / tilde.value([0.6, -0.4])
         frc = hs.frame_at(norm, fc, np.array([xbar[0], xbar[1], 0.2]))
         assert hs.mean_curvatures(frc)[0] == pytest.approx(-1.0, abs=1e-10)
+
+    def test_trace_gate_is_relative_at_every_scale(self, randers3):
+        # curvatures doubled off the trace of hhat fail the gate at every
+        # level, also at t = 1e16, where kappa is about 7e-9
+        f = calculus.sphere_potential(randers3)
+        for t in (1.0, 1e16):
+            x = sphere_point(randers3, np.sqrt(2.0 * t), [0.5, 0.1, -0.7])
+            fr = hs.frame_at(randers3, f, x)
+            assert hs.mean_curvatures(fr)[0] == pytest.approx(-2.0 / np.sqrt(2.0 * t), rel=1e-10)
+            doubled = dataclasses.replace(fr, principal_curvatures=2.0 * fr.principal_curvatures)
+            with pytest.raises(EigenFailure):
+                hs.mean_curvatures(doubled)
 
     def test_trace_identity_residual(self, randers3_mixed):
         f = calculus.norm_plus_linear(randers3_mixed, 2)

@@ -632,6 +632,18 @@ class TestFlow:
         assert ratios[0] == pytest.approx(1.0, abs=1e-6)
         assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-12)
 
+    def test_on_level_check_is_relative_at_every_scale(self, randers3):
+        # a start on level 2000 c is not on level c, at every scale c; a start
+        # on level c flows to level 4 c, relative to c
+        f = calculus.sphere_potential(randers3)
+        for c in (1e-12, 1.0, 1e12):
+            off = iso.sample_level(randers3, f, 2e3 * c, 8).points[0]
+            with pytest.raises(ValueError, match="does not lie on the level"):
+                iso.f_segment_flow(randers3, f, off, c, 4.0 * c)
+            x0 = iso.sample_level(randers3, f, c, 8).points[0]
+            res = iso.f_segment_flow(randers3, f, x0, c, 4.0 * c)
+            assert f.value(res.endpoint) == pytest.approx(4.0 * c, rel=1e-10)
+
     def test_flow_rejects_wrong_start(self, randers3):
         f = calculus.sphere_potential(randers3)
         with pytest.raises(ValueError):

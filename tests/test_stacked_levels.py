@@ -3,8 +3,10 @@
 ``sample_levels`` meets the rays of a field with a degree as whole arrays,
 and computes the geometry and frames of all its levels as whole arrays, for
 every norm family, strategy and field; ``sample_level`` is its call on one
-level.  The one-point reference is ``_radial_root`` per ray and
-``frame_at`` (one ``point_geometry``) per point.
+level.  The arrays stay arrays: a ``PointGeometry`` or
+``HypersurfacePointFrame`` is a one-row view, built only when asked for.
+The one-point reference is ``_radial_root`` per ray and ``frame_at`` (one
+``point_geometry``) per point.
 """
 
 import dataclasses
@@ -57,6 +59,9 @@ def family_scenario(case):
     if case == "quartic-cylinder":
         norm = norms.KthRootNorm(4, 3)
         return norm, calculus.cylinder_potential(norm, 2), cylinder_levels
+    if case == "euclidean":
+        norm = norms.EuclideanNorm(3)
+        return norm, calculus.sphere_potential(norm), sphere_levels
     if case == "randers-taylor":
         norm = norms.RandersNorm([0.5, 0.0, 0.0], strategy="taylor")
         return norm, calculus.sphere_potential(norm), sphere_levels
@@ -69,7 +74,7 @@ def family_scenario(case):
     return randers, field, [profile.phi(t) for t in sphere_levels]
 
 
-FAMILY_CASES = ["alpha-beta", "alpha-beta-cylinder", "quartic", "quartic-fd",
+FAMILY_CASES = ["alpha-beta", "alpha-beta-cylinder", "quartic", "quartic-fd", "euclidean",
                 "randers-taylor", "custom", "reparametrized"]
 
 
@@ -87,16 +92,46 @@ def reference_points(field, t, count, seed):
     return np.array(out)
 
 
+def assert_close(got, want, scale=None):
+    """|got - want| <= REL times the largest |want| (or ``scale``)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want)) if scale is None else scale
+    assert np.max(np.abs(got - want), initial=0.0) <= REL * scale, (got, want)
+
+
 def assert_matches_frame_at(norm, field, sample):
-    """F*, Delta f, the curvatures and their groups of each sampled point
-    agree with ``frame_at`` there to REL."""
+    """The level's arrays and each one-row view ``sample.frames[i]`` agree
+    with ``frame_at`` at the point to REL: F*, Delta f, its term scale, the
+    curvatures and their group multiplicities, the normal, and every field
+    of the frame and of its point geometry but the eigenvectors, which a
+    repeated curvature leaves free within its group."""
+    geometry, frames = sample.frames.geometry, sample.frames
     for i, x in enumerate(sample.points):
         ref = hs.frame_at(norm, field, x)
-        assert abs(sample.fstar[i] - ref.geometry.fstar) <= REL * ref.geometry.fstar
-        assert abs(sample.lap[i] - ref.geometry.lap) <= REL * abs(ref.geometry.lap)
-        k, k_ref = np.sort(sample.curvatures[i]), np.sort(ref.principal_curvatures)
-        assert np.max(np.abs(k - k_ref)) <= REL * np.max(np.abs(k_ref)), (x, k, k_ref)
-        assert [m for _, m in sample.frames[i].groups] == [m for _, m in ref.groups]
+        geo = ref.geometry
+        assert_close(sample.fstar[i], geo.fstar)
+        assert_close(sample.lap[i], geo.lap)
+        assert_close(geometry.lap_scale[i], geo.lap_scale)
+        assert geometry.m[i] == geo.m
+        k_ref = ref.principal_curvatures
+        kscale = np.max(np.abs(k_ref))
+        assert_close(sample.curvatures[i], k_ref, scale=kscale)
+        assert hs.group_runs(frames.breaks[i])[1] == [m for _, m in ref.groups]
+        assert_close(frames.normal[i], ref.normal)
+        view = sample.frames[i]
+        assert isinstance(view, hs.HypersurfacePointFrame)
+        assert np.array_equal(view.x, x)
+        for name in ("normal", "tangent_basis"):
+            assert_close(getattr(view, name), getattr(ref, name))
+        assert_close(view.hhat, ref.hhat, scale=kscale)
+        assert_close(view.principal_curvatures, k_ref, scale=kscale)
+        assert [m for _, m in view.groups] == [m for _, m in ref.groups]
+        assert_close([k for k, _ in view.groups], [k for k, _ in ref.groups], scale=kscale)
+        assert isinstance(view.geometry, calculus.PointGeometry)
+        assert view.geometry.m == geo.m and view.geometry.norm.dim == geo.norm.dim
+        for name in ("fstar", "lap", "lap_scale", "df", "hess", "grad", "g"):
+            assert_close(getattr(view.geometry, name), getattr(geo, name))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -280,6 +315,26 @@ def test_rows_match_the_one_point_services_at_every_scale(name):
     bad[3, :2] = 1.0, 0.5
     for rows in (norm._values(bad), norm._derivative_rows(bad)[0], norm._dual_rows(bad)[1]):
         assert np.isnan(rows[:3]).all() and np.isfinite(rows[3])
+
+
+def test_a_randers_verify_builds_no_per_point_object(monkeypatch):
+    # the verify of a Randers sphere, 3 levels of 64 points, keeps every
+    # point's geometry and frame as rows of arrays: no stage builds a
+    # PointGeometry or a HypersurfacePointFrame, which stay views on request
+    norm, field, levels = scenario("sphere")
+    built = {"geometry": 0, "frame": 0}
+    for name, cls in (("geometry", calculus.PointGeometry), ("frame", hs.HypersurfacePointFrame)):
+        def counting(self, *args, _init=cls.__init__, _name=name, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    report = iso.verify(norm, field, levels, count=64)
+    assert sum(len(s.points) for s in report.samples) == 3 * 64 and report.witness is not None
+    assert built == {"geometry": 0, "frame": 0}
+    # a view on request is one of each
+    assert report.samples[0].frames[5].geometry.fstar == report.samples[0].fstar[5]
+    assert built == {"geometry": 1, "frame": 1}
 
 
 def _sample_bits(sample) -> list:
