@@ -12,6 +12,9 @@ form, so BH and HT agree) reduces to
 
     Delta f = g*^{ij}(df) f_ij = g^{ij}(grad f) f_ij = tr_{g_{grad f}} D^2 f.
 
+A scalar field has one evaluator, ``ScalarField.rows``, f or (df, D^2 f) at
+the rows of an array; ``value``, ``d1`` and ``d2`` are its calls on one row.
+
 Every quantity at a point comes from the same df, D^2 f, grad f and g at
 grad f.  ``level_geometry`` computes them for all the points of a level as
 one ``LevelGeometry`` of arrays, for every norm family, strategy and field;
@@ -38,6 +41,7 @@ from .errors import (
     DimensionTooLarge,
     MinkGeomError,
     NoConvergence,
+    NotInDomain,
 )
 from .norms import (MinkowskiNorm, RandersNorm, _check_subdim, fd_gradient, fd_hessian,
                     fd_jacobian)
@@ -50,8 +54,12 @@ CUSTOM_FD_STEP = 1e-5
 
 @dataclass
 class ScalarField:
-    """A scalar function on R^n with first and second derivative services.
+    """A scalar function on R^n, evaluated by one service, ``rows``.
 
+    ``rows(X, order)`` evaluates the field at the rows of X (N, n) as whole
+    arrays: order 0 gives f (N,), and order 2 gives (df, D^2 f), (N, n) and
+    (N, n, n); a row where the field is not defined is NaN.  ``value``, ``d1``
+    and ``d2`` are ``rows`` on one row, and raise NotInDomain where it is NaN.
     Catalog entries carry analytic derivatives; custom fields may fall back
     to finite differences, which is flagged (``uses_fd``) and propagated into
     verification reports.  ``regular_range`` is the declared open interval of
@@ -65,64 +73,38 @@ class ScalarField:
     linear fields and |xbar| + b.x, k = 2 for the sphere and cylinder
     potentials (either sign).  Custom and reparametrized fields leave it
     None, and radial sampling searches each ray for its nearest root.
-
-    ``rows(X, order)`` evaluates the field at the rows of X (N, n) as whole
-    arrays: order 0 gives f (N,), NaN where f fails, and order 2 gives
-    (df, D^2 f), (N, n) and (N, n, n).  The catalog constructors set it;
-    without it (custom and reparametrized fields) ``values`` and ``jet_rows``
-    evaluate ``value``, or ``d1`` and ``d2``, at each row.
     """
 
     dim: int
     tag: str
-    value_fn: object
-    d1_fn: object
-    d2_fn: object
+    rows: object
     uses_fd: bool = False
     anchor: np.ndarray | None = None
     regular_range: tuple = (-math.inf, math.inf)
     meta: dict = dc_field(default_factory=dict)
     degree: int | None = None
-    rows: object = None
 
     def __post_init__(self):
         if self.anchor is None:
             self.anchor = np.zeros(self.dim)
 
     def value(self, x) -> float:
-        return float(self.value_fn(np.asarray(x, dtype=float)))
+        return float(self._row(x, 0)[0])
 
     def d1(self, x) -> np.ndarray:
-        return np.asarray(self.d1_fn(np.asarray(x, dtype=float)), dtype=float)
+        return self._row(x, 2)[0]
 
     def d2(self, x) -> np.ndarray:
-        return np.asarray(self.d2_fn(np.asarray(x, dtype=float)), dtype=float)
+        return self._row(x, 2)[1]
 
-    def values(self, X) -> np.ndarray:
-        """f at each row of X, NaN where f fails."""
-        if self.rows is not None:
-            return self.rows(X, 0)
-        out = np.full(len(X), np.nan)
-        for i, x in enumerate(X):
-            try:
-                out[i] = self.value(x)
-            except MinkGeomError:
-                pass
-        return out
-
-    def jet_rows(self, X) -> tuple:
-        """(df, D^2 f) at each row of X; NaN rows where ``d1`` or ``d2`` raises,
-        so that ``point_geometry`` raises the error again at that row."""
-        if self.rows is not None:
-            return self.rows(X, 2)
-        N, n = X.shape
-        df, hess = np.full((N, n), np.nan), np.full((N, n, n), np.nan)
-        for i, x in enumerate(X):
-            try:
-                df[i], hess[i] = self.d1(x), self.d2(x)
-            except Exception:  # a custom callable may raise anything; re-raised at its row
-                pass
-        return df, hess
+    def _row(self, x, order) -> tuple:
+        """``rows`` on the one row x: (f,) at order 0, (df, D^2 f) at order 2."""
+        x = np.asarray(x, dtype=float)
+        out = self.rows(x[None, :], order)
+        out = (out,) if order == 0 else out
+        if any(np.isnan(a).any() for a in out):
+            raise NotInDomain(f"the field is not defined at x={x!r}")
+        return tuple(np.array(a[0]) for a in out)
 
     def __repr__(self):
         return f"<ScalarField {self.tag} dim={self.dim}>"
@@ -143,9 +125,6 @@ def linear_field(c) -> ScalarField:
     return ScalarField(
         dim=n,
         tag="linear",
-        value_fn=lambda x: c.dot(x),
-        d1_fn=lambda x: c.copy(),
-        d2_fn=lambda x: np.zeros((n, n)),
         meta={"c": c},
         degree=1,
         rows=rows,
@@ -171,9 +150,6 @@ def sphere_potential(norm: MinkowskiNorm, reverse: bool = False) -> ScalarField:
     return ScalarField(
         dim=norm.dim,
         tag="half_squared_norm" + ("_reverse" if reverse else ""),
-        value_fn=lambda x: sign * 0.5 * norm.value(sign * x) ** 2,
-        d1_fn=lambda x: norm.legendre(sign * x),
-        d2_fn=lambda x: sign * norm.derivatives(sign * x, order=2).d2,
         regular_range=(-math.inf, 0.0) if reverse else (0.0, math.inf),
         meta={"norm": norm, "reverse": reverse},
         degree=2,
@@ -206,9 +182,6 @@ def cylinder_potential(norm: MinkowskiNorm, m: int, reverse: bool = False) -> Sc
     return ScalarField(
         dim=n,
         tag=tag,
-        value_fn=lambda x: sign * 0.5 * tilde.value(sign * x[:m]) ** 2,
-        d1_fn=lambda x: np.pad(tilde.legendre(sign * x[:m]), (0, n - m)),
-        d2_fn=lambda x: sign * np.pad(tilde.derivatives(sign * x[:m], order=2).d2, (0, n - m)),
         regular_range=(0.0, math.inf) if not reverse else (-math.inf, 0.0),
         meta={"norm": norm, "m": m, "reverse": reverse, "tilde": tilde},
         degree=2,
@@ -230,21 +203,6 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
     b = norm.b
 
     # |xbar| by hypot, so no square overflows; u = xbar / |xbar|
-    def value(x):
-        return math.hypot(*x[:m].tolist()) + b.dot(x)
-
-    def d1(x):
-        out = b.copy()
-        out[:m] += x[:m] / math.hypot(*x[:m].tolist())
-        return out
-
-    def d2(x):
-        out = np.zeros((n, n))
-        r = math.hypot(*x[:m].tolist())
-        u = x[:m] / r
-        out[:m, :m] = (np.eye(m) - np.outer(u, u)) / r
-        return out
-
     def rows(X, order):
         xbar = X[:, :m]
         r = lengths(xbar)
@@ -261,9 +219,6 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
     return ScalarField(
         dim=n,
         tag="norm_plus_linear",
-        value_fn=value,
-        d1_fn=d1,
-        d2_fn=d2,
         regular_range=(0.0, math.inf),
         meta={"norm": norm, "m": m, "b": b},
         degree=1,
@@ -276,7 +231,9 @@ def custom_field(dim: int, value_fn, d1_fn=None, d2_fn=None) -> ScalarField:
 
     The step is CUSTOM_FD_STEP |x| (ten times that for D^2 f), relative so
     that the differences hold at every scale; at x = 0, which has no scale,
-    it is CUSTOM_FD_STEP.  Custom evaluators must be side-effect free.
+    it is CUSTOM_FD_STEP.  ``rows`` calls the callables at one row at a time:
+    a row where one raises a MinkGeomError is NaN, and any other error
+    propagates.  Custom evaluators must be side-effect free.
     """
 
     def step(x):
@@ -289,30 +246,37 @@ def custom_field(dim: int, value_fn, d1_fn=None, d2_fn=None) -> ScalarField:
         return fd_hessian(value_fn, x, 10 * step(x))
 
     uses_fd = d1_fn is None or d2_fn is None
-    return ScalarField(
-        dim=dim,
-        tag="custom",
-        value_fn=value_fn,
-        d1_fn=d1_fn or fd_d1,
-        d2_fn=d2_fn or fd_d2,
-        uses_fd=uses_fd,
-    )
+    d1_fn, d2_fn = d1_fn or fd_d1, d2_fn or fd_d2
+
+    def rows(X, order):
+        N, n = X.shape
+        f, df, hess = np.full(N, math.nan), np.full((N, n), math.nan), np.full((N, n, n), math.nan)
+        for i, x in enumerate(X):
+            try:
+                if order == 0:
+                    f[i] = value_fn(x)
+                else:
+                    df[i], hess[i] = d1_fn(x), d2_fn(x)
+            except MinkGeomError:
+                pass
+        return f if order == 0 else (df, hess)
+
+    return ScalarField(dim=dim, tag="custom", rows=rows, uses_fd=uses_fd)
 
 
 def reparametrized_field(field: ScalarField, profile) -> ScalarField:
-    """phi o f with chain-rule derivatives; the profile provides ``phi(s)`` and
-    ``derivatives(s)``, phi and at least its first two derivatives at s."""
+    """phi o f with chain-rule derivatives, from the rows of f: d(phi o f) =
+    phi'(f) df and D^2(phi o f) = phi''(f) df (x) df + phi'(f) D^2 f.  The
+    profile provides ``phi(s)`` and ``derivatives(s)``, phi and at least its
+    first two derivatives, elementwise for an array s."""
 
-    def value(x):
-        return profile.phi(field.value(x))
-
-    def d1(x):
-        return profile.derivatives(field.value(x))[1] * field.d1(x)
-
-    def d2(x):
-        p, dp, d2p = profile.derivatives(field.value(x))[:3]
-        df = field.d1(x)
-        return d2p * np.outer(df, df) + dp * field.d2(x)
+    def rows(X, order):
+        f = field.rows(X, 0)
+        if order == 0:
+            return profile.phi(f)
+        dp, d2p = (np.reshape(p, (-1, 1, 1)) for p in profile.derivatives(f)[1:3])
+        df, hess = field.rows(X, 2)
+        return dp[:, :, 0] * df, d2p * (df[:, :, None] * df[:, None, :]) + dp * hess
 
     lo, hi = field.regular_range
     plo = _safe_profile_value(profile, lo, -math.inf)
@@ -320,9 +284,7 @@ def reparametrized_field(field: ScalarField, profile) -> ScalarField:
     return ScalarField(
         dim=field.dim,
         tag="reparametrized",
-        value_fn=value,
-        d1_fn=d1,
-        d2_fn=d2,
+        rows=rows,
         uses_fd=field.uses_fd,
         anchor=field.anchor.copy(),
         regular_range=(plo, phi_hi),
@@ -354,8 +316,7 @@ def _regular_jet(field: ScalarField, x) -> tuple[np.ndarray, np.ndarray]:
     overflow.
     """
     x = np.asarray(x, dtype=float)
-    df = field.d1(x)
-    hess = field.d2(x)
+    df, hess = field._row(x, 2)
     dnorm = math.hypot(*df.tolist())
     hnorm = math.hypot(*hess.ravel().tolist())
     if dnorm == 0.0 or dnorm <= CRITICAL_EPS * (hnorm * math.hypot(*x.tolist())):
@@ -481,7 +442,7 @@ def geometry_rows(norm: MinkowskiNorm, geometries) -> LevelGeometry:
 def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> LevelGeometry:
     """The geometry of the rows of X (N, n), a level's points, as whole arrays.
 
-    df and D^2 f come from the field's ``jet_rows``, grad f, F*(df) and g
+    df and D^2 f come from the field's ``rows``, grad f, F*(df) and g
     from the norm's ``_dual_rows``.  A row that fails the critical-point test
     of ``_regular_jet``, is non-finite or whose g fails the Cholesky test
     takes ``point_geometry``, which raises or reduces to the subspace dual as
@@ -489,7 +450,7 @@ def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> LevelGeometry:
     row is computed as on its own, so the rows of several levels stack.
     """
     X = np.asarray(X, dtype=float)
-    df, hess = field.jet_rows(X)
+    df, hess = field.rows(X, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         dnorm, hnorm, xnorm = lengths(df), lengths(hess), lengths(X)
         ok = (np.isfinite(dnorm) & np.isfinite(hnorm) & np.isfinite(xnorm) & (dnorm > 0.0)

@@ -14,6 +14,12 @@ field path.  Exit codes: 0 success / expectation met, 1 runtime or config
 error, 2 verdict mismatch or residual above tolerance.  Outputs are
 byte-deterministic for a fixed scenario and seed (floats at 17 significant
 digits).  Set MINKGEOM_LOG=debug|info for progress logging.
+
+``dualcheck``'s default thresholds do not depend on the strategy: norm
+preservation 1e-10, round trip 1e-9, dual agreement 1e-8, Lemma 6.1 1e-7.
+``--tol`` replaces all four; the config's ``tolerance`` is read only by the
+sampling commands.  So ``quartic_sphere_fd.json`` exits 2: on fd its norm
+preservation is 2.6e-9 against 1e-10, its round trip 7.0e-9 against 1e-9.
 """
 
 from __future__ import annotations

@@ -11,14 +11,16 @@ The levels of a verification are computed as one stack (``sample_levels``).
 On a field of declared degree k (every catalog field) f is positively
 homogeneous about the anchor, so a ray meets level t at
 s = (t / f(anchor + d))^(1/k): one evaluation of f over all rays, shared by
-every level.  On other fields a walk along a fixed ladder of radii brackets
-the level nearest the anchor and Illinois regula falsi narrows the bracket,
-ray by ray.  A point is kept when |f(x) - t| <= 1e-10 |t|.  The points of
-all levels then get their geometry from one ``calculus.level_geometry`` and
-their frames from one ``hypersurface.level_frames``, for every norm family,
-strategy and field, kept as arrays: the verdicts, the curvature groups, the
-Randers witness and the identity table read the arrays, and a per-point
-frame object is built only when asked for.
+every level.  On other fields all the rays of a level walk a fixed ladder of
+radii together to bracket the level nearest the anchor, and Illinois regula
+falsi narrows every bracket together.  The field is evaluated only through
+its ``rows``, one array of points at a time.  A point is kept when
+|f(x) - t| <= 1e-10 |t|.  The points of all levels then get their geometry
+from one ``calculus.level_geometry`` and their frames from one
+``hypersurface.level_frames``, for every norm family, strategy and field,
+kept as arrays: the verdicts, the curvature groups, the Randers witness and
+the identity table read the arrays, and a per-point frame object is built
+only when asked for.
 
 Each verdict compares a level's spread with a scale from the same level, so
 it does not change when the level, the field or the norm is scaled.  A
@@ -93,10 +95,11 @@ def sample_levels(norm: MinkowskiNorm, field: ScalarField, levels, count: int,
     Every level uses the same directions.  On a field with a ``degree`` every
     ray meets a level in closed form (``_degree_radii``), from one evaluation
     of f at anchor + d over all rays, shared by the levels; on any other field
-    each ray gets the ladder walk of ``_radial_root`` to the root nearest the
-    anchor.  A ray that gives no point is tried mirrored; if that fails too the
-    direction is skipped, and more than half skipped raises LevelNotReached,
-    which says when the level passes through the anchor of such a field.
+    the rays walk the ladder of ``_radial_root`` together to the root nearest
+    the anchor.  A ray that gives no point is tried mirrored; if that fails
+    too the direction is skipped, and more than half skipped raises
+    LevelNotReached, which says when the level passes through the anchor of
+    such a field.
     Every returned point satisfies |f(x) - t| <= 1e-10 |t| (1e-10 at t = 0)
     and is regular.  The points of all levels get their geometry from one
     ``level_geometry`` and their frames from one ``level_frames``; F*(df),
@@ -158,32 +161,26 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
 
 def _level_points(field: ScalarField, anchor, dirs, t, rays) -> np.ndarray:
     """The accepted points of level t on the rays anchor + s d, d in ``dirs``,
-    each mirrored where it meets no point; ``rays`` keeps f at anchor +- d."""
-    if field.degree is not None:
-        if "+" not in rays:
-            rays["+"] = field.values(anchor + dirs)
-        s = _degree_radii(rays["+"], t, field.degree)
-        # half-space fields (linear levels, one-sided potentials) only meet
-        # the level on one side; the mirrored ray keeps the sample full
-        miss = np.isnan(s)
-        if miss.any():
-            if "-" not in rays:
-                rays["-"] = field.values(anchor - dirs)
-            s[miss] = _degree_radii(rays["-"][miss], t, field.degree)
-            dirs = np.where(miss[:, None], -dirs, dirs)
-    else:
-        dirs = dirs.copy()
-        s = np.full(len(dirs), math.nan)
-        for i, d in enumerate(dirs):
-            root = _radial_root(field, anchor, d, t)
-            if root is None:
-                dirs[i] = d = -d
-                root = _radial_root(field, anchor, d, t)
-            if root is not None:
-                s[i] = root
+    each mirrored where it meets no point; ``rays`` keeps f at anchor +- d
+    for the closed form of a field with a degree."""
+
+    def radii(sign, which):
+        if field.degree is None:
+            return _radial_root(field, anchor, sign * dirs[which], t)
+        if sign not in rays:
+            rays[sign] = field.rows(anchor + sign * dirs, 0)
+        return _degree_radii(rays[sign][which], t, field.degree)
+
+    s = radii(1.0, slice(None))
+    # half-space fields (linear levels, one-sided potentials) only meet the
+    # level on one side; the mirrored ray keeps the sample full
+    miss = np.isnan(s)
+    if miss.any():
+        s[miss] = radii(-1.0, miss)
+        dirs = np.where(miss[:, None], -dirs, dirs)
     points = (anchor + s[:, None] * dirs)[~np.isnan(s)]
     with np.errstate(invalid="ignore"):
-        return points[abs(field.values(points) - t) <= LEVEL_RESIDUAL * (abs(t) or 1.0)]
+        return points[abs(field.rows(points, 0) - t) <= LEVEL_RESIDUAL * (abs(t) or 1.0)]
 
 
 def _unreached_reason(field: ScalarField, t) -> str:
@@ -191,19 +188,6 @@ def _unreached_reason(field: ScalarField, t) -> str:
     if field.degree is not None and t == 0.0:
         return "the level passes through the anchor, where a field with a degree is 0"
     return "check the anchor or the declared regular range"
-
-
-def _gap(field: ScalarField, x, t) -> float:
-    """f(x) - t, or NaN where f fails."""
-    try:
-        return field.value(x) - t
-    except MinkGeomError:
-        return math.nan
-
-
-def _brackets(va, vb) -> bool:
-    """Whether the rung pair with gaps va, vb holds the level; a NaN gap holds none."""
-    return va * vb < 0.0 or (va == 0.0 and not math.isnan(vb))
 
 
 def _degree_radii(v, t, k: int):
@@ -215,60 +199,78 @@ def _degree_radii(v, t, k: int):
         return np.where((q > 0.0) & (q < math.inf), q, math.nan) ** (1.0 / k)
 
 
-def _radial_root(field: ScalarField, anchor, d, t):
-    """The radius s of the ray anchor + s d where f = t, or None.
+def _radial_root(field: ScalarField, anchor, dirs, t) -> np.ndarray:
+    """The radius s of each ray anchor + s d, d a row of ``dirs``, where f = t
+    nearest the anchor; NaN where the ray finds none.
 
-    On a field of degree k, f(anchor + s d) = s^k v with v = f(anchor + d),
-    so s = (t / v)^(1/k) when 0 < t / v < inf (``_degree_radii``), and None
-    for a wrong sign, a zero or infinite v, or a failed f: one evaluation of
-    f.  On any other field the ladder ``_LADDER`` is walked from its bottom
-    rung, evaluating f only at the rungs it visits, and the first rung pair
-    where f - t changes sign is narrowed by Illinois regula falsi, so the
-    root nearest the anchor is found.
+    The rays walk the ladder ``_LADDER`` together from its bottom rung, one
+    evaluation of f per rung step over the rays still walking, so f is
+    evaluated only at the rungs each ray visits.  A ray stops at the first
+    rung pair where f - t changes sign, or whose lower rung is an exact root,
+    and a ray that reaches the top rung finds none.  Illinois regula falsi
+    then narrows every bracket together, one evaluation of f per trial over
+    the rays still narrowing: an end kept for a second step in a row has its
+    value halved, a trial outside the open bracket falls back to the
+    midpoint, and a failed evaluation (NaN) gives up the ray.  The stop is
+    relative to |t|, so small levels are met as closely as large ones; a
+    bracket narrowed to 1e-13 of its radius, or the one left after 60 trials,
+    gives its midpoint.
     """
-    if field.degree is not None:
-        s = float(_degree_radii(_gap(field, anchor + d, 0.0), t, field.degree))
-        return None if math.isnan(s) else s
-    vb = _gap(field, anchor + _LADDER[0] * d, t)
+
+    def gap(s, rays):  # f - t at anchor + s d on the given rays, NaN where f fails
+        return field.rows(anchor + s * dirs[rays], 0) - t
+
+    n_rays = len(dirs)
+    out, va = np.full(n_rays, math.nan), np.full(n_rays, math.nan)
+    rung = np.full(n_rays, -1)  # the lower rung of each ray's bracket, -1 while none
+    walking = np.arange(n_rays)
+    vb = gap(_LADDER[0], walking)
     for a in range(len(_LADDER) - 1):
-        va, vb = vb, _gap(field, anchor + _LADDER[a + 1] * d, t)
-        if _brackets(va, vb):
+        if not walking.size:
             break
-    else:
-        return None
-    sa, sb = _LADDER[a], _LADDER[a + 1]
-    if va == 0.0:
-        return sa
-    # Illinois regula falsi inside the rung step: an end kept for a second
-    # step in a row has its value halved, a trial outside the open bracket
-    # falls back to the midpoint, and a failed evaluation gives up the ray.
-    # The stop is relative to |t|, so small levels are met as closely as large
-    # ones; a bracket narrowed to 1e-13 of its radius, or the one left after
-    # 60 trials, gives its midpoint
+        va[walking] = vb[walking]
+        vb[walking] = fb = gap(_LADDER[a + 1], walking)
+        fa = va[walking]
+        with np.errstate(over="ignore", invalid="ignore"):
+            hit = (fa * fb < 0.0) | ((fa == 0.0) & ~np.isnan(fb))
+        rung[walking[hit]] = a
+        walking = walking[~hit]
+    found = rung >= 0
+    sa, sb = _LADDER[rung], _LADDER[rung + 1]
+    exact = found & (va == 0.0)
+    out[exact] = sa[exact]
+
+    def midpoint(rays):
+        return 0.5 * (sa[rays] + sb[rays])
+
     stop = 1e-3 * LEVEL_RESIDUAL * abs(t)
-    moved = 0   # the end the last trial replaced: -1 for sa, 1 for sb
+    moved = np.zeros(n_rays)  # the end the last trial replaced: -1 for sa, 1 for sb
+    live = np.flatnonzero(found & ~exact)
     for _ in range(60):
-        if sb - sa <= 1e-13 * sb:
+        narrow = sb[live] - sa[live] <= 1e-13 * sb[live]
+        out[live[narrow]] = midpoint(live[narrow])
+        live = live[~narrow]
+        if not live.size:
             break
-        s = sa - va * (sb - sa) / (vb - va)
-        if not sa < s < sb:
-            s = 0.5 * (sa + sb)
-        v = _gap(field, anchor + s * d, t)
-        if math.isnan(v):
-            return None
-        if abs(v) <= stop:
-            return s
-        if (v < 0.0) == (va < 0.0):
-            sa, va = s, v
-            if moved < 0:
-                vb *= 0.5
-            moved = -1
-        else:
-            sb, vb = s, v
-            if moved > 0:
-                va *= 0.5
-            moved = 1
-    return 0.5 * (sa + sb)
+        ra, rb, fa, fb = sa[live], sb[live], va[live], vb[live]
+        with np.errstate(all="ignore"):
+            s = ra - fa * (rb - ra) / (fb - fa)
+        s = np.where((ra < s) & (s < rb), s, midpoint(live))
+        v = gap(s[:, None], live)
+        met = abs(v) <= stop
+        out[live[met]] = s[met]
+        keep = ~(met | np.isnan(v))
+        live, s, v = live[keep], s[keep], v[keep]
+        left = (v < 0.0) == (va[live] < 0.0)
+        lo, hi = live[left], live[~left]
+        sa[lo], va[lo] = s[left], v[left]
+        vb[lo[moved[lo] < 0]] *= 0.5
+        moved[lo] = -1
+        sb[hi], vb[hi] = s[~left], v[~left]
+        va[hi[moved[hi] > 0]] *= 0.5
+        moved[hi] = 1
+    out[live] = midpoint(live)
+    return out
 
 
 # -- verification ---------------------------------------------------------------
@@ -525,14 +527,14 @@ def _profile_slopes(norm: MinkowskiNorm, field: ScalarField, frames: LevelFrames
 
     Moves +-h along the forward unit normal with h = FLOW_STEP * a(t) (the
     radius scale of the model families) and reads F*(df) at both sides from
-    one ``jet_rows`` and one ``_dual_rows``; d(F*(df))/drho = a'(f) a(f).
+    one ``rows`` and one ``_dual_rows``; d(F*(df))/drho = a'(f) a(f).
     a' is NaN at a point where the field or the dual norm fails.
     """
     a = frames.geometry.fstar
     h = FLOW_STEP * a
     x = frames.geometry.x
     step = h[:, None] * frames.normal
-    fstar = norm._dual_rows(field.jet_rows(np.concatenate([x + step, x - step]))[0])[1]
+    fstar = norm._dual_rows(field.rows(np.concatenate([x + step, x - step]), 2)[0])[1]
     return a, (fstar[:len(a)] - fstar[len(a):]) / (2.0 * h * a)
 
 

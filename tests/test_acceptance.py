@@ -5,6 +5,7 @@ criterion.  Every expected value is either trivial, derived from an
 independent oracle in the module tests, or a closed-form model value.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -82,13 +83,12 @@ def test_c04_cylinders():
     # system: Delta f != m by the lambda scaling (Remark 5.4 distinction --
     # Ftilde is a strict shrink of the restriction here).
     fbar = norm_perp.restricted(2)
-    naive = calculus.ScalarField(
-        dim=3, tag="custom",
-        value_fn=lambda x: 0.5 * fbar.value(x[:2]) ** 2,
-        d1_fn=lambda x: np.concatenate([fbar.legendre(x[:2]), [0.0]]),
-        d2_fn=lambda x: np.pad(fbar.derivatives(x[:2], order=2).d2, ((0, 1), (0, 1))),
-        regular_range=(0.0, np.inf),
-    )
+    naive = dataclasses.replace(calculus.custom_field(
+        3,
+        lambda x: 0.5 * fbar.value(x[:2]) ** 2,
+        lambda x: np.concatenate([fbar.legendre(x[:2]), [0.0]]),
+        lambda x: np.pad(fbar.derivatives(x[:2], order=2).d2, ((0, 1), (0, 1))),
+    ), regular_range=(0.0, np.inf))
     rep_naive = iso.verify(norm_perp, naive, [0.125, 0.5, 1.125], count=64)
     model_dev_naive = max(abs(st["lap_mean"] - 2.0) for st in rep_naive.level_stats)
     assert model_dev_naive > 1e-3

@@ -145,9 +145,10 @@ HOT_PATHS = (
     norms._rescale,
     calculus.linear_field, calculus.norm_plus_linear,
     calculus._regular_jet, calculus._geometry_in, calculus.level_geometry,
-    calculus.ScalarField.jet_rows, _linalg.lengths,
-    _linalg.orthonormal_basis, hypersurface.cartan_curvature_Q,
-    randers.randers_isoparametric_residual, isoparametric._randers_witness,
+    calculus.ScalarField.value, calculus.ScalarField.d1, calculus.ScalarField._row,
+    _linalg.lengths, _linalg.orthonormal_basis, hypersurface.cartan_curvature_Q,
+    randers.randers_isoparametric_residual, isoparametric._radial_root,
+    isoparametric._randers_witness,
     isoparametric._profile_slopes, isoparametric._level_scales,
     _taylor.Jet.norm_squared, _taylor.Jet.linear,
 )

@@ -9,8 +9,8 @@ from scipy.integrate import quad
 
 from minkgeom import (calculus, cli, duality, hypersurface as hs, isoparametric as iso, norms,
                       sampling)
-from minkgeom.errors import (LeftRegularRegion, LevelNotReached, MinkGeomError, NotInDomain,
-                             NotIsoparametric, NotMonotone)
+from minkgeom.errors import (LeftRegularRegion, LevelNotReached, MinkGeomError, NotIsoparametric,
+                             NotMonotone)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -103,7 +103,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("case", ["sphere", "reverse-sphere", "hyperplane", "cylinder",
                                       "counterexample"])
-    def test_field_calls_per_point(self, case, monkeypatch):
+    def test_field_calls_per_point(self, case):
         # the five Randers model fields of the verify benchmark, at its
         # levels and counts: a point costs at most 3 evaluations of f, one
         # per ray tried (a direction and its mirror) and the acceptance test
@@ -121,17 +121,11 @@ class TestSampling:
             "counterexample": (cex_norm, calculus.norm_plus_linear(cex_norm, 2),
                                [0.8, 1.0, 1.25], 128),
         }[case]
-        calls = [0]
-        value = calculus.ScalarField.value
-
-        def counting(self, x):
-            calls[0] += 1
-            return value(self, x)
-
-        monkeypatch.setattr(calculus.ScalarField, "value", counting)
+        calls = {"value": 0, "d1": 0}
+        field = _counted(field, calls)
         points = sum(len(iso.sample_level(norm, field, t, count).points) for t in levels)
         assert points == len(levels) * count
-        assert calls[0] <= 3 * points
+        assert calls["value"] <= 3 * points
 
     def test_one_geometry_per_point(self, alphabeta3, quartic3, randers3, monkeypatch,
                                     tmp_path):
@@ -197,17 +191,25 @@ class TestSampling:
 
 
 def _counted(field, calls, at=None):
-    """A copy of ``field`` that counts its value and d1 calls into ``calls``
-    and appends each point f is evaluated at to the list ``at``."""
-    def counting(name, fn):
-        def wrapper(x):
-            calls[name] += 1
-            if name == "value" and at is not None:
-                at.append(x)
-            return fn(x)
-        return wrapper
-    return dataclasses.replace(field, value_fn=counting("value", field.value_fn),
-                               d1_fn=counting("d1", field.d1_fn))
+    """A copy of ``field`` whose ``rows`` counts the rows it evaluates into
+    ``calls``, f under "value" and (df, D^2 f) under "d1", and appends each
+    point f is evaluated at to the list ``at``."""
+    def rows(X, order):
+        calls["value" if order == 0 else "d1"] += len(X)
+        if order == 0 and at is not None:
+            at.extend(X)
+        return field.rows(X, order)
+    return dataclasses.replace(field, rows=rows)
+
+
+def _trials_per_ray(at, anchor, rays):
+    """The number of points of ``at`` off the ladder's rungs on each of the
+    unit ``rays`` from ``anchor``."""
+    trials = np.zeros(len(rays), int)
+    for x in at:
+        i = int(np.argmax(rays.dot(x - anchor)))
+        trials[i] += not (anchor + iso._LADDER[:, None] * rays[i] == x).all(axis=1).any()
+    return trials
 
 
 class TestRadialRoot:
@@ -233,22 +235,18 @@ class TestRadialRoot:
         at = []
         field = _counted(dataclasses.replace(field, degree=None), calls, at)
         anchor = np.asarray(field.anchor, dtype=float)
-        found = 0
-        for d in sampling.sphere_directions(field.dim, 16, seed=0):
-            for ray in (d, -d):
-                at.clear()
-                s = iso._radial_root(field, anchor, ray, t)
-                rungs = anchor + iso._LADDER[:, None] * ray
-                trials = sum(not (rungs == x).all(axis=1).any() for x in at)
-                assert trials <= 12
-                if s is not None:
-                    break
-            if s is None:
-                continue
-            found += 1
-            x = anchor + s * ray
-            assert abs(field.value(x) - t) <= iso.LEVEL_RESIDUAL * (1.0 + abs(t))
-        assert found == 16
+        rays = sampling.sphere_directions(field.dim, 16, seed=0)
+        s = iso._radial_root(field, anchor, rays, t)
+        assert _trials_per_ray(at, anchor, rays).max() <= 12
+        miss = np.isnan(s)
+        if miss.any():  # the rays that found no root, mirrored
+            at.clear()
+            s[miss] = iso._radial_root(field, anchor, -rays[miss], t)
+            assert _trials_per_ray(at, anchor, -rays[miss]).max() <= 12
+            rays = np.where(miss[:, None], -rays, rays)
+        assert not np.isnan(s).any()
+        for x in anchor + s[:, None] * rays:
+            assert abs(field.value(x) - t) <= iso.LEVEL_RESIDUAL * abs(t)
 
     @pytest.mark.parametrize("case", ["randers-sphere", "randers-reverse-sphere",
                                       "randers-hyperplane", "randers-cylinder",
@@ -274,37 +272,30 @@ class TestRadialRoot:
         calls = {"value": 0, "d1": 0}
         for f in (dataclasses.replace(field, degree=None), field):
             f = _counted(f, calls)
-            anchor = np.asarray(f.anchor, dtype=float)
-            found = 0
-            for d in sampling.sphere_directions(f.dim, 16, seed=0):
-                for ray in (d, -d):
-                    s = iso._radial_root(f, anchor, ray, t)
-                    if s is not None:
-                        break
-                if s is None:
-                    continue
-                found += 1
-                assert abs(f.value(anchor + s * ray) - t) <= 1e-13 * abs(t)
-            assert found == 16
+            points = iso._level_points(f, np.asarray(f.anchor, dtype=float),
+                                       sampling.sphere_directions(f.dim, 16, seed=0), t, {})
+            assert len(points) == 16
+            assert (abs(f.rows(points, 0) - t) <= 1e-13 * abs(t)).all()
         assert calls["d1"] == 0
 
     def test_zero_level_stops_on_the_bracket_width(self):
         # at t = 0 the residual stop admits only an exact zero, so the width
         # stop 1e-13 s (or an exact zero) ends the search at |x| = sqrt(3)
         field = calculus.custom_field(3, lambda x: x @ x - 3.0)
-        s = iso._radial_root(field, np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.0)
-        assert s == pytest.approx(np.sqrt(3.0), rel=1e-13, abs=0.0)
+        s = iso._radial_root(field, np.zeros(3), np.array([[1.0, 0.0, 0.0]]), 0.0)
+        assert s[0] == pytest.approx(np.sqrt(3.0), rel=1e-13, abs=0.0)
 
     def test_error_inside_the_bracket_skips_the_ray(self):
         # f = |x|^2 raises on a shell strictly inside the rung step that
-        # brackets t = 1.5; the first regula falsi trial lands in the shell,
-        # the root sqrt(1.5) does not
+        # brackets t = 1.5, on the side x1 > 0; the first regula falsi trial
+        # of the x1 ray lands in the shell, the root sqrt(1.5) does not.  The
+        # x2 ray, walked with it, misses the shell and keeps its root
         t, lo, hi = 1.5, 1.19, 1.215
         a = int(np.searchsorted(iso._LADDER, np.sqrt(t))) - 1
         assert iso._LADDER[a] < lo < hi < np.sqrt(t) < iso._LADDER[a + 1]
 
         def value(x, shell=True):
-            if shell and lo < np.linalg.norm(x) < hi:
+            if shell and x[0] > 0.0 and lo < np.linalg.norm(x) < hi:
                 raise MinkGeomError("undefined on the shell")
             return x @ x
 
@@ -312,9 +303,11 @@ class TestRadialRoot:
             return calculus.custom_field(3, lambda x: value(x, shell), lambda x: 2.0 * x,
                                          lambda x: 2.0 * np.eye(3))
 
-        d = np.array([1.0, 0.0, 0.0])
-        assert iso._radial_root(field(False), np.zeros(3), d, t) == pytest.approx(np.sqrt(t))
-        assert iso._radial_root(field(True), np.zeros(3), d, t) is None
+        rays = np.eye(3)[:2]
+        s = iso._radial_root(field(False), np.zeros(3), rays, t)
+        assert s == pytest.approx([np.sqrt(t)] * 2)
+        s = iso._radial_root(field(True), np.zeros(3), rays, t)
+        assert np.isnan(s[0]) and s[1] == pytest.approx(np.sqrt(t))
 
     @pytest.mark.parametrize("k", [-20, 7, 30])
     def test_points_scale_with_the_level(self, randers3, k):
@@ -332,7 +325,7 @@ class TestRadialRoot:
                                          "reverse_cylinder", "norm_plus_linear"])
     def test_closed_form_matches_the_ladder(self, catalog, randers3, randers3_mixed):
         # on a field with a degree the closed form returns the ladder walk's
-        # radius to 1e-12, or None on the same rays.  The rays: a direction
+        # radius to 1e-12, or NaN on the same rays.  The rays: a direction
         # and its mirror, the x3 axis both ways (the cylinder potentials fail
         # there, and |xbar| + b.x is negative on one side) and a ray on which
         # the linear field vanishes.  The levels t = +-m^k for m from 1e-10
@@ -348,19 +341,18 @@ class TestRadialRoot:
         }[catalog]
         ladder = dataclasses.replace(field, degree=None)
         d = sampling.sphere_directions(3, 1, seed=0)[0]
-        rays = [d, -d, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]),
-                np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)]
+        rays = np.array([d, -d, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                         np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)])
+        values = field.rows(field.anchor + rays, 0)
         outcomes = set()
         for m in (1e-10, 1e-7, 1.5, 1e7, 1e10):
             for t in (m**field.degree, -m**field.degree):
-                for ray in rays:
-                    want = iso._radial_root(ladder, field.anchor, ray, t)
-                    got = iso._radial_root(field, field.anchor, ray, t)
-                    outcomes.add(want is None)
-                    if want is None:
-                        assert got is None, (t, ray)
-                    else:
-                        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (t, ray)
+                want = iso._radial_root(ladder, field.anchor, rays, t)
+                got = iso._degree_radii(values, t, field.degree)
+                found = ~np.isnan(want)
+                outcomes.update(found.tolist())
+                assert (np.isnan(got) == ~found).all(), t
+                assert (abs(got[found] - want[found]) <= 1e-12 * want[found]).all(), t
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("c", [1.0, 0.25])
@@ -436,19 +428,18 @@ class TestVerify:
         # value; the copy without the degree walks the ladder
         field = dataclasses.replace(cli.build_field({"catalog": catalog, "m": 2}, randers3),
                                     degree=None)
-        raised = []
-        inner = field.value_fn
+        failed = []
+        inner = field.rows
 
-        def value_fn(x):
-            try:
-                return inner(x)
-            except MinkGeomError as exc:
-                raised.append(exc)
-                raise
+        def rows(X, order):
+            out = inner(X, order)
+            if order == 0:
+                failed.extend(X[np.isnan(out)])
+            return out
 
-        field.value_fn = value_fn
+        field.rows = rows
         rep = iso.verify(randers3, field, levels, count=8)
-        assert rep.isoparametric and raised == []
+        assert rep.isoparametric and failed == []
 
     def test_linear_isoparametric(self, randers3):
         f = calculus.linear_field([1.0, 2.0, 0.5])
@@ -558,22 +549,22 @@ class TestIdentities:
             iso.consistency_identities(rep)
 
     def test_a_failed_flow_step_skips_the_witness_point_and_raises_the_table(self, randers3):
-        # a' is read at x +- h n from the field's rows, or from d1 at each row
-        # for a field without them; where df fails there, a' is NaN: the
-        # witness leaves that point out, and the identity table raises
-        # rather than letting the NaN vanish inside max
+        # a' is read at x +- h n from the field's rows; where df fails there
+        # (a NaN row), a' is NaN: the witness leaves that point out, and the
+        # identity table raises rather than letting the NaN vanish inside max
         f = calculus.sphere_potential(randers3)
         rep = iso.verify(randers3, f, [0.5, 2.0, 4.5], count=16)
         frames = rep.samples[1].frames[:iso.WITNESS_POINTS]
         a, a_prime = iso._profile_slopes(randers3, f, frames)
         assert np.allclose(a_prime, 1.0 / a, rtol=1e-6)  # a = sqrt(2t): a' = 1 / a
 
-        def d1(x):
-            if x[0] > 0.0:
-                raise NotInDomain("df undefined here")
-            return f.d1_fn(x)
+        def rows(X, order):
+            if order == 0:
+                return f.rows(X, 0)
+            df, hess = f.rows(X, 2)
+            return np.where(X[:, :1] > 0.0, np.nan, df), hess
 
-        partial = dataclasses.replace(f, rows=None, d1_fn=d1)
+        partial = dataclasses.replace(f, rows=rows)
         got = iso._profile_slopes(randers3, partial, frames)[1]
         failed = np.array([fr.x[0] > 0.0 for fr in frames])
         assert 0 < failed.sum() < len(frames)

@@ -5,17 +5,21 @@ and computes the geometry and frames of all its levels as whole arrays, for
 every norm family, strategy and field; ``sample_level`` is its call on one
 level.  The arrays stay arrays: a ``PointGeometry`` or
 ``HypersurfacePointFrame`` is a one-row view, built only when asked for.
-The one-point reference is ``_radial_root`` per ray and ``frame_at`` (one
-``point_geometry``) per point.
+The one-point reference is the closed form of one ray at a time (the
+ladder walk of ``_radial_root`` on a field without a degree) and
+``frame_at`` (one ``point_geometry``) per point.  A field is evaluated only
+through its ``rows``; ``value``, ``d1`` and ``d2`` are its one-row calls.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from minkgeom import calculus, hypersurface as hs, isoparametric as iso, norms, sampling
-from minkgeom.errors import CriticalPoint, CriticalPointOnLevel, LevelNotReached, MinkGeomError
+from minkgeom.errors import (CriticalPoint, CriticalPointOnLevel, LevelNotReached, MinkGeomError,
+                             NotInDomain)
 
 REL = 1e-13
 
@@ -45,7 +49,9 @@ CASES = ["sphere", "reverse-sphere", "hyperplane", "cylinder", "counterexample"]
 
 def family_scenario(case):
     """(norm, field, levels) beyond the Randers closed forms: the generic rows
-    of the other families and strategies, and fields without rows."""
+    of the other families and strategies, and the custom and reparametrized
+    fields, whose rows are built from the user's callables and the base
+    field's rows."""
     sphere_levels, cylinder_levels = [0.5, 2.0, 4.5], [0.125, 0.5, 1.125]
     alphabeta = norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3)
     randers = norms.RandersNorm([0.5, 0.0, 0.0])
@@ -79,17 +85,32 @@ FAMILY_CASES = ["alpha-beta", "alpha-beta-cylinder", "quartic", "quartic-fd", "e
 
 
 def reference_points(field, t, count, seed):
-    """The accepted points of ``sample_level``, one ``_radial_root`` per ray."""
+    """The accepted points of ``sample_level``, one ray at a time: the closed
+    form from the one-point f(anchor + d) on a field with a degree, else the
+    ladder walk of ``_radial_root`` on that one ray."""
     anchor = np.asarray(field.anchor, dtype=float)
     out = []
     for d in sampling.sphere_directions(field.dim, count, seed=seed):
-        s = iso._radial_root(field, anchor, d, t)
-        if s is None:
-            d = -d
-            s = iso._radial_root(field, anchor, d, t)
-        if s is not None and abs(field.value(anchor + s * d) - t) <= iso.LEVEL_RESIDUAL * abs(t):
-            out.append(anchor + s * d)
+        for ray in (d, -d):
+            if field.degree is None:
+                s = iso._radial_root(field, anchor, ray[None, :], t)[0]
+            else:
+                s = iso._degree_radii(field.value(anchor + ray), t, field.degree)
+            if not np.isnan(s):
+                break
+        x = anchor + s * ray
+        if not np.isnan(s) and abs(field.value(x) - t) <= iso.LEVEL_RESIDUAL * abs(t):
+            out.append(x)
     return np.array(out)
+
+
+def per_row(field):
+    """``field`` as a custom field, whose ``rows`` calls the one-point
+    ``value``, ``d1`` and ``d2`` at one row at a time, with the same degree,
+    anchor and regular range."""
+    custom = calculus.custom_field(field.dim, field.value, field.d1, field.d2)
+    return dataclasses.replace(custom, degree=field.degree, anchor=field.anchor,
+                               regular_range=field.regular_range)
 
 
 def assert_close(got, want, scale=None):
@@ -153,7 +174,7 @@ def test_stack_matches_the_one_point_path(case, c, seed):
 def test_every_family_matches_frame_at(case):
     # one level path for every family, strategy and field: the generic rows
     # of alpha-beta, k-th root (analytic and fd) and taylor Randers, and the
-    # per-point d1 and d2 of fields without rows, meet ``frame_at``
+    # rows of custom and reparametrized fields, meet ``frame_at``
     norm, field, levels = family_scenario(case)
     for t in levels:
         sample = iso.sample_level(norm, field, t, 16, seed=1)
@@ -163,29 +184,23 @@ def test_every_family_matches_frame_at(case):
 
 def near_critical(norm, field, t, i, factor=1e-12):
     """(field, x0): ``field`` with df times ``factor`` near x0, the i-th point
-    sampled on level t, in its rows and in d1 alike, which puts a critical
+    sampled on level t, in its rows and so in d1, which puts a critical
     point within relative distance 1e-8 of x0 (at x0 for a factor 0)."""
     x0 = iso.sample_level(norm, field, t, 16).points[i]
-
-    def near(X):
-        X = np.atleast_2d(X)
-        return np.linalg.norm(X - x0, axis=1) <= 1e-12 * np.linalg.norm(x0)
-
-    def d1(x):
-        return factor * field.d1_fn(x) if near(x)[0] else field.d1_fn(x)
 
     def rows(X, order):
         if order == 0:
             return field.rows(X, 0)
         df, hess = field.rows(X, 2)
-        return np.where(near(X)[:, None], factor * df, df), hess
+        near = np.linalg.norm(X - x0, axis=1) <= 1e-12 * np.linalg.norm(x0)
+        return np.where(near[:, None], factor * df, df), hess
 
-    return dataclasses.replace(field, d1_fn=d1, rows=rows), x0
+    return dataclasses.replace(field, rows=rows), x0
 
 
 def test_a_critical_row_raises_as_on_the_one_point_path():
     # the level raises the error of ``point_geometry`` at the near-critical
-    # point, with the field's rows and without
+    # point, with the field's rows and with its one-point calls row by row
     norm, field, _ = scenario("sphere")
     critical, x0 = near_critical(norm, field, 2.0, 5)
     with pytest.raises(CriticalPoint) as ref:
@@ -194,13 +209,13 @@ def test_a_critical_row_raises_as_on_the_one_point_path():
         iso.sample_level(norm, critical, 2.0, 16)
     assert str(info.value) == f"a sampled point on level 2.0 is critical: {ref.value}"
     with pytest.raises(CriticalPointOnLevel):
-        iso.sample_level(norm, dataclasses.replace(critical, rows=None), 2.0, 16)
+        iso.sample_level(norm, per_row(critical), 2.0, 16)
 
 
 def test_a_degenerate_row_raises_as_on_the_one_point_path(monkeypatch):
     # |xbar| + b.x is not differentiable on the x3 axis, where a ray along
     # it meets the level: the level raises the error of ``point_geometry``
-    # at that point, with the field's rows and without
+    # at that point, with the field's rows and with its one-point calls
     norm, field, _ = scenario("counterexample")
     directions = sampling.sphere_directions
 
@@ -211,9 +226,10 @@ def test_a_degenerate_row_raises_as_on_the_one_point_path(monkeypatch):
 
     monkeypatch.setattr(iso, "sphere_directions", with_the_axis)
     axis = np.array([0.0, 0.0, 1.0])
+    s = iso._degree_radii(field.value(field.anchor + axis), 1.0, field.degree)
     with pytest.raises(MinkGeomError) as ref, np.errstate(all="ignore"):
-        calculus.point_geometry(norm, field, iso._radial_root(field, field.anchor, axis, 1.0) * axis)
-    for f in (field, dataclasses.replace(field, rows=None)):
+        calculus.point_geometry(norm, field, s * axis)
+    for f in (field, per_row(field)):
         with pytest.raises(MinkGeomError) as info, np.errstate(all="ignore"):
             iso.sample_level(norm, f, 1.0, 16)
         assert type(info.value) is type(ref.value) and str(info.value) == str(ref.value)
@@ -229,9 +245,9 @@ def test_an_error_of_a_custom_derivative_raises_as_on_the_one_point_path():
     def d1(x):
         if np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0):
             raise ValueError("d1 undefined here")
-        return sphere.d1_fn(x)
+        return sphere.d1(x)
 
-    field = calculus.custom_field(3, sphere.value_fn, d1_fn=d1, d2_fn=sphere.d2_fn)
+    field = calculus.custom_field(3, sphere.value, d1_fn=d1, d2_fn=sphere.d2)
     field = dataclasses.replace(field, degree=2, regular_range=(0.0, np.inf))
     with pytest.raises(ValueError, match="d1 undefined here"):
         calculus.point_geometry(randers, field, x0)
@@ -239,16 +255,69 @@ def test_an_error_of_a_custom_derivative_raises_as_on_the_one_point_path():
         iso.sample_level(randers, field, 2.0, 16)
 
 
+def test_the_custom_field_error_contract():
+    # a custom callable's own error comes out of rows, the one-point calls,
+    # point_geometry and sample_level unchanged, even where a critical row
+    # of the level comes first; a MinkGeomError is a NaN row instead, which
+    # the one-point calls raise as NotInDomain naming x, and a point where f
+    # is NaN is not on the level
+    randers = norms.RandersNorm([0.5, 0.0, 0.0])
+    sphere = calculus.sphere_potential(randers)
+    points = iso.sample_level(randers, sphere, 2.0, 16).points
+    xc, x0 = points[1], points[3]
+
+    def at(x, p):
+        return np.linalg.norm(x - p, axis=-1) <= 1e-12 * np.linalg.norm(p)
+
+    def field(error, critical):
+        def value(x):
+            if error is MinkGeomError and at(x, x0):
+                raise MinkGeomError("f undefined here")
+            return sphere.value(x)
+
+        def d1(x):
+            if at(x, x0):
+                raise error("df undefined here")
+            return (1e-12 if critical and at(x, xc) else 1.0) * sphere.d1(x)
+
+        custom = calculus.custom_field(3, value, d1, sphere.d2)
+        return dataclasses.replace(custom, degree=2, regular_range=(0.0, np.inf))
+
+    raising = field(ValueError, critical=True)
+    with pytest.raises(CriticalPoint):
+        calculus.point_geometry(randers, raising, xc)
+    for call in (lambda: raising.rows(points, 2), lambda: raising.d1(x0),
+                 lambda: raising.d2(x0), lambda: calculus.point_geometry(randers, raising, x0),
+                 lambda: iso.sample_level(randers, raising, 2.0, 16)):
+        with pytest.raises(ValueError, match="df undefined here"):
+            call()
+    assert np.array_equal(raising.rows(points, 0), sphere.rows(points, 0))
+
+    failing = field(MinkGeomError, critical=False)
+    nan = at(points, x0)
+    assert nan.sum() == 1
+    for rows in (failing.rows(points, 0),) + failing.rows(points, 2):
+        assert np.isnan(rows[nan]).all() and np.isfinite(rows[~nan]).all()
+    for call in (failing.value, failing.d1, failing.d2,
+                 lambda x: calculus.point_geometry(randers, failing, x)):
+        with pytest.raises(NotInDomain, match=re.escape(f"not defined at x={x0!r}")):
+            call(x0)
+    sample = iso.sample_level(randers, failing, 2.0, 16)
+    assert sample.skipped == 1 and np.array_equal(sample.points, points[~nan])
+
+
 def test_an_unreached_level_raises_as_on_the_one_point_path():
     # level 0 of a linear field passes through its anchor: no ray meets it,
-    # nor its mirror, on the one-point path either
+    # nor its mirror, in closed form or on the ladder
     norm, field, _ = scenario("hyperplane")
-    for f in (field, dataclasses.replace(field, rows=None)):
+    for f in (field, per_row(field)):
         with pytest.raises(LevelNotReached, match="passes through the anchor"):
             iso.sample_level(norm, f, 0.0, 16)
-    for d in sampling.sphere_directions(3, 16):
-        assert iso._radial_root(field, field.anchor, d, 0.0) is None
-        assert iso._radial_root(field, field.anchor, -d, 0.0) is None
+    dirs = sampling.sphere_directions(3, 16)
+    for rays in (dirs, -dirs):
+        assert np.isnan(iso._degree_radii(field.rows(field.anchor + rays, 0), 0.0,
+                                          field.degree)).all()
+        assert np.isnan(iso._radial_root(field, field.anchor, rays, 0.0)).all()
 
 
 @pytest.mark.parametrize("case", CASES + FAMILY_CASES + ["quartic-cylinder"])
@@ -335,6 +404,50 @@ def test_a_randers_verify_builds_no_per_point_object(monkeypatch):
     # a view on request is one of each
     assert report.samples[0].frames[5].geometry.fstar == report.samples[0].fstar[5]
     assert built == {"geometry": 1, "frame": 1}
+
+
+def test_sampling_makes_no_one_point_field_call(monkeypatch):
+    # a verify evaluates its field only through rows, the ladder walk of a
+    # field without a degree included: with value, d1 and d2 raising, the
+    # reparametrized Randers sphere (phi = 2t + t^2/2) and a custom sphere
+    # potential, 3 levels of 64 points each, keep the verdicts and profile
+    # nodes that the walk of one ray at a time gave, to 1e-12, and call the
+    # custom callables no more often than it did
+    randers = norms.RandersNorm([0.5, 0.0, 0.0])
+    profile = norms.PolynomialProfile([0.0, 2.0, 0.5])
+    calls = {"value": 0, "d1": 0, "d2": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    custom = calculus.custom_field(3, counted("value", lambda x: 0.5 * randers.value(x) ** 2),
+                                   counted("d1", randers.legendre),
+                                   counted("d2", lambda x: randers.derivatives(x, order=2).d2))
+    runs = [
+        (calculus.reparametrized_field(calculus.sphere_potential(randers), profile),
+         [profile.phi(t) for t in (0.5, 2.0, 4.5)],
+         [[1.125, 2.4999999999999956], [6.0, 7.999999999999983], [19.125, 19.499999999999677]],
+         [[1.125, 8.499999999999993], [6.0, 15.999999999999977], [19.125, 28.499999999999684]]),
+        (custom, [0.5, 2.0, 4.5],
+         [[0.5, 0.9999999999999999], [2.0, 1.9999999999999998], [4.5, 3.0]],
+         [[0.5, 3.0], [2.0, 3.0], [4.5, 3.0]]),
+    ]
+
+    def one_point(self, x):
+        raise AssertionError(f"one-point field call at x={x!r}")
+
+    for name in ("value", "d1", "d2"):
+        monkeypatch.setattr(calculus.ScalarField, name, one_point)
+    for field, levels, a_nodes, b_nodes in runs:
+        report = iso.verify(randers, field, levels, count=64)
+        assert (report.transnormal_verdict, report.isoparametric_verdict) == ("yes", "yes")
+        assert [len(s.points) for s in report.samples] == [64, 64, 64]
+        for got, want in ((report.a_nodes, a_nodes), (report.b_nodes, b_nodes)):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    assert calls["value"] <= 17_513 and calls["d1"] <= 240 and calls["d2"] <= 240
 
 
 def _sample_bits(sample) -> list:
