@@ -125,12 +125,6 @@ class Jet:
 
     # -- constructors -------------------------------------------------------
 
-    @staticmethod
-    def constant(sp: JetSpace, value: float) -> "Jet":
-        c = np.zeros(sp.size)
-        c[0] = value
-        return Jet(sp, c)
-
     def _constant_like(self, value) -> "Jet":
         """The constant jet of ``value`` (a number, or one per row) shaped like this one."""
         c = np.zeros(self.c.shape)
@@ -242,7 +236,7 @@ class Jet:
             for _ in range(p):
                 out = out * self
             return out
-        return self.compose_univariate(_pow_derivs(self._base_value(), p))
+        return self.compose_univariate(_pow_derivs(self._base_value(), p, self.space.order))
 
     # -- composition --------------------------------------------------------
 
@@ -251,7 +245,8 @@ class Jet:
 
         Horner evaluation of the Taylor polynomial of h, to the space's
         order, in the nilpotent part of the jet.  A row jet takes arrays of
-        derivatives, one value per row.
+        derivatives, one value per row.  Its first step scales v by the top
+        coefficient, with no jet product.
         """
         order = self.space.order
         coeffs = [derivs[j] / math.factorial(j) for j in range(order + 1)]
@@ -260,16 +255,17 @@ class Jet:
             v.c[0] = 0.0
         else:
             v.c[:, 0] = 0.0
-        out = v._constant_like(coeffs[order])
-        for j in range(order - 1, -1, -1):
+        top = np.asarray(coeffs[order])
+        out = Jet(self.space, v.c * (top[:, None] if top.ndim else top)) + coeffs[order - 1]
+        for j in range(order - 2, -1, -1):
             out = out * v + coeffs[j]
         return out
 
     def sqrt(self) -> "Jet":
-        return self.compose_univariate(_pow_derivs(self._base_value(), 0.5))
+        return self.compose_univariate(_pow_derivs(self._base_value(), 0.5, self.space.order))
 
     def reciprocal(self) -> "Jet":
-        return self.compose_univariate(_pow_derivs(self._base_value(), -1.0))
+        return self.compose_univariate(_pow_derivs(self._base_value(), -1.0, self.space.order))
 
     # -- extraction ---------------------------------------------------------
 
@@ -295,9 +291,9 @@ class Jet:
         return (self.c * sp._factorial)[:, sp._tensor_index[order]]
 
 
-def _pow_derivs(u0, p: float) -> list:
-    """Derivatives of t**p at u0, orders 0..4. Requires u0 > 0 for non-integer p;
-    an array u0 (one value per row) gives NaN in each row where it fails."""
+def _pow_derivs(u0, p: float, order: int) -> list:
+    """Derivatives of t**p at u0, orders 0..order. Requires u0 > 0 for non-integer
+    p; an array u0 (one value per row) gives NaN in each row where it fails."""
     if isinstance(u0, np.ndarray):
         if not float(p).is_integer():
             u0 = np.where(u0 > 0.0, u0, np.nan)
@@ -305,7 +301,7 @@ def _pow_derivs(u0, p: float) -> list:
         raise ValueError(f"fractional power of non-positive jet value {u0!r}")
     out = []
     coef = 1.0
-    for j in range(ORDER + 1):
+    for j in range(order + 1):
         out.append(coef * u0 ** (p - j))
         coef *= p - j
     return out

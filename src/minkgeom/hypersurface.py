@@ -165,20 +165,17 @@ def cartan_curvature_Q(norm: MinkowskiNorm, y, X, Y) -> float:
     y, X, Y = (_as_vector(v, norm)[0] for v in (y, X, Y))
     d = norm.derivatives(y, order=4)
     g = d.d2
-    gyy = float(y.dot(g).dot(y))
-    gXX = float(X.dot(g).dot(X))
-    gYY = float(Y.dot(g).dot(Y))
-    for u, v, su, sv in ((y, X, gyy, gXX), (y, Y, gyy, gYY), (X, Y, gXX, gYY)):
-        if abs(u.dot(g).dot(v)) > ORTHO_TOL * math.sqrt(su * sv):
+    gy, gX, gY = g.dot(y), g.dot(X), g.dot(Y)
+    gyy, gXX, gYY = float(y.dot(gy)), float(X.dot(gX)), float(Y.dot(gY))
+    for u, gv, su, sv in ((y, gX, gyy, gXX), (y, gY, gyy, gYY), (X, gY, gXX, gYY)):
+        if abs(u.dot(gv)) > ORTHO_TOL * math.sqrt(su * sv):
             raise NotOrthogonal("vectors are not mutually g_y-orthogonal")
-    C = 0.5 * d.d3
-    Ccal = 0.5 * d.d4
-    # C_ijk X^i X^j, C_ijk Y^i Y^j and Ccal_ijkl X^i X^j Y^k Y^l as chained dots
-    cXX = X.dot(X.dot(C))
-    cYY = Y.dot(Y.dot(C))
+    # d3_ijk X^i X^j, d3_ijk Y^i Y^j and d4_ijkl X^i X^j Y^k Y^l as chained
+    # dots; C = d3 / 2 and Ccal = d4 / 2 leave their 1/4 and 1/2 in the scalar
+    cXX, cYY = X.dot(X.dot(d.d3)), Y.dot(Y.dot(d.d3))
     frame_sum = float(cXX.dot(np.linalg.solve(g, cYY)))
-    quad = float(Ccal.dot(Y).dot(Y).dot(X).dot(X))
-    return (2.0 * d.F**2 / (gXX * gYY)) * (2.0 * frame_sum - quad)
+    quad = float(d.d4.dot(Y).dot(Y).dot(X).dot(X))
+    return (d.F**2 / (gXX * gYY)) * (frame_sum - quad)
 
 
 def gram_orthogonal_triple(norm: MinkowskiNorm, rng) -> tuple:

@@ -417,6 +417,10 @@ class RandersNorm(MinkowskiNorm):
         return _taylor.Jet.norm_squared(sp, y).sqrt() + _taylor.Jet.linear(sp, y, self.b)
 
     def _analytic(self, y, order):
+        # G = alpha^2/2 + alpha beta + beta^2/2, beta linear: above order 2 only
+        # alpha beta is left, and with ell = y/alpha, h = I - ell ell^T and the
+        # derivatives of alpha (Chern & Shen, Riemann-Finsler Geometry, 2005)
+        # each tensor is one outer product summed over its index placements
         b = self.b
         alpha = math.sqrt(y.dot(y))
         ell = y / alpha
@@ -425,29 +429,21 @@ class RandersNorm(MinkowskiNorm):
         Fi = ell + b
         if order < 2:
             return Derivatives(F=F, d1=F * Fi, d2=None)
-        h = np.eye(self.dim) - np.outer(ell, ell)
-        g = np.outer(Fi, Fi) + (F / alpha) * h
+        ll = ell[:, None] * ell
+        h = np.eye(self.dim) - ll
+        g = Fi[:, None] * Fi + (F / alpha) * h
         d3 = d4 = None
         if order >= 3:
-            # A2, A3: the second and third derivatives of alpha; c = d(F/alpha)
-            A2 = h / alpha
-            c = b / alpha - beta * ell / alpha**2
-            u = Fi - (F / alpha) * ell
-            # twice the Cartan tensor, d(g_ij)/dy^k = h_ij c_k + A2_ik u_j + u_i A2_jk
-            V = u[:, None, None] * A2
-            d3 = h[:, :, None] * c + V + V.transpose(1, 0, 2)
+            # d3 = h (x) v at its three placements, v = (b - (beta/alpha) ell)/alpha
+            T = h[:, :, None] * ((b - (beta / alpha) * ell) / alpha)
+            d3 = T + T.transpose(0, 2, 1) + T.transpose(2, 0, 1)
             if order >= 4:
-                hl = h[:, :, None] * ell
-                A3 = -(hl + hl.transpose(2, 0, 1) + hl.transpose(0, 2, 1)) / alpha**2
-                bl = np.outer(b, ell)
-                dc = (-(bl + bl.T) / alpha**2 - beta * h / alpha**3
-                      + 2.0 * beta * np.outer(ell, ell) / alpha**3)
-                # P_ijk = A2_ik ell_j + ell_i A2_jk, the y^k-derivative of h_ij
-                P = A2[:, None, :] * ell[:, None] + ell[:, None, None] * A2
-                X = (1.0 - F / alpha) * A2[:, None, :, None] * A2[:, None, :] - P[..., None] * c
-                W = u[:, None, None, None] * A3
-                d4 = (h[:, :, None, None] * dc + X + X.transpose(0, 1, 3, 2)
-                      + W + W.transpose(1, 0, 2, 3))
+                # d4 = h (x) N + N (x) h over the three pairings of its indices
+                lb = ell[:, None] * (b / alpha**2)
+                c = beta / alpha**3
+                N = (2.0 * c) * ll - (lb + lb.T) - (0.5 * c) * h
+                U = h[:, :, None, None] * N + N[:, :, None, None] * h
+                d4 = U + U.transpose(0, 2, 1, 3) + U.transpose(0, 3, 2, 1)
         return Derivatives(F=F, d1=F * Fi, d2=g, d3=d3, d4=d4)
 
     def _values(self, Y):
@@ -492,7 +488,7 @@ class RandersNorm(MinkowskiNorm):
         astar_xi, alpha_star, fstar = self._dual_parts(xi)
         al = astar_xi / alpha_star
         fs = al + self.bstar
-        return np.outer(fs, fs) + (fstar / alpha_star) * (self.astar - np.outer(al, al))
+        return fs[:, None] * fs + (fstar / alpha_star) * (self.astar - al[:, None] * al)
 
     def subspace_scale(self, m: int) -> float:
         """sqrt(lam + |bbar|^2), bbar = b on the first m coordinates.
@@ -567,27 +563,28 @@ class KthRootNorm(MinkowskiNorm):
         if order < 2:
             return Derivatives(F=S ** (1.0 / k), d1=d1, d2=None)
         D2 = np.diag(k * (k - 1) * y ** (k - 2))
-        v2 = np.outer(Sv, Sv)
+        v2 = Sv[:, None] * Sv
         d2 = H[2] * v2 + H[1] * D2
         d3 = d4 = None
         if order >= 3:
             diag = np.arange(n)
             D3 = np.zeros((n, n, n))
             D3[diag, diag, diag] = k * (k - 1) * (k - 2) * y ** (k - 3)
-            t = np.multiply.outer(H[2] * D2, Sv)
-            d3 = (H[3] * np.multiply.outer(v2, Sv) + t + t.transpose(0, 2, 1)
-                  + t.transpose(2, 0, 1) + H[1] * D3)
+            # the blocks {2, 1} and {1, 1, 1}: B (x) Sv at its three placements
+            t = ((H[3] / 3.0) * v2 + H[2] * D2)[:, :, None] * Sv
+            d3 = t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1) + H[1] * D3
             if order >= 4:
-                # the blocks {3, 1}: T_abcd = D3_abc Sv_d at the four places of d
-                T = np.multiply.outer(D3, H[2] * Sv)
-                d4 = (H[4] * np.multiply.outer(v2, v2) + T + T.transpose(0, 1, 3, 2)
-                      + T.transpose(0, 3, 1, 2) + T.transpose(3, 0, 1, 2))
-                # the blocks {2, 1, 1} and {2, 2}: Z_abcd + Z_cdab summed over
-                # the three pairings of the indices, Z = D2 (x) (H3 v2 + H2 D2 / 2)
-                Z = np.multiply.outer(D2, H[3] * v2 + 0.5 * H[2] * D2)
-                for axes in ((0, 1, 2, 3), (2, 3, 0, 1), (0, 2, 1, 3),
-                             (2, 0, 3, 1), (0, 2, 3, 1), (2, 0, 1, 3)):
-                    d4 += Z.transpose(axes)
+                # the blocks {2, 1, 1}, {2, 2} and {1, 1, 1, 1}: U + U_cdab over
+                # the three pairings of the indices, U = D2 (x) (H3 v2 + H2 D2 / 2)
+                # + (H4 / 6) v2 (x) v2
+                W = H[3] * v2 + 0.5 * H[2] * D2
+                U = D2[:, :, None, None] * W + v2[:, :, None, None] * ((H[4] / 6.0) * v2)
+                U = U + U.transpose(2, 3, 0, 1)
+                # the blocks {3, 1}: D3 (x) Sv at the four places of Sv
+                T = D3[:, :, :, None] * (H[2] * Sv)
+                d4 = (U + U.transpose(0, 2, 1, 3) + U.transpose(0, 3, 2, 1)
+                      + T + T.transpose(0, 1, 3, 2) + T.transpose(0, 3, 1, 2)
+                      + T.transpose(3, 0, 1, 2))
                 s4 = k * (k - 1) * (k - 2) * (k - 3) * y ** (k - 4)
                 d4[diag, diag, diag, diag] += H[1] * s4
         return Derivatives(F=S ** (1.0 / k), d1=d1, d2=d2, d3=d3, d4=d4)
@@ -603,10 +600,14 @@ class KthRootNorm(MinkowskiNorm):
         # S*^(-2/k) ((2 - q) v v^T + (q - 1) S* diag |xi_i|^(q-2))
         k = self.k
         a = np.abs(xi)
+        if not a.min() > 0.0:
+            # g at the preimage is singular there, as ``fundamental_tensor`` finds
+            raise DegenerateMetric(f"g* of the k-th root norm is unbounded on a coordinate "
+                                   f"hyperplane: xi_{int(a.argmin())} = 0")
         sstar = float((a ** (k / (k - 1.0))).sum())
         v = np.sign(xi) * a ** (1.0 / (k - 1.0))
         return sstar ** (-2.0 / k) * (
-            ((k - 2.0) / (k - 1.0)) * np.outer(v, v)
+            ((k - 2.0) / (k - 1.0)) * (v[:, None] * v)
             + np.diag(sstar / (k - 1.0) * a ** (-(k - 2.0) / (k - 1.0))))
 
     def restricted(self, m):

@@ -134,14 +134,17 @@ def test_c06_kth_root_sphere():
 
 def test_c07_lemma61_identity(rng):
     worst = 0.0
-    for b in (0.1, 0.5, 0.9):
-        norm = norms.RandersNorm([b, 0.0, 0.0])
-        for _ in range(50):
-            y, X, Y = hs.gram_orthogonal_triple(norm, rng)
-            lhs, rhs = rd.lemma61_check(norm, y, X, Y)
-            worst = max(worst, abs(lhs - rhs))
-    assert worst <= 1e-7
-    _report("07", f"1 - Q = alpha(1 - b^2) to {worst:.1e} over 150 triples")
+    for b in (0.1, 0.5, 0.9, 0.99):
+        for n in (3, 4, 6, 10):
+            direction = rng.standard_normal(n)
+            norm = norms.RandersNorm(b * direction / np.linalg.norm(direction))
+            for e in rng.uniform(-100.0, 100.0, 10):
+                y, X, Y = hs.gram_orthogonal_triple(norm, rng)
+                lhs, rhs = rd.lemma61_check(norm, y, X, Y)
+                scaled = 1.0 - hs.cartan_curvature_Q(norm, 10.0**e * y, X, Y)
+                worst = max(worst, abs(lhs - rhs) / rhs, abs(scaled - rhs) / rhs)
+    assert worst <= 1e-11
+    _report("07", f"1 - Q = alpha(1 - b^2) to {worst:.1e} relative over 160 triples")
 
 
 def test_c08_duality_suite(family_zoo, rng):

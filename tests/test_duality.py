@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from minkgeom import calculus, duality, norms, randers
 
 from .oracles import dual_norm_grid_sup, subspace_dual_sup
-from minkgeom.errors import BadDimension, NoConvergence, ZeroCovector
+from minkgeom.errors import BadDimension, DegenerateMetric, NoConvergence, ZeroCovector
 
 settings.register_profile("suite", max_examples=40, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -171,6 +171,22 @@ class TestDualNorm:
                     got = duality.dual_fundamental_tensor(norm, xi)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n, xi)
         assert calls == []
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_kth_root_dual_tensor_on_a_coordinate_hyperplane(self, k):
+        # g* is unbounded where a coordinate of xi is 0, and g is singular at
+        # its preimage: both raise DegenerateMetric, with no RuntimeWarning
+        # (the suite turns those into errors) and no inf returned
+        for n in (2, 3, 5):
+            norm = norms.KthRootNorm(k, n)
+            for i in range(n):
+                xi = np.linspace(1.0, 0.5, n) * (-1.0) ** np.arange(n)
+                xi[i] = 0.0
+                for scale in (1e-200, 1.0, 1e200):
+                    with pytest.raises(DegenerateMetric, match=f"xi_{i} = 0"):
+                        duality.dual_fundamental_tensor(norm, scale * xi)
+                with pytest.raises(DegenerateMetric):
+                    norm.fundamental_tensor(duality.legendre_inverse(norm, xi))
 
     def test_modes(self, randers3):
         # closed form, Newton inversion and the grid sup agree on F*

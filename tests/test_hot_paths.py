@@ -3,8 +3,8 @@
 On 3-vectors numpy's dispatch costs more than the arithmetic, so the hot
 paths contract with ``ndarray.dot`` and method reductions: ``a.dot(b)`` for
 ``a @ b``, ``math.sqrt(v.dot(v))`` for ``np.linalg.norm(v)``,
-``A.ravel().dot(B.ravel())`` for ``np.tensordot(A, B)`` and ``a.sum()`` for
-``np.sum(a)``.  These tests pin that each rewritten form gives the bits of
+``A.ravel().dot(B.ravel())`` for ``np.tensordot(A, B)``, ``a.sum()`` for
+``np.sum(a)`` and ``a[:, None] * b`` for ``np.outer(a, b)``.  These tests pin that each rewritten form gives the bits of
 the form it replaced, that list and tuple inputs still work, and that no
 replaced form comes back into the listed functions.  The one-point jet keeps
 its 1-D indexing: ``c[..., 0]`` there costs the order-4 kernels several
@@ -79,6 +79,13 @@ class TestBitIdentities:
                 y = c ** (2.0 / k) * rng.standard_normal(n)
                 assert _bits((y**k).sum()) == _bits(np.sum(y**k))
 
+    def test_broadcast_product_is_outer(self, n):
+        for c, rng in _draws(n):
+            a, b = c * rng.standard_normal(n), rng.standard_normal(n)
+            assert _bits(a[:, None] * b) == _bits(np.outer(a, b))
+            # a symmetric outer product stays symmetric bit for bit
+            assert _bits(a[:, None] * a) == _bits((a[:, None] * a).T)
+
 
 @pytest.fixture(scope="module")
 def setting():
@@ -138,7 +145,9 @@ HOT_PATHS = (
     norms._as_vector, norms.MinkowskiNorm.value,
     norms.EuclideanNorm._value, norms.RandersNorm._value,
     norms.KthRootNorm._value, norms.AlphaBetaNorm._value,
+    norms.MinkowskiNorm.derivatives,
     norms.RandersNorm._analytic, norms.RandersNorm._dual_parts,
+    norms.RandersNorm._dual_fundamental_tensor,
     norms.KthRootNorm._analytic, norms.KthRootNorm._legendre_inverse,
     norms.KthRootNorm._dual_fundamental_tensor,
     duality.legendre_inverse, duality.dual_norm, duality.dual_fundamental_tensor,
@@ -152,7 +161,7 @@ HOT_PATHS = (
     isoparametric._profile_slopes, isoparametric._level_scales,
     _taylor.Jet.norm_squared, _taylor.Jet.linear,
 )
-SLOW_CALLS = {"np.linalg.norm", "np.sum", "np.tensordot"}
+SLOW_CALLS = {"np.linalg.norm", "np.sum", "np.tensordot", "np.outer"}
 
 
 def slow_forms(source: str, first_line: int = 1) -> list[tuple[int, str]]:
@@ -169,9 +178,9 @@ def slow_forms(source: str, first_line: int = 1) -> list[tuple[int, str]]:
 class TestNoSlowForms:
     def test_the_guard_finds_each_form(self):
         src = ("def f(a, b):\n    x = a @ b\n"
-               "    return np.sum(a) + np.linalg.norm(b) + np.tensordot(a, b)\n")
-        assert slow_forms(src, 10) == [(11, "@"), (12, "np.linalg.norm"), (12, "np.sum"),
-                                       (12, "np.tensordot")]
+               "    return np.sum(a) + np.linalg.norm(b) + np.tensordot(a, b) + np.outer(a, b)\n")
+        assert slow_forms(src, 10) == [(11, "@"), (12, "np.linalg.norm"), (12, "np.outer"),
+                                       (12, "np.sum"), (12, "np.tensordot")]
 
     @pytest.mark.parametrize("fn", HOT_PATHS, ids=lambda fn: fn.__qualname__)
     def test_hot_path_has_no_slow_form(self, fn):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from minkgeom import calculus, hypersurface as hs, norms
+from minkgeom import _linalg, calculus, hypersurface as hs, norms
 from minkgeom.errors import EigenFailure, NotOrthogonal
 
 from .oracles import mean_curvature_residual
@@ -126,16 +126,48 @@ class TestCartanCurvature:
         assert hs.cartan_curvature_Q(randers3, y, 3.0 * X, Y) == pytest.approx(q, abs=1e-10)
         assert hs.cartan_curvature_Q(randers3, y, X, 3.0 * Y) == pytest.approx(q, abs=1e-10)
 
-    def test_randers_identity(self, rng):
-        # 1 - Q = alpha (1 - b^2) across the b range
-        for b in (0.1, 0.5, 0.9):
-            norm = norms.RandersNorm([b, 0.0, 0.0])
-            for _ in range(10):
+    def test_randers_identity(self):
+        # Lemma 6.1: 1 - Q = alpha(y / F(y)) (1 - |b|^2) to 1e-11 relative, for
+        # |b| up to 0.99 in random directions, n up to 10 and |y| from 1e-100
+        # to 1e100
+        for n in (3, 4, 6, 10):
+            rng = np.random.default_rng(610 + n)
+            for size in (0.1, 0.5, 0.9, 0.99):
+                b = rng.standard_normal(n)
+                norm = norms.RandersNorm(size * b / np.linalg.norm(b))
+                for e in rng.uniform(-100.0, 100.0, 10):
+                    y, X, Y = hs.gram_orthogonal_triple(norm, rng)
+                    y = 10.0**e * y
+                    lhs = 1.0 - hs.cartan_curvature_Q(norm, y, X, Y)
+                    rhs = float(np.linalg.norm(y)) / norm.value(y) * norm.lam
+                    assert abs(lhs - rhs) <= 1e-11 * rhs, (n, size, e)
+                    assert lhs > 0.0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_Q_is_its_frame_form(self, n):
+        # Q = (2F^2 / (g(X,X) g(Y,Y))) (2 sum_i C(X,X,e_i) C(Y,Y,e_i) - Ccal(X,X,Y,Y))
+        # over an explicit g_y-orthonormal frame e_i, with C = d3/2 and
+        # Ccal = d4/2 from the taylor tensors, to 1e-10 relative
+        rng = np.random.default_rng(700 + n)
+        b = rng.standard_normal(n)
+        profile = norms.PolynomialProfile([1.0, 1.0, 0.1])
+        families = (lambda s: norms.RandersNorm(0.6 * b / np.linalg.norm(b), strategy=s),
+                    lambda s: norms.KthRootNorm(4, n, strategy=s),
+                    lambda s: norms.KthRootNorm(6, n, strategy=s),
+                    lambda s: norms.AlphaBetaNorm(profile, 0.3, n, strategy=s))
+        for make in families:
+            norm, oracle = make("analytic"), make("taylor")
+            for _ in range(5):
                 y, X, Y = hs.gram_orthogonal_triple(norm, rng)
-                lhs = 1.0 - hs.cartan_curvature_Q(norm, y, X, Y)
-                rhs = float(np.linalg.norm(y)) * (1.0 - b * b)
-                assert abs(lhs - rhs) <= 1e-7
-                assert lhs > 0.0
+                d = oracle.derivatives(y, order=4)
+                C, Ccal, g = 0.5 * d.d3, 0.5 * d.d4, d.d2
+                e = _linalg.orthonormal_basis(g)
+                cX = np.einsum("ijk,i,j,ak->a", C, X, X, e)
+                cY = np.einsum("ijk,i,j,ak->a", C, Y, Y, e)
+                quad = np.einsum("ijkl,i,j,k,l->", Ccal, X, X, Y, Y)
+                want = 2.0 * d.F**2 / ((X @ g @ X) * (Y @ g @ Y)) * (2.0 * cX @ cY - quad)
+                got = hs.cartan_curvature_Q(norm, y, X, Y)
+                assert abs(got - want) <= 1e-10 * abs(want), (norm, got, want)
 
     def test_orthogonality_enforced(self, randers3, rng):
         y = rng.standard_normal(3)
