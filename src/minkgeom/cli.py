@@ -13,7 +13,10 @@ Usage: ``minkgeom <command> <config.json> [--out DIR] [--seed N] [--tol X]
 field path.  Exit codes: 0 success / expectation met, 1 runtime or config
 error, 2 verdict mismatch or residual above tolerance.  Outputs are
 byte-deterministic for a fixed scenario and seed (floats at 17 significant
-digits).  Set MINKGEOM_LOG=debug|info for progress logging.
+digits).  Set MINKGEOM_LOG=debug|info for progress logging.  A norm takes
+its family's default strategy (analytic; taylor for alpha-beta) unless the
+config or ``--strategy`` sets one; a family without closed forms rejects
+``analytic`` as a config error.
 
 ``dualcheck``'s default thresholds do not depend on the strategy: norm
 preservation 1e-10, round trip 1e-9, dual agreement 1e-8, Lemma 6.1 1e-7.
@@ -92,17 +95,19 @@ def _require(cfg: dict, key: str, typ, path: str):
 def build_norm(cfg: dict, strategy_override: str | None = None) -> norms.MinkowskiNorm:
     _reject_unknown(cfg, _NORM_KEYS, "norm.")
     family = _require(cfg, "family", str, "norm.")
-    strategy = strategy_override or cfg.get("strategy", "analytic")
-    if strategy not in norms.STRATEGIES:
+    # a strategy set by neither the config nor --strategy is the family's default
+    strategy = strategy_override or cfg.get("strategy")
+    if strategy is not None and strategy not in norms.STRATEGIES:
         raise ConfigError("norm.strategy", f"must be one of {norms.STRATEGIES}")
+    kw = {} if strategy is None else {"strategy": strategy}
     try:
         if family == "euclidean":
-            return norms.EuclideanNorm(_require(cfg, "dim", int, "norm."), strategy)
+            return norms.EuclideanNorm(_require(cfg, "dim", int, "norm."), **kw)
         if family == "randers":
-            return norms.RandersNorm(np.asarray(_numbers(cfg, "b", "norm.")), strategy)
+            return norms.RandersNorm(np.asarray(_numbers(cfg, "b", "norm.")), **kw)
         if family == "kth_root":
             return norms.KthRootNorm(_require(cfg, "k", int, "norm."),
-                                     _require(cfg, "dim", int, "norm."), strategy)
+                                     _require(cfg, "dim", int, "norm."), **kw)
         if family == "alpha_beta":
             prof_cfg = _require(cfg, "profile", dict, "norm.")
             _reject_unknown(prof_cfg, _PROFILE_KEYS, "norm.profile.")
@@ -110,7 +115,7 @@ def build_norm(cfg: dict, strategy_override: str | None = None) -> norms.Minkows
                 raise ConfigError("norm.profile.type", "only 'polynomial' is supported")
             profile = norms.PolynomialProfile(_numbers(prof_cfg, "coeffs", "norm.profile."))
             return norms.AlphaBetaNorm(profile, _require(cfg, "b_scalar", float, "norm."),
-                                       _require(cfg, "dim", int, "norm."), strategy)
+                                       _require(cfg, "dim", int, "norm."), **kw)
     except ConfigError:
         raise
     except MinkGeomError as exc:

@@ -117,6 +117,28 @@ class TestVerifyCommand:
         assert report["derivative_strategy"] == "fd"
 
 
+    ALPHA_BETA = {"family": "alpha_beta", "dim": 3, "b_scalar": 0.3,
+                  "profile": {"type": "polynomial", "coeffs": [1.0, 1.0, 0.1]}}
+
+    def test_each_family_keeps_its_default_strategy(self, tmp_path):
+        # no strategy in the config or on the command line: alpha-beta runs
+        # its jets, Randers its closed forms
+        for norm, want in ((self.ALPHA_BETA, "taylor"), (SPHERE["norm"], "analytic")):
+            cfg = write_config(tmp_path, "d.json", {**SPHERE, "norm": norm, "samples": 8})
+            assert run(["verify", cfg, "--out", tmp_path / want]) == 0
+            report = json.loads((tmp_path / want / "report.json").read_text())
+            assert report["norm"]["strategy"] == report["derivative_strategy"] == want
+
+    @pytest.mark.parametrize("where", ["config", "option"])
+    def test_analytic_alpha_beta_is_a_config_error(self, tmp_path, capsys, where):
+        norm = {**self.ALPHA_BETA, "strategy": "analytic"} if where == "config" else self.ALPHA_BETA
+        cfg = write_config(tmp_path, "d.json", {**SPHERE, "norm": norm})
+        extra = ["--strategy", "analytic"] if where == "option" else []
+        assert run(["verify", cfg, "--out", tmp_path / "out", *extra]) == 1
+        assert "alpha_beta family has no analytic derivatives" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
 class TestCurvaturesCommand:
     def test_sphere_table(self, tmp_path):
         cfg = write_config(tmp_path, "s.json", SPHERE)

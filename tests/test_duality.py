@@ -82,6 +82,40 @@ class TestLegendre:
             y = duality.legendre_inverse_newton(norm, xi)
             assert np.linalg.norm(norm.legendre(y) - xi) <= 1e-12 * np.linalg.norm(xi)
 
+    @pytest.mark.parametrize("make", [
+        lambda: norms.KthRootNorm(4, 3),
+        lambda: norms.KthRootNorm(4, 5),
+        lambda: norms.KthRootNorm(6, 3),
+        lambda: norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3),
+    ], ids=["kth_root_4_n3", "kth_root_4_n5", "kth_root_6_n3", "alpha_beta"])
+    def test_newton_converges_on_every_image(self, make):
+        # 1000 covectors L(y), y standard normal: the Armijo backtracking on
+        # phi = G - xi.y meets the bound on each, without a RuntimeWarning
+        # (the suite makes those errors), where g degenerates near the
+        # coordinate hyperplanes too; a search that takes any step shrinking
+        # |L(y) - xi| stalls on 18, 29 and 919 of them for the k-th roots
+        norm = make()
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            xi = norm.legendre(rng.standard_normal(norm.dim))
+            y = duality.legendre_inverse_newton(norm, xi)
+            assert np.linalg.norm(norm.legendre(y) - xi) <= 1e-12 * np.linalg.norm(xi)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_kth_root_inverse_matches_newton(self, k):
+        # the closed form against the oracle to 1e-13 relative, for |xi| from
+        # 1e-3 to 1e3, every coordinate at least a quarter of the largest: g
+        # degenerates on the coordinate hyperplanes, and y with it
+        rng = np.random.default_rng(600 + k)
+        for n in range(2, 7):
+            norm = norms.KthRootNorm(k, n)
+            for _ in range(20):
+                xi = (rng.choice([-1.0, 1.0], n) * rng.uniform(0.25, 1.0, n)
+                      * 10.0 ** rng.uniform(-3, 3))
+                want = duality.legendre_inverse_newton(norm, xi)
+                got = duality.legendre_inverse(norm, xi)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (n, xi)
+
     def test_newton_rejects_a_residual_above_the_bound(self):
         # L(y) rounded to a 1e-10 grid stays 3e-11 from xi, 30 times the bound
         class Coarse(norms.EuclideanNorm):

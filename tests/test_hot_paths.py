@@ -4,8 +4,10 @@ On 3-vectors numpy's dispatch costs more than the arithmetic, so the hot
 paths contract with ``ndarray.dot`` and method reductions: ``a.dot(b)`` for
 ``a @ b``, ``math.sqrt(v.dot(v))`` for ``np.linalg.norm(v)``,
 ``A.ravel().dot(B.ravel())`` for ``np.tensordot(A, B)``, ``a.sum()`` for
-``np.sum(a)`` and ``a[:, None] * b`` for ``np.outer(a, b)``.  These tests pin that each rewritten form gives the bits of
-the form it replaced, that list and tuple inputs still work, and that no
+``np.sum(a)`` and ``a[:, None] * b`` for ``np.outer(a, b)``; a body that
+takes a point or rows contracts its last axis with ``np.vecdot`` and
+``np.matvec``, which give each row the bits of the point's ``dot``.  These
+tests pin that each rewritten form gives the bits of the form it replaced, that list and tuple inputs still work, and that no
 replaced form comes back into the listed functions.  The one-point jet keeps
 its 1-D indexing: ``c[..., 0]`` there costs the order-4 kernels several
 percent, so no Ellipsis subscript enters ``_taylor.Jet`` or
@@ -79,6 +81,18 @@ class TestBitIdentities:
                 y = c ** (2.0 / k) * rng.standard_normal(n)
                 assert _bits((y**k).sum()) == _bits(np.sum(y**k))
 
+    def test_vecdot_and_matvec_are_dot_on_every_row(self, n):
+        # the shared point-or-rows bodies contract over the last axis with
+        # these gufuncs, so each row of an (N, n) array gets the bits of the
+        # dot of its point
+        for c, rng in _draws(n):
+            Y, b = c * rng.standard_normal((6, n)), rng.standard_normal(n)
+            A = rng.standard_normal((n, n))
+            assert _bits(np.vecdot(Y, b)) == _bits([y.dot(b) for y in Y])
+            assert _bits(np.vecdot(Y[0], b)) == _bits(Y[0].dot(b))
+            assert _bits(np.matvec(A, Y)) == _bits([A.dot(y) for y in Y])
+            assert _bits(np.matvec(A, Y[0])) == _bits(A.dot(Y[0]))
+
     def test_broadcast_product_is_outer(self, n):
         for c, rng in _draws(n):
             a, b = c * rng.standard_normal(n), rng.standard_normal(n)
@@ -145,9 +159,11 @@ HOT_PATHS = (
     norms._as_vector, norms.MinkowskiNorm.value,
     norms.EuclideanNorm._value, norms.RandersNorm._value,
     norms.KthRootNorm._value, norms.AlphaBetaNorm._value,
-    norms.MinkowskiNorm.derivatives,
+    norms.MinkowskiNorm.derivatives, norms.ScaledNorm._derivatives,
+    norms.MinkowskiNorm._values, norms.MinkowskiNorm._derivative_rows,
+    norms.MinkowskiNorm._dual_rows, norms.EuclideanNorm._analytic,
     norms.RandersNorm._analytic, norms.RandersNorm._dual_parts,
-    norms.RandersNorm._dual_fundamental_tensor,
+    norms.RandersNorm._legendre_inverse, norms.RandersNorm._dual_fundamental_tensor,
     norms.KthRootNorm._analytic, norms.KthRootNorm._legendre_inverse,
     norms.KthRootNorm._dual_fundamental_tensor,
     duality.legendre_inverse, duality.dual_norm, duality.dual_fundamental_tensor,
@@ -189,6 +205,23 @@ class TestNoSlowForms:
         where = inspect.getsourcefile(fn)
         assert not hits, "; ".join(f"{fn.__qualname__} ({where}:{line}) uses {form}"
                                    for line, form in hits)
+
+
+ROWS_AND_BUNDLE_HOOKS = ("_values", "_derivative_rows", "_dual_rows", "derivatives", "_derivatives")
+
+
+def test_rows_and_bundle_hooks_live_in_the_base_class():
+    # a family writes its point-or-rows bodies (_value, _analytic,
+    # _legendre_inverse) and inherits the rows services; the alpha-beta rows
+    # solve their Legendre angle by Newton, and a scaled norm scales its
+    # base's bundle
+    base = vars(norms.MinkowskiNorm)
+    families = [c for c in vars(norms).values() if isinstance(c, type)
+                and issubclass(c, norms.MinkowskiNorm) and c is not norms.MinkowskiNorm]
+    assert len(families) == 5
+    overrides = {f"{cls.__name__}.{hook}" for cls in families for hook in ROWS_AND_BUNDLE_HOOKS
+                 if hook in vars(cls) and vars(cls)[hook] is not base[hook]}
+    assert overrides == {"AlphaBetaNorm._dual_rows", "ScaledNorm._derivatives"}
 
 
 def ellipsis_subscripts(source: str, first_line: int = 1) -> list[int]:

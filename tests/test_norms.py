@@ -353,6 +353,8 @@ def _memo_norms():
     cases = []
     for family, make in makers.items():
         for s in norms.STRATEGIES:
+            if (family, s) == ("alpha_beta", "analytic"):
+                continue  # no closed forms: the constructor rejects it
             cases.append(pytest.param(lambda make=make, s=s: make(s), id=f"{family}-{s}"))
             cases.append(pytest.param(lambda make=make, s=s: norms.ScaledNorm(make(s), 1.7),
                                       id=f"scaled-{family}-{s}"))
@@ -595,6 +597,15 @@ def test_import_does_not_load_numpy_polynomial():
     proc = subprocess.run([sys.executable, "-c", script], cwd=root, capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_alpha_beta_rejects_the_analytic_strategy():
+    # no closed forms and no silent stand-in: the typed error of the base
+    # class, while the default stays the jets
+    profile = norms.PolynomialProfile([1.0, 1.0, 0.1])
+    with pytest.raises(NotInDomain, match="alpha_beta family has no analytic derivatives"):
+        norms.AlphaBetaNorm(profile, 0.3, 3, strategy="analytic")
+    assert norms.AlphaBetaNorm(profile, 0.3, 3).strategy == "taylor"
 
 
 def test_family_without_closed_forms_is_rejected_at_the_default_strategy():

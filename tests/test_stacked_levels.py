@@ -17,7 +17,8 @@ import re
 import numpy as np
 import pytest
 
-from minkgeom import calculus, hypersurface as hs, isoparametric as iso, norms, sampling
+from minkgeom import (calculus, duality, hypersurface as hs, isoparametric as iso, norms,
+                      sampling)
 from minkgeom.errors import (CriticalPoint, CriticalPointOnLevel, LevelNotReached, MinkGeomError,
                              NotInDomain)
 
@@ -343,40 +344,63 @@ def test_point_geometry_calls_per_point(case, monkeypatch):
 
 def _rows_norms():
     randers = norms.RandersNorm([0.3, -0.2, 0.4])
+    quartic = norms.KthRootNorm(4, 3)
     profile = norms.PolynomialProfile([1.0, 1.0, 0.1])
     return {
         "euclidean": norms.EuclideanNorm(3),
+        "euclidean-taylor": norms.EuclideanNorm(3, strategy="taylor"),
         "randers": randers,
         "scaled-randers": norms.ScaledNorm(randers, 1.7),
         "randers-taylor": norms.RandersNorm([0.3, -0.2, 0.4], strategy="taylor"),
-        "quartic": norms.KthRootNorm(4, 3),
+        "randers-fd": norms.RandersNorm([0.3, -0.2, 0.4], strategy="fd"),
+        "quartic": quartic,
+        "quartic-taylor": norms.KthRootNorm(4, 3, strategy="taylor"),
+        "quartic-fd": norms.KthRootNorm(4, 3, strategy="fd"),
+        "scaled-quartic": norms.ScaledNorm(quartic, 1.7),
+        "kth-root-6": norms.KthRootNorm(6, 3),
         # one row jet, and the angle of the Legendre inverse by Newton on all rows
         **{f"alpha-beta-n{n}": norms.AlphaBetaNorm(profile, -0.6, n) for n in (2, 3, 5)},
+        "scaled-alpha-beta": norms.ScaledNorm(norms.AlphaBetaNorm(profile, -0.6, 3), 1.7),
     }
 
 
 @pytest.mark.parametrize("name", list(_rows_norms()))
 def test_rows_match_the_one_point_services_at_every_scale(name):
     # each row is scaled by the rule of _as_vector, so rows of size 1e-200
-    # and 1e200, whose squares leave the float range, agree like size 1
+    # and 1e200, whose squares leave the float range, agree like size 1.  F,
+    # the analytic and fd bundles and the closed-form Legendre inverses are
+    # one body for a point and rows, so a row has the bits of its point; a
+    # row jet may round a fractional power otherwise, and the alpha-beta
+    # rows solve the angle by their own Newton
     norm = _rows_norms()[name]
     n = norm.dim
+    jets = norm.strategy == "taylor"
+    angle = isinstance(getattr(norm, "base", norm), norms.AlphaBetaNorm)
     rng = np.random.default_rng(5)
     Y = rng.choice([-1.0, 1.0], (8, n)) * rng.uniform(0.3, 1.0, (8, n))
     for c in (1e-200, 1e-20, 1.0, 1e20, 1e200):
         F = norm._values(c * Y)
         Fd, d1, d2 = norm._derivative_rows(c * Y)
         xi = np.array([norm.legendre(c * y) for y in Y])
-        grad, Fg, g = norm._dual_rows(xi)
+        pre, Fg, g = norm._dual_rows(xi)
         for i, y in enumerate(c * Y):
             d = norm.derivatives(y, order=2)
-            assert F[i] == pytest.approx(norm.value(y), rel=REL, abs=0.0)
-            assert Fd[i] == pytest.approx(d.F, rel=REL, abs=0.0)
-            assert np.max(np.abs(d1[i] - d.d1)) <= REL * np.max(np.abs(d.d1))
-            assert np.max(np.abs(d2[i] - d.d2)) <= REL * np.max(np.abs(d.d2))
-            assert np.max(np.abs(grad[i] - y)) <= 1e-12 * np.max(np.abs(y))
-            assert Fg[i] == pytest.approx(norm.value(y), rel=1e-12, abs=0.0)
-            assert np.max(np.abs(g[i] - d.d2)) <= 1e-12 * np.max(np.abs(d.d2))
+            assert F[i].tobytes() == np.float64(norm.value(y)).tobytes()
+            if jets:
+                assert Fd[i] == pytest.approx(d.F, rel=REL, abs=0.0)
+                assert np.max(np.abs(d1[i] - d.d1)) <= REL * np.max(np.abs(d.d1))
+                assert np.max(np.abs(d2[i] - d.d2)) <= REL * np.max(np.abs(d.d2))
+            else:
+                assert (Fd[i].tobytes(), d1[i].tobytes(), d2[i].tobytes()) == (
+                    np.float64(d.F).tobytes(), d.d1.tobytes(), d.d2.tobytes())
+            one = duality.legendre_inverse(norm, xi[i])
+            if not angle:
+                assert pre[i].tobytes() == one.tobytes()
+            if norm.strategy != "fd":  # fd's L is not the closed form's inverse
+                assert np.max(np.abs(pre[i] - y)) <= 1e-12 * np.max(np.abs(y))
+            assert Fg[i] == pytest.approx(norm.value(pre[i]), rel=1e-12, abs=0.0)
+            want = norm.derivatives(pre[i], order=2).d2
+            assert np.max(np.abs(g[i] - want)) <= 1e-12 * np.max(np.abs(want))
     # a zero or non-finite row fails alone
     bad = np.zeros((4, n))
     bad[1, :2] = np.inf, 1.0
