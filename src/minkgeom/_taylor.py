@@ -174,14 +174,14 @@ class Jet:
     @staticmethod
     def linear(sp: JetSpace, y: np.ndarray, w: np.ndarray) -> "Jet":
         """w.x around y: w.y (the bits of ``w.dot(y)``) and w_i on x_i; rows of y
-        (N, n) give a row jet."""
+        (N, n) give a row jet, each row's w.y the bits of its point's."""
         if y.ndim == 1:
             c = np.zeros(sp.size)
             c[0] = w.dot(y)
             c[sp._unit] = w
             return Jet(sp, c)
         c = np.zeros((len(y), sp.size))
-        c[:, 0] = y.dot(w)
+        c[:, 0] = np.vecdot(y, w)
         c[:, sp._unit] = w
         return Jet(sp, c)
 

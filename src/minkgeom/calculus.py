@@ -592,9 +592,9 @@ def volume_constants(norm: MinkowskiNorm, count: int = 20_000, seed: int = 0) ->
     if n > 6:
         raise DimensionTooLarge("volume quadrature supports n <= 6")
     dirs = sphere_directions(n, count, seed=seed)
-    fvals = np.array([norm.value(u) for u in dirs])
-    bh_mean, bh_err = sphere_mean(fvals ** (-float(n)))
-    fstar = np.array([duality.dual_norm(norm, u) for u in dirs])
+    bh_mean, bh_err = sphere_mean(norm._values(dirs) ** (-float(n)))
+    # F* = F o L^{-1}, on unit directions, which ``_as_rows`` leaves unscaled
+    fstar = norm._values(norm._legendre_inverse(dirs))
     ht_mean, ht_err = sphere_mean(fstar ** (-float(n)))
     return VolumeConstant(
         sigma_bh=1.0 / bh_mean,

@@ -12,8 +12,10 @@ a verification (the alpha-beta one is a solve for one angle, whose rows
 have their own Newton solve); the base class's dual tensor is g^{-1} at the
 preimage and its subspace dual the restriction, which a family with a
 closed form overrides.  The Newton iteration ``legendre_inverse_newton``,
-damped by Armijo backtracking on G(y) - xi.y, is the tests' oracle for the
-inverses.
+damped by Armijo backtracking on G(y) - xi.y, is the oracle for the
+inverses: of the tests for a covector, and of ``minkgeom dualcheck`` for
+the rows of all its trials, with one order-2 ``_derivative_rows`` per trial
+batch.
 
 The dual norm is F*(xi) = sup_{y != 0} xi(y)/F(y) = F(L^{-1}(xi)), and the
 dual fundamental tensor satisfies g*(L(y)) = g(y)^{-1}.
@@ -27,12 +29,10 @@ preserves the subspace.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NoConvergence, ZeroCovector, ZeroVector
-from .norms import MinkowskiNorm, _as_vector, _check_subdim, _rescale
+from .errors import NoConvergence, ZeroCovector
+from .norms import MinkowskiNorm, _as_rows, _as_vector, _check_subdim, _rescale
 
 NEWTON_MAX_ITER = 50
 
@@ -44,7 +44,8 @@ def legendre_inverse(norm: MinkowskiNorm, xi) -> np.ndarray:
 
 
 def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
-    """Generic damped Newton inversion of the Legendre map.
+    """Generic damped Newton inversion of the Legendre map, for a covector or
+    the rows of an (N, n) array.
 
     The oracle the families' inverses are tested against.  L(y) = xi is the
     minimum of the strictly convex phi(y) = G(y) - xi.y, with gradient
@@ -55,48 +56,65 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
     rounding hides the decrease a step predicts, a step must shrink
     |L(y) - xi| instead.  Iterates past the acceptance threshold,
     |L(y) - xi| <= 1e-12 |xi| (both of degree 1 in xi), down to stagnation,
-    so the result is limited by conditioning, not by the stop rule.  One
-    order-2 ``derivatives`` call per trial point gives phi (F), L(y) - xi
+    so the result is limited by conditioning, not by the stop rule; it
+    raises ``NoConvergence`` if a row misses that bound.  Each row iterates
+    and backtracks on its own, on the bits of a solve of that row alone; one
+    order-2 ``_derivative_rows`` per trial batch gives phi (F), L(y) - xi
     (d1) and the next Jacobian g(y) (d2).  It solves at xi / s and scales y
-    back by s.
+    back by s, s per row (``_as_rows``).
     """
-    xi, s = _as_vector(xi, norm, ZeroCovector)
-    scale = float(np.linalg.norm(xi))
-    y = xi.copy()
-    d = norm.derivatives(y, order=2)
-    res = d.d1 - xi
-    rnorm = math.sqrt(res.dot(res))
-    phi = 0.5 * d.F * d.F - xi.dot(y)
+    xi = np.asarray(xi, dtype=float)
+    point = not (xi.ndim == 2 and xi.shape[1] == norm.dim)
+    if point:
+        Xi, s = _as_vector(xi, norm, ZeroCovector)
+        Xi, s = Xi[None], np.array([s])
+    else:
+        Xi, s = _as_rows(xi, norm)
+        if not np.all(np.isfinite(s)):
+            raise ZeroCovector("a covector row is zero or has non-finite entries")
+
+    def at(Y, Xi):
+        """(y, F, g, L(y) - xi, its length, phi) at each row of Y; NaN at y = 0."""
+        F, d1, g = norm._derivative_rows(Y)
+        res = d1 - Xi
+        return Y, F, g, res, np.sqrt(np.vecdot(res, res)), 0.5 * F * F - np.vecdot(Xi, Y)
+
+    scale = np.sqrt(np.vecdot(Xi, Xi))
+    cur = at(Xi.copy(), Xi)
+    Y, F, g, res, rnorm, phi = cur
+    live = np.arange(len(Xi))  # the rows still iterating
     for iteration in range(NEWTON_MAX_ITER):
-        if rnorm <= 1e-15 * scale:
+        live = live[rnorm[live] > 1e-15 * scale[live]]
+        if not live.size:
             break
         try:
-            step = np.linalg.solve(d.d2, -res)
+            step = np.linalg.solve(g[live], -res[live][:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
-            raise NoConvergence(iteration, rnorm) from exc
-        slope = res.dot(step)  # d phi / dt at t = 0, negative
-        armijo = -slope > 1e-13 * (d.F * d.F + abs(phi))
-        # backtrack while the trial step still moves y
-        t, smallest = 1.0, 1e-16 * math.sqrt(y.dot(y) / step.dot(step))
-        while t > smallest:
-            y_new = y + t * step
-            try:
-                d_new = norm.derivatives(y_new, order=2)
-            except ZeroVector:
-                t *= 0.5
-                continue
-            res_new = d_new.d1 - xi
-            rn = math.sqrt(res_new.dot(res_new))
-            phi_new = 0.5 * d_new.F * d_new.F - xi.dot(y_new)
-            if (phi_new <= phi + 1e-4 * t * slope) if armijo else (rn < rnorm):
-                break
-            t *= 0.5
-        else:
-            break  # stagnated; accept current iterate if below tolerance
-        y, d, res, rnorm, phi = y_new, d_new, res_new, rn, phi_new
-    if rnorm > 1e-12 * scale:
-        raise NoConvergence(NEWTON_MAX_ITER, rnorm)
-    return _rescale(y, s, 1)
+            raise NoConvergence(iteration, float(rnorm[live].max())) from exc
+        slope = np.vecdot(res[live], step)  # d phi / dt at t = 0, negative
+        armijo = -slope > 1e-13 * (F[live] * F[live] + abs(phi[live]))
+        # backtrack each row while its trial step still moves y
+        y0, t = Y[live], np.ones(live.size)
+        smallest = 1e-16 * np.sqrt(np.vecdot(y0, y0) / np.vecdot(step, step))
+        trial, moved = np.flatnonzero(t > smallest), np.zeros(live.size, dtype=bool)
+        while trial.size:
+            rows = live[trial]
+            new = at(y0[trial] + t[trial, None] * step[trial], Xi[rows])
+            ok = np.where(armijo[trial], new[5] <= phi[rows] + 1e-4 * t[trial] * slope[trial],
+                          new[4] < rnorm[rows])
+            for a, b in zip(cur, new):
+                a[rows[ok]] = b[ok]
+            moved[trial[ok]] = True
+            trial = trial[~ok]
+            t[trial] *= 0.5
+            trial = trial[t[trial] > smallest[trial]]
+        live = live[moved]  # a row whose step stagnated keeps its current iterate
+    missed = ~(rnorm <= 1e-12 * scale)
+    if missed.any():
+        raise NoConvergence(NEWTON_MAX_ITER, float(rnorm[missed].max()))
+    with np.errstate(over="ignore", under="ignore"):
+        Y = Y * s[:, None]
+    return Y[0] if point else Y
 
 
 def dual_norm(norm: MinkowskiNorm, xi) -> float:

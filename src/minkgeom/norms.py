@@ -29,9 +29,10 @@ rows services that ``calculus.level_geometry`` reads live on the base class
 alone: ``_values``, ``_derivative_rows`` (the order-2 bundle; on taylor one
 row jet) and ``_dual_rows`` (the Legendre preimage with F and g there) scale
 each row by the rule of ``_as_vector`` (``_as_rows``) and call those
-bodies, so every family has whole-array rows but on fd, which goes row by
-row.  The alpha-beta rows solve their Legendre angle by Newton
-(``_dual_rows``), beside the one-point inverse.
+bodies, so every family has whole-array rows on every strategy: the fd
+stencil too is one body, each offset evaluated on all rows at once.  The
+alpha-beta rows solve their Legendre angle by Newton (``_dual_rows``),
+beside the one-point inverse.
 
 Norms are immutable after construction and all operations are pure, except
 that ``derivatives`` keeps its last bundle for a repeat call at the same y and
@@ -271,14 +272,12 @@ class MinkowskiNorm:
         )
 
     def _fd(self, y: np.ndarray, order: int) -> Derivatives:
-        if y.ndim > 1:  # rows, one at a time (order 2); a NaN row stays NaN
-            rows = [self._fd(row, 2) for row in y]
-            return Derivatives(np.array([d.F for d in rows]), np.array([d.d1 for d in rows]),
-                               np.array([d.d2 for d in rows]))
-        scale = np.linalg.norm(y)
+        # the steps are fixed multiples of |y|, one per row of rows
+        scale = np.sqrt(np.vecdot(y, y))
 
         def G(z):
-            return 0.5 * self._value(z) ** 2
+            v = self._value(z)
+            return 0.5 * (v * v)  # not v ** 2, so that a point rounds like the rows
 
         def hess_at(z):
             h = 2e-2 * scale
@@ -836,36 +835,47 @@ def _check_subdim(m: int, n: int):
 # -- finite differences --------------------------------------------------------
 
 
-def fd_jacobian(fn, z: np.ndarray, h: float) -> np.ndarray:
+# Each helper takes a point z (n,) with one step h, or rows z (..., n) with a
+# step per row, and calls fn once per stencil offset on the point or all rows.
+
+
+def _steps(h, n: int) -> np.ndarray:
+    """The offsets h e_i as the rows i of an (n, n) block, one block per step."""
+    return np.asarray(h, dtype=float)[..., None, None] * np.eye(n)
+
+
+def fd_jacobian(fn, z: np.ndarray, h) -> np.ndarray:
     """Central differences (fn(z + h e_i) - fn(z - h e_i)) / 2h of a scalar- or
     array-valued function, stacked on a new last axis."""
+    E, h2 = _steps(h, z.shape[-1]), 2 * np.asarray(h, dtype=float)
     out = []
-    for i in range(z.size):
-        e = np.zeros(z.size)
-        e[i] = h
-        out.append((fn(z + e) - fn(z - e)) / (2 * h))
+    for i in range(z.shape[-1]):
+        d = fn(z + E[..., i, :]) - fn(z - E[..., i, :])
+        # a step per row divides all the values of its row
+        out.append(d / h2.reshape(h2.shape + (1,) * (np.ndim(d) - h2.ndim)))
     return np.stack(out, axis=-1)
 
 
-def fd_gradient(fn, z: np.ndarray, h: float) -> np.ndarray:
+def fd_gradient(fn, z: np.ndarray, h) -> np.ndarray:
     """Gradient of a scalar function by central differences, Richardson
     extrapolated over the steps h and h/2."""
     return (4 * fd_jacobian(fn, z, 0.5 * h) - fd_jacobian(fn, z, h)) / 3
 
 
-def fd_hessian(fn, z: np.ndarray, h: float) -> np.ndarray:
+def fd_hessian(fn, z: np.ndarray, h) -> np.ndarray:
     """Hessian of a scalar function by central second differences of step h."""
-    n = z.size
-    out = np.zeros((n, n))
+    n = z.shape[-1]
+    E = _steps(h, n)
     f0 = fn(z)
+    h = np.asarray(h, dtype=float)
+    hh = h * h  # not h ** 2, so that a point rounds like the rows
+    out = np.zeros(np.shape(f0) + (n, n))
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        out[i, i] = (fn(z + ei) - 2 * f0 + fn(z - ei)) / h**2
+        zp, zm = z + E[..., i, :], z - E[..., i, :]
+        out[..., i, i] = (fn(zp) - 2 * f0 + fn(zm)) / hh
         for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            out[i, j] = out[j, i] = (
-                fn(z + ei + ej) - fn(z + ei - ej) - fn(z - ei + ej) + fn(z - ei - ej)
-            ) / (4 * h**2)
+            ej = E[..., j, :]
+            out[..., i, j] = out[..., j, i] = (
+                fn(zp + ej) - fn(zp - ej) - fn(zm + ej) + fn(zm - ej)
+            ) / (4 * hh)
     return out

@@ -161,11 +161,10 @@ def test_c08_duality_suite(family_zoo, rng):
         assert roundtrip <= 1e-9, norm.family
     randers_norm = norms.RandersNorm([0.5, 0.0, 0.0])
     agree = 0.0
-    for _ in range(1000):
-        xi = rng.standard_normal(3)
+    xis = np.array([rng.standard_normal(3) for _ in range(1000)])
+    for xi, y in zip(xis, duality.legendre_inverse_newton(randers_norm, xis)):
         analytic = duality.dual_norm(randers_norm, xi)
-        generic = randers_norm.value(duality.legendre_inverse_newton(randers_norm, xi))
-        agree = max(agree, abs(analytic - generic) / analytic)
+        agree = max(agree, abs(analytic - randers_norm.value(y)) / analytic)
     assert agree <= 1e-8
     _report("08", "duality suite: preservation 1e-10, round trip 1e-9, dual agreement 1e-8")
 

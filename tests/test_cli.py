@@ -190,12 +190,13 @@ class TestDualcheckCommand:
          "profile": {"type": "polynomial", "coeffs": [1.0, 1.0, 0.1]}},
     ], ids=["kth_root", "alpha_beta"])
     def test_reports_only_the_checks_it_ran(self, tmp_path, norm):
-        # the Newton agreement and Lemma 6.1 run for Randers norms alone
+        # the Newton agreement runs for every family, Lemma 6.1 for Randers
+        # norms alone
         cfg = write_config(tmp_path, "d.json", {"norm": norm, "trials": 50})
         assert run(["dualcheck", cfg, "--out", tmp_path / "out"]) == 0
         payload = json.loads((tmp_path / "out" / "dualcheck.json").read_text())
         for key in ("residuals", "thresholds", "pass"):
-            assert sorted(payload[key]) == ["norm_preservation", "roundtrip"]
+            assert sorted(payload[key]) == ["dual_agreement", "norm_preservation", "roundtrip"]
 
     def test_lemma61_needs_three_dimensions(self, tmp_path):
         cfg = write_config(tmp_path, "d.json", {

@@ -93,12 +93,12 @@ class TestLegendre:
         # phi = G - xi.y meets the bound on each, without a RuntimeWarning
         # (the suite makes those errors), where g degenerates near the
         # coordinate hyperplanes too; a search that takes any step shrinking
-        # |L(y) - xi| stalls on 18, 29 and 919 of them for the k-th roots
+        # |L(y) - xi| stalls on 18, 29 and 919 of them for the k-th roots.
+        # One call solves the stacked covectors
         norm = make()
         rng = np.random.default_rng(0)
-        for _ in range(1000):
-            xi = norm.legendre(rng.standard_normal(norm.dim))
-            y = duality.legendre_inverse_newton(norm, xi)
+        xis = np.array([norm.legendre(rng.standard_normal(norm.dim)) for _ in range(1000)])
+        for xi, y in zip(xis, duality.legendre_inverse_newton(norm, xis)):
             assert np.linalg.norm(norm.legendre(y) - xi) <= 1e-12 * np.linalg.norm(xi)
 
     @pytest.mark.parametrize("k", [4, 6])
@@ -109,24 +109,55 @@ class TestLegendre:
         rng = np.random.default_rng(600 + k)
         for n in range(2, 7):
             norm = norms.KthRootNorm(k, n)
-            for _ in range(20):
-                xi = (rng.choice([-1.0, 1.0], n) * rng.uniform(0.25, 1.0, n)
-                      * 10.0 ** rng.uniform(-3, 3))
-                want = duality.legendre_inverse_newton(norm, xi)
+            xis = np.array([rng.choice([-1.0, 1.0], n) * rng.uniform(0.25, 1.0, n)
+                            * 10.0 ** rng.uniform(-3, 3) for _ in range(20)])
+            for xi, want in zip(xis, duality.legendre_inverse_newton(norm, xis)):
                 got = duality.legendre_inverse(norm, xi)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (n, xi)
 
     def test_newton_rejects_a_residual_above_the_bound(self):
         # L(y) rounded to a 1e-10 grid stays 3e-11 from xi, 30 times the bound
         class Coarse(norms.EuclideanNorm):
-            def derivatives(self, y, order=2):
-                d = super().derivatives(y, order)
+            def _derivatives(self, y, order):
+                d = super()._derivatives(y, order)
                 return norms.Derivatives(d.F, np.round(d.d1, 10), d.d2)
 
         with pytest.raises(NoConvergence):
             duality.legendre_inverse_newton(Coarse(2), [0.6 + 3e-11, 0.8])
         y = duality.legendre_inverse_newton(Coarse(2), [0.6 + 3e-13, 0.8])
         assert np.linalg.norm(y - [0.6, 0.8]) <= 1e-12
+        # rows: one row above the bound fails the call
+        with pytest.raises(NoConvergence):
+            duality.legendre_inverse_newton(Coarse(2), [[0.6 + 3e-13, 0.8], [0.6 + 3e-11, 0.8]])
+
+    @pytest.mark.parametrize("make", [
+        lambda: norms.EuclideanNorm(3),
+        lambda: norms.RandersNorm([0.5, -0.2, 0.1]),
+        lambda: norms.RandersNorm([0.5, -0.2, 0.1], strategy="taylor"),
+        lambda: norms.KthRootNorm(4, 3),
+        lambda: norms.KthRootNorm(6, 3),
+        lambda: norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3),
+        lambda: norms.ScaledNorm(norms.RandersNorm([0.5, -0.2, 0.1]), 1.7),
+    ], ids=["euclidean", "randers", "randers_taylor", "kth_root_4", "kth_root_6",
+            "alpha_beta", "scaled_randers"])
+    def test_newton_rows_are_the_one_point_solves(self, make):
+        # each row iterates and backtracks on its own: N rows at sizes from
+        # 1e-100 to 1e100 give the bytes of N one-point solves
+        norm = make()
+        rng = np.random.default_rng(17)
+        xis = (np.array([norm.legendre(y) for y in rng.standard_normal((60, 3))])
+               * 10.0 ** rng.uniform(-100, 100, (60, 1)))
+        rows = duality.legendre_inverse_newton(norm, xis)
+        assert rows.shape == xis.shape
+        for xi, row in zip(xis, rows):
+            assert row.tobytes() == duality.legendre_inverse_newton(norm, xi).tobytes()
+
+    def test_newton_rows_reject_a_bad_row(self, randers3):
+        xis = np.array([[0.3, 0.2, 0.1], [0.0, 0.0, 0.0]])
+        with pytest.raises(ZeroCovector):
+            duality.legendre_inverse_newton(randers3, xis)
+        with pytest.raises(BadDimension):
+            duality.legendre_inverse_newton(randers3, np.ones((2, 4)))
 
     def test_zero_covector_rejected(self, randers3):
         with pytest.raises(ZeroCovector, match="covector is zero"):

@@ -167,7 +167,8 @@ HOT_PATHS = (
     norms.KthRootNorm._analytic, norms.KthRootNorm._legendre_inverse,
     norms.KthRootNorm._dual_fundamental_tensor,
     duality.legendre_inverse, duality.dual_norm, duality.dual_fundamental_tensor,
-    norms._rescale,
+    duality.legendre_inverse_newton, norms._rescale, norms.MinkowskiNorm._fd,
+    norms.fd_jacobian, norms.fd_hessian,
     calculus.linear_field, calculus.norm_plus_linear,
     calculus._regular_jet, calculus._geometry_in, calculus.level_geometry,
     calculus.ScalarField.value, calculus.ScalarField.d1, calculus.ScalarField._row,

@@ -401,6 +401,17 @@ def test_rows_match_the_one_point_services_at_every_scale(name):
             assert Fg[i] == pytest.approx(norm.value(pre[i]), rel=1e-12, abs=0.0)
             want = norm.derivatives(pre[i], order=2).d2
             assert np.max(np.abs(g[i] - want)) <= 1e-12 * np.max(np.abs(want))
+    if norm.strategy == "fd":
+        # the fd stencil is one body at orders 3 and 4 too: rows of y / s give
+        # each point's d3 and d4, of degrees -1 and -2 in s
+        for c in (1e-200, 1.0, 1e200):
+            rows, s = norms._as_rows(c * Y[:2], norm)
+            d = norm._derivatives(rows, 4)
+            with np.errstate(over="ignore"):
+                for i, y in enumerate(c * Y[:2]):
+                    one = norm.derivatives(y, order=4)
+                    assert (d.d3[i] / s[i]).tobytes() == one.d3.tobytes()
+                    assert (d.d4[i] / s[i] / s[i]).tobytes() == one.d4.tobytes()
     # a zero or non-finite row fails alone
     bad = np.zeros((4, n))
     bad[1, :2] = np.inf, 1.0
@@ -408,6 +419,24 @@ def test_rows_match_the_one_point_services_at_every_scale(name):
     bad[3, :2] = 1.0, 0.5
     for rows in (norm._values(bad), norm._derivative_rows(bad)[0], norm._dual_rows(bad)[1]):
         assert np.isnan(rows[:3]).all() and np.isfinite(rows[3])
+
+
+@pytest.mark.parametrize("count", [1, 200])
+def test_fd_rows_evaluate_each_stencil_offset_once(count):
+    # one _value call on all rows per offset: 12 for d1 (2 steps x 6
+    # offsets), 2 x 19 for d2 and one for F, whatever the number of rows
+    norm = norms.KthRootNorm(4, 3, strategy="fd")
+    shapes = []
+    value = norm._value
+
+    def counted(y):
+        shapes.append(y.shape)
+        return value(y)
+
+    norm._value = counted
+    Y = np.random.default_rng(3).standard_normal((count, 3))
+    norm._derivative_rows(Y)
+    assert shapes == [(count, 3)] * 51
 
 
 def test_a_randers_verify_builds_no_per_point_object(monkeypatch):
