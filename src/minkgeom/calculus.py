@@ -16,12 +16,13 @@ A scalar field has one evaluator, ``ScalarField.rows``, f or (df, D^2 f) at
 the rows of an array; ``value``, ``d1`` and ``d2`` are its calls on one row.
 
 Every quantity at a point comes from the same df, D^2 f, grad f and g at
-grad f.  ``level_geometry`` computes them for all the points of a level as
-one ``LevelGeometry`` of arrays, for every norm family, strategy and field;
-a ``PointGeometry`` is one row of it, built only when asked for.
-``point_geometry`` computes them at one point, and is the reference and the
-fallback of the rows that fail the stacked checks.  The dual-tensor and
-orthonormal-frame-trace Laplacians are kept as independent pipelines to
+grad f.  ``level_geometry`` is their one computation: for the rows of an
+array, a level's points or a single point, it gives one ``LevelGeometry``
+of arrays, for every norm family, strategy and field, and reduces a row
+whose g degenerates to the subspace dual on a coordinate prefix.  A
+``PointGeometry`` is one row of it, built only when asked for; ``laplacian``
+and ``hypersurface.frame_at`` read the one row of a point.  The dual-tensor
+and orthonormal-frame-trace Laplacians are kept as independent pipelines to
 cross-check the shared one.
 """
 
@@ -40,7 +41,6 @@ from .errors import (
     DegenerateMetric,
     DimensionTooLarge,
     MinkGeomError,
-    NoConvergence,
     NotInDomain,
 )
 from .norms import (MinkowskiNorm, RandersNorm, _check_subdim, fd_gradient, fd_hessian,
@@ -306,23 +306,25 @@ def _safe_profile_value(profile, t, default):
 # -- differential operators ------------------------------------------------------
 
 
-def _regular_jet(field: ScalarField, x) -> tuple[np.ndarray, np.ndarray]:
-    """(df, D^2 f) at a regular point x.
+def _regular(df: np.ndarray, hnorm: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Which rows of X (N, n), with df (N, n) and |D^2 f| hnorm (N,), are regular.
 
     x is critical when df vanishes or when a critical point lies within
-    relative distance CRITICAL_EPS of x: |df| <= CRITICAL_EPS |D^2 f| |x|.
-    The test is unchanged under x -> cx for homogeneous fields and under
-    f -> lam f + const; its lengths are taken by hypot, so they do not
-    overflow.
+    relative distance CRITICAL_EPS of x: |df| <= CRITICAL_EPS |D^2 f| |x|;
+    a row with a NaN is not regular either.  The test is unchanged under
+    x -> cx for homogeneous fields and under f -> lam f + const; its lengths
+    are taken by hypot, so they do not overflow.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return lengths(df) > CRITICAL_EPS * (hnorm * lengths(X))
+
+
+def _regular_jet(field: ScalarField, x) -> tuple[np.ndarray, np.ndarray]:
+    """(df, D^2 f) at x, which must be regular: ``_regular`` of its one row."""
     x = np.asarray(x, dtype=float)
     df, hess = field._row(x, 2)
-    dnorm = math.hypot(*df.tolist())
-    hnorm = math.hypot(*hess.ravel().tolist())
-    if dnorm == 0.0 or dnorm <= CRITICAL_EPS * (hnorm * math.hypot(*x.tolist())):
-        raise CriticalPoint(
-            f"df vanishes at x={x!r}; downstream formulas divide by F(grad f)"
-        )
+    if not _regular(df[None], lengths(hess[None]), x[None])[0]:
+        raise CriticalPoint(f"df vanishes at x={x!r}; downstream formulas divide by F(grad f)")
     return df, hess
 
 
@@ -335,12 +337,9 @@ class PointGeometry:
     grad f and the Laplacian Delta f = tr(g^{-1} D^2 f).  Level-set frames
     and curvatures are built from the same grad f, g and D^2 f.
 
-    If g degenerates at grad f (k-th root norms, whose gradient for a
-    cylinder potential lies on a coordinate plane) and df and D^2 f are
-    supported on a coordinate prefix of length m < n, the geometry is that of
-    the subspace dual on the first m coordinates, which is exact there:
-    ``norm`` is Ftilde on R^m and ``g`` is m x m.  Otherwise m = n and
-    ``norm`` is F.  ``df``, ``hess`` and ``grad`` always have length n.
+    A row that ``level_geometry`` reduces to the subspace dual on the first
+    m < n coordinates has ``norm`` Ftilde on R^m and an m x m ``g``; otherwise
+    m = n and ``norm`` is F.  ``df``, ``hess`` and ``grad`` have length n.
     """
 
     x: np.ndarray
@@ -353,26 +352,6 @@ class PointGeometry:
     g: np.ndarray
     lap: float
     lap_scale: float  # |g^{-1}|_F |D^2 f|_F, the size of the terms that sum to lap
-
-
-def point_geometry(norm: MinkowskiNorm, field: ScalarField, x) -> PointGeometry:
-    """The shared geometry of ``field`` at x; raises CriticalPoint at critical x."""
-    x = np.asarray(x, dtype=float)
-    df, hess = _regular_jet(field, x)
-    n = norm.dim
-    try:
-        return _geometry_in(norm, n, x, df, hess)
-    except (np.linalg.LinAlgError, DegenerateMetric, NoConvergence) as exc:
-        m = prefix_support(df, hess)
-        if m == n:
-            raise
-        try:
-            geo = _geometry_in(duality.subspace_dual(norm, m), m, x, df, hess)
-        except MinkGeomError:
-            raise exc
-        if np.max(np.abs(norm.legendre(geo.grad) - df)) > 1e-8 * np.max(np.abs(df)):
-            raise exc  # L does not preserve the subspace; the reduction is invalid
-        return geo
 
 
 class RowRecord:
@@ -399,11 +378,11 @@ def concat_rows(records):
 @dataclass(frozen=True)
 class LevelGeometry(RowRecord):
     """The ``PointGeometry`` fields of a level's points as arrays, one row per
-    point: x, df, grad (N, n); hess, g (N, n, n); fstar, lap, lap_scale, m (N,).
+    point: x, df, grad (N, n); hess, g (N, n, n); fstar, lap, lap_scale, m (N,);
+    and hess_norm (N,), |D^2 f|_F.
 
     A row reduced to the subspace dual (m < n) holds its m x m g in
-    g[i, :m, :m].  ``own`` holds the ``PointGeometry`` of each row that took
-    ``point_geometry`` (None elsewhere), which is then its ``geometry[i]``.
+    g[i, :m, :m], the g of its view ``geometry[i]``.
     """
 
     norm: MinkowskiNorm
@@ -416,83 +395,93 @@ class LevelGeometry(RowRecord):
     lap: np.ndarray
     lap_scale: np.ndarray
     m: np.ndarray
-    own: np.ndarray
+    hess_norm: np.ndarray
 
     def __len__(self):
         return len(self.x)
 
     def row(self, i) -> PointGeometry:
-        return self.own[i] or PointGeometry(
-            x=self.x[i], norm=self.norm, m=int(self.m[i]), df=self.df[i], hess=self.hess[i],
-            grad=self.grad[i], fstar=float(self.fstar[i]), g=self.g[i], lap=float(self.lap[i]),
+        m = int(self.m[i])
+        norm = self.norm if m == self.norm.dim else duality.subspace_dual(self.norm, m)
+        return PointGeometry(
+            x=self.x[i], norm=norm, m=m, df=self.df[i], hess=self.hess[i], grad=self.grad[i],
+            fstar=float(self.fstar[i]), g=self.g[i, :m, :m], lap=float(self.lap[i]),
             lap_scale=float(self.lap_scale[i]))
-
-
-def geometry_rows(norm: MinkowskiNorm, geometries) -> LevelGeometry:
-    """The ``LevelGeometry`` whose rows are the given point geometries, each its own."""
-    n = norm.dim
-    g = np.zeros((len(geometries), n, n))
-    for gi, geo in zip(g, geometries):
-        gi[:geo.m, :geo.m] = geo.g
-    return LevelGeometry(norm=norm, g=g, own=np.array(geometries, dtype=object), **{
-        name: np.array([getattr(geo, name) for geo in geometries])
-        for name in ("x", "df", "hess", "grad", "fstar", "lap", "lap_scale", "m")})
 
 
 def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> LevelGeometry:
     """The geometry of the rows of X (N, n), a level's points, as whole arrays.
 
-    df and D^2 f come from the field's ``rows``, grad f, F*(df) and g
-    from the norm's ``_dual_rows``.  A row that fails the critical-point test
-    of ``_regular_jet``, is non-finite or whose g fails the Cholesky test
-    takes ``point_geometry``, which raises or reduces to the subspace dual as
-    for one point, in row order, and keeps that geometry as its own.  Every
-    row is computed as on its own, so the rows of several levels stack.
+    df and D^2 f come from the field's ``rows``, the rest from
+    ``_dual_geometry``.  A regular row whose g is not finite and positive
+    definite (k-th root norms, singular at the gradient of every cylinder
+    point) takes ``subspace_dual(norm, m)`` on the m x m blocks, m < n the
+    prefix that carries its df and D^2 f (``prefix_support``): one
+    ``_dual_geometry`` per m, kept where L of the padded gradient gives df
+    back to 1e-8 max|df|.  The first row that still fails raises what
+    ``_regular_jet`` raises on it (NotInDomain, CriticalPoint), else
+    DegenerateMetric.  Every row is computed as on its own, so levels stack.
     """
     X = np.asarray(X, dtype=float)
+    n = norm.dim
     df, hess = field.rows(X, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dnorm, hnorm, xnorm = lengths(df), lengths(hess), lengths(X)
-        ok = (np.isfinite(dnorm) & np.isfinite(hnorm) & np.isfinite(xnorm) & (dnorm > 0.0)
-              & ~(dnorm <= CRITICAL_EPS * (hnorm * xnorm)))
+    hnorm = lengths(hess)
+    regular = _regular(df, hnorm, X)
+    grad, fstar, g, lap, lap_scale, ok = _dual_geometry(norm, df, hess, hnorm, regular)
+    m = np.full(len(X), n)
+    if not ok.all():
+        failed = np.flatnonzero(regular & ~ok)
+        m[failed] = prefix_support(df[failed], hess[failed])
+        for k in sorted(set(m[failed].tolist()) - {n}):
+            rows = failed[m[failed] == k]
+            try:
+                tilde = duality.subspace_dual(norm, k)
+            except MinkGeomError:  # no norm on R^k
+                continue
+            # a row left failing raises below, so every row takes its results
+            block = hess[rows, :k, :k]
+            grad[rows], g[rows] = 0.0, 0.0
+            (grad[rows, :k], fstar[rows], g[rows, :k, :k], lap[rows], lap_scale[rows],
+             kept) = _dual_geometry(tilde, df[rows, :k], block, lengths(block))
+            with np.errstate(invalid="ignore"):
+                gap = abs(norm._derivative_rows(grad[rows])[1] - df[rows]).max(axis=1)
+            ok[rows] = kept & (gap <= 1e-8 * abs(df[rows]).max(axis=1))
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            x = X[bad[0]]
+            _regular_jet(field, x)  # an undefined or critical row raises as on its own
+            raise DegenerateMetric(f"g at grad f = L^-1(df) is not finite and positive "
+                                   f"definite at x={x!r}, and no subspace dual on a "
+                                   f"coordinate prefix holds there")
+    return LevelGeometry(norm=norm, x=X, df=df, hess=hess, grad=grad, fstar=fstar, g=g, lap=lap,
+                         lap_scale=lap_scale, m=m, hess_norm=hnorm)
+
+
+def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
+    """(grad, fstar, g, lap, lap_scale, ok) of ``norm`` at the covector rows df
+    (N, n), with D^2 f (N, n, n) of lengths hnorm: one ``_dual_rows``, and
+    Delta f = tr(g^{-1} D^2 f) and its term scale on the rows ``ok`` keeps,
+    those with F*(df) finite and positive and g finite and passing the
+    Cholesky test (NaN elsewhere)."""
     grad, fstar, g = norm._dual_rows(df)
-    ok &= np.isfinite(fstar) & (fstar > 0.0) & np.isfinite(g).all(axis=(1, 2))
+    ok = ok & np.isfinite(fstar) & (fstar > 0.0) & np.isfinite(g).all(axis=(1, 2))
     try:
         np.linalg.cholesky(g[ok])
     except np.linalg.LinAlgError:
-        for i in np.flatnonzero(ok).tolist():  # the rows that fail on their own
+        # a diagonal entry <= 0 fails the test for certain; the other rows
+        # are tested on their own
+        ok &= (np.diagonal(g, axis1=1, axis2=2) > 0.0).all(axis=1)
+        for i in np.flatnonzero(ok).tolist():
             try:
                 np.linalg.cholesky(g[i])
             except np.linalg.LinAlgError:
                 ok[i] = False
-    lap, lap_scale = np.full(len(X), np.nan), np.full(len(X), np.nan)
+    lap, lap_scale = np.full(len(df), np.nan), np.full(len(df), np.nan)
     if ok.any():
         ginv = np.linalg.inv(g[ok])
         lap[ok] = (ginv * hess[ok]).sum(axis=(1, 2))
         lap_scale[ok] = lengths(ginv) * hnorm[ok]
-    rows = LevelGeometry(norm=norm, x=X, df=df, hess=hess, grad=grad, fstar=fstar, g=g,
-                         lap=lap, lap_scale=lap_scale, m=np.full(len(X), norm.dim),
-                         own=np.full(len(X), None))
-    bad = np.flatnonzero(~ok)
-    if bad.size:  # each takes the one-point path, in row order, in place of its row
-        order = np.arange(len(X))
-        order[bad] = len(X) + np.arange(bad.size)
-        one = geometry_rows(norm, [point_geometry(norm, field, X[i]) for i in bad.tolist()])
-        rows = concat_rows([rows, one])[order]
-    return rows
-
-
-def _geometry_in(norm: MinkowskiNorm, m: int, x, df, hess) -> PointGeometry:
-    grad_m = duality.legendre_inverse(norm, df[:m])
-    g = norm.fundamental_tensor(grad_m)
-    grad = np.zeros(df.size)
-    grad[:m] = grad_m
-    ginv, h = np.linalg.inv(g).ravel(), hess[:m, :m].ravel()
-    return PointGeometry(
-        x=x, norm=norm, m=m, df=df, hess=hess, grad=grad,
-        fstar=norm.value(grad_m), g=g, lap=float(ginv.dot(h)),
-        lap_scale=math.hypot(*ginv.tolist()) * math.hypot(*h.tolist()),
-    )
+    return grad, fstar, g, lap, lap_scale, ok
 
 
 def gradient(norm: MinkowskiNorm, field: ScalarField, x) -> np.ndarray:
@@ -508,41 +497,39 @@ def hessian_form(norm: MinkowskiNorm, field: ScalarField, x, X, Y) -> float:
     return float(X @ hess @ Y)
 
 
-def prefix_support(df: np.ndarray, hess: np.ndarray) -> int:
-    """Largest coordinate prefix carrying df and the Hessian.
+def prefix_support(df: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Length of the coordinate prefix carrying df and the Hessian, per row.
 
-    Returns the smallest m such that df vanishes beyond index m and hess
-    vanishes outside the leading m x m block; equals the dimension for
-    generically supported data.  Cylinder-model potentials are supported on
-    such a prefix, which lets computations drop to the subspace-dual norm
-    when a singular norm family degenerates on the complement.
+    For each row of df (N, n) and hess (N, n, n), the smallest m >= 1 such
+    that df vanishes beyond index m and hess outside the leading m x m block,
+    each to 1e-14 of its largest entry; n for generically supported data.
+    Cylinder-model potentials are supported on such a prefix, which lets
+    computations drop to the subspace-dual norm when a singular norm family
+    degenerates on the complement.
     """
-    n = df.size
-    sdf = float(np.max(np.abs(df)))
-    sh = max(float(np.max(np.abs(hess))), 1e-300)
-    m = n
-    while m > 1 and (
-        abs(df[m - 1]) <= 1e-14 * sdf
-        and float(np.max(np.abs(hess[m - 1, :]))) <= 1e-14 * sh
-        and float(np.max(np.abs(hess[:, m - 1]))) <= 1e-14 * sh
-    ):
-        m -= 1
-    return m
+    n = df.shape[-1]
+    ah = abs(hess)
+    sh = 1e-14 * np.maximum(ah.max(axis=(-2, -1)), 1e-300)[..., None]
+    off = ((abs(df) <= 1e-14 * abs(df).max(axis=-1, keepdims=True))
+           & (ah.max(axis=-1) <= sh) & (ah.max(axis=-2) <= sh))
+    # n less the trailing run of coordinates off the support, at least 1
+    return np.maximum(n - np.cumprod(off[..., ::-1], axis=-1).sum(axis=-1), 1)
 
 
 def laplacian(norm: MinkowskiNorm, field: ScalarField, x, method: str = "primal") -> float:
     """Finsler Laplacian Delta f(x) = div(grad f).
 
     ``method`` selects the pipeline: "primal" is tr(g^{-1} D^2 f) with g at
-    grad f, read from the shared ``point_geometry``; "dual" contracts the
-    dual fundamental tensor at df and "frame_trace" sums D^2 f over a
-    g_{grad f}-orthonormal basis, both independent cross-checks.  All three
-    run in the geometry's norm, so a degenerate metric on prefix-supported
-    data is handled by the subspace-dual reduction.
+    grad f, read from the ``level_geometry`` of the one row x; "dual"
+    contracts the dual fundamental tensor at df and "frame_trace" sums
+    D^2 f over a g_{grad f}-orthonormal basis, both independent
+    cross-checks.  All three run in the geometry's norm, so a degenerate
+    metric on prefix-supported data is handled by the subspace-dual
+    reduction.
     """
     if method not in ("primal", "dual", "frame_trace"):
         raise ValueError(f"unknown laplacian method {method!r}")
-    geo = point_geometry(norm, field, x)
+    geo = level_geometry(norm, field, [x])[0]
     if method == "primal":
         return geo.lap
     m = geo.m

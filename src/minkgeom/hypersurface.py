@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import orthonormal_basis
-from .calculus import (LevelGeometry, PointGeometry, RowRecord, ScalarField, geometry_rows,
-                       point_geometry)
+from .calculus import LevelGeometry, PointGeometry, RowRecord, ScalarField, level_geometry
 from .errors import EigenFailure, NotOrthogonal
 from .norms import MinkowskiNorm, _as_vector
 
@@ -96,9 +95,8 @@ def group_runs(breaks: np.ndarray) -> tuple:
 def frame_at(norm: MinkowskiNorm, field: ScalarField, x,
              basis_seed: int = 0) -> HypersurfacePointFrame:
     """Build the hypersurface frame of the level set of ``field`` through x:
-    ``level_frames`` of its one ``point_geometry``."""
-    geometry = geometry_rows(norm, [point_geometry(norm, field, x)])
-    return level_frames(norm, field, geometry, basis_seed)[0]
+    ``level_frames`` of the ``level_geometry`` of its one row."""
+    return level_frames(norm, field, level_geometry(norm, field, [x]), basis_seed)[0]
 
 
 def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometry,
@@ -111,8 +109,10 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
     families, whose gradient for cylinder potentials lies on a coordinate
     plane) gets its tangent frame on the first m coordinates, and the
     complement directions are principal with curvature zero, as in the
-    cylinder model.  Curvatures are grouped within max(1e-9, 1e-6 max|kappa|),
-    or max(1e-4, 1e-4 max|kappa|) under finite differences.
+    cylinder model.  Curvatures are grouped within max(1e-9 s, 1e-6 max|kappa|),
+    or max(1e-4 s, 1e-4 max|kappa|) under finite differences, with
+    s = |D^2 f|_F / F*(df), the size of hhat's entries, so that the groups
+    do not change when the level is scaled.
     """
     n = norm.dim
     fstar = geometry.fstar
@@ -130,9 +130,9 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
         vals, vecs = np.linalg.eigh(hhat)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure("eigendecomposition of the shape operator failed") from exc
-    kmax = abs(vals).max(axis=1)
-    tol = (np.maximum(1e-4, 1e-4 * kmax) if norm.strategy == "fd" or field.uses_fd
-           else np.maximum(1e-9, 1e-6 * kmax))
+    kmax, size = abs(vals).max(axis=1), geometry.hess_norm / fstar
+    tol = (1e-4 * np.maximum(size, kmax) if norm.strategy == "fd" or field.uses_fd
+           else np.maximum(1e-9 * size, 1e-6 * kmax))
     return LevelFrames(geometry=geometry, normal=normal, tangent_basis=tangent, hhat=hhat,
                        principal_curvatures=vals, eigenvectors=vecs.transpose(0, 2, 1) @ tangent,
                        breaks=np.diff(vals, axis=1) > tol[:, None])

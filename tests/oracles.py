@@ -6,17 +6,20 @@ only norm values (and, for the subspace dual, F* values) on a sphere
 lattice, refined by Nelder-Mead, so they are independent of the Legendre
 machinery they check.  They need scipy, which the package does not;
 ``demos/02_legendre_duality.py`` loads this file by path.  The Cartan
-tensors, the trace residual of a frame and the Randers cylinder residual
-are read only by the tests.
+tensors, the trace residual of a frame, the Randers cylinder residual and
+the one-point geometry ``point_geometry`` are read only by the tests.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from minkgeom.duality import dual_norm
-from minkgeom.errors import BadDimension, DegenerateMetric, NotInDomain, ZeroCovector
+from minkgeom.calculus import PointGeometry
+from minkgeom.duality import dual_norm, legendre_inverse, subspace_dual
+from minkgeom.errors import (BadDimension, DegenerateMetric, MinkGeomError, NoConvergence,
+                             NotInDomain, ZeroCovector)
 from minkgeom.norms import AlphaBetaNorm, MinkowskiNorm, RandersNorm, _as_vector
 from minkgeom.sampling import sphere_directions
 
@@ -41,6 +44,53 @@ def mean_curvature_residual(frame) -> float:
     hess = frame.geometry.hess
     faa = float(sum(e @ hess @ e for e in frame.tangent_basis))
     return abs(frame.geometry.fstar * float(np.sum(frame.principal_curvatures)) + faa)
+
+
+def point_geometry(norm: MinkowskiNorm, field, x) -> PointGeometry:
+    """The geometry of ``field`` at one regular point x, the reference of
+    ``calculus.level_geometry``, from the one-point public services.
+
+    df and D^2 f are ``field.d1`` and ``field.d2``, grad f is
+    ``legendre_inverse`` of df, g is ``fundamental_tensor`` there (which
+    raises DegenerateMetric where the Cholesky test fails), F*(df) = F(grad f)
+    and Delta f = tr(g^{-1} D^2 f) with ``np.linalg.inv``.  Where g fails
+    and df and D^2 f vanish off a coordinate prefix of length m < n, each
+    to 1e-14 of its largest entry, the geometry is that of
+    ``subspace_dual(norm, m)`` on the first m coordinates, when the Legendre
+    map of F takes the padded gradient back to df to 1e-8; otherwise the
+    first error is raised.  The point is not tested for being critical.
+    """
+    x = np.asarray(x, dtype=float)
+    df, hess = field.d1(x), field.d2(x)
+    n = norm.dim
+    try:
+        return _geometry_in(norm, n, x, df, hess)
+    except (np.linalg.LinAlgError, DegenerateMetric, NoConvergence) as exc:
+        ah = abs(hess)
+        carried = ((abs(df) > 1e-14 * abs(df).max())
+                   | (np.maximum(ah.max(axis=0), ah.max(axis=1)) > 1e-14 * max(ah.max(), 1e-300)))
+        m = max(1, int(np.flatnonzero(carried).max(initial=0)) + 1)
+        if m == n:
+            raise
+        try:
+            geo = _geometry_in(subspace_dual(norm, m), m, x, df, hess)
+        except MinkGeomError:
+            raise exc
+        if np.max(np.abs(norm.legendre(geo.grad) - df)) > 1e-8 * np.max(np.abs(df)):
+            raise exc  # L does not preserve the subspace; the reduction is invalid
+        return geo
+
+
+def _geometry_in(norm: MinkowskiNorm, m: int, x, df, hess) -> PointGeometry:
+    """``point_geometry`` in ``norm`` on the first m coordinates."""
+    grad_m = legendre_inverse(norm, df[:m])
+    g = norm.fundamental_tensor(grad_m)
+    grad = np.zeros(df.size)
+    grad[:m] = grad_m
+    ginv, h = np.linalg.inv(g).ravel(), hess[:m, :m].ravel()
+    return PointGeometry(
+        x=x, norm=norm, m=m, df=df, hess=hess, grad=grad, fstar=norm.value(grad_m), g=g,
+        lap=float(ginv.dot(h)), lap_scale=math.hypot(*ginv.tolist()) * math.hypot(*h.tolist()))
 
 
 def cylinder_surface_residual(norm: RandersNorm, m: int, r: float, x,

@@ -65,7 +65,7 @@ class TestBitIdentities:
         for c, rng in _draws(n):
             A, B = c * rng.standard_normal((n, n)), c * rng.standard_normal((n, n))
             assert _bits(A.ravel().dot(B.ravel())) == _bits(np.tensordot(A, B))
-            # a leading block, as _geometry_in contracts hess[:m, :m]
+            # a leading block, as a geometry on m < n coordinates contracts hess[:m, :m]
             C = c * rng.standard_normal((n + 1, n + 1))[:n, :n]
             assert _bits(A.ravel().dot(C.ravel())) == _bits(np.tensordot(A, C))
 
@@ -126,8 +126,9 @@ class TestListInputs:
         for f in (field, linear):
             self._same(lambda p: calculus.gradient(norm, f, p), x)
             self._same(lambda p, u, v: calculus.hessian_form(norm, f, p, u, v), x, X, Y)
-            self._same(lambda p: calculus.point_geometry(norm, f, p).lap, x)
-            self._same(lambda p: calculus.point_geometry(norm, f, p).fstar, x)
+            # the point geometry of one row
+            self._same(lambda p: calculus.level_geometry(norm, f, [p])[0].lap, x)
+            self._same(lambda p: calculus.level_geometry(norm, f, [p])[0].fstar, x)
 
     @pytest.mark.parametrize("method", ("primal", "dual", "frame_trace"))
     def test_laplacian(self, setting, method):
@@ -170,7 +171,8 @@ HOT_PATHS = (
     duality.legendre_inverse_newton, norms._rescale, norms.MinkowskiNorm._fd,
     norms.fd_jacobian, norms.fd_hessian,
     calculus.linear_field, calculus.norm_plus_linear,
-    calculus._regular_jet, calculus._geometry_in, calculus.level_geometry,
+    calculus._regular, calculus._regular_jet, calculus.level_geometry,
+    calculus._dual_geometry, calculus.prefix_support,
     calculus.ScalarField.value, calculus.ScalarField.d1, calculus.ScalarField._row,
     _linalg.lengths, _linalg.orthonormal_basis, hypersurface.cartan_curvature_Q,
     randers.randers_isoparametric_residual, isoparametric._radial_root,

@@ -129,14 +129,17 @@ class TestSampling:
 
     def test_one_geometry_per_point(self, alphabeta3, quartic3, randers3, monkeypatch,
                                     tmp_path):
-        # F*, Delta f and the frame share one Legendre inversion and one
-        # subspace-dual reduction per accepted point, and later stages (the
-        # curvature table, the Randers witness) read the frames sampling built;
+        # F*, Delta f and the frame share one Legendre inversion per accepted
+        # point, the rows that reduce to a subspace dual one subspace dual per
+        # level, and later stages (the curvature table, the Randers witness)
+        # read the frames sampling built;
         # the alpha-beta rows solve the angle by their own Newton, so the
         # one-point inverse is called only for a row that falls back, once
         # per such row, and the Newton oracle never.  A geometry
         # is one row of ``level_geometry``, and no stage computes a point's
-        # geometry, df or D^2 f again: the witness reads a' from the field's
+        # geometry, df or D^2 f again, nor calls the one-point
+        # ``legendre_inverse`` or ``fundamental_tensor`` (the k-th root
+        # cylinder's verify included): the witness reads a' from the field's
         # rows
         calls = {"inverse": 0, "newton": 0, "subspace_dual": 0, "geometry": 0, "d1": 0,
                  "d2": 0, "rows": 0}
@@ -164,7 +167,7 @@ class TestSampling:
         assert np.max(np.abs(forced.fstar - s.fstar)) <= 1e-13 * np.max(s.fstar)
         assert calls["newton"] == 0
         s = iso.sample_level(quartic3, cylinder, 2.0, 8)
-        assert len(s.points) == 8 and calls["subspace_dual"] <= len(s.points)
+        assert len(s.points) == 8 and calls["subspace_dual"] == 1
 
         level_geometry = iso.level_geometry
 
@@ -173,9 +176,10 @@ class TestSampling:
             return level_geometry(norm, field, X)
 
         monkeypatch.setattr(iso, "level_geometry", counting_rows)
-        for module in (calculus, hs):
-            monkeypatch.setattr(module, "point_geometry",
-                                counting("geometry", calculus.point_geometry))
+        monkeypatch.setattr(duality, "legendre_inverse",
+                            counting("geometry", duality.legendre_inverse))
+        monkeypatch.setattr(norms.MinkowskiNorm, "fundamental_tensor",
+                            counting("geometry", norms.MinkowskiNorm.fundamental_tensor))
         for meth in ("d1", "d2"):
             monkeypatch.setattr(calculus.ScalarField, meth,
                                 counting(meth, getattr(calculus.ScalarField, meth)))
@@ -187,6 +191,8 @@ class TestSampling:
                          count=16)
         assert rep.witness is not None
         assert calls["rows"] - 3 * 64 == sum(len(s.points) for s in rep.samples) == 48
+        rep = iso.verify(quartic3, cylinder, [0.125, 0.5, 1.125], count=64)
+        assert (rep.transnormal_verdict, rep.isoparametric_verdict) == ("yes", "yes")
         assert calls["geometry"] == calls["d1"] == calls["d2"] == 0
 
 
@@ -397,6 +403,24 @@ class TestVerify:
         assert (rep.transnormal_verdict, rep.isoparametric_verdict) == ("yes", "yes")
         a = rep.a_nodes
         assert np.max(np.abs(a[:, 1] / np.sqrt(2.0 * a[:, 0]) - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-100, 1.0, 1e100, 1e150])
+    @pytest.mark.parametrize("case", ["quartic", "sextic-n4", "scaled-quartic", "randers"])
+    def test_cylinders_at_every_scale(self, case, c):
+        # an F*-Minkowski cylinder has two distinct constant principal
+        # curvatures at every scale: the levels c [0.5, 2, 4.5] (radius ~
+        # sqrt(c)) keep the curvature groups, whose tolerance is relative to
+        # |D^2 f| / F*(df), and the k-th root rows, whose g is singular at
+        # every gradient, reduce to the subspace dual on R^2 at every scale
+        norm = {"quartic": norms.KthRootNorm(4, 3), "sextic-n4": norms.KthRootNorm(6, 4),
+                "scaled-quartic": norms.ScaledNorm(norms.KthRootNorm(4, 3), 1.7),
+                "randers": norms.RandersNorm([0.3, 0.0, 0.0])}[case]
+        f = calculus.cylinder_potential(norm, 2)
+        rep = iso.verify(norm, f, [0.5 * c, 2.0 * c, 4.5 * c], count=16)
+        assert (rep.transnormal_verdict, rep.isoparametric_verdict) == ("yes", "yes")
+        assert rep.group_structure == ((1, 2) if norm.dim == 4 else (1, 1))
+        m = np.concatenate([s.frames.geometry.m for s in rep.samples])
+        assert (m == (norm.dim if case == "randers" else 2)).all()
 
     @pytest.mark.parametrize("t", [1e10, 1e150, 1e160, 1e200])
     def test_counterexample_verdicts_at_every_scale(self, randers3_mixed, t):

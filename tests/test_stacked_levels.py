@@ -6,9 +6,10 @@ every norm family, strategy and field; ``sample_level`` is its call on one
 level.  The arrays stay arrays: a ``PointGeometry`` or
 ``HypersurfacePointFrame`` is a one-row view, built only when asked for.
 The one-point reference is the closed form of one ray at a time (the
-ladder walk of ``_radial_root`` on a field without a degree) and
-``frame_at`` (one ``point_geometry``) per point.  A field is evaluated only
-through its ``rows``; ``value``, ``d1`` and ``d2`` are its one-row calls.
+ladder walk of ``_radial_root`` on a field without a degree), ``frame_at``
+(the ``level_geometry`` of one row) per point and the independent one-point
+geometry ``oracles.point_geometry``.  A field is evaluated only through its
+``rows``; ``value``, ``d1`` and ``d2`` are its one-row calls.
 """
 
 import dataclasses
@@ -19,8 +20,10 @@ import pytest
 
 from minkgeom import (calculus, duality, hypersurface as hs, isoparametric as iso, norms,
                       sampling)
-from minkgeom.errors import (CriticalPoint, CriticalPointOnLevel, LevelNotReached, MinkGeomError,
-                             NotInDomain)
+from minkgeom.errors import (CriticalPoint, CriticalPointOnLevel, DegenerateMetric,
+                             LevelNotReached, MinkGeomError, NotInDomain)
+
+from . import oracles
 
 REL = 1e-13
 
@@ -124,14 +127,15 @@ def assert_close(got, want, scale=None):
 
 def assert_matches_frame_at(norm, field, sample):
     """The level's arrays and each one-row view ``sample.frames[i]`` agree
-    with ``frame_at`` at the point to REL: F*, Delta f, its term scale, the
-    curvatures and their group multiplicities, the normal, and every field
-    of the frame and of its point geometry but the eigenvectors, which a
-    repeated curvature leaves free within its group."""
+    to REL with ``frame_at`` at the point (the curvatures and their group
+    multiplicities, the normal and every field of the frame but the
+    eigenvectors, which a repeated curvature leaves free within its group),
+    and with the one-point ``oracles.point_geometry`` (F*, Delta f, its term
+    scale and every field of the point geometry)."""
     geometry, frames = sample.frames.geometry, sample.frames
     for i, x in enumerate(sample.points):
         ref = hs.frame_at(norm, field, x)
-        geo = ref.geometry
+        geo = oracles.point_geometry(norm, field, x)
         assert_close(sample.fstar[i], geo.fstar)
         assert_close(sample.lap[i], geo.lap)
         assert_close(geometry.lap_scale[i], geo.lap_scale)
@@ -154,6 +158,7 @@ def assert_matches_frame_at(norm, field, sample):
         assert view.geometry.m == geo.m and view.geometry.norm.dim == geo.norm.dim
         for name in ("fstar", "lap", "lap_scale", "df", "hess", "grad", "g"):
             assert_close(getattr(view.geometry, name), getattr(geo, name))
+            assert_close(getattr(ref.geometry, name), getattr(geo, name))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -200,12 +205,18 @@ def near_critical(norm, field, t, i, factor=1e-12):
 
 
 def test_a_critical_row_raises_as_on_the_one_point_path():
-    # the level raises the error of ``point_geometry`` at the near-critical
-    # point, with the field's rows and with its one-point calls row by row
+    # the level raises the error of the one-point ``gradient`` at the
+    # near-critical point, as the one-row ``level_geometry`` does, with the
+    # field's rows and with its one-point calls row by row
     norm, field, _ = scenario("sphere")
     critical, x0 = near_critical(norm, field, 2.0, 5)
     with pytest.raises(CriticalPoint) as ref:
-        calculus.point_geometry(norm, critical, x0)
+        calculus.gradient(norm, critical, x0)
+    assert str(ref.value) == (f"df vanishes at x={x0!r}; downstream formulas divide by "
+                              f"F(grad f)")
+    with pytest.raises(CriticalPoint) as one:
+        calculus.level_geometry(norm, critical, [x0])
+    assert str(one.value) == str(ref.value)
     with pytest.raises(CriticalPointOnLevel) as info:
         iso.sample_level(norm, critical, 2.0, 16)
     assert str(info.value) == f"a sampled point on level 2.0 is critical: {ref.value}"
@@ -215,8 +226,9 @@ def test_a_critical_row_raises_as_on_the_one_point_path():
 
 def test_a_degenerate_row_raises_as_on_the_one_point_path(monkeypatch):
     # |xbar| + b.x is not differentiable on the x3 axis, where a ray along
-    # it meets the level: the level raises the error of ``point_geometry``
-    # at that point, with the field's rows and with its one-point calls
+    # it meets the level: the level raises NotInDomain naming that point, as
+    # the one-point ``gradient`` and the one-row ``level_geometry`` do, with
+    # the field's rows and with its one-point calls
     norm, field, _ = scenario("counterexample")
     directions = sampling.sphere_directions
 
@@ -228,8 +240,12 @@ def test_a_degenerate_row_raises_as_on_the_one_point_path(monkeypatch):
     monkeypatch.setattr(iso, "sphere_directions", with_the_axis)
     axis = np.array([0.0, 0.0, 1.0])
     s = iso._degree_radii(field.value(field.anchor + axis), 1.0, field.degree)
-    with pytest.raises(MinkGeomError) as ref, np.errstate(all="ignore"):
-        calculus.point_geometry(norm, field, s * axis)
+    with pytest.raises(NotInDomain) as ref, np.errstate(all="ignore"):
+        calculus.gradient(norm, field, s * axis)
+    assert str(ref.value) == f"the field is not defined at x={s * axis!r}"
+    with pytest.raises(NotInDomain) as one, np.errstate(all="ignore"):
+        calculus.level_geometry(norm, field, [s * axis])
+    assert str(one.value) == str(ref.value)
     for f in (field, per_row(field)):
         with pytest.raises(MinkGeomError) as info, np.errstate(all="ignore"):
             iso.sample_level(norm, f, 1.0, 16)
@@ -238,7 +254,7 @@ def test_a_degenerate_row_raises_as_on_the_one_point_path(monkeypatch):
 
 def test_an_error_of_a_custom_derivative_raises_as_on_the_one_point_path():
     # a custom d1 may raise any error: the level raises it at its point, as
-    # ``point_geometry`` there does
+    # the one-row ``level_geometry`` there does
     randers = norms.RandersNorm([0.5, 0.0, 0.0])
     sphere = calculus.sphere_potential(randers)
     x0 = iso.sample_level(randers, sphere, 2.0, 16).points[3]
@@ -251,14 +267,14 @@ def test_an_error_of_a_custom_derivative_raises_as_on_the_one_point_path():
     field = calculus.custom_field(3, sphere.value, d1_fn=d1, d2_fn=sphere.d2)
     field = dataclasses.replace(field, degree=2, regular_range=(0.0, np.inf))
     with pytest.raises(ValueError, match="d1 undefined here"):
-        calculus.point_geometry(randers, field, x0)
+        calculus.level_geometry(randers, field, [x0])
     with pytest.raises(ValueError, match="d1 undefined here"):
         iso.sample_level(randers, field, 2.0, 16)
 
 
 def test_the_custom_field_error_contract():
     # a custom callable's own error comes out of rows, the one-point calls,
-    # point_geometry and sample_level unchanged, even where a critical row
+    # a one-row level_geometry and sample_level unchanged, even where a critical row
     # of the level comes first; a MinkGeomError is a NaN row instead, which
     # the one-point calls raise as NotInDomain naming x, and a point where f
     # is NaN is not on the level
@@ -286,9 +302,9 @@ def test_the_custom_field_error_contract():
 
     raising = field(ValueError, critical=True)
     with pytest.raises(CriticalPoint):
-        calculus.point_geometry(randers, raising, xc)
+        calculus.level_geometry(randers, raising, [xc])
     for call in (lambda: raising.rows(points, 2), lambda: raising.d1(x0),
-                 lambda: raising.d2(x0), lambda: calculus.point_geometry(randers, raising, x0),
+                 lambda: raising.d2(x0), lambda: calculus.level_geometry(randers, raising, [x0]),
                  lambda: iso.sample_level(randers, raising, 2.0, 16)):
         with pytest.raises(ValueError, match="df undefined here"):
             call()
@@ -300,7 +316,7 @@ def test_the_custom_field_error_contract():
     for rows in (failing.rows(points, 0),) + failing.rows(points, 2):
         assert np.isnan(rows[nan]).all() and np.isfinite(rows[~nan]).all()
     for call in (failing.value, failing.d1, failing.d2,
-                 lambda x: calculus.point_geometry(randers, failing, x)):
+                 lambda x: calculus.level_geometry(randers, failing, [x])):
         with pytest.raises(NotInDomain, match=re.escape(f"not defined at x={x0!r}")):
             call(x0)
     sample = iso.sample_level(randers, failing, 2.0, 16)
@@ -323,23 +339,97 @@ def test_an_unreached_level_raises_as_on_the_one_point_path():
 
 @pytest.mark.parametrize("case", CASES + FAMILY_CASES + ["quartic-cylinder"])
 def test_point_geometry_calls_per_point(case, monkeypatch):
-    # no family, strategy or field takes a per-point geometry, except where
-    # rows fail the stacked checks: the k-th root cylinder, whose g is
-    # singular at every gradient, takes exactly one per point (the
-    # subspace-dual reduction)
+    # a point's geometry is computed once, as a row of one stacked pass: each
+    # sample_level makes one ``_dual_rows`` call for all its points, and the
+    # k-th root cylinder, whose g is singular at every gradient, one more,
+    # of the subspace dual its rows reduce to; no stage calls the one-point
+    # ``legendre_inverse`` or ``fundamental_tensor``
     norm, field, levels = scenario(case) if case in CASES else family_scenario(case)
+    calls = {"rows": 0, "one-point": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for cls in (norms.MinkowskiNorm, norms.AlphaBetaNorm):
+        monkeypatch.setattr(cls, "_dual_rows", counting("rows", vars(cls)["_dual_rows"]))
+    monkeypatch.setattr(duality, "legendre_inverse",
+                        counting("one-point", duality.legendre_inverse))
+    monkeypatch.setattr(norms.MinkowskiNorm, "fundamental_tensor",
+                        counting("one-point", norms.MinkowskiNorm.fundamental_tensor))
+    for t in levels:
+        before = calls["rows"]
+        assert len(iso.sample_level(norm, field, t, 16).points) == 16
+        assert calls["rows"] - before == (2 if case == "quartic-cylinder" else 1)
+    assert calls["one-point"] == 0
+
+
+class _QuarticWithLine(norms.KthRootNorm):
+    """A k-th root norm whose subspace dual on the first coordinate exists:
+    the k-th root norm on R^1, |y|, which the constructors refuse (dim < 2)
+    but whose bodies hold at any dimension."""
+
+    def _subspace_dual(self, m):
+        if m > 1:
+            return super()._subspace_dual(m)
+        line = norms.KthRootNorm(self.k, 2)
+        line.dim, line._eye = 1, np.eye(1)
+        return line
+
+
+def mixed_support_field(norm):
+    """A field on R^3 whose rows (order 2 only) take by x3 the potential of the
+    subspace dual on the first m coordinates: the sphere potential (m = 3)
+    where x3 > 1, the cylinder potential on m = 2 where 0 < x3 <= 1 and on
+    m = 1 elsewhere."""
+    fields = {1: calculus.cylinder_potential(norm, 1), 2: calculus.cylinder_potential(norm, 2),
+              3: calculus.sphere_potential(norm)}
+
+    def rows(X, order):
+        assert order == 2
+        which = np.where(X[:, 2] > 1.0, 3, np.where(X[:, 2] > 0.0, 2, 1))
+        df, hess = np.zeros(X.shape), np.zeros((len(X), 3, 3))
+        for m, f in fields.items():
+            df[which == m], hess[which == m] = f.rows(X[which == m], 2)
+        return df, hess
+
+    return dataclasses.replace(fields[3], tag="mixed", rows=rows)
+
+
+def test_rows_of_every_geometry_dimension_stack_in_one_call(monkeypatch):
+    # rows whose df and D^2 f live on the first 1, 2 and 3 coordinates of a
+    # quartic norm on R^3, interleaved in one level_geometry: one _dual_rows
+    # for all rows and one per reduced dimension; each row has the geometry
+    # of the one-point oracle, the bits of its one-row call, and its m x m g
+    # with zeros around it
+    norm = _QuarticWithLine(4, 3)
+    field = mixed_support_field(norm)
+    rng = np.random.default_rng(11)
+    X = rng.uniform(0.4, 1.2, (9, 3)) * rng.choice([-1.0, 1.0], (9, 3))
+    X[:, 2] = np.tile([1.5, 0.5, -0.5], 3)
     calls = [0]
-    one_point = calculus.point_geometry
+    dual_rows = norms.MinkowskiNorm._dual_rows
 
-    def counting(*args):
+    def counting(self, Xi):
         calls[0] += 1
-        return one_point(*args)
+        return dual_rows(self, Xi)
 
-    for module in (calculus, hs):
-        monkeypatch.setattr(module, "point_geometry", counting)
-    points = sum(len(iso.sample_level(norm, field, t, 16).points) for t in levels)
-    assert points == 48
-    assert calls[0] == (points if case == "quartic-cylinder" else 0)
+    monkeypatch.setattr(norms.MinkowskiNorm, "_dual_rows", counting)
+    geometry = calculus.level_geometry(norm, field, X)
+    assert calls[0] == 3
+    assert geometry.m.tolist() == [3, 2, 1] * 3
+    for i, x in enumerate(X):
+        view, ref = geometry[i], oracles.point_geometry(norm, field, x)
+        m = view.m
+        assert m == ref.m and view.norm.dim == ref.norm.dim == m
+        for name in ("fstar", "lap", "lap_scale", "df", "hess", "grad", "g"):
+            assert_close(getattr(view, name), getattr(ref, name))
+        assert not geometry.g[i, m:].any() and not geometry.g[i, :, m:].any()
+        one = calculus.level_geometry(norm, field, [x])
+        for name in ("grad", "fstar", "g", "lap", "lap_scale", "m"):
+            assert getattr(one, name).tobytes() == getattr(geometry, name)[i:i + 1].tobytes()
 
 
 def _rows_norms():
@@ -531,34 +621,44 @@ def test_levels_stacked_equal_the_per_level_loop_bit_for_bit(case):
                                                                          seed=seed))
 
 
-def test_a_row_that_fails_the_cholesky_test_falls_back_alone(monkeypatch):
-    # g made indefinite at one point of level 2.0 sends that row alone to
-    # point_geometry: the other rows, of its level and of the others, keep
-    # the bits of the stacked pass, so the levels stack as in the loop
+@pytest.mark.parametrize("fault", ["negative", "indefinite"])
+def test_a_row_that_fails_the_cholesky_test_raises_naming_its_point(fault, monkeypatch):
+    # g at one point of level 2.0 made negative definite (a diagonal entry
+    # <= 0) or indefinite with a positive diagonal: its df and D^2 f are
+    # supported on every coordinate, so no subspace dual reduces it, and the
+    # level raises DegenerateMetric naming that point; the other levels keep
+    # the bits of their unpatched samples, and in one level_geometry call the
+    # first failing row in row order raises, this one or a critical one
     norm, field, levels = scenario("sphere")
-    x0 = iso.sample_level(norm, field, 2.0, 24).points[7]
+    points = iso.sample_level(norm, field, 2.0, 24).points
+    x0 = points[7]
     df0 = field.d1(x0)
+    clean = {t: _sample_bits(iso.sample_level(norm, field, t, 24)) for t in levels}
+    critical, xc = near_critical(norm, field, 2.0, 5)
     dual_rows = norm._dual_rows
 
-    def indefinite_at_x0(Xi):
+    def faulty_at_x0(Xi):
         grad, fstar, g = dual_rows(Xi)
-        g[np.linalg.norm(Xi - df0, axis=1) <= 1e-12 * np.linalg.norm(df0)] *= -1.0
+        at = np.linalg.norm(Xi - df0, axis=1) <= 1e-12 * np.linalg.norm(df0)
+        if fault == "negative":
+            g[at] *= -1.0
+        else:
+            g[at, 0, 1] = g[at, 1, 0] = 10.0 * np.sqrt(g[at, 0, 0] * g[at, 1, 1])
         return grad, fstar, g
 
-    calls = [0]
-    one_point = calculus.point_geometry
-
-    def counting(*args):
-        calls[0] += 1
-        return one_point(*args)
-
-    monkeypatch.setattr(norm, "_dual_rows", indefinite_at_x0)
-    monkeypatch.setattr(calculus, "point_geometry", counting)
-    stacked = iso.sample_levels(norm, field, levels, 24)
-    assert calls[0] == 1
-    for t, sample in zip(levels, stacked):
-        assert _sample_bits(sample) == _sample_bits(iso.sample_level(norm, field, t, 24))
-    assert calls[0] == 2
+    monkeypatch.setattr(norm, "_dual_rows", faulty_at_x0)
+    message = re.escape(f"at x={x0!r}")
+    for run in (lambda: iso.sample_levels(norm, field, levels, 24),
+                lambda: iso.sample_level(norm, field, 2.0, 24),
+                lambda: calculus.level_geometry(norm, field, points)):
+        with pytest.raises(DegenerateMetric, match=message):
+            run()
+    for t in (0.5, 4.5):
+        assert _sample_bits(iso.sample_level(norm, field, t, 24)) == clean[t]
+    with pytest.raises(DegenerateMetric, match=message):
+        calculus.level_geometry(norm, critical, np.array([points[0], x0, xc]))
+    with pytest.raises(CriticalPoint, match=re.escape(f"at x={xc!r}")):
+        calculus.level_geometry(norm, critical, np.array([points[0], xc, x0]))
 
 
 def _outcome(fn):
