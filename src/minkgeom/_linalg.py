@@ -65,8 +65,10 @@ def orthonormal_basis(g: np.ndarray, first: np.ndarray | None = None,
 
 
 def lengths(A: np.ndarray) -> np.ndarray:
-    """The Euclidean length of each row of A (N, ...) over its trailing axes,
-    by ``np.hypot``, so no square overflows or underflows."""
-    while A.ndim > 1:
-        A = np.hypot.reduce(A, axis=-1)
-    return A
+    """The Euclidean length of each row of A (N, ...) over its trailing axes, m |A / m|
+    with m = max |a| so that no square overflows; 0, inf and NaN as by ``np.hypot``."""
+    A = A.reshape(len(A), -1)
+    m = np.fmax.reduce(abs(A), axis=1)  # NaN only where every entry is
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = A / np.where(m > 0.0, m, 1.0)[:, None]
+        return np.where(m < np.inf, m * np.sqrt(np.vecdot(q, q)), m)

@@ -29,7 +29,7 @@ cross-check the shared one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace as dc_replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -362,17 +362,9 @@ class RowRecord:
     def __getitem__(self, i):
         if isinstance(i, (int, np.integer)):
             return self.row(i)
-        return dc_replace(self, **{f.name: getattr(self, f.name)[i]
-                                   for f in dc_fields(self) if f.name != "norm"})
-
-
-def concat_rows(records):
-    """One record of the rows of ``records`` (records of one class), in order."""
-    first = records[0]
-    return dc_replace(first, **{
-        f.name: (concat_rows if isinstance(getattr(first, f.name), RowRecord)
-                 else np.concatenate)([getattr(r, f.name) for r in records])
-        for f in dc_fields(first) if f.name != "norm"})
+        out = object.__new__(type(self))  # filled without running __init__
+        out.__dict__.update({k: v if k == "norm" else v[i] for k, v in self.__dict__.items()})
+        return out
 
 
 @dataclass(frozen=True)

@@ -259,10 +259,11 @@ def cmd_curvatures(args) -> int:
     rows = ["scenario,level,group,kappa,multiplicity,mean_curvature,sectional_products"]
     level_reports = []
     worst = 0.0
-    samples = isoparametric.sample_levels(norm, field, [float(t) for t in sc.levels], sc.samples,
-                                          seed=sc.seed)
-    for t, sample in zip(sc.levels, samples):
-        stats = isoparametric._modal_groups(sample)
+    samples, frames = isoparametric._sample_stack(norm, field, [float(t) for t in sc.levels],
+                                                  sc.samples, sc.seed)
+    table = isoparametric._level_table(frames, [len(s.points) for s in samples])
+    for t, sample, level in zip(sc.levels, samples, table["stats"]):
+        stats = level["curvature_groups"]
         hhat = sum(k * m for k, m in stats)
         products = [stats[r][0] * stats[s][0]
                     for r in range(len(stats)) for s in range(r + 1, len(stats))]

@@ -88,8 +88,8 @@ class LevelFrames(RowRecord):
 
 def group_runs(breaks: np.ndarray) -> tuple:
     """(starts, sizes) of the curvature groups of one row of ``LevelFrames.breaks``."""
-    starts = np.flatnonzero(np.append(True, breaks)).tolist()
-    return starts, np.diff(starts + [len(breaks) + 1]).tolist()
+    starts = [0] + [j + 1 for j, b in enumerate(breaks) if b]
+    return starts, [b - a for a, b in zip(starts, starts[1:] + [len(breaks) + 1])]
 
 
 def frame_at(norm: MinkowskiNorm, field: ScalarField, x,

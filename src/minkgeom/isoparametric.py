@@ -18,9 +18,9 @@ its ``rows``, one array of points at a time.  A point is kept when
 |f(x) - t| <= 1e-10 |t|.  The points of all levels then get their geometry
 from one ``calculus.level_geometry`` and their frames from one
 ``hypersurface.level_frames``, for every norm family, strategy and field,
-kept as arrays: the verdicts, the curvature groups, the Randers witness and
-the identity table read the arrays, and a per-point frame object is built
-only when asked for.
+kept as one stack of arrays: the statistics, verdicts and curvature groups of
+all levels are one pass over it (``_level_table``), the Randers witness takes
+its rows with one index, and a per-point frame is built only when asked for.
 
 Each verdict compares a level's spread with a scale from the same level, so
 it does not change when the level, the field or the norm is scaled.  A
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +44,7 @@ import numpy as np
 from . import duality
 # ``laplacian`` and ``frame_at`` stay reachable here: the benchmark's tracer
 # hooks them by these names
-from .calculus import (ScalarField, concat_rows, laplacian, level_geometry,  # noqa: F401
-                       reparametrized_field)
+from .calculus import ScalarField, laplacian, level_geometry, reparametrized_field  # noqa: F401
 from .errors import (
     CriticalPoint,
     CriticalPointOnLevel,
@@ -67,6 +65,7 @@ IDENTITY_POINTS = 4    # points per level of the consistency-identity table
 FLOW_STEP = 1e-4       # flow-line differencing step, relative to a(t)
 # radii s of the ray ladder anchor + s * d that brackets a level, ratio sqrt(2)
 _LADDER = np.geomspace(2.0**-40, 2.0**40, 161)
+_VERDICTS = ("yes", "inconclusive", "no")  # from best to worst
 
 
 @dataclass
@@ -108,6 +107,11 @@ def sample_levels(norm: MinkowskiNorm, field: ScalarField, levels, count: int,
     and when levels fail, the first failing one in the given order raises
     what it raises there.
     """
+    return _sample_stack(norm, field, levels, count, seed)[0]
+
+
+def _sample_stack(norm: MinkowskiNorm, field: ScalarField, levels, count: int, seed: int) -> tuple:
+    """``sample_levels`` and the one ``LevelFrames`` whose slices its samples hold."""
     if count < 8:
         raise ValueError("count must be at least 8")
     lo, hi = field.regular_range
@@ -127,7 +131,7 @@ def sample_levels(norm: MinkowskiNorm, field: ScalarField, levels, count: int,
                                     + _unreached_reason(field, t))
             break
         found.append((t, points, skipped))
-    samples = []
+    samples, frames = [], None
     if found:
         X = np.concatenate([points for _, points, _ in found])
         try:
@@ -150,7 +154,7 @@ def sample_levels(norm: MinkowskiNorm, field: ScalarField, levels, count: int,
             start += len(points)
     if error is not None:
         raise error
-    return samples
+    return samples, frames
 
 
 def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
@@ -411,7 +415,7 @@ def verify(norm: MinkowskiNorm, field: ScalarField, levels, count: int = 64,
     """Verify the transnormal / isoparametric conditions on the given levels.
 
     Per-level relative spreads of F*(df) and Delta f drive the verdicts, each
-    spread over a scale from the same level (``_level_scales``); for a
+    spread over a scale from the same level (``_level_table``); for a
     Randers norm the dual-coefficient system in the Euclidean quantities is
     evaluated as an independent second witness and recorded alongside.
     """
@@ -421,41 +425,19 @@ def verify(norm: MinkowskiNorm, field: ScalarField, levels, count: int = 64,
     uses_fd = norm.strategy == "fd" or field.uses_fd
     if tol is None:
         tol = 1e-4 if uses_fd else 1e-6
-    samples = sample_levels(norm, field, levels, count, seed=seed)
-    stats = []
-    worst_f = worst_lap = worst_curv = 0.0
-    for s in samples:
-        fscale, lscale, kscale = _level_scales(s)
-        st = {
-            "level": s.t,
-            "points": len(s.points),
-            "skipped": s.skipped,
-            "fstar_mean": float(s.fstar.mean()),
-            "fstar_spread": float(s.fstar.max() - s.fstar.min()),
-            "fstar_cv": _relative(float(s.fstar.std()), fscale),
-            "lap_mean": float(s.lap.mean()),
-            "lap_spread": float(s.lap.max() - s.lap.min()),
-            "lap_cv": _relative(float(s.lap.std()), lscale),
-            "curvature_groups": [list(g) for g in _modal_groups(s)],
-            "curvature_spread": list(s.curvatures.max(axis=0) - s.curvatures.min(axis=0)),
-        }
-        stats.append(st)
-        worst_f = max(worst_f, _relative(st["fstar_spread"], fscale))
-        worst_lap = max(worst_lap, _relative(st["lap_spread"], lscale))
-        worst_curv = max(worst_curv, _relative(float(np.max(st["curvature_spread"])), kscale))
+    samples, frames = _sample_stack(norm, field, levels, count, seed)
+    table = _level_table(frames, [len(s.points) for s in samples])
+    stats = [{"level": s.t, "points": len(s.points), "skipped": s.skipped, **st}
+             for s, st in zip(samples, table["stats"])]
+    worst_f, worst_lap, worst_curv = table["worst"]
 
     trans_verdict = _verdict(worst_f, tol)
-    lap_verdict = _verdict(worst_lap, tol)
-    iso_verdict = _combine(trans_verdict, lap_verdict)
+    # isoparametric takes the worse of the two verdicts
+    iso_verdict = max(trans_verdict, _verdict(worst_lap, tol), key=_VERDICTS.index)
     const_curv = worst_curv <= tol
-
-    a_nodes = np.array(sorted((s.t, float(s.fstar.mean())) for s in samples))
-    b_nodes = np.array(sorted((s.t, float(s.lap.mean())) for s in samples))
-    structure = _modal_structure(samples)
-
-    witness = None
-    if isinstance(norm, RandersNorm):
-        witness = _randers_witness(norm, field, samples, tol)
+    a_nodes, b_nodes = (np.array(sorted(zip(levels, m))) for m in table["mean"][:2].tolist())
+    witness = (_randers_witness(norm, field, frames, table, tol)
+               if isinstance(norm, RandersNorm) else None)
 
     return VerificationReport(
         norm=norm, field=field, levels=levels, count=count, seed=seed,
@@ -464,23 +446,9 @@ def verify(norm: MinkowskiNorm, field: ScalarField, levels, count: int = 64,
         transnormal_verdict=trans_verdict,
         isoparametric_verdict=iso_verdict,
         constant_principal_curvatures=const_curv,
-        group_structure=structure,
+        group_structure=table["structure"],
         a_nodes=a_nodes, b_nodes=b_nodes, witness=witness,
     )
-
-
-def _level_scales(sample: LevelSample) -> tuple:
-    """The scales of F*(df), Delta f and the curvatures on one level: |mean F*|;
-    max(|mean Delta f|, the mean ``lap_scale`` of its points), so that a Delta f
-    that vanishes on the level is measured against its terms; max |kappa|."""
-    terms = float(np.mean(sample.frames.geometry.lap_scale))
-    return (abs(float(sample.fstar.mean())), max(abs(float(sample.lap.mean())), terms),
-            float(np.max(np.abs(sample.curvatures))) if sample.curvatures.size else 0.0)
-
-
-def _relative(spread: float, scale: float) -> float:
-    """spread / scale; a zero spread over a zero scale counts as 0."""
-    return spread / scale if spread else 0.0
 
 
 def _verdict(spread: float, tol: float) -> str:
@@ -491,34 +459,68 @@ def _verdict(spread: float, tol: float) -> str:
     return "no"
 
 
-def _combine(trans: str, lap: str) -> str:
-    order = {"yes": 0, "inconclusive": 1, "no": 2}
-    return max(trans, lap, key=lambda v: order[v])
+def _run_means(values, sizes) -> np.ndarray:
+    """The mean of each consecutive run of ``sizes`` entries of ``values`` (R,) or of its
+    rows (d, R), 0.0 for an empty run, with the bits of the run's own ``mean``: a last-axis
+    sum of a C-contiguous block is pairwise as the 1-D sum is, ``np.add.reduceat`` not."""
+    sizes = np.asarray(sizes)
+    starts = np.cumsum(sizes) - sizes
+    out = np.zeros((len(sizes),) + values.shape[:-1])
+    for k in set(sizes.tolist()) - {0}:  # one block per run length
+        runs = sizes == k
+        block = np.ascontiguousarray(values[..., starts[runs, None] + np.arange(k)])
+        out[runs] = (np.add.reduce(block, axis=-1) / k).T
+    return out.T
 
 
-def _modal(breaks: np.ndarray) -> tuple:
-    """(rows, starts, sizes) of the most common curvature-group structure among
-    the rows of ``breaks`` (``LevelFrames.breaks``), a tie going to the one met
-    first: the rows that have it and its ``group_runs``."""
-    code = breaks.dot(1 << np.arange(breaks.shape[1]))
-    counts = Counter(code.tolist())  # in the order first met, which ``max`` keeps on a tie
-    rows = code == max(counts, key=counts.get)
-    return (rows,) + group_runs(breaks[rows.argmax()])
-
-
-def _modal_groups(sample: LevelSample) -> tuple:
-    """(kappa, multiplicity) of each curvature group of the level's most common
-    structure, kappa the mean over its points of their group means."""
-    rows, starts, sizes = _modal(sample.frames.breaks)
-    k = sample.curvatures[rows]
-    # each point's group mean is summed in order from 0, as its frame's groups are
-    return tuple((float(np.mean(sum(k[:, a + j] for j in range(m)) / m)), m)
-                 for a, m in zip(starts, sizes))
-
-
-def _modal_structure(samples) -> tuple:
-    """The multiplicities of the most common curvature-group structure of all levels."""
-    return tuple(_modal(np.concatenate([s.frames.breaks for s in samples]))[2])
+def _level_table(frames: LevelFrames, sizes) -> dict:
+    """The statistics of every level of the stack ``frames``, whose levels are runs of
+    ``sizes`` rows, each with the bits of its own level's reductions: "stats", the
+    ``level_stats`` entries; "mean", (3, levels) means of F*(df), Delta f and ``lap_scale``;
+    "worst", the largest spread of F*(df), Delta f and a curvature over the level's scale
+    (|mean F*|; max(|mean Delta f|, mean ``lap_scale``), so that a Delta f that vanishes
+    meets its terms; max |kappa|); "level", each row's level.  A level's groups are those
+    of its most common structure (a row of ``LevelFrames.breaks``), kappa the mean over
+    those points of their group means; "structure" holds the multiplicities of the most
+    common structure of all levels.  A tie goes to the structure met first."""
+    geo, k, breaks = frames.geometry, frames.principal_curvatures, frames.breaks
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    v = np.array([geo.fstar, geo.lap, geo.lap_scale])
+    mean = _run_means(v, sizes)
+    std = np.sqrt(_run_means((v[:2] - mean[:2, level]) ** 2, sizes))
+    hi, lo = (f.reduceat(np.concatenate([v[:2], k.T]), np.cumsum(sizes) - sizes, axis=1)
+              for f in (np.maximum, np.minimum))
+    spread = hi - lo  # F*, Delta f, then each curvature
+    scale = np.array([abs(mean[0]), np.maximum(abs(mean[1]), mean[2]),
+                      np.maximum(hi[2:], -lo[2:]).max(axis=0)])
+    rel, cv = (np.divide(s, scale[:len(s)], out=np.zeros_like(s), where=s != 0.0)
+               for s in (np.concatenate([spread[:2], spread[2:].max(axis=0)[None]]), std))
+    # one break code per row and one count per (level, code) and per code
+    w = breaks.shape[1]
+    key = level << w | breaks.dot(1 << np.arange(w))
+    modal, common = {}, {}  # (-count, first row)
+    for kv, row, c in zip(*(a.tolist() for a in np.unique(key, return_index=True,
+                                                             return_counts=True))):
+        modal[kv >> w] = min(modal.get(kv >> w, (0, row)), (-c, row))
+        total, first = common.get(kv & ~(-1 << w), (0, row))
+        common[kv & ~(-1 << w)] = (total - c, min(first, row))
+    counts, first = zip(*(modal[i] for i in range(len(sizes))))
+    # each point's group means, summed in order from 0 as a frame's groups
+    # are, read at the last column of each group
+    gm, total, run = np.empty(k.T.shape), 0.0, 0.0
+    for j, new in enumerate([True, *breaks.T]):
+        total, run = np.where(new, 0.0, total) + k[:, j], np.where(new, 0.0, run) + 1.0
+        gm[j] = total / run
+    kappa = _run_means(gm.compress(key == key[list(first)][level], axis=1),
+                       [-c for c in counts]).T.tolist()
+    stats = [{"fstar_mean": m[0], "fstar_spread": s[0], "fstar_cv": c[0], "lap_mean": m[1],
+              "lap_spread": s[1], "lap_cv": c[1],
+              "curvature_groups": [[kap[a + n - 1], n] for a, n in zip(*group_runs(row))],
+              "curvature_spread": list(ks)}
+             for m, s, c, ks, kap, row in zip(mean.T.tolist(), spread.T.tolist(), cv.T.tolist(),
+                                              spread[2:].T, kappa, breaks[list(first)].tolist())]
+    return {"stats": stats, "mean": mean, "worst": rel.max(axis=1).tolist(), "level": level,
+            "structure": tuple(group_runs(breaks[min(common.values())[1]].tolist())[1])}
 
 
 def _profile_slopes(norm: MinkowskiNorm, field: ScalarField, frames: LevelFrames) -> tuple:
@@ -538,25 +540,25 @@ def _profile_slopes(norm: MinkowskiNorm, field: ScalarField, frames: LevelFrames
     return a, (fstar[:len(a)] - fstar[len(a):]) / (2.0 * h * a)
 
 
-def _randers_witness(norm: RandersNorm, field: ScalarField, samples, tol) -> dict:
+def _randers_witness(norm: RandersNorm, field: ScalarField, frames: LevelFrames, table: dict,
+                     tol) -> dict:
     """The residuals r1, r2 of ``randers_isoparametric_residual`` at the first
-    WITNESS_POINTS points of each level, each over the size of its terms:
+    WITNESS_POINTS points of each level of the stack ``frames`` (one index),
+    a and b the level means of ``table``, each over the size of its terms:
     r1 over max(|df|^2, lam a^2, 2 |a zeta|) and r2 over
     max(|tr D^2 f|, |D^2 f|_F, |lam b|, |(b/a + a') zeta|), zeta = <df, b>, so
     that the pass flags do not change with the level's scale.  a' of every
     level comes from one ``_profile_slopes`` and the residuals of all the
     points from one call; a point where a' fails is left out of its level's
     mean."""
-    frames = concat_rows([s.frames[:WITNESS_POINTS] for s in samples])
+    level = table["level"]  # the rows whose place in their level is below WITNESS_POINTS
+    take = np.arange(len(level)) - np.searchsorted(level, level) < WITNESS_POINTS
+    frames, level = frames[take], level[take]
     slopes = _profile_slopes(norm, field, frames)[1]
-    a, b, a_prime = (np.empty(len(frames)) for _ in range(3))
-    start = 0
-    for s in samples:
-        level = slice(start, start + min(len(s.points), WITNESS_POINTS))
-        start = level.stop
-        a_primes = slopes[level][np.isfinite(slopes[level])]
-        a[level], b[level] = s.fstar.mean(), s.lap.mean()
-        a_prime[level] = a_primes.mean() if a_primes.size else 0.0
+    finite = np.isfinite(slopes)
+    a_prime = _run_means(slopes[finite], np.bincount(level[finite],
+                                                     minlength=table["mean"].shape[1]))[level]
+    a, b = table["mean"][:2, level]
     df, hess = frames.geometry.df, frames.geometry.hess
     r1, r2 = randers_isoparametric_residual(norm, df, hess, a, b, a_prime)
     zeta = df.dot(norm.b)

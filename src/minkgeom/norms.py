@@ -106,8 +106,11 @@ def _as_rows(Y: np.ndarray, norm: "MinkowskiNorm") -> tuple:
     lo, hi = norm._window
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.sqrt((Y * Y).sum(axis=1))
+        inside = (r >= lo) & (r <= hi)  # False at a NaN length
+        if inside.all():  # Y comes back uncopied: callers only read it
+            return np.asarray(Y, dtype=float), np.ones(len(Y))
         m = abs(Y).max(axis=1)
-        s = np.where((r >= lo) & (r <= hi), 1.0, np.ldexp(1.0, np.frexp(m)[1] - 1))
+        s = np.where(inside, 1.0, np.ldexp(1.0, np.frexp(m)[1] - 1))
         s[~(np.isfinite(m) & (m > 0.0))] = np.nan
         return Y / s[:, None], s
 

@@ -7,20 +7,26 @@ lattice, refined by Nelder-Mead, so they are independent of the Legendre
 machinery they check.  They need scipy, which the package does not;
 ``demos/02_legendre_duality.py`` loads this file by path.  The Cartan
 tensors, the trace residual of a frame, the Randers cylinder residual and
-the one-point geometry ``point_geometry`` are read only by the tests.
+the one-point geometry ``point_geometry`` are read only by the tests.  The
+per-level verify tail (``level_stats`` and the functions it calls, and
+``randers_witness``) is the loop over levels that ``isoparametric._level_table``
+and ``_randers_witness`` replace, kept as their reference.
 """
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from minkgeom.calculus import PointGeometry
+from minkgeom.calculus import PointGeometry, RowRecord
 from minkgeom.duality import dual_norm, legendre_inverse, subspace_dual
 from minkgeom.errors import (BadDimension, DegenerateMetric, MinkGeomError, NoConvergence,
                              NotInDomain, ZeroCovector)
+from minkgeom.isoparametric import WITNESS_POINTS, _profile_slopes
 from minkgeom.norms import AlphaBetaNorm, MinkowskiNorm, RandersNorm, _as_vector
+from minkgeom.randers import randers_isoparametric_residual
 from minkgeom.sampling import sphere_directions
 
 
@@ -207,3 +213,121 @@ def subspace_dual_sup(norm: MinkowskiNorm, m: int, ybars, count: int = 10_000) -
                        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
         out[row] = -res.fun
     return out
+
+
+# -- the per-level verify tail ------------------------------------------------------
+
+
+def level_stats(samples) -> tuple:
+    """(stats, worst_f, worst_lap, worst_curv, a_nodes, b_nodes, structure) of
+    ``isoparametric.verify`` on ``samples``, one level at a time."""
+    stats = []
+    worst_f = worst_lap = worst_curv = 0.0
+    for s in samples:
+        fscale, lscale, kscale = level_scales(s)
+        st = {
+            "level": s.t,
+            "points": len(s.points),
+            "skipped": s.skipped,
+            "fstar_mean": float(s.fstar.mean()),
+            "fstar_spread": float(s.fstar.max() - s.fstar.min()),
+            "fstar_cv": _relative(float(s.fstar.std()), fscale),
+            "lap_mean": float(s.lap.mean()),
+            "lap_spread": float(s.lap.max() - s.lap.min()),
+            "lap_cv": _relative(float(s.lap.std()), lscale),
+            "curvature_groups": [list(g) for g in modal_groups(s)],
+            "curvature_spread": list(s.curvatures.max(axis=0) - s.curvatures.min(axis=0)),
+        }
+        stats.append(st)
+        worst_f = max(worst_f, _relative(st["fstar_spread"], fscale))
+        worst_lap = max(worst_lap, _relative(st["lap_spread"], lscale))
+        worst_curv = max(worst_curv, _relative(float(np.max(st["curvature_spread"])), kscale))
+    a_nodes = np.array(sorted((s.t, float(s.fstar.mean())) for s in samples))
+    b_nodes = np.array(sorted((s.t, float(s.lap.mean())) for s in samples))
+    return stats, worst_f, worst_lap, worst_curv, a_nodes, b_nodes, modal_structure(samples)
+
+
+def level_scales(sample) -> tuple:
+    """The scales of F*(df), Delta f and the curvatures on one level: |mean F*|;
+    max(|mean Delta f|, the mean ``lap_scale`` of its points), so that a Delta f
+    that vanishes on the level is measured against its terms; max |kappa|."""
+    terms = float(np.mean(sample.frames.geometry.lap_scale))
+    return (abs(float(sample.fstar.mean())), max(abs(float(sample.lap.mean())), terms),
+            float(np.max(np.abs(sample.curvatures))) if sample.curvatures.size else 0.0)
+
+
+def _relative(spread: float, scale: float) -> float:
+    """spread / scale; a zero spread over a zero scale counts as 0."""
+    return spread / scale if spread else 0.0
+
+
+def group_runs(breaks: np.ndarray) -> tuple:
+    """(starts, sizes) of the curvature groups of one row of ``LevelFrames.breaks``."""
+    starts = np.flatnonzero(np.append(True, breaks)).tolist()
+    return starts, np.diff(starts + [len(breaks) + 1]).tolist()
+
+
+def modal(breaks: np.ndarray) -> tuple:
+    """(rows, starts, sizes) of the most common curvature-group structure among
+    the rows of ``breaks`` (``LevelFrames.breaks``), a tie going to the one met
+    first: the rows that have it and its ``group_runs``."""
+    code = breaks.dot(1 << np.arange(breaks.shape[1]))
+    counts = Counter(code.tolist())  # in the order first met, which ``max`` keeps on a tie
+    rows = code == max(counts, key=counts.get)
+    return (rows,) + group_runs(breaks[rows.argmax()])
+
+
+def modal_groups(sample) -> tuple:
+    """(kappa, multiplicity) of each curvature group of the level's most common
+    structure, kappa the mean over its points of their group means."""
+    rows, starts, sizes = modal(sample.frames.breaks)
+    k = sample.curvatures[rows]
+    # each point's group mean is summed in order from 0, as its frame's groups are
+    return tuple((float(np.mean(sum(k[:, a + j] for j in range(m)) / m)), m)
+                 for a, m in zip(starts, sizes))
+
+
+def modal_structure(samples) -> tuple:
+    """The multiplicities of the most common curvature-group structure of all levels."""
+    return tuple(modal(np.concatenate([s.frames.breaks for s in samples]))[2])
+
+
+def concat_rows(records):
+    """One record of the rows of ``records`` (records of one class), in order."""
+    first = records[0]
+    return replace(first, **{
+        f.name: (concat_rows if isinstance(getattr(first, f.name), RowRecord)
+                 else np.concatenate)([getattr(r, f.name) for r in records])
+        for f in fields(first) if f.name != "norm"})
+
+
+def randers_witness(norm: RandersNorm, field, samples, tol) -> dict:
+    """``isoparametric._randers_witness`` from the first WITNESS_POINTS rows of
+    each level's own frames, joined, with a, b and a' set level by level."""
+    frames = concat_rows([s.frames[:WITNESS_POINTS] for s in samples])
+    slopes = _profile_slopes(norm, field, frames)[1]
+    a, b, a_prime = (np.empty(len(frames)) for _ in range(3))
+    start = 0
+    for s in samples:
+        level = slice(start, start + min(len(s.points), WITNESS_POINTS))
+        start = level.stop
+        a_primes = slopes[level][np.isfinite(slopes[level])]
+        a[level], b[level] = s.fstar.mean(), s.lap.mean()
+        a_prime[level] = a_primes.mean() if a_primes.size else 0.0
+    df, hess = frames.geometry.df, frames.geometry.hess
+    r1, r2 = randers_isoparametric_residual(norm, df, hess, a, b, a_prime)
+    zeta = df.dot(norm.b)
+    h = hess.reshape(len(hess), -1)
+    r1_scale = np.maximum.reduce([(df * df).sum(axis=1), norm.lam * a**2, 2.0 * abs(a * zeta)])
+    r2_scale = np.maximum.reduce([abs(hess.trace(axis1=1, axis2=2)), np.sqrt((h * h).sum(axis=1)),
+                                  abs(norm.lam * b), abs((b / a + a_prime) * zeta)])
+    r1_max, r2_max = (float(np.max(abs(r[r != 0.0]) / scale[r != 0.0], initial=0.0))
+                      for r, scale in ((r1, r1_scale), (r2, r2_scale)))
+    w_tol = max(100.0 * tol, 1e-4)
+    return {
+        "r1_max": r1_max,
+        "r2_max": r2_max,
+        "r1_pass": bool(r1_max <= w_tol),
+        "r2_pass": bool(r2_max <= w_tol),
+        "tolerance": w_tol,
+    }

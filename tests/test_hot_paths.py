@@ -24,6 +24,7 @@ import pytest
 
 from minkgeom import (_linalg, _taylor, calculus, duality, hypersurface, isoparametric, norms,
                       randers)
+from minkgeom.errors import ZeroVector
 
 DIMS = range(2, 11)
 CASES = 40  # seeded random draws per dimension
@@ -99,6 +100,71 @@ class TestBitIdentities:
             assert _bits(a[:, None] * b) == _bits(np.outer(a, b))
             # a symmetric outer product stays symmetric bit for bit
             assert _bits(a[:, None] * a) == _bits((a[:, None] * a).T)
+
+
+ROW_NORMS = {"randers": lambda n: norms.RandersNorm(np.full(n, 0.5 / n)),
+             "kth_root": lambda n: norms.KthRootNorm(6, n),  # the narrower window
+             "alpha_beta": lambda n: norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]),
+                                                         0.3, n)}
+
+
+@pytest.mark.parametrize("family", ROW_NORMS)
+@pytest.mark.parametrize("n", (2, 3, 6))
+def test_as_rows_scales_each_row_by_the_rule_of_as_vector(family, n):
+    # rows all inside the window, all outside it, and mixed with a zero and
+    # a NaN row: each row is (y / s, s) of ``_as_vector`` bit for bit, or NaN
+    # where ``_as_vector`` rejects it; rows all inside come back uncopied
+    norm = ROW_NORMS[family](n)
+    lo, hi = norm._window
+    rng = np.random.default_rng(20 + n)
+    unit = rng.standard_normal((8, n))
+    unit /= np.sqrt((unit * unit).sum(axis=1))[:, None]
+    inside = unit * np.exp(rng.uniform(np.log(lo), np.log(hi), 8))[:, None]
+    outside = unit * np.where(rng.random(8) < 0.5, lo, hi)[:, None] * 10.0 ** rng.choice(
+        [-40.0, 40.0], 8)[:, None]
+    mixed = np.concatenate([inside[:3], outside[:3], np.zeros((1, n)), np.full((1, n), np.nan)])
+    for Y in (inside, outside, mixed):
+        rows, s = norms._as_rows(Y, norm)
+        for i, y in enumerate(Y):
+            try:
+                want, ws = norms._as_vector(y, norm)
+            except ZeroVector:
+                assert np.isnan(s[i]) and np.isnan(rows[i]).all()
+                continue
+            assert (_bits(rows[i]), _bits(s[i])) == (_bits(want), _bits(ws))
+    rows, s = norms._as_rows(inside, norm)
+    assert rows is inside and _bits(s) == _bits(np.ones(8))
+    assert not np.shares_memory(norms._as_rows(mixed, norm)[0], mixed)
+    # so the rows services must not write their input: a read-only one passes
+    inside.flags.writeable = False
+    for service in (norm._values, norm._derivative_rows, norm._dual_rows):
+        service(inside)
+
+
+def _hypot_lengths(A):
+    with np.errstate(over="ignore"):
+        while A.ndim > 1:
+            A = np.hypot.reduce(A, axis=-1)
+    return A
+
+
+@pytest.mark.parametrize("shape", [(64, 3), (64, 3, 3), (32, 6, 6), (16, 10, 10), (8, 1)])
+def test_lengths_agree_with_the_hypot_chain(shape):
+    # one scaled square root per row, m |A / m| with m = max |a|: within a few
+    # ulp of the np.hypot chain from 1e-300 to 1e300, per entry or per row
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    for _ in range(50):
+        for exps in (rng.uniform(-300, 300, shape),
+                     rng.uniform(-300, 300, (shape[0],) + (1,) * (len(shape) - 1))):
+            A = rng.standard_normal(shape) * 10.0 ** exps
+            want = _hypot_lengths(A)
+            assert np.all(abs(_linalg.lengths(A) - want) <= 4 * np.spacing(want))
+    # 0 for a zero row, inf for a row with an inf, NaN for one with a NaN and no inf
+    A = np.zeros((6, 3))
+    A[1, 0], A[2, 1], A[3, :2], A[4, 2], A[5] = np.inf, np.nan, (-np.inf, np.nan), 1e300, np.nan
+    got = _linalg.lengths(A)
+    assert _bits(got) == _bits(_hypot_lengths(A))
+    assert got[0] == 0.0 and np.isinf(got[[1, 3]]).all() and np.isnan(got[[2, 5]]).all()
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +243,7 @@ HOT_PATHS = (
     _linalg.lengths, _linalg.orthonormal_basis, hypersurface.cartan_curvature_Q,
     randers.randers_isoparametric_residual, isoparametric._radial_root,
     isoparametric._randers_witness,
-    isoparametric._profile_slopes, isoparametric._level_scales,
+    isoparametric._profile_slopes, isoparametric._level_table, norms._as_rows,
     _taylor.Jet.norm_squared, _taylor.Jet.linear,
 )
 SLOW_CALLS = {"np.linalg.norm", "np.sum", "np.tensordot", "np.outer"}

@@ -594,7 +594,9 @@ class TestIdentities:
         assert 0 < failed.sum() < len(frames)
         assert np.isnan(got[failed]).all()
         assert np.max(np.abs(got[~failed] - a_prime[~failed])) <= 1e-12 * np.max(a_prime)
-        witness = iso._randers_witness(randers3, partial, rep.samples, rep.tolerance)
+        samples, stack = iso._sample_stack(randers3, f, rep.levels, 16, 0)
+        table = iso._level_table(stack, [len(s.points) for s in samples])
+        witness = iso._randers_witness(randers3, partial, stack, table, rep.tolerance)
         assert witness["r1_max"] == rep.witness["r1_max"] and witness["r2_pass"]
         with pytest.raises(LeftRegularRegion):
             iso.consistency_identities(dataclasses.replace(rep, field=partial))
