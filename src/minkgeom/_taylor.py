@@ -202,16 +202,6 @@ class Jet:
     def __neg__(self):
         return Jet(self.space, -self.c)
 
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.space, self.c - other.c)
-        c = self.c.copy()
-        if c.ndim == 1:
-            c[0] -= other
-        else:
-            c[:, 0] -= other
-        return Jet(self.space, c)
-
     def __rsub__(self, other):
         return (-self) + other
 
@@ -222,10 +212,8 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return Jet(self.space, self.c / other)
+    def __truediv__(self, other):  # a jet over a jet
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other

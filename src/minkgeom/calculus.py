@@ -19,8 +19,8 @@ Every quantity at a point comes from the same df, D^2 f, grad f and g at
 grad f.  ``level_geometry`` is their one computation: for the rows of an
 array, a level's points or a single point, it gives one ``LevelGeometry``
 of arrays, for every norm family, strategy and field, and reduces a row
-whose g degenerates to the subspace dual on a coordinate prefix.  A
-``PointGeometry`` is one row of it, built only when asked for; ``laplacian``
+whose g degenerates to the subspace dual on a coordinate prefix.  Its int
+index ``geometry[i]`` is the ``LevelGeometry`` of point i; ``laplacian``
 and ``hypersurface.frame_at`` read the one row of a point.  The dual-tensor
 and orthonormal-frame-trace Laplacians are kept as independent pipelines to
 cross-check the shared one.
@@ -50,6 +50,8 @@ from .sampling import sphere_directions, sphere_mean
 CRITICAL_EPS = 1e-8
 # central-difference step of custom_field relative to |x| (times 10 for D^2f)
 CUSTOM_FD_STEP = 1e-5
+# central-difference step of divergence_fd relative to |x|
+DIVERGENCE_FD_STEP = 1e-5
 
 
 @dataclass
@@ -63,30 +65,24 @@ class ScalarField:
     Catalog entries carry analytic derivatives; custom fields may fall back
     to finite differences, which is flagged (``uses_fd``) and propagated into
     verification reports.  ``regular_range`` is the declared open interval of
-    regular values J, and ``anchor`` the star-shape center used by radial
-    level sampling.
+    regular values J.  Radial level sampling walks rays from the origin.
 
-    ``degree`` declares a positive integer k with f(anchor + s y) =
-    s^k f(anchor + y) for s > 0, so a ray from the anchor meets level t at
-    s = (t / f(anchor + d))^(1/k) and radial sampling needs no search.  The
-    catalog fields declare it about their anchor, the origin: k = 1 for
-    linear fields and |xbar| + b.x, k = 2 for the sphere and cylinder
-    potentials (either sign).  Custom and reparametrized fields leave it
-    None, and radial sampling searches each ray for its nearest root.
+    ``degree`` declares a positive integer k with f(s y) = s^k f(y) for
+    s > 0, so a ray from the origin meets level t at s = (t / f(d))^(1/k)
+    and radial sampling needs no search.  The catalog fields declare it:
+    k = 1 for linear fields and |xbar| + b.x, k = 2 for the sphere and
+    cylinder potentials (either sign).  Custom and reparametrized fields
+    leave it None, and radial sampling searches each ray for its nearest
+    root.
     """
 
     dim: int
     tag: str
     rows: object
     uses_fd: bool = False
-    anchor: np.ndarray | None = None
     regular_range: tuple = (-math.inf, math.inf)
     meta: dict = dc_field(default_factory=dict)
     degree: int | None = None
-
-    def __post_init__(self):
-        if self.anchor is None:
-            self.anchor = np.zeros(self.dim)
 
     def value(self, x) -> float:
         return float(self._row(x, 0)[0])
@@ -286,7 +282,6 @@ def reparametrized_field(field: ScalarField, profile) -> ScalarField:
         tag="reparametrized",
         rows=rows,
         uses_fd=field.uses_fd,
-        anchor=field.anchor.copy(),
         regular_range=(plo, phi_hi),
         meta={"base": field, "profile": profile},
     )
@@ -328,40 +323,13 @@ def _regular_jet(field: ScalarField, x) -> tuple[np.ndarray, np.ndarray]:
     return df, hess
 
 
-@dataclass(frozen=True)
-class PointGeometry:
-    """The quantities of one regular point x that everything else reads.
-
-    df and the Hessian D^2 f of the field, grad f = L^{-1}(df), the
-    transnormal value F*(df) = F(grad f), the fundamental tensor g at
-    grad f and the Laplacian Delta f = tr(g^{-1} D^2 f).  Level-set frames
-    and curvatures are built from the same grad f, g and D^2 f.
-
-    A row that ``level_geometry`` reduces to the subspace dual on the first
-    m < n coordinates has ``norm`` Ftilde on R^m and an m x m ``g``; otherwise
-    m = n and ``norm`` is F.  ``df``, ``hess`` and ``grad`` have length n.
-    """
-
-    x: np.ndarray
-    norm: MinkowskiNorm
-    m: int
-    df: np.ndarray
-    hess: np.ndarray
-    grad: np.ndarray
-    fstar: float
-    g: np.ndarray
-    lap: float
-    lap_scale: float  # |g^{-1}|_F |D^2 f|_F, the size of the terms that sum to lap
-
-
 class RowRecord:
     """Row access to a dataclass of per-row arrays (every field but ``norm``):
-    ``rec[i]`` is the one-row view ``rec.row(i)``, built only when asked for,
-    and ``rec[a:b]`` (or an index array) the record of those rows."""
+    ``rec[i]`` is the record of point i, with numpy scalars for its numbers
+    and its vectors and matrices at their shapes, and ``rec[a:b]`` (or an
+    index array) the record of those rows."""
 
     def __getitem__(self, i):
-        if isinstance(i, (int, np.integer)):
-            return self.row(i)
         out = object.__new__(type(self))  # filled without running __init__
         out.__dict__.update({k: v if k == "norm" else v[i] for k, v in self.__dict__.items()})
         return out
@@ -369,12 +337,18 @@ class RowRecord:
 
 @dataclass(frozen=True)
 class LevelGeometry(RowRecord):
-    """The ``PointGeometry`` fields of a level's points as arrays, one row per
-    point: x, df, grad (N, n); hess, g (N, n, n); fstar, lap, lap_scale, m (N,);
-    and hess_norm (N,), |D^2 f|_F.
+    """The quantities of a level's regular points that everything else reads,
+    one row per point: x, df, the Hessian D^2 f (hess), grad f = L^{-1}(df),
+    the transnormal value F*(df) = F(grad f) (fstar), the fundamental tensor
+    g at grad f, the Laplacian Delta f = tr(g^{-1} D^2 f) (lap), its term
+    scale lap_scale = |g^{-1}|_F |D^2 f|_F and the geometry dimension m;
+    x, df, grad (N, n), hess, g (N, n, n) and fstar, lap, lap_scale, m (N,).
+    Level-set frames and curvatures are built from the same grad f, g and
+    D^2 f.
 
-    A row reduced to the subspace dual (m < n) holds its m x m g in
-    g[i, :m, :m], the g of its view ``geometry[i]``.
+    ``norm`` is the level's norm F.  A row reduced to the subspace dual
+    ``subspace_dual(norm, m)`` on the first m < n coordinates holds its
+    m x m g in g[i, :m, :m], with zeros around it.
     """
 
     norm: MinkowskiNorm
@@ -387,18 +361,9 @@ class LevelGeometry(RowRecord):
     lap: np.ndarray
     lap_scale: np.ndarray
     m: np.ndarray
-    hess_norm: np.ndarray
 
     def __len__(self):
         return len(self.x)
-
-    def row(self, i) -> PointGeometry:
-        m = int(self.m[i])
-        norm = self.norm if m == self.norm.dim else duality.subspace_dual(self.norm, m)
-        return PointGeometry(
-            x=self.x[i], norm=norm, m=m, df=self.df[i], hess=self.hess[i], grad=self.grad[i],
-            fstar=float(self.fstar[i]), g=self.g[i, :m, :m], lap=float(self.lap[i]),
-            lap_scale=float(self.lap_scale[i]))
 
 
 def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> LevelGeometry:
@@ -446,7 +411,7 @@ def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> LevelGeometry:
                                    f"definite at x={x!r}, and no subspace dual on a "
                                    f"coordinate prefix holds there")
     return LevelGeometry(norm=norm, x=X, df=df, hess=hess, grad=grad, fstar=fstar, g=g, lap=lap,
-                         lap_scale=lap_scale, m=m, hess_norm=hnorm)
+                         lap_scale=lap_scale, m=m)
 
 
 def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
@@ -527,23 +492,25 @@ def laplacian(norm: MinkowskiNorm, field: ScalarField, x, method: str = "primal"
     m = geo.m
     hess = geo.hess[:m, :m]
     if method == "dual":
-        return float(np.tensordot(duality.dual_fundamental_tensor(geo.norm, geo.df[:m]), hess))
-    grad = geo.grad[:m]
+        sub = norm if m == norm.dim else duality.subspace_dual(norm, m)
+        return float(np.tensordot(duality.dual_fundamental_tensor(sub, geo.df[:m]), hess))
+    g, grad = geo.g[:m, :m], geo.grad[:m]
     frame = np.vstack([
-        orthonormal_basis(geo.g, first=grad),
-        (grad / math.sqrt(grad @ geo.g @ grad))[None, :],
+        orthonormal_basis(g[None], grad[None])[0],
+        (grad / math.sqrt(grad @ g @ grad))[None, :],
     ])
     return float(sum(e @ hess @ e for e in frame))
 
 
-def divergence_fd(norm: MinkowskiNorm, field: ScalarField, x, step: float = 1e-5) -> float:
+def divergence_fd(norm: MinkowskiNorm, field: ScalarField, x) -> float:
     """Centered finite difference of div(grad f); an independent oracle.
 
-    The step is step |x|, relative so that the oracle holds at every scale of
-    a homogeneous field; at x = 0, which has no scale, it is ``step``.
+    The step is DIVERGENCE_FD_STEP |x|, relative so that the oracle holds at
+    every scale of a homogeneous field; at x = 0, which has no scale, it is
+    DIVERGENCE_FD_STEP.
     """
     x = np.asarray(x, dtype=float)
-    h = step * (float(np.linalg.norm(x)) or 1.0)
+    h = DIVERGENCE_FD_STEP * (float(np.linalg.norm(x)) or 1.0)
     return float(fd_jacobian(lambda z: gradient(norm, field, z), x, h).trace())
 
 

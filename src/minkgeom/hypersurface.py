@@ -10,8 +10,8 @@ on the tangent space.  Principal curvatures are the eigenvalues of hhat in a
 ghat-orthonormal tangent frame.  ``level_frames`` is the one frame builder:
 it builds the frames of a level's ``LevelGeometry`` as one ``LevelFrames``
 of arrays (one g-Gram-Schmidt, one shape-operator product, one batched
-``eigh``); a ``HypersurfacePointFrame`` is one row of it, built only when
-asked for, and ``frame_at`` is the builder's call on one point.  The
+``eigh``); its int index ``frames[i]`` is the ``LevelFrames`` of point i,
+and ``frame_at`` is the builder's call on one point.  The
 sectional curvature of the induced connection reduces in a Minkowski space
 to the product identity Khat(e_a ^ e_b) = k_a k_b, which is how it is
 computed here (the intrinsic connection itself is never constructed).
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import orthonormal_basis
-from .calculus import LevelGeometry, PointGeometry, RowRecord, ScalarField, level_geometry
+from .calculus import LevelGeometry, RowRecord, ScalarField, level_geometry
 from .errors import EigenFailure, NotOrthogonal
 from .norms import MinkowskiNorm, _as_vector
 
@@ -37,33 +37,15 @@ ORTHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class HypersurfacePointFrame:
-    """Frame data of a level set at one regular point: one row of ``LevelFrames``.
-
-    ``tangent_basis`` rows are ghat-orthonormal, so ``principal_curvatures``
-    are plain eigenvalues of ``hhat``; ``eigenvectors`` rows are the ambient
-    principal directions, sorted like them.  ``groups`` lists (kappa_r, m_r)
-    for the curvature groups of ``level_frames``.  ``geometry`` is the point
-    geometry the frame was built from (grad f, F(grad f), Delta f).
-    """
-
-    x: np.ndarray
-    normal: np.ndarray
-    tangent_basis: np.ndarray
-    hhat: np.ndarray
-    principal_curvatures: np.ndarray
-    eigenvectors: np.ndarray
-    groups: tuple
-    geometry: PointGeometry
-
-
-@dataclass(frozen=True)
 class LevelFrames(RowRecord):
-    """The ``HypersurfacePointFrame`` fields of a level's points as arrays, one
-    row per point, built from ``geometry``: normal (N, n), tangent_basis and
-    eigenvectors (N, n-1, n), hhat (N, n-1, n-1), principal_curvatures
-    (N, n-1).  ``breaks`` (N, n-2) marks each step between neighbouring
-    curvatures above the group tolerance, where a new group starts.
+    """Frame data of a level set at a level's regular points, one row per
+    point, built from ``geometry`` (grad f, F(grad f), Delta f): the forward
+    unit normal (N, n); ``tangent_basis`` (N, n-1, n), whose rows are
+    ghat-orthonormal, so the ``principal_curvatures`` (N, n-1) are plain
+    eigenvalues of ``hhat`` (N, n-1, n-1); ``eigenvectors`` (N, n-1, n), the
+    ambient principal directions, sorted like them.  ``breaks`` (N, n-2)
+    marks each step between neighbouring curvatures above the group
+    tolerance, where a new group starts.
     """
 
     geometry: LevelGeometry
@@ -77,13 +59,12 @@ class LevelFrames(RowRecord):
     def __len__(self):
         return len(self.normal)
 
-    def row(self, i) -> HypersurfacePointFrame:
-        k = self.principal_curvatures[i].tolist()
-        return HypersurfacePointFrame(
-            x=self.geometry.x[i], normal=self.normal[i], tangent_basis=self.tangent_basis[i],
-            hhat=self.hhat[i], principal_curvatures=self.principal_curvatures[i],
-            eigenvectors=self.eigenvectors[i], geometry=self.geometry[i],
-            groups=tuple((sum(k[a:a + m]) / m, m) for a, m in zip(*group_runs(self.breaks[i]))))
+    @property
+    def groups(self) -> tuple:
+        """(kappa_r, m_r) of the curvature groups of a point's frame ``frames[i]``:
+        the mean curvature and the size of each run of ``group_runs``."""
+        k = self.principal_curvatures.tolist()
+        return tuple((sum(k[a:a + m]) / m, m) for a, m in zip(*group_runs(self.breaks)))
 
 
 def group_runs(breaks: np.ndarray) -> tuple:
@@ -92,15 +73,13 @@ def group_runs(breaks: np.ndarray) -> tuple:
     return starts, [b - a for a, b in zip(starts, starts[1:] + [len(breaks) + 1])]
 
 
-def frame_at(norm: MinkowskiNorm, field: ScalarField, x,
-             basis_seed: int = 0) -> HypersurfacePointFrame:
+def frame_at(norm: MinkowskiNorm, field: ScalarField, x) -> LevelFrames:
     """Build the hypersurface frame of the level set of ``field`` through x:
     ``level_frames`` of the ``level_geometry`` of its one row."""
-    return level_frames(norm, field, level_geometry(norm, field, [x]), basis_seed)[0]
+    return level_frames(norm, field, level_geometry(norm, field, [x]))[0]
 
 
-def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometry,
-                 basis_seed: int = 0) -> LevelFrames:
+def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometry) -> LevelFrames:
     """The hypersurface frames of the rows of ``geometry``, built as one stack.
 
     The rows of one geometry dimension m share one g-Gram-Schmidt
@@ -111,8 +90,9 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
     complement directions are principal with curvature zero, as in the
     cylinder model.  Curvatures are grouped within max(1e-9 s, 1e-6 max|kappa|),
     or max(1e-4 s, 1e-4 max|kappa|) under finite differences, with
-    s = |D^2 f|_F / F*(df), the size of hhat's entries, so that the groups
-    do not change when the level is scaled.
+    s = |g^{-1}|_F |D^2 f|_F / F*(df) (``lap_scale`` / F*), the size of
+    hhat's entries, so that the groups do not change when the level or the
+    norm is scaled.
     """
     n = norm.dim
     fstar = geometry.fstar
@@ -121,8 +101,7 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
     for m in sorted(set(geometry.m.tolist())):
         rows = geometry.m == m
         tangent[rows, : m - 1, :m] = orthonormal_basis(geometry.g[rows, :m, :m],
-                                                       first=normal[rows, :m],
-                                                       basis_seed=basis_seed)
+                                                       normal[rows, :m])
         tangent[rows, m - 1:, m:] = np.eye(n - m)
     hhat = -(tangent @ geometry.hess @ tangent.transpose(0, 2, 1)) / fstar[:, None, None]
     hhat = 0.5 * (hhat + hhat.transpose(0, 2, 1))
@@ -130,7 +109,7 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
         vals, vecs = np.linalg.eigh(hhat)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure("eigendecomposition of the shape operator failed") from exc
-    kmax, size = abs(vals).max(axis=1), geometry.hess_norm / fstar
+    kmax, size = abs(vals).max(axis=1), geometry.lap_scale / fstar
     tol = (1e-4 * np.maximum(size, kmax) if norm.strategy == "fd" or field.uses_fd
            else np.maximum(1e-9 * size, 1e-6 * kmax))
     return LevelFrames(geometry=geometry, normal=normal, tangent_basis=tangent, hhat=hhat,
@@ -138,7 +117,7 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
                        breaks=np.diff(vals, axis=1) > tol[:, None])
 
 
-def mean_curvatures(frame: HypersurfacePointFrame) -> tuple[float, float]:
+def mean_curvatures(frame: LevelFrames) -> tuple[float, float]:
     """(ghat-mean curvature, volumetric mean curvature) = (sum k_a, same).
 
     The S-curvature of a Minkowski space with BH or HT volume vanishes, so
@@ -195,7 +174,7 @@ def gram_orthogonal_triple(norm: MinkowskiNorm, rng) -> tuple:
     return y, X, Y
 
 
-def sectional_products(frame: HypersurfacePointFrame) -> np.ndarray:
+def sectional_products(frame: LevelFrames) -> np.ndarray:
     """Matrix of induced sectional curvatures Khat(e_a ^ e_b) = k_a k_b.
 
     Only off-diagonal entries are meaningful; the diagonal is set to zero.
@@ -206,7 +185,7 @@ def sectional_products(frame: HypersurfacePointFrame) -> np.ndarray:
     return out
 
 
-def cartan_formula_residual(frame: HypersurfacePointFrame) -> float:
+def cartan_formula_residual(frame: LevelFrames) -> float:
     """Max over s of | sum_{r != s} m_r kappa_s kappa_r / (kappa_s - kappa_r) |.
 
     The Cartan-type formula for isoparametric level sets; identically zero
@@ -225,7 +204,7 @@ def cartan_formula_residual(frame: HypersurfacePointFrame) -> float:
     return worst
 
 
-def two_curvature_residuals(norm: MinkowskiNorm, frame: HypersurfacePointFrame) -> np.ndarray:
+def two_curvature_residuals(norm: MinkowskiNorm, frame: LevelFrames) -> np.ndarray:
     """Values k_a k_b (1 - Q_n(e_a, e_b)) across eigenvector pairs from
     different curvature groups; all must vanish for g = 2 isoparametric
     level sets."""

@@ -3,24 +3,25 @@
 A function f is transnormal when F(grad f) is constant on each level set
 (equal to a(f) for a profile a), and isoparametric when additionally the
 Finsler Laplacian is constant on each level set (Delta f = b(f)).  The
-verifier samples points of each requested level on rays from an anchor along
+verifier samples points of each requested level on rays from the origin along
 a low-discrepancy direction set, computes F*(df), Delta f and principal
 curvatures per point, and turns within-level constancy into verdicts.
 
 The levels of a verification are computed as one stack (``sample_levels``).
 On a field of declared degree k (every catalog field) f is positively
-homogeneous about the anchor, so a ray meets level t at
-s = (t / f(anchor + d))^(1/k): one evaluation of f over all rays, shared by
-every level.  On other fields all the rays of a level walk a fixed ladder of
-radii together to bracket the level nearest the anchor, and Illinois regula
-falsi narrows every bracket together.  The field is evaluated only through
+homogeneous, so a ray meets level t at s = (t / f(d))^(1/k): one
+evaluation of f over all rays, shared by every level.  On other fields all
+the rays of a level walk a fixed ladder of radii together to bracket the
+level nearest the origin, and Illinois regula falsi narrows every bracket
+together.  The field is evaluated only through
 its ``rows``, one array of points at a time.  A point is kept when
 |f(x) - t| <= 1e-10 |t|.  The points of all levels then get their geometry
 from one ``calculus.level_geometry`` and their frames from one
 ``hypersurface.level_frames``, for every norm family, strategy and field,
 kept as one stack of arrays: the statistics, verdicts and curvature groups of
 all levels are one pass over it (``_level_table``), the Randers witness takes
-its rows with one index, and a per-point frame is built only when asked for.
+its rows with one index, and a point's frame ``frames[i]`` is built only when
+asked for.
 
 Each verdict compares a level's spread with a scale from the same level, so
 it does not change when the level, the field or the norm is scaled.  A
@@ -63,7 +64,8 @@ LEVEL_RESIDUAL = 1e-10
 WITNESS_POINTS = 8     # points per level fed to the Randers witness
 IDENTITY_POINTS = 4    # points per level of the consistency-identity table
 FLOW_STEP = 1e-4       # flow-line differencing step, relative to a(t)
-# radii s of the ray ladder anchor + s * d that brackets a level, ratio sqrt(2)
+FLOW_STEPS = 512       # RK4 steps of f_segment_flow
+# radii s of the ray ladder s * d that brackets a level, ratio sqrt(2)
 _LADDER = np.geomspace(2.0**-40, 2.0**40, 161)
 _VERDICTS = ("yes", "inconclusive", "no")  # from best to worst
 
@@ -89,15 +91,15 @@ class LevelSample:
 def sample_levels(norm: MinkowskiNorm, field: ScalarField, levels, count: int,
                   seed: int = 0) -> list:
     """Sample ``count`` points of each level f^{-1}(t), t in ``levels``, on rays
-    from ``field.anchor``, as one stack; a ``LevelSample`` per level.
+    from the origin, as one stack; a ``LevelSample`` per level.
 
     Every level uses the same directions.  On a field with a ``degree`` every
     ray meets a level in closed form (``_degree_radii``), from one evaluation
-    of f at anchor + d over all rays, shared by the levels; on any other field
-    the rays walk the ladder of ``_radial_root`` together to the root nearest
-    the anchor.  A ray that gives no point is tried mirrored; if that fails
+    of f at d over all rays, shared by the levels; on any other field the
+    rays walk the ladder of ``_radial_root`` together to the root nearest
+    the origin.  A ray that gives no point is tried mirrored; if that fails
     too the direction is skipped, and more than half skipped raises
-    LevelNotReached, which says when the level passes through the anchor of
+    LevelNotReached, which says when the level passes through the origin of
     such a field.
     Every returned point satisfies |f(x) - t| <= 1e-10 |t| (1e-10 at t = 0)
     and is regular.  The points of all levels get their geometry from one
@@ -115,16 +117,15 @@ def _sample_stack(norm: MinkowskiNorm, field: ScalarField, levels, count: int, s
     if count < 8:
         raise ValueError("count must be at least 8")
     lo, hi = field.regular_range
-    anchor = np.asarray(field.anchor, dtype=float)
     dirs = sphere_directions(field.dim, count, seed=seed)
-    rays = {}   # f at anchor +- d, evaluated once for all levels
+    rays = {}   # f at +-d, evaluated once for all levels
     found, error = [], None
     for t in levels:
         if not lo < t < hi:
             error = ValueError(f"level {t} outside the declared regular range "
                                f"{field.regular_range}")
             break
-        points = _level_points(field, anchor, dirs, t, rays)
+        points = _level_points(field, dirs, t, rays)
         skipped = count - len(points)
         if skipped > count // 2:
             error = LevelNotReached(f"level {t}: {skipped}/{count} directions gave no point; "
@@ -163,16 +164,16 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
     return sample_levels(norm, field, [t], count, seed)[0]
 
 
-def _level_points(field: ScalarField, anchor, dirs, t, rays) -> np.ndarray:
-    """The accepted points of level t on the rays anchor + s d, d in ``dirs``,
-    each mirrored where it meets no point; ``rays`` keeps f at anchor +- d
-    for the closed form of a field with a degree."""
+def _level_points(field: ScalarField, dirs, t, rays) -> np.ndarray:
+    """The accepted points of level t on the rays s d, d in ``dirs``, each
+    mirrored where it meets no point; ``rays`` keeps f at +-d for the closed
+    form of a field with a degree."""
 
     def radii(sign, which):
         if field.degree is None:
-            return _radial_root(field, anchor, sign * dirs[which], t)
+            return _radial_root(field, sign * dirs[which], t)
         if sign not in rays:
-            rays[sign] = field.rows(anchor + sign * dirs, 0)
+            rays[sign] = field.rows(sign * dirs, 0)
         return _degree_radii(rays[sign][which], t, field.degree)
 
     s = radii(1.0, slice(None))
@@ -182,30 +183,30 @@ def _level_points(field: ScalarField, anchor, dirs, t, rays) -> np.ndarray:
     if miss.any():
         s[miss] = radii(-1.0, miss)
         dirs = np.where(miss[:, None], -dirs, dirs)
-    points = (anchor + s[:, None] * dirs)[~np.isnan(s)]
+    points = (s[:, None] * dirs)[~np.isnan(s)]
     with np.errstate(invalid="ignore"):
         return points[abs(field.rows(points, 0) - t) <= LEVEL_RESIDUAL * (abs(t) or 1.0)]
 
 
 def _unreached_reason(field: ScalarField, t) -> str:
-    """Why a level was not reached: f(anchor) = 0 on a field with a degree."""
+    """Why a level was not reached: f(0) = 0 on a field with a degree."""
     if field.degree is not None and t == 0.0:
-        return "the level passes through the anchor, where a field with a degree is 0"
-    return "check the anchor or the declared regular range"
+        return "the level passes through the origin, where a field with a degree is 0"
+    return "check the declared regular range; the rays start at the origin"
 
 
 def _degree_radii(v, t, k: int):
     """s = (t / v)^(1/k), the radius where a field of degree k with
-    f(anchor + d) = v meets level t, for each v; NaN where t / v is not in
+    f(d) = v meets level t, for each v; NaN where t / v is not in
     (0, inf): a wrong sign, a zero or infinite v, or a failed f (NaN)."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = np.divide(t, v)
         return np.where((q > 0.0) & (q < math.inf), q, math.nan) ** (1.0 / k)
 
 
-def _radial_root(field: ScalarField, anchor, dirs, t) -> np.ndarray:
-    """The radius s of each ray anchor + s d, d a row of ``dirs``, where f = t
-    nearest the anchor; NaN where the ray finds none.
+def _radial_root(field: ScalarField, dirs, t) -> np.ndarray:
+    """The radius s of each ray s d, d a row of ``dirs``, where f = t nearest
+    the origin; NaN where the ray finds none.
 
     The rays walk the ladder ``_LADDER`` together from its bottom rung, one
     evaluation of f per rung step over the rays still walking, so f is
@@ -221,8 +222,8 @@ def _radial_root(field: ScalarField, anchor, dirs, t) -> np.ndarray:
     gives its midpoint.
     """
 
-    def gap(s, rays):  # f - t at anchor + s d on the given rays, NaN where f fails
-        return field.rows(anchor + s * dirs[rays], 0) - t
+    def gap(s, rays):  # f - t at s d on the given rays, NaN where f fails
+        return field.rows(s * dirs[rays], 0) - t
 
     n_rays = len(dirs)
     out, va = np.full(n_rays, math.nan), np.full(n_rays, math.nan)
@@ -639,12 +640,12 @@ class FlowResult:
     chord_deviation: float
 
 
-def f_segment_flow(norm: MinkowskiNorm, field: ScalarField, x0, t1: float, t2: float,
-                   steps: int = 512) -> FlowResult:
+def f_segment_flow(norm: MinkowskiNorm, field: ScalarField, x0, t1: float,
+                   t2: float) -> FlowResult:
     """Integrate the unit-speed gradient flow from f = t1 up to f = t2.
 
     The trajectory is the f-segment through x0.  Integration runs in the
-    level parameter (dx/dt = grad f / F*(df)^2, classical RK4), the endpoint
+    level parameter (dx/dt = grad f / F*(df)^2, FLOW_STEPS of RK4), the endpoint
     is Newton-projected onto f = t2, and the F-arclength is accumulated along
     the polyline, which is exact for the straight segments of a Minkowski
     space.  ``chord_deviation`` is the maximum Euclidean distance of the
@@ -672,12 +673,10 @@ def f_segment_flow(norm: MinkowskiNorm, field: ScalarField, x0, t1: float, t2: f
             raise LeftRegularRegion("F(grad f) collapsed along the flow")
         return grad / fstar**2
 
-    if steps % 2:
-        steps += 1
-    dt = (t2 - t1) / steps
+    dt = (t2 - t1) / FLOW_STEPS
     traj = [x.copy()]
     arclength = 0.0
-    for _ in range(steps):
+    for _ in range(FLOW_STEPS):
         k1 = velocity(x)
         k2 = velocity(x + 0.5 * dt * k1)
         k3 = velocity(x + 0.5 * dt * k2)
@@ -702,9 +701,9 @@ def f_segment_flow(norm: MinkowskiNorm, field: ScalarField, x0, t1: float, t2: f
                       trajectory=traj, chord_deviation=deviation)
 
 
-def reparametrize_isoparametric(report: VerificationReport, profile,
-                                count: int | None = None) -> VerificationReport:
-    """Re-verify phi o f for a monotone smooth profile.
+def reparametrize_isoparametric(report: VerificationReport, profile) -> VerificationReport:
+    """Re-verify phi o f for a monotone smooth profile, with the report's
+    sample count, tolerance and seed.
 
     The verdict must remain isoparametric and the fitted profiles transform
     as a_new(phi(t)) = phi'(t) a(t) and b_new(phi(t)) = phi'' a^2 + phi' b.
@@ -717,5 +716,5 @@ def reparametrize_isoparametric(report: VerificationReport, profile,
     new_field = reparametrized_field(report.field, profile)
     new_levels = [profile.phi(t) for t in report.levels]
     return verify(report.norm, new_field, new_levels,
-                  count=count or report.count, tol=report.tolerance,
+                  count=report.count, tol=report.tolerance,
                   seed=report.seed)

@@ -363,7 +363,6 @@ class RandersNorm(MinkowskiNorm):
         if not bnorm < 1.0:
             raise NotInDomain(f"Randers requires ||b|| < 1, got {bnorm}")
         self.b = b
-        self.b_norm = float(bnorm)
         self.lam = float(1.0 - bnorm**2)
         self.astar = (self.lam * np.eye(b.size) + np.outer(b, b)) / self.lam**2
         self.bstar = -b / self.lam

@@ -16,11 +16,12 @@ and ``_randers_witness`` replace, kept as their reference.
 import math
 from collections import Counter
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from minkgeom.calculus import PointGeometry, RowRecord
+from minkgeom.calculus import RowRecord
 from minkgeom.duality import dual_norm, legendre_inverse, subspace_dual
 from minkgeom.errors import (BadDimension, DegenerateMetric, MinkGeomError, NoConvergence,
                              NotInDomain, ZeroCovector)
@@ -52,9 +53,10 @@ def mean_curvature_residual(frame) -> float:
     return abs(frame.geometry.fstar * float(np.sum(frame.principal_curvatures)) + faa)
 
 
-def point_geometry(norm: MinkowskiNorm, field, x) -> PointGeometry:
+def point_geometry(norm: MinkowskiNorm, field, x) -> SimpleNamespace:
     """The geometry of ``field`` at one regular point x, the reference of
-    ``calculus.level_geometry``, from the one-point public services.
+    ``calculus.level_geometry``, from the one-point public services, as a
+    plain record: x, norm, m, df, hess, grad, fstar, g, lap and lap_scale.
 
     df and D^2 f are ``field.d1`` and ``field.d2``, grad f is
     ``legendre_inverse`` of df, g is ``fundamental_tensor`` there (which
@@ -87,14 +89,14 @@ def point_geometry(norm: MinkowskiNorm, field, x) -> PointGeometry:
         return geo
 
 
-def _geometry_in(norm: MinkowskiNorm, m: int, x, df, hess) -> PointGeometry:
+def _geometry_in(norm: MinkowskiNorm, m: int, x, df, hess) -> SimpleNamespace:
     """``point_geometry`` in ``norm`` on the first m coordinates."""
     grad_m = legendre_inverse(norm, df[:m])
     g = norm.fundamental_tensor(grad_m)
     grad = np.zeros(df.size)
     grad[:m] = grad_m
     ginv, h = np.linalg.inv(g).ravel(), hess[:m, :m].ravel()
-    return PointGeometry(
+    return SimpleNamespace(
         x=x, norm=norm, m=m, df=df, hess=hess, grad=grad, fstar=norm.value(grad_m), g=g,
         lap=float(ginv.dot(h)), lap_scale=math.hypot(*ginv.tolist()) * math.hypot(*h.tolist()))
 

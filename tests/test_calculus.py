@@ -215,7 +215,6 @@ class TestFields:
         fields += [calculus.sphere_potential(alphabeta3), calculus.cylinder_potential(quartic3, 2)]
         assert [f.degree for f in fields] == [1, 2, 2, 2, 2, 1, 2, 2]
         for f in fields:
-            assert not f.anchor.any()
             for x in rng.standard_normal((4, 3)):
                 fx = f.value(x)
                 for j in range(-60, 61):

@@ -208,11 +208,10 @@ class TestListInputs:
     def test_orthonormal_basis(self, setting):
         norm, _, y, *_ = setting
         g = norm.fundamental_tensor(y)
-        want = _linalg.orthonormal_basis(g, first=y)
+        want = _linalg.orthonormal_basis(g[None], y[None])
         for kind in (list, tuple):
-            rows = kind(kind(r) for r in g)
-            assert _bits(_linalg.orthonormal_basis(rows, first=kind(y))) == _bits(want)
-            assert _bits(_linalg.orthonormal_basis(rows)) == _bits(_linalg.orthonormal_basis(g))
+            stack = kind([kind(kind(r) for r in g)])
+            assert _bits(_linalg.orthonormal_basis(stack, kind([kind(y)]))) == _bits(want)
 
     def test_dual_norm_and_value(self, setting):
         norm, *_ = setting

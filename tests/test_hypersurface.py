@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, null_space
 
-from minkgeom import _linalg, calculus, hypersurface as hs, norms
+from minkgeom import calculus, hypersurface as hs, norms
 from minkgeom.errors import EigenFailure, NotOrthogonal
 
-from .oracles import mean_curvature_residual
+from .oracles import mean_curvature_residual, point_geometry
 
 
 def sphere_point(norm, r, direction):
@@ -54,12 +55,18 @@ class TestFrame:
         assert np.max(np.abs(fr.tangent_basis @ g @ fr.normal)) <= 1e-10
         assert np.max(np.abs(fr.tangent_basis @ g @ fr.tangent_basis.T - np.eye(2))) <= 1e-10
 
-    def test_basis_seed_invariance(self, randers3_mixed, rng):
+    def test_curvatures_are_the_pencil_on_any_complement_basis(self, randers3_mixed):
+        # the principal curvatures are the generalized eigenvalues of
+        # (-D^2 f / F*, g) on the g-orthogonal complement of the normal, with
+        # g at grad f, so any basis of it gives them: here an SVD null-space
+        # basis from the one-point oracle's g, D^2 f and F*
         f = calculus.norm_plus_linear(randers3_mixed, 2)
-        x = np.array([1.0, 0.4, 0.6])
-        k0 = hs.frame_at(randers3_mixed, f, x, basis_seed=0).principal_curvatures
-        k1 = hs.frame_at(randers3_mixed, f, x, basis_seed=1).principal_curvatures
-        assert np.max(np.abs(k0 - k1)) <= 1e-9
+        for x in ([1.0, 0.4, 0.6], [-0.3, 0.9, 0.2], [0.5, -0.7, -1.1]):
+            geo = point_geometry(randers3_mixed, f, x)
+            B = null_space((geo.g @ geo.grad)[None, :]).T  # (n-1, n), any basis
+            want = eigh(-B @ geo.hess @ B.T / geo.fstar, B @ geo.g @ B.T, eigvals_only=True)
+            got = hs.frame_at(randers3_mixed, f, x).principal_curvatures
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), x
 
     def test_umbilic_grouping_counts(self, randers3):
         # spheres and hyperplanes: one group; cylinders: exactly two
@@ -162,7 +169,7 @@ class TestCartanCurvature:
                 y, X, Y = hs.gram_orthogonal_triple(norm, rng)
                 d = oracle.derivatives(y, order=4)
                 C, Ccal, g = 0.5 * d.d3, 0.5 * d.d4, d.d2
-                e = _linalg.orthonormal_basis(g)
+                e = np.linalg.inv(np.linalg.cholesky(g))  # rows: e g e^T = I
                 cX = np.einsum("ijk,i,j,ak->a", C, X, X, e)
                 cY = np.einsum("ijk,i,j,ak->a", C, Y, Y, e)
                 quad = np.einsum("ijkl,i,j,k,l->", Ccal, X, X, Y, Y)

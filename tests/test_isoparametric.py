@@ -72,11 +72,11 @@ class TestSampling:
         a = rep.a_nodes
         assert np.max(np.abs(a[:, 1] / np.sqrt(2.0 * a[:, 0]) - 1.0)) <= 1e-10
 
-    def test_custom_level_beyond_the_ladder_names_the_anchor(self, randers3):
+    def test_custom_level_beyond_the_ladder_names_the_range(self, randers3):
         # a custom field has no degree: its rays are walked on the ladder,
         # and its message cannot say where the level lies
         custom = calculus.custom_field(3, lambda x: 0.5 * x.dot(x))
-        with pytest.raises(LevelNotReached, match="check the anchor"):
+        with pytest.raises(LevelNotReached, match="check the declared regular range"):
             iso.verify(randers3, custom, [1e30, 2e30, 4e30], count=16)
 
     def test_acceptance_is_relative_to_the_level(self, randers3):
@@ -95,10 +95,10 @@ class TestSampling:
                                       lambda x: np.eye(3))
         assert len(iso.sample_level(randers3, exact, 1e-20, 16).points) == 16
 
-    def test_level_through_the_anchor_is_named(self, randers3):
-        # a field of positive degree is 0 at its anchor, so level 0 of a
+    def test_level_through_the_origin_is_named(self, randers3):
+        # a field of positive degree is 0 at the origin, so level 0 of a
         # linear field is the hyperplane through it, met by no ray
-        with pytest.raises(LevelNotReached, match="passes through the anchor"):
+        with pytest.raises(LevelNotReached, match="passes through the origin"):
             iso.sample_level(randers3, calculus.linear_field([1.0, 2.0, 0.5]), 0.0, 16)
 
     @pytest.mark.parametrize("case", ["sphere", "reverse-sphere", "hyperplane", "cylinder",
@@ -208,13 +208,13 @@ def _counted(field, calls, at=None):
     return dataclasses.replace(field, rows=rows)
 
 
-def _trials_per_ray(at, anchor, rays):
+def _trials_per_ray(at, rays):
     """The number of points of ``at`` off the ladder's rungs on each of the
-    unit ``rays`` from ``anchor``."""
+    unit ``rays`` from the origin."""
     trials = np.zeros(len(rays), int)
     for x in at:
-        i = int(np.argmax(rays.dot(x - anchor)))
-        trials[i] += not (anchor + iso._LADDER[:, None] * rays[i] == x).all(axis=1).any()
+        i = int(np.argmax(rays.dot(x)))
+        trials[i] += not (iso._LADDER[:, None] * rays[i] == x).all(axis=1).any()
     return trials
 
 
@@ -240,18 +240,17 @@ class TestRadialRoot:
         calls = {"value": 0, "d1": 0}
         at = []
         field = _counted(dataclasses.replace(field, degree=None), calls, at)
-        anchor = np.asarray(field.anchor, dtype=float)
         rays = sampling.sphere_directions(field.dim, 16, seed=0)
-        s = iso._radial_root(field, anchor, rays, t)
-        assert _trials_per_ray(at, anchor, rays).max() <= 12
+        s = iso._radial_root(field, rays, t)
+        assert _trials_per_ray(at, rays).max() <= 12
         miss = np.isnan(s)
         if miss.any():  # the rays that found no root, mirrored
             at.clear()
-            s[miss] = iso._radial_root(field, anchor, -rays[miss], t)
-            assert _trials_per_ray(at, anchor, -rays[miss]).max() <= 12
+            s[miss] = iso._radial_root(field, -rays[miss], t)
+            assert _trials_per_ray(at, -rays[miss]).max() <= 12
             rays = np.where(miss[:, None], -rays, rays)
         assert not np.isnan(s).any()
-        for x in anchor + s[:, None] * rays:
+        for x in s[:, None] * rays:
             assert abs(field.value(x) - t) <= iso.LEVEL_RESIDUAL * abs(t)
 
     @pytest.mark.parametrize("case", ["randers-sphere", "randers-reverse-sphere",
@@ -278,8 +277,7 @@ class TestRadialRoot:
         calls = {"value": 0, "d1": 0}
         for f in (dataclasses.replace(field, degree=None), field):
             f = _counted(f, calls)
-            points = iso._level_points(f, np.asarray(f.anchor, dtype=float),
-                                       sampling.sphere_directions(f.dim, 16, seed=0), t, {})
+            points = iso._level_points(f, sampling.sphere_directions(f.dim, 16, seed=0), t, {})
             assert len(points) == 16
             assert (abs(f.rows(points, 0) - t) <= 1e-13 * abs(t)).all()
         assert calls["d1"] == 0
@@ -288,7 +286,7 @@ class TestRadialRoot:
         # at t = 0 the residual stop admits only an exact zero, so the width
         # stop 1e-13 s (or an exact zero) ends the search at |x| = sqrt(3)
         field = calculus.custom_field(3, lambda x: x @ x - 3.0)
-        s = iso._radial_root(field, np.zeros(3), np.array([[1.0, 0.0, 0.0]]), 0.0)
+        s = iso._radial_root(field, np.array([[1.0, 0.0, 0.0]]), 0.0)
         assert s[0] == pytest.approx(np.sqrt(3.0), rel=1e-13, abs=0.0)
 
     def test_error_inside_the_bracket_skips_the_ray(self):
@@ -310,9 +308,9 @@ class TestRadialRoot:
                                          lambda x: 2.0 * np.eye(3))
 
         rays = np.eye(3)[:2]
-        s = iso._radial_root(field(False), np.zeros(3), rays, t)
+        s = iso._radial_root(field(False), rays, t)
         assert s == pytest.approx([np.sqrt(t)] * 2)
-        s = iso._radial_root(field(True), np.zeros(3), rays, t)
+        s = iso._radial_root(field(True), rays, t)
         assert np.isnan(s[0]) and s[1] == pytest.approx(np.sqrt(t))
 
     @pytest.mark.parametrize("k", [-20, 7, 30])
@@ -349,11 +347,11 @@ class TestRadialRoot:
         d = sampling.sphere_directions(3, 1, seed=0)[0]
         rays = np.array([d, -d, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
                          np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)])
-        values = field.rows(field.anchor + rays, 0)
+        values = field.rows(rays, 0)
         outcomes = set()
         for m in (1e-10, 1e-7, 1.5, 1e7, 1e10):
             for t in (m**field.degree, -m**field.degree):
-                want = iso._radial_root(ladder, field.anchor, rays, t)
+                want = iso._radial_root(ladder, rays, t)
                 got = iso._degree_radii(values, t, field.degree)
                 found = ~np.isnan(want)
                 outcomes.update(found.tolist())
@@ -421,6 +419,29 @@ class TestVerify:
         assert rep.group_structure == ((1, 2) if norm.dim == 4 else (1, 1))
         m = np.concatenate([s.frames.geometry.m for s in rep.samples])
         assert (m == (norm.dim if case == "randers" else 2)).all()
+
+    @pytest.mark.parametrize("k", [-20, -13, -10, 10, 13, 20])
+    @pytest.mark.parametrize("case", ["randers-sphere", "randers-cylinder", "quartic-cylinder"])
+    def test_a_scaled_norm_keeps_the_verdicts_and_groups(self, case, k):
+        # F -> cF with the same model field of cF on the levels c^2 t: the
+        # verdicts and curvature groups of verify(F) at c = 10^k.  g scales
+        # as c^2 and hhat as 1/c, so the Gram-Schmidt collapse test and the
+        # group floor must both be relative to the data
+        c = 10.0**k
+        norm, make, levels = {
+            "randers-sphere": (norms.RandersNorm([0.5, 0.0, 0.0]), calculus.sphere_potential,
+                               [0.5, 2.0, 4.5]),
+            "randers-cylinder": (norms.RandersNorm([0.3, 0.0, 0.0]),
+                                 lambda F: calculus.cylinder_potential(F, 2), [0.125, 0.5, 1.125]),
+            "quartic-cylinder": (norms.KthRootNorm(4, 3),
+                                 lambda F: calculus.cylinder_potential(F, 2), [0.125, 0.5, 1.125]),
+        }[case]
+        want = iso.verify(norm, make(norm), levels, count=16)
+        scaled = norms.ScaledNorm(norm, c)
+        got = iso.verify(scaled, make(scaled), [c**2 * t for t in levels], count=16)
+        assert (want.transnormal_verdict, want.isoparametric_verdict) == ("yes", "yes")
+        assert ((got.transnormal_verdict, got.isoparametric_verdict, got.group_structure)
+                == (want.transnormal_verdict, want.isoparametric_verdict, want.group_structure))
 
     @pytest.mark.parametrize("t", [1e10, 1e150, 1e160, 1e200])
     def test_counterexample_verdicts_at_every_scale(self, randers3_mixed, t):
@@ -590,7 +611,7 @@ class TestIdentities:
 
         partial = dataclasses.replace(f, rows=rows)
         got = iso._profile_slopes(randers3, partial, frames)[1]
-        failed = np.array([fr.x[0] > 0.0 for fr in frames])
+        failed = frames.geometry.x[:, 0] > 0.0
         assert 0 < failed.sum() < len(frames)
         assert np.isnan(got[failed]).all()
         assert np.max(np.abs(got[~failed] - a_prime[~failed])) <= 1e-12 * np.max(a_prime)

@@ -215,6 +215,16 @@ class TestSubspaceCondition:
         gap = norm.value(np.append(ybar, 0.0)) - duality.subspace_dual(norm, 2).value(ybar)
         assert gap > 1e-3
 
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e9, 1e12])
+    def test_the_check_reads_the_same_at_every_norm_scale(self, c, quartic3, alphabeta3):
+        # F_{y^lam}(ybar) is bounded relative to F_y(ybar), so cF reads what
+        # F reads: False for a Randers b off the subspace, True for the
+        # k-th root and alpha-beta norms
+        mixed = norms.RandersNorm([0.1, 0.0, 0.2])
+        assert not rd.dual_subspace_condition_check(norms.ScaledNorm(mixed, c), 2)
+        assert rd.dual_subspace_condition_check(norms.ScaledNorm(quartic3, c), 2)
+        assert rd.dual_subspace_condition_check(norms.ScaledNorm(alphabeta3, c), 2)
+
 
 class TestModelCoverage:
     def test_example4_field_with_b_inside_is_isoparametric(self):

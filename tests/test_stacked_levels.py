@@ -3,8 +3,8 @@
 ``sample_levels`` meets the rays of a field with a degree as whole arrays,
 and computes the geometry and frames of all its levels as whole arrays, for
 every norm family, strategy and field; ``sample_level`` is its call on one
-level.  The arrays stay arrays: a ``PointGeometry`` or
-``HypersurfacePointFrame`` is a one-row view, built only when asked for.
+level.  The arrays stay arrays: the record of one point, ``geometry[i]`` or
+``frames[i]``, is of the same class, built only when asked for.
 The one-point reference is the closed form of one ray at a time (the
 ladder walk of ``_radial_root`` on a field without a degree), ``frame_at``
 (the ``level_geometry`` of one row) per point and the independent one-point
@@ -90,19 +90,18 @@ FAMILY_CASES = ["alpha-beta", "alpha-beta-cylinder", "quartic", "quartic-fd", "e
 
 def reference_points(field, t, count, seed):
     """The accepted points of ``sample_level``, one ray at a time: the closed
-    form from the one-point f(anchor + d) on a field with a degree, else the
-    ladder walk of ``_radial_root`` on that one ray."""
-    anchor = np.asarray(field.anchor, dtype=float)
+    form from the one-point f(d) on a field with a degree, else the ladder
+    walk of ``_radial_root`` on that one ray."""
     out = []
     for d in sampling.sphere_directions(field.dim, count, seed=seed):
         for ray in (d, -d):
             if field.degree is None:
-                s = iso._radial_root(field, anchor, ray[None, :], t)[0]
+                s = iso._radial_root(field, ray[None, :], t)[0]
             else:
-                s = iso._degree_radii(field.value(anchor + ray), t, field.degree)
+                s = iso._degree_radii(field.value(ray), t, field.degree)
             if not np.isnan(s):
                 break
-        x = anchor + s * ray
+        x = s * ray
         if not np.isnan(s) and abs(field.value(x) - t) <= iso.LEVEL_RESIDUAL * abs(t):
             out.append(x)
     return np.array(out)
@@ -110,11 +109,10 @@ def reference_points(field, t, count, seed):
 
 def per_row(field):
     """``field`` as a custom field, whose ``rows`` calls the one-point
-    ``value``, ``d1`` and ``d2`` at one row at a time, with the same degree,
-    anchor and regular range."""
+    ``value``, ``d1`` and ``d2`` at one row at a time, with the same degree
+    and regular range."""
     custom = calculus.custom_field(field.dim, field.value, field.d1, field.d2)
-    return dataclasses.replace(custom, degree=field.degree, anchor=field.anchor,
-                               regular_range=field.regular_range)
+    return dataclasses.replace(custom, degree=field.degree, regular_range=field.regular_range)
 
 
 def assert_close(got, want, scale=None):
@@ -146,19 +144,24 @@ def assert_matches_frame_at(norm, field, sample):
         assert hs.group_runs(frames.breaks[i])[1] == [m for _, m in ref.groups]
         assert_close(frames.normal[i], ref.normal)
         view = sample.frames[i]
-        assert isinstance(view, hs.HypersurfacePointFrame)
-        assert np.array_equal(view.x, x)
+        assert isinstance(view, hs.LevelFrames)
+        assert np.array_equal(view.geometry.x, x)
         for name in ("normal", "tangent_basis"):
             assert_close(getattr(view, name), getattr(ref, name))
         assert_close(view.hhat, ref.hhat, scale=kscale)
         assert_close(view.principal_curvatures, k_ref, scale=kscale)
         assert [m for _, m in view.groups] == [m for _, m in ref.groups]
         assert_close([k for k, _ in view.groups], [k for k, _ in ref.groups], scale=kscale)
-        assert isinstance(view.geometry, calculus.PointGeometry)
-        assert view.geometry.m == geo.m and view.geometry.norm.dim == geo.norm.dim
-        for name in ("fstar", "lap", "lap_scale", "df", "hess", "grad", "g"):
+        assert isinstance(view.geometry, calculus.LevelGeometry)
+        assert view.geometry.m == geo.m and view.geometry.norm is norm
+        for name in ("fstar", "lap", "lap_scale", "df", "hess", "grad"):
             assert_close(getattr(view.geometry, name), getattr(geo, name))
             assert_close(getattr(ref.geometry, name), getattr(geo, name))
+        # a reduced point keeps the padded n x n g, its m x m block first
+        m = geo.m
+        for g in (view.geometry.g, ref.geometry.g):
+            assert_close(g[:m, :m], geo.g)
+            assert not g[m:].any() and not g[:, m:].any()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -239,7 +242,7 @@ def test_a_degenerate_row_raises_as_on_the_one_point_path(monkeypatch):
 
     monkeypatch.setattr(iso, "sphere_directions", with_the_axis)
     axis = np.array([0.0, 0.0, 1.0])
-    s = iso._degree_radii(field.value(field.anchor + axis), 1.0, field.degree)
+    s = iso._degree_radii(field.value(axis), 1.0, field.degree)
     with pytest.raises(NotInDomain) as ref, np.errstate(all="ignore"):
         calculus.gradient(norm, field, s * axis)
     assert str(ref.value) == f"the field is not defined at x={s * axis!r}"
@@ -324,17 +327,16 @@ def test_the_custom_field_error_contract():
 
 
 def test_an_unreached_level_raises_as_on_the_one_point_path():
-    # level 0 of a linear field passes through its anchor: no ray meets it,
+    # level 0 of a linear field passes through the origin: no ray meets it,
     # nor its mirror, in closed form or on the ladder
     norm, field, _ = scenario("hyperplane")
     for f in (field, per_row(field)):
-        with pytest.raises(LevelNotReached, match="passes through the anchor"):
+        with pytest.raises(LevelNotReached, match="passes through the origin"):
             iso.sample_level(norm, f, 0.0, 16)
     dirs = sampling.sphere_directions(3, 16)
     for rays in (dirs, -dirs):
-        assert np.isnan(iso._degree_radii(field.rows(field.anchor + rays, 0), 0.0,
-                                          field.degree)).all()
-        assert np.isnan(iso._radial_root(field, field.anchor, rays, 0.0)).all()
+        assert np.isnan(iso._degree_radii(field.rows(rays, 0), 0.0, field.degree)).all()
+        assert np.isnan(iso._radial_root(field, rays, 0.0)).all()
 
 
 @pytest.mark.parametrize("case", CASES + FAMILY_CASES + ["quartic-cylinder"])
@@ -423,9 +425,10 @@ def test_rows_of_every_geometry_dimension_stack_in_one_call(monkeypatch):
     for i, x in enumerate(X):
         view, ref = geometry[i], oracles.point_geometry(norm, field, x)
         m = view.m
-        assert m == ref.m and view.norm.dim == ref.norm.dim == m
-        for name in ("fstar", "lap", "lap_scale", "df", "hess", "grad", "g"):
+        assert m == ref.m and ref.norm.dim == m and view.norm is norm
+        for name in ("fstar", "lap", "lap_scale", "df", "hess", "grad"):
             assert_close(getattr(view, name), getattr(ref, name))
+        assert_close(view.g[:m, :m], ref.g)
         assert not geometry.g[i, m:].any() and not geometry.g[i, :, m:].any()
         one = calculus.level_geometry(norm, field, [x])
         for name in ("grad", "fstar", "g", "lap", "lap_scale", "m"):
@@ -531,22 +534,24 @@ def test_fd_rows_evaluate_each_stencil_offset_once(count):
 
 def test_a_randers_verify_builds_no_per_point_object(monkeypatch):
     # the verify of a Randers sphere, 3 levels of 64 points, keeps every
-    # point's geometry and frame as rows of arrays: no stage builds a
-    # PointGeometry or a HypersurfacePointFrame, which stay views on request
+    # point's geometry and frame as rows of arrays: no stage indexes a level
+    # record by one point, whose record is built only on request
     norm, field, levels = scenario("sphere")
-    built = {"geometry": 0, "frame": 0}
-    for name, cls in (("geometry", calculus.PointGeometry), ("frame", hs.HypersurfacePointFrame)):
-        def counting(self, *args, _init=cls.__init__, _name=name, **kwargs):
-            built[_name] += 1
-            _init(self, *args, **kwargs)
+    built = []
+    getitem = calculus.RowRecord.__getitem__
 
-        monkeypatch.setattr(cls, "__init__", counting)
+    def counting(self, i):
+        if isinstance(i, (int, np.integer)):
+            built.append(type(self).__name__)
+        return getitem(self, i)
+
+    monkeypatch.setattr(calculus.RowRecord, "__getitem__", counting)
     report = iso.verify(norm, field, levels, count=64)
     assert sum(len(s.points) for s in report.samples) == 3 * 64 and report.witness is not None
-    assert built == {"geometry": 0, "frame": 0}
-    # a view on request is one of each
+    assert built == []
+    # a point's frame on request is one int index of the frames and of their geometry
     assert report.samples[0].frames[5].geometry.fstar == report.samples[0].fstar[5]
-    assert built == {"geometry": 1, "frame": 1}
+    assert built == ["LevelFrames", "LevelGeometry"]
 
 
 def test_sampling_makes_no_one_point_field_call(monkeypatch):
@@ -601,7 +606,7 @@ def _sample_bits(sample) -> list:
     for fr in sample.frames:
         geo = fr.geometry
         out += [fr.groups, geo.m, geo.fstar, geo.lap, geo.lap_scale]
-        out += [a.tobytes() for a in (fr.x, fr.normal, fr.tangent_basis, fr.hhat,
+        out += [a.tobytes() for a in (geo.x, fr.normal, fr.tangent_basis, fr.hhat,
                                       fr.principal_curvatures, fr.eigenvectors, geo.df,
                                       geo.hess, geo.grad, geo.g)]
     return out
