@@ -20,8 +20,8 @@ def orthonormal_basis(g: np.ndarray, first: np.ndarray) -> np.ndarray:
     """
     g, first = np.asarray(g, dtype=float), np.asarray(first, dtype=float)
     N, n = g.shape[0], g.shape[-1]
-    gf = (g * first[:, None, :]).sum(axis=2)
-    nrm2 = (first * gf).sum(axis=1)
+    gf = np.matvec(g, first)
+    nrm2 = np.vecdot(first, gf)
     if not np.all(nrm2 > 0.0):
         raise EigenFailure("frame metric is not positive on the seed vector")
     r = np.sqrt(nrm2)[:, None]
@@ -36,9 +36,9 @@ def orthonormal_basis(g: np.ndarray, first: np.ndarray) -> np.ndarray:
         v = np.zeros((N, n))
         v[rows, candidates[:, j]] = 1.0
         for e, ge in frame:
-            v = v - (v * ge).sum(axis=1)[:, None] * e
-        gv = (g * v[:, None, :]).sum(axis=2)
-        nrm2 = (v * gv).sum(axis=1)
+            v = v - np.vecdot(v, ge)[:, None] * e
+        gv = np.matvec(g, v)
+        nrm2 = np.vecdot(v, gv)
         if not np.all(nrm2 > 1e-24 * abs(diag[rows, candidates[:, j]])):
             raise EigenFailure("Gram-Schmidt collapsed; frame metric degenerate")
         r = np.sqrt(nrm2)[:, None]
@@ -49,6 +49,23 @@ def orthonormal_basis(g: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 
 def lengths(A: np.ndarray) -> np.ndarray:
+    """The Euclidean length of each row of A (N, ...) over its trailing axes.
+
+    A row whose sum of squares lies in [2^-960, 2^960] has no square that
+    overflows and none that underflows enough to be seen in the sum, so its
+    length is the plain square root of that sum; any other row takes
+    ``scaled_lengths``.  Each row's length depends on that row alone.
+    """
+    A = A.reshape(len(A), -1)
+    with np.errstate(over="ignore"):
+        s = np.vecdot(A, A)
+    plain = (s >= 2.0**-960) & (s <= 2.0**960)  # False at a NaN
+    if plain.all():
+        return np.sqrt(s)
+    return np.where(plain, np.sqrt(s), scaled_lengths(A))
+
+
+def scaled_lengths(A: np.ndarray) -> np.ndarray:
     """The Euclidean length of each row of A (N, ...) over its trailing axes, m |A / m|
     with m = max |a| so that no square overflows; 0, inf and NaN as by ``np.hypot``."""
     A = A.reshape(len(A), -1)

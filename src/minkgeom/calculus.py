@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import duality
-from ._linalg import lengths, orthonormal_basis
+from ._linalg import lengths, orthonormal_basis, scaled_lengths
 from .errors import (
     BadDimension,
     CriticalPoint,
@@ -43,7 +43,7 @@ from .errors import (
     MinkGeomError,
     NotInDomain,
 )
-from .norms import (MinkowskiNorm, RandersNorm, _check_subdim, fd_gradient, fd_hessian,
+from .norms import (MinkowskiNorm, RandersNorm, _as_rows, _check_subdim, fd_gradient, fd_hessian,
                     fd_jacobian)
 from .sampling import sphere_directions, sphere_mean
 
@@ -198,10 +198,11 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
     _check_subdim(m, n)
     b = norm.b
 
-    # |xbar| by hypot, so no square overflows; u = xbar / |xbar|
+    # |xbar| scaled by its largest entry at every row, so no square overflows
+    # and the level points keep the bits of the committed reports; u = xbar / |xbar|
     def rows(X, order):
         xbar = X[:, :m]
-        r = lengths(xbar)
+        r = scaled_lengths(xbar)
         if order == 0:
             return r + X.dot(b)
         with np.errstate(divide="ignore", invalid="ignore"):  # xbar = 0: NaN rows
@@ -419,7 +420,10 @@ def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
     (N, n), with D^2 f (N, n, n) of lengths hnorm: one ``_dual_rows``, and
     Delta f = tr(g^{-1} D^2 f) and its term scale on the rows ``ok`` keeps,
     those with F*(df) finite and positive and g finite and passing the
-    Cholesky test (NaN elsewhere)."""
+    Cholesky test (NaN elsewhere).  g^{-1} is the norm's
+    ``_dual_fundamental_tensor`` at df, in closed form where the family has
+    one (Euclidean, Randers, k-th root and their scalings), or else, and on
+    the fd strategy, the inverse of g."""
     grad, fstar, g = norm._dual_rows(df)
     ok = ok & np.isfinite(fstar) & (fstar > 0.0) & np.isfinite(g).all(axis=(1, 2))
     try:
@@ -435,7 +439,10 @@ def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
                 ok[i] = False
     lap, lap_scale = np.full(len(df), np.nan), np.full(len(df), np.nan)
     if ok.any():
-        ginv = np.linalg.inv(g[ok])
+        # g* has degree 0, so it is read at the covectors in the norm's window;
+        # fd inverts its own g, so that it stays a check of the closed forms
+        ginv = (np.linalg.inv(g[ok]) if norm.strategy == "fd"
+                else norm._dual_fundamental_tensor(_as_rows(df[ok], norm)[0], g[ok]))
         lap[ok] = (ginv * hess[ok]).sum(axis=(1, 2))
         lap_scale[ok] = lengths(ginv) * hnorm[ok]
     return grad, fstar, g, lap, lap_scale, ok
@@ -539,8 +546,7 @@ def volume_constants(norm: MinkowskiNorm, count: int = 20_000, seed: int = 0) ->
         raise DimensionTooLarge("volume quadrature supports n <= 6")
     dirs = sphere_directions(n, count, seed=seed)
     bh_mean, bh_err = sphere_mean(norm._values(dirs) ** (-float(n)))
-    # F* = F o L^{-1}, on unit directions, which ``_as_rows`` leaves unscaled
-    fstar = norm._values(norm._legendre_inverse(dirs))
+    fstar = norm._dual_values(dirs)
     ht_mean, ht_err = sphere_mean(fstar ** (-float(n)))
     return VolumeConstant(
         sigma_bh=1.0 / bh_mean,

@@ -116,43 +116,42 @@ def _sample_stack(norm: MinkowskiNorm, field: ScalarField, levels, count: int, s
     """``sample_levels`` and the one ``LevelFrames`` whose slices its samples hold."""
     if count < 8:
         raise ValueError("count must be at least 8")
+    levels = list(levels)
     lo, hi = field.regular_range
+    inside = next((j for j, t in enumerate(levels) if not lo < t < hi), len(levels))
     dirs = sphere_directions(field.dim, count, seed=seed)
-    rays = {}   # f at +-d, evaluated once for all levels
-    found, error = [], None
-    for t in levels:
-        if not lo < t < hi:
-            error = ValueError(f"level {t} outside the declared regular range "
-                               f"{field.regular_range}")
-            break
-        points = _level_points(field, dirs, t, rays)
-        skipped = count - len(points)
-        if skipped > count // 2:
-            error = LevelNotReached(f"level {t}: {skipped}/{count} directions gave no point; "
-                                    + _unreached_reason(field, t))
-            break
-        found.append((t, points, skipped))
+    X, level = _level_points(field, dirs, levels[:inside])
+    sizes = np.bincount(level, minlength=inside).tolist()
+    # the first level that fails, in the given order, raises
+    reached = next((j for j, size in enumerate(sizes) if count - size > count // 2), inside)
+    error = None
+    if reached < inside:
+        t = levels[reached]
+        error = LevelNotReached(f"level {t}: {count - sizes[reached]}/{count} directions gave "
+                                "no point; " + _unreached_reason(field, t))
+    elif inside < len(levels):
+        error = ValueError(f"level {levels[inside]} outside the declared regular range "
+                           f"{field.regular_range}")
+    starts = np.cumsum([0] + sizes[:reached]).tolist()
     samples, frames = [], None
-    if found:
-        X = np.concatenate([points for _, points, _ in found])
+    if reached:
+        X = X[:starts[-1]]
         try:
             frames = level_frames(norm, field, level_geometry(norm, field, X))
         except Exception:
             # the first failing level raises the error of its own pass
-            for t, points, _ in found:
+            for t, a, b in zip(levels, starts, starts[1:]):
                 try:
-                    level_frames(norm, field, level_geometry(norm, field, points))
+                    level_frames(norm, field, level_geometry(norm, field, X[a:b]))
                 except CriticalPoint as exc:
                     raise CriticalPointOnLevel(f"a sampled point on level {t} is critical: "
                                                f"{exc}") from exc
             raise
-        start = 0
-        for t, points, skipped in found:
-            rows = frames[start:start + len(points)]
-            samples.append(LevelSample(t=float(t), points=points, fstar=rows.geometry.fstar,
+        for t, a, b in zip(levels, starts, starts[1:]):
+            rows = frames[a:b]
+            samples.append(LevelSample(t=float(t), points=X[a:b], fstar=rows.geometry.fstar,
                                        lap=rows.geometry.lap, curvatures=rows.principal_curvatures,
-                                       frames=rows, skipped=skipped))
-            start += len(points)
+                                       frames=rows, skipped=count - (b - a)))
     if error is not None:
         raise error
     return samples, frames
@@ -164,17 +163,23 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
     return sample_levels(norm, field, [t], count, seed)[0]
 
 
-def _level_points(field: ScalarField, dirs, t, rays) -> np.ndarray:
-    """The accepted points of level t on the rays s d, d in ``dirs``, each
-    mirrored where it meets no point; ``rays`` keeps f at +-d for the closed
-    form of a field with a degree."""
+def _level_points(field: ScalarField, dirs, levels) -> tuple:
+    """(points, level): the accepted points of every level t in ``levels`` on
+    the rays s d, d in ``dirs``, each mirrored where it meets no point, and
+    the index of each point's level; by level, then by direction.
+
+    All the levels are met in one pass over levels x directions: one
+    ``_degree_radii`` on a field with a degree (f at +-d evaluated once), or
+    one ladder walk of ``_radial_root`` on any other, then one for the
+    mirrored rays and one ``rows`` call for the residual of every point."""
+    t = np.repeat(np.asarray(levels, dtype=float), len(dirs))  # one ray per level and direction
+    rays = np.tile(dirs, (len(levels), 1))
 
     def radii(sign, which):
         if field.degree is None:
-            return _radial_root(field, sign * dirs[which], t)
-        if sign not in rays:
-            rays[sign] = field.rows(sign * dirs, 0)
-        return _degree_radii(rays[sign][which], t, field.degree)
+            return _radial_root(field, sign * rays[which], t[which])
+        return _degree_radii(np.tile(field.rows(sign * dirs, 0), len(levels))[which], t[which],
+                             field.degree)
 
     s = radii(1.0, slice(None))
     # half-space fields (linear levels, one-sided potentials) only meet the
@@ -182,10 +187,12 @@ def _level_points(field: ScalarField, dirs, t, rays) -> np.ndarray:
     miss = np.isnan(s)
     if miss.any():
         s[miss] = radii(-1.0, miss)
-        dirs = np.where(miss[:, None], -dirs, dirs)
-    points = (s[:, None] * dirs)[~np.isnan(s)]
+        rays[miss] = -rays[miss]
+    found = np.flatnonzero(~np.isnan(s))
+    points, t = s[found, None] * rays[found], t[found]
     with np.errstate(invalid="ignore"):
-        return points[abs(field.rows(points, 0) - t) <= LEVEL_RESIDUAL * (abs(t) or 1.0)]
+        kept = abs(field.rows(points, 0) - t) <= LEVEL_RESIDUAL * np.where(t != 0.0, abs(t), 1.0)
+    return points[kept], found[kept] // len(dirs)
 
 
 def _unreached_reason(field: ScalarField, t) -> str:
@@ -206,7 +213,7 @@ def _degree_radii(v, t, k: int):
 
 def _radial_root(field: ScalarField, dirs, t) -> np.ndarray:
     """The radius s of each ray s d, d a row of ``dirs``, where f = t nearest
-    the origin; NaN where the ray finds none.
+    the origin, t a level or one per ray; NaN where the ray finds none.
 
     The rays walk the ladder ``_LADDER`` together from its bottom rung, one
     evaluation of f per rung step over the rays still walking, so f is
@@ -223,9 +230,10 @@ def _radial_root(field: ScalarField, dirs, t) -> np.ndarray:
     """
 
     def gap(s, rays):  # f - t at s d on the given rays, NaN where f fails
-        return field.rows(s * dirs[rays], 0) - t
+        return field.rows(s * dirs[rays], 0) - t[rays]
 
     n_rays = len(dirs)
+    t = np.broadcast_to(np.asarray(t, dtype=float), n_rays)
     out, va = np.full(n_rays, math.nan), np.full(n_rays, math.nan)
     rung = np.full(n_rays, -1)  # the lower rung of each ray's bracket, -1 while none
     walking = np.arange(n_rays)
@@ -262,7 +270,7 @@ def _radial_root(field: ScalarField, dirs, t) -> np.ndarray:
             s = ra - fa * (rb - ra) / (fb - fa)
         s = np.where((ra < s) & (s < rb), s, midpoint(live))
         v = gap(s[:, None], live)
-        met = abs(v) <= stop
+        met = abs(v) <= stop[live]
         out[live[met]] = s[met]
         keep = ~(met | np.isnan(v))
         live, s, v = live[keep], s[keep], v[keep]
@@ -486,8 +494,14 @@ def _level_table(frames: LevelFrames, sizes) -> dict:
     common structure of all levels.  A tie goes to the structure met first."""
     geo, k, breaks = frames.geometry, frames.principal_curvatures, frames.breaks
     level = np.repeat(np.arange(len(sizes)), sizes)
-    v = np.array([geo.fstar, geo.lap, geo.lap_scale])
-    mean = _run_means(v, sizes)
+    # each point's group means, summed in order from 0 as a frame's groups
+    # are, read at the last column of each group
+    gm, total, run = np.empty(k.T.shape), 0.0, 0.0
+    for j, new in enumerate([True, *breaks.T]):
+        total, run = np.where(new, 0.0, total) + k[:, j], np.where(new, 0.0, run) + 1.0
+        gm[j] = total / run
+    v = np.concatenate([[geo.fstar, geo.lap, geo.lap_scale], gm])
+    mean = _run_means(v, sizes)  # F*(df), Delta f, lap_scale, then the group means
     std = np.sqrt(_run_means((v[:2] - mean[:2, level]) ** 2, sizes))
     hi, lo = (f.reduceat(np.concatenate([v[:2], k.T]), np.cumsum(sizes) - sizes, axis=1)
               for f in (np.maximum, np.minimum))
@@ -496,71 +510,67 @@ def _level_table(frames: LevelFrames, sizes) -> dict:
                       np.maximum(hi[2:], -lo[2:]).max(axis=0)])
     rel, cv = (np.divide(s, scale[:len(s)], out=np.zeros_like(s), where=s != 0.0)
                for s in (np.concatenate([spread[:2], spread[2:].max(axis=0)[None]]), std))
-    # one break code per row and one count per (level, code) and per code
     w = breaks.shape[1]
-    key = level << w | breaks.dot(1 << np.arange(w))
-    modal, common = {}, {}  # (-count, first row)
-    for kv, row, c in zip(*(a.tolist() for a in np.unique(key, return_index=True,
-                                                             return_counts=True))):
-        modal[kv >> w] = min(modal.get(kv >> w, (0, row)), (-c, row))
-        total, first = common.get(kv & ~(-1 << w), (0, row))
-        common[kv & ~(-1 << w)] = (total - c, min(first, row))
-    counts, first = zip(*(modal[i] for i in range(len(sizes))))
-    # each point's group means, summed in order from 0 as a frame's groups
-    # are, read at the last column of each group
-    gm, total, run = np.empty(k.T.shape), 0.0, 0.0
-    for j, new in enumerate([True, *breaks.T]):
-        total, run = np.where(new, 0.0, total) + k[:, j], np.where(new, 0.0, run) + 1.0
-        gm[j] = total / run
-    kappa = _run_means(gm.compress(key == key[list(first)][level], axis=1),
-                       [-c for c in counts]).T.tolist()
+    code = breaks.dot(1 << np.arange(w))  # one break code per row
+    if (code == code[0]).all():  # one structure on every row, as on an isoparametric stack
+        first, kappa, common = (np.cumsum(sizes) - sizes).tolist(), mean[3:].T.tolist(), 0
+    else:  # one count per (level, code) and per code
+        key = level << w | code
+        modal, codes = {}, {}  # (-count, first row)
+        for kv, row, c in zip(*(a.tolist() for a in np.unique(key, return_index=True,
+                                                                 return_counts=True))):
+            modal[kv >> w] = min(modal.get(kv >> w, (0, row)), (-c, row))
+            total, first = codes.get(kv & ~(-1 << w), (0, row))
+            codes[kv & ~(-1 << w)] = (total - c, min(first, row))
+        counts, first = zip(*(modal[i] for i in range(len(sizes))))
+        kappa = _run_means(gm.compress(key == key[list(first)][level], axis=1),
+                           [-c for c in counts]).T.tolist()
+        common = min(codes.values())[1]
     stats = [{"fstar_mean": m[0], "fstar_spread": s[0], "fstar_cv": c[0], "lap_mean": m[1],
               "lap_spread": s[1], "lap_cv": c[1],
               "curvature_groups": [[kap[a + n - 1], n] for a, n in zip(*group_runs(row))],
               "curvature_spread": list(ks)}
              for m, s, c, ks, kap, row in zip(mean.T.tolist(), spread.T.tolist(), cv.T.tolist(),
                                               spread[2:].T, kappa, breaks[list(first)].tolist())]
-    return {"stats": stats, "mean": mean, "worst": rel.max(axis=1).tolist(), "level": level,
-            "structure": tuple(group_runs(breaks[min(common.values())[1]].tolist())[1])}
+    return {"stats": stats, "mean": mean[:3], "worst": rel.max(axis=1).tolist(), "level": level,
+            "structure": tuple(group_runs(breaks[common].tolist())[1])}
 
 
-def _profile_slopes(norm: MinkowskiNorm, field: ScalarField, frames: LevelFrames) -> tuple:
-    """(a(t), a'(t)) at the point of each row of ``frames``, by flow-line
-    differencing, as arrays.
+def _profile_slopes(norm: MinkowskiNorm, field: ScalarField, x, normal, a) -> np.ndarray:
+    """a'(t) at each row of the points x (N, n), with forward unit normals
+    ``normal`` and a(t) = F*(df) there, by flow-line differencing.
 
-    Moves +-h along the forward unit normal with h = FLOW_STEP * a(t) (the
-    radius scale of the model families) and reads F*(df) at both sides from
-    one ``rows`` and one ``_dual_rows``; d(F*(df))/drho = a'(f) a(f).
-    a' is NaN at a point where the field or the dual norm fails.
+    Moves +-h along the normal with h = FLOW_STEP * a(t) (the radius scale of
+    the model families) and reads F*(df) at both sides from one ``rows`` and
+    one ``_dual_values``; d(F*(df))/drho = a'(f) a(f).  a' is NaN at a point
+    where the field or the dual norm fails.
     """
-    a = frames.geometry.fstar
     h = FLOW_STEP * a
-    x = frames.geometry.x
-    step = h[:, None] * frames.normal
-    fstar = norm._dual_rows(field.rows(np.concatenate([x + step, x - step]), 2)[0])[1]
-    return a, (fstar[:len(a)] - fstar[len(a):]) / (2.0 * h * a)
+    step = h[:, None] * normal
+    fstar = norm._dual_values(field.rows(np.concatenate([x + step, x - step]), 2)[0])
+    return (fstar[:len(a)] - fstar[len(a):]) / (2.0 * h * a)
 
 
 def _randers_witness(norm: RandersNorm, field: ScalarField, frames: LevelFrames, table: dict,
                      tol) -> dict:
     """The residuals r1, r2 of ``randers_isoparametric_residual`` at the first
-    WITNESS_POINTS points of each level of the stack ``frames`` (one index),
-    a and b the level means of ``table``, each over the size of its terms:
-    r1 over max(|df|^2, lam a^2, 2 |a zeta|) and r2 over
-    max(|tr D^2 f|, |D^2 f|_F, |lam b|, |(b/a + a') zeta|), zeta = <df, b>, so
-    that the pass flags do not change with the level's scale.  a' of every
-    level comes from one ``_profile_slopes`` and the residuals of all the
-    points from one call; a point where a' fails is left out of its level's
-    mean."""
+    WITNESS_POINTS points of each level of the stack ``frames`` (the columns
+    it reads, taken with one index), a and b the level means of ``table``,
+    each over the size of its terms: r1 over max(|df|^2, lam a^2, 2 |a zeta|)
+    and r2 over max(|tr D^2 f|, |D^2 f|_F, |lam b|, |(b/a + a') zeta|),
+    zeta = <df, b>, so that the pass flags do not change with the level's
+    scale.  a' of every level comes from one ``_profile_slopes`` and the
+    residuals of all the points from one call; a point where a' fails is
+    left out of its level's mean."""
     level = table["level"]  # the rows whose place in their level is below WITNESS_POINTS
-    take = np.arange(len(level)) - np.searchsorted(level, level) < WITNESS_POINTS
-    frames, level = frames[take], level[take]
-    slopes = _profile_slopes(norm, field, frames)[1]
+    take = np.flatnonzero(np.arange(len(level)) - np.searchsorted(level, level) < WITNESS_POINTS)
+    geo, level = frames.geometry, level[take]
+    df, hess = geo.df[take], geo.hess[take]
+    slopes = _profile_slopes(norm, field, geo.x[take], frames.normal[take], geo.fstar[take])
     finite = np.isfinite(slopes)
     a_prime = _run_means(slopes[finite], np.bincount(level[finite],
                                                      minlength=table["mean"].shape[1]))[level]
     a, b = table["mean"][:2, level]
-    df, hess = frames.geometry.df, frames.geometry.hess
     r1, r2 = randers_isoparametric_residual(norm, df, hess, a, b, a_prime)
     zeta = df.dot(norm.b)
     h = hess.reshape(len(hess), -1)
@@ -600,14 +610,15 @@ def consistency_identities(report: VerificationReport) -> dict:
         a_fit = float(s.fstar.mean())
         b_fit = float(s.lap.mean())
         frames = s.frames[:IDENTITY_POINTS]
-        a_pts, a_primes = _profile_slopes(norm, field, frames)
+        x, a_pts = frames.geometry.x, frames.geometry.fstar
+        a_primes = _profile_slopes(norm, field, x, frames.normal, a_pts)
         if not np.isfinite(a_primes).all():
             raise LeftRegularRegion(f"level {s.t}: F*(df) fails a flow-line step "
                                     "away from a sampled point")
         k = frames.principal_curvatures
         res_i = float(np.max(np.abs(k.sum(axis=1) - (a_primes - b_fit / a_fit))))
         h = FLOW_STEP * a_pts
-        x, step = frames.geometry.x, h[:, None] * frames.normal
+        step = h[:, None] * frames.normal
         k_pm = level_frames(norm, field, level_geometry(norm, field, np.concatenate(
             [x + step, x - step]))).principal_curvatures
         dk = (k_pm[:len(k)] - k_pm[len(k):]) / (2.0 * h[:, None])

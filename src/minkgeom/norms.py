@@ -161,9 +161,13 @@ class MinkowskiNorm:
     # The dual geometry: a family with a closed form overrides these generic
     # bodies.
 
-    def _dual_fundamental_tensor(self, xi: np.ndarray) -> np.ndarray:
-        """g*(xi), the inverse of g at the Legendre preimage of xi."""
-        return np.linalg.inv(self.derivatives(self._legendre_inverse(xi), order=2).d2)
+    def _dual_fundamental_tensor(self, xi: np.ndarray, g=None) -> np.ndarray:
+        """g*(xi), the inverse of g at the Legendre preimage of xi, for a
+        covector or rows; ``g``, when given, is g there, which a family with
+        a closed form for g* does not read."""
+        if g is None:
+            g = self.derivatives(self._legendre_inverse(xi), order=2).d2
+        return np.linalg.inv(g)
 
     def _subspace_dual(self, m: int) -> "MinkowskiNorm":
         """Ftilde on the first m coordinates.  F restricted, exact only when L
@@ -194,6 +198,11 @@ class MinkowskiNorm:
         Y = self._legendre_inverse(Xi)
         F, _, g = self._derivative_rows(Y)
         return Y * s[:, None], F * s, g
+
+    def _dual_values(self, Xi: np.ndarray) -> np.ndarray:
+        """F*(xi) = F(L^{-1}(xi)) at each covector row of Xi, without g."""
+        Xi, s = _as_rows(Xi, self)
+        return s * self._values(self._legendre_inverse(Xi))
 
     # -- public services -----------------------------------------------------
 
@@ -332,8 +341,8 @@ class EuclideanNorm(MinkowskiNorm):
     def _legendre_inverse(self, xi):
         return xi.copy()
 
-    def _dual_fundamental_tensor(self, xi):
-        return np.eye(self.dim)
+    def _dual_fundamental_tensor(self, xi, g=None):
+        return np.broadcast_to(self._eye, xi.shape + (self.dim,)).copy()
 
     def restricted(self, m):
         _check_subdim(m, self.dim)
@@ -414,11 +423,12 @@ class RandersNorm(MinkowskiNorm):
         _, alpha_star, fstar = self._dual_parts(xi)
         return (fstar / (self.lam * alpha_star))[..., None] * (xi - fstar[..., None] * self.b)
 
-    def _dual_fundamental_tensor(self, xi):
+    def _dual_fundamental_tensor(self, xi, g=None):
         astar_xi, alpha_star, fstar = self._dual_parts(xi)
-        al = astar_xi / alpha_star
+        al = astar_xi / alpha_star[..., None]
         fs = al + self.bstar
-        return fs[:, None] * fs + (fstar / alpha_star) * (self.astar - al[:, None] * al)
+        return (fs[..., :, None] * fs[..., None, :] + (fstar / alpha_star)[..., None, None]
+                * (self.astar - al[..., :, None] * al[..., None, :]))
 
     def subspace_scale(self, m: int) -> float:
         """sqrt(lam + |bbar|^2), bbar = b on the first m coordinates.
@@ -526,7 +536,7 @@ class KthRootNorm(MinkowskiNorm):
         sstar = (a ** (k / (k - 1.0))).sum(axis=-1)[..., None]
         return np.sign(xi) * a ** (1.0 / (k - 1.0)) * sstar ** ((k - 2.0) / k)
 
-    def _dual_fundamental_tensor(self, xi):
+    def _dual_fundamental_tensor(self, xi, g=None):
         # F* is the l^q norm, q = k/(k-1); the Hessian of F*^2/2 with
         # S* = sum |xi_i|^q and v_i = sign(xi_i) |xi_i|^(q-1) is
         # S*^(-2/k) ((2 - q) v v^T + (q - 1) S* diag |xi_i|^(q-2))
@@ -535,12 +545,12 @@ class KthRootNorm(MinkowskiNorm):
         if not a.min() > 0.0:
             # g at the preimage is singular there, as ``fundamental_tensor`` finds
             raise DegenerateMetric(f"g* of the k-th root norm is unbounded on a coordinate "
-                                   f"hyperplane: xi_{int(a.argmin())} = 0")
-        sstar = float((a ** (k / (k - 1.0))).sum())
+                                   f"hyperplane: xi_{int(a.argmin()) % self.dim} = 0")
+        sstar = (a ** (k / (k - 1.0))).sum(axis=-1)[..., None]
         v = np.sign(xi) * a ** (1.0 / (k - 1.0))
-        return sstar ** (-2.0 / k) * (
-            ((k - 2.0) / (k - 1.0)) * (v[:, None] * v)
-            + np.diag(sstar / (k - 1.0) * a ** (-(k - 2.0) / (k - 1.0))))
+        return sstar[..., None] ** (-2.0 / k) * (
+            ((k - 2.0) / (k - 1.0)) * (v[..., :, None] * v[..., None, :])
+            + self._eye * (sstar / (k - 1.0) * a ** (-(k - 2.0) / (k - 1.0)))[..., None, :])
 
     def restricted(self, m):
         _check_subdim(m, self.dim)
@@ -814,10 +824,12 @@ class ScaledNorm(MinkowskiNorm):
             None if a is None else c2 * a for a in (d.d1, d.d2, d.d3, d.d4)))
 
     def _legendre_inverse(self, xi):
-        return self.base._legendre_inverse(xi / self.factor**2)
+        # L^-1 has degree 1: the base inverts xi in its own window
+        return self.base._legendre_inverse(xi) / self.factor**2
 
-    def _dual_fundamental_tensor(self, xi):
-        return self.base._dual_fundamental_tensor(xi) / self.factor**2
+    def _dual_fundamental_tensor(self, xi, g=None):
+        c2 = self.factor**2
+        return self.base._dual_fundamental_tensor(xi, None if g is None else g / c2) / c2
 
     def _subspace_dual(self, m):
         return ScaledNorm(self.base._subspace_dual(m), self.factor)

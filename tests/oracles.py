@@ -307,7 +307,8 @@ def randers_witness(norm: RandersNorm, field, samples, tol) -> dict:
     """``isoparametric._randers_witness`` from the first WITNESS_POINTS rows of
     each level's own frames, joined, with a, b and a' set level by level."""
     frames = concat_rows([s.frames[:WITNESS_POINTS] for s in samples])
-    slopes = _profile_slopes(norm, field, frames)[1]
+    slopes = _profile_slopes(norm, field, frames.geometry.x, frames.normal,
+                             frames.geometry.fstar)
     a, b, a_prime = (np.empty(len(frames)) for _ in range(3))
     start = 0
     for s in samples:

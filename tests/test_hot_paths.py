@@ -150,15 +150,20 @@ def _hypot_lengths(A):
 
 @pytest.mark.parametrize("shape", [(64, 3), (64, 3, 3), (32, 6, 6), (16, 10, 10), (8, 1)])
 def test_lengths_agree_with_the_hypot_chain(shape):
-    # one scaled square root per row, m |A / m| with m = max |a|: within a few
-    # ulp of the np.hypot chain from 1e-300 to 1e300, per entry or per row
+    # one scaled square root per row, m |A / m| with m = max |a|, or the plain
+    # one when every row is far inside the float range: within a few ulp of
+    # the np.hypot chain from 1e-300 to 1e300, per entry or per row
     rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    row = (shape[0],) + (1,) * (len(shape) - 1)
     for _ in range(50):
-        for exps in (rng.uniform(-300, 300, shape),
-                     rng.uniform(-300, 300, (shape[0],) + (1,) * (len(shape) - 1))):
+        for exps in (rng.uniform(-300, 300, shape), rng.uniform(-300, 300, row),
+                     rng.uniform(-140, 140, row)):
             A = rng.standard_normal(shape) * 10.0 ** exps
             want = _hypot_lengths(A)
-            assert np.all(abs(_linalg.lengths(A) - want) <= 4 * np.spacing(want))
+            got = _linalg.lengths(A)
+            assert np.all(abs(got - want) <= 4 * np.spacing(want))
+            # a row's length does not depend on the other rows
+            assert _bits(got) == _bits([_linalg.lengths(a[None])[0] for a in A])
     # 0 for a zero row, inf for a row with an inf, NaN for one with a NaN and no inf
     A = np.zeros((6, 3))
     A[1, 0], A[2, 1], A[3, :2], A[4, 2], A[5] = np.inf, np.nan, (-np.inf, np.nan), 1e300, np.nan

@@ -277,7 +277,7 @@ class TestRadialRoot:
         calls = {"value": 0, "d1": 0}
         for f in (dataclasses.replace(field, degree=None), field):
             f = _counted(f, calls)
-            points = iso._level_points(f, sampling.sphere_directions(f.dim, 16, seed=0), t, {})
+            points = iso._level_points(f, sampling.sphere_directions(f.dim, 16, seed=0), [t])[0]
             assert len(points) == 16
             assert (abs(f.rows(points, 0) - t) <= 1e-13 * abs(t)).all()
         assert calls["d1"] == 0
@@ -420,13 +420,14 @@ class TestVerify:
         m = np.concatenate([s.frames.geometry.m for s in rep.samples])
         assert (m == (norm.dim if case == "randers" else 2)).all()
 
-    @pytest.mark.parametrize("k", [-20, -13, -10, 10, 13, 20])
+    @pytest.mark.parametrize("k", [-150, -100, -50, -20, -13, -10, 10, 13, 20, 50, 100, 150])
     @pytest.mark.parametrize("case", ["randers-sphere", "randers-cylinder", "quartic-cylinder"])
     def test_a_scaled_norm_keeps_the_verdicts_and_groups(self, case, k):
         # F -> cF with the same model field of cF on the levels c^2 t: the
         # verdicts and curvature groups of verify(F) at c = 10^k.  g scales
         # as c^2 and hhat as 1/c, so the Gram-Schmidt collapse test and the
-        # group floor must both be relative to the data
+        # group floor must both be relative to the data; L^-1 of cF inverts
+        # in the base's window, so no RuntimeWarning (an error here) at 10^+-150
         c = 10.0**k
         norm, make, levels = {
             "randers-sphere": (norms.RandersNorm([0.5, 0.0, 0.0]), calculus.sphere_potential,
@@ -600,7 +601,8 @@ class TestIdentities:
         f = calculus.sphere_potential(randers3)
         rep = iso.verify(randers3, f, [0.5, 2.0, 4.5], count=16)
         frames = rep.samples[1].frames[:iso.WITNESS_POINTS]
-        a, a_prime = iso._profile_slopes(randers3, f, frames)
+        a, x, normal = frames.geometry.fstar, frames.geometry.x, frames.normal
+        a_prime = iso._profile_slopes(randers3, f, x, normal, a)
         assert np.allclose(a_prime, 1.0 / a, rtol=1e-6)  # a = sqrt(2t): a' = 1 / a
 
         def rows(X, order):
@@ -610,7 +612,7 @@ class TestIdentities:
             return np.where(X[:, :1] > 0.0, np.nan, df), hess
 
         partial = dataclasses.replace(f, rows=rows)
-        got = iso._profile_slopes(randers3, partial, frames)[1]
+        got = iso._profile_slopes(randers3, partial, x, normal, a)
         failed = frames.geometry.x[:, 0] > 0.0
         assert 0 < failed.sum() < len(frames)
         assert np.isnan(got[failed]).all()
