@@ -22,7 +22,7 @@ def orthonormal_basis(g: np.ndarray, first: np.ndarray) -> np.ndarray:
     N, n = g.shape[0], g.shape[-1]
     gf = np.matvec(g, first)
     nrm2 = np.vecdot(first, gf)
-    if not np.all(nrm2 > 0.0):
+    if not (nrm2 > 0.0).all():
         raise EigenFailure("frame metric is not positive on the seed vector")
     r = np.sqrt(nrm2)[:, None]
     frame = [(first / r, gf / r)]  # (e, g e) of the vectors so far, each (N, n)
@@ -39,7 +39,7 @@ def orthonormal_basis(g: np.ndarray, first: np.ndarray) -> np.ndarray:
             v = v - np.vecdot(v, ge)[:, None] * e
         gv = np.matvec(g, v)
         nrm2 = np.vecdot(v, gv)
-        if not np.all(nrm2 > 1e-24 * abs(diag[rows, candidates[:, j]])):
+        if not (nrm2 > 1e-24 * abs(diag[rows, candidates[:, j]])).all():
             raise EigenFailure("Gram-Schmidt collapsed; frame metric degenerate")
         r = np.sqrt(nrm2)[:, None]
         e = v / r
@@ -49,13 +49,10 @@ def orthonormal_basis(g: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 
 def lengths(A: np.ndarray) -> np.ndarray:
-    """The Euclidean length of each row of A (N, ...) over its trailing axes.
-
-    A row whose sum of squares lies in [2^-960, 2^960] has no square that
-    overflows and none that underflows enough to be seen in the sum, so its
-    length is the plain square root of that sum; any other row takes
-    ``scaled_lengths``.  Each row's length depends on that row alone.
-    """
+    """The Euclidean length of each row of A (N, ...) over its trailing axes: the
+    plain root of its sum of squares where that lies in [2^-960, 2^960], so that
+    no square overflows or underflows unseen, else ``scaled_lengths``; a row's
+    length depends on that row alone."""
     A = A.reshape(len(A), -1)
     with np.errstate(over="ignore"):
         s = np.vecdot(A, A)

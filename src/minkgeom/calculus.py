@@ -198,8 +198,7 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
     _check_subdim(m, n)
     b = norm.b
 
-    # |xbar| scaled by its largest entry at every row, so no square overflows
-    # and the level points keep the bits of the committed reports; u = xbar / |xbar|
+    # |xbar| scaled at every row, the bits of the committed reports; u = xbar / |xbar|
     def rows(X, order):
         xbar = X[:, :m]
         r = scaled_lengths(xbar)
@@ -344,8 +343,8 @@ class LevelGeometry(RowRecord):
     g at grad f, the Laplacian Delta f = tr(g^{-1} D^2 f) (lap), its term
     scale lap_scale = |g^{-1}|_F |D^2 f|_F and the geometry dimension m;
     x, df, grad (N, n), hess, g (N, n, n) and fstar, lap, lap_scale, m (N,).
-    Level-set frames and curvatures are built from the same grad f, g and
-    D^2 f.
+    g^{-1} = g*(df) is the family's closed form where it has one.  Frames and
+    curvatures are built from the same grad f, g and D^2 f.
 
     ``norm`` is the level's norm F.  A row reduced to the subspace dual
     ``subspace_dual(norm, m)`` on the first m < n coordinates holds its
@@ -420,10 +419,8 @@ def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
     (N, n), with D^2 f (N, n, n) of lengths hnorm: one ``_dual_rows``, and
     Delta f = tr(g^{-1} D^2 f) and its term scale on the rows ``ok`` keeps,
     those with F*(df) finite and positive and g finite and passing the
-    Cholesky test (NaN elsewhere).  g^{-1} is the norm's
-    ``_dual_fundamental_tensor`` at df, in closed form where the family has
-    one (Euclidean, Randers, k-th root and their scalings), or else, and on
-    the fd strategy, the inverse of g."""
+    Cholesky test (NaN elsewhere).  g^{-1} is the norm's closed form for g*
+    at df (``_dual_fundamental_tensor``), the inverse of g on the fd strategy."""
     grad, fstar, g = norm._dual_rows(df)
     ok = ok & np.isfinite(fstar) & (fstar > 0.0) & np.isfinite(g).all(axis=(1, 2))
     try:

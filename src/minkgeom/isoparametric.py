@@ -7,21 +7,21 @@ verifier samples points of each requested level on rays from the origin along
 a low-discrepancy direction set, computes F*(df), Delta f and principal
 curvatures per point, and turns within-level constancy into verdicts.
 
-The levels of a verification are computed as one stack (``sample_levels``).
-On a field of declared degree k (every catalog field) f is positively
-homogeneous, so a ray meets level t at s = (t / f(d))^(1/k): one
-evaluation of f over all rays, shared by every level.  On other fields all
-the rays of a level walk a fixed ladder of radii together to bracket the
-level nearest the origin, and Illinois regula falsi narrows every bracket
-together.  The field is evaluated only through
-its ``rows``, one array of points at a time.  A point is kept when
-|f(x) - t| <= 1e-10 |t|.  The points of all levels then get their geometry
-from one ``calculus.level_geometry`` and their frames from one
-``hypersurface.level_frames``, for every norm family, strategy and field,
-kept as one stack of arrays: the statistics, verdicts and curvature groups of
-all levels are one pass over it (``_level_table``), the Randers witness takes
-its rows with one index, and a point's frame ``frames[i]`` is built only when
-asked for.
+The levels of a verification are one stack (``sample_levels``), met in one
+pass over levels x directions.  On a field of declared degree k (every
+catalog field) f is positively homogeneous, so a ray meets level t at
+s = (t / f(d))^(1/k), from one evaluation of f over the directions.  On
+other fields the rays of all levels walk a fixed ladder of radii together to
+bracket the level nearest the origin, and Illinois regula falsi narrows
+every bracket together.  The field is evaluated only through its ``rows``,
+and a point is kept when |f(x) - t| <= 1e-10 |t|, one residual for all
+points.  The points then get their geometry from one
+``calculus.level_geometry`` and their frames from one
+``hypersurface.level_frames``, for every norm family, strategy and field:
+the statistics, verdicts and curvature groups of all levels are one pass
+over that stack (``_level_table``), the Randers witness indexes only the
+columns it reads, and a point's frame ``frames[i]`` is built only when asked
+for.
 
 Each verdict compares a level's spread with a scale from the same level, so
 it does not change when the level, the field or the norm is scaled.  A
@@ -93,18 +93,13 @@ def sample_levels(norm: MinkowskiNorm, field: ScalarField, levels, count: int,
     """Sample ``count`` points of each level f^{-1}(t), t in ``levels``, on rays
     from the origin, as one stack; a ``LevelSample`` per level.
 
-    Every level uses the same directions.  On a field with a ``degree`` every
-    ray meets a level in closed form (``_degree_radii``), from one evaluation
-    of f at d over all rays, shared by the levels; on any other field the
-    rays walk the ladder of ``_radial_root`` together to the root nearest
-    the origin.  A ray that gives no point is tried mirrored; if that fails
-    too the direction is skipped, and more than half skipped raises
-    LevelNotReached, which says when the level passes through the origin of
-    such a field.
-    Every returned point satisfies |f(x) - t| <= 1e-10 |t| (1e-10 at t = 0)
-    and is regular.  The points of all levels get their geometry from one
-    ``level_geometry`` and their frames from one ``level_frames``; F*(df),
-    Delta f and the curvatures are read from them.  Each row is computed as
+    Every level uses the same directions, met in one pass (``_level_points``).
+    A ray that gives no point is tried mirrored; if that fails too the
+    direction is skipped, and more than half skipped raises LevelNotReached,
+    which says when the level passes through the origin of a field with a
+    degree.  Every returned point satisfies |f(x) - t| <= 1e-10 |t| (1e-10
+    at t = 0) and is regular; F*(df), Delta f and the curvatures are read from
+    one ``level_geometry`` and one ``level_frames``.  Each row is computed as
     on its own, so a level's sample is that of ``sample_level`` bit for bit,
     and when levels fail, the first failing one in the given order raises
     what it raises there.
@@ -116,30 +111,17 @@ def _sample_stack(norm: MinkowskiNorm, field: ScalarField, levels, count: int, s
     """``sample_levels`` and the one ``LevelFrames`` whose slices its samples hold."""
     if count < 8:
         raise ValueError("count must be at least 8")
-    levels = list(levels)
-    lo, hi = field.regular_range
+    levels, (lo, hi) = list(levels), field.regular_range
     inside = next((j for j, t in enumerate(levels) if not lo < t < hi), len(levels))
-    dirs = sphere_directions(field.dim, count, seed=seed)
-    X, level = _level_points(field, dirs, levels[:inside])
+    X, level = _level_points(field, sphere_directions(field.dim, count, seed=seed), levels[:inside])
     sizes = np.bincount(level, minlength=inside).tolist()
-    # the first level that fails, in the given order, raises
     reached = next((j for j, size in enumerate(sizes) if count - size > count // 2), inside)
-    error = None
-    if reached < inside:
-        t = levels[reached]
-        error = LevelNotReached(f"level {t}: {count - sizes[reached]}/{count} directions gave "
-                                "no point; " + _unreached_reason(field, t))
-    elif inside < len(levels):
-        error = ValueError(f"level {levels[inside]} outside the declared regular range "
-                           f"{field.regular_range}")
     starts = np.cumsum([0] + sizes[:reached]).tolist()
-    samples, frames = [], None
-    if reached:
-        X = X[:starts[-1]]
+    X, frames = X[:starts[-1]], None
+    if reached:  # the first level that fails, in the given order, raises
         try:
             frames = level_frames(norm, field, level_geometry(norm, field, X))
         except Exception:
-            # the first failing level raises the error of its own pass
             for t, a, b in zip(levels, starts, starts[1:]):
                 try:
                     level_frames(norm, field, level_geometry(norm, field, X[a:b]))
@@ -147,14 +129,17 @@ def _sample_stack(norm: MinkowskiNorm, field: ScalarField, levels, count: int, s
                     raise CriticalPointOnLevel(f"a sampled point on level {t} is critical: "
                                                f"{exc}") from exc
             raise
-        for t, a, b in zip(levels, starts, starts[1:]):
-            rows = frames[a:b]
-            samples.append(LevelSample(t=float(t), points=X[a:b], fstar=rows.geometry.fstar,
-                                       lap=rows.geometry.lap, curvatures=rows.principal_curvatures,
-                                       frames=rows, skipped=count - (b - a)))
-    if error is not None:
-        raise error
-    return samples, frames
+    if reached < inside:
+        t = levels[reached]
+        raise LevelNotReached(f"level {t}: {count - sizes[reached]}/{count} directions gave no "
+                              "point; " + _unreached_reason(field, t))
+    if inside < len(levels):
+        raise ValueError(f"level {levels[inside]} outside the declared regular range "
+                         f"{field.regular_range}")
+    rows = [frames[a:b] for a, b in zip(starts, starts[1:])]
+    return [LevelSample(t=float(t), points=r.geometry.x, fstar=r.geometry.fstar, lap=r.geometry.lap,
+                        curvatures=r.principal_curvatures, frames=r, skipped=count - len(r))
+            for t, r in zip(levels, rows)], frames
 
 
 def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
@@ -164,14 +149,11 @@ def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,
 
 
 def _level_points(field: ScalarField, dirs, levels) -> tuple:
-    """(points, level): the accepted points of every level t in ``levels`` on
-    the rays s d, d in ``dirs``, each mirrored where it meets no point, and
-    the index of each point's level; by level, then by direction.
-
-    All the levels are met in one pass over levels x directions: one
-    ``_degree_radii`` on a field with a degree (f at +-d evaluated once), or
-    one ladder walk of ``_radial_root`` on any other, then one for the
-    mirrored rays and one ``rows`` call for the residual of every point."""
+    """(points, level): the accepted points of every level in ``levels`` on the
+    rays s d, d in ``dirs``, by level and then by direction, and each point's
+    level index.  One pass meets all the levels: one ``_degree_radii`` (f at
+    +-d evaluated once) or one ladder walk of ``_radial_root``, one more for
+    the rays that meet no point, mirrored, and one residual ``rows`` call."""
     t = np.repeat(np.asarray(levels, dtype=float), len(dirs))  # one ray per level and direction
     rays = np.tile(dirs, (len(levels), 1))
 
@@ -554,14 +536,13 @@ def _profile_slopes(norm: MinkowskiNorm, field: ScalarField, x, normal, a) -> np
 def _randers_witness(norm: RandersNorm, field: ScalarField, frames: LevelFrames, table: dict,
                      tol) -> dict:
     """The residuals r1, r2 of ``randers_isoparametric_residual`` at the first
-    WITNESS_POINTS points of each level of the stack ``frames`` (the columns
-    it reads, taken with one index), a and b the level means of ``table``,
-    each over the size of its terms: r1 over max(|df|^2, lam a^2, 2 |a zeta|)
-    and r2 over max(|tr D^2 f|, |D^2 f|_F, |lam b|, |(b/a + a') zeta|),
-    zeta = <df, b>, so that the pass flags do not change with the level's
-    scale.  a' of every level comes from one ``_profile_slopes`` and the
-    residuals of all the points from one call; a point where a' fails is
-    left out of its level's mean."""
+    WITNESS_POINTS points of each level of the stack ``frames`` (only the
+    columns it reads), a and b the level means of ``table``, each over the
+    size of its terms: r1 over max(|df|^2, lam a^2, 2 |a zeta|) and r2 over
+    max(|tr D^2 f|, |D^2 f|_F, |lam b|, |(b/a + a') zeta|), zeta = <df, b>,
+    so that the pass flags do not change with the level's scale.  a' of every
+    level comes from one ``_profile_slopes`` and the residuals of all the
+    points from one call; a point where a' fails is left out of its level's mean."""
     level = table["level"]  # the rows whose place in their level is below WITNESS_POINTS
     take = np.flatnonzero(np.arange(len(level)) - np.searchsorted(level, level) < WITNESS_POINTS)
     geo, level = frames.geometry, level[take]

@@ -105,7 +105,7 @@ def _as_rows(Y: np.ndarray, norm: "MinkowskiNorm") -> tuple:
     """
     lo, hi = norm._window
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.sqrt((Y * Y).sum(axis=1))
+        r = np.sqrt(np.vecdot(Y, Y))
         inside = (r >= lo) & (r <= hi)  # False at a NaN length
         if inside.all():  # Y comes back uncopied: callers only read it
             return np.asarray(Y, dtype=float), np.ones(len(Y))
@@ -162,9 +162,8 @@ class MinkowskiNorm:
     # bodies.
 
     def _dual_fundamental_tensor(self, xi: np.ndarray, g=None) -> np.ndarray:
-        """g*(xi), the inverse of g at the Legendre preimage of xi, for a
-        covector or rows; ``g``, when given, is g there, which a family with
-        a closed form for g* does not read."""
+        """g*(xi), the inverse of g at the Legendre preimage of xi, for a covector
+        or rows; ``g``, when given, is g there, which a closed form does not read."""
         if g is None:
             g = self.derivatives(self._legendre_inverse(xi), order=2).d2
         return np.linalg.inv(g)
