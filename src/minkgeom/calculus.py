@@ -436,8 +436,7 @@ def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
                 ok[i] = False
     lap, lap_scale = np.full(len(df), np.nan), np.full(len(df), np.nan)
     if ok.any():
-        # g* has degree 0, so it is read at the covectors in the norm's window;
-        # fd inverts its own g, so that it stays a check of the closed forms
+        # g* has degree 0, so it is read at df in the window; fd checks it by inverting g
         ginv = (np.linalg.inv(g[ok]) if norm.strategy == "fd"
                 else norm._dual_fundamental_tensor(_as_rows(df[ok], norm)[0], g[ok]))
         lap[ok] = (ginv * hess[ok]).sum(axis=(1, 2))

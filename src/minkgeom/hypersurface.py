@@ -10,8 +10,8 @@ on the tangent space.  Principal curvatures are the eigenvalues of hhat in a
 ghat-orthonormal tangent frame.  ``level_frames`` is the one frame builder:
 it builds the frames of a level's ``LevelGeometry`` as one ``LevelFrames``
 of arrays (one g-Gram-Schmidt, one shape-operator product, one batched
-``eigh``); its int index ``frames[i]`` is the ``LevelFrames`` of point i,
-and ``frame_at`` is the builder's call on one point.  The
+``eigh``, in closed form for 2 x 2); its int index ``frames[i]`` is the
+``LevelFrames`` of point i, and ``frame_at`` is its call on one point.  The
 sectional curvature of the induced connection reduces in a Minkowski space
 to the product identity Khat(e_a ^ e_b) = k_a k_b, which is how it is
 computed here (the intrinsic connection itself is never constructed).
@@ -84,15 +84,15 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
 
     The rows of one geometry dimension m share one g-Gram-Schmidt
     (``orthonormal_basis``); all rows share one shape-operator product and
-    one batched ``eigh``.  A row of the subspace-dual reduction (k-th root
-    families, whose gradient for cylinder potentials lies on a coordinate
-    plane) gets its tangent frame on the first m coordinates, and the
-    complement directions are principal with curvature zero, as in the
-    cylinder model.  Curvatures are grouped within max(1e-9 s, 1e-6 max|kappa|),
-    or max(1e-4 s, 1e-4 max|kappa|) under finite differences, with
-    s = |g^{-1}|_F |D^2 f|_F / F*(df) (``lap_scale`` / F*), the size of
-    hhat's entries, so that the groups do not change when the level or the
-    norm is scaled.
+    one batched ``eigh``, or at n = 3 one closed form for every 2 x 2 hhat.
+    A row of the subspace-dual reduction (k-th root families, whose gradient
+    for cylinder potentials lies on a coordinate plane) gets its tangent
+    frame on the first m coordinates, and the complement directions are
+    principal with curvature zero, as in the cylinder model.  Curvatures are
+    grouped within max(1e-9 s, 1e-6 max|kappa|), or max(1e-4 s, 1e-4 max|kappa|)
+    under finite differences, with s = |g^{-1}|_F |D^2 f|_F / F*(df)
+    (``lap_scale`` / F*), the size of hhat's entries, so that the groups do
+    not change when the level or the norm is scaled.
     """
     n = norm.dim
     fstar = geometry.fstar
@@ -105,10 +105,17 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
         tangent[rows, m - 1:, m:] = np.eye(n - m)
     hhat = -(tangent @ geometry.hess @ tangent.transpose(0, 2, 1)) / fstar[:, None, None]
     hhat = 0.5 * (hhat + hhat.transpose(0, 2, 1))
-    try:
-        vals, vecs = np.linalg.eigh(hhat)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure("eigendecomposition of the shape operator failed") from exc
+    if n == 3:  # a 2 x 2 hhat per row: mid -+ r, the upper one's axis at angle phi
+        a, b, d = hhat[:, 0, 0], hhat[:, 0, 1], hhat[:, 1, 1]
+        mid, r, phi = 0.5 * (a + d), np.hypot(0.5 * (a - d), b), 0.5 * np.arctan2(2.0 * b, a - d)
+        c, s = np.cos(phi), np.sin(phi)
+        vals = np.stack([mid - r, mid + r], axis=1)
+        vecs = np.stack([np.stack([-s, c], axis=1), np.stack([c, s], axis=1)], axis=2)
+    else:
+        try:
+            vals, vecs = np.linalg.eigh(hhat)
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure("eigendecomposition of the shape operator failed") from exc
     kmax, size = abs(vals).max(axis=1), geometry.lap_scale / fstar
     tol = (1e-4 * np.maximum(size, kmax) if norm.strategy == "fd" or field.uses_fd
            else np.maximum(1e-9 * size, 1e-6 * kmax))

@@ -8,20 +8,14 @@ a low-discrepancy direction set, computes F*(df), Delta f and principal
 curvatures per point, and turns within-level constancy into verdicts.
 
 The levels of a verification are one stack (``sample_levels``), met in one
-pass over levels x directions.  On a field of declared degree k (every
-catalog field) f is positively homogeneous, so a ray meets level t at
-s = (t / f(d))^(1/k), from one evaluation of f over the directions.  On
-other fields the rays of all levels walk a fixed ladder of radii together to
-bracket the level nearest the origin, and Illinois regula falsi narrows
-every bracket together.  The field is evaluated only through its ``rows``,
-and a point is kept when |f(x) - t| <= 1e-10 |t|, one residual for all
-points.  The points then get their geometry from one
-``calculus.level_geometry`` and their frames from one
-``hypersurface.level_frames``, for every norm family, strategy and field:
-the statistics, verdicts and curvature groups of all levels are one pass
-over that stack (``_level_table``), the Randers witness indexes only the
-columns it reads, and a point's frame ``frames[i]`` is built only when asked
-for.
+pass over levels x directions through the field's ``rows`` alone: in closed
+form on a field of declared degree (every catalog field), else by a ladder
+walk (``_level_points``).  The points of all levels get their geometry from
+one ``calculus.level_geometry`` and their frames from one
+``hypersurface.level_frames``; the statistics, verdicts and curvature groups
+of all levels are one pass over that stack (``_level_table``), the Randers
+witness indexes only the columns it reads, and a point's frame
+``frames[i]`` is built only when asked for.
 
 Each verdict compares a level's spread with a scale from the same level, so
 it does not change when the level, the field or the norm is scaled.  A

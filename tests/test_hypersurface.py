@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, null_space
 
-from minkgeom import calculus, hypersurface as hs, norms
+from minkgeom import calculus, hypersurface as hs, isoparametric as iso, norms
 from minkgeom.errors import EigenFailure, NotOrthogonal
 
 from .oracles import mean_curvature_residual, point_geometry
@@ -77,6 +77,31 @@ class TestFrame:
         assert len(hs.frame_at(randers3, fl, [1.0, 1.0, 1.0]).groups) == 1
         fc = calculus.cylinder_potential(randers3, 2)
         assert len(hs.frame_at(randers3, fc, [0.7, 0.4, 0.5]).groups) == 2
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("case", ["sphere", "cylinder", "quartic-cylinder", "hyperplane",
+                                      "counterexample"])
+    def test_the_closed_form_eigenpairs_are_those_of_eigh(self, case, scale, randers3_mixed):
+        # at n = 3 each 2 x 2 hhat is diagonalized in closed form: its curvatures
+        # are np.linalg.eigh's to a few ulp of hhat's size, and where they are
+        # apart its principal directions are eigh's up to sign
+        quartic, cyl = norms.KthRootNorm(4, 3), norms.RandersNorm([0.3, 0.0, 0.0])
+        norm, field, t = {
+            "sphere": (cyl, calculus.sphere_potential(cyl), 2.0),
+            "cylinder": (cyl, calculus.cylinder_potential(cyl, 2), 2.0),
+            "quartic-cylinder": (quartic, calculus.cylinder_potential(quartic, 2), 2.0),
+            "hyperplane": (cyl, calculus.linear_field([1.0, 2.0, 0.5]), 2.0),
+            "counterexample": (randers3_mixed, calculus.norm_plus_linear(randers3_mixed, 2), 1.0),
+        }[case]
+        fr = iso.sample_level(norm, field, scale * t, 32).frames
+        vals, vecs = np.linalg.eigh(fr.hhat)
+        size = abs(fr.hhat).max(axis=(1, 2))
+        assert np.all(abs(fr.principal_curvatures - vals) <= 4 * np.spacing(size)[:, None])
+        apart = np.diff(vals, axis=1)[:, 0] > 1e-6 * size
+        ref = (vecs.transpose(0, 2, 1) @ fr.tangent_basis)[apart]
+        got = fr.eigenvectors[apart]
+        sign = np.sign((got * ref).sum(axis=2))[:, :, None]
+        assert np.max(abs(got - sign * ref), initial=0.0) <= 1e-12 * np.max(abs(ref), initial=0.0)
 
     def test_quartic_cylinder_reduced_frame(self, quartic3):
         f = calculus.cylinder_potential(quartic3, 2)
