@@ -198,7 +198,7 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
     _check_subdim(m, n)
     b = norm.b
 
-    # |xbar| scaled at every row, the bits of the committed reports; u = xbar / |xbar|
+    # |xbar| scaled at every row, so that its level points keep their bits; u = xbar / |xbar|
     def rows(X, order):
         xbar = X[:, :m]
         r = scaled_lengths(xbar)

@@ -232,7 +232,7 @@ HOT_PATHS = (
     norms.KthRootNorm._value, norms.AlphaBetaNorm._value,
     norms.MinkowskiNorm.derivatives, norms.ScaledNorm._derivatives,
     norms.MinkowskiNorm._values, norms.MinkowskiNorm._derivative_rows,
-    norms.MinkowskiNorm._dual_rows, norms.EuclideanNorm._analytic,
+    norms.MinkowskiNorm._dual_rows, norms.MinkowskiNorm._dual_values, norms.EuclideanNorm._analytic,
     norms.RandersNorm._analytic, norms.RandersNorm._dual_parts,
     norms.RandersNorm._legendre_inverse, norms.RandersNorm._dual_fundamental_tensor,
     norms.KthRootNorm._analytic, norms.KthRootNorm._legendre_inverse,
@@ -244,7 +244,8 @@ HOT_PATHS = (
     calculus._regular, calculus._regular_jet, calculus.level_geometry,
     calculus._dual_geometry, calculus.prefix_support,
     calculus.ScalarField.value, calculus.ScalarField.d1, calculus.ScalarField._row,
-    _linalg.lengths, _linalg.orthonormal_basis, hypersurface.cartan_curvature_Q,
+    _linalg.lengths, _linalg.scaled_lengths, _linalg.orthonormal_basis,
+    hypersurface.cartan_curvature_Q, isoparametric._level_points,
     randers.randers_isoparametric_residual, isoparametric._radial_root,
     isoparametric._randers_witness,
     isoparametric._profile_slopes, isoparametric._level_table, norms._as_rows,
