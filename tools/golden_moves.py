@@ -5,8 +5,8 @@ nine CLI reports of ``demos/out/cli`` into a temporary directory and compares
 each with its committed file.  Prints one line per file: "identical" when
 the bytes match, else the largest relative move of a number,
 |new - old| / max(1, |old|) (the measure ``tests/test_golden.py`` bounds by
-1e-12), or what differs besides numbers.  Nothing under ``demos/out`` is
-written.
+1e-12), or what differs besides numbers, such as a key or a verdict.
+Nothing under ``demos/out`` is written.
 
 Run from anywhere: ``python tools/golden_moves.py``.
 """
@@ -86,9 +86,12 @@ def compare(new: Path, old: Path) -> str:
         return "identical"
     parse = json.loads if old.suffix == ".json" else _csv_cells
     try:
-        return f"largest relative move {_move(parse(new_text), parse(old_text)):.3g}"
+        move = _move(parse(new_text), parse(old_text))
     except ValueError as exc:
         return f"differs: {exc}"
+    if move == 0.0:
+        return "numbers equal, text differs (the sign of a zero or a number's spelling)"
+    return f"largest relative move {move:.3g}"
 
 
 def main() -> int:
