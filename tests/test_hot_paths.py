@@ -150,9 +150,9 @@ def _hypot_lengths(A):
 
 @pytest.mark.parametrize("shape", [(64, 3), (64, 3, 3), (32, 6, 6), (16, 10, 10), (8, 1)])
 def test_lengths_agree_with_the_hypot_chain(shape):
-    # one scaled square root per row, m |A / m| with m = max |a|, or the plain
-    # one when every row is far inside the float range: within a few ulp of
-    # the np.hypot chain from 1e-300 to 1e300, per entry or per row
+    # the plain square root on a row far inside the float range, else the
+    # scaled one, m |A / m| with m = max |a|: within a few ulp of the np.hypot
+    # chain from 1e-300 to 1e300, per entry or per row
     rng = np.random.default_rng(len(shape) * 100 + shape[-1])
     row = (shape[0],) + (1,) * (len(shape) - 1)
     for _ in range(50):
