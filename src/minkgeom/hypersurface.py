@@ -97,9 +97,9 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
     n = norm.dim
     fstar = geometry.fstar
     normal = geometry.grad / fstar[:, None]
-    tangent = np.zeros((len(geometry), n - 1, n))
-    for m in sorted(set(geometry.m.tolist())):
-        rows = geometry.m == m
+    tangent, dims = np.zeros((len(geometry), n - 1, n)), sorted(set(geometry.m.tolist()))
+    for m in dims:
+        rows = slice(None) if dims == [m] else geometry.m == m  # one m: views, no copies
         tangent[rows, : m - 1, :m] = orthonormal_basis(geometry.g[rows, :m, :m],
                                                        normal[rows, :m])
         tangent[rows, m - 1:, m:] = np.eye(n - m)
