@@ -33,10 +33,10 @@ f = calculus.sphere_potential(norm)
 print("\ngradient of the sphere potential is the position vector:")
 print("  grad f(x) =", calculus.gradient(norm, f, x), " x =", x)
 
-print("\nHessian form symmetry at a generic point:")
+print("\nHessian form symmetry at a generic point (D2f = f's coordinate Hessian):")
 X, Y = np.array([1.0, 0.2, -0.5]), np.array([-0.3, 0.8, 0.1])
-print("  D2f(X,Y) =", calculus.hessian_form(norm, f, x, X, Y))
-print("  D2f(Y,X) =", calculus.hessian_form(norm, f, x, Y, X))
+print("  D2f(X,Y) =", X @ f.d2(x) @ Y)
+print("  D2f(Y,X) =", Y @ f.d2(x) @ X)
 
 print("\nvolume constants (BH and HT densities):")
 for n_, label, bh_expect in (

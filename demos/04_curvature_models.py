@@ -19,9 +19,9 @@ print("sphere F(x) = r, r = 2 (expect all curvatures -1/2):")
 f = calculus.sphere_potential(norm)
 x = 2.0 * np.array([0.3, -0.8, 0.5]) / norm.value([0.3, -0.8, 0.5])
 fr = hs.frame_at(norm, f, x)
-print("  curvatures:", fr.principal_curvatures)
-print("  mean curvature:", hs.mean_curvatures(fr)[0], " sectional products:",
-      hs.sectional_products(fr)[0, 1])
+k = fr.principal_curvatures
+print("  curvatures:", k)
+print("  mean curvature:", k.sum(), " sectional product k_1 k_2:", k[0] * k[1])
 
 print("\nreverse sphere F(-x) = 2 (expect +1/2):")
 frev = calculus.sphere_potential(norm, reverse=True)

@@ -7,8 +7,8 @@ coordinate Hessian:
 
     D^2 f(X, Y) = g_{grad f}(X^j d_j(grad f), Y) = f_ij X^i Y^j,
 
-and the Laplacian (divergence of the gradient for any constant-density volume
-form, so BH and HT agree) reduces to
+which is ``X @ field.d2(x) @ Y`` at x, and the Laplacian (divergence of the
+gradient for any constant-density volume form, so BH and HT agree) reduces to
 
     Delta f = g*^{ij}(df) f_ij = g^{ij}(grad f) f_ij = tr_{g_{grad f}} D^2 f.
 
@@ -36,7 +36,6 @@ import numpy as np
 from . import duality
 from ._linalg import lengths, orthonormal_basis, scaled_lengths
 from .errors import (
-    BadDimension,
     CriticalPoint,
     DegenerateMetric,
     DimensionTooLarge,
@@ -193,7 +192,7 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
     component outside the first m coordinates.
     """
     if not isinstance(norm, RandersNorm):
-        raise BadDimension("norm_plus_linear requires a Randers norm")
+        raise NotInDomain("norm_plus_linear requires a Randers norm")
     n = norm.dim
     _check_subdim(m, n)
     b = norm.b
@@ -264,7 +263,9 @@ def reparametrized_field(field: ScalarField, profile) -> ScalarField:
     """phi o f with chain-rule derivatives, from the rows of f: d(phi o f) =
     phi'(f) df and D^2(phi o f) = phi''(f) df (x) df + phi'(f) D^2 f.  The
     profile provides ``phi(s)`` and ``derivatives(s)``, phi and at least its
-    first two derivatives, elementwise for an array s."""
+    first two derivatives, elementwise for an array s.  phi must be strictly
+    monotone on the regular range of f; the declared range is its image, in
+    the direction of phi' at a finite point of that range."""
 
     def rows(X, order):
         f = field.rows(X, 0)
@@ -275,14 +276,16 @@ def reparametrized_field(field: ScalarField, profile) -> ScalarField:
         return dp[:, :, 0] * df, d2p * (df[:, :, None] * df[:, None, :]) + dp * hess
 
     lo, hi = field.regular_range
-    plo = _safe_profile_value(profile, lo, -math.inf)
-    phi_hi = _safe_profile_value(profile, hi, math.inf)
+    inner = 0.5 * lo + 0.5 * hi if math.isfinite(hi - lo) else min(max(0.0, lo + 1.0), hi - 1.0)
+    if profile.derivatives(inner)[1] < 0.0:  # decreasing: phi(hi) is the lower end
+        lo, hi = hi, lo
     return ScalarField(
         dim=field.dim,
         tag="reparametrized",
         rows=rows,
         uses_fd=field.uses_fd,
-        regular_range=(plo, phi_hi),
+        regular_range=(_safe_profile_value(profile, lo, -math.inf),
+                       _safe_profile_value(profile, hi, math.inf)),
         meta={"base": field, "profile": profile},
     )
 
@@ -447,14 +450,6 @@ def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
 def gradient(norm: MinkowskiNorm, field: ScalarField, x) -> np.ndarray:
     """grad f(x) = L^{-1}(df(x)); satisfies F(grad f) = F*(df) and L(grad f) = df."""
     return duality.legendre_inverse(norm, _regular_jet(field, x)[0])
-
-
-def hessian_form(norm: MinkowskiNorm, field: ScalarField, x, X, Y) -> float:
-    """D^2 f(X, Y) at x; symmetric; equals f_ij X^i Y^j in linear coordinates."""
-    hess = _regular_jet(field, x)[1]
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    return float(X @ hess @ Y)
 
 
 def prefix_support(df: np.ndarray, hess: np.ndarray) -> np.ndarray:

@@ -81,10 +81,6 @@ class NotUnit(MinkGeomError):
     """Vector violates the F(y) = 1 precondition."""
 
 
-class NotMonotone(MinkGeomError):
-    """Reparametrization profile is not strictly increasing."""
-
-
 class NotIsoparametric(MinkGeomError):
     """Operation requires a report with an isoparametric verdict."""
 

@@ -12,9 +12,11 @@ it builds the frames of a level's ``LevelGeometry`` as one ``LevelFrames``
 of arrays (one g-Gram-Schmidt, one shape-operator product, one batched
 ``eigh``, in closed form for 2 x 2); its int index ``frames[i]`` is the
 ``LevelFrames`` of point i, and ``frame_at`` is its call on one point.  The
-sectional curvature of the induced connection reduces in a Minkowski space
-to the product identity Khat(e_a ^ e_b) = k_a k_b, which is how it is
-computed here (the intrinsic connection itself is never constructed).
+mean curvature is sum k_a: the S-curvature of a Minkowski space with BH or
+HT volume vanishes, so the ghat-mean and volumetric mean curvatures coincide.
+The sectional curvature of the induced connection reduces in a Minkowski
+space to the product identity Khat(e_a ^ e_b) = k_a k_b (the intrinsic
+connection itself is never constructed).
 
 The Cartan curvature Q_y(X, Y) is the scalar invariant built from the Cartan
 tensor and its derivative that controls the Cartan-type formula; for a
@@ -124,21 +126,6 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
                        breaks=np.diff(vals, axis=1) > tol[:, None])
 
 
-def mean_curvatures(frame: LevelFrames) -> tuple[float, float]:
-    """(ghat-mean curvature, volumetric mean curvature) = (sum k_a, same).
-
-    The S-curvature of a Minkowski space with BH or HT volume vanishes, so
-    the two notions coincide.  A loose internal gate cross-checks the trace
-    identity F(grad f) Hhat = -sum_a D^2 f(e_a, e_a).
-    """
-    hhat_sum = float(np.sum(frame.principal_curvatures))
-    trace_sum = float(np.trace(frame.hhat))
-    size = max(float(np.sum(np.abs(frame.principal_curvatures))), abs(trace_sum))
-    if abs(hhat_sum - trace_sum) > 1e-6 * size:
-        raise EigenFailure("mean-curvature trace identity violated; frame is inconsistent")
-    return hhat_sum, hhat_sum
-
-
 def cartan_curvature_Q(norm: MinkowskiNorm, y, X, Y) -> float:
     """Cartan curvature Q_y(X, Y) for mutually g_y-orthogonal y, X, Y.
 
@@ -179,17 +166,6 @@ def gram_orthogonal_triple(norm: MinkowskiNorm, rng) -> tuple:
     Y = Y - (Y @ g @ y) / (y @ g @ y) * y
     Y = Y - (Y @ g @ X) / (X @ g @ X) * X
     return y, X, Y
-
-
-def sectional_products(frame: LevelFrames) -> np.ndarray:
-    """Matrix of induced sectional curvatures Khat(e_a ^ e_b) = k_a k_b.
-
-    Only off-diagonal entries are meaningful; the diagonal is set to zero.
-    """
-    k = frame.principal_curvatures
-    out = np.outer(k, k)
-    np.fill_diagonal(out, 0.0)
-    return out
 
 
 def cartan_formula_residual(frame: LevelFrames) -> float:

@@ -39,7 +39,7 @@ import numpy as np
 from . import duality
 # ``laplacian`` and ``frame_at`` stay reachable here: the benchmark's tracer
 # hooks them by these names
-from .calculus import ScalarField, laplacian, level_geometry, reparametrized_field  # noqa: F401
+from .calculus import ScalarField, laplacian, level_geometry  # noqa: F401
 from .errors import (
     CriticalPoint,
     CriticalPointOnLevel,
@@ -47,7 +47,6 @@ from .errors import (
     LevelNotReached,
     MinkGeomError,
     NotIsoparametric,
-    NotMonotone,
 )
 from .hypersurface import LevelFrames, frame_at, group_runs, level_frames  # noqa: F401
 from .norms import MinkowskiNorm, RandersNorm
@@ -686,21 +685,3 @@ def f_segment_flow(norm: MinkowskiNorm, field: ScalarField, x0, t1: float,
     return FlowResult(endpoint=x, arclength=float(arclength),
                       trajectory=traj, chord_deviation=deviation)
 
-
-def reparametrize_isoparametric(report: VerificationReport, profile) -> VerificationReport:
-    """Re-verify phi o f for a monotone smooth profile, with the report's
-    sample count, tolerance and seed.
-
-    The verdict must remain isoparametric and the fitted profiles transform
-    as a_new(phi(t)) = phi'(t) a(t) and b_new(phi(t)) = phi'' a^2 + phi' b.
-    """
-    if not report.isoparametric:
-        raise NotIsoparametric("reparametrization requires an isoparametric report")
-    for t in report.levels:
-        if profile.derivatives(t)[1] <= 0.0:
-            raise NotMonotone(f"profile derivative is not positive at t={t}")
-    new_field = reparametrized_field(report.field, profile)
-    new_levels = [profile.phi(t) for t in report.levels]
-    return verify(report.norm, new_field, new_levels,
-                  count=report.count, tol=report.tolerance,
-                  seed=report.seed)

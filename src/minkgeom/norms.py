@@ -215,11 +215,6 @@ class MinkowskiNorm:
 
     __call__ = value
 
-    def grad(self, y) -> np.ndarray:
-        """Derivative F_{y^i}(y); 0-homogeneous."""
-        d = self.derivatives(y, order=1)
-        return d.d1 / d.F
-
     def legendre(self, y) -> np.ndarray:
         """Legendre image L(y)_i = F F_{y^i} = dG/dy^i; 1-homogeneous."""
         return self.derivatives(y, order=1).d1

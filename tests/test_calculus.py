@@ -55,23 +55,24 @@ class TestGradient:
 
 
 class TestHessianForm:
-    def test_linear_field_vanishes(self, randers3, rng):
+    """D^2 f(X, Y) = X @ field.d2(x) @ Y in linear coordinates."""
+
+    def test_linear_field_vanishes(self, rng):
         f = calculus.linear_field([1.0, 2.0, 0.5])
         X, Y = rng.standard_normal(3), rng.standard_normal(3)
-        assert calculus.hessian_form(randers3, f, rng.standard_normal(3), X, Y) == 0.0
+        assert X @ f.d2(rng.standard_normal(3)) @ Y == 0.0
 
     def test_euclidean_half_square_value(self):
-        e2 = norms.EuclideanNorm(2)
-        f = calculus.sphere_potential(e2)
-        assert calculus.hessian_form(e2, f, [2.0, 0.0], [2.0, 0.0], [2.0, 0.0]) == pytest.approx(4.0)
+        f = calculus.sphere_potential(norms.EuclideanNorm(2))
+        X = np.array([2.0, 0.0])
+        assert X @ f.d2([2.0, 0.0]) @ X == pytest.approx(4.0)
 
     def test_symmetry(self, randers3_mixed, rng):
         f = calculus.norm_plus_linear(randers3_mixed, 2)
         for _ in range(10):
-            x = rng.standard_normal(3) + np.array([2.0, 0, 0])
+            hess = f.d2(rng.standard_normal(3) + np.array([2.0, 0, 0]))
             X, Y = rng.standard_normal(3), rng.standard_normal(3)
-            a = calculus.hessian_form(randers3_mixed, f, x, X, Y)
-            b = calculus.hessian_form(randers3_mixed, f, x, Y, X)
+            a, b = X @ hess @ Y, Y @ hess @ X
             assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
 
     def test_matches_differenced_gradient_field(self, randers3, rng):
@@ -84,7 +85,7 @@ class TestHessianForm:
                  - calculus.gradient(randers3, f, x - h * X)) / (2 * h)
         g = randers3.fundamental_tensor(calculus.gradient(randers3, f, x))
         fd_val = float(dgrad @ g @ Y)
-        assert calculus.hessian_form(randers3, f, x, X, Y) == pytest.approx(fd_val, abs=1e-5)
+        assert X @ f.d2(x) @ Y == pytest.approx(fd_val, abs=1e-5)
 
 
 class TestLaplacian:
@@ -205,6 +206,21 @@ class TestFields:
         assert np.allclose(g.d1(x), (2.0 + t) * f.d1(x))
         expect_d2 = np.outer(f.d1(x), f.d1(x)) + (2.0 + t) * f.d2(x)
         assert np.allclose(g.d2(x), expect_d2)
+
+    @pytest.mark.parametrize("reverse, coeffs, want", [
+        (False, [0.0, 2.0, 0.5], (0.0, np.inf)),   # increasing
+        (False, [0.0, -1.0], (-np.inf, 0.0)),      # decreasing
+        (True, [0.0, 0.0, 1.0], (0.0, np.inf)),    # t^2 on (-inf, 0): decreasing
+        (True, [0.0, -1.0], (0.0, np.inf)),
+        (None, [0.0, 0.0, 0.0, 1.0], (-np.inf, np.inf)),  # t^3 on a linear field
+    ])
+    def test_reparametrized_range_is_the_image(self, randers3, reverse, coeffs, want):
+        # the declared range is phi's image of the base range, ordered, so
+        # that a decreasing phi's levels are inside it
+        base = (calculus.linear_field([1.0, 2.0, 0.5]) if reverse is None
+                else calculus.sphere_potential(randers3, reverse=reverse))
+        field = calculus.reparametrized_field(base, norms.PolynomialProfile(coeffs))
+        assert field.regular_range == want
 
     def test_declared_degree_is_the_homogeneity(self, randers3, randers3_mixed, alphabeta3,
                                                  quartic3, rng):

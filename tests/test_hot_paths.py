@@ -190,13 +190,12 @@ class TestListInputs:
         for kind in (list, tuple):
             assert _bits(fn(*(kind(a) for a in args))) == want
 
-    def test_gradient_hessian_form_and_point_geometry(self, setting):
-        norm, field, y, X, Y = setting
+    def test_gradient_and_point_geometry(self, setting):
+        norm, field, *_ = setting
         linear = calculus.linear_field([1.0, 2.0, 0.5])
         x = [0.4, -0.2, 0.9]
         for f in (field, linear):
             self._same(lambda p: calculus.gradient(norm, f, p), x)
-            self._same(lambda p, u, v: calculus.hessian_form(norm, f, p, u, v), x, X, Y)
             # the point geometry of one row
             self._same(lambda p: calculus.level_geometry(norm, f, [p])[0].lap, x)
             self._same(lambda p: calculus.level_geometry(norm, f, [p])[0].fstar, x)

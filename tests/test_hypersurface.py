@@ -1,11 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.linalg import eigh, null_space
 
 from minkgeom import calculus, hypersurface as hs, isoparametric as iso, norms
-from minkgeom.errors import EigenFailure, NotOrthogonal
+from minkgeom.errors import NotOrthogonal
 
 from .oracles import mean_curvature_residual, point_geometry
 
@@ -111,35 +109,26 @@ class TestFrame:
 
 
 class TestMeanCurvature:
+    """The mean curvature is the sum of the principal curvatures."""
+
     def test_sphere_value(self, randers3):
+        # -2 / r on the sphere F = r, relative at every scale, also on the
+        # level t = 1e16, where kappa is about 7e-9
         f = calculus.sphere_potential(randers3)
-        fr = hs.frame_at(randers3, f, sphere_point(randers3, 2.0, [0.5, 0.1, -0.7]))
-        hhat, h = hs.mean_curvatures(fr)
-        assert hhat == pytest.approx(-1.0, abs=1e-10)
-        assert h == hhat  # S-curvature vanishes: both notions coincide
+        for r in (2.0, np.sqrt(2e16)):
+            fr = hs.frame_at(randers3, f, sphere_point(randers3, r, [0.5, 0.1, -0.7]))
+            assert fr.principal_curvatures.sum() == pytest.approx(-2.0 / r, rel=1e-10)
 
     def test_hyperplane_and_cylinder(self, randers3):
         fl = calculus.linear_field([1.0, 0.3, 0.2])
         fr = hs.frame_at(randers3, fl, [0.3, 0.4, 0.5])
-        assert hs.mean_curvatures(fr)[0] == pytest.approx(0.0, abs=1e-10)
+        assert fr.principal_curvatures.sum() == pytest.approx(0.0, abs=1e-10)
         norm = norms.RandersNorm([0.3, 0.0, 0.0])
         fc = calculus.cylinder_potential(norm, 2)
         tilde = fc.meta["tilde"]
         xbar = np.array([0.6, -0.4]) / tilde.value([0.6, -0.4])
         frc = hs.frame_at(norm, fc, np.array([xbar[0], xbar[1], 0.2]))
-        assert hs.mean_curvatures(frc)[0] == pytest.approx(-1.0, abs=1e-10)
-
-    def test_trace_gate_is_relative_at_every_scale(self, randers3):
-        # curvatures doubled off the trace of hhat fail the gate at every
-        # level, also at t = 1e16, where kappa is about 7e-9
-        f = calculus.sphere_potential(randers3)
-        for t in (1.0, 1e16):
-            x = sphere_point(randers3, np.sqrt(2.0 * t), [0.5, 0.1, -0.7])
-            fr = hs.frame_at(randers3, f, x)
-            assert hs.mean_curvatures(fr)[0] == pytest.approx(-2.0 / np.sqrt(2.0 * t), rel=1e-10)
-            doubled = dataclasses.replace(fr, principal_curvatures=2.0 * fr.principal_curvatures)
-            with pytest.raises(EigenFailure):
-                hs.mean_curvatures(doubled)
+        assert frc.principal_curvatures.sum() == pytest.approx(-1.0, abs=1e-10)
 
     def test_trace_identity_residual(self, randers3_mixed):
         f = calculus.norm_plus_linear(randers3_mixed, 2)
@@ -210,23 +199,24 @@ class TestCartanCurvature:
 
 
 class TestSectionalAndFormulas:
+    """The induced sectional curvatures are the products k_a k_b."""
+
     def test_sphere_products(self, randers3):
         f = calculus.sphere_potential(randers3)
         fr = hs.frame_at(randers3, f, sphere_point(randers3, 2.0, [0.4, 0.6, -0.2]))
-        K = hs.sectional_products(fr)
-        assert K[0, 1] == pytest.approx(0.25, abs=1e-10)
-        assert K[0, 0] == 0.0
+        k = fr.principal_curvatures
+        assert k[0] * k[1] == pytest.approx(0.25, abs=1e-10)
 
     def test_hyperplane_products_vanish(self, randers3):
         f = calculus.linear_field([1.0, 0.3, 0.2])
         fr = hs.frame_at(randers3, f, [0.3, 0.4, 0.5])
-        assert np.max(np.abs(hs.sectional_products(fr))) <= 1e-20
+        assert np.max(np.abs(fr.principal_curvatures)) <= 1e-10
 
     def test_cylinder_products_vanish(self):
         norm = norms.RandersNorm([0.3, 0.0, 0.0])
         f = calculus.cylinder_potential(norm, 2)
-        fr = hs.frame_at(norm, f, [0.7, 0.4, 0.5])
-        assert np.max(np.abs(hs.sectional_products(fr))) <= 1e-10
+        k = hs.frame_at(norm, f, [0.7, 0.4, 0.5]).principal_curvatures
+        assert abs(k[0] * k[1]) <= 1e-10
 
     def test_cartan_type_formula(self, randers3):
         # one kappa vanishes for the two-group model families, forcing zero

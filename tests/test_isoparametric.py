@@ -9,8 +9,7 @@ from scipy.integrate import quad
 
 from minkgeom import (calculus, cli, duality, hypersurface as hs, isoparametric as iso, norms,
                       sampling)
-from minkgeom.errors import (LeftRegularRegion, LevelNotReached, MinkGeomError, NotIsoparametric,
-                             NotMonotone)
+from minkgeom.errors import LeftRegularRegion, LevelNotReached, MinkGeomError, NotIsoparametric
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -691,56 +690,50 @@ class TestFlow:
 
 
 class TestReparametrization:
-    def test_linear_profile_doubles_a(self, randers3):
-        f = calculus.sphere_potential(randers3)
-        rep = iso.verify(randers3, f, [0.5, 2.0, 4.5], count=32)
-        rep2 = iso.reparametrize_isoparametric(rep, norms.PolynomialProfile([0.0, 2.0]))
-        assert rep2.isoparametric
-        # a_new(2t) = 2 a(t)
-        for (t, a), (t2, a2) in zip(rep.a_nodes, rep2.a_nodes):
-            assert t2 == pytest.approx(2 * t)
-            assert a2 == pytest.approx(2 * a, rel=1e-9)
+    """phi o f of an isoparametric f is isoparametric, with a(t) -> phi'(t) a(t)
+    and b(t) -> phi''(t) a(t)^2 + phi'(t) b(t) at the level phi(t), for an
+    increasing phi; checked through ``reparametrized_field`` and ``verify``."""
 
-    def test_sqrt_profile_gives_distance_function(self, randers3):
-        f = calculus.sphere_potential(randers3)
-        rep = iso.verify(randers3, f, [0.5, 2.0, 4.5], count=32)
-        rep2 = iso.reparametrize_isoparametric(rep, SqrtProfile())
-        assert rep2.isoparametric
-        assert np.allclose(rep2.a_nodes[:, 1], 1.0, atol=1e-9)
-        # b_new(u) = (n - 1) / u at u = sqrt(2t)
-        for u, bval in rep2.b_nodes:
-            assert bval == pytest.approx(2.0 / u, rel=1e-9)
+    CASES = {
+        "quadratic-of-sphere": (calculus.sphere_potential, norms.PolynomialProfile([0.0, 2.0, 0.5]),
+                                [0.5, 2.0, 4.5]),
+        "sqrt-of-sphere": (calculus.sphere_potential, SqrtProfile(), [0.5, 2.0, 4.5]),
+        "cubic-of-hyperplane": (lambda norm: calculus.linear_field([1.0, 2.0, 0.5]),
+                                norms.PolynomialProfile([0.0, 0.0, 0.0, 1.0]), [1.0, 2.0, 3.0]),
+    }
 
-    def test_cubic_profile_on_hyperplane(self, randers3):
-        f = calculus.linear_field([1.0, 2.0, 0.5])
-        rep = iso.verify(randers3, f, [1.0, 2.0, 3.0], count=32)
-        rep2 = iso.reparametrize_isoparametric(rep, norms.PolynomialProfile([0, 0, 0, 1.0]))
-        assert rep2.isoparametric
-
-    def test_transform_formulas(self, randers3):
-        # a_new = phi' a, b_new = phi'' a^2 + phi' b at matched levels
-        f = calculus.sphere_potential(randers3)
-        rep = iso.verify(randers3, f, [0.5, 2.0, 4.5], count=32)
-        prof = norms.PolynomialProfile([0.0, 1.0, 0.25])
-        rep2 = iso.reparametrize_isoparametric(rep, prof)
-        for (t, a), (t2, a2), (_, b), (_, b2) in zip(
-                rep.a_nodes, rep2.a_nodes, rep.b_nodes, rep2.b_nodes):
-            _, dp, d2p, *_ = prof.derivatives(t)
-            assert t2 == pytest.approx(prof.derivatives(t)[0])
+    @pytest.mark.parametrize("family", ["randers3", "quartic3", "alphabeta3"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_profiles_transform(self, family, case, request):
+        norm = request.getfixturevalue(family)
+        make, profile, levels = self.CASES[case]
+        field = make(norm)
+        rep = iso.verify(norm, field, levels, count=32)
+        new = iso.verify(norm, calculus.reparametrized_field(field, profile),
+                         [profile.phi(t) for t in levels], count=32)
+        assert (new.transnormal_verdict, new.isoparametric_verdict) == ("yes", "yes")
+        for t, (_, a), (_, b), (u, a2), (_, b2) in zip(
+                levels, rep.a_nodes, rep.b_nodes, new.a_nodes, new.b_nodes):
+            _, dp, d2p, *_ = profile.derivatives(t)
+            assert u == profile.phi(t)
             assert a2 == pytest.approx(dp * a, rel=1e-9)
             assert b2 == pytest.approx(d2p * a**2 + dp * b, rel=1e-9)
 
-    def test_monotonicity_enforced(self, randers3):
-        f = calculus.sphere_potential(randers3)
-        rep = iso.verify(randers3, f, [0.5, 2.0, 4.5], count=32)
-        with pytest.raises(NotMonotone):
-            iso.reparametrize_isoparametric(rep, norms.PolynomialProfile([0.0, -1.0]))
-
-    def test_requires_isoparametric_report(self, randers3_mixed):
-        f = calculus.norm_plus_linear(randers3_mixed, 2)
-        rep = iso.verify(randers3_mixed, f, [0.8, 1.0, 1.25], count=32)
-        with pytest.raises(NotIsoparametric):
-            iso.reparametrize_isoparametric(rep, norms.PolynomialProfile([0.0, 2.0]))
+    @pytest.mark.parametrize("family, verdict", [("randers3", "no"), ("quartic3", "yes"),
+                                                 ("alphabeta3", "no")])
+    def test_decreasing_profile(self, family, verdict, request):
+        # phi = -t: grad(-f) = L^{-1}(-df), and F*(-df) is constant on a level
+        # of the sphere only for a reversible norm; then a(-t) = a(t) and
+        # b(-t) = -b(t)
+        norm = request.getfixturevalue(family)
+        field = calculus.sphere_potential(norm)
+        flipped = calculus.reparametrized_field(field, norms.PolynomialProfile([0.0, -1.0]))
+        new = iso.verify(norm, flipped, [-0.5, -2.0, -4.5], count=32)
+        assert (new.transnormal_verdict, new.isoparametric_verdict) == (verdict, verdict)
+        if verdict == "yes":
+            rep = iso.verify(norm, field, [0.5, 2.0, 4.5], count=32)
+            assert new.a_nodes[::-1, 1] == pytest.approx(rep.a_nodes[:, 1], rel=1e-9)
+            assert new.b_nodes[::-1, 1] == pytest.approx(-rep.b_nodes[:, 1], rel=1e-9)
 
 
 class TestReportSerialization:

@@ -28,13 +28,20 @@ class TestDualCoefficients:
         assert norms.RandersNorm([0.3, 0.0, 0.0]).subspace_scale(2) ** 2 == pytest.approx(1.0)
         assert norms.RandersNorm([0.1, 0.0, 0.2]).subspace_scale(2) ** 2 < 1.0
 
-    def test_requires_randers(self, euclid3, rng):
+    @pytest.mark.parametrize("norm", [norms.EuclideanNorm(3), norms.KthRootNorm(4, 3),
+                                      norms.ScaledNorm(norms.RandersNorm([0.5, 0.0, 0.0]), 2.0)],
+                             ids=["euclidean", "kth_root", "scaled_randers"])
+    @pytest.mark.parametrize("call", [
+        lambda norm, rng: calculus.norm_plus_linear(norm, 2),
+        lambda norm, rng: rd.randers_isoparametric_residual(norm, np.ones(3), np.eye(3), 1.0,
+                                                            3.0, 1.0),
+        lambda norm, rng: cylinder_surface_residual(norm, 2, 1.0, np.ones(3)),
+        lambda norm, rng: rd.lemma61_check(norm, *gram_orthogonal_triple(norm, rng)),
+    ], ids=["norm_plus_linear", "isoparametric_residual", "cylinder_residual", "lemma61"])
+    def test_requires_randers(self, norm, call, rng):
+        # one exception type for one precondition, whichever service checks it
         with pytest.raises(NotInDomain):
-            rd.randers_isoparametric_residual(euclid3, np.ones(3), np.eye(3), 1.0, 3.0, 1.0)
-        with pytest.raises(NotInDomain):
-            cylinder_surface_residual(euclid3, 2, 1.0, np.ones(3))
-        with pytest.raises(NotInDomain):
-            rd.lemma61_check(euclid3, *gram_orthogonal_triple(euclid3, rng))
+            call(norm, rng)
 
     def test_dual_value_matches_module(self, randers3, rng):
         # F*(xi) = sqrt(xi a* xi) + b*.xi
