@@ -8,10 +8,10 @@ fundamental tensor and the subspace dual are the norm's methods
 ``_legendre_inverse``, ``_dual_fundamental_tensor`` and ``_subspace_dual``.
 Every family defines the inverse, one body for a covector or the rows of
 an (N, n) array, which ``MinkowskiNorm._dual_rows`` reads for the points of
-a verification (the alpha-beta one is a solve for one angle, whose rows
-have their own Newton solve); the base class's dual tensor is g^{-1} at the
-preimage and its subspace dual the restriction, which a family with a
-closed form overrides.  The Newton iteration ``legendre_inverse_newton``,
+a verification (the alpha-beta one solves for one angle, by regula falsi
+for a covector and by Newton for rows); the base class's dual tensor is
+g^{-1} at the preimage and its subspace dual the restriction, which a family
+with a closed form overrides.  The Newton iteration ``legendre_inverse_newton``,
 damped by Armijo backtracking on G(y) - xi.y, is the oracle for the
 inverses: of the tests for a covector, and of ``minkgeom dualcheck`` for
 the rows of all its trials, with one order-2 ``_derivative_rows`` per trial

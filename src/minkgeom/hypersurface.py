@@ -10,13 +10,13 @@ on the tangent space.  Principal curvatures are the eigenvalues of hhat in a
 ghat-orthonormal tangent frame.  ``level_frames`` is the one frame builder:
 it builds the frames of a level's ``LevelGeometry`` as one ``LevelFrames``
 of arrays (one g-Gram-Schmidt, one shape-operator product, one batched
-``eigh``, in closed form for 2 x 2); its int index ``frames[i]`` is the
-``LevelFrames`` of point i, and ``frame_at`` is its call on one point.  The
-mean curvature is sum k_a: the S-curvature of a Minkowski space with BH or
-HT volume vanishes, so the ghat-mean and volumetric mean curvatures coincide.
-The sectional curvature of the induced connection reduces in a Minkowski
-space to the product identity Khat(e_a ^ e_b) = k_a k_b (the intrinsic
-connection itself is never constructed).
+``eigh`` of the curvatures alone, closed form at 2 x 2); ``frames[i]`` is
+the ``LevelFrames`` of point i, and ``frame_at`` is its call on one point.
+The mean curvature is sum k_a: the S-curvature of a Minkowski space with BH
+or HT volume vanishes, so the ghat-mean and volumetric mean curvatures
+coincide.  The sectional curvature of the induced connection reduces in a
+Minkowski space to the product identity Khat(e_a ^ e_b) = k_a k_b (the
+intrinsic connection itself is never constructed).
 
 The Cartan curvature Q_y(X, Y) is the scalar invariant built from the Cartan
 tensor and its derivative that controls the Cartan-type formula; for a
@@ -44,10 +44,9 @@ class LevelFrames(RowRecord):
     point, built from ``geometry`` (grad f, F(grad f), Delta f): the forward
     unit normal (N, n); ``tangent_basis`` (N, n-1, n), whose rows are
     ghat-orthonormal, so the ``principal_curvatures`` (N, n-1) are plain
-    eigenvalues of ``hhat`` (N, n-1, n-1); ``eigenvectors`` (N, n-1, n), the
-    ambient principal directions, sorted like them.  ``breaks`` (N, n-2)
-    marks each step between neighbouring curvatures above the group
-    tolerance, where a new group starts.
+    eigenvalues of ``hhat`` (N, n-1, n-1).  ``breaks`` (N, n-2) marks each
+    step between neighbouring curvatures above the group tolerance, where a
+    new group starts.
     """
 
     geometry: LevelGeometry
@@ -55,7 +54,6 @@ class LevelFrames(RowRecord):
     tangent_basis: np.ndarray
     hhat: np.ndarray
     principal_curvatures: np.ndarray
-    eigenvectors: np.ndarray
     breaks: np.ndarray
 
     def __len__(self):
@@ -86,7 +84,7 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
 
     The rows of one geometry dimension m share one g-Gram-Schmidt
     (``orthonormal_basis``); all rows share one shape-operator product and
-    one batched ``eigh``, or at n = 3 one closed form for every 2 x 2 hhat.
+    one batched ``eigh`` for the curvatures alone (closed form at n = 3).
     A row of the subspace-dual reduction (k-th root families, whose gradient
     for cylinder potentials lies on a coordinate plane) gets its tangent
     frame on the first m coordinates, and the complement directions are
@@ -107,23 +105,20 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
         tangent[rows, m - 1:, m:] = np.eye(n - m)
     hhat = -(tangent @ geometry.hess @ tangent.transpose(0, 2, 1)) / fstar[:, None, None]
     hhat = 0.5 * (hhat + hhat.transpose(0, 2, 1))
-    if n == 3:  # a 2 x 2 hhat per row: mid -+ r, the upper one's axis at angle phi
+    if n == 3:  # a 2 x 2 hhat per row: mid -+ r
         a, b, d = hhat[:, 0, 0], hhat[:, 0, 1], hhat[:, 1, 1]
-        mid, r, phi = 0.5 * (a + d), np.hypot(0.5 * (a - d), b), 0.5 * np.arctan2(2.0 * b, a - d)
-        c, s = np.cos(phi), np.sin(phi)
+        mid, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
         vals = np.stack([mid - r, mid + r], axis=1)
-        vecs = np.stack([np.stack([-s, c], axis=1), np.stack([c, s], axis=1)], axis=2)
     else:
         try:
-            vals, vecs = np.linalg.eigh(hhat)
+            vals = np.linalg.eigh(hhat)[0]  # the values-only solver's differ in the last bits
         except np.linalg.LinAlgError as exc:
             raise EigenFailure("eigendecomposition of the shape operator failed") from exc
     kmax, size = abs(vals).max(axis=1), geometry.lap_scale / fstar
     tol = (1e-4 * np.maximum(size, kmax) if norm.strategy == "fd" or field.uses_fd
            else np.maximum(1e-9 * size, 1e-6 * kmax))
     return LevelFrames(geometry=geometry, normal=normal, tangent_basis=tangent, hhat=hhat,
-                       principal_curvatures=vals, eigenvectors=vecs.transpose(0, 2, 1) @ tangent,
-                       breaks=np.diff(vals, axis=1) > tol[:, None])
+                       principal_curvatures=vals, breaks=np.diff(vals, axis=1) > tol[:, None])
 
 
 def cartan_curvature_Q(norm: MinkowskiNorm, y, X, Y) -> float:
@@ -188,17 +183,21 @@ def cartan_formula_residual(frame: LevelFrames) -> float:
 
 
 def two_curvature_residuals(norm: MinkowskiNorm, frame: LevelFrames) -> np.ndarray:
-    """Values k_a k_b (1 - Q_n(e_a, e_b)) across eigenvector pairs from
-    different curvature groups; all must vanish for g = 2 isoparametric
-    level sets."""
+    """Values k_a k_b (1 - Q_n(e_a, e_b)) across principal direction pairs
+    from different curvature groups; all must vanish for g = 2 isoparametric
+    level sets.  e_a are the eigenvectors of the frame's hhat, sorted like k,
+    in its tangent basis (Q is even in each, so their sign is free)."""
+    groups = frame.groups
+    if len(groups) < 2:
+        return np.array([])
     k = frame.principal_curvatures
-    labels = np.repeat(np.arange(len(frame.groups)), [m for _, m in frame.groups])
+    labels = np.repeat(np.arange(len(groups)), [m for _, m in groups])
+    vecs = np.linalg.eigh(frame.hhat)[1].T.dot(frame.tangent_basis)
     out = []
     for a in range(k.size):
         for b in range(a + 1, k.size):
             if labels[a] == labels[b]:
                 continue
-            Q = cartan_curvature_Q(norm, frame.normal, frame.eigenvectors[a],
-                                   frame.eigenvectors[b])
+            Q = cartan_curvature_Q(norm, frame.normal, vecs[a], vecs[b])
             out.append(k[a] * k[b] * (1.0 - Q))
     return np.array(out)

@@ -31,8 +31,8 @@ row jet) and ``_dual_rows`` (the Legendre preimage with F and g there) scale
 each row by the rule of ``_as_vector`` (``_as_rows``) and call those
 bodies, so every family has whole-array rows on every strategy: the fd
 stencil too is one body, each offset evaluated on all rows at once.  The
-alpha-beta rows solve their Legendre angle by Newton (``_dual_rows``),
-beside the one-point inverse.
+alpha-beta ``_legendre_inverse`` solves the angle of rows by Newton,
+beside the one-point solve.
 
 Norms are immutable after construction and all operations are pure, except
 that ``derivatives`` keeps its last bundle for a repeat call at the same y and
@@ -593,8 +593,8 @@ class AlphaBetaNorm(MinkowskiNorm):
     F = (alpha^2 / alpha) phi(beta / alpha).  The Legendre inverse is a solve
     for one angle: L(y) lies in span{y, e1} (Chern & Shen, Riemann-Finsler
     Geometry, 1.3), so the preimage of xi lies in the plane of xi and e1.
-    One point solves it by Illinois regula falsi (``_legendre_inverse``), the
-    rows by Newton (``_dual_rows``).
+    ``_legendre_inverse`` solves one point by Illinois regula falsi and rows
+    by Newton (``_newton_rows``).
 
     The constructor decides validity exactly and samples no directions.  With
     s = beta/alpha, which covers [-|b|, |b|], g has the eigenvalue
@@ -678,14 +678,13 @@ class AlphaBetaNorm(MinkowskiNorm):
         p = phi * (phi - b * c * dphi)
         return p * c + b * phi * dphi, p * s, p, d
 
-    def _dual_rows(self, Xi):
-        # ``_legendre_inverse`` for all rows: Newton on the angle t from
-        # t0 = psi, with dTheta/dt of the image angle Theta from phi, phi' and
-        # phi''.  A row that has not met the one-point stop (a gap of 2 ulp of
-        # psi) within ANGLE_NEWTON_STEPS steps, or whose step leaves (0, pi),
-        # takes the one-point Illinois inverse instead.  F and g at the
-        # preimages are one ``_derivative_rows``.
-        Xi, scale = _as_rows(Xi, self)
+    def _newton_rows(self, Xi):
+        # ``_legendre_inverse`` for rows the base class's rows services have
+        # windowed: Newton on the angle t from t0 = psi, with dTheta/dt of the
+        # image angle Theta from phi, phi' and phi''.  A row that has not met
+        # the one-point stop (a gap of 2 ulp of psi) within ANGLE_NEWTON_STEPS
+        # steps, or whose step leaves (0, pi), takes the one-point Illinois
+        # inverse instead.
         b = self.b
         x1 = Xi[:, 0]
         perp = lengths(Xi[:, 1:])
@@ -732,12 +731,11 @@ class AlphaBetaNorm(MinkowskiNorm):
                 Y[i] = self._legendre_inverse(Xi[i])
             except MinkGeomError:
                 Y[i] = np.nan
-        F, _, g = self._derivative_rows(Y)
-        return Y * scale[:, None], F * scale, g
+        return Y
 
     def _legendre_inverse(self, xi):
-        if xi.ndim > 1:  # rows, as those of a scaled norm reach it
-            return self._dual_rows(xi)[0]
+        if xi.ndim > 1:
+            return self._newton_rows(xi)
         # y = alpha (cos t e1 + sin t u), u the unit part of xi off e1, has
         # L(y) = alpha image(cos t, sin t).  The angle of the image from e1
         # increases from 0 to pi with t, so t is the one root of its gap to

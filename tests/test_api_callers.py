@@ -7,7 +7,9 @@ stays exact.  A reference is a name, an attribute access or an imported
 name anywhere in the package, so the match is by name alone: a method that
 shares its name with an attribute read elsewhere looks called.
 ``MinkowskiNorm.grad`` had no caller and went unseen, because
-``LevelGeometry.grad`` is read by name.
+``LevelGeometry.grad`` is read by name.  A reference made inside a function
+of the same name does not count: ``ScaledNorm.rotated`` calls
+``self.base.rotated``, which kept the four ``rotated`` unseen.
 
 Every name an import binds in the package is read there, except on the
 lines of an import statement marked ``# noqa: F401``.
@@ -27,6 +29,10 @@ UNCALLED = {
     "duality.dual_norm": "hooked by the benchmark's tracer",
     "norms.MinkowskiNorm.legendre": "hooked by the benchmark's tracer",
     "isoparametric.sample_level": "hooked by the benchmark's tracer",
+    "norms.MinkowskiNorm.rotated": "the rotation relation of ROADMAP item 3",
+    "norms.EuclideanNorm.rotated": "the rotation relation of ROADMAP item 3",
+    "norms.RandersNorm.rotated": "the rotation relation of ROADMAP item 3",
+    "norms.ScaledNorm.rotated": "the rotation relation of ROADMAP item 3",
     "isoparametric.consistency_identities": "curvature/Laplacian cross-check, demo 05",
     "isoparametric.f_segment_flow": "demo 05",
     "randers.dual_subspace_condition_check": "the exactness condition of the base "
@@ -49,10 +55,14 @@ def _public_definitions(module: str, tree: ast.Module):
                     yield f"{module}.{node.name}.{item.name}", item.name
 
 
-def _referenced(tree: ast.Module) -> set:
-    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-            | {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)})
+def _referenced(tree: ast.AST, inside: frozenset = frozenset()) -> set:
+    """The names, attributes and imported names of ``tree``, but not one used
+    inside a function of its own name (``inside`` names those enclosing it)."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        inside = inside | {tree.name}
+    own = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(tree))
+    found = {getattr(tree, own)} - inside if own else set()
+    return found.union(*(_referenced(child, inside) for child in ast.iter_child_nodes(tree)))
 
 
 def uncalled(modules: dict) -> set:
@@ -93,6 +103,17 @@ def test_the_caller_guard_sees_a_new_uncalled_name():
     source = ("def helper():\n    pass\n\n\nclass A:\n    def _private(self):\n"
               "        return helper()\n\n    def lonely(self):\n        pass\n")
     assert uncalled({"scratch": ast.parse(source)}) == {"scratch.A.lonely"}
+
+
+def test_the_caller_guard_does_not_count_a_call_of_a_namesake():
+    # a method that calls the method of its own name on another object, or
+    # recurses, is no caller of it; a reference from another function is
+    source = ("class A:\n    def turned(self, q):\n        return self.base.turned(q)\n\n"
+              "    def walk(self):\n        return [walk(c) for c in self.children]\n\n"
+              "    def spun(self):\n        return self.base.spun()\n\n"
+              "    def use(self):\n        return self.spun()\n")
+    assert uncalled({"scratch": ast.parse(source)}) == {"scratch.A.turned", "scratch.A.walk",
+                                                        "scratch.A.use"}
 
 
 def test_every_import_is_used():

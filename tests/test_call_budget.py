@@ -14,7 +14,7 @@ import pytest
 from minkgeom import calculus, isoparametric as iso, norms
 
 # the calls of one verify of the sphere potential on levels 0.5, 2 and 4.5, n = 3
-BUDGET = {"randers": 777, "kth_root": 658, "alpha_beta": 1030}
+BUDGET = {"randers": 740, "kth_root": 621, "alpha_beta": 995}
 
 
 def _norm(family: str) -> norms.MinkowskiNorm:

@@ -285,16 +285,34 @@ ROWS_AND_BUNDLE_HOOKS = ("_values", "_derivative_rows", "_dual_rows", "derivativ
 
 def test_rows_and_bundle_hooks_live_in_the_base_class():
     # a family writes its point-or-rows bodies (_value, _analytic,
-    # _legendre_inverse) and inherits the rows services; the alpha-beta rows
-    # solve their Legendre angle by Newton, and a scaled norm scales its
-    # base's bundle
+    # _legendre_inverse) and inherits the rows services; a scaled norm
+    # scales its base's bundle
     base = vars(norms.MinkowskiNorm)
     families = [c for c in vars(norms).values() if isinstance(c, type)
                 and issubclass(c, norms.MinkowskiNorm) and c is not norms.MinkowskiNorm]
     assert len(families) == 5
     overrides = {f"{cls.__name__}.{hook}" for cls in families for hook in ROWS_AND_BUNDLE_HOOKS
                  if hook in vars(cls) and vars(cls)[hook] is not base[hook]}
-    assert overrides == {"AlphaBetaNorm._dual_rows", "ScaledNorm._derivatives"}
+    assert overrides == {"ScaledNorm._derivatives"}
+
+
+def test_the_alpha_beta_rows_inverse_builds_no_jet(monkeypatch):
+    # the Newton rows of the alpha-beta _legendre_inverse return the preimage
+    # alone: F* makes no order-2 row jet, and the rows of a scaled alpha-beta
+    # norm make one, for the F and g they return
+    calls = []
+    derivative_rows = norms.MinkowskiNorm._derivative_rows
+
+    def counting(self, Y):
+        calls.append(type(self).__name__)
+        return derivative_rows(self, Y)
+
+    monkeypatch.setattr(norms.MinkowskiNorm, "_derivative_rows", counting)
+    norm = norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3)
+    Xi = np.random.default_rng(7).standard_normal((16, 3))
+    assert np.isfinite(norm._dual_values(Xi)).all() and calls == []
+    assert np.isfinite(norms.ScaledNorm(norm, 3.0)._dual_rows(Xi)[2]).all()
+    assert calls == ["ScaledNorm"]
 
 
 def ellipsis_subscripts(source: str, first_line: int = 1) -> list[int]:

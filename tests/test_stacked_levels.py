@@ -126,10 +126,9 @@ def assert_close(got, want, scale=None):
 def assert_matches_frame_at(norm, field, sample):
     """The level's arrays and each one-row view ``sample.frames[i]`` agree
     to REL with ``frame_at`` at the point (the curvatures and their group
-    multiplicities, the normal and every field of the frame but the
-    eigenvectors, which a repeated curvature leaves free within its group),
-    and with the one-point ``oracles.point_geometry`` (F*, Delta f, its term
-    scale and every field of the point geometry)."""
+    multiplicities, the normal and every field of the frame), and with the
+    one-point ``oracles.point_geometry`` (F*, Delta f, its term scale and
+    every field of the point geometry)."""
     geometry, frames = sample.frames.geometry, sample.frames
     for i, x in enumerate(sample.points):
         ref = hs.frame_at(norm, field, x)
@@ -355,8 +354,8 @@ def test_point_geometry_calls_per_point(case, monkeypatch):
             return fn(*args)
         return wrapper
 
-    for cls in (norms.MinkowskiNorm, norms.AlphaBetaNorm):
-        monkeypatch.setattr(cls, "_dual_rows", counting("rows", vars(cls)["_dual_rows"]))
+    monkeypatch.setattr(norms.MinkowskiNorm, "_dual_rows",
+                        counting("rows", norms.MinkowskiNorm._dual_rows))
     monkeypatch.setattr(duality, "legendre_inverse",
                         counting("one-point", duality.legendre_inverse))
     monkeypatch.setattr(norms.MinkowskiNorm, "fundamental_tensor",
@@ -599,7 +598,8 @@ def test_sampling_makes_no_one_point_field_call(monkeypatch):
 
 
 def _sample_bits(sample) -> list:
-    """Every array and number of a ``LevelSample``, its frames and their geometry."""
+    """Every array and number of a ``LevelSample``, its frames (curvatures,
+    no principal directions) and their geometry."""
     out = [sample.t, sample.skipped] + [a.tobytes() for a in
                                         (sample.points, sample.fstar, sample.lap,
                                          sample.curvatures)]
@@ -607,8 +607,8 @@ def _sample_bits(sample) -> list:
         geo = fr.geometry
         out += [fr.groups, geo.m, geo.fstar, geo.lap, geo.lap_scale]
         out += [a.tobytes() for a in (geo.x, fr.normal, fr.tangent_basis, fr.hhat,
-                                      fr.principal_curvatures, fr.eigenvectors, geo.df,
-                                      geo.hess, geo.grad, geo.g)]
+                                      fr.principal_curvatures, geo.df, geo.hess, geo.grad,
+                                      geo.g)]
     return out
 
 
