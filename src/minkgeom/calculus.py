@@ -12,8 +12,9 @@ gradient for any constant-density volume form, so BH and HT agree) reduces to
 
     Delta f = g*^{ij}(df) f_ij = g^{ij}(grad f) f_ij = tr_{g_{grad f}} D^2 f.
 
-A scalar field has one evaluator, ``ScalarField.rows``, f or (df, D^2 f) at
-the rows of an array; ``value``, ``d1`` and ``d2`` are its calls on one row.
+A scalar field has one evaluator, ``ScalarField.rows``, f, df or (df, D^2 f)
+at the rows of an array; ``value``, ``d1`` and ``d2`` are its calls on one
+row.
 
 Every quantity at a point comes from the same df, D^2 f, grad f and g at
 grad f.  ``level_geometry`` is their one computation: for the rows of an
@@ -42,8 +43,7 @@ from .errors import (
     MinkGeomError,
     NotInDomain,
 )
-from .norms import (MinkowskiNorm, RandersNorm, _as_rows, _check_subdim, fd_gradient, fd_hessian,
-                    fd_jacobian)
+from .norms import MinkowskiNorm, RandersNorm, _check_subdim, fd_gradient, fd_hessian, fd_jacobian
 from .sampling import sphere_directions, sphere_mean
 
 CRITICAL_EPS = 1e-8
@@ -58,9 +58,10 @@ class ScalarField:
     """A scalar function on R^n, evaluated by one service, ``rows``.
 
     ``rows(X, order)`` evaluates the field at the rows of X (N, n) as whole
-    arrays: order 0 gives f (N,), and order 2 gives (df, D^2 f), (N, n) and
-    (N, n, n); a row where the field is not defined is NaN.  ``value``, ``d1``
-    and ``d2`` are ``rows`` on one row, and raise NotInDomain where it is NaN.
+    arrays: order 0 gives f (N,), order 1 df (N, n) and order 2 (df, D^2 f),
+    (N, n) and (N, n, n), df with the same bits at orders 1 and 2; a row
+    where the field is not defined is NaN.  ``value``, ``d1`` and ``d2`` are
+    ``rows`` on one row, and raise NotInDomain where it is NaN.
     Catalog entries carry analytic derivatives; custom fields may fall back
     to finite differences, which is flagged (``uses_fd``) and propagated into
     verification reports.  ``regular_range`` is the declared open interval of
@@ -87,16 +88,17 @@ class ScalarField:
         return float(self._row(x, 0)[0])
 
     def d1(self, x) -> np.ndarray:
-        return self._row(x, 2)[0]
+        return self._row(x, 1)[0]
 
     def d2(self, x) -> np.ndarray:
         return self._row(x, 2)[1]
 
     def _row(self, x, order) -> tuple:
-        """``rows`` on the one row x: (f,) at order 0, (df, D^2 f) at order 2."""
+        """``rows`` on the one row x: (f,) at order 0, (df,) at order 1 and
+        (df, D^2 f) at order 2."""
         x = np.asarray(x, dtype=float)
         out = self.rows(x[None, :], order)
-        out = (out,) if order == 0 else out
+        out = out if order == 2 else (out,)
         if any(np.isnan(a).any() for a in out):
             raise NotInDomain(f"the field is not defined at x={x!r}")
         return tuple(np.array(a[0]) for a in out)
@@ -115,7 +117,8 @@ def linear_field(c) -> ScalarField:
     def rows(X, order):
         if order == 0:
             return X.dot(c)
-        return np.broadcast_to(c, X.shape), np.zeros((len(X), n, n))
+        df = np.broadcast_to(c, X.shape)
+        return df if order == 1 else (df, np.zeros((len(X), n, n)))
 
     return ScalarField(
         dim=n,
@@ -139,8 +142,8 @@ def sphere_potential(norm: MinkowskiNorm, reverse: bool = False) -> ScalarField:
     def rows(X, order):
         if order == 0:
             return sign * 0.5 * norm._values(sign * X) ** 2
-        _, d1, d2 = norm._derivative_rows(sign * X)
-        return d1, sign * d2
+        _, d1, d2 = norm._derivative_rows(sign * X, order)
+        return d1 if order == 1 else (d1, sign * d2)
 
     return ScalarField(
         dim=norm.dim,
@@ -168,9 +171,12 @@ def cylinder_potential(norm: MinkowskiNorm, m: int, reverse: bool = False) -> Sc
         xbar = sign * X[:, :m]
         if order == 0:
             return sign * 0.5 * tilde._values(xbar) ** 2
-        _, d1, d2 = tilde._derivative_rows(xbar)
-        df, hess = np.zeros(X.shape), np.zeros((len(X), n, n))
+        _, d1, d2 = tilde._derivative_rows(xbar, order)
+        df = np.zeros(X.shape)
         df[:, :m] = d1
+        if order == 1:
+            return df
+        hess = np.zeros((len(X), n, n))
         hess[:, :m, :m] = sign * d2
         return df, hess
 
@@ -207,6 +213,8 @@ def norm_plus_linear(norm: RandersNorm, m: int) -> ScalarField:
             u = xbar / r[:, None]
             df = np.tile(b, (len(X), 1))
             df[:, :m] += u
+            if order == 1:
+                return df
             hess = np.zeros((len(X), n, n))
             hess[:, :m, :m] = (np.eye(m) - u[:, :, None] * u[:, None, :]) / r[:, None, None]
         return df, hess
@@ -250,11 +258,13 @@ def custom_field(dim: int, value_fn, d1_fn=None, d2_fn=None) -> ScalarField:
             try:
                 if order == 0:
                     f[i] = value_fn(x)
+                elif order == 1:
+                    df[i] = d1_fn(x)
                 else:
                     df[i], hess[i] = d1_fn(x), d2_fn(x)
             except MinkGeomError:
                 pass
-        return f if order == 0 else (df, hess)
+        return (f, df, (df, hess))[order]
 
     return ScalarField(dim=dim, tag="custom", rows=rows, uses_fd=uses_fd)
 
@@ -272,6 +282,8 @@ def reparametrized_field(field: ScalarField, profile) -> ScalarField:
         if order == 0:
             return profile.phi(f)
         dp, d2p = (np.reshape(p, (-1, 1, 1)) for p in profile.derivatives(f)[1:3])
+        if order == 1:
+            return dp[:, :, 0] * field.rows(X, 1)
         df, hess = field.rows(X, 2)
         return dp[:, :, 0] * df, d2p * (df[:, :, None] * df[:, None, :]) + dp * hess
 
@@ -404,7 +416,7 @@ def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> LevelGeometry:
             (grad[rows, :k], fstar[rows], g[rows, :k, :k], lap[rows], lap_scale[rows],
              kept) = _dual_geometry(tilde, df[rows, :k], block, lengths(block))
             with np.errstate(invalid="ignore"):
-                gap = abs(norm._derivative_rows(grad[rows])[1] - df[rows]).max(axis=1)
+                gap = abs(norm._derivative_rows(grad[rows], 1)[1] - df[rows]).max(axis=1)
             ok[rows] = kept & (gap <= 1e-8 * abs(df[rows]).max(axis=1))
         bad = np.flatnonzero(~ok)
         if bad.size:
@@ -423,8 +435,9 @@ def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
     Delta f = tr(g^{-1} D^2 f) and its term scale on the rows ``ok`` keeps,
     those with F*(df) finite and positive and g finite and passing the
     Cholesky test (NaN elsewhere).  g^{-1} is the norm's closed form for g*
-    at df (``_dual_fundamental_tensor``), the inverse of g on the fd strategy."""
-    grad, fstar, g = norm._dual_rows(df)
+    at df (``_dual_fundamental_tensor``, read at the rows ``_dual_rows``
+    windowed), the inverse of g on the fd strategy."""
+    grad, fstar, g, xi = norm._dual_rows(df)
     ok = ok & np.isfinite(fstar) & (fstar > 0.0) & np.isfinite(g).all(axis=(1, 2))
     try:
         np.linalg.cholesky(g[ok])
@@ -441,7 +454,7 @@ def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
     if ok.any():
         # g* has degree 0, so it is read at df in the window; fd checks it by inverting g
         ginv = (np.linalg.inv(g[ok]) if norm.strategy == "fd"
-                else norm._dual_fundamental_tensor(_as_rows(df[ok], norm)[0], g[ok]))
+                else norm._dual_fundamental_tensor(xi[ok], g[ok]))
         lap[ok] = (ginv * hess[ok]).sum(axis=(1, 2))
         lap_scale[ok] = lengths(ginv) * hnorm[ok]
     return grad, fstar, g, lap, lap_scale, ok

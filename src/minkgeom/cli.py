@@ -313,8 +313,8 @@ def cmd_dualcheck(args) -> int:
     # every trial at once: F(y), xi = L(y), the preimage of xi with F*(xi) = F
     # there, and the Newton oracle's preimage
     F = norm._values(ys)
-    xis = norm._derivative_rows(ys)[1]
-    back, fstar, _ = norm._dual_rows(xis)
+    xis = norm._derivative_rows(ys, 1)[1]
+    back, fstar = norm._dual_rows(xis)[:2]
     newton = norm._values(duality.legendre_inverse_newton(norm, xis))
     miss = back - ys
     results = {

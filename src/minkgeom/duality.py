@@ -17,8 +17,10 @@ inverses: of the tests for a covector, and of ``minkgeom dualcheck`` for
 the rows of all its trials, with one order-2 ``_derivative_rows`` per trial
 batch.
 
-The dual norm is F*(xi) = sup_{y != 0} xi(y)/F(y) = F(L^{-1}(xi)), and the
-dual fundamental tensor satisfies g*(L(y)) = g(y)^{-1}.
+The dual norm is F*(xi) = sup_{y != 0} xi(y)/F(y) = F(L^{-1}(xi)), the
+norm's ``_dual_value`` (a closed form for the Euclidean, Randers, k-th root
+and scaled norms, F at the preimage otherwise), and the dual fundamental
+tensor satisfies g*(L(y)) = g(y)^{-1}.
 
 For a coordinate subspace Vbar of dimension m, the subspace dual is the norm
 on Vbar whose value is sup over covectors supported in the first m
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, ZeroCovector
+from .errors import NoConvergence, NotInDomain, ZeroCovector
 from .norms import MinkowskiNorm, _as_rows, _as_vector, _check_subdim, _rescale
 
 NEWTON_MAX_ITER = 50
@@ -118,8 +120,14 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
 
 
 def dual_norm(norm: MinkowskiNorm, xi) -> float:
-    """F*(xi) = sup_y xi(y)/F(y) = F(L^{-1} xi)."""
-    return norm.value(legendre_inverse(norm, xi))
+    """F*(xi) = sup_y xi(y)/F(y) = F(L^{-1} xi): the family's ``_dual_value``
+    at xi / s, times s (``_as_vector``), with the bits of its row in
+    ``_dual_values``."""
+    xi, s = _as_vector(xi, norm, ZeroCovector)
+    F = s * float(norm._dual_value(xi))
+    if not F > 0.0:
+        raise NotInDomain(f"F*(xi) = {F} is not positive; the dual norm is invalid at xi")
+    return F
 
 
 def dual_fundamental_tensor(norm: MinkowskiNorm, xi) -> np.ndarray:

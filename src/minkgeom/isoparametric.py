@@ -443,18 +443,28 @@ def _verdict(spread: float, tol: float) -> str:
     return "no"
 
 
-def _run_means(values, sizes) -> np.ndarray:
-    """The mean of each consecutive run of ``sizes`` entries of ``values`` (R,) or of its
-    rows (d, R), 0.0 for an empty run, with the bits of the run's own ``mean``: a last-axis
-    sum of a C-contiguous block is pairwise as the 1-D sum is, ``np.add.reduceat`` not."""
+def _run_reduce(ufunc, values, sizes) -> np.ndarray:
+    """``ufunc.reduce`` of each consecutive run of ``sizes`` entries of ``values`` (R,) or
+    of its rows (d, R), shape (runs,) or (d, runs), 0.0 for an empty run, with the bits of
+    the run's own 1-D reduction: a last-axis sum of a C-contiguous block is pairwise as the
+    1-D sum is, ``np.add.reduceat`` not.  When every run has k entries the block is the
+    (..., runs, k) reshape of ``values``; else one block per run length is gathered."""
     sizes = np.asarray(sizes)
+    k = int(sizes[0])
+    if k and (sizes == k).all():
+        return ufunc.reduce(values.reshape(values.shape[:-1] + (len(sizes), k)), axis=-1)
     starts = np.cumsum(sizes) - sizes
-    out = np.zeros((len(sizes),) + values.shape[:-1])
-    for k in set(sizes.tolist()) - {0}:  # one block per run length
+    out = np.zeros(values.shape[:-1] + (len(sizes),))
+    for k in set(sizes.tolist()) - {0}:
         runs = sizes == k
-        block = np.ascontiguousarray(values[..., starts[runs, None] + np.arange(k)])
-        out[runs] = (np.add.reduce(block, axis=-1) / k).T
-    return out.T
+        out[..., runs] = ufunc.reduce(
+            np.ascontiguousarray(values[..., starts[runs, None] + np.arange(k)]), axis=-1)
+    return out
+
+
+def _run_means(values, sizes) -> np.ndarray:
+    """The mean of each run of ``_run_reduce``, with the bits of the run's own ``mean``."""
+    return _run_reduce(np.add, values, sizes) / np.maximum(sizes, 1)
 
 
 def _level_table(frames: LevelFrames, sizes) -> dict:
@@ -475,11 +485,14 @@ def _level_table(frames: LevelFrames, sizes) -> dict:
     for j, new in enumerate([True, *breaks.T]):
         total, run = np.where(new, 0.0, total) + k[:, j], np.where(new, 0.0, run) + 1.0
         gm[j] = total / run
-    v = np.concatenate([[geo.fstar, geo.lap, geo.lap_scale], gm])
-    mean = _run_means(v, sizes)  # F*(df), Delta f, lap_scale, then the group means
+    # F*(df), Delta f and the curvatures, whose extremes are taken, then lap_scale
+    # and the group means
+    c = 2 + k.shape[1]
+    v = np.concatenate([[geo.fstar, geo.lap], k.T, [geo.lap_scale], gm])
+    mean = _run_means(v, sizes)
+    mean = np.concatenate([mean[:2], mean[c:]])  # F*(df), Delta f, lap_scale, group means
     std = np.sqrt(_run_means((v[:2] - mean[:2, level]) ** 2, sizes))
-    hi, lo = (f.reduceat(np.concatenate([v[:2], k.T]), np.cumsum(sizes) - sizes, axis=1)
-              for f in (np.maximum, np.minimum))
+    hi, lo = (_run_reduce(f, v[:c], sizes) for f in (np.maximum, np.minimum))
     spread = hi - lo  # F*, Delta f, then each curvature
     scale = np.array([abs(mean[0]), np.maximum(abs(mean[1]), mean[2]),
                       np.maximum(hi[2:], -lo[2:]).max(axis=0)])
@@ -516,13 +529,13 @@ def _profile_slopes(norm: MinkowskiNorm, field: ScalarField, x, normal, a) -> np
     ``normal`` and a(t) = F*(df) there, by flow-line differencing.
 
     Moves +-h along the normal with h = FLOW_STEP * a(t) (the radius scale of
-    the model families) and reads F*(df) at both sides from one ``rows`` and
-    one ``_dual_values``; d(F*(df))/drho = a'(f) a(f).  a' is NaN at a point
-    where the field or the dual norm fails.
+    the model families) and reads F*(df) at both sides from one order-1
+    ``rows`` (df alone) and one ``_dual_values``; d(F*(df))/drho = a'(f) a(f).
+    a' is NaN at a point where the field or the dual norm fails.
     """
     h = FLOW_STEP * a
     step = h[:, None] * normal
-    fstar = norm._dual_values(field.rows(np.concatenate([x + step, x - step]), 2)[0])
+    fstar = norm._dual_values(field.rows(np.concatenate([x + step, x - step]), 1))
     return (fstar[:len(a)] - fstar[len(a):]) / (2.0 * h * a)
 
 

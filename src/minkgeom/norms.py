@@ -22,17 +22,18 @@ Three derivative strategies are supported per norm:
 * ``fd``        -- central finite differences with Richardson extrapolation;
   an independent, lower-accuracy check.
 
-A family writes ``_value``, ``_analytic`` at orders <= 2 and
-``_legendre_inverse`` once, over the last axis: one body takes a point (n,)
+A family writes ``_value``, ``_analytic`` at orders <= 2,
+``_legendre_inverse`` and ``_dual_value`` (F*, whose base body is F at the
+Legendre preimage) once, over the last axis: one body takes a point (n,)
 or the rows of an (N, n) array, and a row gets the bits of its point.  The
 rows services that ``calculus.level_geometry`` reads live on the base class
-alone: ``_values``, ``_derivative_rows`` (the order-2 bundle; on taylor one
-row jet) and ``_dual_rows`` (the Legendre preimage with F and g there) scale
-each row by the rule of ``_as_vector`` (``_as_rows``) and call those
-bodies, so every family has whole-array rows on every strategy: the fd
-stencil too is one body, each offset evaluated on all rows at once.  The
-alpha-beta ``_legendre_inverse`` solves the angle of rows by Newton,
-beside the one-point solve.
+alone: ``_values``, ``_derivative_rows`` (the bundle of order 1 or 2; on
+taylor one row jet), ``_dual_rows`` (the Legendre preimage with F and g
+there) and ``_dual_values`` scale each row by the rule of ``_as_vector``
+(``_as_rows``) and call those bodies, so every family has whole-array rows
+on every strategy: the fd stencil too is one body, each offset evaluated on
+all rows at once.  The alpha-beta ``_legendre_inverse`` solves the angle of
+rows by Newton, beside the one-point solve.
 
 Norms are immutable after construction and all operations are pure, except
 that ``derivatives`` keeps its last bundle for a repeat call at the same y and
@@ -158,6 +159,10 @@ class MinkowskiNorm:
         """The vector y with L(y) = xi."""
         raise NotImplementedError
 
+    def _dual_value(self, xi: np.ndarray):
+        """F*(xi) = F(L^{-1}(xi)) over the last axis of xi."""
+        return self._value(self._legendre_inverse(xi))
+
     # The dual geometry: a family with a closed form overrides these generic
     # bodies.
 
@@ -182,26 +187,29 @@ class MinkowskiNorm:
         F = s * self._value(Y)
         return np.where(F > 0.0, F, np.nan)
 
-    def _derivative_rows(self, Y: np.ndarray) -> tuple:
-        """(F, d1, d2) of the order-2 bundle at each row of Y, shapes (N,),
-        (N, n) and (N, n, n)."""
+    def _derivative_rows(self, Y: np.ndarray, order: int = 2) -> tuple:
+        """(F, d1, d2) of the bundle of ``order`` (1 or 2) at each row of Y,
+        shapes (N,), (N, n) and (N, n, n); d2 is None at order 1."""
         Y, s = _as_rows(Y, self)
-        d = self._derivatives(Y, 2)
+        d = self._derivatives(Y, order)
         return s * d.F, d.d1 * s[:, None], d.d2
 
     def _dual_rows(self, Xi: np.ndarray) -> tuple:
-        """(y, F(y), g at y) with y = L^{-1}(xi) for each covector row of Xi,
-        shapes (N, n), (N,) and (N, n, n).  The caller makes the Cholesky test
-        of g."""
+        """(y, F(y), g at y, xi / s) with y = L^{-1}(xi) for each covector row
+        of Xi, shapes (N, n), (N,), (N, n, n) and (N, n): the last is each row
+        at the scale it was inverted at, where a quantity of degree 0 such as
+        g* can be read.  The caller makes the Cholesky test of g."""
         Xi, s = _as_rows(Xi, self)
         Y = self._legendre_inverse(Xi)
         F, _, g = self._derivative_rows(Y)
-        return Y * s[:, None], F * s, g
+        return Y * s[:, None], F * s, g, Xi
 
     def _dual_values(self, Xi: np.ndarray) -> np.ndarray:
-        """F*(xi) = F(L^{-1}(xi)) at each covector row of Xi, without g."""
+        """F*(xi) at each covector row of Xi (``_dual_value``), NaN where it is
+        not positive; no g."""
         Xi, s = _as_rows(Xi, self)
-        return s * self._values(self._legendre_inverse(Xi))
+        F = s * self._dual_value(Xi)
+        return np.where(F > 0.0, F, np.nan)
 
     # -- public services -----------------------------------------------------
 
@@ -335,6 +343,8 @@ class EuclideanNorm(MinkowskiNorm):
     def _legendre_inverse(self, xi):
         return xi.copy()
 
+    _dual_value = _value  # F* is |xi|
+
     def _dual_fundamental_tensor(self, xi, g=None):
         return np.broadcast_to(self._eye, xi.shape + (self.dim,)).copy()
 
@@ -412,6 +422,9 @@ class RandersNorm(MinkowskiNorm):
         astar_xi = np.matvec(self.astar, xi)
         alpha_star = np.sqrt(np.vecdot(xi, astar_xi))
         return astar_xi, alpha_star, alpha_star + np.vecdot(xi, self.bstar)
+
+    def _dual_value(self, xi):
+        return self._dual_parts(xi)[2]
 
     def _legendre_inverse(self, xi):
         _, alpha_star, fstar = self._dual_parts(xi)
@@ -529,6 +542,11 @@ class KthRootNorm(MinkowskiNorm):
         a = np.abs(xi)
         sstar = (a ** (k / (k - 1.0))).sum(axis=-1)[..., None]
         return np.sign(xi) * a ** (1.0 / (k - 1.0)) * sstar ** ((k - 2.0) / k)
+
+    def _dual_value(self, xi):
+        # the l^q norm, q = k/(k-1): F(L^-1(xi)) = S*^(1/k) S*^((k-2)/k)
+        k = self.k
+        return np.power((np.abs(xi) ** (k / (k - 1.0))).sum(axis=-1), (k - 1.0) / k)
 
     def _dual_fundamental_tensor(self, xi, g=None):
         # F* is the l^q norm, q = k/(k-1); the Hessian of F*^2/2 with
@@ -818,6 +836,10 @@ class ScaledNorm(MinkowskiNorm):
     def _legendre_inverse(self, xi):
         # L^-1 has degree 1: the base inverts xi in its own window
         return self.base._legendre_inverse(xi) / self.factor**2
+
+    def _dual_value(self, xi):
+        # (cF)* = F* / c
+        return self.base._dual_value(xi) / self.factor
 
     def _dual_fundamental_tensor(self, xi, g=None):
         c2 = self.factor**2

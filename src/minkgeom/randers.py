@@ -77,6 +77,6 @@ def dual_subspace_condition_check(norm: MinkowskiNorm, m: int) -> bool:
             else np.array([[1.0], [-1.0]]))
     ybar = np.zeros((len(dirs), n))
     ybar[:, :m] = dirs
-    F, d1 = norm._derivative_rows(ybar)[:2]
+    F, d1 = norm._derivative_rows(ybar, 1)[:2]
     grad = abs(d1 / F[:, None])  # F_y, one row per direction
     return bool(grad[:, m:].max() <= SUBSPACE_TOL * grad.max())

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from minkgeom import calculus, duality, norms, randers
 
 from .oracles import dual_norm_grid_sup, subspace_dual_sup
-from minkgeom.errors import BadDimension, DegenerateMetric, NoConvergence, ZeroCovector
+from minkgeom.errors import (BadDimension, DegenerateMetric, NoConvergence, NotInDomain,
+                             ZeroCovector)
 
 settings.register_profile("suite", max_examples=40, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -440,7 +441,7 @@ def test_alpha_beta_rows_solve_the_angle_of_the_one_point_inverse(alpha_beta_pai
                     V * np.logspace(-3, 3, len(V))[:, None]])
     for coeffs, b in alpha_beta_pairs:
         norm = norms.AlphaBetaNorm(norms.PolynomialProfile(coeffs), b, n)
-        Y, F, g = norm._dual_rows(Xi)
+        Y, F, g = norm._dual_rows(Xi)[:3]
         for xi, y, Fi, gi in zip(Xi, Y, F, g):
             one = norm._legendre_inverse(xi)
             if _angle(one) > 0.0:
@@ -449,3 +450,100 @@ def test_alpha_beta_rows_solve_the_angle_of_the_one_point_inverse(alpha_beta_pai
             assert Fi == pytest.approx(norm.value(one), rel=1e-14, abs=0.0)
             want = norm.fundamental_tensor(one)
             assert np.max(np.abs(gi - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# -- F* from one family body ---------------------------------------------------
+
+CLOSED_FORM_DUALS = {
+    "euclidean": lambda n: norms.EuclideanNorm(n),
+    "randers": lambda n: norms.RandersNorm(np.linspace(0.5, -0.3, n) / math.sqrt(n)),
+    "kth_root_4": lambda n: norms.KthRootNorm(4, n),
+    "kth_root_6": lambda n: norms.KthRootNorm(6, n),
+    "scaled_randers": lambda n: norms.ScaledNorm(norms.RandersNorm(np.full(n, 0.4 / n)), 1e3),
+    "scaled_kth_root": lambda n: norms.ScaledNorm(norms.KthRootNorm(4, n), 1e-2),
+}
+
+
+def base_dual_values(norm, Xi):
+    """``_dual_values`` with the base body of ``_dual_value``, F at the
+    Legendre preimage, in place of the family's closed form."""
+    W, s = norms._as_rows(Xi, norm)
+    F = s * norms.MinkowskiNorm._dual_value(norm, W)
+    return np.where(F > 0.0, F, np.nan)
+
+
+def _scaled_rows(rng, n, count=200):
+    """Random covector rows of sizes log-uniform in [1e-150, 1e150], both ends included."""
+    exps = np.concatenate(([-150.0, 150.0], rng.uniform(-150.0, 150.0, count - 2)))
+    return rng.standard_normal((count, n)) * 10.0 ** exps[:, None]
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_DUALS)
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_closed_form_dual_values_match_the_base_body(family, n):
+    # each family's closed-form F* (|xi|, the Randers dual coefficients, the
+    # l^q norm, base / c) against F(L^-1(xi)), on the windowed rows and at
+    # every scale through ``_dual_values``
+    norm = CLOSED_FORM_DUALS[family](n)
+    rng = np.random.default_rng(60 + n)
+    Xi = _scaled_rows(rng, n)
+    got, want = norm._dual_values(Xi), base_dual_values(norm, Xi)
+    assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+    assert np.max(abs(got - want) / want) <= 1e-14
+    W = norms._as_rows(Xi, norm)[0]
+    body, base = norm._dual_value(W), norms.MinkowskiNorm._dual_value(norm, W)
+    assert np.max(abs(body - base) / base) <= 1e-14
+
+
+@pytest.mark.parametrize("family", list(CLOSED_FORM_DUALS) + ["alpha_beta"])
+def test_dual_values_are_nan_where_the_base_body_is(family):
+    # a zero or non-finite row is NaN; a row whose F* overflows is inf, as F
+    # at its preimage is
+    norm = (norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3)
+            if family == "alpha_beta" else CLOSED_FORM_DUALS[family](3))
+    Xi = np.array([[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0], [1.0, -np.inf, 2.0],
+                   [1.7e308, -1.7e308, 1.7e308], [1e-320, 0.0, 0.0], [0.3, -1.2, 0.5]])
+    with np.errstate(over="ignore"):
+        got, want = norm._dual_values(Xi), base_dual_values(norm, Xi)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.isnan(got[:4]).all() and not np.isnan(got[4:]).any()
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.max(abs(got[5:] - want[5:]) / want[5:]) <= 1e-14
+
+
+@pytest.mark.parametrize("family", list(CLOSED_FORM_DUALS) + ["alpha_beta"])
+def test_one_point_dual_norm_has_the_bits_of_its_row(family):
+    # the alpha-beta point solves its angle by Illinois and its row by Newton,
+    # which agree to about 1.6e-15 (see the test above), so it is compared
+    # to 1e-14
+    n = 3
+    norm = (norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, n)
+            if family == "alpha_beta" else CLOSED_FORM_DUALS[family](n))
+    Xi = _scaled_rows(np.random.default_rng(9), n, 40)
+    rows = norm._dual_values(Xi)
+    for xi, want in zip(Xi, rows):
+        got = duality.dual_norm(norm, xi)
+        if family == "alpha_beta":
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        else:
+            assert np.float64(got).tobytes() == want.tobytes()
+    for bad in ([0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [1.0, np.inf, 0.0]):
+        with pytest.raises(ZeroCovector):
+            duality.dual_norm(norm, bad)
+    with pytest.raises(BadDimension):
+        duality.dual_norm(norm, [1.0, 2.0])
+
+
+class _NegatedAlphaBeta(norms.AlphaBetaNorm):
+    """An alpha-beta norm with F negated: its inverse (from the profile) holds,
+    and F*, the base body F(L^-1(xi)), is negative."""
+
+    def _value(self, y):
+        return -super()._value(y)
+
+
+def test_one_point_dual_norm_refuses_a_non_positive_value():
+    norm = _NegatedAlphaBeta(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3)
+    with pytest.raises(NotInDomain, match="not positive"):
+        duality.dual_norm(norm, [0.3, -1.2, 0.5])
+    assert np.isnan(norm._dual_values(np.array([[0.3, -1.2, 0.5]]))).all()

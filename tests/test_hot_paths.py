@@ -233,6 +233,8 @@ HOT_PATHS = (
     norms.MinkowskiNorm._values, norms.MinkowskiNorm._derivative_rows,
     norms.MinkowskiNorm._dual_rows, norms.MinkowskiNorm._dual_values, norms.EuclideanNorm._analytic,
     norms.RandersNorm._analytic, norms.RandersNorm._dual_parts,
+    norms.MinkowskiNorm._dual_value, norms.RandersNorm._dual_value, norms.KthRootNorm._dual_value,
+    norms.ScaledNorm._dual_value,
     norms.RandersNorm._legendre_inverse, norms.RandersNorm._dual_fundamental_tensor,
     norms.KthRootNorm._analytic, norms.KthRootNorm._legendre_inverse,
     norms.KthRootNorm._dual_fundamental_tensor,
@@ -247,7 +249,8 @@ HOT_PATHS = (
     hypersurface.cartan_curvature_Q, isoparametric._level_points,
     randers.randers_isoparametric_residual, isoparametric._radial_root,
     isoparametric._randers_witness,
-    isoparametric._profile_slopes, isoparametric._level_table, norms._as_rows,
+    isoparametric._profile_slopes, isoparametric._level_table, isoparametric._run_reduce,
+    isoparametric._run_means, norms._as_rows,
     _taylor.Jet.norm_squared, _taylor.Jet.linear,
 )
 SLOW_CALLS = {"np.linalg.norm", "np.sum", "np.tensordot", "np.outer"}
@@ -280,12 +283,13 @@ class TestNoSlowForms:
                                    for line, form in hits)
 
 
-ROWS_AND_BUNDLE_HOOKS = ("_values", "_derivative_rows", "_dual_rows", "derivatives", "_derivatives")
+ROWS_AND_BUNDLE_HOOKS = ("_values", "_derivative_rows", "_dual_rows", "_dual_values", "derivatives",
+                         "_derivatives")
 
 
 def test_rows_and_bundle_hooks_live_in_the_base_class():
     # a family writes its point-or-rows bodies (_value, _analytic,
-    # _legendre_inverse) and inherits the rows services; a scaled norm
+    # _legendre_inverse, _dual_value) and inherits the rows services; a scaled norm
     # scales its base's bundle
     base = vars(norms.MinkowskiNorm)
     families = [c for c in vars(norms).values() if isinstance(c, type)

@@ -448,6 +448,34 @@ class TestVerify:
         assert ((got.transnormal_verdict, got.isoparametric_verdict, got.group_structure)
                 == (want.transnormal_verdict, want.isoparametric_verdict, want.group_structure))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_rotated_norm_keeps_the_verdicts_and_profiles(self, seed):
+        # F_Q(y) = F(Q y) for orthogonal Q: its sphere potential is that of F
+        # at Q x, and the hyperplane (Q^T c).x of F_Q is c.(Q x), so x -> Q x
+        # carries each level to the same level of F.  The points sampled
+        # differ, but the verdicts, groups and witness flags are those of the
+        # unrotated run, and the a and b nodes agree with it to 1e-12
+        Q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+        Q *= np.sign(np.diag(r))  # a proper draw of the orthogonal group
+        norm = norms.RandersNorm([0.5, -0.2, 0.1])
+        rotated = norm.rotated(Q)
+        c = np.array([1.0, 2.0, 0.5])
+        for field, turned, levels in (
+                (calculus.sphere_potential(norm), calculus.sphere_potential(rotated),
+                 [0.5, 2.0, 4.5]),
+                (calculus.linear_field(c), calculus.linear_field(Q.T @ c), [1.0, 2.0, 3.0])):
+            want = iso.verify(norm, field, levels, count=32)
+            got = iso.verify(rotated, turned, levels, count=32)
+            assert (want.transnormal_verdict, want.isoparametric_verdict) == ("yes", "yes")
+            assert ((got.transnormal_verdict, got.isoparametric_verdict, got.group_structure,
+                     got.constant_principal_curvatures)
+                    == (want.transnormal_verdict, want.isoparametric_verdict,
+                        want.group_structure, want.constant_principal_curvatures))
+            assert ({k: got.witness[k] for k in ("r1_pass", "r2_pass")}
+                    == {k: want.witness[k] for k in ("r1_pass", "r2_pass")})
+            for a, b in ((got.a_nodes, want.a_nodes), (got.b_nodes, want.b_nodes)):
+                assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) <= 1e-12
+
     @pytest.mark.parametrize("t", [1e10, 1e150, 1e160, 1e200])
     def test_counterexample_verdicts_at_every_scale(self, randers3_mixed, t):
         # Delta f of |xbar| + b.x scales as 1/t, and its spread is measured
@@ -613,7 +641,8 @@ class TestIdentities:
             if order == 0:
                 return f.rows(X, 0)
             df, hess = f.rows(X, 2)
-            return np.where(X[:, :1] > 0.0, np.nan, df), hess
+            df = np.where(X[:, :1] > 0.0, np.nan, df)
+            return df if order == 1 else (df, hess)
 
         partial = dataclasses.replace(f, rows=rows)
         got = iso._profile_slopes(randers3, partial, x, normal, a)

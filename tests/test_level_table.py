@@ -113,12 +113,11 @@ def test_alpha_beta_spheres_match_the_per_level_loop(n, count):
     assert_table_matches_the_loop(samples, frames)
 
 
-@pytest.mark.parametrize("count", [24, 8])
-def test_levels_of_unequal_counts_match_the_per_level_loop(count):
-    # the Randers sphere potential, undefined where |x_2| > 0.8: a ray that
-    # leaves that slab before its level is skipped both ways, so the outer
-    # levels keep fewer points (24, 19 and 12 of 24; at 8 rays some keep
-    # fewer than WITNESS_POINTS)
+def slab_field():
+    """(norm, field): the Randers sphere potential, undefined where |x_2| > 0.8.
+    A ray that leaves that slab before its level is skipped both ways, so on
+    the levels 0.25, 0.5 and 1 the outer levels keep fewer points (24, 19 and
+    12 of 24 rays; at 8 rays some keep fewer than WITNESS_POINTS)."""
     norm = norms.RandersNorm([0.5, 0.0, 0.0])
 
     def value(x):
@@ -126,9 +125,15 @@ def test_levels_of_unequal_counts_match_the_per_level_loop(count):
             raise NotInDomain("outside the slab")
         return 0.5 * norm.value(x) ** 2
 
-    field = dataclasses.replace(calculus.custom_field(3, value, lambda x: norm.legendre(x),
-                                                      lambda x: norm.fundamental_tensor(x)),
-                                regular_range=(0.0, np.inf))
+    return norm, dataclasses.replace(
+        calculus.custom_field(3, value, lambda x: norm.legendre(x),
+                              lambda x: norm.fundamental_tensor(x)),
+        regular_range=(0.0, np.inf))
+
+
+@pytest.mark.parametrize("count", [24, 8])
+def test_levels_of_unequal_counts_match_the_per_level_loop(count):
+    norm, field = slab_field()
     samples, frames = iso._sample_stack(norm, field, [0.25, 0.5, 1.0], count, 0)
     sizes = [len(s.points) for s in samples]
     assert min(sizes) < WITNESS_POINTS if count == 8 else len(set(sizes)) == 3, sizes
@@ -138,11 +143,42 @@ def test_levels_of_unequal_counts_match_the_per_level_loop(count):
         if order == 0:
             return field.rows(X, 0)
         df, hess = field.rows(X, 2)
-        return np.where(X[:, :1] > 0.0, np.nan, df), hess
+        df = np.where(X[:, :1] > 0.0, np.nan, df)
+        return df if order == 1 else (df, hess)
 
     for f in (field, dataclasses.replace(field, rows=partial)):
         assert (iso._randers_witness(norm, f, frames, table, 1e-6)
                 == oracles.randers_witness(norm, f, samples, 1e-6))
+
+
+@pytest.mark.parametrize("case", ["equal levels", "a level lost rays"])
+def test_each_level_reduces_its_own_rows(case):
+    # every level's mean, std, max and min in the table has the bits of that
+    # level's own 1-D reduction: on three levels of 16 rows, reduced as one
+    # (levels, rows) reshape, and on levels of 24, 19 and 12 rows, one block
+    # per level size
+    if case == "equal levels":
+        norm = norms.RandersNorm([0.5, 0.0, 0.0])
+        field, levels = calculus.sphere_potential(norm), [0.5, 2.0, 4.5]
+    else:
+        (norm, field), levels = slab_field(), [0.25, 0.5, 1.0]
+    samples, frames = iso._sample_stack(norm, field, levels, 16 if case == "equal levels" else 24,
+                                        0)
+    sizes = [len(s.points) for s in samples]
+    assert (len(set(sizes)) == 1) == (case == "equal levels"), sizes
+    table = iso._level_table(frames, sizes)
+    geo, k = frames.geometry, frames.principal_curvatures
+    for i, (st, start) in enumerate(zip(table["stats"], np.cumsum(sizes) - sizes)):
+        rows = slice(start, start + sizes[i])
+        fstar, lap = geo.fstar[rows], geo.lap[rows]
+        means = [fstar.mean(), lap.mean(), geo.lap_scale[rows].mean()]
+        assert _bits(table["mean"][:, i]) == _bits(means)
+        scales = (abs(means[0]), max(abs(means[1]), means[2]))
+        for name, v, scale in (("fstar", fstar, scales[0]), ("lap", lap, scales[1])):
+            assert _bits(st[name + "_spread"]) == _bits(v.max() - v.min()), name
+            std = v.std()
+            assert _bits(st[name + "_cv"]) == _bits(std / scale if std != 0.0 else 0.0), name
+        assert _bits(st["curvature_spread"]) == _bits(k[rows].max(axis=0) - k[rows].min(axis=0))
 
 
 def test_a_tie_goes_to_the_structure_met_first():
@@ -175,8 +211,11 @@ def test_n2_has_no_break_columns():
 
 def test_run_means_have_the_bits_of_each_run_mean():
     rng = np.random.default_rng(11)
-    for _ in range(200):
+    for trial in range(200):
+        # runs of one length every other trial
         sizes = rng.integers(0, 40, rng.integers(1, 7))
+        if trial % 2:
+            sizes[:] = sizes[0] or 1
         values = rng.standard_normal((2, int(sizes.sum()))) * 10.0 ** rng.uniform(-5, 5)
         got = iso._run_means(values, sizes)
         want = np.zeros((2, len(sizes)))

@@ -46,12 +46,12 @@ class TestEvaluation:
         ([np.inf, 0.0, 0.0], (ZeroVector, "non-finite"), ZeroCovector),
         ([-np.inf, 1.0, 0.0], (ZeroVector, "non-finite"), ZeroCovector),
         # small and large vectors have their values: F = 1.5 y1 and F* = y1 2/3
-        # (to an ulp); beyond 2^+-64, and where y.y under- or overflows, both
-        # are s F(y/s) with s a power of two
-        ([1e-9, 0.0, 0.0], 1.5000000000000002e-09, 6.666666666666668e-10),
-        ([1e-170, 0.0, 0.0], 1.4999999999999999e-170, 6.666666666666668e-171),
+        # (to an ulp); beyond 2^+-64, and where y.y under- or overflows, they
+        # are s F(y/s) and s F*(y/s) with s a power of two
+        ([1e-9, 0.0, 0.0], 1.5000000000000002e-09, 6.666666666666666e-10),
+        ([1e-170, 0.0, 0.0], 1.4999999999999999e-170, 6.666666666666666e-171),
         ([0.0, 0.0, 0.0], (ZeroVector, "vector is zero"), ZeroCovector),
-        ([1e200, 0.0, 0.0], 1.5e200, 6.666666666666667e+199),
+        ([1e200, 0.0, 0.0], 1.5e200, 6.666666666666666e+199),
         ([1.0, -2.0, 0.5], math.sqrt(5.25) + 0.5, 2.0617842572908165),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")

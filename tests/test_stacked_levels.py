@@ -201,7 +201,8 @@ def near_critical(norm, field, t, i, factor=1e-12):
             return field.rows(X, 0)
         df, hess = field.rows(X, 2)
         near = np.linalg.norm(X - x0, axis=1) <= 1e-12 * np.linalg.norm(x0)
-        return np.where(near[:, None], factor * df, df), hess
+        df = np.where(near[:, None], factor * df, df)
+        return df if order == 1 else (df, hess)
 
     return dataclasses.replace(field, rows=rows), x0
 
@@ -381,7 +382,7 @@ class _QuarticWithLine(norms.KthRootNorm):
 
 
 def mixed_support_field(norm):
-    """A field on R^3 whose rows (order 2 only) take by x3 the potential of the
+    """A field on R^3 whose rows (orders 1 and 2) take by x3 the potential of the
     subspace dual on the first m coordinates: the sphere potential (m = 3)
     where x3 > 1, the cylinder potential on m = 2 where 0 < x3 <= 1 and on
     m = 1 elsewhere."""
@@ -389,12 +390,12 @@ def mixed_support_field(norm):
               3: calculus.sphere_potential(norm)}
 
     def rows(X, order):
-        assert order == 2
+        assert order >= 1
         which = np.where(X[:, 2] > 1.0, 3, np.where(X[:, 2] > 0.0, 2, 1))
         df, hess = np.zeros(X.shape), np.zeros((len(X), 3, 3))
         for m, f in fields.items():
             df[which == m], hess[which == m] = f.rows(X[which == m], 2)
-        return df, hess
+        return df if order == 1 else (df, hess)
 
     return dataclasses.replace(fields[3], tag="mixed", rows=rows)
 
@@ -474,7 +475,7 @@ def test_rows_match_the_one_point_services_at_every_scale(name):
         F = norm._values(c * Y)
         Fd, d1, d2 = norm._derivative_rows(c * Y)
         xi = np.array([norm.legendre(c * y) for y in Y])
-        pre, Fg, g = norm._dual_rows(xi)
+        pre, Fg, g = norm._dual_rows(xi)[:3]
         for i, y in enumerate(c * Y):
             d = norm.derivatives(y, order=2)
             assert F[i].tobytes() == np.float64(norm.value(y)).tobytes()
@@ -643,13 +644,13 @@ def test_a_row_that_fails_the_cholesky_test_raises_naming_its_point(fault, monke
     dual_rows = norm._dual_rows
 
     def faulty_at_x0(Xi):
-        grad, fstar, g = dual_rows(Xi)
+        grad, fstar, g, windowed = dual_rows(Xi)
         at = np.linalg.norm(Xi - df0, axis=1) <= 1e-12 * np.linalg.norm(df0)
         if fault == "negative":
             g[at] *= -1.0
         else:
             g[at, 0, 1] = g[at, 1, 0] = 10.0 * np.sqrt(g[at, 0, 0] * g[at, 1, 1])
-        return grad, fstar, g
+        return grad, fstar, g, windowed
 
     monkeypatch.setattr(norm, "_dual_rows", faulty_at_x0)
     message = re.escape(f"at x={x0!r}")
