@@ -436,11 +436,14 @@ def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
     those with F*(df) finite and positive and g finite and passing the
     Cholesky test (NaN elsewhere).  g^{-1} is the norm's closed form for g*
     at df (``_dual_fundamental_tensor``, read at the rows ``_dual_rows``
-    windowed), the inverse of g on the fd strategy."""
+    windowed), the inverse of g on the fd strategy.  When every row is kept,
+    the test and Delta f run on the arrays themselves, with no masked copy
+    or store."""
     grad, fstar, g, xi = norm._dual_rows(df)
     ok = ok & np.isfinite(fstar) & (fstar > 0.0) & np.isfinite(g).all(axis=(1, 2))
+    every = ok.all()
     try:
-        np.linalg.cholesky(g[ok])
+        np.linalg.cholesky(g if every else g[ok])
     except np.linalg.LinAlgError:
         # a diagonal entry <= 0 fails the test for certain; the other rows
         # are tested on their own
@@ -450,14 +453,20 @@ def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
                 np.linalg.cholesky(g[i])
             except np.linalg.LinAlgError:
                 ok[i] = False
+        every = False
+    if every:  # the arrays themselves: no masked copies or stores
+        return (grad, fstar, g, *_laplacian_terms(norm, g, xi, hess, hnorm), ok)
     lap, lap_scale = np.full(len(df), np.nan), np.full(len(df), np.nan)
     if ok.any():
-        # g* has degree 0, so it is read at df in the window; fd checks it by inverting g
-        ginv = (np.linalg.inv(g[ok]) if norm.strategy == "fd"
-                else norm._dual_fundamental_tensor(xi[ok], g[ok]))
-        lap[ok] = (ginv * hess[ok]).sum(axis=(1, 2))
-        lap_scale[ok] = lengths(ginv) * hnorm[ok]
+        lap[ok], lap_scale[ok] = _laplacian_terms(norm, g[ok], xi[ok], hess[ok], hnorm[ok])
     return grad, fstar, g, lap, lap_scale, ok
+
+
+def _laplacian_terms(norm: MinkowskiNorm, g, xi, hess, hnorm) -> tuple:
+    """(Delta f, lap_scale) of ``_dual_geometry`` at rows that passed its tests."""
+    # g* has degree 0, so it is read at df in the window; fd checks it by inverting g
+    ginv = np.linalg.inv(g) if norm.strategy == "fd" else norm._dual_fundamental_tensor(xi, g)
+    return (ginv * hess).sum(axis=(1, 2)), lengths(ginv) * hnorm
 
 
 def gradient(norm: MinkowskiNorm, field: ScalarField, x) -> np.ndarray:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoConvergence, NotInDomain, ZeroCovector
-from .norms import MinkowskiNorm, _as_rows, _as_vector, _check_subdim, _rescale
+from .norms import MinkowskiNorm, _as_rows, _as_vector, _check_subdim, _rescale, _scaled
 
 NEWTON_MAX_ITER = 50
 
@@ -63,16 +63,16 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
     and backtracks on its own, on the bits of a solve of that row alone; one
     order-2 ``_derivative_rows`` per trial batch gives phi (F), L(y) - xi
     (d1) and the next Jacobian g(y) (d2).  It solves at xi / s and scales y
-    back by s, s per row (``_as_rows``).
+    back by s, s per row (``_as_rows``; none when every row is in the window).
     """
     xi = np.asarray(xi, dtype=float)
     point = not (xi.ndim == 2 and xi.shape[1] == norm.dim)
     if point:
         Xi, s = _as_vector(xi, norm, ZeroCovector)
-        Xi, s = Xi[None], np.array([s])
+        Xi, s = Xi[None], None if s == 1.0 else np.array([s])
     else:
         Xi, s = _as_rows(xi, norm)
-        if not np.all(np.isfinite(s)):
+        if s is not None and not np.all(np.isfinite(s)):
             raise ZeroCovector("a covector row is zero or has non-finite entries")
 
     def at(Y, Xi):
@@ -115,7 +115,7 @@ def legendre_inverse_newton(norm: MinkowskiNorm, xi) -> np.ndarray:
     if missed.any():
         raise NoConvergence(NEWTON_MAX_ITER, float(rnorm[missed].max()))
     with np.errstate(over="ignore", under="ignore"):
-        Y = Y * s[:, None]
+        Y = _scaled(Y, s)
     return Y[0] if point else Y
 
 

@@ -97,12 +97,15 @@ def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometr
     n = norm.dim
     fstar = geometry.fstar
     normal = geometry.grad / fstar[:, None]
-    tangent, dims = np.zeros((len(geometry), n - 1, n)), sorted(set(geometry.m.tolist()))
-    for m in dims:
-        rows = slice(None) if dims == [m] else geometry.m == m  # one m: views, no copies
-        tangent[rows, : m - 1, :m] = orthonormal_basis(geometry.g[rows, :m, :m],
-                                                       normal[rows, :m])
-        tangent[rows, m - 1:, m:] = np.eye(n - m)
+    if (geometry.m == n).all():  # every row of dimension n: the Gram-Schmidt stack itself
+        tangent = orthonormal_basis(geometry.g, normal)
+    else:
+        tangent, dims = np.zeros((len(geometry), n - 1, n)), sorted(set(geometry.m.tolist()))
+        for m in dims:
+            rows = slice(None) if len(dims) == 1 else geometry.m == m  # one m: views
+            tangent[rows, : m - 1, :m] = orthonormal_basis(geometry.g[rows, :m, :m],
+                                                           normal[rows, :m])
+            tangent[rows, m - 1:, m:] = np.eye(n - m)
     hhat = -(tangent @ geometry.hess @ tangent.transpose(0, 2, 1)) / fstar[:, None, None]
     hhat = 0.5 * (hhat + hhat.transpose(0, 2, 1))
     if n == 3:  # a 2 x 2 hhat per row: mid -+ r

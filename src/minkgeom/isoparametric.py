@@ -50,7 +50,7 @@ from .errors import (
 )
 from .hypersurface import LevelFrames, frame_at, group_runs, level_frames  # noqa: F401
 from .norms import MinkowskiNorm, RandersNorm
-from .randers import randers_isoparametric_residual
+from .randers import _isoparametric_terms
 from .sampling import sphere_directions
 
 LEVEL_RESIDUAL = 1e-10
@@ -157,17 +157,21 @@ def _level_points(field: ScalarField, dirs, levels) -> tuple:
                              field.degree)
 
     s = radii(1.0, slice(None))
+    level = np.repeat(np.arange(len(levels)), len(dirs))
     # half-space fields (linear levels, one-sided potentials) only meet the
     # level on one side; the mirrored ray keeps the sample full
     miss = np.isnan(s)
     if miss.any():
         s[miss] = radii(-1.0, miss)
         rays[miss] = -rays[miss]
-    found = np.flatnonzero(~np.isnan(s))
-    points, t = s[found, None] * rays[found], t[found]
+        found = ~np.isnan(s)
+        s, rays, t, level = s[found], rays[found], t[found], level[found]
+    points = s[:, None] * rays
     with np.errstate(invalid="ignore"):
         kept = abs(field.rows(points, 0) - t) <= LEVEL_RESIDUAL * np.where(t != 0.0, abs(t), 1.0)
-    return points[kept], found[kept] // len(dirs)
+    if kept.all():  # every point passes: no gathers
+        return points, level
+    return points[kept], level[kept]
 
 
 def _unreached_reason(field: ScalarField, t) -> str:
@@ -443,28 +447,37 @@ def _verdict(spread: float, tol: float) -> str:
     return "no"
 
 
-def _run_reduce(ufunc, values, sizes) -> np.ndarray:
-    """``ufunc.reduce`` of each consecutive run of ``sizes`` entries of ``values`` (R,) or
-    of its rows (d, R), shape (runs,) or (d, runs), 0.0 for an empty run, with the bits of
-    the run's own 1-D reduction: a last-axis sum of a C-contiguous block is pairwise as the
-    1-D sum is, ``np.add.reduceat`` not.  When every run has k entries the block is the
-    (..., runs, k) reshape of ``values``; else one block per run length is gathered."""
+def _per_run(values, sizes, reduce) -> tuple:
+    """Reductions of the consecutive runs of ``sizes`` entries of ``values`` (..., R).
+
+    ``reduce(block, runs)`` reduces a block (..., len(runs), k) of the runs ``runs`` over
+    its last axis to a tuple of (..., len(runs)) arrays, which come back as (..., runs)
+    arrays, 0.0 at an empty run.  When every run has k entries, the one block is the
+    (..., runs, k) view of ``values`` with runs = slice(None), and nothing is gathered or
+    stored; else one C-contiguous block per run length is gathered.  A last-axis sum of a
+    C-contiguous block is pairwise as the 1-D sum is (``np.add.reduceat`` is not), so each
+    run's reductions have the bits of its own 1-D ones.
+    """
     sizes = np.asarray(sizes)
     k = int(sizes[0])
     if k and (sizes == k).all():
-        return ufunc.reduce(values.reshape(values.shape[:-1] + (len(sizes), k)), axis=-1)
-    starts = np.cumsum(sizes) - sizes
-    out = np.zeros(values.shape[:-1] + (len(sizes),))
-    for k in set(sizes.tolist()) - {0}:
+        return reduce(values.reshape(values.shape[:-1] + (len(sizes), k)), slice(None))
+    starts, out = np.cumsum(sizes) - sizes, None
+    for k in set(sizes.tolist()) - {0} or {1}:  # no nonempty run: one empty block
         runs = sizes == k
-        out[..., runs] = ufunc.reduce(
-            np.ascontiguousarray(values[..., starts[runs, None] + np.arange(k)]), axis=-1)
-    return out
+        parts = reduce(np.ascontiguousarray(values[..., starts[runs, None] + np.arange(k)]), runs)
+        out = out or [np.zeros(p.shape[:-1] + (len(sizes),)) for p in parts]
+        for o, p in zip(out, parts):
+            o[..., runs] = p
+    return tuple(out)
 
 
 def _run_means(values, sizes) -> np.ndarray:
-    """The mean of each run of ``_run_reduce``, with the bits of the run's own ``mean``."""
-    return _run_reduce(np.add, values, sizes) / np.maximum(sizes, 1)
+    """The mean of each consecutive run of ``sizes`` entries of ``values`` (R,) or of its
+    rows (d, R), shape (runs,) or (d, runs), 0.0 for an empty run, with the bits of the
+    run's own ``mean`` (``_per_run``)."""
+    sums = _per_run(values, sizes, lambda block, runs: (np.add.reduce(block, axis=-1),))[0]
+    return sums / np.maximum(sizes, 1)
 
 
 def _level_table(frames: LevelFrames, sizes) -> dict:
@@ -489,10 +502,18 @@ def _level_table(frames: LevelFrames, sizes) -> dict:
     # and the group means
     c = 2 + k.shape[1]
     v = np.concatenate([[geo.fstar, geo.lap], k.T, [geo.lap_scale], gm])
-    mean = _run_means(v, sizes)
+    count = np.maximum(sizes, 1)
+
+    def reduce(block, runs):  # the means, the variances of F*(df) and Delta f, max and min
+        mean = np.add.reduce(block, axis=-1) / count[runs]
+        var = np.add.reduce((block[:2] - mean[:2, :, None]) ** 2, axis=-1) / count[runs]
+        extremes = block[:c]
+        return (mean, var, np.maximum.reduce(extremes, axis=-1),
+                np.minimum.reduce(extremes, axis=-1))
+
+    mean, var, hi, lo = _per_run(v, sizes, reduce)  # one plan of the level runs
     mean = np.concatenate([mean[:2], mean[c:]])  # F*(df), Delta f, lap_scale, group means
-    std = np.sqrt(_run_means((v[:2] - mean[:2, level]) ** 2, sizes))
-    hi, lo = (_run_reduce(f, v[:c], sizes) for f in (np.maximum, np.minimum))
+    std = np.sqrt(var)
     spread = hi - lo  # F*, Delta f, then each curvature
     scale = np.array([abs(mean[0]), np.maximum(abs(mean[1]), mean[2]),
                       np.maximum(hi[2:], -lo[2:]).max(axis=0)])
@@ -558,12 +579,12 @@ def _randers_witness(norm: RandersNorm, field: ScalarField, frames: LevelFrames,
     a_prime = _run_means(slopes[finite], np.bincount(level[finite],
                                                      minlength=table["mean"].shape[1]))[level]
     a, b = table["mean"][:2, level]
-    r1, r2 = randers_isoparametric_residual(norm, df, hess, a, b, a_prime)
-    zeta = df.dot(norm.b)
+    r1, r2, dfdf, zeta, (trace, lam_b, flow) = _isoparametric_terms(norm, df, hess, a, b,
+                                                                     a_prime)
     h = hess.reshape(len(hess), -1)
-    r1_scale = np.maximum.reduce([(df * df).sum(axis=1), norm.lam * a**2, 2.0 * abs(a * zeta)])
-    r2_scale = np.maximum.reduce([abs(hess.trace(axis1=1, axis2=2)), np.sqrt((h * h).sum(axis=1)),
-                                  abs(norm.lam * b), abs((b / a + a_prime) * zeta)])
+    r1_scale = np.maximum.reduce([dfdf, norm.lam * a**2, 2.0 * abs(a * zeta)])
+    r2_scale = np.maximum.reduce([abs(trace), np.sqrt((h * h).sum(axis=1)), abs(lam_b),
+                                  abs(flow)])
     r1_max, r2_max = (float(np.max(abs(r[r != 0.0]) / scale[r != 0.0], initial=0.0))
                       for r, scale in ((r1, r1_scale), (r2, r2_scale)))
     w_tol = max(100.0 * tol, 1e-4)

@@ -103,17 +103,25 @@ def _as_rows(Y: np.ndarray, norm: "MinkowskiNorm") -> tuple:
     """(Y / s, s) for the rows of Y (N, n), s per row by the rule of ``_as_vector``.
 
     A zero or non-finite row gets s = NaN, so every result of its row is NaN.
+    When every row lies in the window, s is None and Y comes back uncopied
+    (callers only read it), so that no result is multiplied by 1 (``_scaled``).
     """
     lo, hi = norm._window
     with np.errstate(over="ignore", invalid="ignore"):
         r = np.sqrt(np.vecdot(Y, Y))
         inside = (r >= lo) & (r <= hi)  # False at a NaN length
-        if inside.all():  # Y comes back uncopied: callers only read it
-            return np.asarray(Y, dtype=float), np.ones(len(Y))
+        if inside.all():
+            return np.asarray(Y, dtype=float), None
         m = abs(Y).max(axis=1)
         s = np.where(inside, 1.0, np.ldexp(1.0, np.frexp(m)[1] - 1))
         s[~(np.isfinite(m) & (m > 0.0))] = np.nan
         return Y / s[:, None], s
+
+
+def _scaled(x, s):
+    """x times the row scales s of ``_as_rows``, per row (over x's first axis);
+    x itself when s is None."""
+    return x if s is None else x * s.reshape(s.shape + (1,) * (x.ndim - 1))
 
 
 def _rescale(x, s: float, degree: int):
@@ -184,7 +192,7 @@ class MinkowskiNorm:
     def _values(self, Y: np.ndarray) -> np.ndarray:
         """F at each row of Y, NaN where F is not positive."""
         Y, s = _as_rows(Y, self)
-        F = s * self._value(Y)
+        F = _scaled(self._value(Y), s)
         return np.where(F > 0.0, F, np.nan)
 
     def _derivative_rows(self, Y: np.ndarray, order: int = 2) -> tuple:
@@ -192,7 +200,7 @@ class MinkowskiNorm:
         shapes (N,), (N, n) and (N, n, n); d2 is None at order 1."""
         Y, s = _as_rows(Y, self)
         d = self._derivatives(Y, order)
-        return s * d.F, d.d1 * s[:, None], d.d2
+        return _scaled(d.F, s), _scaled(d.d1, s), d.d2
 
     def _dual_rows(self, Xi: np.ndarray) -> tuple:
         """(y, F(y), g at y, xi / s) with y = L^{-1}(xi) for each covector row
@@ -202,13 +210,13 @@ class MinkowskiNorm:
         Xi, s = _as_rows(Xi, self)
         Y = self._legendre_inverse(Xi)
         F, _, g = self._derivative_rows(Y)
-        return Y * s[:, None], F * s, g, Xi
+        return _scaled(Y, s), _scaled(F, s), g, Xi
 
     def _dual_values(self, Xi: np.ndarray) -> np.ndarray:
         """F*(xi) at each covector row of Xi (``_dual_value``), NaN where it is
         not positive; no g."""
         Xi, s = _as_rows(Xi, self)
-        F = s * self._dual_value(Xi)
+        F = _scaled(self._dual_value(Xi), s)
         return np.where(F > 0.0, F, np.nan)
 
     # -- public services -----------------------------------------------------
@@ -702,7 +710,9 @@ class AlphaBetaNorm(MinkowskiNorm):
         # image angle Theta from phi, phi' and phi''.  A row that has not met
         # the one-point stop (a gap of 2 ulp of psi) within ANGLE_NEWTON_STEPS
         # steps, or whose step leaves (0, pi), takes the one-point Illinois
-        # inverse instead.
+        # inverse instead.  A row keeps the image (i1, i2) of the step where it
+        # meets the stop, at the angle it ends on, so ``_image`` runs after the
+        # loop only on the rows Newton never ran.
         b = self.b
         x1 = Xi[:, 0]
         perp = lengths(Xi[:, 1:])
@@ -715,12 +725,14 @@ class AlphaBetaNorm(MinkowskiNorm):
         solved[todo] = True
         stop = 2.0 * np.spacing(psi)
         fallback = []
+        image = np.ones((2, len(Xi)))  # (i1, i2) at each row's last angle; 1 where never set
         for _ in range(ANGLE_NEWTON_STEPS):
             if not todo.size:
                 break
             tt = t[todo]
             c, s = np.cos(tt), np.sin(tt)
             i1, i2, p, (phi, d1, d2) = self._image(c, s, 2)
+            image[:, todo] = i1, i2
             gap = np.arctan2(i2, i1) - psi[todo]
             on = abs(gap) > stop[todo]
             # dP/dt and d(phi phi')/dt, with d(b cos t)/dt = -b sin t
@@ -738,8 +750,10 @@ class AlphaBetaNorm(MinkowskiNorm):
         fallback.append(todo)  # not met within the steps
         c = np.where(solved, np.cos(t), x1 / size)
         s = np.where(solved, np.sin(t), perp / size)
-        i1, i2 = self._image(c, s)[:2]
-        alpha = size / np.hypot(i1, i2)
+        rest = np.flatnonzero(~solved)
+        if rest.size:
+            image[:, rest] = self._image(c[rest], s[rest])[:2]
+        alpha = size / np.hypot(*image)
         Y = np.empty_like(Xi)
         Y[:, 0] = alpha * c
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -42,10 +42,20 @@ def randers_isoparametric_residual(norm: RandersNorm, df, hess, a, b, a_prime) -
     """
     norm = _require_randers(norm)
     df, hess = np.asarray(df, dtype=float), np.asarray(hess, dtype=float)
-    zeta = df.dot(norm.b)
-    r1 = (df * df).sum(axis=-1) - norm.lam * a**2 - 2.0 * a * zeta
-    r2 = hess.trace(axis1=-2, axis2=-1) - norm.lam * b - (b / a + a_prime) * zeta
+    r1, r2 = _isoparametric_terms(norm, df, hess, a, b, a_prime)[:2]
     return (r1, r2) if df.ndim > 1 else (float(r1), float(r2))
+
+
+def _isoparametric_terms(norm: RandersNorm, df, hess, a, b, a_prime) -> tuple:
+    """(r1, r2, |df|^2, zeta, r2's terms) of ``randers_isoparametric_residual``
+    at the rows df, hess (arrays), with zeta = <df, beta> and r2's terms
+    (tr D^2 f, lam b(t), (b(t)/a(t) + a'(t)) zeta): each formed once, for the
+    residuals and for the scales they are measured against."""
+    zeta = df.dot(norm.b)
+    dfdf = (df * df).sum(axis=-1)
+    terms = (hess.trace(axis1=-2, axis2=-1), norm.lam * b, (b / a + a_prime) * zeta)
+    r1 = dfdf - norm.lam * a**2 - 2.0 * a * zeta
+    return r1, terms[0] - terms[1] - terms[2], dfdf, zeta, terms
 
 
 def lemma61_check(norm: RandersNorm, y, X, Y) -> tuple[float, float]:

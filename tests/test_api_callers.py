@@ -37,6 +37,8 @@ UNCALLED = {
     "isoparametric.f_segment_flow": "demo 05",
     "randers.dual_subspace_condition_check": "the exactness condition of the base "
                                              "_subspace_dual",
+    "randers.randers_isoparametric_residual": "the witness system at a point, demo 06; the "
+                                              "verify witness reads its terms",
 }
 
 

@@ -16,7 +16,7 @@ from minkgeom import calculus, isoparametric as iso, norms
 
 # the calls of one verify, n = 3: the sphere potential of each family on levels
 # 0.5, 2 and 4.5, and the Randers counterexample |xbar| + b.x on 0.8, 1 and 1.25
-BUDGET = {"randers": 691, "kth_root": 593, "alpha_beta": 967, "counterexample": 754}
+BUDGET = {"randers": 625, "kth_root": 540, "alpha_beta": 922, "counterexample": 698}
 # (small, large) counts; the counterexample's directions include one ray that
 # misses every level and is mirrored at 64 and 128 rays, and none at 8 to 32
 COUNTS = {"counterexample": (64, 128)}

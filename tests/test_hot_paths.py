@@ -113,7 +113,8 @@ ROW_NORMS = {"randers": lambda n: norms.RandersNorm(np.full(n, 0.5 / n)),
 def test_as_rows_scales_each_row_by_the_rule_of_as_vector(family, n):
     # rows all inside the window, all outside it, and mixed with a zero and
     # a NaN row: each row is (y / s, s) of ``_as_vector`` bit for bit, or NaN
-    # where ``_as_vector`` rejects it; rows all inside come back uncopied
+    # where ``_as_vector`` rejects it; rows all inside come back uncopied,
+    # with no scale (s None stands for 1.0 on every row)
     norm = ROW_NORMS[family](n)
     lo, hi = norm._window
     rng = np.random.default_rng(20 + n)
@@ -125,6 +126,7 @@ def test_as_rows_scales_each_row_by_the_rule_of_as_vector(family, n):
     mixed = np.concatenate([inside[:3], outside[:3], np.zeros((1, n)), np.full((1, n), np.nan)])
     for Y in (inside, outside, mixed):
         rows, s = norms._as_rows(Y, norm)
+        s = np.ones(len(Y)) if s is None else s
         for i, y in enumerate(Y):
             try:
                 want, ws = norms._as_vector(y, norm)
@@ -133,7 +135,8 @@ def test_as_rows_scales_each_row_by_the_rule_of_as_vector(family, n):
                 continue
             assert (_bits(rows[i]), _bits(s[i])) == (_bits(want), _bits(ws))
     rows, s = norms._as_rows(inside, norm)
-    assert rows is inside and _bits(s) == _bits(np.ones(8))
+    assert rows is inside and s is None
+    assert norms._as_rows(mixed, norm)[1] is not None
     assert not np.shares_memory(norms._as_rows(mixed, norm)[0], mixed)
     # so the rows services must not write their input: a read-only one passes
     inside.flags.writeable = False
@@ -249,8 +252,9 @@ HOT_PATHS = (
     hypersurface.cartan_curvature_Q, isoparametric._level_points,
     randers.randers_isoparametric_residual, isoparametric._radial_root,
     isoparametric._randers_witness,
-    isoparametric._profile_slopes, isoparametric._level_table, isoparametric._run_reduce,
-    isoparametric._run_means, norms._as_rows,
+    isoparametric._profile_slopes, isoparametric._level_table, isoparametric._per_run,
+    isoparametric._run_means, norms._as_rows, norms._scaled, calculus._laplacian_terms,
+    randers._isoparametric_terms,
     _taylor.Jet.norm_squared, _taylor.Jet.linear,
 )
 SLOW_CALLS = {"np.linalg.norm", "np.sum", "np.tensordot", "np.outer"}

@@ -499,6 +499,7 @@ def test_rows_match_the_one_point_services_at_every_scale(name):
         # each point's d3 and d4, of degrees -1 and -2 in s
         for c in (1e-200, 1.0, 1e200):
             rows, s = norms._as_rows(c * Y[:2], norm)
+            s = np.ones(2) if s is None else s  # no scale: every row in the window
             d = norm._derivatives(rows, 4)
             with np.errstate(over="ignore"):
                 for i, y in enumerate(c * Y[:2]):
@@ -696,3 +697,82 @@ def test_the_first_failing_level_raises_as_in_the_per_level_loop():
         want = _outcome(lambda: [iso.sample_level(norm, field, t, 16) for t in levels])
         assert want is not None and want[0] is error, (levels, want)
         assert _outcome(lambda: iso.sample_levels(norm, field, levels, 16)) == want, levels
+
+
+
+# -- each row service selects rows only when one is exceptional ----------------
+# When every row passes, a row service works on the arrays themselves: no
+# scale, mask, gather or masked store.  A stack with one exceptional row takes
+# the selecting path, and each of its rows keeps the bits it has on its own,
+# where it takes the other.  Levels of unequal sizes are test_level_table's.
+
+
+@pytest.mark.parametrize("name", ["randers", "quartic", "alpha-beta"])
+def test_a_row_out_of_the_window_leaves_the_other_rows_their_bits(name):
+    norm = {"randers": norms.RandersNorm([0.3, -0.2, 0.4]), "quartic": norms.KthRootNorm(4, 3),
+            "alpha-beta": norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), -0.6,
+                                              3)}[name]
+    Y = np.random.default_rng(5).standard_normal((6, 3))
+    Y[2] *= 1e100  # scaled by _as_rows; the other rows are not
+
+    def services(Y):
+        return [norm._values(Y), *norm._derivative_rows(Y), *norm._dual_rows(Y),
+                norm._dual_values(Y), duality.legendre_inverse_newton(norm, Y)]
+
+    assert norms._as_rows(Y, norm)[1] is not None and norms._as_rows(Y[:1], norm)[1] is None
+    stacked = services(Y)
+    for i in range(len(Y)):
+        for got, want in zip(stacked, services(Y[i:i + 1])):
+            assert got[i:i + 1].tobytes() == want.tobytes()
+
+
+def test_a_subspace_dual_row_leaves_the_other_rows_their_bits():
+    # quartic sphere rows and one cylinder row, whose g at grad f is singular:
+    # the stack's _dual_geometry keeps the other rows by a mask, and
+    # level_frames builds their frames by dimension
+    norm = _QuarticWithLine(4, 3)
+    field = mixed_support_field(norm)
+    rng = np.random.default_rng(12)
+    X = rng.uniform(0.4, 1.2, (6, 3)) * rng.choice([-1.0, 1.0], (6, 3))
+    X[:, 2] = [1.5, 1.5, 0.5, 1.5, 1.5, 1.5]
+
+    def frames_of(X):
+        frames = hs.level_frames(norm, field, calculus.level_geometry(norm, field, X))
+        geo = frames.geometry
+        return [geo.grad, geo.fstar, geo.g, geo.lap, geo.lap_scale, geo.m, frames.normal,
+                frames.tangent_basis, frames.hhat, frames.principal_curvatures, frames.breaks]
+
+    stacked = frames_of(X)
+    assert stacked[5].tolist() == [3, 3, 2, 3, 3, 3]
+    for i in range(len(X)):
+        for got, want in zip(stacked, frames_of(X[i:i + 1])):
+            assert got[i:i + 1].tobytes() == want.tobytes()
+
+
+def bent_field():
+    """A field that declares degree 2 but is 0.5 |x|^2 only where x_1 <= 0.9 |x|:
+    the closed-form radius misses the level elsewhere, and the residual check
+    rejects the point."""
+    def rows(X, order):
+        r = np.sqrt(np.vecdot(X, X))
+        return 0.5 * r * r + np.maximum(X[:, 0] - 0.9 * r, 0.0) ** 3
+
+    return calculus.ScalarField(dim=3, tag="bent", rows=rows, degree=2)
+
+
+@pytest.mark.parametrize("case", ["mirrored ray", "rejected point"])
+def test_the_level_points_of_each_ray_are_its_own(case):
+    # the stack's points are those of each direction on its own, by level and
+    # then by direction; a direction alone that meets and passes every level
+    # takes the path with no gathers
+    field = calculus.linear_field([1.0, 2.0, 0.5]) if case == "mirrored ray" else bent_field()
+    dirs, levels = sampling.sphere_directions(3, 64, seed=0), [0.5, 2.0]
+    points, level = iso._level_points(field, dirs, levels)
+    alone = [iso._level_points(field, dirs[i:i + 1], levels) for i in range(len(dirs))]
+    if case == "mirrored ray":
+        assert (np.vecdot(points, np.tile(dirs, (2, 1))) < 0.0).any()
+    else:
+        assert 0 < len(points) < 2 * len(dirs)
+    want = [(p[lv == j], lv[lv == j]) for j in range(len(levels)) for p, lv in alone]
+    assert points.tobytes() == np.concatenate([p for p, _ in want]).tobytes()
+    assert level.tolist() == np.concatenate([lv for _, lv in want]).tolist()
