@@ -23,6 +23,11 @@ preservation 1e-10, round trip 1e-9, dual agreement 1e-8, Lemma 6.1 1e-7.
 ``--tol`` replaces all four; the config's ``tolerance`` is read only by the
 sampling commands.  So ``quartic_sphere_fd.json`` exits 2: on fd its norm
 preservation is 2.6e-9 against 1e-10, its round trip 7.0e-9 against 1e-9.
+
+``curvatures``'s tolerance is relative, so that it holds at every scale: each
+frame's Cartan-formula residual is divided by its max |kappa| and its
+two-curvature residuals by max kappa^2, their degrees in the radius.  Its
+reports keep the raw residuals.
 """
 
 from __future__ import annotations
@@ -172,8 +177,9 @@ def _numbers(cfg: dict, key: str, path: str) -> list:
 
 def _levels(cfg: dict, field: calculus.ScalarField, command: str) -> list:
     levels = _numbers(cfg, "levels", "")
-    if command == "verify" and len(levels) < 3:
-        raise ConfigError("levels", "verify needs at least 3 levels")
+    need = 3 if command == "verify" else 1
+    if len(levels) < need:
+        raise ConfigError("levels", f"{command} needs at least {need} of them")
     lo, hi = field.regular_range
     for i, t in enumerate(levels):
         if not lo < t < hi:
@@ -270,11 +276,15 @@ def cmd_curvatures(args) -> int:
         cartan_res = 0.0
         two_curv = 0.0
         for fr in sample.frames[:8]:
-            cartan_res = max(cartan_res, hypersurface.cartan_formula_residual(fr))
-            tc = hypersurface.two_curvature_residuals(norm, fr)
-            if tc.size:
-                two_curv = max(two_curv, float(np.max(np.abs(tc))))
-        worst = max(worst, cartan_res, two_curv)
+            cartan = hypersurface.cartan_formula_residual(fr)
+            tc = abs(hypersurface.two_curvature_residuals(norm, fr))
+            two = float(tc.max()) if tc.size else 0.0
+            cartan_res, two_curv = max(cartan_res, cartan), max(two_curv, two)
+            # compared at every scale, over kappa and kappa^2 (the residuals'
+            # degrees in the radius), with no kappa^2 that can overflow
+            kmax = float(abs(fr.principal_curvatures).max())
+            if kmax > 0.0:
+                worst = max(worst, cartan / kmax, two / kmax / kmax)
         for gi, (kappa, mult) in enumerate(stats):
             rows.append(",".join([
                 sc.id, _fmt(t), str(gi), _fmt(kappa), str(mult), _fmt(hhat),

@@ -32,8 +32,8 @@ taylor one row jet), ``_dual_rows`` (the Legendre preimage with F and g
 there) and ``_dual_values`` scale each row by the rule of ``_as_vector``
 (``_as_rows``) and call those bodies, so every family has whole-array rows
 on every strategy: the fd stencil too is one body, each offset evaluated on
-all rows at once.  The alpha-beta ``_legendre_inverse`` solves the angle of
-rows by Newton, beside the one-point solve.
+all rows at once.  The alpha-beta ``_legendre_inverse`` solves its angle
+by one bracketed Newton body, on a point's floats or on rows.
 
 Norms are immutable after construction and all operations are pure, except
 that ``derivatives`` keeps its last bundle for a repeat call at the same y and
@@ -49,11 +49,10 @@ import numpy as np
 
 from . import _taylor
 from ._linalg import lengths
-from .errors import (BadDimension, DegenerateMetric, MinkGeomError, NoConvergence, NotInDomain,
-                     ZeroCovector, ZeroVector)
+from .errors import (BadDimension, DegenerateMetric, NoConvergence, NotInDomain, ZeroCovector,
+                     ZeroVector)
 
-ANGLE_MAX_ITER = 100  # the alpha-beta Legendre inverse's regula falsi
-ANGLE_NEWTON_STEPS = 8  # Newton steps of the rows' angle solve before the one-point fallback
+ANGLE_MAX_ITER = 100  # image evaluations of the alpha-beta Legendre angle solve
 
 STRATEGIES = ("analytic", "taylor", "fd")
 
@@ -608,6 +607,15 @@ def _horner(row, s):
     return v
 
 
+# The operations of the alpha-beta angle solve that differ between a point's
+# floats (index 0) and rows (index 1): cos, sin, atan2, hypot, ulp,
+# select(mask, a, b) and any
+_ANGLE_OPS = ((math.cos, math.sin, math.atan2, math.hypot, math.ulp,
+               lambda on, a, b: a if on else b, bool),
+              (np.cos, np.sin, np.arctan2, np.hypot, np.spacing, np.where,
+               np.logical_or.reduce))
+
+
 class AlphaBetaNorm(MinkowskiNorm):
     """F = alpha phi(beta/alpha) with alpha Euclidean and beta = b y^1.
 
@@ -619,8 +627,8 @@ class AlphaBetaNorm(MinkowskiNorm):
     F = (alpha^2 / alpha) phi(beta / alpha).  The Legendre inverse is a solve
     for one angle: L(y) lies in span{y, e1} (Chern & Shen, Riemann-Finsler
     Geometry, 1.3), so the preimage of xi lies in the plane of xi and e1.
-    ``_legendre_inverse`` solves one point by Illinois regula falsi and rows
-    by Newton (``_newton_rows``).
+    ``_legendre_inverse`` solves it by one bracketed Newton body, on a
+    point's floats or on rows.
 
     The constructor decides validity exactly and samples no directions.  With
     s = beta/alpha, which covers [-|b|, |b|], g has the eigenvalue
@@ -704,37 +712,38 @@ class AlphaBetaNorm(MinkowskiNorm):
         p = phi * (phi - b * c * dphi)
         return p * c + b * phi * dphi, p * s, p, d
 
-    def _newton_rows(self, Xi):
-        # ``_legendre_inverse`` for rows the base class's rows services have
-        # windowed: Newton on the angle t from t0 = psi, with dTheta/dt of the
-        # image angle Theta from phi, phi' and phi''.  A row that has not met
-        # the one-point stop (a gap of 2 ulp of psi) within ANGLE_NEWTON_STEPS
-        # steps, or whose step leaves (0, pi), takes the one-point Illinois
-        # inverse instead.  A row keeps the image (i1, i2) of the step where it
-        # meets the stop, at the angle it ends on, so ``_image`` runs after the
-        # loop only on the rows Newton never ran.
+    def _legendre_inverse(self, xi):
+        # y = alpha (cos t e1 + sin t u), u the unit part of xi off e1, has
+        # L(y) = alpha image(cos t, sin t).  The angle Theta of the image from
+        # e1 increases from 0 to pi with t, so t is the one root of its gap to
+        # psi, the angle of xi, on [0, pi]: Newton from t = psi with dTheta/dt
+        # from phi, phi' and phi'', and the midpoint of the bracket [lo, hi]
+        # of the gap's signs where a step leaves it (Press et al., Numerical
+        # Recipes, 3rd ed., 9.4).  It stops within 2 ulp of psi or once the
+        # bracket holds no other float.  A point runs on floats and rows on
+        # arrays (``_ANGLE_OPS``); a point not met within ANGLE_MAX_ITER
+        # evaluations raises NoConvergence, a row is NaN.
+        rows = xi.ndim > 1
+        cos, sin, atan2, hypot, ulp, select, any_ = _ANGLE_OPS[rows]
         b = self.b
-        x1 = Xi[:, 0]
-        perp = lengths(Xi[:, 1:])
-        size = np.hypot(x1, perp)
-        psi = np.arctan2(perp, x1)
-        t = psi.copy()
+        if rows:
+            x1, perp = xi[:, 0], lengths(xi[:, 1:])
+            psi = np.arctan2(perp, x1)
+        else:
+            x1, perp = float(xi[0]), math.hypot(*xi[1:])
+            psi = float(np.arctan2(perp, x1))  # the row's psi, which math.atan2 can miss by an ulp
+        size = hypot(x1, perp)
+        stop = 2.0 * ulp(psi)
         # xi on the axis, or F a multiple of alpha: y is parallel to xi
-        todo = np.flatnonzero(perp > 0.0) if b != 0.0 else np.arange(0)
-        solved = np.zeros(len(Xi), dtype=bool)
-        solved[todo] = True
-        stop = 2.0 * np.spacing(psi)
-        fallback = []
-        image = np.ones((2, len(Xi)))  # (i1, i2) at each row's last angle; 1 where never set
-        for _ in range(ANGLE_NEWTON_STEPS):
-            if not todo.size:
-                break
-            tt = t[todo]
-            c, s = np.cos(tt), np.sin(tt)
+        todo = (perp > 0.0) & (b != 0.0)
+        t, lo, hi = psi, 0.0 * psi, 0.0 * psi + math.pi  # lo and hi at psi's shape
+        c, s = select(todo, (cos(t), sin(t)), (x1 / size, perp / size))
+        for _ in range(ANGLE_MAX_ITER):
             i1, i2, p, (phi, d1, d2) = self._image(c, s, 2)
-            image[:, todo] = i1, i2
-            gap = np.arctan2(i2, i1) - psi[todo]
-            on = abs(gap) > stop[todo]
+            gap = atan2(i2, i1) - psi
+            on = todo & (abs(gap) > stop)
+            if not any_(on):
+                break
             # dP/dt and d(phi phi')/dt, with d(b cos t)/dt = -b sin t
             du = -b * s
             dq = (d1 * d1 + phi * d2) * du
@@ -742,79 +751,28 @@ class AlphaBetaNorm(MinkowskiNorm):
             di1 = dp * c - p * s + b * dq
             di2 = dp * s + p * c
             slope = (i1 * di2 - i2 * di1) / (i1 * i1 + i2 * i2)
-            todo, step = todo[on], tt[on] - gap[on] / slope[on]
-            t[todo] = step
-            inside = (step > 0.0) & (step < math.pi)
-            fallback.append(todo[~inside])
-            todo = todo[inside]
-        fallback.append(todo)  # not met within the steps
-        c = np.where(solved, np.cos(t), x1 / size)
-        s = np.where(solved, np.sin(t), perp / size)
-        rest = np.flatnonzero(~solved)
-        if rest.size:
-            image[:, rest] = self._image(c[rest], s[rest])[:2]
-        alpha = size / np.hypot(*image)
-        Y = np.empty_like(Xi)
+            lo, hi = select(gap < 0.0, (t, hi), (lo, t))
+            step, mid = t - gap / slope, 0.5 * (lo + hi)
+            # a finished row keeps its c and s, whatever its t
+            todo = on & (lo < mid) & (mid < hi)
+            t = select((lo < step) & (step < hi), step, mid)
+            c, s = select(todo, (cos(t), sin(t)), (c, s))
+        else:
+            if not rows:
+                raise NoConvergence(ANGLE_MAX_ITER, abs(gap))
+            size = np.where(todo, np.nan, size)  # a row not met
+        alpha = size / hypot(i1, i2)
+        if not rows:
+            y = np.zeros(self.dim)
+            y[0] = alpha * c
+            if perp > 0.0:
+                y[1:] = (alpha * s / perp) * xi[1:]
+            return y
+        Y = np.empty_like(xi)
         Y[:, 0] = alpha * c
         with np.errstate(invalid="ignore", divide="ignore"):
-            Y[:, 1:] = np.where(perp > 0.0, alpha * s / perp, 0.0)[:, None] * Xi[:, 1:]
-        for i in np.concatenate(fallback).tolist():
-            try:
-                Y[i] = self._legendre_inverse(Xi[i])
-            except MinkGeomError:
-                Y[i] = np.nan
+            Y[:, 1:] = np.where(perp > 0.0, alpha * s / perp, 0.0)[:, None] * xi[:, 1:]
         return Y
-
-    def _legendre_inverse(self, xi):
-        if xi.ndim > 1:
-            return self._newton_rows(xi)
-        # y = alpha (cos t e1 + sin t u), u the unit part of xi off e1, has
-        # L(y) = alpha image(cos t, sin t).  The angle of the image from e1
-        # increases from 0 to pi with t, so t is the one root of its gap to
-        # psi, the angle of xi, on [0, pi].
-        b = self.b
-        x1 = float(xi[0])
-        perp = math.hypot(*xi[1:])
-        size = math.hypot(x1, perp)
-        if perp == 0.0 or b == 0.0:
-            # xi on the axis, or F a multiple of alpha: y is parallel to xi
-            c, s = x1 / size, perp / size
-        else:
-            psi = math.atan2(perp, x1)
-
-            def gap(t):
-                i1, ip = self._image(math.cos(t), math.sin(t))[:2]
-                return math.atan2(ip, i1) - psi
-
-            # Illinois regula falsi, to float resolution of the angle
-            lo, hi, glo, ghi = 0.0, math.pi, -psi, math.pi - psi
-            side = 0
-            for _ in range(ANGLE_MAX_ITER):
-                t = (lo * ghi - hi * glo) / (ghi - glo)
-                if not lo < t < hi:
-                    break
-                g = gap(t)
-                if abs(g) <= 2.0 * math.ulp(psi):
-                    break
-                if g < 0.0:
-                    lo, glo = t, g
-                    if side < 0:
-                        ghi *= 0.5
-                    side = -1
-                else:
-                    hi, ghi = t, g
-                    if side > 0:
-                        glo *= 0.5
-                    side = 1
-            else:
-                raise NoConvergence(ANGLE_MAX_ITER, abs(g))
-            c, s = math.cos(t), math.sin(t)
-        alpha = size / math.hypot(*self._image(c, s)[:2])
-        y = np.zeros(self.dim)
-        y[0] = alpha * c
-        if perp > 0.0:
-            y[1:] = (alpha * s / perp) * xi[1:]
-        return y
 
     def restricted(self, m):
         _check_subdim(m, self.dim)

@@ -59,28 +59,30 @@ class TestVerifyCommand:
         assert run(["verify", cfg, "--out", tmp_path / "out"]) == 1
         assert "norm.bee" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value,where", [
-        ("expect", {"transnormall": True}, "expect.transnormall"),
-        ("expect", True, "expect"),
-        ("expect", {"transnormal": "no"}, "expect.transnormal"),
-        ("output", True, "output"),
-        ("output", {"json": 3}, "output.json"),
-        ("scenario", 3, "scenario"),
-        ("levels", [0.5, 2.0], "levels"),
-        ("levels", [0.5, -2.0, 4.5], "levels[1]"),
-        ("levels", [0.5, 10**400, 4.5], "levels[1]"),
-        ("samples", 4, "samples"),
-        ("tolerance", float("nan"), "tolerance"),
-        ("norm", {"family": "randers", "b": ["x", 0, 0]}, "norm.b[0]"),
+    @pytest.mark.parametrize("command,key,value,where", [
+        ("verify", "expect", {"transnormall": True}, "expect.transnormall"),
+        ("verify", "expect", True, "expect"),
+        ("verify", "expect", {"transnormal": "no"}, "expect.transnormal"),
+        ("verify", "output", True, "output"),
+        ("verify", "output", {"json": 3}, "output.json"),
+        ("verify", "scenario", 3, "scenario"),
+        ("verify", "levels", [0.5, 2.0], "levels"),
+        ("verify", "levels", [0.5, -2.0, 4.5], "levels[1]"),
+        ("verify", "levels", [0.5, 10**400, 4.5], "levels[1]"),
+        ("verify", "samples", 4, "samples"),
+        ("verify", "tolerance", float("nan"), "tolerance"),
+        ("verify", "norm", {"family": "randers", "b": ["x", 0, 0]}, "norm.b[0]"),
+        ("curvatures", "levels", [], "levels"),
     ], ids=["unknown-expect-key", "expect-not-object", "expect-not-bool",
             "output-not-object", "output-name-not-string", "scenario-not-string",
             "too-few-levels", "level-outside-range", "level-beyond-float", "too-few-samples",
-            "tolerance-not-finite", "b-not-number"])
-    def test_bad_block_rejected_before_computing(self, tmp_path, capsys, key, value, where):
+            "tolerance-not-finite", "b-not-number", "curvatures-no-levels"])
+    def test_bad_block_rejected_before_computing(self, tmp_path, capsys, command, key, value,
+                                                where):
         cfg = write_config(tmp_path, "b.json", {**SPHERE, key: value})
         out = tmp_path / "out"
         out.mkdir()
-        assert run(["verify", cfg, "--out", out]) == 1
+        assert run([command, cfg, "--out", out]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {where}: ")
         assert not list(out.iterdir())
 
@@ -164,6 +166,21 @@ class TestCurvaturesCommand:
         assert len(level["groups"]) == 2
         assert level["sectional_products"][0] == pytest.approx(0.0, abs=1e-10)
         assert level["two_curvature_residual"] <= 1e-8
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_tolerance_holds_at_every_scale(self, tmp_path, scale):
+        # the residuals have degrees -1 (Cartan's formula) and -2 (the two
+        # curvatures) in the radius: at levels x1e-12 they read about
+        # 2.9e-10 and 2.2e-4, which the check divides by max |kappa| and kappa^2
+        cfg = {
+            "norm": {"family": "randers", "b": [0.3, 0.0, 0.0, 0.0, 0.2]},
+            "field": {"catalog": "cylinder", "m": 3},
+            "levels": [scale * t for t in (0.5, 2.0, 4.5)],
+            "samples": 16,
+        }
+        path = write_config(tmp_path, "c.json", cfg)
+        assert run(["curvatures", path, "--out", tmp_path / "out"]) == 0
+        assert run(["curvatures", path, "--out", tmp_path / "out", "--tol", 1e-20]) == 2
 
 
 class TestDualcheckCommand:

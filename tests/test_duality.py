@@ -429,11 +429,11 @@ def _angle(y):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_alpha_beta_rows_solve_the_angle_of_the_one_point_inverse(alpha_beta_pairs, n):
-    # the rows' Newton angle against the one-point Illinois angle, on the
-    # e1 axis, 1e-9 off it and at random covectors of sizes 1e-3 to 1e3.
-    # Both stop once the image angle is within 2 ulp of psi, the angle of
-    # xi; where dTheta/dt is small that leaves Illinois up to about 1.6e-15
-    # relative off the root that Newton meets, hence 2e-15
+    # the rows' angle against the one-point angle, on the e1 axis, 1e-9 off
+    # it and at random covectors of sizes 1e-3 to 1e3.  Both stop once the
+    # image angle is within 2 ulp of psi, the angle of xi, and a point's
+    # math.atan2 can miss its row's np.arctan2 by an ulp; where dTheta/dt is
+    # small that leaves the two up to about 1.4e-15 relative apart, hence 2e-15
     rng = np.random.default_rng(400 + n)
     e1, off = np.eye(n)[0], 1e-9 * np.eye(n)[-1]
     V = rng.standard_normal((64, n))
@@ -450,6 +450,28 @@ def test_alpha_beta_rows_solve_the_angle_of_the_one_point_inverse(alpha_beta_pai
             assert Fi == pytest.approx(norm.value(one), rel=1e-14, abs=0.0)
             want = norm.fundamental_tensor(one)
             assert np.max(np.abs(gi - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("evaluations", [1, 4])
+def test_a_stalled_angle_solve_fails_explicitly(monkeypatch, evaluations):
+    # with the image evaluations of the alpha-beta angle solve capped, a
+    # point off the e1 axis raises NoConvergence at one evaluation, and in a
+    # stack each row not met is NaN on its own while the others (the rows on
+    # the axis, and at four evaluations one off it) keep their bits
+    norm = norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3)
+    rng = np.random.default_rng(11)
+    Xi = np.vstack([[[2.5, 0.0, 0.0], [-0.4, 0.0, 0.0]], rng.standard_normal((40, 3))])
+    want = norm._legendre_inverse(Xi)
+    monkeypatch.setattr(norms, "ANGLE_MAX_ITER", evaluations)
+    if evaluations == 1:
+        with pytest.raises(NoConvergence):
+            norm._legendre_inverse(Xi[2])
+    got = norm._legendre_inverse(Xi)
+    stalled = np.isnan(got).any(axis=1)
+    assert np.array_equal(stalled, np.isnan(got).all(axis=1))
+    assert not stalled[:2].any() and stalled[2:].any()
+    assert stalled[2:].all() == (evaluations == 1)
+    assert got[~stalled].tobytes() == want[~stalled].tobytes()
 
 
 # -- F* from one family body ---------------------------------------------------
@@ -513,9 +535,9 @@ def test_dual_values_are_nan_where_the_base_body_is(family):
 
 @pytest.mark.parametrize("family", list(CLOSED_FORM_DUALS) + ["alpha_beta"])
 def test_one_point_dual_norm_has_the_bits_of_its_row(family):
-    # the alpha-beta point solves its angle by Illinois and its row by Newton,
-    # which agree to about 1.6e-15 (see the test above), so it is compared
-    # to 1e-14
+    # the alpha-beta point solves its angle with math.atan2 and its row with
+    # np.arctan2, which agree to about 1.4e-15 (see the test above), so it
+    # is compared to 1e-14
     n = 3
     norm = (norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, n)
             if family == "alpha_beta" else CLOSED_FORM_DUALS[family](n))

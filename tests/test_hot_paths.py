@@ -305,7 +305,7 @@ def test_rows_and_bundle_hooks_live_in_the_base_class():
 
 
 def test_the_alpha_beta_rows_inverse_builds_no_jet(monkeypatch):
-    # the Newton rows of the alpha-beta _legendre_inverse return the preimage
+    # the rows solve of the alpha-beta _legendre_inverse returns the preimage
     # alone: F* makes no order-2 row jet, and the rows of a scaled alpha-beta
     # norm make one, for the F and g they return
     calls = []

@@ -132,9 +132,8 @@ class TestSampling:
         # point, the rows that reduce to a subspace dual one subspace dual per
         # level, and later stages (the curvature table, the Randers witness)
         # read the frames sampling built;
-        # the alpha-beta rows solve the angle by their own Newton, so the
-        # one-point inverse is called only for a row that falls back, once
-        # per such row, and the Newton oracle never.  A geometry
+        # the alpha-beta rows solve the angle on all rows at once, so neither
+        # the one-point inverse nor the Newton oracle is called.  A geometry
         # is one row of ``level_geometry``, and no stage computes a point's
         # geometry, df or D^2 f again, nor calls the one-point
         # ``legendre_inverse`` or ``fundamental_tensor`` (the k-th root
@@ -151,6 +150,7 @@ class TestSampling:
 
         cylinder = calculus.cylinder_potential(quartic3, 2)
         inverse = norms.AlphaBetaNorm._legendre_inverse
+        newton = duality.legendre_inverse_newton
 
         def counting_points(self, xi):  # the rows solve goes through it too
             calls["inverse"] += xi.ndim == 1
@@ -164,12 +164,17 @@ class TestSampling:
         sphere = calculus.sphere_potential(alphabeta3)
         s = iso.sample_level(alphabeta3, sphere, 2.0, 8)
         assert len(s.points) == 8 and calls["inverse"] == 0
-        with monkeypatch.context() as m:
-            m.setattr(norms, "ANGLE_NEWTON_STEPS", 0)  # every row falls back
-            forced = iso.sample_level(alphabeta3, sphere, 2.0, 8)
-        assert calls["inverse"] == len(forced.points) == 8
-        assert np.max(np.abs(forced.fstar - s.fstar)) <= 1e-13 * np.max(s.fstar)
-        assert calls["newton"] == 0
+        # the hard rows too: at n = 2 a Newton step from psi leaves (0, pi),
+        # or 8 steps do not meet the stop, on 148 of these covectors at
+        # b = -0.8 and 127 at b = 0.8; the bracket's midpoint keeps them in
+        # the rows solve, at the bound of test_alpha_beta_inverse_matches_newton
+        Xi = np.random.default_rng(0).standard_normal((1000, 2))
+        for b in (-0.8, 0.8):
+            norm = norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), b, 2)
+            Y, oracle = norm._legendre_inverse(Xi), newton(norm, Xi)
+            assert np.all(np.linalg.norm(Y - oracle, axis=1)
+                          <= 1e-13 * np.linalg.norm(oracle, axis=1)), b
+        assert calls["inverse"] == calls["newton"] == 0
         s = iso.sample_level(quartic3, cylinder, 2.0, 8)
         assert len(s.points) == 8 and calls["subspace_dual"] == 1
 

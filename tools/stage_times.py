@@ -1,13 +1,20 @@
-"""Stage timings of the Randers verify: the stage table of README.md.
+"""Stage timings of the Randers and alpha-beta verifies: the stage tables of
+README.md and ROADMAP.md.
 
 Runs the five Randers model fields of the randers-verify workload (the
 sphere, reverse sphere and cylinder at 3 x 64 points, the hyperplane at
-3 x 160 and the counterexample |xbar| + b.x at 3 x 128) through
-``isoparametric.verify``, with each stage wrapped by a timer, and prints one
-markdown row per stage: its microseconds per pass of the five verifies, the
-median of RUNS runs of PASSES passes.  Pass p samples the directions of seed
-p, so a run averages over PASSES direction sets.  A stage's "of which" part
-is the time of the inner function called within it.
+3 x 160 and the counterexample |xbar| + b.x at 3 x 128), then the three
+alpha-beta ones of the alphabeta-verify workload (profile [1, 1, 0.1],
+b = 0.3, taylor: the sphere and the cylinder at n = 3 and 3 x 10 points,
+the sphere at n = 5 and 3 x 8), through ``isoparametric.verify``, with each
+stage wrapped by a timer.  For each workload it prints one markdown row per
+stage: its microseconds per pass of the workload's verifies, the median of
+RUNS runs of PASSES passes.  Pass p samples the directions of seed p, so a
+run averages over PASSES direction sets.  A stage's "of which" part is the
+time of the inner function called within it.  The alpha-beta row of
+``_dual_rows`` (the Legendre preimages with F and g there) runs within
+``level_geometry``'s ``_dual_geometry``, so that table's rows do not sum to
+the pass.
 
 Imports ``src/`` only and writes nothing.  Run from anywhere:
 ``python tools/stage_times.py``.
@@ -30,20 +37,31 @@ from minkgeom import calculus, hypersurface, isoparametric, norms  # noqa: E402
 RUNS = 3
 PASSES = 200
 
-# (module, name) of each timed function, stages first, then their inner parts
-STAGES = [
+# (module or class, name) of each timed function, stages first, then their
+# inner parts by the stage they lie in
+RANDERS_STAGES = [
     (isoparametric, "_level_points"),
     (isoparametric, "level_geometry"),
     (isoparametric, "level_frames"),
     (isoparametric, "_level_table"),
     (isoparametric, "_randers_witness"),
 ]
-PARTS = {"level_geometry": (calculus, "_dual_geometry"),
-         "level_frames": (hypersurface, "orthonormal_basis"),
-         "_randers_witness": (isoparametric, "_profile_slopes")}
+RANDERS_PARTS = {"level_geometry": (calculus, "_dual_geometry"),
+                 "level_frames": (hypersurface, "orthonormal_basis"),
+                 "_randers_witness": (isoparametric, "_profile_slopes")}
+ALPHA_BETA_STAGES = [
+    (isoparametric, "_level_points"),
+    (isoparametric, "level_geometry"),
+    (norms.MinkowskiNorm, "_dual_rows"),
+    (isoparametric, "level_frames"),
+    (isoparametric, "_level_table"),
+]
+ALPHA_BETA_PARTS = {"level_geometry": (calculus, "_dual_geometry"),
+                    "_dual_rows": (norms.AlphaBetaNorm, "_legendre_inverse"),
+                    "level_frames": (hypersurface, "orthonormal_basis")}
 
 
-def scenarios() -> list:
+def randers_scenarios() -> list:
     """(norm, field, levels, count) of the five randers-verify scenarios."""
     sphere_norm = norms.RandersNorm([0.5, 0.0, 0.0])
     cylinder_norm = norms.RandersNorm([0.3, 0.0, 0.0])
@@ -58,6 +76,24 @@ def scenarios() -> list:
     ]
 
 
+def alpha_beta_scenarios() -> list:
+    """(norm, field, levels, count) of the three alphabeta-verify scenarios."""
+    profile = norms.PolynomialProfile([1.0, 1.0, 0.1])
+    n3 = norms.AlphaBetaNorm(profile, 0.3, 3, strategy="taylor")
+    n5 = norms.AlphaBetaNorm(profile, 0.3, 5, strategy="taylor")
+    levels = [0.5, 2.0, 4.5]
+    return [
+        (n3, calculus.sphere_potential(n3), levels, 10),
+        (n3, calculus.cylinder_potential(n3, 2), levels, 10),
+        (n5, calculus.sphere_potential(n5), levels, 8),
+    ]
+
+
+# (workload, its scenarios, stages, parts) of each table
+TABLES = [("randers-verify", randers_scenarios, RANDERS_STAGES, RANDERS_PARTS),
+          ("alphabeta-verify", alpha_beta_scenarios, ALPHA_BETA_STAGES, ALPHA_BETA_PARTS)]
+
+
 def _timed(fn, totals: dict, name: str):
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
@@ -68,13 +104,13 @@ def _timed(fn, totals: dict, name: str):
     return wrapper
 
 
-def run(cases: list, passes: int) -> dict:
+def run(cases: list, stages: list, parts: dict, passes: int) -> dict:
     """Microseconds per pass of each stage, part and the whole pass, over ``passes`` passes."""
-    timed = STAGES + list(PARTS.values())
+    timed = stages + list(parts.values())
     totals = dict.fromkeys([name for _, name in timed] + ["pass"], 0.0)
-    saved = [(module, name, getattr(module, name)) for module, name in timed]
-    for module, name, fn in saved:
-        setattr(module, name, _timed(fn, totals, name))
+    saved = [(owner, name, getattr(owner, name)) for owner, name in timed]
+    for owner, name, fn in saved:
+        setattr(owner, name, _timed(fn, totals, name))
     try:
         for p in range(passes):
             start = time.perf_counter()
@@ -82,8 +118,8 @@ def run(cases: list, passes: int) -> dict:
                 isoparametric.verify(norm, field, levels, count=count, seed=p)
             totals["pass"] += time.perf_counter() - start
     finally:
-        for module, name, fn in saved:
-            setattr(module, name, fn)
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
     return {name: 1e6 * total / passes for name, total in totals.items()}
 
 
@@ -92,20 +128,22 @@ def _us(v: float) -> str:
 
 
 def main():
-    cases = scenarios()
-    run(cases, 5)  # warm-up: imports, jet spaces, first-call caches
-    runs = [run(cases, PASSES) for _ in range(RUNS)]
-    median = {name: statistics.median(r[name] for r in runs) for name in runs[0]}
-    print(f"| stage | µs a pass (median of {RUNS} runs of {PASSES} passes) |")
-    print("|---|---|")
-    for _, name in STAGES:
-        part = PARTS.get(name)
-        if part:
-            print(f"| `{name}` (of which `{part[1]}`) | {_us(median[name])} "
-                  f"({_us(median[part[1]])}) |")
-        else:
-            print(f"| `{name}` | {_us(median[name])} |")
-    print(f"| whole pass | {_us(median['pass'])} |")
+    for title, scenarios, stages, parts in TABLES:
+        cases = scenarios()
+        run(cases, stages, parts, 5)  # warm-up: imports, jet spaces, first-call caches
+        runs = [run(cases, stages, parts, PASSES) for _ in range(RUNS)]
+        median = {name: statistics.median(r[name] for r in runs) for name in runs[0]}
+        print(f"{title}:\n")
+        print(f"| stage | µs a pass (median of {RUNS} runs of {PASSES} passes) |")
+        print("|---|---|")
+        for _, name in stages:
+            part = parts.get(name)
+            if part:
+                print(f"| `{name}` (of which `{part[1]}`) | {_us(median[name])} "
+                      f"({_us(median[part[1]])}) |")
+            else:
+                print(f"| `{name}` | {_us(median[name])} |")
+        print(f"| whole pass | {_us(median['pass'])} |\n")
 
 
 if __name__ == "__main__":
