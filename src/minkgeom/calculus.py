@@ -362,8 +362,8 @@ class LevelGeometry(RowRecord):
     curvatures are built from the same grad f, g and D^2 f.
 
     ``norm`` is the level's norm F.  A row reduced to the subspace dual
-    ``subspace_dual(norm, m)`` on the first m < n coordinates holds its
-    m x m g in g[i, :m, :m], with zeros around it.
+    ``subspace_dual(norm, m)`` on the first m < n coordinates holds its m x m
+    g and the flat complement's Euclidean metric: g = block-diag(gtilde, I).
     """
 
     norm: MinkowskiNorm
@@ -390,9 +390,10 @@ def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> LevelGeometry:
     point) takes ``subspace_dual(norm, m)`` on the m x m blocks, m < n the
     prefix that carries its df and D^2 f (``prefix_support``): one
     ``_dual_geometry`` per m, kept where L of the padded gradient gives df
-    back to 1e-8 max|df|.  The first row that still fails raises what
-    ``_regular_jet`` raises on it (NotInDomain, CriticalPoint), else
-    DegenerateMetric.  Every row is computed as on its own, so levels stack.
+    back to 1e-8 max|df|, with g = block-diag(gtilde, I).  The first row that
+    still fails raises what ``_regular_jet`` raises on it (NotInDomain,
+    CriticalPoint), else DegenerateMetric.  Every row is computed as on its
+    own, so levels stack, and every row's g is finite and positive definite.
     """
     X = np.asarray(X, dtype=float)
     n = norm.dim
@@ -412,7 +413,7 @@ def level_geometry(norm: MinkowskiNorm, field: ScalarField, X) -> LevelGeometry:
                 continue
             # a row left failing raises below, so every row takes its results
             block = hess[rows, :k, :k]
-            grad[rows], g[rows] = 0.0, 0.0
+            grad[rows], g[rows] = 0.0, np.eye(n)
             (grad[rows, :k], fstar[rows], g[rows, :k, :k], lap[rows], lap_scale[rows],
              kept) = _dual_geometry(tilde, df[rows, :k], block, lengths(block))
             with np.errstate(invalid="ignore"):
@@ -436,14 +437,14 @@ def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
     those with F*(df) finite and positive and g finite and passing the
     Cholesky test (NaN elsewhere).  g^{-1} is the norm's closed form for g*
     at df (``_dual_fundamental_tensor``, read at the rows ``_dual_rows``
-    windowed), the inverse of g on the fd strategy.  When every row is kept,
-    the test and Delta f run on the arrays themselves, with no masked copy
-    or store."""
+    windowed), the inverse of g on the fd strategy.  The kept rows are
+    selected once, for the test and Delta f: all of them as views
+    (``slice(None)``), with no masked copy, else by the mask."""
     grad, fstar, g, xi = norm._dual_rows(df)
     ok = ok & np.isfinite(fstar) & (fstar > 0.0) & np.isfinite(g).all(axis=(1, 2))
-    every = ok.all()
+    kept = slice(None) if ok.all() else ok  # every row kept: views, no masked copies
     try:
-        np.linalg.cholesky(g if every else g[ok])
+        np.linalg.cholesky(g[kept])
     except np.linalg.LinAlgError:
         # a diagonal entry <= 0 fails the test for certain; the other rows
         # are tested on their own
@@ -453,20 +454,15 @@ def _dual_geometry(norm: MinkowskiNorm, df, hess, hnorm, ok=True) -> tuple:
                 np.linalg.cholesky(g[i])
             except np.linalg.LinAlgError:
                 ok[i] = False
-        every = False
-    if every:  # the arrays themselves: no masked copies or stores
-        return (grad, fstar, g, *_laplacian_terms(norm, g, xi, hess, hnorm), ok)
-    lap, lap_scale = np.full(len(df), np.nan), np.full(len(df), np.nan)
+        kept = ok
+    lap, lap_scale = np.full((2, len(df)), np.nan)
     if ok.any():
-        lap[ok], lap_scale[ok] = _laplacian_terms(norm, g[ok], xi[ok], hess[ok], hnorm[ok])
+        # g* has degree 0, so it is read at df in the window; fd checks it by inverting g
+        ginv = (np.linalg.inv(g[kept]) if norm.strategy == "fd"
+                else norm._dual_fundamental_tensor(xi[kept], g[kept]))
+        lap[kept] = (ginv * hess[kept]).sum(axis=(1, 2))
+        lap_scale[kept] = lengths(ginv) * hnorm[kept]
     return grad, fstar, g, lap, lap_scale, ok
-
-
-def _laplacian_terms(norm: MinkowskiNorm, g, xi, hess, hnorm) -> tuple:
-    """(Delta f, lap_scale) of ``_dual_geometry`` at rows that passed its tests."""
-    # g* has degree 0, so it is read at df in the window; fd checks it by inverting g
-    ginv = np.linalg.inv(g) if norm.strategy == "fd" else norm._dual_fundamental_tensor(xi, g)
-    return (ginv * hess).sum(axis=(1, 2)), lengths(ginv) * hnorm
 
 
 def gradient(norm: MinkowskiNorm, field: ScalarField, x) -> np.ndarray:

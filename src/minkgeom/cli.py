@@ -23,6 +23,7 @@ preservation 1e-10, round trip 1e-9, dual agreement 1e-8, Lemma 6.1 1e-7.
 ``--tol`` replaces all four; the config's ``tolerance`` is read only by the
 sampling commands.  So ``quartic_sphere_fd.json`` exits 2: on fd its norm
 preservation is 2.6e-9 against 1e-10, its round trip 7.0e-9 against 1e-9.
+``--tol`` and ``tolerance`` must be finite and non-negative.
 
 ``curvatures``'s tolerance is relative, so that it holds at every scale: each
 frame's Cartan-formula residual is divided by its max |kappa| and its
@@ -227,9 +228,12 @@ def load_scenario(args) -> Scenario:
     if sampled and samples < 8:
         raise ConfigError("samples", "must be at least 8")
     seed = args.seed if args.seed is not None else _optional(cfg, "seed", int, 0)
-    tol = args.tol
+    tol, where = args.tol, "--tol"
     if tol is None and sampled:
-        tol = _optional(cfg, "tolerance", float, _TOLERANCE_DEFAULTS[args.command])
+        where = "tolerance"
+        tol = _optional(cfg, where, float, _TOLERANCE_DEFAULTS[args.command])
+    if tol is not None and _number(tol, where) < 0.0:
+        raise ConfigError(where, "must not be negative")
     expect = _optional(cfg, "expect", dict, {})
     _reject_unknown(expect, _EXPECT_KEYS, "expect.")
     for key in expect:
@@ -298,12 +302,13 @@ def cmd_curvatures(args) -> int:
             "cartan_formula_residual": float(cartan_res),
             "two_curvature_residual": float(two_curv),
         })
-    with open(_out_path(args.out, sc.output.get("csv", "curvatures.csv")), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
     payload = {"schema": 1, "scenario": sc.id, "tolerance": float(sc.tol),
                "levels": level_reports}
+    text = dumps_17g(payload) + "\n"  # built first: a failed dump writes no file
+    with open(_out_path(args.out, sc.output.get("csv", "curvatures.csv")), "w") as fh:
+        fh.write("\n".join(rows) + "\n")
     with open(_out_path(args.out, sc.output.get("json", "curvatures.json")), "w") as fh:
-        fh.write(dumps_17g(payload) + "\n")
+        fh.write(text)
     return 0 if worst <= sc.tol else 2
 
 
@@ -351,8 +356,9 @@ def cmd_dualcheck(args) -> int:
         "thresholds": thresholds,
         "pass": {k: bool(results[k] <= thresholds[k]) for k in results},
     }
+    text = dumps_17g(payload) + "\n"  # built first: a failed dump writes no file
     with open(_out_path(args.out, sc.output.get("json", "dualcheck.json")), "w") as fh:
-        fh.write(dumps_17g(payload) + "\n")
+        fh.write(text)
     return 0 if all(payload["pass"].values()) else 2
 
 

@@ -9,9 +9,10 @@ ghat = g_n is
 on the tangent space.  Principal curvatures are the eigenvalues of hhat in a
 ghat-orthonormal tangent frame.  ``level_frames`` is the one frame builder:
 it builds the frames of a level's ``LevelGeometry`` as one ``LevelFrames``
-of arrays (one g-Gram-Schmidt, one shape-operator product, one batched
-``eigh`` of the curvatures alone, closed form at 2 x 2); ``frames[i]`` is
-the ``LevelFrames`` of point i, and ``frame_at`` is its call on one point.
+of arrays (one g-Gram-Schmidt of every row, reduced or not, one
+shape-operator product, one batched ``eigh`` of the curvatures alone, closed
+form at 2 x 2); ``frames[i]`` is the ``LevelFrames`` of point i, and
+``frame_at`` is its call on one point.
 The mean curvature is sum k_a: the S-curvature of a Minkowski space with BH
 or HT volume vanishes, so the ghat-mean and volumetric mean curvatures
 coincide.  The sectional curvature of the induced connection reduces in a
@@ -82,36 +83,27 @@ def frame_at(norm: MinkowskiNorm, field: ScalarField, x) -> LevelFrames:
 def level_frames(norm: MinkowskiNorm, field: ScalarField, geometry: LevelGeometry) -> LevelFrames:
     """The hypersurface frames of the rows of ``geometry``, built as one stack.
 
-    The rows of one geometry dimension m share one g-Gram-Schmidt
-    (``orthonormal_basis``); all rows share one shape-operator product and
-    one batched ``eigh`` for the curvatures alone (closed form at n = 3).
-    A row of the subspace-dual reduction (k-th root families, whose gradient
-    for cylinder potentials lies on a coordinate plane) gets its tangent
-    frame on the first m coordinates, and the complement directions are
-    principal with curvature zero, as in the cylinder model.  Curvatures are
-    grouped within max(1e-9 s, 1e-6 max|kappa|), or max(1e-4 s, 1e-4 max|kappa|)
-    under finite differences, with s = |g^{-1}|_F |D^2 f|_F / F*(df)
-    (``lap_scale`` / F*), the size of hhat's entries, so that the groups do
-    not change when the level or the norm is scaled.
+    All rows share one g-Gram-Schmidt (``orthonormal_basis``), one
+    shape-operator product and one batched ``eigh`` for the curvatures alone
+    (closed form at n = 3).  A row of the subspace-dual reduction (k-th root
+    families, whose gradient for cylinder potentials lies on a coordinate
+    plane) has g = block-diag(gtilde, I), so the complement's coordinate
+    axes close its tangent frame, principal with curvature zero, as in the
+    cylinder model.  Curvatures are grouped within max(1e-9 s, 1e-6 max|kappa|),
+    or max(1e-4 s, 1e-4 max|kappa|) under finite differences, with
+    s = |g^{-1}|_F |D^2 f|_F / F*(df) (``lap_scale`` / F*), the size of
+    hhat's entries, so that the groups do not change when the level or the
+    norm is scaled.
     """
-    n = norm.dim
     fstar = geometry.fstar
     normal = geometry.grad / fstar[:, None]
-    if (geometry.m == n).all():  # every row of dimension n: the Gram-Schmidt stack itself
-        tangent = orthonormal_basis(geometry.g, normal)
-    else:
-        tangent, dims = np.zeros((len(geometry), n - 1, n)), sorted(set(geometry.m.tolist()))
-        for m in dims:
-            rows = slice(None) if len(dims) == 1 else geometry.m == m  # one m: views
-            tangent[rows, : m - 1, :m] = orthonormal_basis(geometry.g[rows, :m, :m],
-                                                           normal[rows, :m])
-            tangent[rows, m - 1:, m:] = np.eye(n - m)
+    tangent = orthonormal_basis(geometry.g, normal)
     hhat = -(tangent @ geometry.hess @ tangent.transpose(0, 2, 1)) / fstar[:, None, None]
     hhat = 0.5 * (hhat + hhat.transpose(0, 2, 1))
-    if n == 3:  # a 2 x 2 hhat per row: mid -+ r
+    if norm.dim == 3:  # a 2 x 2 hhat per row: mid -+ r
         a, b, d = hhat[:, 0, 0], hhat[:, 0, 1], hhat[:, 1, 1]
         mid, r = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
-        vals = np.stack([mid - r, mid + r], axis=1)
+        vals = mid[:, None] + r[:, None] * [-1.0, 1.0]
     else:
         try:
             vals = np.linalg.eigh(hhat)[0]  # the values-only solver's differ in the last bits

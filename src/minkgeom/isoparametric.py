@@ -337,9 +337,9 @@ class VerificationReport:
         }
 
     def write_json(self, path):
+        text = dumps_17g(self.to_json_dict()) + "\n"  # built first: a failed dump writes no file
         with open(path, "w") as fh:
-            fh.write(dumps_17g(self.to_json_dict()))
-            fh.write("\n")
+            fh.write(text)
 
     def write_csv(self, path):
         """One row per sample point, with max(6, n) coordinate and max(5, n - 1)

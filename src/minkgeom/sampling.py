@@ -63,9 +63,11 @@ def sphere_mean(values: np.ndarray) -> tuple[float, float]:
     """Quasi-Monte-Carlo mean over a direction set with an error estimate.
 
     The estimate compares the means of the two interleaved half-lattices; it
-    is an indicator, not a bound.
+    is an indicator, not a bound, and needs at least two values.
     """
     values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise ValueError("sphere_mean needs at least two values")
     full = float(values.mean())
     half_a = float(values[0::2].mean())
     half_b = float(values[1::2].mean())

@@ -176,6 +176,13 @@ class TestVolumeConstants:
         with pytest.raises(DimensionTooLarge):
             calculus.volume_constants(norms.EuclideanNorm(7))
 
+    def test_one_direction_has_no_error_estimate(self, euclid3):
+        # the estimate compares two interleaved halves, and one value has no second half
+        with pytest.raises(ValueError, match="at least two values"):
+            calculus.volume_constants(euclid3, count=1)
+        vc = calculus.volume_constants(euclid3, count=2)
+        assert np.isfinite([vc.sigma_bh_error, vc.sigma_ht_error]).all()
+
 
 class TestFields:
     def test_custom_field_fd_flag(self):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from minkgeom import cli
+from minkgeom import cli, isoparametric
 
 
 def run(args):
@@ -71,12 +71,15 @@ class TestVerifyCommand:
         ("verify", "levels", [0.5, 10**400, 4.5], "levels[1]"),
         ("verify", "samples", 4, "samples"),
         ("verify", "tolerance", float("nan"), "tolerance"),
+        ("verify", "tolerance", -1, "tolerance"),
+        ("curvatures", "tolerance", -1.0, "tolerance"),
         ("verify", "norm", {"family": "randers", "b": ["x", 0, 0]}, "norm.b[0]"),
         ("curvatures", "levels", [], "levels"),
     ], ids=["unknown-expect-key", "expect-not-object", "expect-not-bool",
             "output-not-object", "output-name-not-string", "scenario-not-string",
             "too-few-levels", "level-outside-range", "level-beyond-float", "too-few-samples",
-            "tolerance-not-finite", "b-not-number", "curvatures-no-levels"])
+            "tolerance-not-finite", "tolerance-negative", "curvatures-tolerance-negative",
+            "b-not-number", "curvatures-no-levels"])
     def test_bad_block_rejected_before_computing(self, tmp_path, capsys, command, key, value,
                                                 where):
         cfg = write_config(tmp_path, "b.json", {**SPHERE, key: value})
@@ -84,6 +87,31 @@ class TestVerifyCommand:
         out.mkdir()
         assert run([command, cfg, "--out", out]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {where}: ")
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["verify", "curvatures", "dualcheck"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_not_finite_or_negative_rejected_before_computing(self, tmp_path, capsys,
+                                                                   command, tol):
+        cfg = write_config(tmp_path, "t.json", SPHERE)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run([command, cfg, "--out", out, "--tol", tol]) == 1
+        assert capsys.readouterr().err.startswith("config error: --tol: ")
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["verify", "curvatures", "dualcheck"])
+    def test_a_failed_dump_writes_no_file(self, tmp_path, monkeypatch, command):
+        def fail(obj):
+            raise ValueError("non-finite float in report")
+
+        monkeypatch.setattr(isoparametric, "dumps_17g", fail)
+        monkeypatch.setattr(cli, "dumps_17g", fail)
+        cfg = write_config(tmp_path, "s.json", {**SPHERE, "samples": 8})
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ValueError, match="non-finite"):
+            run([command, cfg, "--out", out])
         assert not list(out.iterdir())
 
     def test_json_syntax_error_reports_line(self, tmp_path, capsys):

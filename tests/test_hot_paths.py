@@ -253,7 +253,7 @@ HOT_PATHS = (
     randers.randers_isoparametric_residual, isoparametric._radial_root,
     isoparametric._randers_witness,
     isoparametric._profile_slopes, isoparametric._level_table, isoparametric._per_run,
-    isoparametric._run_means, norms._as_rows, norms._scaled, calculus._laplacian_terms,
+    isoparametric._run_means, norms._as_rows, norms._scaled,
     randers._isoparametric_terms,
     _taylor.Jet.norm_squared, _taylor.Jet.linear,
 )

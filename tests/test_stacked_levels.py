@@ -156,11 +156,12 @@ def assert_matches_frame_at(norm, field, sample):
         for name in ("fstar", "lap", "lap_scale", "df", "hess", "grad"):
             assert_close(getattr(view.geometry, name), getattr(geo, name))
             assert_close(getattr(ref.geometry, name), getattr(geo, name))
-        # a reduced point keeps the padded n x n g, its m x m block first
+        # a reduced point keeps block-diag(its m x m g, I): the flat complement is Euclidean
         m = geo.m
         for g in (view.geometry.g, ref.geometry.g):
             assert_close(g[:m, :m], geo.g)
-            assert not g[m:].any() and not g[:, m:].any()
+            assert not g[:m, m:].any() and not g[m:, :m].any()
+            assert np.array_equal(g[m:, m:], np.eye(len(g) - m))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -404,8 +405,8 @@ def test_rows_of_every_geometry_dimension_stack_in_one_call(monkeypatch):
     # rows whose df and D^2 f live on the first 1, 2 and 3 coordinates of a
     # quartic norm on R^3, interleaved in one level_geometry: one _dual_rows
     # for all rows and one per reduced dimension; each row has the geometry
-    # of the one-point oracle, the bits of its one-row call, and its m x m g
-    # with zeros around it
+    # of the one-point oracle, the bits of its one-row call, and
+    # block-diag(its m x m g, I)
     norm = _QuarticWithLine(4, 3)
     field = mixed_support_field(norm)
     rng = np.random.default_rng(11)
@@ -429,10 +430,33 @@ def test_rows_of_every_geometry_dimension_stack_in_one_call(monkeypatch):
         for name in ("fstar", "lap", "lap_scale", "df", "hess", "grad"):
             assert_close(getattr(view, name), getattr(ref, name))
         assert_close(view.g[:m, :m], ref.g)
-        assert not geometry.g[i, m:].any() and not geometry.g[i, :, m:].any()
+        assert not geometry.g[i, :m, m:].any() and not geometry.g[i, m:, :m].any()
+        assert np.array_equal(geometry.g[i, m:, m:], np.eye(3 - m))
         one = calculus.level_geometry(norm, field, [x])
         for name in ("grad", "fstar", "g", "lap", "lap_scale", "m"):
             assert getattr(one, name).tobytes() == getattr(geometry, name)[i:i + 1].tobytes()
+
+
+def test_one_frame_stack_over_rows_of_every_geometry_dimension():
+    # one level_frames over interleaved rows of dimension 3, 2 and 1, whose
+    # g is block-diag(gtilde, I): an m = 1 row is framed by (e2, e3) with
+    # curvatures 0, and an m = 2 row by the frame of its 2 x 2 block with e3
+    # appended, bit for bit
+    norm = _QuarticWithLine(4, 3)
+    field = mixed_support_field(norm)
+    rng = np.random.default_rng(13)
+    X = rng.uniform(0.4, 1.2, (9, 3)) * rng.choice([-1.0, 1.0], (9, 3))
+    X[:, 2] = np.tile([1.5, 0.5, -0.5], 3)
+    frames = hs.level_frames(norm, field, calculus.level_geometry(norm, field, X))
+    geometry, e = frames.geometry, np.eye(3)
+    assert geometry.m.tolist() == [3, 2, 1] * 3
+    for i in np.flatnonzero(geometry.m == 1):
+        assert np.array_equal(frames.tangent_basis[i], e[1:])
+        assert not frames.principal_curvatures[i].any()
+    for i in np.flatnonzero(geometry.m == 2):
+        block = hs.orthonormal_basis(geometry.g[i, None, :2, :2], frames.normal[i, None, :2])[0]
+        want = np.vstack([np.pad(block, ((0, 0), (0, 1))), e[2]])
+        assert frames.tangent_basis[i].tobytes() == want.tobytes()
 
 
 def _rows_norms():

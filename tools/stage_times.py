@@ -1,14 +1,18 @@
-"""Stage timings of the Randers and alpha-beta verifies: the stage tables of
-README.md and ROADMAP.md.
+"""Stage timings of the Randers, alpha-beta and reduced-row verifies: the
+stage tables of README.md and ROADMAP.md.
 
 Runs the five Randers model fields of the randers-verify workload (the
 sphere, reverse sphere and cylinder at 3 x 64 points, the hyperplane at
 3 x 160 and the counterexample |xbar| + b.x at 3 x 128), then the three
 alpha-beta ones of the alphabeta-verify workload (profile [1, 1, 0.1],
 b = 0.3, taylor: the sphere and the cylinder at n = 3 and 3 x 10 points,
-the sphere at n = 5 and 3 x 8), through ``isoparametric.verify``, with each
-stage wrapped by a timer.  For each workload it prints one markdown row per
-stage: its microseconds per pass of the workload's verifies, the median of
+the sphere at n = 5 and 3 x 8), and last two k-th root cylinders
+(``cylinder_potential(KthRootNorm(4, 3), 2)`` and
+``cylinder_potential(KthRootNorm(4, 5), 3)`` at levels [0.5, 2, 4.5] and
+3 x 64 points), whose every row takes the subspace-dual reduction that no
+benchmark workload runs, through ``isoparametric.verify``, with each stage
+wrapped by a timer.  For each table it prints one markdown row per
+stage: its microseconds per pass of the table's verifies, the median of
 RUNS runs of PASSES passes.  Pass p samples the directions of seed p, so a
 run averages over PASSES direction sets.  A stage's "of which" part is the
 time of the inner function called within it.  The alpha-beta row of
@@ -59,6 +63,14 @@ ALPHA_BETA_STAGES = [
 ALPHA_BETA_PARTS = {"level_geometry": (calculus, "_dual_geometry"),
                     "_dual_rows": (norms.AlphaBetaNorm, "_legendre_inverse"),
                     "level_frames": (hypersurface, "orthonormal_basis")}
+REDUCED_STAGES = [
+    (isoparametric, "_level_points"),
+    (isoparametric, "level_geometry"),
+    (isoparametric, "level_frames"),
+    (isoparametric, "_level_table"),
+]
+REDUCED_PARTS = {"level_geometry": (calculus, "_dual_geometry"),
+                 "level_frames": (hypersurface, "orthonormal_basis")}
 
 
 def randers_scenarios() -> list:
@@ -89,9 +101,21 @@ def alpha_beta_scenarios() -> list:
     ]
 
 
+def reduced_scenarios() -> list:
+    """(norm, field, levels, count) of the two k-th root cylinders, whose rows
+    are all reduced to the subspace dual."""
+    n3, n5 = norms.KthRootNorm(4, 3), norms.KthRootNorm(4, 5)
+    levels = [0.5, 2.0, 4.5]
+    return [
+        (n3, calculus.cylinder_potential(n3, 2), levels, 64),
+        (n5, calculus.cylinder_potential(n5, 3), levels, 64),
+    ]
+
+
 # (workload, its scenarios, stages, parts) of each table
 TABLES = [("randers-verify", randers_scenarios, RANDERS_STAGES, RANDERS_PARTS),
-          ("alphabeta-verify", alpha_beta_scenarios, ALPHA_BETA_STAGES, ALPHA_BETA_PARTS)]
+          ("alphabeta-verify", alpha_beta_scenarios, ALPHA_BETA_STAGES, ALPHA_BETA_PARTS),
+          ("reduced rows", reduced_scenarios, REDUCED_STAGES, REDUCED_PARTS)]
 
 
 def _timed(fn, totals: dict, name: str):
