@@ -53,7 +53,7 @@ def lengths(A: np.ndarray) -> np.ndarray:
     plain root of its sum of squares where that lies in [2^-960, 2^960], so that
     no square overflows or underflows unseen, else ``scaled_lengths``; a row's
     length depends on that row alone."""
-    A = A.reshape(len(A), -1)
+    A = A.reshape(len(A), -1) if A.size else A.reshape(len(A), 0)  # -1 fails on no entries
     with np.errstate(over="ignore"):
         s = np.vecdot(A, A)
     plain = (s >= 2.0**-960) & (s <= 2.0**960)  # False at a NaN
@@ -65,7 +65,7 @@ def lengths(A: np.ndarray) -> np.ndarray:
 def scaled_lengths(A: np.ndarray) -> np.ndarray:
     """The Euclidean length of each row of A (N, ...) over its trailing axes, m |A / m|
     with m = max |a| so that no square overflows; 0, inf and NaN as by ``np.hypot``."""
-    A = A.reshape(len(A), -1)
+    A = A.reshape(len(A), -1) if A.size else A.reshape(len(A), 0)
     m = np.fmax.reduce(abs(A), axis=1)  # NaN only where every entry is
     with np.errstate(over="ignore", invalid="ignore"):
         q = A / np.where(m > 0.0, m, 1.0)[:, None]

@@ -98,6 +98,8 @@ class JetSpace:
         # one-point order
         w = a[:, self._mul_a] * b[:, self._mul_b]
         N = len(w)
+        if not N:  # bincount gives int64 on no input
+            return np.zeros((0, self.size))
         return np.bincount(self._flat_out(N), w.ravel(), N * self.size).reshape(N, self.size)
 
     def _flat_out(self, N: int) -> np.ndarray:
@@ -128,10 +130,7 @@ class Jet:
     def _constant_like(self, value) -> "Jet":
         """The constant jet of ``value`` (a number, or one per row) shaped like this one."""
         c = np.zeros(self.c.shape)
-        if c.ndim == 1:
-            c[0] = value
-        else:
-            c[:, 0] = value
+        c.T[0] = value  # .T[0]: the constant coefficient of a point or of every row
         return Jet(self.space, c)
 
     @staticmethod
@@ -191,10 +190,7 @@ class Jet:
         if isinstance(other, Jet):
             return Jet(self.space, self.c + other.c)
         c = self.c.copy()
-        if c.ndim == 1:
-            c[0] += other
-        else:
-            c[:, 0] += other
+        c.T[0] += other
         return Jet(self.space, c)
 
     __radd__ = __add__
@@ -234,20 +230,21 @@ class Jet:
         Horner evaluation of the Taylor polynomial of h, to the space's
         order, in the nilpotent part of the jet.  A row jet takes arrays of
         derivatives, one value per row.  Its first step scales v by the top
-        coefficient, with no jet product.
+        coefficient, with no jet product, and each step adds its constant in
+        place on the coefficients it has just made.
         """
         order = self.space.order
-        coeffs = [derivs[j] / math.factorial(j) for j in range(order + 1)]
-        v = Jet(self.space, self.c.copy())
-        if v.c.ndim == 1:
-            v.c[0] = 0.0
-        else:
-            v.c[:, 0] = 0.0
+        # h^(j) / j!, with no division by 0! and 1!
+        coeffs = [*derivs[:2]] + [derivs[j] / math.factorial(j) for j in range(2, order + 1)]
+        v = self.c.copy()
+        v.T[0] = 0.0
         top = np.asarray(coeffs[order])
-        out = Jet(self.space, v.c * (top[:, None] if top.ndim else top)) + coeffs[order - 1]
-        for j in range(order - 2, -1, -1):
-            out = out * v + coeffs[j]
-        return out
+        c = v * (top[:, None] if top.ndim else top)
+        for j in range(order - 1, -1, -1):
+            c.T[0] += coeffs[j]
+            if j:
+                c = self.space.mul(c, v)
+        return Jet(self.space, c)
 
     def sqrt(self) -> "Jet":
         return self.compose_univariate(_pow_derivs(self._base_value(), 0.5, self.space.order))
@@ -259,9 +256,7 @@ class Jet:
 
     def _base_value(self):
         """The constant coefficient, a numpy scalar or one per row."""
-        if self.c.ndim == 1:
-            return self.c[0]
-        return self.c[:, 0]
+        return self.c.T[0]
 
     @property
     def value(self):
@@ -270,13 +265,15 @@ class Jet:
             return float(self.c[0])
         return self.c[:, 0]
 
-    def derivative_tensor(self, order: int) -> np.ndarray:
-        """Dense symmetric derivative tensor of the given order (<= the space's),
-        (N,) + (n,) * order for a row jet."""
+    def derivative_tensors(self, orders) -> list:
+        """Dense symmetric derivative tensors of the given orders (each <= the
+        space's), (N,) + (n,) * order for a row jet, from one scaling of the
+        coefficients by their exponents' factorials."""
         sp = self.space
-        if self.c.ndim == 1:
-            return np.asarray((self.c * sp._factorial)[sp._tensor_index[order]])
-        return (self.c * sp._factorial)[:, sp._tensor_index[order]]
+        c = self.c * sp._factorial
+        if c.ndim == 1:
+            return [np.asarray(c[sp._tensor_index[k]]) for k in orders]
+        return [c[:, sp._tensor_index[k]] for k in orders]
 
 
 def _pow_derivs(u0, p: float, order: int) -> list:
@@ -287,9 +284,9 @@ def _pow_derivs(u0, p: float, order: int) -> list:
             u0 = np.where(u0 > 0.0, u0, np.nan)
     elif u0 <= 0.0 and not float(p).is_integer():
         raise ValueError(f"fractional power of non-positive jet value {u0!r}")
-    out = []
-    coef = 1.0
-    for j in range(order + 1):
+    out = [u0 ** p]
+    coef = p
+    for j in range(1, order + 1):
         out.append(coef * u0 ** (p - j))
         coef *= p - j
     return out

@@ -9,7 +9,8 @@ fundamental tensor and the subspace dual are the norm's methods
 Every family defines the inverse, one body for a covector or the rows of
 an (N, n) array, which ``MinkowskiNorm._dual_rows`` reads for the points of
 a verification (the alpha-beta one solves for one angle, by one bracketed
-Newton for a covector or for rows); the base class's dual tensor is
+Newton for a covector or for rows from the Hermite inverse of a table of the
+image angle that the norm builds once); the base class's dual tensor is
 g^{-1} at the preimage and its subspace dual the restriction, which a family
 with a closed form overrides.  The Newton iteration ``legendre_inverse_newton``,
 damped by Armijo backtracking on G(y) - xi.y, is the oracle for the

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,11 +66,11 @@ _VERDICTS = ("yes", "inconclusive", "no")  # from best to worst
 
 @dataclass
 class LevelSample:
-    """Sampled points of one regular level set with per-point quantities.
+    """Sampled points of one regular level set with per-point quantities:
+    views of the rows ``rows`` of ``stack``, the ``LevelFrames`` of every level.
 
-    ``frames`` is the level's rows of the ``LevelFrames`` that
-    ``level_frames`` built, with their ``LevelGeometry`` (df, D^2 f, grad f),
-    for the later stages to read; ``frames[i]`` is the frame of point i.
+    ``frames``, built when first read, is those rows of ``stack`` with their
+    ``LevelGeometry`` (df, D^2 f, grad f); ``frames[i]`` is the frame of point i.
     """
 
     t: float
@@ -77,8 +78,13 @@ class LevelSample:
     fstar: np.ndarray           # F*(df) per point
     lap: np.ndarray             # Delta f per point
     curvatures: np.ndarray      # (N, n-1) sorted principal curvatures
-    frames: LevelFrames
     skipped: int
+    stack: LevelFrames
+    rows: slice
+
+    @cached_property
+    def frames(self) -> LevelFrames:
+        return self.stack[self.rows]
 
 
 def sample_levels(norm: MinkowskiNorm, field: ScalarField, levels, count: int,
@@ -129,10 +135,10 @@ def _sample_stack(norm: MinkowskiNorm, field: ScalarField, levels, count: int, s
     if inside < len(levels):
         raise ValueError(f"level {levels[inside]} outside the declared regular range "
                          f"{field.regular_range}")
-    rows = [frames[a:b] for a, b in zip(starts, starts[1:])]
-    return [LevelSample(t=float(t), points=r.geometry.x, fstar=r.geometry.fstar, lap=r.geometry.lap,
-                        curvatures=r.principal_curvatures, frames=r, skipped=count - len(r))
-            for t, r in zip(levels, rows)], frames
+    geo, k = frames.geometry, frames.principal_curvatures
+    return [LevelSample(t=float(t), points=geo.x[a:b], fstar=geo.fstar[a:b], lap=geo.lap[a:b],
+                        curvatures=k[a:b], skipped=count - (b - a), stack=frames, rows=slice(a, b))
+            for t, a, b in zip(levels, starts, starts[1:])], frames
 
 
 def sample_level(norm: MinkowskiNorm, field: ScalarField, t: float, count: int,

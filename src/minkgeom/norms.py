@@ -33,7 +33,7 @@ there) and ``_dual_values`` scale each row by the rule of ``_as_vector``
 (``_as_rows``) and call those bodies, so every family has whole-array rows
 on every strategy: the fd stencil too is one body, each offset evaluated on
 all rows at once.  The alpha-beta ``_legendre_inverse`` solves its angle
-by one bracketed Newton body, on a point's floats or on rows.
+by one bracketed Newton body from a start table, on a point's floats or rows.
 
 Norms are immutable after construction and all operations are pure, except
 that ``derivatives`` keeps its last bundle for a repeat call at the same y and
@@ -53,6 +53,7 @@ from .errors import (BadDimension, DegenerateMetric, NoConvergence, NotInDomain,
                      ZeroVector)
 
 ANGLE_MAX_ITER = 100  # image evaluations of the alpha-beta Legendre angle solve
+ANGLE_NODES = 129     # nodes of the alpha-beta angle start table on [0, pi]
 
 STRATEGIES = ("analytic", "taylor", "fd")
 
@@ -284,13 +285,8 @@ class MinkowskiNorm:
         sp = _taylor.space(self.dim, order)
         F = self._jet_F(sp, y)
         G = F * F * 0.5
-        return Derivatives(
-            F=F.value,
-            d1=G.derivative_tensor(1),
-            d2=G.derivative_tensor(2) if order >= 2 else None,
-            d3=G.derivative_tensor(3) if order >= 3 else None,
-            d4=G.derivative_tensor(4) if order >= 4 else None,
-        )
+        tensors = G.derivative_tensors(range(1, order + 1))
+        return Derivatives(F.value, *tensors, *[None] * (4 - order))
 
     def _fd(self, y: np.ndarray, order: int) -> Derivatives:
         # the steps are fixed multiples of |y|, one per row of rows
@@ -561,7 +557,7 @@ class KthRootNorm(MinkowskiNorm):
         # S*^(-2/k) ((2 - q) v v^T + (q - 1) S* diag |xi_i|^(q-2))
         k = self.k
         a = np.abs(xi)
-        if not a.min() > 0.0:
+        if not (a > 0.0).all():
             # g at the preimage is singular there, as ``fundamental_tensor`` finds
             raise DegenerateMetric(f"g* of the k-th root norm is unbounded on a coordinate "
                                    f"hyperplane: xi_{int(a.argmin()) % self.dim} = 0")
@@ -609,11 +605,11 @@ def _horner(row, s):
 
 # The operations of the alpha-beta angle solve that differ between a point's
 # floats (index 0) and rows (index 1): cos, sin, atan2, hypot, ulp,
-# select(mask, a, b) and any
+# select(mask, a, b), any and the numbers of a start table column
 _ANGLE_OPS = ((math.cos, math.sin, math.atan2, math.hypot, math.ulp,
-               lambda on, a, b: a if on else b, bool),
+               lambda on, a, b: a if on else b, bool, np.ndarray.tolist),
               (np.cos, np.sin, np.arctan2, np.hypot, np.spacing, np.where,
-               np.logical_or.reduce))
+               np.logical_or.reduce, lambda a: a))
 
 
 class AlphaBetaNorm(MinkowskiNorm):
@@ -628,7 +624,8 @@ class AlphaBetaNorm(MinkowskiNorm):
     for one angle: L(y) lies in span{y, e1} (Chern & Shen, Riemann-Finsler
     Geometry, 1.3), so the preimage of xi lies in the plane of xi and e1.
     ``_legendre_inverse`` solves it by one bracketed Newton body, on a
-    point's floats or on rows.
+    point's floats or on rows, from the cubic Hermite inverse of a table of
+    the image angle at ANGLE_NODES angles that the constructor builds.
 
     The constructor decides validity exactly and samples no directions.  With
     s = beta/alpha, which covers [-|b|, |b|], g has the eigenvalue
@@ -651,6 +648,7 @@ class AlphaBetaNorm(MinkowskiNorm):
         self.beta_vec[0] = float(b)
         self.b = float(b)
         self._check_profile()
+        self._angle_table = self._angle_start_table()
 
     def _check_profile(self):
         """Raise unless the three conditions of the class docstring hold.
@@ -702,29 +700,55 @@ class AlphaBetaNorm(MinkowskiNorm):
         phi = s.compose_univariate(self.profile.derivatives(s.value, sp.order))
         return (a2 * inv) * phi
 
-    def _image(self, c, s, order: int = 1):
-        """(i1, i2, P, phi's derivatives to ``order`` at b c) for c = cos t,
-        s = sin t, numbers or rows: L(cos t e1 + sin t u) = (i1, i2) in the
-        (e1, u) plane, with P = phi (phi - b c phi')."""
+    def _image(self, c, s):
+        """(i1, i2, slope) for c = cos t, s = sin t, numbers or rows:
+        L(cos t e1 + sin t u) = (i1, i2) in the (e1, u) plane, and ``slope()``
+        dTheta/dt of its angle Theta = atan2(i2, i1), computed when called."""
         b = self.b
-        d = self.profile.derivatives(b * c, order)
-        phi, dphi = d[0], d[1]
-        p = phi * (phi - b * c * dphi)
-        return p * c + b * phi * dphi, p * s, p, d
+        phi, d1, d2 = self.profile.derivatives(b * c, 2)
+        p = phi * (phi - b * c * d1)  # P
+        i1, i2 = p * c + b * phi * d1, p * s
+
+        def slope():
+            # dP/dt and d(phi phi')/dt, with d(b cos t)/dt = -b sin t
+            du = -b * s
+            dq = (d1 * d1 + phi * d2) * du
+            dp = phi * d1 * du - b * c * dq
+            di1 = dp * c - p * s + b * dq
+            di2 = dp * s + p * c
+            return (i1 * di2 - i2 * di1) / (i1 * i1 + i2 * i2)
+
+        return i1, i2, slope
+
+    def _angle_start_table(self) -> tuple:
+        """(Theta at the inner nodes, cells), the start table of ``_legendre_inverse``
+        from one ``_image`` of ANGLE_NODES angles t_k on [0, pi]: column k of cells
+        holds Theta_k, 1 / (Theta_k+1 - Theta_k), t_k, t_k+1 and a1, a2, a3 of the
+        cubic Hermite inverse t = t_k + u (a1 + u (a2 + u a3)) in u = (Theta -
+        Theta_k) / (Theta_k+1 - Theta_k), which meets t and dt/dTheta at both ends."""
+        t = np.linspace(0.0, math.pi, ANGLE_NODES)
+        c, s = np.cos(t), np.sin(t)
+        i1, i2, slope = self._image(c, s)
+        theta = np.arctan2(i2, i1)
+        slope, h, dt = slope(), np.diff(theta), np.diff(t)
+        m0, m1 = h / slope[:-1], h / slope[1:]  # dt/du at the ends of each cell
+        return theta[1:-1], np.array([theta[:-1], 1.0 / h, t[:-1], t[1:], m0,
+                                      3.0 * dt - 2.0 * m0 - m1, m0 + m1 - 2.0 * dt])
 
     def _legendre_inverse(self, xi):
         # y = alpha (cos t e1 + sin t u), u the unit part of xi off e1, has
         # L(y) = alpha image(cos t, sin t).  The angle Theta of the image from
         # e1 increases from 0 to pi with t, so t is the one root of its gap to
-        # psi, the angle of xi, on [0, pi]: Newton from t = psi with dTheta/dt
-        # from phi, phi' and phi'', and the midpoint of the bracket [lo, hi]
-        # of the gap's signs where a step leaves it (Press et al., Numerical
-        # Recipes, 3rd ed., 9.4).  It stops within 2 ulp of psi or once the
-        # bracket holds no other float.  A point runs on floats and rows on
-        # arrays (``_ANGLE_OPS``); a point not met within ANGLE_MAX_ITER
-        # evaluations raises NoConvergence, a row is NaN.
+        # psi, the angle of xi, on [0, pi]: Newton with dTheta/dt from phi,
+        # phi' and phi'', from the Hermite inverse of the start table's cell
+        # of psi, whose ends bracket the root, and the midpoint of the bracket
+        # [lo, hi] of the gap's signs where a step leaves it (Press et al.,
+        # Numerical Recipes, 3rd ed., 9.4).  It stops within 2 ulp of psi or
+        # once the bracket holds no other float.  A point runs on floats and
+        # rows on arrays (``_ANGLE_OPS``); a point not met within
+        # ANGLE_MAX_ITER evaluations raises NoConvergence, a row is NaN.
         rows = xi.ndim > 1
-        cos, sin, atan2, hypot, ulp, select, any_ = _ANGLE_OPS[rows]
+        cos, sin, atan2, hypot, ulp, select, any_, floats = _ANGLE_OPS[rows]
         b = self.b
         if rows:
             x1, perp = xi[:, 0], lengths(xi[:, 1:])
@@ -736,23 +760,20 @@ class AlphaBetaNorm(MinkowskiNorm):
         stop = 2.0 * ulp(psi)
         # xi on the axis, or F a multiple of alpha: y is parallel to xi
         todo = (perp > 0.0) & (b != 0.0)
-        t, lo, hi = psi, 0.0 * psi, 0.0 * psi + math.pi  # lo and hi at psi's shape
+        knots, cells = self._angle_table
+        theta, inv_h, lo, hi, a1, a2, a3 = floats(cells[:, np.searchsorted(knots, psi, "right")])
+        u = (psi - theta) * inv_h
+        t = lo + u * (a1 + u * (a2 + u * a3))
         c, s = select(todo, (cos(t), sin(t)), (x1 / size, perp / size))
         for _ in range(ANGLE_MAX_ITER):
-            i1, i2, p, (phi, d1, d2) = self._image(c, s, 2)
+            i1, i2, slope = self._image(c, s)
             gap = atan2(i2, i1) - psi
             on = todo & (abs(gap) > stop)
             if not any_(on):
                 break
-            # dP/dt and d(phi phi')/dt, with d(b cos t)/dt = -b sin t
-            du = -b * s
-            dq = (d1 * d1 + phi * d2) * du
-            dp = phi * d1 * du - b * c * dq
-            di1 = dp * c - p * s + b * dq
-            di2 = dp * s + p * c
-            slope = (i1 * di2 - i2 * di1) / (i1 * i1 + i2 * i2)
+            # Theta increases, so every evaluated t is a bracket end
             lo, hi = select(gap < 0.0, (t, hi), (lo, t))
-            step, mid = t - gap / slope, 0.5 * (lo + hi)
+            step, mid = t - gap / slope(), 0.5 * (lo + hi)
             # a finished row keeps its c and s, whatever its t
             todo = on & (lo < mid) & (mid < hi)
             t = select((lo < step) & (step < hi), step, mid)

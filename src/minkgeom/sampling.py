@@ -8,8 +8,8 @@ array, independent of evaluation order.
 
 from __future__ import annotations
 
+import functools
 import math
-from statistics import NormalDist
 
 import numpy as np
 
@@ -40,6 +40,7 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
         # of pi/2, where degenerate norm families sit on coordinate planes
         phi = 2.0 * math.pi * np.mod((j + 0.5) * GOLDEN + shift, 1.0)
         return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    from statistics import NormalDist  # about 4 ms to import, paid by n >= 4 alone
     alphas = _kronecker_alphas(n)
     j = np.arange(1, count + 1)[:, None]
     u = np.mod(shift + j * alphas[None, :], 1.0)
@@ -50,13 +51,17 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
     return g / norms[:, None]
 
 
+@functools.cache
 def _kronecker_alphas(n: int) -> np.ndarray:
     # Irrational generators from the generalized golden ratio (unique real
-    # root of x**(n+1) = x + 1), following Roberts' R_d sequence.
+    # root of x**(n+1) = x + 1), following Roberts' R_d sequence; computed
+    # once per n and shared, so read-only.
     x = 1.5
     for _ in range(80):
         x = (1.0 + x) ** (1.0 / (n + 1))
-    return np.mod(1.0 / x ** np.arange(1, n + 1), 1.0)
+    alphas = np.mod(1.0 / x ** np.arange(1, n + 1), 1.0)
+    alphas.flags.writeable = False
+    return alphas
 
 
 def sphere_mean(values: np.ndarray) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from minkgeom import calculus, isoparametric as iso, norms
 
 # the calls of one verify, n = 3: the sphere potential of each family on levels
 # 0.5, 2 and 4.5, and the Randers counterexample |xbar| + b.x on 0.8, 1 and 1.25
-BUDGET = {"randers": 617, "kth_root": 532, "alpha_beta": 890, "counterexample": 690}
+BUDGET = {"randers": 577, "kth_root": 492, "alpha_beta": 754, "counterexample": 650}
 # (small, large) counts; the counterexample's directions include one ray that
 # misses every level and is mirrored at 64 and 128 rays, and none at 8 to 32
 COUNTS = {"counterexample": (64, 128)}

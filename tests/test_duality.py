@@ -452,13 +452,39 @@ def test_alpha_beta_rows_solve_the_angle_of_the_one_point_inverse(alpha_beta_pai
             assert np.max(np.abs(gi - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("evaluations", [1, 4])
+@pytest.mark.parametrize("n", [3, 5])
+def test_the_angle_solve_starts_from_its_table(n):
+    # the norms of the alpha-beta benchmark (profile [1, 1, 0.1], b = 0.3)
+    # meet the angle within 3 image evaluations from the start table's
+    # Hermite inverse, on rows and at a point, on and off the e1 axis
+    norm = norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, n)
+    evaluations = []
+    image = norm._image
+
+    def counting(c, s):
+        evaluations[-1] += 1
+        return image(c, s)
+
+    norm._image = counting
+    rng = np.random.default_rng(500 + n)
+    e1 = np.eye(n)[0]
+    Xi = np.vstack([[2.5 * e1, -0.4 * e1],
+                    rng.standard_normal((200, n)) * np.logspace(-3, 3, 200)[:, None]])
+    for xi in [Xi, *Xi]:
+        evaluations.append(0)
+        assert np.isfinite(norm._legendre_inverse(xi)).all()
+    assert 1 <= max(evaluations) <= 3, evaluations
+
+
+@pytest.mark.parametrize("evaluations", [1, 2])
 def test_a_stalled_angle_solve_fails_explicitly(monkeypatch, evaluations):
     # with the image evaluations of the alpha-beta angle solve capped, a
     # point off the e1 axis raises NoConvergence at one evaluation, and in a
     # stack each row not met is NaN on its own while the others (the rows on
-    # the axis, and at four evaluations one off it) keep their bits
-    norm = norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), 0.3, 3)
+    # the axis, and at two evaluations those met) keep their bits.  From its
+    # start table most rows of a norm need two evaluations; at b = -0.8 some
+    # of these need more
+    norm = norms.AlphaBetaNorm(norms.PolynomialProfile([1.0, 1.0, 0.1]), -0.8, 3)
     rng = np.random.default_rng(11)
     Xi = np.vstack([[[2.5, 0.0, 0.0], [-0.4, 0.0, 0.0]], rng.standard_normal((40, 3))])
     want = norm._legendre_inverse(Xi)

@@ -50,7 +50,8 @@ def samples_of(frames, sizes) -> list:
         rows = frames[start:start + size]
         out.append(iso.LevelSample(t=float(i), points=rows.geometry.x,
                                    fstar=rows.geometry.fstar, lap=rows.geometry.lap,
-                                   curvatures=rows.principal_curvatures, frames=rows, skipped=0))
+                                   curvatures=rows.principal_curvatures, skipped=0,
+                                   stack=frames, rows=slice(start, start + size)))
         start += size
     return out
 

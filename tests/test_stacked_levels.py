@@ -539,6 +539,26 @@ def test_rows_match_the_one_point_services_at_every_scale(name):
         assert np.isnan(rows[:3]).all() and np.isfinite(rows[3])
 
 
+@pytest.mark.parametrize("name", list(_rows_norms()))
+def test_an_empty_stack_gives_empty_results(name):
+    # zero rows give every row service, the geometry and the frames at their
+    # shapes with no row, as N rows give them with N
+    norm = _rows_norms()[name]
+    n = norm.dim
+    E = np.zeros((0, n))
+    assert norm._values(E).shape == norm._dual_values(E).shape == (0,)
+    for got, want in ((norm._derivative_rows(E, 1), [(0,), (0, n), ()]),
+                      (norm._derivative_rows(E, 2), [(0,), (0, n), (0, n, n)]),
+                      (norm._dual_rows(E), [(0, n), (0,), (0, n, n), (0, n)])):
+        assert [np.shape(a) for a in got] == want
+    assert norm._legendre_inverse(E).shape == (0, n)
+    assert norm._dual_fundamental_tensor(E, np.zeros((0, n, n))).shape == (0, n, n)
+    geometry = calculus.level_geometry(norm, calculus.sphere_potential(norm), E)
+    assert len(geometry) == 0 and geometry.g.shape == (0, n, n) and geometry.m.shape == (0,)
+    frames = hs.level_frames(norm, calculus.sphere_potential(norm), geometry)
+    assert frames.principal_curvatures.shape == (0, n - 1)
+
+
 @pytest.mark.parametrize("count", [1, 200])
 def test_fd_rows_evaluate_each_stencil_offset_once(count):
     # one _value call on all rows per offset: 12 for d1 (2 steps x 6

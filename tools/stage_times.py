@@ -18,7 +18,8 @@ run averages over PASSES direction sets.  A stage's "of which" part is the
 time of the inner function called within it.  The alpha-beta row of
 ``_dual_rows`` (the Legendre preimages with F and g there) runs within
 ``level_geometry``'s ``_dual_geometry``, so that table's rows do not sum to
-the pass.
+the pass.  Under the alpha-beta table it prints the image evaluations per
+``AlphaBetaNorm._legendre_inverse`` over one run, a deterministic count.
 
 Imports ``src/`` only and writes nothing.  Run from anywhere:
 ``python tools/stage_times.py``.
@@ -71,6 +72,8 @@ REDUCED_STAGES = [
 ]
 REDUCED_PARTS = {"level_geometry": (calculus, "_dual_geometry"),
                  "level_frames": (hypersurface, "orthonormal_basis")}
+# (counted function, per call of) of each table: its calls per call of the other
+ALPHA_BETA_COUNTS = [((norms.AlphaBetaNorm, "_image"), "_legendre_inverse")]
 
 
 def randers_scenarios() -> list:
@@ -112,14 +115,16 @@ def reduced_scenarios() -> list:
     ]
 
 
-# (workload, its scenarios, stages, parts) of each table
-TABLES = [("randers-verify", randers_scenarios, RANDERS_STAGES, RANDERS_PARTS),
-          ("alphabeta-verify", alpha_beta_scenarios, ALPHA_BETA_STAGES, ALPHA_BETA_PARTS),
-          ("reduced rows", reduced_scenarios, REDUCED_STAGES, REDUCED_PARTS)]
+# (workload, its scenarios, stages, parts, counts) of each table
+TABLES = [("randers-verify", randers_scenarios, RANDERS_STAGES, RANDERS_PARTS, []),
+          ("alphabeta-verify", alpha_beta_scenarios, ALPHA_BETA_STAGES, ALPHA_BETA_PARTS,
+           ALPHA_BETA_COUNTS),
+          ("reduced rows", reduced_scenarios, REDUCED_STAGES, REDUCED_PARTS, [])]
 
 
-def _timed(fn, totals: dict, name: str):
+def _timed(fn, totals: dict, calls: dict, name: str):
     def wrapper(*args, **kwargs):
+        calls[name] += 1
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
@@ -128,13 +133,15 @@ def _timed(fn, totals: dict, name: str):
     return wrapper
 
 
-def run(cases: list, stages: list, parts: dict, passes: int) -> dict:
-    """Microseconds per pass of each stage, part and the whole pass, over ``passes`` passes."""
-    timed = stages + list(parts.values())
+def run(cases: list, stages: list, parts: dict, counted: list, passes: int) -> tuple:
+    """(microseconds per pass, calls) of each stage, part and counted function and of
+    the whole pass, over ``passes`` passes."""
+    timed = stages + list(parts.values()) + [fn for fn, _ in counted]
     totals = dict.fromkeys([name for _, name in timed] + ["pass"], 0.0)
+    calls = dict.fromkeys(totals, 0)
     saved = [(owner, name, getattr(owner, name)) for owner, name in timed]
     for owner, name, fn in saved:
-        setattr(owner, name, _timed(fn, totals, name))
+        setattr(owner, name, _timed(fn, totals, calls, name))
     try:
         for p in range(passes):
             start = time.perf_counter()
@@ -144,7 +151,7 @@ def run(cases: list, stages: list, parts: dict, passes: int) -> dict:
     finally:
         for owner, name, fn in saved:
             setattr(owner, name, fn)
-    return {name: 1e6 * total / passes for name, total in totals.items()}
+    return {name: 1e6 * total / passes for name, total in totals.items()}, calls
 
 
 def _us(v: float) -> str:
@@ -152,10 +159,10 @@ def _us(v: float) -> str:
 
 
 def main():
-    for title, scenarios, stages, parts in TABLES:
+    for title, scenarios, stages, parts, counted in TABLES:
         cases = scenarios()
-        run(cases, stages, parts, 5)  # warm-up: imports, jet spaces, first-call caches
-        runs = [run(cases, stages, parts, PASSES) for _ in range(RUNS)]
+        run(cases, stages, parts, counted, 5)  # warm-up: imports, jet spaces, first-call caches
+        runs, calls = zip(*(run(cases, stages, parts, counted, PASSES) for _ in range(RUNS)))
         median = {name: statistics.median(r[name] for r in runs) for name in runs[0]}
         print(f"{title}:\n")
         print(f"| stage | µs a pass (median of {RUNS} runs of {PASSES} passes) |")
@@ -168,6 +175,9 @@ def main():
             else:
                 print(f"| `{name}` | {_us(median[name])} |")
         print(f"| whole pass | {_us(median['pass'])} |\n")
+        for (_, name), per in counted:  # the same in every run: the seeds are the passes
+            print(f"`{name}` calls per `{per}` call: {calls[0][name] / calls[0][per]:.3f} "
+                  f"({calls[0][name]} in {calls[0][per]}, one run)\n")
 
 
 if __name__ == "__main__":
