@@ -135,9 +135,9 @@ def _sample_stack(norm: MinkowskiNorm, field: ScalarField, levels, count: int, s
     if inside < len(levels):
         raise ValueError(f"level {levels[inside]} outside the declared regular range "
                          f"{field.regular_range}")
-    geo, k = frames.geometry, frames.principal_curvatures
-    return [LevelSample(t=float(t), points=geo.x[a:b], fstar=geo.fstar[a:b], lap=geo.lap[a:b],
-                        curvatures=k[a:b], skipped=count - (b - a), stack=frames, rows=slice(a, b))
+    return [LevelSample(t=float(t), points=frames.geometry.x[a:b], fstar=frames.geometry.fstar[a:b],
+                        lap=frames.geometry.lap[a:b], curvatures=frames.principal_curvatures[a:b],
+                        skipped=count - (b - a), stack=frames, rows=slice(a, b))
             for t, a, b in zip(levels, starts, starts[1:])], frames
 
 

@@ -730,8 +730,8 @@ class AlphaBetaNorm(MinkowskiNorm):
         c, s = np.cos(t), np.sin(t)
         i1, i2, slope = self._image(c, s)
         theta = np.arctan2(i2, i1)
-        slope, h, dt = slope(), np.diff(theta), np.diff(t)
-        m0, m1 = h / slope[:-1], h / slope[1:]  # dt/du at the ends of each cell
+        dtheta, h, dt = slope(), np.diff(theta), np.diff(t)
+        m0, m1 = h / dtheta[:-1], h / dtheta[1:]  # dt/du at the ends of each cell
         return theta[1:-1], np.array([theta[:-1], 1.0 / h, t[:-1], t[1:], m0,
                                       3.0 * dt - 2.0 * m0 - m1, m0 + m1 - 2.0 * dt])
 

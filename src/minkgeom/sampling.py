@@ -40,7 +40,7 @@ def sphere_directions(n: int, count: int, seed: int = 0) -> np.ndarray:
         # of pi/2, where degenerate norm families sit on coordinate planes
         phi = 2.0 * math.pi * np.mod((j + 0.5) * GOLDEN + shift, 1.0)
         return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    from statistics import NormalDist  # about 4 ms to import, paid by n >= 4 alone
+    from statistics import NormalDist  # about 5 ms to import, paid by n >= 4 alone
     alphas = _kronecker_alphas(n)
     j = np.arange(1, count + 1)[:, None]
     u = np.mod(shift + j * alphas[None, :], 1.0)

@@ -557,6 +557,7 @@ def test_an_empty_stack_gives_empty_results(name):
     assert len(geometry) == 0 and geometry.g.shape == (0, n, n) and geometry.m.shape == (0,)
     frames = hs.level_frames(norm, calculus.sphere_potential(norm), geometry)
     assert frames.principal_curvatures.shape == (0, n - 1)
+    assert iso.sample_levels(norm, calculus.sphere_potential(norm), [], 8) == []
 
 
 @pytest.mark.parametrize("count", [1, 200])
@@ -579,24 +580,27 @@ def test_fd_rows_evaluate_each_stencil_offset_once(count):
 
 def test_a_randers_verify_builds_no_per_point_object(monkeypatch):
     # the verify of a Randers sphere, 3 levels of 64 points, keeps every
-    # point's geometry and frame as rows of arrays: no stage indexes a level
-    # record by one point, whose record is built only on request
+    # point's geometry and frame as rows of arrays: no stage builds a level's
+    # record or indexes one by a point, and each is built only on request
     norm, field, levels = scenario("sphere")
     built = []
     getitem = calculus.RowRecord.__getitem__
 
     def counting(self, i):
-        if isinstance(i, (int, np.integer)):
-            built.append(type(self).__name__)
+        built.append((type(self).__name__, isinstance(i, (int, np.integer))))
         return getitem(self, i)
 
     monkeypatch.setattr(calculus.RowRecord, "__getitem__", counting)
     report = iso.verify(norm, field, levels, count=64)
     assert sum(len(s.points) for s in report.samples) == 3 * 64 and report.witness is not None
     assert built == []
-    # a point's frame on request is one int index of the frames and of their geometry
-    assert report.samples[0].frames[5].geometry.fstar == report.samples[0].fstar[5]
-    assert built == ["LevelFrames", "LevelGeometry"]
+    # a level's frames on request are one slice of the stack, built once, and
+    # a point's frame one int index of them and of their geometry
+    frames = report.samples[0].frames
+    assert report.samples[0].frames is frames
+    assert built == [("LevelFrames", False), ("LevelGeometry", False)]
+    assert frames[5].geometry.fstar == report.samples[0].fstar[5]
+    assert built[2:] == [("LevelFrames", True), ("LevelGeometry", True)]
 
 
 def test_sampling_makes_no_one_point_field_call(monkeypatch):
